@@ -125,7 +125,8 @@ class SubflowState:
 
     ``srtt_us`` is 0 until the first acknowledgment has been processed.
     ``consecutive_timeouts`` counts retransmission timeouts since the last
-    acknowledgment; the simulator uses it for failure detection.
+    acknowledgment; the simulator uses it for failure detection. The
+    endpoints are fixed at creation, so the interface pair is computed once.
     """
 
     id: int
@@ -139,9 +140,13 @@ class SubflowState:
     bytes_sent_total: int = 0
     created_us: int = 0
     died_us: Optional[int] = None
+    _pair: InterfacePair = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._pair = InterfacePair.between(self.src, self.dst)
 
     def pair(self) -> InterfacePair:
-        return InterfacePair.between(self.src, self.dst)
+        return self._pair
 
 
 @dataclass(frozen=True)
@@ -226,12 +231,8 @@ def _birth_priority(conn: ConnectionState, pair: InterfacePair) -> bool:
 def _add_subflow(
     conn: ConnectionState, src: EndpointAddress, dst: EndpointAddress
 ) -> SubflowState:
-    sf = SubflowState(
-        id=conn.next_id,
-        src=src,
-        dst=dst,
-        low_prio=_birth_priority(conn, InterfacePair.between(src, dst)),
-    )
+    sf = SubflowState(id=conn.next_id, src=src, dst=dst)
+    sf.low_prio = _birth_priority(conn, sf.pair())
     conn.next_id += 1
     conn.subflows.append(sf)
     return sf

@@ -388,7 +388,7 @@ def emit_csv(report: TimelineReport, out: Union[str, Path, IO[str]]) -> None:
         with open(out, "w", encoding="utf-8", newline="") as handle:
             emit_csv(report, handle)
         return
-    pair_by_id = {rec.subflow_id: rec.pair for rec in report.subflow_genealogy}
+    pair_by_id = {rec.subflow_id: str(rec.pair) for rec in report.subflow_genealogy}
     out.write(CSV_HEADER + "\n")
     for row in report.rows:
         throughput_bps = row.bytes_acked * 8 * 1000 // report.bucket_ms

@@ -23,9 +23,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional
+from typing import Collection, Optional, Tuple
 
-from .model import ConfigurationError, ConnectionState, SchedulerKind, SubflowState
+from .model import (
+    ConfigurationError,
+    ConnectionState,
+    InterfacePair,
+    SchedulerKind,
+    SubflowState,
+)
 
 
 class ChoiceReason(Enum):
@@ -46,22 +52,71 @@ class SchedulerDecision:
 _NO_PATH = SchedulerDecision(None, ChoiceReason.NO_PATH)
 
 
+class _Decisions(dict):
+    """The decisions for one reason, keyed by chosen id. A decision is
+    immutable, so one instance per (id, reason) is built and then shared by
+    every caller; this saves building one per segment."""
+
+    def __init__(self, reason: ChoiceReason) -> None:
+        super().__init__()
+        self.reason = reason
+
+    def __missing__(self, chosen: int) -> SchedulerDecision:
+        decision = self[chosen] = SchedulerDecision(chosen, self.reason)
+        return decision
+
+
+_ACTIVE = _Decisions(ChoiceReason.ACTIVE_PATH)
+_BACKUP = _Decisions(ChoiceReason.BACKUP_FALLBACK)
+_PRIMARY = _Decisions(ChoiceReason.PRIMARY_PATH)
+
+
 def is_schedulable(sf: SubflowState, mss: int, window: int) -> bool:
     """True iff the sub-flow is alive and one more MSS fits in its window."""
     return sf.alive and sf.inflight_bytes + mss <= window
 
 
-def _best(flows: List[SubflowState]) -> SubflowState:
-    return min(flows, key=lambda sf: (sf.srtt_us, sf.id))
+def _select_tiered(
+    conn: ConnectionState,
+    primary: Collection[InterfacePair],
+    tiers: Tuple[_Decisions, ...],
+    mss: int,
+    window: int,
+) -> SchedulerDecision:
+    """One pass over the sub-flows, grouped into tiers of decreasing
+    preference. With two ``tiers`` they are [active, backup]; with three
+    they are [on a ``primary`` pair, off-primary active, off-primary
+    backup]. ``tiers[t]`` holds the decisions for a choice from tier ``t``.
 
-
-def _pick(
-    flows: List[SubflowState], mss: int, window: int, reason: ChoiceReason
-) -> Optional[SchedulerDecision]:
-    candidates = [sf for sf in flows if is_schedulable(sf, mss, window)]
-    if candidates:
-        return SchedulerDecision(_best(candidates).id, reason)
-    return None
+    The first tier with any alive member decides: it yields its schedulable
+    member with the lowest (srtt_us, id), or NO_PATH if none is schedulable.
+    """
+    limit = window - mss
+    offset = len(tiers) - 2  # tier of an off-primary active sub-flow
+    best: Optional[SubflowState] = None
+    best_tier = len(tiers)
+    best_srtt = 0
+    for sf in conn.subflows:
+        if not sf.alive:
+            continue
+        if primary and sf.pair() in primary:
+            tier = 0
+        else:
+            tier = offset + sf.low_prio
+        if tier > best_tier:
+            continue
+        if tier < best_tier:
+            best_tier = tier
+            best = None
+        if sf.inflight_bytes > limit:  # not is_schedulable
+            continue
+        srtt = sf.srtt_us
+        if best is None or srtt < best_srtt or (srtt == best_srtt and sf.id < best.id):
+            best = sf
+            best_srtt = srtt
+    if best is None:
+        return _NO_PATH
+    return tiers[best_tier][best.id]
 
 
 def select_default(conn: ConnectionState, mss: int, window: int) -> SchedulerDecision:
@@ -71,15 +126,7 @@ def select_default(conn: ConnectionState, mss: int, window: int) -> SchedulerDec
     is available: an alive active that is merely window-limited holds the
     segment back (NO_PATH) instead of diverting it to a backup.
     """
-    actives = [sf for sf in conn.subflows if sf.alive and not sf.low_prio]
-    decision = _pick(actives, mss, window, ChoiceReason.ACTIVE_PATH)
-    if decision:
-        return decision
-    if actives:
-        return _NO_PATH
-    backups = [sf for sf in conn.subflows if sf.alive and sf.low_prio]
-    decision = _pick(backups, mss, window, ChoiceReason.BACKUP_FALLBACK)
-    return decision or _NO_PATH
+    return _select_tiered(conn, (), (_ACTIVE, _BACKUP), mss, window)
 
 
 def select_ppos(conn: ConnectionState, mss: int, window: int) -> SchedulerDecision:
@@ -88,34 +135,13 @@ def select_ppos(conn: ConnectionState, mss: int, window: int) -> SchedulerDecisi
     All data goes to sub-flows on the primary pairs while any of them is
     alive (min srtt arbitrates among several). Only when no primary-pair
     sub-flow is alive does the selection fall back to the remaining
-    sub-flows, reported as BACKUP_FALLBACK whatever their flag.
+    sub-flows, actives before backups, reported as BACKUP_FALLBACK whatever
+    their flag.
     """
     if not conn.primary_path_only:
         raise ConfigurationError("primary-path-only scheduling is not enabled")
-    primary_pairs = set(conn.primary_pairs)
-    primaries = [sf for sf in conn.subflows if sf.alive and sf.pair() in primary_pairs]
-    decision = _pick(primaries, mss, window, ChoiceReason.PRIMARY_PATH)
-    if decision:
-        return decision
-    if primaries:
-        return _NO_PATH
-    rest_actives = [
-        sf
-        for sf in conn.subflows
-        if sf.alive and sf.pair() not in primary_pairs and not sf.low_prio
-    ]
-    decision = _pick(rest_actives, mss, window, ChoiceReason.BACKUP_FALLBACK)
-    if decision:
-        return decision
-    if rest_actives:
-        return _NO_PATH
-    rest_backups = [
-        sf
-        for sf in conn.subflows
-        if sf.alive and sf.pair() not in primary_pairs and sf.low_prio
-    ]
-    decision = _pick(rest_backups, mss, window, ChoiceReason.BACKUP_FALLBACK)
-    return decision or _NO_PATH
+    tiers = (_PRIMARY, _BACKUP, _BACKUP)
+    return _select_tiered(conn, conn.primary_pairs, tiers, mss, window)
 
 
 def select(conn: ConnectionState, mss: int, window: int) -> SchedulerDecision:

@@ -37,6 +37,8 @@ any platform.
 from __future__ import annotations
 
 import heapq
+import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Tuple
@@ -133,12 +135,18 @@ class EventKind(Enum):
 class _Link:
     spec: LinkSpec
     up: bool
+    delay_us: int
     epoch: int = 0
     tx_free_us: int = 0
 
 
 @dataclass
-class _FlowTimer:
+class _Flow:
+    """Simulator state of one sender sub-flow: the sub-flow itself, the link
+    serving its pair, and its retransmission and probe timers."""
+
+    sf: SubflowState
+    link: _Link
     rto_seq: int = 0
     armed_at_us: Optional[int] = None
     base_us: int = 0
@@ -178,7 +186,7 @@ class Simulation:
                 raise ValidationError(f"duplicate link for pair {spec.pair}")
             if spec.link_id in self._links_by_id:
                 raise ValidationError(f"duplicate link id {spec.link_id}")
-            link = _Link(spec=spec, up=spec.up)
+            link = _Link(spec=spec, up=spec.up, delay_us=spec.one_way_delay_ms * US_PER_MS)
             self._links_by_pair[spec.pair] = link
             self._links_by_id[spec.link_id] = link
         mesh = sender.mesh_pairs()
@@ -192,9 +200,9 @@ class Simulation:
                 )
 
         self._heap: List[tuple] = []
-        self._seq = 0
-        self._timers: Dict[int, _FlowTimer] = {
-            sf.id: _FlowTimer() for sf in sender.subflows
+        self._seq = itertools.count()
+        self._flows: Dict[int, _Flow] = {
+            sf.id: _Flow(sf, self._links_by_pair[sf.pair()]) for sf in sender.subflows
         }
         self._acked: Dict[Tuple[int, int], int] = {}
         # (time_us, flow_id, low_prio): priority history for bucket rows
@@ -208,8 +216,7 @@ class Simulation:
     # event plumbing
 
     def _push(self, at_us: int, kind: EventKind, payload: tuple) -> None:
-        heapq.heappush(self._heap, (at_us, self._seq, kind, payload))
-        self._seq += 1
+        heapq.heappush(self._heap, (at_us, next(self._seq), kind, payload))
 
     def schedule_action(
         self, at_ms: int, action: Callable[["Simulation"], None], link_change: bool = False
@@ -232,48 +239,45 @@ class Simulation:
         link.epoch += 1
         link.tx_free_us = self.now_us
 
-    def _serialization_us(self, nbytes: int, link: _Link) -> int:
-        return nbytes * 8 * 1_000_000 // link.spec.bandwidth_bps
-
     def _send_segment(self, sf: SubflowState, nbytes: int, is_probe: bool = False) -> None:
-        link = self.link_for(sf.pair())
+        flow = self._flows[sf.id]
+        link = flow.link
         start = max(self.now_us, link.tx_free_us)
-        done = start + self._serialization_us(nbytes, link)
+        done = start + nbytes * 8 * 1_000_000 // link.spec.bandwidth_bps
         link.tx_free_us = done
         if not is_probe:
             sf.inflight_bytes += nbytes
             sf.bytes_sent_total += nbytes
-        options = tuple(self.sender.outbox)
-        self.sender.outbox.clear()
-        arrive = done + link.spec.one_way_delay_ms * US_PER_MS
-        self._push(
-            arrive,
-            EventKind.SEGMENT_ARRIVAL,
-            (sf.id, nbytes, link.epoch, self.now_us, options, is_probe),
+        outbox = self.sender.outbox
+        options = tuple(outbox)
+        outbox.clear()
+        segment = (sf.id, nbytes, link.epoch, self.now_us, options, is_probe)
+        heapq.heappush(
+            self._heap,
+            (done + link.delay_us, next(self._seq), EventKind.SEGMENT_ARRIVAL, segment),
         )
-        timer = self._timers[sf.id]
-        if timer.armed_at_us is None:
+        if flow.armed_at_us is None:
             self._arm_rto(sf)
 
     def _arm_rto(self, sf: SubflowState) -> None:
-        timer = self._timers[sf.id]
-        timer.armed_at_us = self.now_us
-        timer.base_us = max(2 * sf.srtt_us, self.config.rto_min_us)
-        fire_at = timer.armed_at_us + timer.base_us * (2**sf.consecutive_timeouts)
-        self._push(fire_at, EventKind.RTO_FIRE, (sf.id, timer.rto_seq))
+        flow = self._flows[sf.id]
+        flow.armed_at_us = self.now_us
+        flow.base_us = max(2 * sf.srtt_us, self.config.rto_min_us)
+        fire_at = flow.armed_at_us + flow.base_us * (2**sf.consecutive_timeouts)
+        self._push(fire_at, EventKind.RTO_FIRE, (sf.id, flow.rto_seq))
 
     def _cancel_rto(self, sf: SubflowState) -> None:
-        timer = self._timers[sf.id]
-        timer.rto_seq += 1
-        timer.armed_at_us = None
+        flow = self._flows[sf.id]
+        flow.rto_seq += 1
+        flow.armed_at_us = None
 
     def _schedule_probe(self, sf: SubflowState) -> None:
-        timer = self._timers[sf.id]
-        timer.probe_seq += 1
+        flow = self._flows[sf.id]
+        flow.probe_seq += 1
         self._push(
             self.now_us + self.config.probe_interval_us,
             EventKind.PROBE_DUE,
-            (sf.id, timer.probe_seq),
+            (sf.id, flow.probe_seq),
         )
 
     def _record_flag(self, sf: SubflowState) -> None:
@@ -286,73 +290,70 @@ class Simulation:
             decision = select(self.sender, cfg.mss, cfg.window_bytes)
             if decision.chosen is None:
                 return
-            sf = self.sender.subflow_by_id(decision.chosen)
-            self._send_segment(sf, cfg.mss)
+            self._send_segment(self._flows[decision.chosen].sf, cfg.mss)
 
     # ------------------------------------------------------------------ #
     # event handlers
 
     def _on_segment_arrival(self, payload: tuple) -> None:
         flow_id, nbytes, epoch, sent_us, options, is_probe = payload
-        sf = self.sender.subflow_by_id(flow_id)
-        link = self.link_for(sf.pair())
+        link = self._flows[flow_id].link
         if link.epoch != epoch or not link.up:
             return  # dropped on a changed or down link
         for opt in options:
             sockopt.apply_remote_mp_prio(self.receiver, opt, received_on=flow_id)
-        ack_at = self.now_us + link.spec.one_way_delay_ms * US_PER_MS
-        self._push(
-            ack_at,
-            EventKind.ACK_ARRIVAL,
-            (flow_id, nbytes, link.epoch, sent_us, is_probe),
+        ack = (flow_id, nbytes, link.epoch, sent_us, is_probe)
+        heapq.heappush(
+            self._heap,
+            (self.now_us + link.delay_us, next(self._seq), EventKind.ACK_ARRIVAL, ack),
         )
 
     def _on_ack_arrival(self, payload: tuple) -> None:
         flow_id, nbytes, epoch, sent_us, is_probe = payload
-        sf = self.sender.subflow_by_id(flow_id)
-        link = self.link_for(sf.pair())
+        flow = self._flows[flow_id]
+        link = flow.link
         if link.epoch != epoch or not link.up:
             return
+        sf = flow.sf
         if not sf.alive:
             return  # late ack for a sub-flow already declared dead
         sample = self.now_us - sent_us
         sf.srtt_us = sample if sf.srtt_us == 0 else (7 * sf.srtt_us + sample) // 8
         sf.consecutive_timeouts = 0
-        timer = self._timers[sf.id]
         if is_probe:
-            timer.probe_outstanding = False
+            flow.probe_outstanding = False
         else:
             sf.inflight_bytes -= nbytes
             bucket = self.now_us // self.bucket_us
             key = (bucket, flow_id)
             self._acked[key] = self._acked.get(key, 0) + nbytes
         self._cancel_rto(sf)
-        if sf.inflight_bytes > 0 or timer.probe_outstanding:
+        if sf.inflight_bytes > 0 or flow.probe_outstanding:
             self._arm_rto(sf)
         self._pump()
-        if sf.alive and sf.inflight_bytes == 0 and not timer.probe_outstanding:
+        if sf.alive and sf.inflight_bytes == 0 and not flow.probe_outstanding:
             self._schedule_probe(sf)
 
     def _on_rto_fire(self, payload: tuple) -> None:
         flow_id, rto_seq = payload
-        sf = self.sender.subflow_by_id(flow_id)
-        timer = self._timers[flow_id]
-        if not sf.alive or timer.rto_seq != rto_seq or timer.armed_at_us is None:
+        flow = self._flows[flow_id]
+        sf = flow.sf
+        if not sf.alive or flow.rto_seq != rto_seq or flow.armed_at_us is None:
             return
         sf.consecutive_timeouts += 1
         if sf.consecutive_timeouts >= self.config.rto_death_timeouts:
             self._kill(sf)
             return
-        fire_at = timer.armed_at_us + timer.base_us * (2**sf.consecutive_timeouts)
+        fire_at = flow.armed_at_us + flow.base_us * (2**sf.consecutive_timeouts)
         self._push(fire_at, EventKind.RTO_FIRE, (flow_id, rto_seq))
 
     def _kill(self, sf: SubflowState) -> None:
         sf.alive = False
         sf.died_us = self.now_us
         sf.inflight_bytes = 0  # in-flight data goes back to the backlog
-        timer = self._timers[sf.id]
-        timer.probe_outstanding = False
-        timer.probe_seq += 1
+        flow = self._flows[sf.id]
+        flow.probe_outstanding = False
+        flow.probe_seq += 1
         self._cancel_rto(sf)
         recv_sf = self.receiver.subflow_by_id(sf.id)
         if recv_sf is not None:
@@ -369,13 +370,13 @@ class Simulation:
 
     def _on_probe_due(self, payload: tuple) -> None:
         flow_id, probe_seq = payload
-        sf = self.sender.subflow_by_id(flow_id)
-        timer = self._timers[flow_id]
-        if not sf.alive or timer.probe_seq != probe_seq:
+        flow = self._flows[flow_id]
+        sf = flow.sf
+        if not sf.alive or flow.probe_seq != probe_seq:
             return
-        if sf.inflight_bytes > 0 or timer.probe_outstanding:
+        if sf.inflight_bytes > 0 or flow.probe_outstanding:
             return  # data traffic is already exercising the path
-        timer.probe_outstanding = True
+        flow.probe_outstanding = True
         self._send_segment(sf, 0, is_probe=True)
 
     def _on_reestablish(self, payload: tuple) -> None:
@@ -401,7 +402,7 @@ class Simulation:
         new_id = open_subflow(self.sender, (src, dst))
         sf = self.sender.subflow_by_id(new_id)
         sf.created_us = self.now_us
-        self._timers[new_id] = _FlowTimer()
+        self._flows[new_id] = _Flow(sf, self.link_for(pair))
         self._record_flag(sf)
         # The receiver mirrors the new sub-flow under the same id; its birth
         # priority travels with the join (stand-in for the handshake's
@@ -440,31 +441,46 @@ class Simulation:
             raise RuntimeError("a Simulation instance runs only once")
         self._finished = True
         self._push(0, EventKind.APP_ACTION, (self._bootstrap,))
+        # The two per-segment kinds are dispatched by identity; the rest are
+        # rare enough for a table.
+        ack_arrival, on_ack = EventKind.ACK_ARRIVAL, self._on_ack_arrival
+        segment_arrival, on_segment = EventKind.SEGMENT_ARRIVAL, self._on_segment_arrival
         handlers = {
-            EventKind.SEGMENT_ARRIVAL: self._on_segment_arrival,
-            EventKind.ACK_ARRIVAL: self._on_ack_arrival,
             EventKind.RTO_FIRE: self._on_rto_fire,
             EventKind.PROBE_DUE: self._on_probe_due,
             EventKind.REESTABLISH_ATTEMPT: self._on_reestablish,
             EventKind.APP_ACTION: self._on_action,
             EventKind.LINK_CHANGE: self._on_action,
         }
-        while self._heap:
-            at_us, _, kind, payload = heapq.heappop(self._heap)
-            if at_us >= self.duration_us:
+        heap = self._heap
+        duration_us = self.duration_us
+        while heap:
+            at_us, _, kind, payload = heapq.heappop(heap)
+            if at_us >= duration_us:
                 break
             self.now_us = at_us
-            handlers[kind](payload)
+            if kind is ack_arrival:
+                on_ack(payload)
+            elif kind is segment_arrival:
+                on_segment(payload)
+            else:
+                handlers[kind](payload)
         return self._build_report()
 
-    def _flag_at(self, flow_id: int, at_us: int) -> bool:
-        flag = False
-        for t, fid, low in self._flag_log:
-            if fid == flow_id and t <= at_us:
-                flag = low
-        return flag
-
     def _build_report(self) -> TimelineReport:
+        # Per-flow flag history; _flag_log is appended in time order, so each
+        # history is sorted and the flag at time t is its last entry at or
+        # before t.
+        flag_times: Dict[int, List[int]] = {}
+        flag_values: Dict[int, List[bool]] = {}
+        for t, fid, low in self._flag_log:
+            flag_times.setdefault(fid, []).append(t)
+            flag_values.setdefault(fid, []).append(low)
+
+        def flag_at(flow_id: int, at_us: int) -> bool:
+            i = bisect_right(flag_times.get(flow_id, ()), at_us)
+            return flag_values[flow_id][i - 1] if i else False
+
         rows: List[ThroughputBucket] = []
         n_buckets = -(-self.duration_us // self.bucket_us)  # ceil
         for bucket in range(n_buckets):
@@ -481,7 +497,7 @@ class Simulation:
                         bucket_start_ms=start_us // US_PER_MS,
                         subflow_id=sf.id,
                         bytes_acked=self._acked.get((bucket, sf.id), 0),
-                        low_prio=self._flag_at(sf.id, end_us),
+                        low_prio=flag_at(sf.id, end_us),
                         alive=died is None or died >= end_us,
                     )
                 )

@@ -1,0 +1,29 @@
+"""Pinned outputs of the built-in scenarios.
+
+Each built-in's CSV at the default 1 s buckets must hash to the SHA-256
+recorded here (the same digests ``perfbench/golden.json`` pins for the
+benchmark). A change to any timeline, however small, fails this test; a
+change meant to alter a timeline has to update the digest on purpose.
+"""
+
+import hashlib
+import io
+
+import pytest
+
+from mpflow.scenario import PPOS_ENV_VAR, builtin_scenario, emit_csv, run_scenario
+
+GOLDEN_SHA256 = {
+    "fig4": "2aeb31311b97c52c79f8e8487b04630b3cdd703b379743f9dc945702f60a264c",
+    "fig5": "d3027cfd8a6b8516ed2e6c6bd14a486965bf9fe7345944df30afb29f4e57b6fb",
+    "fig6_default": "1a5caec747161f6e12b4710b4571abc2b9c2da9789880e271e4ce5c92fcce420",
+    "fig6_ppos": "b92c2c5c075d484ff84191eed64efa11ac9d9b4d843656c95dbe5f8c42c774d8",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+def test_builtin_csv_matches_pinned_digest(name, monkeypatch):
+    monkeypatch.delenv(PPOS_ENV_VAR, raising=False)
+    buf = io.StringIO()
+    emit_csv(run_scenario(builtin_scenario(name)), buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == GOLDEN_SHA256[name]

@@ -1,0 +1,66 @@
+"""The simulator's profiling seams.
+
+Profilers (such as the benchmark's tracer) count the per-segment calls by
+replacing module attributes of ``mpflow.simnet`` while a run is traced, so
+``Simulation`` must look ``select`` and ``heapq`` up at call time. The
+sub-flow's cached interface pair must also stay equal to the pair of its
+endpoints, for sub-flows re-created during the run as well.
+"""
+
+from types import SimpleNamespace
+
+from mpflow import simnet
+from mpflow.model import InterfacePair, new_connection
+from mpflow.simnet import LinkSpec, Simulation, mirror_connection
+from helpers import addr
+
+
+def build_flapping_sim():
+    """Three 1 Mbps links; link 1 is down from 1 s to 3 s, long enough to
+    kill its sub-flow, which is re-created once the link is back."""
+    sender = new_connection([addr("10.0.0.1")], [addr(f"10.0.{i}.1") for i in (1, 2, 3)])
+    receiver = mirror_connection(sender)
+    links = [
+        LinkSpec(i + 1, mesh_pair, 1_000_000, 100)
+        for i, mesh_pair in enumerate(sender.mesh_pairs())
+    ]
+    sim = Simulation(sender, receiver, links, duration_ms=6_000)
+    sim.schedule_action(1_000, lambda s: s.set_link_state(1, up=False), link_change=True)
+    sim.schedule_action(3_000, lambda s: s.set_link_state(1, up=True), link_change=True)
+    return sim
+
+
+def test_run_looks_up_select_and_heapq_at_call_time(monkeypatch):
+    counts = {"select": 0, "heappush": 0, "heappop": 0}
+    select, heapq = simnet.select, simnet.heapq
+
+    def counting_select(conn, mss, window):
+        counts["select"] += 1
+        return select(conn, mss, window)
+
+    def counting_heappush(heap, item):
+        counts["heappush"] += 1
+        heapq.heappush(heap, item)
+
+    def counting_heappop(heap):
+        counts["heappop"] += 1
+        return heapq.heappop(heap)
+
+    monkeypatch.setattr(simnet, "select", counting_select)
+    monkeypatch.setattr(
+        simnet, "heapq", SimpleNamespace(heappush=counting_heappush, heappop=counting_heappop)
+    )
+    build_flapping_sim().run()
+    assert counts["select"] > 0
+    assert counts["heappush"] > 0
+    assert counts["heappop"] > 0
+
+
+def test_cached_pair_matches_endpoints_after_recreation():
+    sim = build_flapping_sim()
+    sim.run()
+    assert len(sim.sender.subflows) > 3  # link 1's sub-flow was re-created
+    for conn in (sim.sender, sim.receiver):
+        assert len(conn.subflows) == len(sim.sender.subflows)
+        for sf in conn.subflows:
+            assert sf.pair() == InterfacePair.between(sf.src, sf.dst)
