@@ -18,7 +18,6 @@ from .model import (
     MpflowError,
     NotFoundError,
     PriorityLists,
-    SchedulerKind,
     SubflowState,
     ValidationError,
     classify_subflow_priority,
@@ -38,7 +37,6 @@ from .scheduler import (
 )
 from .simnet import (
     LinkSpec,
-    SimConfig,
     Simulation,
     SubflowRecord,
     ThroughputBucket,

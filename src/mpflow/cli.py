@@ -1,9 +1,9 @@
 """Command-line entry point.
 
     mpflow run --scenario <name|path> [--bucket-ms 1000] [--out report.csv]
-               [--duration-ms N] [--seed N]
+               [--duration-ms N]
     mpflow list-scenarios
-    mpflow validate <path>
+    mpflow validate <path>    (warns about actions at or after the duration)
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .scenario import (
     ScenarioError,
     builtin_scenario,
     emit_csv,
+    format_action,
     parse_scenario,
     run_scenario,
 )
@@ -38,12 +39,7 @@ def _load_scenario(ref: str):
 
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args.scenario)
-    report = run_scenario(
-        scenario,
-        bucket_ms=args.bucket_ms,
-        seed=args.seed,
-        duration_ms=args.duration_ms,
-    )
+    report = run_scenario(scenario, bucket_ms=args.bucket_ms, duration_ms=args.duration_ms)
     if args.out:
         emit_csv(report, args.out)
     else:
@@ -58,14 +54,20 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    text = Path(args.path).read_text(encoding="utf-8")
     try:
-        scenario = parse_scenario(Path(args.path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        scenario = parse_scenario(text)
     except ScenarioError as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return 1
+    for action in scenario.actions:
+        if action.at_ms < scenario.duration_ms:
+            continue
+        print(
+            f"warning: {format_action(action)} is at or after duration "
+            f"{scenario.duration_ms}ms and never runs",
+            file=sys.stderr,
+        )
     print(
         f"ok: scenario {scenario.name!r}, {len(scenario.links)} links, "
         f"{len(scenario.actions)} actions, {scenario.duration_ms} ms"
@@ -86,9 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--bucket-ms", type=int, default=1000)
     run_p.add_argument("--out", help="output CSV path (default: stdout)")
     run_p.add_argument("--duration-ms", type=int, default=None)
-    run_p.add_argument(
-        "--seed", type=int, default=None, help="reserved; the engine is deterministic"
-    )
     run_p.set_defaults(func=_cmd_run)
 
     list_p = sub.add_parser("list-scenarios", help="list built-in scenarios")
@@ -104,7 +103,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, MpflowError) as exc:
+    except (ScenarioError, MpflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

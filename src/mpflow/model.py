@@ -114,11 +114,6 @@ class InterfacePair:
         return f"{ipaddress.ip_address(self.src)}->{ipaddress.ip_address(self.dst)}"
 
 
-class SchedulerKind(Enum):
-    DEFAULT = "default"
-    PPOS = "ppos"
-
-
 @dataclass
 class SubflowState:
     """One sub-flow of a connection.
@@ -184,7 +179,6 @@ class ConnectionState:
 
     local_addrs: List[EndpointAddress]
     remote_addrs: List[EndpointAddress]
-    scheduler: SchedulerKind = SchedulerKind.DEFAULT
     subflows: List[SubflowState] = field(default_factory=list)
     next_id: int = 1
     active_list: List[InterfacePair] = field(default_factory=list)
@@ -241,7 +235,6 @@ def _add_subflow(
 def new_connection(
     local_addrs: List[EndpointAddress],
     remote_addrs: List[EndpointAddress],
-    scheduler: SchedulerKind = SchedulerKind.DEFAULT,
 ) -> ConnectionState:
     """Create a connection with the full mesh of m x n sub-flows.
 
@@ -251,11 +244,7 @@ def new_connection(
     """
     if not local_addrs or not remote_addrs:
         raise ConfigurationError("both address lists must be non-empty")
-    conn = ConnectionState(
-        local_addrs=list(local_addrs),
-        remote_addrs=list(remote_addrs),
-        scheduler=scheduler,
-    )
+    conn = ConnectionState(local_addrs=list(local_addrs), remote_addrs=list(remote_addrs))
     for local in conn.local_addrs:
         for remote in conn.remote_addrs:
             port = PORT_BASE + conn.next_id

@@ -16,7 +16,7 @@ a timed action script::
 Lines starting with ``#`` are comments. Times take an ``ms`` or ``s``
 suffix, bandwidths ``bps``, ``kbps`` or ``mbps``. Action verbs:
 
-    set_sub_prio <subflow-id>... backup|active
+    set_sub_prio <subflow-id>... backup|active   (ids not alive then: skipped)
     set_active_list [<link-id>...]
     set_backup_list [<link-id>...]
     enable_ppos [<link-id>...]        (no ids: link of the first pair)
@@ -30,6 +30,7 @@ forces ``enable_ppos`` at t=0 with the default primary pair on every run.
 
 from __future__ import annotations
 
+import logging
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,11 +40,14 @@ from . import simnet, sockopt
 from .model import (
     EndpointAddress,
     InterfacePair,
+    NotFoundError,
     ValidationError,
     new_connection,
 )
-from .simnet import LinkSpec, SimConfig, Simulation, TimelineReport
+from .simnet import LinkSpec, Simulation, TimelineReport
 from .sockopt import SubPrioRequest
+
+logger = logging.getLogger(__name__)
 
 PPOS_ENV_VAR = "MPFLOW_PRIMARY_PATH_ONLY"
 
@@ -225,13 +229,17 @@ def format_scenario(scenario: Scenario) -> str:
         )
     if scenario.actions:
         lines.append("")
-    for action in scenario.actions:
-        parts = [f"at {action.at_ms}ms {action.verb}"]
-        parts.extend(str(t) for t in action.targets)
-        if action.verb == "set_sub_prio":
-            parts.append("backup" if action.low_prio else "active")
-        lines.append(" ".join(parts))
+    lines.extend(format_action(action) for action in scenario.actions)
     return "\n".join(lines) + "\n"
+
+
+def format_action(action: ScenarioAction) -> str:
+    """Render one action as its ``at <time> <verb> ...`` document line."""
+    parts = [f"at {action.at_ms}ms {action.verb}"]
+    parts.extend(str(t) for t in action.targets)
+    if action.verb == "set_sub_prio":
+        parts.append("backup" if action.low_prio else "active")
+    return " ".join(parts)
 
 
 _FIG_TOPOLOGY = """\
@@ -314,10 +322,18 @@ def _action_closure(scenario: Scenario, action: ScenarioAction):
 
     def apply(sim: Simulation) -> None:
         if action.verb == "set_sub_prio":
+            # Liberal, like a remote MP_PRIO: the sub-flow may have died.
             for subflow_id in action.targets:
-                sockopt.set_subflow_priority(
-                    sim.sender, SubPrioRequest(subflow_id, action.low_prio)
-                )
+                try:
+                    sockopt.set_subflow_priority(
+                        sim.sender, SubPrioRequest(subflow_id, action.low_prio)
+                    )
+                except NotFoundError:
+                    logger.debug(
+                        "at %d ms set_sub_prio: no alive sub-flow %d; skipped",
+                        action.at_ms,
+                        subflow_id,
+                    )
         elif action.verb == "set_active_list":
             sockopt.set_active_interface_list(
                 sim.sender, [pair_by_link[i] for i in action.targets]
@@ -348,16 +364,10 @@ def _ppos_forced_by_env() -> bool:
 def run_scenario(
     scenario: Scenario,
     bucket_ms: int = 1000,
-    seed: Optional[int] = None,
     duration_ms: Optional[int] = None,
-    config: SimConfig = SimConfig(),
 ) -> TimelineReport:
     """Build the connection pair for a scenario and execute it.
-
-    ``seed`` is accepted for forward compatibility with stochastic
-    extensions; the engine is fully deterministic and ignores it.
-    """
-    del seed
+    ``duration_ms``, if given, replaces the scenario's duration."""
     local_addrs, remote_addrs = _connection_endpoints(scenario.links)
     sender = new_connection(local_addrs, remote_addrs)
     receiver = simnet.mirror_connection(sender)
@@ -365,18 +375,14 @@ def run_scenario(
         sender,
         receiver,
         list(scenario.links),
-        duration_ms=duration_ms or scenario.duration_ms,
+        duration_ms=duration_ms if duration_ms is not None else scenario.duration_ms,
         bucket_ms=bucket_ms,
-        config=config,
     )
     if _ppos_forced_by_env():
         default_primary = ScenarioAction(0, "enable_ppos")
         sim.schedule_action(0, _action_closure(scenario, default_primary))
     for action in scenario.actions:
-        link_change = action.verb in ("link_down", "link_up")
-        sim.schedule_action(
-            action.at_ms, _action_closure(scenario, action), link_change=link_change
-        )
+        sim.schedule_action(action.at_ms, _action_closure(scenario, action))
     return sim.run()
 
 

@@ -29,7 +29,6 @@ from .model import (
     ConfigurationError,
     ConnectionState,
     InterfacePair,
-    SchedulerKind,
     SubflowState,
 )
 
@@ -146,6 +145,6 @@ def select_ppos(conn: ConnectionState, mss: int, window: int) -> SchedulerDecisi
 
 def select(conn: ConnectionState, mss: int, window: int) -> SchedulerDecision:
     """Dispatch to the connection's configured selector."""
-    if conn.scheduler is SchedulerKind.PPOS:
+    if conn.primary_path_only:
         return select_ppos(conn, mss, window)
     return select_default(conn, mss, window)

@@ -40,7 +40,6 @@ import heapq
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import sockopt
@@ -58,18 +57,14 @@ from .scheduler import select
 
 US_PER_MS = 1000
 
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Transmission constants. The defaults saturate a 1 Mbps / 200 ms-RTT
-    path: 32 * 1460 B / 0.2 s is about 1.87 Mbps of window, above link rate."""
-
-    mss: int = 1460
-    window_bytes: int = 32 * 1460
-    rto_min_us: int = 200_000
-    rto_death_timeouts: int = 3
-    probe_interval_us: int = 1_000_000
-    reestablish_interval_us: int = 1_000_000
+# Transmission constants. The window saturates a 1 Mbps / 200 ms-RTT path:
+# 32 * 1460 B / 0.2 s is about 1.87 Mbps of window, above link rate.
+MSS = 1460
+WINDOW_BYTES = 32 * MSS
+RTO_MIN_US = 200_000
+RTO_DEATH_TIMEOUTS = 3
+PROBE_INTERVAL_US = 1_000_000
+REESTABLISH_INTERVAL_US = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -121,16 +116,6 @@ class TimelineReport:
     subflow_genealogy: List[SubflowRecord]
 
 
-class EventKind(Enum):
-    SEGMENT_ARRIVAL = "segment-arrival"
-    ACK_ARRIVAL = "ack-arrival"
-    RTO_FIRE = "rto-fire"
-    LINK_CHANGE = "link-change"
-    APP_ACTION = "app-action"
-    REESTABLISH_ATTEMPT = "reestablish-attempt"
-    PROBE_DUE = "probe-due"
-
-
 @dataclass
 class _Link:
     spec: LinkSpec
@@ -164,7 +149,6 @@ class Simulation:
         links: List[LinkSpec],
         duration_ms: int,
         bucket_ms: int = 1000,
-        config: SimConfig = SimConfig(),
     ) -> None:
         if duration_ms <= 0:
             raise ValidationError("duration must be positive")
@@ -172,7 +156,6 @@ class Simulation:
             raise ValidationError("bucket width must be positive")
         self.sender = sender
         self.receiver = receiver
-        self.config = config
         self.duration_us = duration_ms * US_PER_MS
         self.bucket_us = bucket_ms * US_PER_MS
         self.bucket_ms = bucket_ms
@@ -199,6 +182,10 @@ class Simulation:
                     f"link {spec.link_id} pair {spec.pair} is not a pair of the connection"
                 )
 
+        # (at_us, seq, handler, args): run() calls handler(self, *args). The
+        # handlers are plain functions, not bound methods, so pending events
+        # hold no reference back to the simulation and a finished one is
+        # freed by reference counting.
         self._heap: List[tuple] = []
         self._seq = itertools.count()
         self._flows: Dict[int, _Flow] = {
@@ -215,14 +202,11 @@ class Simulation:
     # ------------------------------------------------------------------ #
     # event plumbing
 
-    def _push(self, at_us: int, kind: EventKind, payload: tuple) -> None:
-        heapq.heappush(self._heap, (at_us, next(self._seq), kind, payload))
+    def _push(self, at_us: int, handler: Callable, args: tuple) -> None:
+        heapq.heappush(self._heap, (at_us, next(self._seq), handler, args))
 
-    def schedule_action(
-        self, at_ms: int, action: Callable[["Simulation"], None], link_change: bool = False
-    ) -> None:
-        kind = EventKind.LINK_CHANGE if link_change else EventKind.APP_ACTION
-        self._push(at_ms * US_PER_MS, kind, (action,))
+    def schedule_action(self, at_ms: int, action: Callable[["Simulation"], None]) -> None:
+        self._push(at_ms * US_PER_MS, Simulation._on_action, (action,))
 
     # ------------------------------------------------------------------ #
     # link and flow helpers
@@ -254,7 +238,7 @@ class Simulation:
         segment = (sf.id, nbytes, link.epoch, self.now_us, options, is_probe)
         heapq.heappush(
             self._heap,
-            (done + link.delay_us, next(self._seq), EventKind.SEGMENT_ARRIVAL, segment),
+            (done + link.delay_us, next(self._seq), Simulation._on_segment_arrival, segment),
         )
         if flow.armed_at_us is None:
             self._arm_rto(sf)
@@ -262,9 +246,9 @@ class Simulation:
     def _arm_rto(self, sf: SubflowState) -> None:
         flow = self._flows[sf.id]
         flow.armed_at_us = self.now_us
-        flow.base_us = max(2 * sf.srtt_us, self.config.rto_min_us)
+        flow.base_us = max(2 * sf.srtt_us, RTO_MIN_US)
         fire_at = flow.armed_at_us + flow.base_us * (2**sf.consecutive_timeouts)
-        self._push(fire_at, EventKind.RTO_FIRE, (sf.id, flow.rto_seq))
+        self._push(fire_at, Simulation._on_rto_fire, (sf.id, flow.rto_seq))
 
     def _cancel_rto(self, sf: SubflowState) -> None:
         flow = self._flows[sf.id]
@@ -275,9 +259,7 @@ class Simulation:
         flow = self._flows[sf.id]
         flow.probe_seq += 1
         self._push(
-            self.now_us + self.config.probe_interval_us,
-            EventKind.PROBE_DUE,
-            (sf.id, flow.probe_seq),
+            self.now_us + PROBE_INTERVAL_US, Simulation._on_probe_due, (sf.id, flow.probe_seq)
         )
 
     def _record_flag(self, sf: SubflowState) -> None:
@@ -285,18 +267,18 @@ class Simulation:
 
     def _pump(self) -> None:
         """Send MSS segments while the scheduler offers a sub-flow."""
-        cfg = self.config
         while True:
-            decision = select(self.sender, cfg.mss, cfg.window_bytes)
+            decision = select(self.sender, MSS, WINDOW_BYTES)
             if decision.chosen is None:
                 return
-            self._send_segment(self._flows[decision.chosen].sf, cfg.mss)
+            self._send_segment(self._flows[decision.chosen].sf, MSS)
 
     # ------------------------------------------------------------------ #
     # event handlers
 
-    def _on_segment_arrival(self, payload: tuple) -> None:
-        flow_id, nbytes, epoch, sent_us, options, is_probe = payload
+    def _on_segment_arrival(
+        self, flow_id: int, nbytes: int, epoch: int, sent_us: int, options: tuple, is_probe: bool
+    ) -> None:
         link = self._flows[flow_id].link
         if link.epoch != epoch or not link.up:
             return  # dropped on a changed or down link
@@ -305,11 +287,12 @@ class Simulation:
         ack = (flow_id, nbytes, link.epoch, sent_us, is_probe)
         heapq.heappush(
             self._heap,
-            (self.now_us + link.delay_us, next(self._seq), EventKind.ACK_ARRIVAL, ack),
+            (self.now_us + link.delay_us, next(self._seq), Simulation._on_ack_arrival, ack),
         )
 
-    def _on_ack_arrival(self, payload: tuple) -> None:
-        flow_id, nbytes, epoch, sent_us, is_probe = payload
+    def _on_ack_arrival(
+        self, flow_id: int, nbytes: int, epoch: int, sent_us: int, is_probe: bool
+    ) -> None:
         flow = self._flows[flow_id]
         link = flow.link
         if link.epoch != epoch or not link.up:
@@ -334,18 +317,17 @@ class Simulation:
         if sf.alive and sf.inflight_bytes == 0 and not flow.probe_outstanding:
             self._schedule_probe(sf)
 
-    def _on_rto_fire(self, payload: tuple) -> None:
-        flow_id, rto_seq = payload
+    def _on_rto_fire(self, flow_id: int, rto_seq: int) -> None:
         flow = self._flows[flow_id]
         sf = flow.sf
         if not sf.alive or flow.rto_seq != rto_seq or flow.armed_at_us is None:
             return
         sf.consecutive_timeouts += 1
-        if sf.consecutive_timeouts >= self.config.rto_death_timeouts:
+        if sf.consecutive_timeouts >= RTO_DEATH_TIMEOUTS:
             self._kill(sf)
             return
         fire_at = flow.armed_at_us + flow.base_us * (2**sf.consecutive_timeouts)
-        self._push(fire_at, EventKind.RTO_FIRE, (flow_id, rto_seq))
+        self._push(fire_at, Simulation._on_rto_fire, (flow_id, rto_seq))
 
     def _kill(self, sf: SubflowState) -> None:
         sf.alive = False
@@ -361,15 +343,10 @@ class Simulation:
         pair = sf.pair()
         if pair not in self._reestablishing:
             self._reestablishing.add(pair)
-            self._push(
-                self.now_us + self.config.reestablish_interval_us,
-                EventKind.REESTABLISH_ATTEMPT,
-                (pair,),
-            )
+            self._push(self.now_us + REESTABLISH_INTERVAL_US, Simulation._on_reestablish, (pair,))
         self._pump()
 
-    def _on_probe_due(self, payload: tuple) -> None:
-        flow_id, probe_seq = payload
+    def _on_probe_due(self, flow_id: int, probe_seq: int) -> None:
         flow = self._flows[flow_id]
         sf = flow.sf
         if not sf.alive or flow.probe_seq != probe_seq:
@@ -379,18 +356,13 @@ class Simulation:
         flow.probe_outstanding = True
         self._send_segment(sf, 0, is_probe=True)
 
-    def _on_reestablish(self, payload: tuple) -> None:
-        (pair,) = payload
+    def _on_reestablish(self, pair: InterfacePair) -> None:
         if self.sender.alive_subflow_on(pair) is not None:
             self._reestablishing.discard(pair)
             return
         link = self.link_for(pair)
         if not link.up:
-            self._push(
-                self.now_us + self.config.reestablish_interval_us,
-                EventKind.REESTABLISH_ATTEMPT,
-                (pair,),
-            )
+            self._push(self.now_us + REESTABLISH_INTERVAL_US, Simulation._on_reestablish, (pair,))
             return
         self._reestablishing.discard(pair)
         self._open_on_pair(pair)
@@ -415,8 +387,7 @@ class Simulation:
             self._schedule_probe(sf)
         return sf
 
-    def _on_action(self, payload: tuple) -> None:
-        (action,) = payload
+    def _on_action(self, action: Callable[["Simulation"], None]) -> None:
         before = {sf.id: sf.low_prio for sf in self.sender.subflows}
         action(self)
         for sf in self.sender.subflows:
@@ -427,7 +398,7 @@ class Simulation:
     # ------------------------------------------------------------------ #
     # main loop and report
 
-    def _bootstrap(self, _sim: "Simulation") -> None:
+    def _bootstrap(self) -> None:
         # Runs at t=0 after any t=0 scenario actions (which were scheduled
         # earlier and sort first), so e.g. enabling the primary-path-only
         # scheduler "just after socket creation" precedes the first segment.
@@ -440,31 +411,15 @@ class Simulation:
         if self._finished:
             raise RuntimeError("a Simulation instance runs only once")
         self._finished = True
-        self._push(0, EventKind.APP_ACTION, (self._bootstrap,))
-        # The two per-segment kinds are dispatched by identity; the rest are
-        # rare enough for a table.
-        ack_arrival, on_ack = EventKind.ACK_ARRIVAL, self._on_ack_arrival
-        segment_arrival, on_segment = EventKind.SEGMENT_ARRIVAL, self._on_segment_arrival
-        handlers = {
-            EventKind.RTO_FIRE: self._on_rto_fire,
-            EventKind.PROBE_DUE: self._on_probe_due,
-            EventKind.REESTABLISH_ATTEMPT: self._on_reestablish,
-            EventKind.APP_ACTION: self._on_action,
-            EventKind.LINK_CHANGE: self._on_action,
-        }
+        self._push(0, Simulation._on_action, (Simulation._bootstrap,))
         heap = self._heap
         duration_us = self.duration_us
         while heap:
-            at_us, _, kind, payload = heapq.heappop(heap)
+            at_us, _, handler, args = heapq.heappop(heap)
             if at_us >= duration_us:
                 break
             self.now_us = at_us
-            if kind is ack_arrival:
-                on_ack(payload)
-            elif kind is segment_arrival:
-                on_segment(payload)
-            else:
-                handlers[kind](payload)
+            handler(self, *args)
         return self._build_report()
 
     def _build_report(self) -> TimelineReport:
@@ -521,7 +476,7 @@ class Simulation:
 
 def mirror_connection(conn: ConnectionState) -> ConnectionState:
     """The receiver-side view: same sub-flow ids, reversed tuples."""
-    mirror = new_connection(conn.remote_addrs, conn.local_addrs, conn.scheduler)
+    mirror = new_connection(conn.remote_addrs, conn.local_addrs)
     mirror.subflows.clear()
     for sf in conn.subflows:
         mirror.subflows.append(
@@ -529,20 +484,3 @@ def mirror_connection(conn: ConnectionState) -> ConnectionState:
         )
     mirror.next_id = conn.next_id
     return mirror
-
-
-def run(
-    sender: ConnectionState,
-    receiver: ConnectionState,
-    links: List[LinkSpec],
-    actions: List[Tuple[int, Callable[[Simulation], None], bool]],
-    duration_ms: int,
-    bucket_ms: int = 1000,
-    config: SimConfig = SimConfig(),
-) -> TimelineReport:
-    """Convenience wrapper: schedule ``(at_ms, action, is_link_change)``
-    triples on a fresh Simulation and run it to completion."""
-    sim = Simulation(sender, receiver, links, duration_ms, bucket_ms, config)
-    for at_ms, action, link_change in actions:
-        sim.schedule_action(at_ms, action, link_change=link_change)
-    return sim.run()

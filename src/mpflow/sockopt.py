@@ -16,7 +16,6 @@ from .model import (
     ConnectionState,
     InterfacePair,
     NotFoundError,
-    SchedulerKind,
     SubflowState,
     ValidationError,
     classify_subflow_priority,
@@ -123,7 +122,6 @@ def enable_primary_path_only(
             raise ValidationError(f"{pair} is not a (local, remote) pair of this connection")
     conn.primary_path_only = True
     conn.primary_pairs = list(dict.fromkeys(primary_pairs))
-    conn.scheduler = SchedulerKind.PPOS
     for sf in conn.subflows:
         if not sf.alive:
             continue

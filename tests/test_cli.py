@@ -55,3 +55,54 @@ def test_validate_bad_file(tmp_path, capsys):
 def test_validate_missing_file(capsys):
     assert main(["validate", "/nonexistent/file.scn"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_run_with_a_dead_set_sub_prio_target_writes_the_csv(tmp_path):
+    path = tmp_path / "dead.scn"
+    path.write_text(
+        "scenario dead_target\nduration 8s\n"
+        "link 1 1mbps 100ms 10.0.0.1 10.0.1.1\n"
+        "link 2 1mbps 100ms 10.0.0.1 10.0.2.1\n"
+        "at 1s link_down 2\n"
+        "at 5s set_sub_prio 2 backup\n"
+    )
+    assert main(["validate", str(path)]) == 0
+    out = tmp_path / "report.csv"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
+    assert out.read_text().startswith(CSV_HEADER)
+
+
+def test_run_to_a_missing_directory_reports_an_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.csv"
+    code = main(["run", "--scenario", "fig6_ppos", "--duration-ms", "1000", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_run_a_directory_as_scenario_reports_an_error(tmp_path, capsys):
+    assert main(["run", "--scenario", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_run_zero_duration_is_an_error(capsys):
+    assert main(["run", "--scenario", "fig4", "--duration-ms", "0"]) == 1
+    assert "duration must be positive" in capsys.readouterr().err
+
+
+def test_validate_warns_about_actions_that_never_run(tmp_path, capsys):
+    path = tmp_path / "late.scn"
+    path.write_text(
+        "scenario late\nduration 10s\n"
+        "link 1 1mbps 100ms 10.0.0.1 10.0.1.1\n"
+        "at 5s link_down 1\n"
+        "at 10s link_up 1\n"
+        "at 12s set_sub_prio 1 backup\n"
+    )
+    assert main(["validate", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert "ok:" in captured.out
+    assert captured.err.splitlines() == [
+        "warning: at 10000ms link_up 1 is at or after duration 10000ms and never runs",
+        "warning: at 12000ms set_sub_prio 1 backup is at or after duration 10000ms "
+        "and never runs",
+    ]

@@ -25,8 +25,8 @@ def build_flapping_sim():
         for i, mesh_pair in enumerate(sender.mesh_pairs())
     ]
     sim = Simulation(sender, receiver, links, duration_ms=6_000)
-    sim.schedule_action(1_000, lambda s: s.set_link_state(1, up=False), link_change=True)
-    sim.schedule_action(3_000, lambda s: s.set_link_state(1, up=True), link_change=True)
+    sim.schedule_action(1_000, lambda s: s.set_link_state(1, up=False))
+    sim.schedule_action(3_000, lambda s: s.set_link_state(1, up=True))
     return sim
 
 

@@ -2,6 +2,7 @@ import io
 
 import pytest
 
+from mpflow.model import ValidationError
 from mpflow.scenario import (
     BUILTIN_DOCS,
     CSV_HEADER,
@@ -139,10 +140,22 @@ def test_duration_override_truncates_run():
     assert max(row.bucket_start_ms for row in report.rows) == 2_000
 
 
-def test_seed_is_accepted_and_ignored():
-    a = run_scenario(builtin_scenario("fig6_ppos"), seed=1, duration_ms=3_000)
-    b = run_scenario(builtin_scenario("fig6_ppos"), seed=99, duration_ms=3_000)
-    assert a == b
+def test_zero_duration_override_is_rejected_not_ignored():
+    with pytest.raises(ValidationError, match="duration must be positive"):
+        run_scenario(builtin_scenario("fig4"), duration_ms=0)
+
+
+def test_set_sub_prio_skips_a_dead_target_and_applies_the_rest():
+    doc = (
+        "scenario dead_target\nduration 8s\n" + THREE_LINKS
+        + "at 1s link_down 2\nat 5s set_sub_prio 2 3 backup\n"
+    )
+    report = run_scenario(parse_scenario(doc))
+    records = {rec.subflow_id: rec for rec in report.subflow_genealogy}
+    assert records[2].died_ms < 5_000  # dead, and link 2 stays down
+    assert len(records) == 3
+    last = {row.subflow_id: row.low_prio for row in report.rows if row.bucket_start_ms == 7_000}
+    assert last == {1: False, 3: True}
 
 
 def test_env_var_forces_primary_path_only(monkeypatch):

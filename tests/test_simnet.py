@@ -1,15 +1,11 @@
+import gc
 import heapq
+import weakref
 
 import pytest
 
 from mpflow.model import ValidationError, new_connection
-from mpflow.simnet import (
-    EventKind,
-    LinkSpec,
-    SimConfig,
-    Simulation,
-    mirror_connection,
-)
+from mpflow.simnet import LinkSpec, Simulation, mirror_connection
 from mpflow import simnet, sockopt
 from mpflow.scenario import builtin_scenario, run_scenario
 from mpflow.sockopt import SubPrioRequest
@@ -30,8 +26,8 @@ def build_sim(n_links, duration_ms=20_000, actions=()):
         for i, mesh_pair in enumerate(sender.mesh_pairs())
     ]
     sim = Simulation(sender, receiver, links, duration_ms)
-    for at_ms, fn, link_change in actions:
-        sim.schedule_action(at_ms, fn, link_change=link_change)
+    for at_ms, fn in actions:
+        sim.schedule_action(at_ms, fn)
     return sim
 
 
@@ -47,17 +43,10 @@ def bytes_by_flow_bucket(report):
 
 
 def step(sim):
-    at, _, kind, payload = heapq.heappop(sim._heap)
+    at, _, handler, args = heapq.heappop(sim._heap)
     sim.now_us = at
-    handler = {
-        EventKind.SEGMENT_ARRIVAL: sim._on_segment_arrival,
-        EventKind.ACK_ARRIVAL: sim._on_ack_arrival,
-        EventKind.RTO_FIRE: sim._on_rto_fire,
-        EventKind.PROBE_DUE: sim._on_probe_due,
-        EventKind.REESTABLISH_ATTEMPT: sim._on_reestablish,
-    }[kind]
-    handler(payload)
-    return kind
+    handler(sim, *args)
+    return handler
 
 
 # --------------------------------------------------------------------- #
@@ -72,11 +61,11 @@ def test_rto_fires_at_doubling_offsets_and_third_kills():
     sim._arm_rto(sf)
     fires = []
     while sf.alive:
-        at, _, kind, payload = heapq.heappop(sim._heap)
-        assert kind is EventKind.RTO_FIRE
+        at, _, handler, args = heapq.heappop(sim._heap)
+        assert handler is Simulation._on_rto_fire
         sim.now_us = at
         fires.append(at)
-        sim._on_rto_fire(payload)
+        sim._on_rto_fire(*args)
     # oracle: base = max(2 * 200 ms, 200 ms) = 400 ms, offsets double per
     # consecutive timeout => fires 400, 800, 1600 ms after arming
     assert fires == [400_000, 800_000, 1_600_000]
@@ -99,16 +88,40 @@ def test_spurious_timeout_then_ack_resets_counter():
     sf = sim.sender.subflows[0]
     sim._send_segment(sf, MSS)
     # fresh flow: srtt 0 so the timer (200 ms) beats the first ack (211.68 ms)
-    kinds = [step(sim) for _ in range(3)]
-    assert kinds == [
-        EventKind.SEGMENT_ARRIVAL,
-        EventKind.RTO_FIRE,
-        EventKind.ACK_ARRIVAL,
+    handlers = [step(sim) for _ in range(3)]
+    assert handlers == [
+        Simulation._on_segment_arrival,
+        Simulation._on_rto_fire,
+        Simulation._on_ack_arrival,
     ]
     assert sf.alive
     assert sf.consecutive_timeouts == 0
     # first sample: 11.68 ms serialization + 2 x 100 ms propagation
     assert sf.srtt_us == 211_680
+
+
+def test_finished_simulation_is_freed_by_reference_counting(monkeypatch):
+    # Events still pending at the end stay on the heap. If they referred to
+    # the simulation (as bound methods would), every finished run would
+    # wait for the cycle collector instead of being freed at once.
+    run = Simulation.run
+    pending, refs = [], []
+
+    def run_and_watch(sim):
+        report = run(sim)
+        pending.append(len(sim._heap))
+        refs.append(weakref.ref(sim))
+        return report
+
+    monkeypatch.setattr(Simulation, "run", run_and_watch)
+    gc.disable()
+    try:
+        run_scenario(builtin_scenario("fig4"))
+        freed = refs[0]() is None
+    finally:
+        gc.enable()
+    assert pending[0] > 0
+    assert freed
 
 
 # --------------------------------------------------------------------- #
@@ -140,7 +153,7 @@ def test_acked_never_exceeds_sent():
     sim = build_sim(
         2,
         duration_ms=20_000,
-        actions=[(5_000, link_action(1, False), True), (12_000, link_action(1, True), True)],
+        actions=[(5_000, link_action(1, False)), (12_000, link_action(1, True))],
     )
     report = sim.run()
     acked = {}
@@ -156,7 +169,7 @@ def test_single_path_ppos_timeline_identical_to_default():
     def enable(sim):
         sockopt.enable_primary_path_only(sim.sender, sim.sender.mesh_pairs())
 
-    ppos = build_sim(1, duration_ms=8_000, actions=[(0, enable, False)]).run()
+    ppos = build_sim(1, duration_ms=8_000, actions=[(0, enable)]).run()
     assert ppos == plain
 
 
@@ -168,7 +181,7 @@ def test_outage_kills_busy_subflow_and_reestablishes_within_a_second():
     sim = build_sim(
         2,
         duration_ms=20_000,
-        actions=[(5_000, link_action(1, False), True), (12_000, link_action(1, True), True)],
+        actions=[(5_000, link_action(1, False)), (12_000, link_action(1, True))],
     )
     report = sim.run()
     records = {rec.subflow_id: rec for rec in report.subflow_genealogy}
@@ -186,7 +199,7 @@ def test_dead_path_is_silent_until_successor_exists():
     sim = build_sim(
         2,
         duration_ms=20_000,
-        actions=[(5_000, link_action(1, False), True), (12_000, link_action(1, True), True)],
+        actions=[(5_000, link_action(1, False)), (12_000, link_action(1, True))],
     )
     report = sim.run()
     per = bytes_by_flow_bucket(report)
@@ -209,7 +222,7 @@ def test_surviving_path_carries_through_the_outage():
     sim = build_sim(
         2,
         duration_ms=20_000,
-        actions=[(5_000, link_action(1, False), True), (12_000, link_action(1, True), True)],
+        actions=[(5_000, link_action(1, False)), (12_000, link_action(1, True))],
     )
     per = bytes_by_flow_bucket(sim.run())
     for bucket in range(20):
@@ -220,7 +233,7 @@ def test_idle_backup_survives_via_probes():
     def mark_backup(sim):
         sockopt.set_subflow_priority(sim.sender, SubPrioRequest(2, True))
 
-    sim = build_sim(2, duration_ms=15_000, actions=[(1_000, mark_backup, False)])
+    sim = build_sim(2, duration_ms=15_000, actions=[(1_000, mark_backup)])
     report = sim.run()
     per = bytes_by_flow_bucket(report)
     for bucket in range(3, 15):
@@ -234,12 +247,12 @@ def test_downing_an_idle_backup_link_changes_no_throughput():
         sockopt.set_subflow_priority(sim.sender, SubPrioRequest(2, True))
 
     baseline = build_sim(
-        2, duration_ms=15_000, actions=[(1_000, mark_backup, False)]
+        2, duration_ms=15_000, actions=[(1_000, mark_backup)]
     ).run()
     dropped = build_sim(
         2,
         duration_ms=15_000,
-        actions=[(1_000, mark_backup, False), (8_000, link_action(2, False), True)],
+        actions=[(1_000, mark_backup), (8_000, link_action(2, False))],
     ).run()
     base_per = bytes_by_flow_bucket(baseline)
     drop_per = bytes_by_flow_bucket(dropped)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from mpflow.model import (
     NotFoundError,
     PriorityLists,
-    SchedulerKind,
     ValidationError,
     classify_subflow_priority,
     close_subflow,
@@ -177,7 +176,6 @@ def test_enable_ppos_marks_other_subflows_backup():
     conn = three_paths()
     enable_primary_path_only(conn, [conn.mesh_pairs()[0]])
     assert conn.primary_path_only is True
-    assert conn.scheduler is SchedulerKind.PPOS
     assert [sf.low_prio for sf in conn.subflows] == [False, True, True]
     # the two flips are signalled to the peer
     assert conn.outbox == [MpPrioOption(True, 2), MpPrioOption(True, 3)]
