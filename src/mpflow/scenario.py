@@ -34,7 +34,7 @@ import logging
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, IO, List, Optional, Tuple, Union
+from typing import Dict, IO, List, Optional, Sequence, Tuple, Union
 
 from . import simnet, sockopt
 from .model import (
@@ -131,6 +131,7 @@ def parse_scenario(text: str) -> Scenario:
     name: Optional[str] = None
     duration_ms: Optional[int] = None
     links: List[LinkSpec] = []
+    link_lines: List[int] = []
     raw_actions: List[Tuple[int, ScenarioAction]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -162,9 +163,8 @@ def parse_scenario(text: str) -> Scenario:
                 spec = LinkSpec(link_ids[0], pair, bandwidth, delay_ms)
             except (ValueError, ValidationError) as exc:
                 raise ScenarioSyntaxError(str(exc), lineno) from exc
-            if any(existing.link_id == spec.link_id for existing in links):
-                raise ScenarioSemanticError(f"duplicate link id {spec.link_id}", lineno)
             links.append(spec)
+            link_lines.append(lineno)
         elif keyword == "at":
             if len(tokens) < 3:
                 raise ScenarioSyntaxError("action takes: at <time> <verb> ...", lineno)
@@ -183,6 +183,8 @@ def parse_scenario(text: str) -> Scenario:
                 targets = _parse_int_list(args[:-1], lineno, "sub-flow id")
                 if not targets:
                     raise ScenarioSyntaxError("set_sub_prio needs at least one id", lineno)
+                if 0 in targets:
+                    raise ScenarioSyntaxError("sub-flow ids start at 1", lineno)
             else:
                 targets = _parse_int_list(args, lineno, "link id")
                 if verb in ("link_down", "link_up") and not targets:
@@ -199,6 +201,10 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioSyntaxError("missing or non-positive 'duration'")
     if not links:
         raise ScenarioSyntaxError("scenario needs at least one link")
+    try:
+        simnet.check_topology(*_connection_endpoints(links), links)
+    except simnet.TopologyError as exc:
+        raise ScenarioSemanticError(str(exc), link_lines[exc.link_index]) from exc
 
     link_ids = {spec.link_id for spec in links}
     for lineno, action in raw_actions:
@@ -304,7 +310,7 @@ def builtin_scenario(name: str) -> Scenario:
 
 
 def _connection_endpoints(
-    links: Tuple[LinkSpec, ...]
+    links: Sequence[LinkSpec],
 ) -> Tuple[List[EndpointAddress], List[EndpointAddress]]:
     locals_, remotes = [], []
     for link in links:
@@ -368,12 +374,8 @@ def run_scenario(
 ) -> TimelineReport:
     """Build the connection pair for a scenario and execute it.
     ``duration_ms``, if given, replaces the scenario's duration."""
-    local_addrs, remote_addrs = _connection_endpoints(scenario.links)
-    sender = new_connection(local_addrs, remote_addrs)
-    receiver = simnet.mirror_connection(sender)
     sim = Simulation(
-        sender,
-        receiver,
+        new_connection(*_connection_endpoints(scenario.links)),
         list(scenario.links),
         duration_ms=duration_ms if duration_ms is not None else scenario.duration_ms,
         bucket_ms=bucket_ms,

@@ -39,8 +39,8 @@ from __future__ import annotations
 import heapq
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence
 
 from . import sockopt
 from .model import (
@@ -50,7 +50,6 @@ from .model import (
     PORT_BASE,
     SubflowState,
     ValidationError,
-    new_connection,
     open_subflow,
 )
 from .scheduler import select
@@ -127,11 +126,17 @@ class _Link:
 
 @dataclass
 class _Flow:
-    """Simulator state of one sender sub-flow: the sub-flow itself, the link
-    serving its pair, and its retransmission and probe timers."""
+    """Simulator state of one sub-flow: the sender's sub-flow, the receiver's
+    mirror of it (``peer``), the link serving its pair, its retransmission
+    and probe timers, its acked bytes per bucket and the history of its
+    priority flag (``flag_values[i]`` holds from ``flag_times[i]`` on)."""
 
     sf: SubflowState
+    peer: SubflowState
     link: _Link
+    flag_times: List[int]
+    flag_values: List[bool]
+    acked: Dict[int, int] = field(default_factory=dict)
     rto_seq: int = 0
     armed_at_us: Optional[int] = None
     base_us: int = 0
@@ -139,13 +144,57 @@ class _Flow:
     probe_seq: int = 0
 
 
+class TopologyError(ValidationError):
+    """Links that do not fit a connection; ``link_index`` is the position of
+    the link at fault, or None if no link is."""
+
+    def __init__(self, message: str, link_index: Optional[int]) -> None:
+        super().__init__(message)
+        self.link_index = link_index
+
+
+def check_topology(
+    local_addrs: Sequence[EndpointAddress],
+    remote_addrs: Sequence[EndpointAddress],
+    links: Sequence[LinkSpec],
+) -> None:
+    """Raise TopologyError unless ``links`` serve every (local, remote) pair
+    with one link each, under distinct link ids, and serve no other pair. A
+    pair that cannot be served is blamed on the later of the first link from
+    its local and the first link to its remote address."""
+
+    def blame(local: EndpointAddress, remote: EndpointAddress) -> Optional[int]:
+        i = next((k for k, spec in enumerate(links) if spec.pair.src == local.address), None)
+        j = next((k for k, spec in enumerate(links) if spec.pair.dst == remote.address), None)
+        return None if i is None or j is None else max(i, j)
+
+    served = {spec.pair for spec in links}
+    mesh = []
+    for local in local_addrs:
+        for remote in remote_addrs:
+            if local.family is not remote.family:
+                problem = f"mixed address families within one pair {local.host()}->{remote.host()}"
+                raise TopologyError(problem, blame(local, remote))
+            pair = InterfacePair(local.family, local.address, remote.address)
+            if pair not in served:
+                raise TopologyError(f"no link serves interface pair {pair}", blame(local, remote))
+            mesh.append(pair)
+    for i, spec in enumerate(links):
+        if any(other.pair == spec.pair for other in links[:i]):
+            raise TopologyError(f"duplicate link for pair {spec.pair}", i)
+        if any(other.link_id == spec.link_id for other in links[:i]):
+            raise TopologyError(f"duplicate link id {spec.link_id}", i)
+        if spec.pair not in mesh:
+            raise TopologyError(f"link {spec.link_id} pair {spec.pair} is not in the mesh", i)
+
+
 class Simulation:
-    """A single deterministic run. Build one, call :meth:`run` once."""
+    """A single deterministic run. Build one, call :meth:`run` once. The
+    receiver is the sender's mirror (:func:`mirror_connection`)."""
 
     def __init__(
         self,
         sender: ConnectionState,
-        receiver: ConnectionState,
         links: List[LinkSpec],
         duration_ms: int,
         bucket_ms: int = 1000,
@@ -154,49 +203,30 @@ class Simulation:
             raise ValidationError("duration must be positive")
         if bucket_ms <= 0:
             raise ValidationError("bucket width must be positive")
+        check_topology(sender.local_addrs, sender.remote_addrs, links)
         self.sender = sender
-        self.receiver = receiver
+        self.receiver = mirror_connection(sender)
         self.duration_us = duration_ms * US_PER_MS
         self.bucket_us = bucket_ms * US_PER_MS
         self.bucket_ms = bucket_ms
         self.duration_ms = duration_ms
         self.now_us = 0
 
-        self._links_by_pair: Dict[InterfacePair, _Link] = {}
-        self._links_by_id: Dict[int, _Link] = {}
-        for spec in links:
-            if spec.pair in self._links_by_pair:
-                raise ValidationError(f"duplicate link for pair {spec.pair}")
-            if spec.link_id in self._links_by_id:
-                raise ValidationError(f"duplicate link id {spec.link_id}")
-            link = _Link(spec=spec, up=spec.up, delay_us=spec.one_way_delay_ms * US_PER_MS)
-            self._links_by_pair[spec.pair] = link
-            self._links_by_id[spec.link_id] = link
-        mesh = sender.mesh_pairs()
-        for pair in mesh:
-            if pair not in self._links_by_pair:
-                raise ValidationError(f"no link serves interface pair {pair}")
-        for spec in links:
-            if spec.pair not in mesh:
-                raise ValidationError(
-                    f"link {spec.link_id} pair {spec.pair} is not a pair of the connection"
-                )
+        links_by_pair = {
+            spec.pair: _Link(spec, spec.up, spec.one_way_delay_ms * US_PER_MS) for spec in links
+        }
+        self._links_by_id = {link.spec.link_id: link for link in links_by_pair.values()}
 
         # (at_us, seq, handler, args): run() calls handler(self, *args). The
-        # handlers are plain functions, not bound methods, so pending events
-        # hold no reference back to the simulation and a finished one is
-        # freed by reference counting.
+        # handlers are plain functions, not bound methods, and a _Flow holds
+        # no reference to the simulation, so pending events do not either
+        # and a finished run is freed by reference counting.
         self._heap: List[tuple] = []
         self._seq = itertools.count()
         self._flows: Dict[int, _Flow] = {
-            sf.id: _Flow(sf, self._links_by_pair[sf.pair()]) for sf in sender.subflows
+            sf.id: _Flow(sf, peer, links_by_pair[sf.pair()], [0], [sf.low_prio])
+            for sf, peer in zip(sender.subflows, self.receiver.subflows)
         }
-        self._acked: Dict[Tuple[int, int], int] = {}
-        # (time_us, flow_id, low_prio): priority history for bucket rows
-        self._flag_log: List[Tuple[int, int, bool]] = [
-            (0, sf.id, sf.low_prio) for sf in sender.subflows
-        ]
-        self._reestablishing: set = set()
         self._finished = False
 
     # ------------------------------------------------------------------ #
@@ -211,9 +241,6 @@ class Simulation:
     # ------------------------------------------------------------------ #
     # link and flow helpers
 
-    def link_for(self, pair: InterfacePair) -> _Link:
-        return self._links_by_pair[pair]
-
     def set_link_state(self, link_id: int, up: bool) -> None:
         """Bring a link up or down, dropping everything in flight on it."""
         link = self._links_by_id.get(link_id)
@@ -223,47 +250,41 @@ class Simulation:
         link.epoch += 1
         link.tx_free_us = self.now_us
 
-    def _send_segment(self, sf: SubflowState, nbytes: int, is_probe: bool = False) -> None:
-        flow = self._flows[sf.id]
-        link = flow.link
+    def _send_segment(self, flow: _Flow, nbytes: int) -> None:
+        """Hand a segment to the flow's link; a probe is one of 0 bytes."""
+        sf, link = flow.sf, flow.link
         start = max(self.now_us, link.tx_free_us)
         done = start + nbytes * 8 * 1_000_000 // link.spec.bandwidth_bps
         link.tx_free_us = done
-        if not is_probe:
-            sf.inflight_bytes += nbytes
-            sf.bytes_sent_total += nbytes
+        sf.inflight_bytes += nbytes
+        sf.bytes_sent_total += nbytes
         outbox = self.sender.outbox
         options = tuple(outbox)
         outbox.clear()
-        segment = (sf.id, nbytes, link.epoch, self.now_us, options, is_probe)
+        segment = (flow, nbytes, link.epoch, self.now_us, options)
         heapq.heappush(
             self._heap,
             (done + link.delay_us, next(self._seq), Simulation._on_segment_arrival, segment),
         )
         if flow.armed_at_us is None:
-            self._arm_rto(sf)
+            self._arm_rto(flow)
 
-    def _arm_rto(self, sf: SubflowState) -> None:
-        flow = self._flows[sf.id]
+    def _arm_rto(self, flow: _Flow) -> None:
+        sf = flow.sf
         flow.armed_at_us = self.now_us
         flow.base_us = max(2 * sf.srtt_us, RTO_MIN_US)
         fire_at = flow.armed_at_us + flow.base_us * (2**sf.consecutive_timeouts)
-        self._push(fire_at, Simulation._on_rto_fire, (sf.id, flow.rto_seq))
+        self._push(fire_at, Simulation._on_rto_fire, (flow, flow.rto_seq))
 
-    def _cancel_rto(self, sf: SubflowState) -> None:
-        flow = self._flows[sf.id]
+    def _cancel_rto(self, flow: _Flow) -> None:
         flow.rto_seq += 1
         flow.armed_at_us = None
 
-    def _schedule_probe(self, sf: SubflowState) -> None:
-        flow = self._flows[sf.id]
+    def _schedule_probe(self, flow: _Flow) -> None:
         flow.probe_seq += 1
         self._push(
-            self.now_us + PROBE_INTERVAL_US, Simulation._on_probe_due, (sf.id, flow.probe_seq)
+            self.now_us + PROBE_INTERVAL_US, Simulation._on_probe_due, (flow, flow.probe_seq)
         )
-
-    def _record_flag(self, sf: SubflowState) -> None:
-        self._flag_log.append((self.now_us, sf.id, sf.low_prio))
 
     def _pump(self) -> None:
         """Send MSS segments while the scheduler offers a sub-flow."""
@@ -271,29 +292,26 @@ class Simulation:
             decision = select(self.sender, MSS, WINDOW_BYTES)
             if decision.chosen is None:
                 return
-            self._send_segment(self._flows[decision.chosen].sf, MSS)
+            self._send_segment(self._flows[decision.chosen], MSS)
 
     # ------------------------------------------------------------------ #
     # event handlers
 
     def _on_segment_arrival(
-        self, flow_id: int, nbytes: int, epoch: int, sent_us: int, options: tuple, is_probe: bool
+        self, flow: _Flow, nbytes: int, epoch: int, sent_us: int, options: tuple
     ) -> None:
-        link = self._flows[flow_id].link
+        link = flow.link
         if link.epoch != epoch or not link.up:
             return  # dropped on a changed or down link
         for opt in options:
-            sockopt.apply_remote_mp_prio(self.receiver, opt, received_on=flow_id)
-        ack = (flow_id, nbytes, link.epoch, sent_us, is_probe)
+            sockopt.apply_remote_mp_prio(self.receiver, opt, received_on=flow.sf.id)
+        ack = (flow, nbytes, link.epoch, sent_us)
         heapq.heappush(
             self._heap,
             (self.now_us + link.delay_us, next(self._seq), Simulation._on_ack_arrival, ack),
         )
 
-    def _on_ack_arrival(
-        self, flow_id: int, nbytes: int, epoch: int, sent_us: int, is_probe: bool
-    ) -> None:
-        flow = self._flows[flow_id]
+    def _on_ack_arrival(self, flow: _Flow, nbytes: int, epoch: int, sent_us: int) -> None:
         link = flow.link
         if link.epoch != epoch or not link.up:
             return
@@ -303,96 +321,83 @@ class Simulation:
         sample = self.now_us - sent_us
         sf.srtt_us = sample if sf.srtt_us == 0 else (7 * sf.srtt_us + sample) // 8
         sf.consecutive_timeouts = 0
-        if is_probe:
-            flow.probe_outstanding = False
-        else:
+        if nbytes:
             sf.inflight_bytes -= nbytes
             bucket = self.now_us // self.bucket_us
-            key = (bucket, flow_id)
-            self._acked[key] = self._acked.get(key, 0) + nbytes
-        self._cancel_rto(sf)
+            flow.acked[bucket] = flow.acked.get(bucket, 0) + nbytes
+        else:
+            flow.probe_outstanding = False
+        self._cancel_rto(flow)
         if sf.inflight_bytes > 0 or flow.probe_outstanding:
-            self._arm_rto(sf)
+            self._arm_rto(flow)
         self._pump()
         if sf.alive and sf.inflight_bytes == 0 and not flow.probe_outstanding:
-            self._schedule_probe(sf)
+            self._schedule_probe(flow)
 
-    def _on_rto_fire(self, flow_id: int, rto_seq: int) -> None:
-        flow = self._flows[flow_id]
+    def _on_rto_fire(self, flow: _Flow, rto_seq: int) -> None:
         sf = flow.sf
         if not sf.alive or flow.rto_seq != rto_seq or flow.armed_at_us is None:
             return
         sf.consecutive_timeouts += 1
         if sf.consecutive_timeouts >= RTO_DEATH_TIMEOUTS:
-            self._kill(sf)
+            self._kill(flow)
             return
         fire_at = flow.armed_at_us + flow.base_us * (2**sf.consecutive_timeouts)
-        self._push(fire_at, Simulation._on_rto_fire, (flow_id, rto_seq))
+        self._push(fire_at, Simulation._on_rto_fire, (flow, rto_seq))
 
-    def _kill(self, sf: SubflowState) -> None:
+    def _kill(self, flow: _Flow) -> None:
+        sf = flow.sf
         sf.alive = False
         sf.died_us = self.now_us
         sf.inflight_bytes = 0  # in-flight data goes back to the backlog
-        flow = self._flows[sf.id]
-        flow.probe_outstanding = False
-        flow.probe_seq += 1
-        self._cancel_rto(sf)
-        recv_sf = self.receiver.subflow_by_id(sf.id)
-        if recv_sf is not None:
-            recv_sf.alive = False
-        pair = sf.pair()
-        if pair not in self._reestablishing:
-            self._reestablishing.add(pair)
-            self._push(self.now_us + REESTABLISH_INTERVAL_US, Simulation._on_reestablish, (pair,))
+        flow.peer.alive = False
+        # Its pending RTO and probe events are void: both handlers return for
+        # a dead sub-flow. A pair has one sub-flow that is not dead, and gets
+        # a new one only when this attempt succeeds, so attempts never overlap.
+        self._push(self.now_us + REESTABLISH_INTERVAL_US, Simulation._on_reestablish, (flow.link,))
         self._pump()
 
-    def _on_probe_due(self, flow_id: int, probe_seq: int) -> None:
-        flow = self._flows[flow_id]
+    def _on_probe_due(self, flow: _Flow, probe_seq: int) -> None:
         sf = flow.sf
         if not sf.alive or flow.probe_seq != probe_seq:
             return
         if sf.inflight_bytes > 0 or flow.probe_outstanding:
             return  # data traffic is already exercising the path
         flow.probe_outstanding = True
-        self._send_segment(sf, 0, is_probe=True)
+        self._send_segment(flow, 0)
 
-    def _on_reestablish(self, pair: InterfacePair) -> None:
-        if self.sender.alive_subflow_on(pair) is not None:
-            self._reestablishing.discard(pair)
-            return
-        link = self.link_for(pair)
+    def _on_reestablish(self, link: _Link) -> None:
         if not link.up:
-            self._push(self.now_us + REESTABLISH_INTERVAL_US, Simulation._on_reestablish, (pair,))
+            self._push(self.now_us + REESTABLISH_INTERVAL_US, Simulation._on_reestablish, (link,))
             return
-        self._reestablishing.discard(pair)
-        self._open_on_pair(pair)
+        self._open_on_pair(link)
 
-    def _open_on_pair(self, pair: InterfacePair) -> SubflowState:
+    def _open_on_pair(self, link: _Link) -> None:
+        pair = link.spec.pair
         port = PORT_BASE + self.sender.next_id
         src = EndpointAddress(pair.family, pair.src, port)
         dst = EndpointAddress(pair.family, pair.dst, port)
         new_id = open_subflow(self.sender, (src, dst))
         sf = self.sender.subflow_by_id(new_id)
         sf.created_us = self.now_us
-        self._flows[new_id] = _Flow(sf, self.link_for(pair))
-        self._record_flag(sf)
         # The receiver mirrors the new sub-flow under the same id; its birth
         # priority travels with the join (stand-in for the handshake's
         # backup bit).
         mirror_id = open_subflow(self.receiver, (dst, src))
-        recv_sf = self.receiver.subflow_by_id(mirror_id)
-        recv_sf.low_prio = sf.low_prio
+        peer = self.receiver.subflow_by_id(mirror_id)
+        peer.low_prio = sf.low_prio
+        flow = _Flow(sf, peer, link, [self.now_us], [sf.low_prio])
+        self._flows[new_id] = flow
         self._pump()
         if sf.alive and sf.inflight_bytes == 0:
-            self._schedule_probe(sf)
-        return sf
+            self._schedule_probe(flow)
 
     def _on_action(self, action: Callable[["Simulation"], None]) -> None:
-        before = {sf.id: sf.low_prio for sf in self.sender.subflows}
         action(self)
-        for sf in self.sender.subflows:
-            if before.get(sf.id) != sf.low_prio:
-                self._record_flag(sf)
+        for flow in self._flows.values():
+            if flow.sf.low_prio != flow.flag_values[-1]:
+                flow.flag_times.append(self.now_us)
+                flow.flag_values.append(flow.sf.low_prio)
         self._pump()
 
     # ------------------------------------------------------------------ #
@@ -403,9 +408,9 @@ class Simulation:
         # earlier and sort first), so e.g. enabling the primary-path-only
         # scheduler "just after socket creation" precedes the first segment.
         self._pump()
-        for sf in self.sender.subflows:
-            if sf.alive and sf.inflight_bytes == 0:
-                self._schedule_probe(sf)
+        for flow in self._flows.values():
+            if flow.sf.alive and flow.sf.inflight_bytes == 0:
+                self._schedule_probe(flow)
 
     def run(self) -> TimelineReport:
         if self._finished:
@@ -423,25 +428,15 @@ class Simulation:
         return self._build_report()
 
     def _build_report(self) -> TimelineReport:
-        # Per-flow flag history; _flag_log is appended in time order, so each
-        # history is sorted and the flag at time t is its last entry at or
-        # before t.
-        flag_times: Dict[int, List[int]] = {}
-        flag_values: Dict[int, List[bool]] = {}
-        for t, fid, low in self._flag_log:
-            flag_times.setdefault(fid, []).append(t)
-            flag_values.setdefault(fid, []).append(low)
-
-        def flag_at(flow_id: int, at_us: int) -> bool:
-            i = bisect_right(flag_times.get(flow_id, ()), at_us)
-            return flag_values[flow_id][i - 1] if i else False
-
+        # Flows are in id order, so rows come out sorted by (bucket, id); a
+        # flag history starts at its flow's creation, before any row ends.
         rows: List[ThroughputBucket] = []
         n_buckets = -(-self.duration_us // self.bucket_us)  # ceil
         for bucket in range(n_buckets):
             start_us = bucket * self.bucket_us
             end_us = min(start_us + self.bucket_us, self.duration_us)
-            for sf in self.sender.subflows:
+            for flow in self._flows.values():
+                sf = flow.sf
                 born_before_end = sf.created_us < end_us
                 died = sf.died_us
                 alive_past_start = died is None or died > start_us
@@ -451,12 +446,11 @@ class Simulation:
                     ThroughputBucket(
                         bucket_start_ms=start_us // US_PER_MS,
                         subflow_id=sf.id,
-                        bytes_acked=self._acked.get((bucket, sf.id), 0),
-                        low_prio=flag_at(sf.id, end_us),
+                        bytes_acked=flow.acked.get(bucket, 0),
+                        low_prio=flow.flag_values[bisect_right(flow.flag_times, end_us) - 1],
                         alive=died is None or died >= end_us,
                     )
                 )
-        rows.sort(key=lambda r: (r.bucket_start_ms, r.subflow_id))
         genealogy = [
             SubflowRecord(
                 subflow_id=sf.id,
@@ -464,7 +458,7 @@ class Simulation:
                 created_ms=sf.created_us // US_PER_MS,
                 died_ms=None if sf.died_us is None else sf.died_us // US_PER_MS,
             )
-            for sf in sorted(self.sender.subflows, key=lambda s: s.id)
+            for sf in self.sender.subflows
         ]
         return TimelineReport(
             bucket_ms=self.bucket_ms,
@@ -476,11 +470,12 @@ class Simulation:
 
 def mirror_connection(conn: ConnectionState) -> ConnectionState:
     """The receiver-side view: same sub-flow ids, reversed tuples."""
-    mirror = new_connection(conn.remote_addrs, conn.local_addrs)
-    mirror.subflows.clear()
-    for sf in conn.subflows:
-        mirror.subflows.append(
+    return ConnectionState(
+        local_addrs=list(conn.remote_addrs),
+        remote_addrs=list(conn.local_addrs),
+        subflows=[
             SubflowState(id=sf.id, src=sf.dst, dst=sf.src, low_prio=sf.low_prio)
-        )
-    mirror.next_id = conn.next_id
-    return mirror
+            for sf in conn.subflows
+        ],
+        next_id=conn.next_id,
+    )

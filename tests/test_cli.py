@@ -52,6 +52,17 @@ def test_validate_bad_file(tmp_path, capsys):
     assert "invalid scenario" in capsys.readouterr().err
 
 
+def test_validate_rejects_a_topology_that_cannot_run(tmp_path, capsys):
+    path = tmp_path / "split.scn"
+    path.write_text(
+        "scenario split\nduration 1s\n"
+        "link 1 1mbps 100ms 10.0.0.1 10.0.1.1\n"
+        "link 2 1mbps 100ms 10.0.0.2 10.0.2.1\n"
+    )
+    assert main(["validate", str(path)]) == 1
+    assert "line 4: no link serves interface pair 10.0.0.1->10.0.2.1" in capsys.readouterr().err
+
+
 def test_validate_missing_file(capsys):
     assert main(["validate", "/nonexistent/file.scn"]) == 1
     assert "error" in capsys.readouterr().err

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 from mpflow import simnet
 from mpflow.model import InterfacePair, new_connection
-from mpflow.simnet import LinkSpec, Simulation, mirror_connection
+from mpflow.simnet import LinkSpec, Simulation
 from helpers import addr
 
 
@@ -19,12 +19,11 @@ def build_flapping_sim():
     """Three 1 Mbps links; link 1 is down from 1 s to 3 s, long enough to
     kill its sub-flow, which is re-created once the link is back."""
     sender = new_connection([addr("10.0.0.1")], [addr(f"10.0.{i}.1") for i in (1, 2, 3)])
-    receiver = mirror_connection(sender)
     links = [
         LinkSpec(i + 1, mesh_pair, 1_000_000, 100)
         for i, mesh_pair in enumerate(sender.mesh_pairs())
     ]
-    sim = Simulation(sender, receiver, links, duration_ms=6_000)
+    sim = Simulation(sender, links, duration_ms=6_000)
     sim.schedule_action(1_000, lambda s: s.set_link_state(1, up=False))
     sim.schedule_action(3_000, lambda s: s.set_link_state(1, up=True))
     return sim

@@ -99,6 +99,48 @@ def test_duplicate_link_id_rejected():
         parse_scenario(doc)
 
 
+FIRST_LINK = "link 1 1mbps 10ms 10.0.0.1 10.0.1.1\n"
+
+
+@pytest.mark.parametrize(
+    "second_link, message",
+    [
+        pytest.param(
+            "link 2 1mbps 10ms 10.0.0.2 10.0.2.1\n",
+            "no link serves interface pair 10.0.0.1->10.0.2.1",
+            id="unserved-pair",
+        ),
+        pytest.param(
+            "link 2 1mbps 10ms 10.0.0.1 10.0.1.1\n",
+            "duplicate link for pair 10.0.0.1->10.0.1.1",
+            id="duplicate-pair",
+        ),
+        pytest.param(
+            "link 2 1mbps 10ms 2001:db8::1 2001:db8::2\n",
+            "mixed address families",
+            id="mixed-families",
+        ),
+    ],
+)
+def test_topology_error_is_reported_at_parse_time_with_its_line(second_link, message):
+    doc = "scenario s\nduration 1s\n" + FIRST_LINK + second_link + "at 500ms link_down 1\n"
+    with pytest.raises(ScenarioSemanticError, match=message) as err:
+        parse_scenario(doc)
+    assert err.value.line == 4  # the second link
+
+
+def test_set_sub_prio_zero_is_rejected_with_its_line():
+    doc = "scenario s\nduration 2s\n" + THREE_LINKS + "at 1s set_sub_prio 2 0 backup\n"
+    with pytest.raises(ScenarioSyntaxError, match="start at 1") as err:
+        parse_scenario(doc)
+    assert err.value.line == 6
+
+
+def test_set_sub_prio_may_name_a_future_subflow():
+    doc = "scenario s\nduration 2s\n" + THREE_LINKS + "at 1s set_sub_prio 4 backup\n"
+    assert parse_scenario(doc).actions[0].targets == (4,)
+
+
 def test_missing_sections_rejected():
     with pytest.raises(ScenarioSyntaxError):
         parse_scenario("duration 1s\nlink 1 1mbps 10ms 10.0.0.1 10.0.1.1\n")

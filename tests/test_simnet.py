@@ -5,7 +5,7 @@ import weakref
 import pytest
 
 from mpflow.model import ValidationError, new_connection
-from mpflow.simnet import LinkSpec, Simulation, mirror_connection
+from mpflow.simnet import LinkSpec, Simulation
 from mpflow import simnet, sockopt
 from mpflow.scenario import builtin_scenario, run_scenario
 from mpflow.sockopt import SubPrioRequest
@@ -20,12 +20,11 @@ def build_sim(n_links, duration_ms=20_000, actions=()):
     sender = new_connection(
         [addr("10.0.0.1")], [addr(f"10.0.{i + 1}.1") for i in range(n_links)]
     )
-    receiver = mirror_connection(sender)
     links = [
         LinkSpec(i + 1, mesh_pair, MBPS, 100)
         for i, mesh_pair in enumerate(sender.mesh_pairs())
     ]
-    sim = Simulation(sender, receiver, links, duration_ms)
+    sim = Simulation(sender, links, duration_ms)
     for at_ms, fn in actions:
         sim.schedule_action(at_ms, fn)
     return sim
@@ -55,10 +54,11 @@ def step(sim):
 
 def test_rto_fires_at_doubling_offsets_and_third_kills():
     sim = build_sim(1)
-    sf = sim.sender.subflows[0]
+    flow = sim._flows[1]
+    sf = flow.sf
     sf.srtt_us = 200_000
     sf.inflight_bytes = MSS
-    sim._arm_rto(sf)
+    sim._arm_rto(flow)
     fires = []
     while sf.alive:
         at, _, handler, args = heapq.heappop(sim._heap)
@@ -75,18 +75,19 @@ def test_rto_fires_at_doubling_offsets_and_third_kills():
 
 def test_rto_floor_applies_when_srtt_small():
     sim = build_sim(1)
-    sf = sim.sender.subflows[0]
-    sf.srtt_us = 10_000
-    sf.inflight_bytes = MSS
-    sim._arm_rto(sf)
+    flow = sim._flows[1]
+    flow.sf.srtt_us = 10_000
+    flow.sf.inflight_bytes = MSS
+    sim._arm_rto(flow)
     at, _, _, _ = sim._heap[0]
     assert at == 200_000  # max(2 * 10 ms, 200 ms)
 
 
 def test_spurious_timeout_then_ack_resets_counter():
     sim = build_sim(1)
-    sf = sim.sender.subflows[0]
-    sim._send_segment(sf, MSS)
+    flow = sim._flows[1]
+    sf = flow.sf
+    sim._send_segment(flow, MSS)
     # fresh flow: srtt 0 so the timer (200 ms) beats the first ack (211.68 ms)
     handlers = [step(sim) for _ in range(3)]
     assert handlers == [
@@ -275,6 +276,23 @@ def test_backup_silence_while_actives_schedulable():
         assert per.get((bucket, 3), 0) == 0
 
 
+def test_mp_prio_reaches_the_receiver_one_trip_after_the_local_flip():
+    seen = {}
+
+    def mark_backup(sim):
+        sockopt.set_subflow_priority(sim.sender, SubPrioRequest(2, True))
+
+    def look(sim):
+        seen[sim.now_us // 1000] = sim.receiver.subflow_by_id(2).low_prio
+
+    actions = [(1_000, mark_backup), (1_001, look), (1_500, look)]
+    sim = build_sim(3, duration_ms=2_000, actions=actions)
+    sim.run()
+    # the option rides the next segment and lands at least one 100 ms delay later
+    assert seen == {1_001: False, 1_500: True}
+    assert sim.sender.subflow_by_id(2).low_prio
+
+
 def test_identical_runs_produce_identical_reports():
     assert run_scenario(builtin_scenario("fig4")) == run_scenario(
         builtin_scenario("fig4")
@@ -287,15 +305,13 @@ def test_identical_runs_produce_identical_reports():
 
 def test_every_mesh_pair_needs_a_link():
     sender = new_connection([addr("10.0.0.1")], [addr("10.0.1.1"), addr("10.0.2.1")])
-    receiver = mirror_connection(sender)
     links = [LinkSpec(1, sender.mesh_pairs()[0], MBPS, 100)]
     with pytest.raises(ValidationError):
-        Simulation(sender, receiver, links, duration_ms=1000)
+        Simulation(sender, links, duration_ms=1000)
 
 
 def test_link_must_serve_a_connection_pair():
     sender = new_connection([addr("10.0.0.1")], [addr("10.0.1.1")])
-    receiver = mirror_connection(sender)
     stray = LinkSpec(2, sender.mesh_pairs()[0], MBPS, 100)
     from helpers import pair
 
@@ -304,7 +320,7 @@ def test_link_must_serve_a_connection_pair():
         LinkSpec(3, pair("10.9.0.1", "10.9.1.1"), MBPS, 100),
     ]
     with pytest.raises(ValidationError):
-        Simulation(sender, receiver, links, duration_ms=1000)
+        Simulation(sender, links, duration_ms=1000)
     del stray
 
 
@@ -325,7 +341,6 @@ def test_link_spec_validation():
 
 def test_nonpositive_duration_rejected():
     sender = new_connection([addr("10.0.0.1")], [addr("10.0.1.1")])
-    receiver = mirror_connection(sender)
     links = [LinkSpec(1, sender.mesh_pairs()[0], MBPS, 100)]
     with pytest.raises(ValidationError):
-        Simulation(sender, receiver, links, duration_ms=0)
+        Simulation(sender, links, duration_ms=0)
