@@ -9,6 +9,7 @@
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 from pathlib import Path
 
@@ -101,11 +102,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # A run's warnings, such as a skipped set_sub_prio target, go to stderr.
+    to_stderr = logging.StreamHandler(sys.stderr)
+    to_stderr.setLevel(logging.WARNING)
+    to_stderr.setFormatter(logging.Formatter("warning: %(message)s"))
+    logger = logging.getLogger("mpflow")
+    logger.addHandler(to_stderr)
     try:
         return args.func(args)
     except (ScenarioError, MpflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        logger.removeHandler(to_stderr)
 
 
 if __name__ == "__main__":

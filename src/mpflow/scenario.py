@@ -335,7 +335,7 @@ def _action_closure(scenario: Scenario, action: ScenarioAction):
                         sim.sender, SubPrioRequest(subflow_id, action.low_prio)
                     )
                 except NotFoundError:
-                    logger.debug(
+                    logger.warning(
                         "at %d ms set_sub_prio: no alive sub-flow %d; skipped",
                         action.at_ms,
                         subflow_id,

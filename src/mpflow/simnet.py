@@ -7,7 +7,11 @@ links, one link per (local, remote) interface pair. The engine models:
   serializing when the link is free, takes ``bytes * 8 / bandwidth``, and is
   delivered one one-way delay later; the ack returns after another one-way
   delay. Links are lossless while up; a down link drops every in-flight and
-  future segment and ack.
+  future segment and ack. The ack event is scheduled when the segment is
+  sent and dropped on arrival if the link went down or changed meanwhile:
+  a link's epoch grows on every change, so an unchanged epoch at ack time
+  means the segment arrived too. Only a segment that carries options gets
+  an arrival event of its own.
 * an infinite-backlog sender that keeps the windows of the sub-flows the
   scheduler offers filled with MSS-sized segments.
 * failure detection by retransmission timeout: the timer starts at
@@ -16,13 +20,18 @@ links, one link per (local, remote) interface pair. The engine models:
   consecutive timeout declares the sub-flow dead, requeues its in-flight
   bytes and starts re-establishment attempts for its interface pair every
   second. An attempt that finds the link up opens a brand-new sub-flow,
-  inheriting nothing.
+  inheriting nothing. A flow keeps one pending timer event: an ack that
+  moves the deadline later only records it, and the pending event, when it
+  fires early, is pushed again for the deadline under the heap seq the
+  deadline reserved, so timers act in the same order as if each re-arm
+  had pushed an event of its own.
 * zero-length keepalive probes on idle sub-flows (one per second), so a
   path that carries no data is still health-checked through the same
   timeout machinery. Probes carry no payload and are invisible in the
   throughput accounting.
 * MP_PRIO delivery: priority signals queued on the sender ride the next
-  outgoing segment and are applied to the receiver's view on arrival.
+  outgoing segment and are applied to the receiver's view on arrival; they
+  are lost with their segment.
 
 Timeouts are counters only; no retransmission segment is emitted, because
 links are lossless while up, so a timeout implies the path is down and
@@ -40,7 +49,7 @@ import heapq
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import sockopt
 from .model import (
@@ -137,9 +146,10 @@ class _Flow:
     flag_times: List[int]
     flag_values: List[bool]
     acked: Dict[int, int] = field(default_factory=dict)
-    rto_seq: int = 0
-    armed_at_us: Optional[int] = None
+    armed_at_us: Optional[int] = None  # None: no retransmission timer runs
     base_us: int = 0
+    rto: Tuple[int, int] = (0, 0)  # (deadline, reserved heap seq) of the timer
+    rto_pending: Optional[Tuple[int, int]] = None  # (at, seq) of its heap entry
     probe_outstanding: bool = False
     probe_seq: int = 0
 
@@ -259,13 +269,12 @@ class Simulation:
         sf.inflight_bytes += nbytes
         sf.bytes_sent_total += nbytes
         outbox = self.sender.outbox
-        options = tuple(outbox)
-        outbox.clear()
-        segment = (flow, nbytes, link.epoch, self.now_us, options)
-        heapq.heappush(
-            self._heap,
-            (done + link.delay_us, next(self._seq), Simulation._on_segment_arrival, segment),
-        )
+        if outbox:
+            delivery = (flow, link.epoch, tuple(outbox))
+            outbox.clear()
+            self._push(done + link.delay_us, Simulation._on_options_arrival, delivery)
+        ack = (flow, nbytes, link.epoch, self.now_us)
+        self._push(done + 2 * link.delay_us, Simulation._on_ack_arrival, ack)
         if flow.armed_at_us is None:
             self._arm_rto(flow)
 
@@ -273,12 +282,20 @@ class Simulation:
         sf = flow.sf
         flow.armed_at_us = self.now_us
         flow.base_us = max(2 * sf.srtt_us, RTO_MIN_US)
-        fire_at = flow.armed_at_us + flow.base_us * (2**sf.consecutive_timeouts)
-        self._push(fire_at, Simulation._on_rto_fire, (flow, flow.rto_seq))
+        self._set_rto(flow, flow.armed_at_us + flow.base_us * (2**sf.consecutive_timeouts))
 
-    def _cancel_rto(self, flow: _Flow) -> None:
-        flow.rto_seq += 1
-        flow.armed_at_us = None
+    def _set_rto(self, flow: _Flow, fire_at: int) -> None:
+        # The deadline reserves a heap seq now, but is pushed only if it beats
+        # the flow's pending entry; a later one is pushed under that seq when
+        # the pending entry fires, so the timer acts at the (time, seq) it
+        # would have if every deadline had been pushed.
+        flow.rto = (fire_at, next(self._seq))
+        if flow.rto_pending is None or fire_at < flow.rto_pending[0]:
+            self._push_rto(flow)
+
+    def _push_rto(self, flow: _Flow) -> None:
+        flow.rto_pending = at_us, seq = flow.rto
+        heapq.heappush(self._heap, (at_us, seq, Simulation._on_rto_fire, (flow, seq)))
 
     def _schedule_probe(self, flow: _Flow) -> None:
         flow.probe_seq += 1
@@ -297,24 +314,19 @@ class Simulation:
     # ------------------------------------------------------------------ #
     # event handlers
 
-    def _on_segment_arrival(
-        self, flow: _Flow, nbytes: int, epoch: int, sent_us: int, options: tuple
-    ) -> None:
+    def _on_options_arrival(self, flow: _Flow, epoch: int, options: tuple) -> None:
         link = flow.link
         if link.epoch != epoch or not link.up:
-            return  # dropped on a changed or down link
+            return  # lost with their segment on a changed or down link
         for opt in options:
             sockopt.apply_remote_mp_prio(self.receiver, opt, received_on=flow.sf.id)
-        ack = (flow, nbytes, link.epoch, sent_us)
-        heapq.heappush(
-            self._heap,
-            (self.now_us + link.delay_us, next(self._seq), Simulation._on_ack_arrival, ack),
-        )
 
     def _on_ack_arrival(self, flow: _Flow, nbytes: int, epoch: int, sent_us: int) -> None:
+        # Epochs only grow, so an unchanged epoch at ack time means the link
+        # was up and unchanged when the segment arrived as well.
         link = flow.link
         if link.epoch != epoch or not link.up:
-            return
+            return  # the segment or its ack was dropped
         sf = flow.sf
         if not sf.alive:
             return  # late ack for a sub-flow already declared dead
@@ -327,23 +339,29 @@ class Simulation:
             flow.acked[bucket] = flow.acked.get(bucket, 0) + nbytes
         else:
             flow.probe_outstanding = False
-        self._cancel_rto(flow)
         if sf.inflight_bytes > 0 or flow.probe_outstanding:
             self._arm_rto(flow)
+        else:
+            flow.armed_at_us = None
         self._pump()
         if sf.alive and sf.inflight_bytes == 0 and not flow.probe_outstanding:
             self._schedule_probe(flow)
 
-    def _on_rto_fire(self, flow: _Flow, rto_seq: int) -> None:
+    def _on_rto_fire(self, flow: _Flow, seq: int) -> None:
+        if flow.rto_pending is None or flow.rto_pending[1] != seq:
+            return  # superseded by an earlier deadline
+        flow.rto_pending = None
         sf = flow.sf
-        if not sf.alive or flow.rto_seq != rto_seq or flow.armed_at_us is None:
+        if not sf.alive or flow.armed_at_us is None:
+            return
+        if flow.rto[1] != seq:
+            self._push_rto(flow)  # the deadline moved later: wait for it
             return
         sf.consecutive_timeouts += 1
         if sf.consecutive_timeouts >= RTO_DEATH_TIMEOUTS:
             self._kill(flow)
             return
-        fire_at = flow.armed_at_us + flow.base_us * (2**sf.consecutive_timeouts)
-        self._push(fire_at, Simulation._on_rto_fire, (flow, rto_seq))
+        self._set_rto(flow, flow.armed_at_us + flow.base_us * (2**sf.consecutive_timeouts))
 
     def _kill(self, flow: _Flow) -> None:
         sf = flow.sf

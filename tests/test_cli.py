@@ -68,19 +68,24 @@ def test_validate_missing_file(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_run_with_a_dead_set_sub_prio_target_writes_the_csv(tmp_path):
+def test_run_with_a_dead_set_sub_prio_target_writes_the_csv(tmp_path, capsys):
     path = tmp_path / "dead.scn"
     path.write_text(
         "scenario dead_target\nduration 8s\n"
         "link 1 1mbps 100ms 10.0.0.1 10.0.1.1\n"
         "link 2 1mbps 100ms 10.0.0.1 10.0.2.1\n"
         "at 1s link_down 2\n"
-        "at 5s set_sub_prio 2 backup\n"
+        "at 5s set_sub_prio 2 99 backup\n"
     )
     assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
     out = tmp_path / "report.csv"
     assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
     assert out.read_text().startswith(CSV_HEADER)
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: at 5000 ms set_sub_prio: no alive sub-flow 2; skipped",
+        "warning: at 5000 ms set_sub_prio: no alive sub-flow 99; skipped",
+    ]
 
 
 def test_run_to_a_missing_directory_reports_an_error(tmp_path, capsys):

@@ -1,17 +1,31 @@
-"""Pinned outputs of the built-in scenarios.
+"""Pinned outputs of the built-in and the benchmark's generated scenarios.
 
 Each built-in's CSV at the default 1 s buckets must hash to the SHA-256
 recorded here (the same digests ``perfbench/golden.json`` pins for the
-benchmark). A change to any timeline, however small, fails this test; a
-change meant to alter a timeline has to update the digest on purpose.
+benchmark). The seed-0 scenarios of the benchmark's generated workloads,
+built by ``perfbench/workloads.py`` and run at their workload's bucket width,
+must hash to the digests ``perfbench/golden.json`` pins for them. A change to
+any timeline, however small, fails this test; a change meant to alter a
+timeline has to update the digest on purpose.
 """
 
 import hashlib
+import importlib.util
 import io
+import json
+from pathlib import Path
 
 import pytest
 
-from mpflow.scenario import PPOS_ENV_VAR, builtin_scenario, emit_csv, run_scenario
+from mpflow.scenario import (
+    PPOS_ENV_VAR,
+    builtin_scenario,
+    emit_csv,
+    parse_scenario,
+    run_scenario,
+)
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 GOLDEN_SHA256 = {
     "fig4": "2aeb31311b97c52c79f8e8487b04630b3cdd703b379743f9dc945702f60a264c",
@@ -27,3 +41,25 @@ def test_builtin_csv_matches_pinned_digest(name, monkeypatch):
     buf = io.StringIO()
     emit_csv(run_scenario(builtin_scenario(name)), buf)
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == GOLDEN_SHA256[name]
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["mesh16_flaps", "prio_churn_fine"])
+def test_generated_seed0_csvs_match_the_benchmark_digests(workload, monkeypatch):
+    monkeypatch.delenv(PPOS_ENV_VAR, raising=False)
+    pinned = json.loads((PERFBENCH / "golden.json").read_text())[workload]["0"]
+    spec = getattr(_load_workloads(), workload)(0)
+    digests = {}
+    for name, doc in spec.docs:
+        buf = io.StringIO()
+        emit_csv(run_scenario(parse_scenario(doc), bucket_ms=spec.bucket_ms), buf)
+        digests[name] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    assert digests == pinned

@@ -48,6 +48,27 @@ def step(sim):
     return handler
 
 
+def rto_entries(sim, flow):
+    return [
+        entry
+        for entry in sim._heap
+        if entry[2] is Simulation._on_rto_fire and entry[3][0] is flow
+    ]
+
+
+def time_out_until_dead(sim, sf):
+    """Step the flow's RTO entries until it dies; returns the times of all
+    entries popped and of the timeouts among them."""
+    popped, timeouts = [], []
+    while sf.alive:
+        before = sf.consecutive_timeouts
+        assert step(sim) is Simulation._on_rto_fire
+        popped.append(sim.now_us)
+        if sf.consecutive_timeouts != before or not sf.alive:
+            timeouts.append(sim.now_us)
+    return popped, timeouts
+
+
 # --------------------------------------------------------------------- #
 # retransmission timer arithmetic
 
@@ -89,16 +110,78 @@ def test_spurious_timeout_then_ack_resets_counter():
     sf = flow.sf
     sim._send_segment(flow, MSS)
     # fresh flow: srtt 0 so the timer (200 ms) beats the first ack (211.68 ms)
-    handlers = [step(sim) for _ in range(3)]
-    assert handlers == [
-        Simulation._on_segment_arrival,
-        Simulation._on_rto_fire,
-        Simulation._on_ack_arrival,
-    ]
+    handlers = [step(sim) for _ in range(2)]
+    assert handlers == [Simulation._on_rto_fire, Simulation._on_ack_arrival]
     assert sf.alive
     assert sf.consecutive_timeouts == 0
     # first sample: 11.68 ms serialization + 2 x 100 ms propagation
     assert sf.srtt_us == 211_680
+
+
+def test_steady_run_keeps_one_rto_entry_per_flow():
+    sim = build_sim(3, duration_ms=10_000)
+    sim.schedule_action(0, Simulation._bootstrap)
+    events = 0
+    while sim._heap[0][0] < sim.duration_us:
+        step(sim)
+        events += 1
+        for flow in sim._flows.values():
+            assert len(rto_entries(sim, flow)) <= 1
+    assert all(flow.sf.alive and rto_entries(sim, flow) for flow in sim._flows.values())
+    # one event per segment, its ack: no arrival events, no stale timer fires
+    segments = sum(flow.sf.bytes_sent_total for flow in sim._flows.values()) // MSS
+    assert events < 1.1 * segments
+
+
+def test_rearm_to_an_earlier_deadline_fires_at_the_new_one():
+    sim = build_sim(1)
+    flow = sim._flows[1]
+    sf = flow.sf
+    sf.inflight_bytes = MSS
+    sf.srtt_us = 500_000
+    sim._arm_rto(flow)  # base 1 s
+    # an ack at 100 ms after srtt fell: base max(2 * 50 ms, 200 ms)
+    sim.now_us = 100_000
+    sf.srtt_us = 50_000
+    sim._arm_rto(flow)
+    assert sorted(entry[0] for entry in rto_entries(sim, flow)) == [300_000, 1_000_000]
+    popped, timeouts = time_out_until_dead(sim, sf)
+    assert timeouts == [300_000, 500_000, 900_000]
+    assert popped == timeouts  # the stale 1 s entry is still in the heap
+    assert sf.died_us == 900_000
+
+
+def test_later_rearm_waits_for_the_pending_entry_then_doubles():
+    sim = build_sim(1)
+    flow = sim._flows[1]
+    sf = flow.sf
+    sf.inflight_bytes = MSS
+    sf.srtt_us = 200_000
+    sim._arm_rto(flow)  # base 400 ms, pending at 400 ms
+    sim.now_us = 100_000
+    sim._arm_rto(flow)  # an ack at 100 ms moves the deadline to 500 ms
+    assert [entry[0] for entry in rto_entries(sim, flow)] == [400_000]
+    popped, timeouts = time_out_until_dead(sim, sf)
+    # the 400 ms entry is pushed again for 500 ms; then 1x, 2x and 4x the
+    # base after the last ack, and the third timeout kills
+    assert popped == [400_000, 500_000, 900_000, 1_700_000]
+    assert timeouts == [500_000, 900_000, 1_700_000]
+    assert sf.died_us == 1_700_000
+
+
+def test_mp_prio_is_lost_with_its_segment():
+    sim = build_sim(1)
+    flow = sim._flows[1]
+    sockopt.set_subflow_priority(sim.sender, SubPrioRequest(1, True))
+    sim._send_segment(flow, MSS)
+    sim.now_us = 50_000  # the segment lands at 111.68 ms
+    sim.set_link_state(1, up=False)
+    while flow.sf.alive:
+        step(sim)
+    assert flow.sf.low_prio
+    assert not flow.peer.low_prio
+    assert flow.acked == {}
+    assert flow.sf.srtt_us == 0  # its ack never came back
 
 
 def test_finished_simulation_is_freed_by_reference_counting(monkeypatch):
