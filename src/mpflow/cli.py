@@ -3,7 +3,8 @@
     mpflow run --scenario <name|path> [--bucket-ms 1000] [--out report.csv]
                [--duration-ms N]
     mpflow list-scenarios
-    mpflow validate <path>    (warns about actions at or after the duration)
+    mpflow validate <path>    (warns about actions at or after the duration and
+                               about links too slow to ack a first segment)
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import logging
 import sys
 from pathlib import Path
 
+from . import simnet
 from .model import MpflowError
 from .scenario import (
     BUILTIN_DOCS,
@@ -24,6 +26,7 @@ from .scenario import (
     parse_scenario,
     run_scenario,
 )
+from .wire import OptionError
 
 
 def _load_scenario(ref: str):
@@ -69,6 +72,15 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             f"{scenario.duration_ms}ms and never runs",
             file=sys.stderr,
         )
+    for link in scenario.links:
+        ack_us = simnet.first_ack_us(link)
+        if ack_us > simnet.FIRST_DEATH_US:
+            print(
+                f"warning: link {link.link_id} acks a first segment after {ack_us / 1000:g}ms, "
+                f"later than the {simnet.FIRST_DEATH_US / 1000:g}ms at which a new sub-flow "
+                f"dies of timeouts, so every sub-flow on it dies before carrying data",
+                file=sys.stderr,
+            )
     print(
         f"ok: scenario {scenario.name!r}, {len(scenario.links)} links, "
         f"{len(scenario.actions)} actions, {scenario.duration_ms} ms"
@@ -110,7 +122,7 @@ def main(argv=None) -> int:
     logger.addHandler(to_stderr)
     try:
         return args.func(args)
-    except (ScenarioError, MpflowError, OSError) as exc:
+    except (ScenarioError, MpflowError, OptionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

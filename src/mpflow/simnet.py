@@ -14,21 +14,21 @@ links, one link per (local, remote) interface pair. The engine models:
   an arrival event of its own.
 * an infinite-backlog sender that keeps the windows of the sub-flows the
   scheduler offers filled with MSS-sized segments.
-* failure detection by retransmission timeout: the timer starts at
-  ``max(2 * srtt, 200 ms)`` and doubles per consecutive timeout (fires at
-  base, 2*base, 4*base after the last acknowledgment); the third
-  consecutive timeout declares the sub-flow dead, requeues its in-flight
-  bytes and starts re-establishment attempts for its interface pair every
-  second. An attempt that finds the link up opens a brand-new sub-flow,
-  inheriting nothing. A flow keeps one pending timer event: an ack that
-  moves the deadline later only records it, and the pending event, when it
-  fires early, is pushed again for the deadline under the heap seq the
-  deadline reserved, so timers act in the same order as if each re-arm
-  had pushed an event of its own.
-* zero-length keepalive probes on idle sub-flows (one per second), so a
-  path that carries no data is still health-checked through the same
-  timeout machinery. Probes carry no payload and are invisible in the
-  throughput accounting.
+* one timer per sub-flow, which acts on the sub-flow's state when it fires:
+  - busy (data or a probe unacknowledged): count a retransmission timeout.
+    The deadline is ``max(2 * srtt, 200 ms)`` after the last ack and
+    doubles per consecutive timeout (base, 2*base, 4*base); the third
+    declares the sub-flow dead and requeues its in-flight bytes.
+  - idle: send a zero-length keepalive probe, one second after the
+    sub-flow went idle, so a path without data is health-checked by the
+    same timeouts. Probes are invisible in the throughput accounting.
+  - dead: attempt re-establishment, one second after the death and every
+    second while the link is down; an attempt that finds the link up opens
+    a brand-new sub-flow on the pair, inheriting nothing.
+  A deadline that moves later is only recorded: the timer's one pending
+  heap event, when it fires early, is pushed again for the deadline under
+  the heap seq the deadline reserved, so timers act in the same order as
+  if each deadline had pushed an event of its own.
 * MP_PRIO delivery: priority signals queued on the sender ride the next
   outgoing segment and are applied to the receiver's view on arrival; they
   are lost with their segment.
@@ -73,6 +73,9 @@ RTO_MIN_US = 200_000
 RTO_DEATH_TIMEOUTS = 3
 PROBE_INTERVAL_US = 1_000_000
 REESTABLISH_INTERVAL_US = 1_000_000
+# A sub-flow without an RTT sample times out at RTO_MIN_US, twice that and
+# so on, and dies at this many µs after its first segment unless acked.
+FIRST_DEATH_US = RTO_MIN_US * 2 ** (RTO_DEATH_TIMEOUTS - 1)
 
 
 @dataclass(frozen=True)
@@ -90,6 +93,12 @@ class LinkSpec:
             raise ValidationError(f"link {self.link_id}: bandwidth must be positive")
         if self.one_way_delay_ms < 0:
             raise ValidationError(f"link {self.link_id}: delay must be >= 0")
+
+
+def first_ack_us(spec: LinkSpec) -> int:
+    """How long after an MSS is sent on the idle link ``spec`` its ack comes
+    back. Above FIRST_DEATH_US, every sub-flow on the link dies unacked."""
+    return MSS * 8 * 1_000_000 // spec.bandwidth_bps + 2 * spec.one_way_delay_ms * US_PER_MS
 
 
 @dataclass
@@ -136,9 +145,9 @@ class _Link:
 @dataclass
 class _Flow:
     """Simulator state of one sub-flow: the sender's sub-flow, the receiver's
-    mirror of it (``peer``), the link serving its pair, its retransmission
-    and probe timers, its acked bytes per bucket and the history of its
-    priority flag (``flag_values[i]`` holds from ``flag_times[i]`` on)."""
+    mirror of it (``peer``), the link serving its pair, its timer, its acked
+    bytes per bucket and the history of its priority flag
+    (``flag_values[i]`` holds from ``flag_times[i]`` on)."""
 
     sf: SubflowState
     peer: SubflowState
@@ -146,12 +155,11 @@ class _Flow:
     flag_times: List[int]
     flag_values: List[bool]
     acked: Dict[int, int] = field(default_factory=dict)
-    armed_at_us: Optional[int] = None  # None: no retransmission timer runs
+    armed_at_us: Optional[int] = None  # None: idle, no retransmission timeout runs
     base_us: int = 0
-    rto: Tuple[int, int] = (0, 0)  # (deadline, reserved heap seq) of the timer
-    rto_pending: Optional[Tuple[int, int]] = None  # (at, seq) of its heap entry
+    timer: Tuple[int, int] = (0, 0)  # (deadline, reserved heap seq)
+    timer_pending: Optional[Tuple[int, int]] = None  # (at, seq) of its heap entry
     probe_outstanding: bool = False
-    probe_seq: int = 0
 
 
 class TopologyError(ValidationError):
@@ -282,26 +290,20 @@ class Simulation:
         sf = flow.sf
         flow.armed_at_us = self.now_us
         flow.base_us = max(2 * sf.srtt_us, RTO_MIN_US)
-        self._set_rto(flow, flow.armed_at_us + flow.base_us * (2**sf.consecutive_timeouts))
+        self._set_timer(flow, flow.armed_at_us + flow.base_us * (2**sf.consecutive_timeouts))
 
-    def _set_rto(self, flow: _Flow, fire_at: int) -> None:
+    def _set_timer(self, flow: _Flow, fire_at: int) -> None:
         # The deadline reserves a heap seq now, but is pushed only if it beats
         # the flow's pending entry; a later one is pushed under that seq when
         # the pending entry fires, so the timer acts at the (time, seq) it
         # would have if every deadline had been pushed.
-        flow.rto = (fire_at, next(self._seq))
-        if flow.rto_pending is None or fire_at < flow.rto_pending[0]:
-            self._push_rto(flow)
+        flow.timer = (fire_at, next(self._seq))
+        if flow.timer_pending is None or fire_at < flow.timer_pending[0]:
+            self._push_timer(flow)
 
-    def _push_rto(self, flow: _Flow) -> None:
-        flow.rto_pending = at_us, seq = flow.rto
-        heapq.heappush(self._heap, (at_us, seq, Simulation._on_rto_fire, (flow, seq)))
-
-    def _schedule_probe(self, flow: _Flow) -> None:
-        flow.probe_seq += 1
-        self._push(
-            self.now_us + PROBE_INTERVAL_US, Simulation._on_probe_due, (flow, flow.probe_seq)
-        )
+    def _push_timer(self, flow: _Flow) -> None:
+        flow.timer_pending = at_us, seq = flow.timer
+        heapq.heappush(self._heap, (at_us, seq, Simulation._on_timer, (flow, seq)))
 
     def _pump(self) -> None:
         """Send MSS segments while the scheduler offers a sub-flow."""
@@ -344,24 +346,31 @@ class Simulation:
         else:
             flow.armed_at_us = None
         self._pump()
-        if sf.alive and sf.inflight_bytes == 0 and not flow.probe_outstanding:
-            self._schedule_probe(flow)
+        if flow.armed_at_us is None:
+            self._set_timer(flow, self.now_us + PROBE_INTERVAL_US)
 
-    def _on_rto_fire(self, flow: _Flow, seq: int) -> None:
-        if flow.rto_pending is None or flow.rto_pending[1] != seq:
+    def _on_timer(self, flow: _Flow, seq: int) -> None:
+        if flow.timer_pending is None or flow.timer_pending[1] != seq:
             return  # superseded by an earlier deadline
-        flow.rto_pending = None
+        flow.timer_pending = None
+        if flow.timer[1] != seq:
+            self._push_timer(flow)  # the deadline moved later: wait for it
+            return
         sf = flow.sf
-        if not sf.alive or flow.armed_at_us is None:
-            return
-        if flow.rto[1] != seq:
-            self._push_rto(flow)  # the deadline moved later: wait for it
-            return
-        sf.consecutive_timeouts += 1
-        if sf.consecutive_timeouts >= RTO_DEATH_TIMEOUTS:
-            self._kill(flow)
-            return
-        self._set_rto(flow, flow.armed_at_us + flow.base_us * (2**sf.consecutive_timeouts))
+        if not sf.alive:
+            if flow.link.up:
+                self._open_on_pair(flow.link)
+            else:
+                self._set_timer(flow, self.now_us + REESTABLISH_INTERVAL_US)
+        elif flow.armed_at_us is None:
+            flow.probe_outstanding = True
+            self._send_segment(flow, 0)
+        else:
+            sf.consecutive_timeouts += 1
+            if sf.consecutive_timeouts >= RTO_DEATH_TIMEOUTS:
+                self._kill(flow)
+            else:
+                self._set_timer(flow, flow.armed_at_us + flow.base_us * 2**sf.consecutive_timeouts)
 
     def _kill(self, flow: _Flow) -> None:
         sf = flow.sf
@@ -369,26 +378,10 @@ class Simulation:
         sf.died_us = self.now_us
         sf.inflight_bytes = 0  # in-flight data goes back to the backlog
         flow.peer.alive = False
-        # Its pending RTO and probe events are void: both handlers return for
-        # a dead sub-flow. A pair has one sub-flow that is not dead, and gets
-        # a new one only when this attempt succeeds, so attempts never overlap.
-        self._push(self.now_us + REESTABLISH_INTERVAL_US, Simulation._on_reestablish, (flow.link,))
+        # A pair has one sub-flow that is not dead, and gets a new one only
+        # when this flow's timer finds the link up, so attempts never overlap.
+        self._set_timer(flow, self.now_us + REESTABLISH_INTERVAL_US)
         self._pump()
-
-    def _on_probe_due(self, flow: _Flow, probe_seq: int) -> None:
-        sf = flow.sf
-        if not sf.alive or flow.probe_seq != probe_seq:
-            return
-        if sf.inflight_bytes > 0 or flow.probe_outstanding:
-            return  # data traffic is already exercising the path
-        flow.probe_outstanding = True
-        self._send_segment(flow, 0)
-
-    def _on_reestablish(self, link: _Link) -> None:
-        if not link.up:
-            self._push(self.now_us + REESTABLISH_INTERVAL_US, Simulation._on_reestablish, (link,))
-            return
-        self._open_on_pair(link)
 
     def _open_on_pair(self, link: _Link) -> None:
         pair = link.spec.pair
@@ -407,8 +400,8 @@ class Simulation:
         flow = _Flow(sf, peer, link, [self.now_us], [sf.low_prio])
         self._flows[new_id] = flow
         self._pump()
-        if sf.alive and sf.inflight_bytes == 0:
-            self._schedule_probe(flow)
+        if flow.armed_at_us is None:
+            self._set_timer(flow, self.now_us + PROBE_INTERVAL_US)
 
     def _on_action(self, action: Callable[["Simulation"], None]) -> None:
         action(self)
@@ -427,8 +420,8 @@ class Simulation:
         # scheduler "just after socket creation" precedes the first segment.
         self._pump()
         for flow in self._flows.values():
-            if flow.sf.alive and flow.sf.inflight_bytes == 0:
-                self._schedule_probe(flow)
+            if flow.armed_at_us is None:
+                self._set_timer(flow, self.now_us + PROBE_INTERVAL_US)
 
     def run(self) -> TimelineReport:
         if self._finished:

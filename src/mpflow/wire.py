@@ -22,8 +22,8 @@ MP_PRIO_KIND = 30
 MP_PRIO_SUBTYPE = 5
 
 
-class OptionError(Exception):
-    """Base class for MP_PRIO codec errors."""
+class OptionError(ValueError):
+    """Base class for MP_PRIO codec errors, among them a field out of range."""
 
 
 class NotMpPrioError(OptionError):
@@ -47,7 +47,7 @@ class MpPrioOption:
 
     def __post_init__(self) -> None:
         if self.addr_id is not None and not 0 <= self.addr_id <= 0xFF:
-            raise ValueError(f"addr_id out of range: {self.addr_id}")
+            raise OptionError(f"MP_PRIO addr_id out of range: {self.addr_id} (0-255)")
 
 
 def encode_mp_prio(opt: MpPrioOption) -> bytes:

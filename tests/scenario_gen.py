@@ -1,0 +1,91 @@
+"""Seeded generator of random scenario documents, and the pinned corpus.
+
+``random_scenario(rng)`` writes the text of one scenario: a 1-3 x 1-3 mesh
+of links of 100 kbps-10 Mbps (log-uniform) and 0-150 ms one-way delay, and
+0-25 actions drawn over all six verbs, at random times inside the duration.
+Link outages last long enough, often enough, that many runs kill sub-flows
+and re-create them. ``set_sub_prio`` names ids up to a few past the initial
+mesh, so both future and dead ids occur.
+
+``tests/golden_corpus.json`` pins the SHA-256 of the CSV of each corpus
+scenario at each bucket width in ``CORPUS_BUCKETS_MS``. A change meant to
+alter timelines re-pins it on purpose with::
+
+    PYTHONPATH=src python tests/scenario_gen.py > tests/golden_corpus.json
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import random
+
+from mpflow.scenario import emit_csv, parse_scenario, run_scenario
+
+# Spelled out, not imported, so that a new verb does not move the corpus.
+ACTION_VERBS = (
+    "set_sub_prio",
+    "set_active_list",
+    "set_backup_list",
+    "enable_ppos",
+    "link_down",
+    "link_up",
+)
+
+CORPUS_SIZE = 60
+CORPUS_BUCKETS_MS = (1000, 100)
+
+
+def random_scenario(rng: random.Random, name: str = "random") -> str:
+    """The text of one random scenario drawn from ``rng``."""
+    n_local, n_remote = rng.randint(1, 3), rng.randint(1, 3)
+    n_links = n_local * n_remote
+    duration_ms = rng.randrange(2_000, 12_001, 500)
+    lines = [f"scenario {name}", f"duration {duration_ms}ms", ""]
+    for i in range(n_local):
+        for j in range(n_remote):
+            kbps = round(100 * 100 ** rng.random())
+            delay_ms = rng.randint(0, 150)
+            link_id = i * n_remote + j + 1
+            lines.append(f"link {link_id} {kbps}kbps {delay_ms}ms 10.1.{i}.1 10.2.{j}.1")
+    lines.append("")
+    for _ in range(rng.randint(0, 25)):
+        at_ms = rng.randrange(0, duration_ms, 10)
+        verb = rng.choice(ACTION_VERBS)
+        if verb == "set_sub_prio":
+            ids = rng.sample(range(1, n_links + 4), rng.randint(1, min(3, n_links + 3)))
+            flag = rng.choice(("backup", "active"))
+            lines.append(f"at {at_ms}ms {verb} {' '.join(map(str, sorted(ids)))} {flag}")
+            continue
+        low = 1 if verb in ("link_down", "link_up") else 0
+        ids = rng.sample(range(1, n_links + 1), rng.randint(low, n_links))
+        lines.append(f"at {at_ms}ms {verb} {' '.join(map(str, ids))}".rstrip())
+    return "\n".join(lines) + "\n"
+
+
+def corpus():
+    """The pinned corpus: (name, scenario text) pairs."""
+    return [
+        (f"corpus_{k:02d}", random_scenario(random.Random(f"corpus/{k}"), f"corpus_{k:02d}"))
+        for k in range(CORPUS_SIZE)
+    ]
+
+
+def csv_digest(doc: str, bucket_ms: int) -> str:
+    """SHA-256 of the CSV that ``doc`` gives at ``bucket_ms``."""
+    buf = io.StringIO()
+    emit_csv(run_scenario(parse_scenario(doc), bucket_ms=bucket_ms), buf)
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+def corpus_digests():
+    """{name: {bucket width: digest}} over the whole corpus."""
+    return {
+        name: {str(bucket_ms): csv_digest(doc, bucket_ms) for bucket_ms in CORPUS_BUCKETS_MS}
+        for name, doc in corpus()
+    }
+
+
+if __name__ == "__main__":
+    print(json.dumps(corpus_digests(), indent=1, sort_keys=True))

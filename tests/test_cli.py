@@ -39,10 +39,13 @@ def test_run_unknown_scenario_fails(capsys):
 
 
 def test_validate_good_file(tmp_path, capsys):
-    path = tmp_path / "good.scn"
-    path.write_text(format_scenario(builtin_scenario("fig4")))
-    assert main(["validate", str(path)]) == 0
-    assert "ok:" in capsys.readouterr().out
+    for name in ("fig4", "fig5", "fig6_default", "fig6_ppos"):
+        path = tmp_path / f"{name}.scn"
+        path.write_text(format_scenario(builtin_scenario(name)))
+        assert main(["validate", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert "ok:" in captured.out
+        assert captured.err == ""  # no built-in link is too slow
 
 
 def test_validate_bad_file(tmp_path, capsys):
@@ -121,4 +124,42 @@ def test_validate_warns_about_actions_that_never_run(tmp_path, capsys):
         "warning: at 10000ms link_up 1 is at or after duration 10000ms and never runs",
         "warning: at 12000ms set_sub_prio 1 backup is at or after duration 10000ms "
         "and never runs",
+    ]
+
+
+def test_run_reports_an_mp_prio_addr_id_overflow_as_an_error(tmp_path, capsys):
+    # Every outage of link 2 kills its sub-flow and its successor takes the
+    # next id; after 300 of them the flip that enable_ppos 1 signals for the
+    # sub-flow on link 2 names an id that does not fit MP_PRIO's one byte.
+    flaps = "".join(
+        f"at {5 * k + 1}s link_down 2\nat {5 * k + 4}s link_up 2\n" for k in range(300)
+    )
+    path = tmp_path / "flaps.scn"
+    path.write_text(
+        "scenario flaps\nduration 1510s\n"
+        "link 1 100kbps 100ms 10.0.0.1 10.0.1.1\n"
+        "link 2 1mbps 100ms 10.0.0.1 10.0.2.1\n" + flaps + "at 1505s enable_ppos 1\n"
+    )
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "report.csv")]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: MP_PRIO addr_id out of range: ")
+
+
+def test_validate_warns_about_a_link_too_slow_to_ack_its_first_segment(tmp_path, capsys):
+    # 1,460 B at 10 kbps take 1,168 ms, plus 2 x 150 ms: every sub-flow on
+    # link 1 dies of its third timeout, at 800 ms, before its first ack.
+    path = tmp_path / "slow.scn"
+    path.write_text(
+        "scenario slow\nduration 400s\n"
+        "link 1 10kbps 150ms 10.0.0.1 10.0.1.1\n"
+        "link 2 1mbps 10ms 10.0.0.1 10.0.2.1\n"
+    )
+    assert main(["validate", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert "ok:" in captured.out
+    assert captured.err.splitlines() == [
+        "warning: link 1 acks a first segment after 1468ms, later than the 800ms at which "
+        "a new sub-flow dies of timeouts, so every sub-flow on it dies before carrying data"
     ]

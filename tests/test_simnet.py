@@ -48,11 +48,11 @@ def step(sim):
     return handler
 
 
-def rto_entries(sim, flow):
+def timer_entries(sim, flow):
     return [
         entry
         for entry in sim._heap
-        if entry[2] is Simulation._on_rto_fire and entry[3][0] is flow
+        if entry[2] is Simulation._on_timer and entry[3][0] is flow
     ]
 
 
@@ -62,7 +62,7 @@ def time_out_until_dead(sim, sf):
     popped, timeouts = [], []
     while sf.alive:
         before = sf.consecutive_timeouts
-        assert step(sim) is Simulation._on_rto_fire
+        assert step(sim) is Simulation._on_timer
         popped.append(sim.now_us)
         if sf.consecutive_timeouts != before or not sf.alive:
             timeouts.append(sim.now_us)
@@ -83,10 +83,10 @@ def test_rto_fires_at_doubling_offsets_and_third_kills():
     fires = []
     while sf.alive:
         at, _, handler, args = heapq.heappop(sim._heap)
-        assert handler is Simulation._on_rto_fire
+        assert handler is Simulation._on_timer
         sim.now_us = at
         fires.append(at)
-        sim._on_rto_fire(*args)
+        sim._on_timer(*args)
     # oracle: base = max(2 * 200 ms, 200 ms) = 400 ms, offsets double per
     # consecutive timeout => fires 400, 800, 1600 ms after arming
     assert fires == [400_000, 800_000, 1_600_000]
@@ -111,26 +111,42 @@ def test_spurious_timeout_then_ack_resets_counter():
     sim._send_segment(flow, MSS)
     # fresh flow: srtt 0 so the timer (200 ms) beats the first ack (211.68 ms)
     handlers = [step(sim) for _ in range(2)]
-    assert handlers == [Simulation._on_rto_fire, Simulation._on_ack_arrival]
+    assert handlers == [Simulation._on_timer, Simulation._on_ack_arrival]
     assert sf.alive
     assert sf.consecutive_timeouts == 0
     # first sample: 11.68 ms serialization + 2 x 100 ms propagation
     assert sf.srtt_us == 211_680
 
 
+def mark_backup(subflow_id):
+    return lambda sim: sockopt.set_subflow_priority(sim.sender, SubPrioRequest(subflow_id, True))
+
+
 def test_steady_run_keeps_one_rto_entry_per_flow():
-    sim = build_sim(3, duration_ms=10_000)
-    sim.schedule_action(0, Simulation._bootstrap)
-    events = 0
-    while sim._heap[0][0] < sim.duration_us:
-        step(sim)
-        events += 1
-        for flow in sim._flows.values():
-            assert len(rto_entries(sim, flow)) <= 1
-    assert all(flow.sf.alive and rto_entries(sim, flow) for flow in sim._flows.values())
-    # one event per segment, its ack: no arrival events, no stale timer fires
-    segments = sum(flow.sf.bytes_sent_total for flow in sim._flows.values()) // MSS
-    assert events < 1.1 * segments
+    # The second input idles a backup, so it is probed, and cuts its link for
+    # long enough that the probe times out three times, the sub-flow dies
+    # and re-establishment attempts fail until one re-creates it. Every
+    # flow, dead ones included, holds at most one timer entry throughout.
+    outage = [
+        (1_000, mark_backup(2)),
+        (3_000, link_action(2, False)),
+        (8_500, link_action(2, True)),
+    ]
+    inputs = [(3, [], [True, True, True]), (2, outage, [True, False, True])]
+    for n_links, actions, alive in inputs:
+        sim = build_sim(n_links, duration_ms=10_000, actions=actions)
+        sim.schedule_action(0, Simulation._bootstrap)
+        events = 0
+        while sim._heap[0][0] < sim.duration_us:
+            step(sim)
+            events += 1
+            for flow in sim._flows.values():
+                assert len(timer_entries(sim, flow)) <= 1
+        assert [flow.sf.alive for flow in sim._flows.values()] == alive
+        assert all(timer_entries(sim, flow) for flow in sim._flows.values() if flow.sf.alive)
+        # one event per segment, its ack: no arrival events, no stale timer fires
+        segments = sum(flow.sf.bytes_sent_total for flow in sim._flows.values()) // MSS
+        assert events < 1.1 * segments
 
 
 def test_rearm_to_an_earlier_deadline_fires_at_the_new_one():
@@ -144,7 +160,7 @@ def test_rearm_to_an_earlier_deadline_fires_at_the_new_one():
     sim.now_us = 100_000
     sf.srtt_us = 50_000
     sim._arm_rto(flow)
-    assert sorted(entry[0] for entry in rto_entries(sim, flow)) == [300_000, 1_000_000]
+    assert sorted(entry[0] for entry in timer_entries(sim, flow)) == [300_000, 1_000_000]
     popped, timeouts = time_out_until_dead(sim, sf)
     assert timeouts == [300_000, 500_000, 900_000]
     assert popped == timeouts  # the stale 1 s entry is still in the heap
@@ -160,13 +176,27 @@ def test_later_rearm_waits_for_the_pending_entry_then_doubles():
     sim._arm_rto(flow)  # base 400 ms, pending at 400 ms
     sim.now_us = 100_000
     sim._arm_rto(flow)  # an ack at 100 ms moves the deadline to 500 ms
-    assert [entry[0] for entry in rto_entries(sim, flow)] == [400_000]
+    assert [entry[0] for entry in timer_entries(sim, flow)] == [400_000]
     popped, timeouts = time_out_until_dead(sim, sf)
     # the 400 ms entry is pushed again for 500 ms; then 1x, 2x and 4x the
     # base after the last ack, and the third timeout kills
     assert popped == [400_000, 500_000, 900_000, 1_700_000]
     assert timeouts == [500_000, 900_000, 1_700_000]
     assert sf.died_us == 1_700_000
+
+
+@pytest.mark.parametrize("bandwidth_bps, dies", [(23_360, False), (23_359, True)])
+def test_a_first_ack_at_the_third_timeout_keeps_the_subflow(bandwidth_bps, dies):
+    # 1,460 B at 23,360 bps serialize in exactly 500 ms, so with 2 x 150 ms
+    # the first ack lands at 800 ms, the third timeout of a fresh sub-flow.
+    # It was pushed first, so it pops first; 1 bps less is 21 µs too late.
+    sender = new_connection([addr("10.0.0.1")], [addr("10.0.1.1")])
+    spec = LinkSpec(1, sender.mesh_pairs()[0], bandwidth_bps, 150)
+    assert (simnet.first_ack_us(spec) > simnet.FIRST_DEATH_US) is dies
+    assert simnet.FIRST_DEATH_US == 800_000
+    report = Simulation(sender, [spec], duration_ms=2_000).run()
+    first = report.subflow_genealogy[0]
+    assert first.died_ms == (800 if dies else None)
 
 
 def test_mp_prio_is_lost_with_its_segment():
