@@ -32,8 +32,6 @@ from .scheduler import (
     SchedulerDecision,
     is_schedulable,
     select,
-    select_default,
-    select_ppos,
 )
 from .simnet import (
     LinkSpec,

@@ -29,6 +29,13 @@ from .scenario import (
 from .wire import OptionError
 
 
+def _read_scenario_file(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not a UTF-8 text file ({exc})") from None
+
+
 def _load_scenario(ref: str):
     if ref in BUILTIN_DOCS:
         return builtin_scenario(ref)
@@ -38,7 +45,7 @@ def _load_scenario(ref: str):
             f"{ref!r} is neither a built-in scenario ({sorted(BUILTIN_DOCS)}) "
             f"nor an existing file"
         )
-    return parse_scenario(path.read_text(encoding="utf-8"))
+    return parse_scenario(_read_scenario_file(path))
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -58,7 +65,7 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    text = Path(args.path).read_text(encoding="utf-8")
+    text = _read_scenario_file(Path(args.path))
     try:
         scenario = parse_scenario(text)
     except ScenarioError as exc:

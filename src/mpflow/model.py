@@ -171,7 +171,8 @@ def classify_subflow_priority(pair: InterfacePair, lists: PriorityLists) -> bool
 
 @dataclass
 class ConnectionState:
-    """The meta-connection: sub-flow set, priority lists and scheduler choice.
+    """The meta-connection: sub-flow set, priority lists and scheduler choice
+    (non-empty ``primary_pairs`` select the primary-path-only scheduler).
 
     A ConnectionState is confined to a single logical owner; nothing here
     locks. Cross-host signaling is explicit through ``outbox``.
@@ -183,7 +184,6 @@ class ConnectionState:
     next_id: int = 1
     active_list: List[InterfacePair] = field(default_factory=list)
     backup_list: List[InterfacePair] = field(default_factory=list)
-    primary_path_only: bool = False
     primary_pairs: List[InterfacePair] = field(default_factory=list)
     outbox: List[MpPrioOption] = field(default_factory=list)
 
@@ -215,9 +215,9 @@ class ConnectionState:
 
 
 def _birth_priority(conn: ConnectionState, pair: InterfacePair) -> bool:
-    # Under the primary-path-only scheduler every sub-flow off the primary
-    # pairs is forced to backup, current and future alike.
-    if conn.primary_path_only and pair not in conn.primary_pairs:
+    # Primary pairs mean the primary-path-only scheduler, under which every
+    # sub-flow off them is forced to backup, current and future alike.
+    if conn.primary_pairs and pair not in conn.primary_pairs:
         return True
     return classify_subflow_priority(pair, conn.priority_lists())
 

@@ -1,36 +1,36 @@
 """Per-segment sub-flow selection.
 
-Two selectors are provided:
+:func:`select` serves both of the connection's schedulers. It ranks every
+alive sub-flow into a tier of decreasing preference:
 
-* :func:`select_default` is the usual lowest-RTT scheduler: pick the
-  schedulable active sub-flow with the smallest smoothed RTT, and use backup
-  sub-flows only when no active sub-flow is alive at all. While an active
-  sub-flow is alive but window-limited, data waits for it rather than
-  leaking onto backups.
+* tier 0: a sub-flow on one of the connection's primary pairs;
+* tier 1: any other active sub-flow;
+* tier 2: any other backup sub-flow.
 
-* :func:`select_ppos` is the primary-path-only scheduler: as long as any
-  sub-flow on a designated primary pair is alive, all data goes there; on
-  primary failure it falls back to the remaining sub-flows, and because the
-  choice is re-evaluated per segment, traffic returns to the primary as
-  soon as a sub-flow on it exists again.
+The lowest tier with an alive member decides. It yields its schedulable
+member with the lowest smoothed RTT, ties broken by lowest id, or no
+sub-flow at all if every member is window-limited: data waits for an alive
+preferred sub-flow rather than leaking onto a less preferred one.
 
-Both selectors are pure functions of (connection state, mss, window) and
-break smoothed-RTT ties by lowest sub-flow id, so scheduling is fully
-deterministic.
+With no primary pairs this is the usual lowest-RTT scheduler, which uses
+backup sub-flows only when no active sub-flow is alive. Setting primary
+pairs (:func:`mpflow.sockopt.enable_primary_path_only`) turns it into the
+primary-path-only scheduler: all data goes to the primary pairs while a
+sub-flow on one of them is alive, falls back to the remaining sub-flows on
+primary failure, and returns to the primary as soon as a sub-flow on it
+exists again, because the choice is re-evaluated per segment.
+
+Selection is a pure function of (connection state, mss, window), so
+scheduling is fully deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Collection, Optional, Tuple
+from typing import Optional
 
-from .model import (
-    ConfigurationError,
-    ConnectionState,
-    InterfacePair,
-    SubflowState,
-)
+from .model import ConnectionState, SubflowState
 
 
 class ChoiceReason(Enum):
@@ -75,23 +75,18 @@ def is_schedulable(sf: SubflowState, mss: int, window: int) -> bool:
     return sf.alive and sf.inflight_bytes + mss <= window
 
 
-def _select_tiered(
-    conn: ConnectionState,
-    primary: Collection[InterfacePair],
-    tiers: Tuple[_Decisions, ...],
-    mss: int,
-    window: int,
-) -> SchedulerDecision:
-    """One pass over the sub-flows, grouped into tiers of decreasing
-    preference. With two ``tiers`` they are [active, backup]; with three
-    they are [on a ``primary`` pair, off-primary active, off-primary
-    backup]. ``tiers[t]`` holds the decisions for a choice from tier ``t``.
+def select(conn: ConnectionState, mss: int, window: int) -> SchedulerDecision:
+    """One pass over the sub-flows: the lowest tier with an alive member
+    decides (see the module docstring), and NO_PATH means that none of its
+    members is schedulable.
 
-    The first tier with any alive member decides: it yields its schedulable
-    member with the lowest (srtt_us, id), or NO_PATH if none is schedulable.
+    A choice from tier 0 is PRIMARY_PATH. With primary pairs set, a choice
+    from tier 1 or 2 is BACKUP_FALLBACK whatever the sub-flow's flag;
+    without, tier 1 is ACTIVE_PATH and tier 2 BACKUP_FALLBACK.
     """
+    primary = conn.primary_pairs
+    tiers = (_PRIMARY, _BACKUP, _BACKUP) if primary else (_PRIMARY, _ACTIVE, _BACKUP)
     limit = window - mss
-    offset = len(tiers) - 2  # tier of an off-primary active sub-flow
     best: Optional[SubflowState] = None
     best_tier = len(tiers)
     best_srtt = 0
@@ -101,7 +96,7 @@ def _select_tiered(
         if primary and sf.pair() in primary:
             tier = 0
         else:
-            tier = offset + sf.low_prio
+            tier = 1 + sf.low_prio
         if tier > best_tier:
             continue
         if tier < best_tier:
@@ -116,35 +111,3 @@ def _select_tiered(
     if best is None:
         return _NO_PATH
     return tiers[best_tier][best.id]
-
-
-def select_default(conn: ConnectionState, mss: int, window: int) -> SchedulerDecision:
-    """Lowest-RTT selection with backup fallback.
-
-    Backup sub-flows are used to transmit data only when no active sub-flow
-    is available: an alive active that is merely window-limited holds the
-    segment back (NO_PATH) instead of diverting it to a backup.
-    """
-    return _select_tiered(conn, (), (_ACTIVE, _BACKUP), mss, window)
-
-
-def select_ppos(conn: ConnectionState, mss: int, window: int) -> SchedulerDecision:
-    """Primary-path-only selection.
-
-    All data goes to sub-flows on the primary pairs while any of them is
-    alive (min srtt arbitrates among several). Only when no primary-pair
-    sub-flow is alive does the selection fall back to the remaining
-    sub-flows, actives before backups, reported as BACKUP_FALLBACK whatever
-    their flag.
-    """
-    if not conn.primary_path_only:
-        raise ConfigurationError("primary-path-only scheduling is not enabled")
-    tiers = (_PRIMARY, _BACKUP, _BACKUP)
-    return _select_tiered(conn, conn.primary_pairs, tiers, mss, window)
-
-
-def select(conn: ConnectionState, mss: int, window: int) -> SchedulerDecision:
-    """Dispatch to the connection's configured selector."""
-    if conn.primary_path_only:
-        return select_ppos(conn, mss, window)
-    return select_default(conn, mss, window)

@@ -86,7 +86,6 @@ class LinkSpec:
     pair: InterfacePair
     bandwidth_bps: int
     one_way_delay_ms: int
-    up: bool = True
 
     def __post_init__(self) -> None:
         if self.bandwidth_bps <= 0:
@@ -136,8 +135,8 @@ class TimelineReport:
 @dataclass
 class _Link:
     spec: LinkSpec
-    up: bool
     delay_us: int
+    up: bool = True
     epoch: int = 0
     tx_free_us: int = 0
 
@@ -231,7 +230,7 @@ class Simulation:
         self.now_us = 0
 
         links_by_pair = {
-            spec.pair: _Link(spec, spec.up, spec.one_way_delay_ms * US_PER_MS) for spec in links
+            spec.pair: _Link(spec, spec.one_way_delay_ms * US_PER_MS) for spec in links
         }
         self._links_by_id = {link.spec.link_id: link for link in links_by_pair.values()}
 
@@ -391,12 +390,9 @@ class Simulation:
         new_id = open_subflow(self.sender, (src, dst))
         sf = self.sender.subflow_by_id(new_id)
         sf.created_us = self.now_us
-        # The receiver mirrors the new sub-flow under the same id; its birth
-        # priority travels with the join (stand-in for the handshake's
-        # backup bit).
-        mirror_id = open_subflow(self.receiver, (dst, src))
-        peer = self.receiver.subflow_by_id(mirror_id)
-        peer.low_prio = sf.low_prio
+        peer = _mirror(sf)
+        self.receiver.subflows.append(peer)
+        self.receiver.next_id = self.sender.next_id
         flow = _Flow(sf, peer, link, [self.now_us], [sf.low_prio])
         self._flows[new_id] = flow
         self._pump()
@@ -479,14 +475,18 @@ class Simulation:
         )
 
 
+def _mirror(sf: SubflowState) -> SubflowState:
+    """The receiver's view of ``sf``: same id, reversed tuple, and the birth
+    priority, which travels with the join (stand-in for the handshake's
+    backup bit)."""
+    return SubflowState(id=sf.id, src=sf.dst, dst=sf.src, low_prio=sf.low_prio)
+
+
 def mirror_connection(conn: ConnectionState) -> ConnectionState:
     """The receiver-side view: same sub-flow ids, reversed tuples."""
     return ConnectionState(
         local_addrs=list(conn.remote_addrs),
         remote_addrs=list(conn.local_addrs),
-        subflows=[
-            SubflowState(id=sf.id, src=sf.dst, dst=sf.src, low_prio=sf.low_prio)
-            for sf in conn.subflows
-        ],
+        subflows=[_mirror(sf) for sf in conn.subflows],
         next_id=conn.next_id,
     )

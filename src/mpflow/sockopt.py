@@ -18,7 +18,6 @@ from .model import (
     NotFoundError,
     SubflowState,
     ValidationError,
-    classify_subflow_priority,
 )
 from .wire import MpPrioOption
 
@@ -106,7 +105,9 @@ def set_backup_interface_list(conn: ConnectionState, pairs: List[InterfacePair])
 def enable_primary_path_only(
     conn: ConnectionState, primary_pairs: List[InterfacePair]
 ) -> None:
-    """Enable the primary-path-only scheduler with an explicit primary set.
+    """Enable the primary-path-only scheduler with an explicit primary set:
+    :func:`mpflow.scheduler.select` follows the primary pairs once they are
+    set.
 
     Every current and future sub-flow off the primary pairs becomes a backup
     sub-flow; each flipped sub-flow also gets an MP_PRIO signal queued so the
@@ -120,7 +121,6 @@ def enable_primary_path_only(
     for pair in primary_pairs:
         if pair not in mesh:
             raise ValidationError(f"{pair} is not a (local, remote) pair of this connection")
-    conn.primary_path_only = True
     conn.primary_pairs = list(dict.fromkeys(primary_pairs))
     for sf in conn.subflows:
         if not sf.alive:

@@ -19,7 +19,7 @@ import pytest
 from mpflow.model import new_connection
 from mpflow.model import PriorityLists, classify_subflow_priority
 from mpflow.scenario import builtin_scenario, emit_csv, parse_scenario, run_scenario
-from mpflow.scheduler import select_default, select_ppos
+from mpflow.scheduler import select
 from mpflow.wire import (
     MpPrioOption,
     OptionError,
@@ -234,65 +234,68 @@ def test_criterion_5_classification_truth_table():
             assert got is expected, (active, backup, got)
 
 
+def _lowest_rtt(subflows, mss, window):
+    """Id of the member that fits one more MSS in its window with the lowest
+    (srtt, id), or None if no member fits."""
+    fits = [sf for sf in subflows if sf.inflight_bytes + mss <= window]
+    return min(fits, key=lambda sf: (sf.srtt_us, sf.id)).id if fits else None
+
+
 def _oracle_default(subflows, mss, window):
-    """Brute-force restatement of the default selection rules."""
-    schedulable = [
-        sf for sf in subflows if sf.alive and sf.inflight_bytes + mss <= window
-    ]
-    actives = [sf for sf in schedulable if not sf.low_prio]
+    """Brute-force restatement of the default selection rules: the actives
+    decide while any of them is alive, even if none has room in its window;
+    the backups decide only when no active is alive."""
+    alive = [sf for sf in subflows if sf.alive]
+    actives = [sf for sf in alive if not sf.low_prio]
     if actives:
-        best = min(actives, key=lambda sf: (sf.srtt_us, sf.id))
-        return best.id, "active-path"
-    backups = [sf for sf in schedulable if sf.low_prio]
-    if backups:
-        best = min(backups, key=lambda sf: (sf.srtt_us, sf.id))
-        return best.id, "backup-fallback"
-    return None, "no-path"
+        chosen, reason = _lowest_rtt(actives, mss, window), "active-path"
+    else:
+        chosen, reason = _lowest_rtt(alive, mss, window), "backup-fallback"
+    return (chosen, reason) if chosen is not None else (None, "no-path")
 
 
 def _oracle_ppos(conn, mss, window):
-    schedulable = [
-        sf for sf in conn.subflows if sf.alive and sf.inflight_bytes + mss <= window
-    ]
-    primaries = [sf for sf in schedulable if sf.pair() in conn.primary_pairs]
+    """Brute-force restatement of the primary-path-only rules: the sub-flows
+    on a primary pair decide while any of them is alive; otherwise the rest
+    decide by the default rules, reported as backup fallback."""
+    alive = [sf for sf in conn.subflows if sf.alive]
+    primaries = [sf for sf in alive if sf.pair() in conn.primary_pairs]
     if primaries:
-        best = min(primaries, key=lambda sf: (sf.srtt_us, sf.id))
-        return best.id, "primary-path"
-    rest = [sf for sf in conn.subflows if sf.pair() not in conn.primary_pairs]
-    chosen, _ = _oracle_default(rest, mss, window)
-    if chosen is not None:
-        return chosen, "backup-fallback"
-    return None, "no-path"
+        chosen, reason = _lowest_rtt(primaries, mss, window), "primary-path"
+    else:
+        chosen, reason = _oracle_default(alive, mss, window)[0], "backup-fallback"
+    return (chosen, reason) if chosen is not None else (None, "no-path")
 
 
 def _grid_states():
     flags = (False, True)
     srtts = (50_000, 100_000, 150_000)
-    per_flow = list(itertools.product(flags, flags, srtts))
+    inflights = (0, WINDOW)
+    per_flow = list(itertools.product(flags, flags, srtts, inflights))
     return itertools.product(per_flow, per_flow, per_flow)
 
 
 def test_criterion_6_scheduler_matches_bruteforce_oracle():
-    with criterion(6, "selector equals brute-force oracle over all 1728 states"):
+    with criterion(6, "selector equals brute-force oracle over all 13824 states"):
         cases = 0
         for state in _grid_states():
             conn = new_connection(
                 [addr("10.0.0.1")], [addr(r) for r in ("10.0.1.1", "10.0.2.1", "10.0.3.1")]
             )
-            for sf, (low, alive, srtt) in zip(conn.subflows, state):
+            for sf, (low, alive, srtt, inflight) in zip(conn.subflows, state):
                 sf.low_prio = low
                 sf.alive = alive
                 sf.srtt_us = srtt
-            got = select_default(conn, MSS, WINDOW)
+                sf.inflight_bytes = inflight
+            got = select(conn, MSS, WINDOW)
             want_id, want_reason = _oracle_default(conn.subflows, MSS, WINDOW)
             assert (got.chosen, got.reason.value) == (want_id, want_reason), state
-            conn.primary_path_only = True
             conn.primary_pairs = [P1]
-            got = select_ppos(conn, MSS, WINDOW)
+            got = select(conn, MSS, WINDOW)
             want_id, want_reason = _oracle_ppos(conn, MSS, WINDOW)
             assert (got.chosen, got.reason.value) == (want_id, want_reason), state
             cases += 1
-        assert cases == 1728
+        assert cases == 13824
 
 
 def test_criterion_7_wire_roundtrip_and_fuzz():

@@ -1,3 +1,5 @@
+import pytest
+
 from mpflow.cli import main
 from mpflow.scenario import CSV_HEADER, builtin_scenario, format_scenario
 
@@ -163,3 +165,12 @@ def test_validate_warns_about_a_link_too_slow_to_ack_its_first_segment(tmp_path,
         "warning: link 1 acks a first segment after 1468ms, later than the 800ms at which "
         "a new sub-flow dies of timeouts, so every sub-flow on it dies before carrying data"
     ]
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["run", "--scenario"]])
+def test_a_non_utf8_scenario_file_is_one_error_line(tmp_path, capsys, argv):
+    path = tmp_path / "bad.scn"
+    path.write_bytes(b"scenario x\nduration 1s\n\xff\xfe\n")
+    assert main(argv + [str(path)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {path}: not a UTF-8 text file (")

@@ -1,14 +1,8 @@
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mpflow.model import ConfigurationError, SubflowState, close_subflow
-from mpflow.scheduler import (
-    ChoiceReason,
-    is_schedulable,
-    select_default,
-    select_ppos,
-)
+from mpflow.model import SubflowState, close_subflow
+from mpflow.scheduler import ChoiceReason, is_schedulable, select
 from mpflow.sockopt import SubPrioRequest, enable_primary_path_only, set_subflow_priority
 from helpers import addr, three_paths
 
@@ -43,7 +37,7 @@ def test_equal_srtt_breaks_tie_by_lowest_id():
     conn = three_paths()
     for sf in conn.subflows:
         sf.srtt_us = 100_000
-    decision = select_default(conn, MSS, WINDOW)
+    decision = select(conn, MSS, WINDOW)
     assert (decision.chosen, decision.reason) == (1, ChoiceReason.ACTIVE_PATH)
 
 
@@ -52,7 +46,7 @@ def test_lowest_srtt_wins():
     conn.subflow_by_id(1).srtt_us = 150_000
     conn.subflow_by_id(2).srtt_us = 50_000
     conn.subflow_by_id(3).srtt_us = 100_000
-    assert select_default(conn, MSS, WINDOW).chosen == 2
+    assert select(conn, MSS, WINDOW).chosen == 2
 
 
 def test_schedulable_active_always_beats_backups():
@@ -60,7 +54,7 @@ def test_schedulable_active_always_beats_backups():
     set_subflow_priority(conn, SubPrioRequest(2, True))
     set_subflow_priority(conn, SubPrioRequest(3, True))
     for _ in range(5):
-        assert select_default(conn, MSS, WINDOW).chosen == 1
+        assert select(conn, MSS, WINDOW).chosen == 1
         conn.subflow_by_id(1).inflight_bytes += MSS
 
 
@@ -71,7 +65,7 @@ def test_window_limited_active_holds_data_back_from_backups():
     set_subflow_priority(conn, SubPrioRequest(2, True))
     set_subflow_priority(conn, SubPrioRequest(3, True))
     conn.subflow_by_id(1).inflight_bytes = WINDOW
-    decision = select_default(conn, MSS, WINDOW)
+    decision = select(conn, MSS, WINDOW)
     assert (decision.chosen, decision.reason) == (None, ChoiceReason.NO_PATH)
 
 
@@ -82,7 +76,7 @@ def test_backups_carry_once_no_active_is_alive():
     conn.subflow_by_id(2).srtt_us = 80_000
     conn.subflow_by_id(3).srtt_us = 60_000
     close_subflow(conn, 1)
-    decision = select_default(conn, MSS, WINDOW)
+    decision = select(conn, MSS, WINDOW)
     assert (decision.chosen, decision.reason) == (3, ChoiceReason.BACKUP_FALLBACK)
 
 
@@ -90,18 +84,13 @@ def test_no_alive_subflow_gives_no_path():
     conn = three_paths()
     for sf_id in (1, 2, 3):
         close_subflow(conn, sf_id)
-    assert select_default(conn, MSS, WINDOW).reason is ChoiceReason.NO_PATH
-
-
-def test_ppos_requires_enable():
-    with pytest.raises(ConfigurationError):
-        select_ppos(three_paths(), MSS, WINDOW)
+    assert select(conn, MSS, WINDOW).reason is ChoiceReason.NO_PATH
 
 
 def test_ppos_prefers_primary_path():
     conn = three_paths()
     enable_primary_path_only(conn, [conn.mesh_pairs()[0]])
-    decision = select_ppos(conn, MSS, WINDOW)
+    decision = select(conn, MSS, WINDOW)
     assert (decision.chosen, decision.reason) == (1, ChoiceReason.PRIMARY_PATH)
 
 
@@ -109,14 +98,14 @@ def test_ppos_holds_while_primary_alive_but_full():
     conn = three_paths()
     enable_primary_path_only(conn, [conn.mesh_pairs()[0]])
     conn.subflow_by_id(1).inflight_bytes = WINDOW
-    assert select_ppos(conn, MSS, WINDOW).reason is ChoiceReason.NO_PATH
+    assert select(conn, MSS, WINDOW).reason is ChoiceReason.NO_PATH
 
 
 def test_ppos_falls_back_when_primary_dead():
     conn = three_paths()
     enable_primary_path_only(conn, [conn.mesh_pairs()[0]])
     close_subflow(conn, 1)
-    decision = select_ppos(conn, MSS, WINDOW)
+    decision = select(conn, MSS, WINDOW)
     assert decision.chosen == 2
     assert decision.reason is ChoiceReason.BACKUP_FALLBACK
 
@@ -126,12 +115,12 @@ def test_ppos_returns_to_reestablished_primary():
     primary = conn.mesh_pairs()[0]
     enable_primary_path_only(conn, [primary])
     close_subflow(conn, 1)
-    assert select_ppos(conn, MSS, WINDOW).chosen == 2
+    assert select(conn, MSS, WINDOW).chosen == 2
     from mpflow.model import open_subflow
     from helpers import tuple_for_next
 
     new_id = open_subflow(conn, tuple_for_next(conn, primary))
-    decision = select_ppos(conn, MSS, WINDOW)
+    decision = select(conn, MSS, WINDOW)
     assert (decision.chosen, decision.reason) == (new_id, ChoiceReason.PRIMARY_PATH)
 
 
@@ -141,9 +130,10 @@ def test_ppos_with_all_pairs_primary_matches_default():
     for srtts in ([100, 50, 150], [1, 1, 1], [150, 150, 50]):
         for sf, srtt in zip(conn.subflows, srtts):
             sf.srtt_us = srtt * 1000
-        assert select_ppos(conn, MSS, WINDOW).chosen == select_default(
-            conn, MSS, WINDOW
-        ).chosen
+        ppos = select(conn, MSS, WINDOW).chosen
+        pairs, conn.primary_pairs = conn.primary_pairs, []
+        assert ppos == select(conn, MSS, WINDOW).chosen
+        conn.primary_pairs = pairs
 
 
 @st.composite
@@ -159,7 +149,7 @@ def random_states(draw):
 
 @given(random_states())
 def test_default_never_picks_backup_while_active_schedulable(conn):
-    decision = select_default(conn, MSS, WINDOW)
+    decision = select(conn, MSS, WINDOW)
     if decision.chosen is not None and conn.subflow_by_id(decision.chosen).low_prio:
         assert not any(
             is_schedulable(sf, MSS, WINDOW) for sf in conn.subflows if not sf.low_prio
@@ -170,9 +160,8 @@ def test_default_never_picks_backup_while_active_schedulable(conn):
 @given(random_states())
 def test_ppos_never_picks_offprimary_while_primary_schedulable(conn):
     primary = conn.mesh_pairs()[0]
-    conn.primary_path_only = True
     conn.primary_pairs = [primary]
-    decision = select_ppos(conn, MSS, WINDOW)
+    decision = select(conn, MSS, WINDOW)
     if decision.chosen is not None:
         chosen = conn.subflow_by_id(decision.chosen)
         if chosen.pair() != primary:
@@ -185,4 +174,4 @@ def test_ppos_never_picks_offprimary_while_primary_schedulable(conn):
 
 @given(random_states())
 def test_selection_is_deterministic(conn):
-    assert select_default(conn, MSS, WINDOW) == select_default(conn, MSS, WINDOW)
+    assert select(conn, MSS, WINDOW) == select(conn, MSS, WINDOW)

@@ -175,7 +175,7 @@ def test_priority_signal_roundtrip_reproduces_flag_on_peer(low_prio, subflow_id)
 def test_enable_ppos_marks_other_subflows_backup():
     conn = three_paths()
     enable_primary_path_only(conn, [conn.mesh_pairs()[0]])
-    assert conn.primary_path_only is True
+    assert conn.primary_pairs == [conn.mesh_pairs()[0]]
     assert [sf.low_prio for sf in conn.subflows] == [False, True, True]
     # the two flips are signalled to the peer
     assert conn.outbox == [MpPrioOption(True, 2), MpPrioOption(True, 3)]
