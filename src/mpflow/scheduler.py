@@ -20,6 +20,12 @@ sub-flow on one of them is alive, falls back to the remaining sub-flows on
 primary failure, and returns to the primary as soon as a sub-flow on it
 exists again, because the choice is re-evaluated per segment.
 
+A decision also says whether its sub-flow is ``alone``: the only
+schedulable member of the deciding tier. Sending on the chosen sub-flow
+changes nothing but its own window, so the caller may keep sending on it
+until its window is full; after that, an ``alone`` choice leaves the tier
+with nothing schedulable, and the next selection would be NO_PATH.
+
 Selection is a pure function of (connection state, mss, window), so
 scheduling is fully deterministic.
 """
@@ -28,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Optional, Tuple
 
 from .model import ConnectionState, SubflowState
 
@@ -42,26 +48,32 @@ class ChoiceReason(Enum):
 
 @dataclass(frozen=True)
 class SchedulerDecision:
-    """Outcome of one selection; ``chosen`` is None iff reason is NO_PATH."""
+    """Outcome of one selection; ``chosen`` is None iff reason is NO_PATH.
+
+    ``alone`` is True iff ``chosen`` is the only schedulable member of the
+    deciding tier, so once its window is full no sub-flow is schedulable
+    until the connection changes otherwise. It is False for NO_PATH.
+    """
 
     chosen: Optional[int]
     reason: ChoiceReason
+    alone: bool
 
 
-_NO_PATH = SchedulerDecision(None, ChoiceReason.NO_PATH)
+_NO_PATH = SchedulerDecision(None, ChoiceReason.NO_PATH, False)
 
 
 class _Decisions(dict):
-    """The decisions for one reason, keyed by chosen id. A decision is
-    immutable, so one instance per (id, reason) is built and then shared by
-    every caller; this saves building one per segment."""
+    """The decisions for one reason, keyed by (chosen id, alone). A decision
+    is immutable, so one instance per key and reason is built and then
+    shared by every caller; this saves building one per call."""
 
     def __init__(self, reason: ChoiceReason) -> None:
         super().__init__()
         self.reason = reason
 
-    def __missing__(self, chosen: int) -> SchedulerDecision:
-        decision = self[chosen] = SchedulerDecision(chosen, self.reason)
+    def __missing__(self, key: Tuple[int, bool]) -> SchedulerDecision:
+        decision = self[key] = SchedulerDecision(key[0], self.reason, key[1])
         return decision
 
 
@@ -78,7 +90,8 @@ def is_schedulable(sf: SubflowState, mss: int, window: int) -> bool:
 def select(conn: ConnectionState, mss: int, window: int) -> SchedulerDecision:
     """One pass over the sub-flows: the lowest tier with an alive member
     decides (see the module docstring), and NO_PATH means that none of its
-    members is schedulable.
+    members is schedulable. The decision counts the tier's schedulable
+    members to tell whether the chosen one is ``alone``.
 
     A choice from tier 0 is PRIMARY_PATH. With primary pairs set, a choice
     from tier 1 or 2 is BACKUP_FALLBACK whatever the sub-flow's flag;
@@ -90,6 +103,7 @@ def select(conn: ConnectionState, mss: int, window: int) -> SchedulerDecision:
     best: Optional[SubflowState] = None
     best_tier = len(tiers)
     best_srtt = 0
+    fits = 0  # schedulable members of tier best_tier
     for sf in conn.subflows:
         if not sf.alive:
             continue
@@ -102,12 +116,14 @@ def select(conn: ConnectionState, mss: int, window: int) -> SchedulerDecision:
         if tier < best_tier:
             best_tier = tier
             best = None
+            fits = 0
         if sf.inflight_bytes > limit:  # not is_schedulable
             continue
+        fits += 1
         srtt = sf.srtt_us
         if best is None or srtt < best_srtt or (srtt == best_srtt and sf.id < best.id):
             best = sf
             best_srtt = srtt
     if best is None:
         return _NO_PATH
-    return tiers[best_tier][best.id]
+    return tiers[best_tier][best.id, fits == 1]

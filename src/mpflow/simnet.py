@@ -305,12 +305,23 @@ class Simulation:
         heapq.heappush(self._heap, (at_us, seq, Simulation._on_timer, (flow, seq)))
 
     def _pump(self) -> None:
-        """Send MSS segments while the scheduler offers a sub-flow."""
+        """Send MSS segments while the scheduler offers a sub-flow.
+
+        A send changes only its own flow's window, so the chosen flow stays
+        the scheduler's choice until its window is full, and it is filled
+        without asking again. If it was the only schedulable member of its
+        tier (``alone``), the next choice would be NO_PATH and the pump
+        stops without that closing scan; otherwise it asks again."""
         while True:
             decision = select(self.sender, MSS, WINDOW_BYTES)
             if decision.chosen is None:
                 return
-            self._send_segment(self._flows[decision.chosen], MSS)
+            flow = self._flows[decision.chosen]
+            sf = flow.sf
+            while sf.inflight_bytes + MSS <= WINDOW_BYTES:  # is_schedulable, inlined
+                self._send_segment(flow, MSS)
+            if decision.alone:
+                return
 
     # ------------------------------------------------------------------ #
     # event handlers

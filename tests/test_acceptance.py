@@ -235,23 +235,27 @@ def test_criterion_5_classification_truth_table():
 
 
 def _lowest_rtt(subflows, mss, window):
-    """Id of the member that fits one more MSS in its window with the lowest
-    (srtt, id), or None if no member fits."""
+    """(id, alone) of the member that fits one more MSS in its window with
+    the lowest (srtt, id), alone being whether no other member fits; or
+    (None, False) if no member fits."""
     fits = [sf for sf in subflows if sf.inflight_bytes + mss <= window]
-    return min(fits, key=lambda sf: (sf.srtt_us, sf.id)).id if fits else None
+    if not fits:
+        return None, False
+    return min(fits, key=lambda sf: (sf.srtt_us, sf.id)).id, len(fits) == 1
 
 
 def _oracle_default(subflows, mss, window):
     """Brute-force restatement of the default selection rules: the actives
     decide while any of them is alive, even if none has room in its window;
-    the backups decide only when no active is alive."""
+    the backups decide only when no active is alive. Returns (chosen id,
+    reason, alone): alone iff the deciding set has one member that fits."""
     alive = [sf for sf in subflows if sf.alive]
     actives = [sf for sf in alive if not sf.low_prio]
     if actives:
-        chosen, reason = _lowest_rtt(actives, mss, window), "active-path"
+        (chosen, alone), reason = _lowest_rtt(actives, mss, window), "active-path"
     else:
-        chosen, reason = _lowest_rtt(alive, mss, window), "backup-fallback"
-    return (chosen, reason) if chosen is not None else (None, "no-path")
+        (chosen, alone), reason = _lowest_rtt(alive, mss, window), "backup-fallback"
+    return (chosen, reason, alone) if chosen is not None else (None, "no-path", False)
 
 
 def _oracle_ppos(conn, mss, window):
@@ -261,10 +265,11 @@ def _oracle_ppos(conn, mss, window):
     alive = [sf for sf in conn.subflows if sf.alive]
     primaries = [sf for sf in alive if sf.pair() in conn.primary_pairs]
     if primaries:
-        chosen, reason = _lowest_rtt(primaries, mss, window), "primary-path"
+        (chosen, alone), reason = _lowest_rtt(primaries, mss, window), "primary-path"
     else:
-        chosen, reason = _oracle_default(alive, mss, window)[0], "backup-fallback"
-    return (chosen, reason) if chosen is not None else (None, "no-path")
+        chosen, _, alone = _oracle_default(alive, mss, window)
+        reason = "backup-fallback"
+    return (chosen, reason, alone) if chosen is not None else (None, "no-path", False)
 
 
 def _grid_states():
@@ -288,12 +293,14 @@ def test_criterion_6_scheduler_matches_bruteforce_oracle():
                 sf.srtt_us = srtt
                 sf.inflight_bytes = inflight
             got = select(conn, MSS, WINDOW)
-            want_id, want_reason = _oracle_default(conn.subflows, MSS, WINDOW)
+            want_id, want_reason, want_alone = _oracle_default(conn.subflows, MSS, WINDOW)
             assert (got.chosen, got.reason.value) == (want_id, want_reason), state
+            assert got.alone == want_alone, state
             conn.primary_pairs = [P1]
             got = select(conn, MSS, WINDOW)
-            want_id, want_reason = _oracle_ppos(conn, MSS, WINDOW)
+            want_id, want_reason, want_alone = _oracle_ppos(conn, MSS, WINDOW)
             assert (got.chosen, got.reason.value) == (want_id, want_reason), state
+            assert got.alone == want_alone, state
             cases += 1
         assert cases == 13824
 

@@ -15,15 +15,20 @@ from mpflow.simnet import LinkSpec, Simulation
 from helpers import addr
 
 
-def build_flapping_sim():
-    """Three 1 Mbps links; link 1 is down from 1 s to 3 s, long enough to
-    kill its sub-flow, which is re-created once the link is back."""
+def build_steady_sim():
+    """Three 1 Mbps links with 100 ms delay that stay up for 6 s."""
     sender = new_connection([addr("10.0.0.1")], [addr(f"10.0.{i}.1") for i in (1, 2, 3)])
     links = [
         LinkSpec(i + 1, mesh_pair, 1_000_000, 100)
         for i, mesh_pair in enumerate(sender.mesh_pairs())
     ]
-    sim = Simulation(sender, links, duration_ms=6_000)
+    return Simulation(sender, links, duration_ms=6_000)
+
+
+def build_flapping_sim():
+    """The steady run, but link 1 is down from 1 s to 3 s, long enough to
+    kill its sub-flow, which is re-created once the link is back."""
+    sim = build_steady_sim()
     sim.schedule_action(1_000, lambda s: s.set_link_state(1, up=False))
     sim.schedule_action(3_000, lambda s: s.set_link_state(1, up=True))
     return sim
@@ -63,3 +68,25 @@ def test_cached_pair_matches_endpoints_after_recreation():
         assert len(conn.subflows) == len(sim.sender.subflows)
         for sf in conn.subflows:
             assert sf.pair() == InterfacePair.between(sf.src, sf.dst)
+
+
+def test_one_select_per_pump_once_the_windows_are_full(monkeypatch):
+    """``_pump`` fills the chosen flow's window without asking again, and
+    stops without a closing NO_PATH scan when that flow was alone. Only the
+    bootstrap pump, which fills all three empty windows, asks three times."""
+    counts = {"select": 0, "pump": 0}
+    select, pump = simnet.select, Simulation._pump
+
+    def counting_select(conn, mss, window):
+        counts["select"] += 1
+        return select(conn, mss, window)
+
+    def counting_pump(sim):
+        counts["pump"] += 1
+        pump(sim)
+
+    monkeypatch.setattr(simnet, "select", counting_select)
+    monkeypatch.setattr(Simulation, "_pump", counting_pump)
+    build_steady_sim().run()
+    assert counts["pump"] > 1000
+    assert counts["select"] == counts["pump"] + 2

@@ -1,0 +1,79 @@
+"""Invariants of the simulator on generated scenarios.
+
+Hypothesis draws seeds for ``scenario_gen.random_scenario``, so the runs
+reach random meshes, slow and fast links, outages that kill sub-flows and
+re-create them, and every action verb. Every run checks that:
+
+* the scenario passes ``parse_scenario`` and then runs without raising;
+* no sub-flow has more bytes acked than it sent;
+* no row carries more than its link can serialize in one bucket: acks come
+  back spaced by one segment's serialization time, so a bucket holds at
+  most ``bucket // serialization + 1`` segments (as in perfbench/README.md);
+* genealogy ids strictly increase;
+* the sub-flows on one pair have lifetimes that do not overlap.
+"""
+
+import random
+from collections import defaultdict
+from unittest import mock
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from mpflow import scenario as scenario_module
+from mpflow.scenario import PPOS_ENV_VAR, parse_scenario, run_scenario
+from mpflow.simnet import MSS, Simulation
+from scenario_gen import random_scenario
+
+
+class RecordingSimulation(Simulation):
+    """A Simulation that remembers its instances, for their end state."""
+
+    instances = []
+
+    def run(self):
+        RecordingSimulation.instances.append(self)
+        return super().run()
+
+
+def run_recorded(doc, bucket_ms):
+    """(scenario, report, simulation) of one run of ``doc``. The generator
+    writes only scenarios that ``parse_scenario`` accepts."""
+    scenario = parse_scenario(doc)
+    RecordingSimulation.instances.clear()
+    with mock.patch.object(scenario_module, "Simulation", RecordingSimulation):
+        report = run_scenario(scenario, bucket_ms=bucket_ms)
+    (sim,) = RecordingSimulation.instances
+    return scenario, report, sim
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), bucket_ms=st.sampled_from((1000, 100)))
+def test_generated_scenarios_keep_the_invariants(seed, bucket_ms):
+    with mock.patch.dict("os.environ", {PPOS_ENV_VAR: ""}):
+        scenario, report, sim = run_recorded(random_scenario(random.Random(seed)), bucket_ms)
+
+    acked = defaultdict(int)
+    for row in report.rows:
+        acked[row.subflow_id] += row.bytes_acked
+    for sf in sim.sender.subflows:
+        assert acked[sf.id] <= sf.bytes_sent_total, sf.id
+
+    segments_by_pair = {}
+    for link in scenario.links:
+        serialization_us = MSS * 8 * 1_000_000 // link.bandwidth_bps
+        segments_by_pair[link.pair] = bucket_ms * 1000 // serialization_us + 1
+    pair_of = {rec.subflow_id: rec.pair for rec in report.subflow_genealogy}
+    for row in report.rows:
+        assert row.bytes_acked <= segments_by_pair[pair_of[row.subflow_id]] * MSS, row
+
+    ids = [rec.subflow_id for rec in report.subflow_genealogy]
+    assert all(a < b for a, b in zip(ids, ids[1:])), ids
+
+    by_pair = defaultdict(list)
+    for rec in report.subflow_genealogy:
+        by_pair[rec.pair].append(rec)
+    for records in by_pair.values():
+        for earlier, later in zip(records, records[1:]):
+            assert earlier.died_ms is not None, (earlier, later)
+            assert earlier.died_ms <= later.created_ms, (earlier, later)
