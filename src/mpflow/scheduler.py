@@ -1,4 +1,4 @@
-"""Per-segment sub-flow selection.
+"""Sub-flow selection.
 
 :func:`select` serves both of the connection's schedulers. It ranks every
 alive sub-flow into a tier of decreasing preference:
@@ -18,13 +18,19 @@ pairs (:func:`mpflow.sockopt.enable_primary_path_only`) turns it into the
 primary-path-only scheduler: all data goes to the primary pairs while a
 sub-flow on one of them is alive, falls back to the remaining sub-flows on
 primary failure, and returns to the primary as soon as a sub-flow on it
-exists again, because the choice is re-evaluated per segment.
+exists again.
 
 A decision also says whether its sub-flow is ``alone``: the only
 schedulable member of the deciding tier. Sending on the chosen sub-flow
 changes nothing but its own window, so the caller may keep sending on it
 until its window is full; after that, an ``alone`` choice leaves the tier
 with nothing schedulable, and the next selection would be NO_PATH.
+
+The decision names the deciding tier as well, and :func:`tier` ranks one
+sub-flow. The simulator runs :func:`select` whenever the tiers can change
+(an action, a death, a new sub-flow) and in between refills only the
+members of the deciding tier as their acks free window; the segments go
+where a fresh :func:`select` per segment would send them.
 
 Selection is a pure function of (connection state, mss, window), so
 scheduling is fully deterministic.
@@ -34,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple
+from typing import Optional
 
 from .model import ConnectionState, SubflowState
 
@@ -53,33 +59,28 @@ class SchedulerDecision:
     ``alone`` is True iff ``chosen`` is the only schedulable member of the
     deciding tier, so once its window is full no sub-flow is schedulable
     until the connection changes otherwise. It is False for NO_PATH.
+    ``tier`` is the deciding tier, None iff no sub-flow is alive.
     """
 
     chosen: Optional[int]
     reason: ChoiceReason
     alone: bool
+    tier: Optional[int]
 
 
-_NO_PATH = SchedulerDecision(None, ChoiceReason.NO_PATH, False)
+# The reason for a choice from each tier, without and with primary pairs.
+_REASONS = (ChoiceReason.PRIMARY_PATH, ChoiceReason.ACTIVE_PATH, ChoiceReason.BACKUP_FALLBACK)
+_PPOS_REASONS = (
+    ChoiceReason.PRIMARY_PATH,
+    ChoiceReason.BACKUP_FALLBACK,
+    ChoiceReason.BACKUP_FALLBACK,
+)
 
 
-class _Decisions(dict):
-    """The decisions for one reason, keyed by (chosen id, alone). A decision
-    is immutable, so one instance per key and reason is built and then
-    shared by every caller; this saves building one per call."""
-
-    def __init__(self, reason: ChoiceReason) -> None:
-        super().__init__()
-        self.reason = reason
-
-    def __missing__(self, key: Tuple[int, bool]) -> SchedulerDecision:
-        decision = self[key] = SchedulerDecision(key[0], self.reason, key[1])
-        return decision
-
-
-_ACTIVE = _Decisions(ChoiceReason.ACTIVE_PATH)
-_BACKUP = _Decisions(ChoiceReason.BACKUP_FALLBACK)
-_PRIMARY = _Decisions(ChoiceReason.PRIMARY_PATH)
+def tier(conn: ConnectionState, sf: SubflowState) -> int:
+    """The tier of sub-flow ``sf`` of ``conn`` (see the module docstring)."""
+    primary = conn.primary_pairs
+    return 0 if primary and sf.pair() in primary else 1 + sf.low_prio
 
 
 def is_schedulable(sf: SubflowState, mss: int, window: int) -> bool:
@@ -97,24 +98,19 @@ def select(conn: ConnectionState, mss: int, window: int) -> SchedulerDecision:
     from tier 1 or 2 is BACKUP_FALLBACK whatever the sub-flow's flag;
     without, tier 1 is ACTIVE_PATH and tier 2 BACKUP_FALLBACK.
     """
-    primary = conn.primary_pairs
-    tiers = (_PRIMARY, _BACKUP, _BACKUP) if primary else (_PRIMARY, _ACTIVE, _BACKUP)
     limit = window - mss
     best: Optional[SubflowState] = None
-    best_tier = len(tiers)
+    best_tier = len(_REASONS)  # no alive sub-flow seen yet
     best_srtt = 0
     fits = 0  # schedulable members of tier best_tier
     for sf in conn.subflows:
         if not sf.alive:
             continue
-        if primary and sf.pair() in primary:
-            tier = 0
-        else:
-            tier = 1 + sf.low_prio
-        if tier > best_tier:
+        rank = tier(conn, sf)
+        if rank > best_tier:
             continue
-        if tier < best_tier:
-            best_tier = tier
+        if rank < best_tier:
+            best_tier = rank
             best = None
             fits = 0
         if sf.inflight_bytes > limit:  # not is_schedulable
@@ -125,5 +121,7 @@ def select(conn: ConnectionState, mss: int, window: int) -> SchedulerDecision:
             best = sf
             best_srtt = srtt
     if best is None:
-        return _NO_PATH
-    return tiers[best_tier][best.id, fits == 1]
+        deciding = best_tier if best_tier < len(_REASONS) else None
+        return SchedulerDecision(None, ChoiceReason.NO_PATH, False, deciding)
+    reasons = _PPOS_REASONS if conn.primary_pairs else _REASONS
+    return SchedulerDecision(best.id, reasons[best_tier], fits == 1, best_tier)

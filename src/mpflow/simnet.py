@@ -13,7 +13,14 @@ links, one link per (local, remote) interface pair. The engine models:
   means the segment arrived too. Only a segment that carries options gets
   an arrival event of its own.
 * an infinite-backlog sender that keeps the windows of the sub-flows the
-  scheduler offers filled with MSS-sized segments.
+  scheduler offers filled with MSS-sized segments. The scheduler runs only
+  where its tiers can change: at start, after an action, a death or a new
+  sub-flow. Each such run leaves no schedulable member in the deciding
+  tier, and until the next one an ack changes only its own flow's window
+  and RTT, so the deciding tier stays the same and the next choice could
+  only be the acked flow. An ack therefore refills its own flow's window
+  when the flow is in the deciding tier (``clocked``) and sends nothing
+  otherwise, exactly as a per-segment choice would.
 * one timer per sub-flow, which acts on the sub-flow's state when it fires:
   - busy (data or a probe unacknowledged): count a retransmission timeout.
     The deadline is ``max(2 * srtt, 200 ms)`` after the last ack and
@@ -61,7 +68,7 @@ from .model import (
     ValidationError,
     open_subflow,
 )
-from .scheduler import select
+from .scheduler import select, tier
 
 US_PER_MS = 1000
 
@@ -159,6 +166,7 @@ class _Flow:
     timer: Tuple[int, int] = (0, 0)  # (deadline, reserved heap seq)
     timer_pending: Optional[Tuple[int, int]] = None  # (at, seq) of its heap entry
     probe_outstanding: bool = False
+    clocked: bool = False  # alive in the deciding tier: its acks refill it
 
 
 class TopologyError(ValidationError):
@@ -305,23 +313,30 @@ class Simulation:
         heapq.heappush(self._heap, (at_us, seq, Simulation._on_timer, (flow, seq)))
 
     def _pump(self) -> None:
-        """Send MSS segments while the scheduler offers a sub-flow.
+        """Send MSS segments while the scheduler offers a sub-flow, then mark
+        the flows of the deciding tier ``clocked``.
 
         A send changes only its own flow's window, so the chosen flow stays
         the scheduler's choice until its window is full, and it is filled
         without asking again. If it was the only schedulable member of its
         tier (``alone``), the next choice would be NO_PATH and the pump
-        stops without that closing scan; otherwise it asks again."""
+        stops without that closing scan; otherwise it asks again. Either
+        way the deciding tier has no schedulable member left."""
         while True:
             decision = select(self.sender, MSS, WINDOW_BYTES)
             if decision.chosen is None:
-                return
-            flow = self._flows[decision.chosen]
-            sf = flow.sf
-            while sf.inflight_bytes + MSS <= WINDOW_BYTES:  # is_schedulable, inlined
-                self._send_segment(flow, MSS)
+                break
+            self._fill(self._flows[decision.chosen])
             if decision.alone:
-                return
+                break
+        sender = self.sender
+        for flow in self._flows.values():
+            flow.clocked = flow.sf.alive and tier(sender, flow.sf) == decision.tier
+
+    def _fill(self, flow: _Flow) -> None:
+        sf = flow.sf
+        while sf.inflight_bytes + MSS <= WINDOW_BYTES:  # is_schedulable, inlined
+            self._send_segment(flow, MSS)
 
     # ------------------------------------------------------------------ #
     # event handlers
@@ -355,7 +370,9 @@ class Simulation:
             self._arm_rto(flow)
         else:
             flow.armed_at_us = None
-        self._pump()
+        # What a pump would do here, without its select (module docstring).
+        if flow.clocked:
+            self._fill(flow)
         if flow.armed_at_us is None:
             self._set_timer(flow, self.now_us + PROBE_INTERVAL_US)
 

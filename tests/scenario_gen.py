@@ -12,10 +12,16 @@ scenario at each bucket width in ``CORPUS_BUCKETS_MS``. A change meant to
 alter timelines re-pins it on purpose with::
 
     PYTHONPATH=src python tests/scenario_gen.py > tests/golden_corpus.json
+
+``--diff N`` prints, in the same form, the digests of the ``N`` scenarios
+drawn from ``random.Random(f"diff/{k}")`` for ``k < N``, which no test pins.
+Running it in two checkouts and comparing the outputs with ``cmp`` shows
+whether a change keeps those timelines byte-identical.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import io
 import json
@@ -79,13 +85,27 @@ def csv_digest(doc: str, bucket_ms: int) -> str:
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
-def corpus_digests():
-    """{name: {bucket width: digest}} over the whole corpus."""
+def digests(scenarios):
+    """{name: {bucket width: digest}} over (name, scenario text) pairs."""
     return {
         name: {str(bucket_ms): csv_digest(doc, bucket_ms) for bucket_ms in CORPUS_BUCKETS_MS}
-        for name, doc in corpus()
+        for name, doc in scenarios
     }
 
 
+def diff_scenarios(n: int):
+    """The first ``n`` differential scenarios: (name, scenario text) pairs."""
+    return [(f"diff_{k:03d}", random_scenario(random.Random(f"diff/{k}"))) for k in range(n)]
+
+
 if __name__ == "__main__":
-    print(json.dumps(corpus_digests(), indent=1, sort_keys=True))
+    parser = argparse.ArgumentParser(description="Print CSV digests of generated scenarios.")
+    parser.add_argument(
+        "--diff",
+        type=int,
+        metavar="N",
+        help="digest the first N differential scenarios instead of the corpus",
+    )
+    args = parser.parse_args()
+    scenarios = corpus() if args.diff is None else diff_scenarios(args.diff)
+    print(json.dumps(digests(scenarios), indent=1, sort_keys=True))

@@ -19,7 +19,7 @@ import pytest
 from mpflow.model import new_connection
 from mpflow.model import PriorityLists, classify_subflow_priority
 from mpflow.scenario import builtin_scenario, emit_csv, parse_scenario, run_scenario
-from mpflow.scheduler import select
+from mpflow.scheduler import select, tier
 from mpflow.wire import (
     MpPrioOption,
     OptionError,
@@ -248,14 +248,16 @@ def _oracle_default(subflows, mss, window):
     """Brute-force restatement of the default selection rules: the actives
     decide while any of them is alive, even if none has room in its window;
     the backups decide only when no active is alive. Returns (chosen id,
-    reason, alone): alone iff the deciding set has one member that fits."""
+    reason, alone, deciding ids): alone iff the deciding set has one member
+    that fits."""
     alive = [sf for sf in subflows if sf.alive]
     actives = [sf for sf in alive if not sf.low_prio]
     if actives:
         (chosen, alone), reason = _lowest_rtt(actives, mss, window), "active-path"
     else:
         (chosen, alone), reason = _lowest_rtt(alive, mss, window), "backup-fallback"
-    return (chosen, reason, alone) if chosen is not None else (None, "no-path", False)
+    ids = {sf.id for sf in actives or alive}
+    return (chosen, reason, alone, ids) if chosen is not None else (None, "no-path", False, ids)
 
 
 def _oracle_ppos(conn, mss, window):
@@ -266,10 +268,16 @@ def _oracle_ppos(conn, mss, window):
     primaries = [sf for sf in alive if sf.pair() in conn.primary_pairs]
     if primaries:
         (chosen, alone), reason = _lowest_rtt(primaries, mss, window), "primary-path"
+        ids = {sf.id for sf in primaries}
     else:
-        chosen, _, alone = _oracle_default(alive, mss, window)
+        chosen, _, alone, ids = _oracle_default(alive, mss, window)
         reason = "backup-fallback"
-    return (chosen, reason, alone) if chosen is not None else (None, "no-path", False)
+    return (chosen, reason, alone, ids) if chosen is not None else (None, "no-path", False, ids)
+
+
+def _tier_ids(conn, decision):
+    """Ids of the alive sub-flows in the decision's deciding tier."""
+    return {sf.id for sf in conn.subflows if sf.alive and tier(conn, sf) == decision.tier}
 
 
 def _grid_states():
@@ -293,14 +301,17 @@ def test_criterion_6_scheduler_matches_bruteforce_oracle():
                 sf.srtt_us = srtt
                 sf.inflight_bytes = inflight
             got = select(conn, MSS, WINDOW)
-            want_id, want_reason, want_alone = _oracle_default(conn.subflows, MSS, WINDOW)
+            want = _oracle_default(conn.subflows, MSS, WINDOW)
+            want_id, want_reason, want_alone, want_ids = want
             assert (got.chosen, got.reason.value) == (want_id, want_reason), state
             assert got.alone == want_alone, state
+            assert _tier_ids(conn, got) == want_ids, state
             conn.primary_pairs = [P1]
             got = select(conn, MSS, WINDOW)
-            want_id, want_reason, want_alone = _oracle_ppos(conn, MSS, WINDOW)
+            want_id, want_reason, want_alone, want_ids = _oracle_ppos(conn, MSS, WINDOW)
             assert (got.chosen, got.reason.value) == (want_id, want_reason), state
             assert got.alone == want_alone, state
+            assert _tier_ids(conn, got) == want_ids, state
             cases += 1
         assert cases == 13824
 

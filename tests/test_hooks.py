@@ -7,7 +7,10 @@ sub-flow's cached interface pair must also stay equal to the pair of its
 endpoints, for sub-flows re-created during the run as well.
 """
 
+from collections import Counter
 from types import SimpleNamespace
+
+import pytest
 
 from mpflow import simnet
 from mpflow.model import InterfacePair, new_connection
@@ -70,23 +73,50 @@ def test_cached_pair_matches_endpoints_after_recreation():
             assert sf.pair() == InterfacePair.between(sf.src, sf.dst)
 
 
-def test_one_select_per_pump_once_the_windows_are_full(monkeypatch):
-    """``_pump`` fills the chosen flow's window without asking again, and
-    stops without a closing NO_PATH scan when that flow was alone. Only the
-    bootstrap pump, which fills all three empty windows, asks three times."""
-    counts = {"select": 0, "pump": 0}
-    select, pump = simnet.select, Simulation._pump
+def count_selects_by_handler(build):
+    """Run ``build()``; count its ``select`` calls by the innermost handler
+    that made them, and how often each handler ran."""
+    stack, selects, runs = [], Counter(), Counter()
+    with pytest.MonkeyPatch.context() as patch:
 
-    def counting_select(conn, mss, window):
-        counts["select"] += 1
-        return select(conn, mss, window)
+        def wrap(name):
+            method = getattr(Simulation, name)
 
-    def counting_pump(sim):
-        counts["pump"] += 1
-        pump(sim)
+            def wrapped(sim, *args):
+                runs[name] += 1
+                stack.append(name)
+                try:
+                    return method(sim, *args)
+                finally:
+                    stack.pop()
 
-    monkeypatch.setattr(simnet, "select", counting_select)
-    monkeypatch.setattr(Simulation, "_pump", counting_pump)
-    build_steady_sim().run()
-    assert counts["pump"] > 1000
-    assert counts["select"] == counts["pump"] + 2
+            patch.setattr(Simulation, name, wrapped)
+
+        for name in ("_on_action", "_kill", "_open_on_pair", "_on_ack_arrival", "_on_timer"):
+            wrap(name)
+        select = simnet.select
+
+        def counting_select(conn, mss, window):
+            selects[stack[-1]] += 1
+            return select(conn, mss, window)
+
+        patch.setattr(simnet, "select", counting_select)
+        build().run()
+    return selects, runs
+
+
+def test_select_runs_only_when_the_tiers_can_change():
+    """An ack refills its own flow without asking the scheduler, so
+    ``select`` runs only in the pumps of actions, deaths and re-openings.
+    On the steady run that is the bootstrap action alone: its pump fills the
+    three empty windows with three calls, and the pump that closes every
+    action adds one NO_PATH call. The flapping run adds one call for each of
+    its two link actions, its one death and its one re-opening."""
+    selects, runs = count_selects_by_handler(build_steady_sim)
+    assert runs["_on_ack_arrival"] > 1000
+    assert selects == {"_on_action": 4}
+
+    selects, runs = count_selects_by_handler(build_flapping_sim)
+    assert runs["_on_ack_arrival"] > 1000
+    assert (runs["_kill"], runs["_open_on_pair"]) == (1, 1)
+    assert selects == {"_on_action": 6, "_kill": 1, "_open_on_pair": 1}

@@ -10,7 +10,10 @@ re-create them, and every action verb. Every run checks that:
   back spaced by one segment's serialization time, so a bucket holds at
   most ``bucket // serialization + 1`` segments (as in perfbench/README.md);
 * genealogy ids strictly increase;
-* the sub-flows on one pair have lifetimes that do not overlap.
+* the sub-flows on one pair have lifetimes that do not overlap;
+* every data segment goes on the sub-flow that ``select`` chooses just
+  before it is sent, so no bytes go on a backup sub-flow while an active
+  one is alive, nor off the primary pairs while a sub-flow on one is.
 """
 
 import random
@@ -22,18 +25,26 @@ from hypothesis import strategies as st
 
 from mpflow import scenario as scenario_module
 from mpflow.scenario import PPOS_ENV_VAR, parse_scenario, run_scenario
-from mpflow.simnet import MSS, Simulation
+from mpflow.scheduler import select
+from mpflow.simnet import MSS, WINDOW_BYTES, Simulation
 from scenario_gen import random_scenario
 
 
 class RecordingSimulation(Simulation):
-    """A Simulation that remembers its instances, for their end state."""
+    """A Simulation that remembers its instances, for their end state, and
+    checks each data segment against a fresh scheduler choice."""
 
     instances = []
 
     def run(self):
         RecordingSimulation.instances.append(self)
         return super().run()
+
+    def _send_segment(self, flow, nbytes):
+        if nbytes:
+            decision = select(self.sender, MSS, WINDOW_BYTES)
+            assert decision.chosen == flow.sf.id, (self.now_us, flow.sf.id, decision)
+        super()._send_segment(flow, nbytes)
 
 
 def run_recorded(doc, bucket_ms):
