@@ -81,10 +81,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         )
     for link in scenario.links:
         ack_us = simnet.first_ack_us(link)
-        if ack_us > simnet.FIRST_DEATH_US:
+        if ack_us >= simnet.FIRST_DEATH_US:
             print(
                 f"warning: link {link.link_id} acks a first segment after {ack_us / 1000:g}ms, "
-                f"later than the {simnet.FIRST_DEATH_US / 1000:g}ms at which a new sub-flow "
+                f"no earlier than the {simnet.FIRST_DEATH_US / 1000:g}ms at which a new sub-flow "
                 f"dies of timeouts, so every sub-flow on it dies before carrying data",
                 file=sys.stderr,
             )

@@ -7,11 +7,11 @@ links, one link per (local, remote) interface pair. The engine models:
   serializing when the link is free, takes ``bytes * 8 / bandwidth``, and is
   delivered one one-way delay later; the ack returns after another one-way
   delay. Links are lossless while up; a down link drops every in-flight and
-  future segment and ack. The ack event is scheduled when the segment is
-  sent and dropped on arrival if the link went down or changed meanwhile:
-  a link's epoch grows on every change, so an unchanged epoch at ack time
-  means the segment arrived too. Only a segment that carries options gets
-  an arrival event of its own.
+  future segment and ack. The ack is queued on its sub-flow when the
+  segment is sent and dropped on arrival if the link went down or changed
+  meanwhile: a link's epoch grows on every change, so an unchanged epoch at
+  ack time means the segment arrived too. Only a segment that carries
+  options gets an arrival event of its own.
 * an infinite-backlog sender that keeps the windows of the sub-flows the
   scheduler offers filled with MSS-sized segments. The scheduler runs only
   where its tiers can change: at start, after an action, a death or a new
@@ -33,9 +33,7 @@ links, one link per (local, remote) interface pair. The engine models:
     second while the link is down; an attempt that finds the link up opens
     a brand-new sub-flow on the pair, inheriting nothing.
   A deadline that moves later is only recorded: the timer's one pending
-  heap event, when it fires early, is pushed again for the deadline under
-  the heap seq the deadline reserved, so timers act in the same order as
-  if each deadline had pushed an event of its own.
+  heap event, when it fires early, is pushed again for the deadline.
 * MP_PRIO delivery: priority signals queued on the sender ride the next
   outgoing segment and are applied to the receiver's view on arrival; they
   are lost with their segment.
@@ -45,9 +43,24 @@ links are lossless while up, so a timeout implies the path is down and
 recovery happens through death plus re-establishment. A consequence is that
 any outage long enough to eat three timeouts replaces the sub-flow.
 
-Everything runs on an integer microsecond clock with stable event ordering
-(time, insertion order), so identical inputs give byte-identical reports on
-any platform.
+Everything runs on an integer microsecond clock. Within one µs, actions and
+option arrivals run first, in insertion order; timers run next, by sub-flow
+id; acks run last, by sub-flow id, then in send order. So identical inputs
+give byte-identical reports on any platform.
+
+Acks are not heap events. A link serializes in send order, so a sub-flow's
+acks come back in send order and wait in a FIFO on the sub-flow; a link
+change, which restarts the link's clock, drops them and empties the FIFOs
+of its sub-flows. :meth:`Simulation.run` alternates between draining every
+FIFO, sub-flow by sub-flow, up to a horizon, and running the next heap
+event. The horizon is the next heap event, the end of the run or
+``RTO_MIN_US`` after the previous horizon, whichever is first. An ack
+touches only its own sub-flow, that sub-flow's link and its acked bytes,
+and any deadline it sets is at least ``RTO_MIN_US`` away, so no heap event
+falls due inside the horizon and the acks of different sub-flows commute.
+The exception is an MP_PRIO option queued on the sender, which rides the
+next segment of any sub-flow: while one waits, acks are drained in (time,
+sub-flow id) order.
 """
 
 from __future__ import annotations
@@ -55,8 +68,9 @@ from __future__ import annotations
 import heapq
 import itertools
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from . import sockopt
 from .model import (
@@ -103,7 +117,7 @@ class LinkSpec:
 
 def first_ack_us(spec: LinkSpec) -> int:
     """How long after an MSS is sent on the idle link ``spec`` its ack comes
-    back. Above FIRST_DEATH_US, every sub-flow on the link dies unacked."""
+    back. From FIRST_DEATH_US on, every sub-flow on the link dies unacked."""
     return MSS * 8 * 1_000_000 // spec.bandwidth_bps + 2 * spec.one_way_delay_ms * US_PER_MS
 
 
@@ -163,10 +177,12 @@ class _Flow:
     acked: Dict[int, int] = field(default_factory=dict)
     armed_at_us: Optional[int] = None  # None: idle, no retransmission timeout runs
     base_us: int = 0
-    timer: Tuple[int, int] = (0, 0)  # (deadline, reserved heap seq)
+    timer: int = 0  # deadline
     timer_pending: Optional[Tuple[int, int]] = None  # (at, seq) of its heap entry
     probe_outstanding: bool = False
     clocked: bool = False  # alive in the deciding tier: its acks refill it
+    # acks in flight, in send order: (arrival, nbytes, link epoch, sent at)
+    acks: Deque[Tuple[int, int, int, int]] = field(default_factory=deque)
 
 
 class TopologyError(ValidationError):
@@ -242,10 +258,12 @@ class Simulation:
         }
         self._links_by_id = {link.spec.link_id: link for link in links_by_pair.values()}
 
-        # (at_us, seq, handler, args): run() calls handler(self, *args). The
-        # handlers are plain functions, not bound methods, and a _Flow holds
-        # no reference to the simulation, so pending events do not either
-        # and a finished run is freed by reference counting.
+        # (at_us, rank, handler, args): run() calls handler(self, *args). The
+        # rank is (0, seq) for actions and option arrivals and (1, sub-flow
+        # id, seq) for timers, which sets the same-µs order; seq keeps every
+        # entry unique. The handlers are plain functions, not bound methods,
+        # and a _Flow holds no reference to the simulation, so pending events
+        # do not either and a finished run is freed by reference counting.
         self._heap: List[tuple] = []
         self._seq = itertools.count()
         self._flows: Dict[int, _Flow] = {
@@ -258,7 +276,7 @@ class Simulation:
     # event plumbing
 
     def _push(self, at_us: int, handler: Callable, args: tuple) -> None:
-        heapq.heappush(self._heap, (at_us, next(self._seq), handler, args))
+        heapq.heappush(self._heap, (at_us, (0, next(self._seq)), handler, args))
 
     def schedule_action(self, at_ms: int, action: Callable[["Simulation"], None]) -> None:
         self._push(at_ms * US_PER_MS, Simulation._on_action, (action,))
@@ -274,6 +292,9 @@ class Simulation:
         link.up = up
         link.epoch += 1
         link.tx_free_us = self.now_us
+        for flow in self._flows.values():
+            if flow.link is link:
+                flow.acks.clear()  # all dropped on arrival: the epoch changed
 
     def _send_segment(self, flow: _Flow, nbytes: int) -> None:
         """Hand a segment to the flow's link; a probe is one of 0 bytes."""
@@ -288,8 +309,7 @@ class Simulation:
             delivery = (flow, link.epoch, tuple(outbox))
             outbox.clear()
             self._push(done + link.delay_us, Simulation._on_options_arrival, delivery)
-        ack = (flow, nbytes, link.epoch, self.now_us)
-        self._push(done + 2 * link.delay_us, Simulation._on_ack_arrival, ack)
+        flow.acks.append((done + 2 * link.delay_us, nbytes, link.epoch, self.now_us))
         if flow.armed_at_us is None:
             self._arm_rto(flow)
 
@@ -300,17 +320,15 @@ class Simulation:
         self._set_timer(flow, flow.armed_at_us + flow.base_us * (2**sf.consecutive_timeouts))
 
     def _set_timer(self, flow: _Flow, fire_at: int) -> None:
-        # The deadline reserves a heap seq now, but is pushed only if it beats
-        # the flow's pending entry; a later one is pushed under that seq when
-        # the pending entry fires, so the timer acts at the (time, seq) it
-        # would have if every deadline had been pushed.
-        flow.timer = (fire_at, next(self._seq))
+        # Pushed only if it beats the flow's pending entry; a later deadline
+        # is pushed when the pending entry fires.
+        flow.timer = fire_at
         if flow.timer_pending is None or fire_at < flow.timer_pending[0]:
             self._push_timer(flow)
 
     def _push_timer(self, flow: _Flow) -> None:
-        flow.timer_pending = at_us, seq = flow.timer
-        heapq.heappush(self._heap, (at_us, seq, Simulation._on_timer, (flow, seq)))
+        flow.timer_pending = at_us, seq = flow.timer, next(self._seq)
+        heapq.heappush(self._heap, (at_us, (1, flow.sf.id, seq), Simulation._on_timer, (flow, seq)))
 
     def _pump(self) -> None:
         """Send MSS segments while the scheduler offers a sub-flow, then mark
@@ -380,7 +398,7 @@ class Simulation:
         if flow.timer_pending is None or flow.timer_pending[1] != seq:
             return  # superseded by an earlier deadline
         flow.timer_pending = None
-        if flow.timer[1] != seq:
+        if flow.timer != self.now_us:
             self._push_timer(flow)  # the deadline moved later: wait for it
             return
         sf = flow.sf
@@ -451,16 +469,39 @@ class Simulation:
         if self._finished:
             raise RuntimeError("a Simulation instance runs only once")
         self._finished = True
-        self._push(0, Simulation._on_action, (Simulation._bootstrap,))
+        self._push(0, Simulation._bootstrap, ())
         heap = self._heap
         duration_us = self.duration_us
-        while heap:
+        horizon = 0
+        while horizon < duration_us:
+            # Every ack left is at or after the last horizon, and any deadline
+            # it sets is RTO_MIN_US later (module docstring).
+            next_us = min(heap[0][0], duration_us) if heap else duration_us
+            horizon = min(next_us, horizon + RTO_MIN_US)
+            self._drain_acks(horizon)
+            if horizon < next_us or horizon == duration_us:
+                continue
             at_us, _, handler, args = heapq.heappop(heap)
-            if at_us >= duration_us:
-                break
             self.now_us = at_us
             handler(self, *args)
         return self._build_report()
+
+    def _drain_acks(self, horizon: int) -> None:
+        """Handle every queued ack that arrives before ``horizon``."""
+        flows = self._flows.values()
+        outbox = self.sender.outbox
+        on_ack = self._on_ack_arrival
+        while outbox:  # the next segment sent takes it: keep (time, id) order
+            flow = min(flows, key=lambda f: f.acks[0][0] if f.acks else horizon)
+            if not flow.acks or flow.acks[0][0] >= horizon:
+                return
+            self.now_us, *ack = flow.acks.popleft()
+            on_ack(flow, *ack)
+        for flow in flows:
+            acks = flow.acks
+            while acks and acks[0][0] < horizon:
+                self.now_us, nbytes, epoch, sent_us = acks.popleft()
+                on_ack(flow, nbytes, epoch, sent_us)
 
     def _build_report(self) -> TimelineReport:
         # Flows are in id order, so rows come out sorted by (bucket, id); a

@@ -13,10 +13,13 @@ alter timelines re-pins it on purpose with::
 
     PYTHONPATH=src python tests/scenario_gen.py > tests/golden_corpus.json
 
-``--diff N`` prints, in the same form, the digests of the ``N`` scenarios
-drawn from ``random.Random(f"diff/{k}")`` for ``k < N``, which no test pins.
-Running it in two checkouts and comparing the outputs with ``cmp`` shows
-whether a change keeps those timelines byte-identical.
+``--diff N`` prints, in the same form, the digests of the corpus, of the
+``N`` scenarios drawn from ``random.Random(f"diff/{k}")`` for ``k < N``,
+which no test pins, and of the benchmark's scenarios at their workload's
+bucket width: the built-ins, and seeds 0-3 of ``mesh16_flaps`` and
+``prio_churn_fine`` from ``perfbench/workloads.py``. Running it in two
+checkouts and comparing the outputs with ``cmp`` shows whether a change
+keeps all those timelines byte-identical.
 """
 
 from __future__ import annotations
@@ -24,10 +27,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import io
+import importlib.util
 import json
 import random
+from pathlib import Path
 
-from mpflow.scenario import emit_csv, parse_scenario, run_scenario
+from mpflow.scenario import BUILTIN_DOCS, emit_csv, parse_scenario, run_scenario
 
 # Spelled out, not imported, so that a new verb does not move the corpus.
 ACTION_VERBS = (
@@ -41,6 +46,8 @@ ACTION_VERBS = (
 
 CORPUS_SIZE = 60
 CORPUS_BUCKETS_MS = (1000, 100)
+WORKLOAD_SEEDS = range(4)
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def random_scenario(rng: random.Random, name: str = "random") -> str:
@@ -85,12 +92,30 @@ def csv_digest(doc: str, bucket_ms: int) -> str:
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
-def digests(scenarios):
+def digests(scenarios, buckets_ms=CORPUS_BUCKETS_MS):
     """{name: {bucket width: digest}} over (name, scenario text) pairs."""
     return {
-        name: {str(bucket_ms): csv_digest(doc, bucket_ms) for bucket_ms in CORPUS_BUCKETS_MS}
+        name: {str(bucket_ms): csv_digest(doc, bucket_ms) for bucket_ms in buckets_ms}
         for name, doc in scenarios
     }
+
+
+def workload_digests():
+    """Digests of the benchmark's scenarios at their workload's bucket width,
+    named ``workload/seed/scenario``."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    runs = [("paper_figs", 0, workloads.paper_figs(0, BUILTIN_DOCS))]
+    for name in ("mesh16_flaps", "prio_churn_fine"):
+        runs += [(name, seed, getattr(workloads, name)(seed)) for seed in WORKLOAD_SEEDS]
+    out = {}
+    for name, seed, workload in runs:
+        docs = [(f"{name}/{seed}/{doc_name}", doc) for doc_name, doc in workload.docs]
+        out.update(digests(docs, (workload.bucket_ms,)))
+    return out
 
 
 def diff_scenarios(n: int):
@@ -104,8 +129,12 @@ if __name__ == "__main__":
         "--diff",
         type=int,
         metavar="N",
-        help="digest the first N differential scenarios instead of the corpus",
+        help="digest the corpus, the first N differential scenarios and the"
+        " benchmark's scenarios, instead of the corpus alone",
     )
     args = parser.parse_args()
-    scenarios = corpus() if args.diff is None else diff_scenarios(args.diff)
-    print(json.dumps(digests(scenarios), indent=1, sort_keys=True))
+    if args.diff is None:
+        out = digests(corpus())
+    else:
+        out = {**digests(corpus() + diff_scenarios(args.diff)), **workload_digests()}
+    print(json.dumps(out, indent=1, sort_keys=True))

@@ -151,19 +151,23 @@ def test_run_reports_an_mp_prio_addr_id_overflow_as_an_error(tmp_path, capsys):
 
 def test_validate_warns_about_a_link_too_slow_to_ack_its_first_segment(tmp_path, capsys):
     # 1,460 B at 10 kbps take 1,168 ms, plus 2 x 150 ms: every sub-flow on
-    # link 1 dies of its third timeout, at 800 ms, before its first ack.
+    # link 1 dies of its third timeout, at 800 ms, before its first ack. On
+    # link 3 the first ack comes at 800 ms exactly, after the timeout runs.
     path = tmp_path / "slow.scn"
     path.write_text(
         "scenario slow\nduration 400s\n"
         "link 1 10kbps 150ms 10.0.0.1 10.0.1.1\n"
         "link 2 1mbps 10ms 10.0.0.1 10.0.2.1\n"
+        "link 3 23360bps 150ms 10.0.0.1 10.0.3.1\n"
     )
     assert main(["validate", str(path)]) == 0
     captured = capsys.readouterr()
     assert "ok:" in captured.out
     assert captured.err.splitlines() == [
-        "warning: link 1 acks a first segment after 1468ms, later than the 800ms at which "
-        "a new sub-flow dies of timeouts, so every sub-flow on it dies before carrying data"
+        f"warning: link {link_id} acks a first segment after {ack_ms}ms, no earlier than the "
+        "800ms at which a new sub-flow dies of timeouts, so every sub-flow on it dies before "
+        "carrying data"
+        for link_id, ack_ms in ((1, 1468), (3, 800))
     ]
 
 

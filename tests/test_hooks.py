@@ -92,7 +92,14 @@ def count_selects_by_handler(build):
 
             patch.setattr(Simulation, name, wrapped)
 
-        for name in ("_on_action", "_kill", "_open_on_pair", "_on_ack_arrival", "_on_timer"):
+        for name in (
+            "_bootstrap",
+            "_on_action",
+            "_kill",
+            "_open_on_pair",
+            "_on_ack_arrival",
+            "_on_timer",
+        ):
             wrap(name)
         select = simnet.select
 
@@ -107,16 +114,16 @@ def count_selects_by_handler(build):
 
 def test_select_runs_only_when_the_tiers_can_change():
     """An ack refills its own flow without asking the scheduler, so
-    ``select`` runs only in the pumps of actions, deaths and re-openings.
-    On the steady run that is the bootstrap action alone: its pump fills the
-    three empty windows with three calls, and the pump that closes every
-    action adds one NO_PATH call. The flapping run adds one call for each of
-    its two link actions, its one death and its one re-opening."""
+    ``select`` runs only in the pumps of the bootstrap, actions, deaths and
+    re-openings. On the steady run that is the bootstrap alone: its pump
+    fills the three empty windows with three calls. The flapping run adds
+    one NO_PATH call for each of its two link actions, and one call for its
+    one death and its one re-opening."""
     selects, runs = count_selects_by_handler(build_steady_sim)
     assert runs["_on_ack_arrival"] > 1000
-    assert selects == {"_on_action": 4}
+    assert selects == {"_bootstrap": 3}
 
     selects, runs = count_selects_by_handler(build_flapping_sim)
     assert runs["_on_ack_arrival"] > 1000
     assert (runs["_kill"], runs["_open_on_pair"]) == (1, 1)
-    assert selects == {"_on_action": 6, "_kill": 1, "_open_on_pair": 1}
+    assert selects == {"_bootstrap": 3, "_on_action": 2, "_kill": 1, "_open_on_pair": 1}

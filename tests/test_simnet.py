@@ -41,8 +41,25 @@ def bytes_by_flow_bucket(report):
     }
 
 
+def next_at(sim):
+    """When the next event is due: the heap top or the earliest queued ack."""
+    return min([sim._heap[0][0]] + [flow.acks[0][0] for flow in sim._flows.values() if flow.acks])
+
+
 def step(sim):
-    at, _, handler, args = heapq.heappop(sim._heap)
+    """Run the next event in the simulator's order and return its handler:
+    the heap top, unless a queued ack is due earlier. Within one µs acks run
+    after heap events, by sub-flow id."""
+    flow = min(
+        (flow for flow in sim._flows.values() if flow.acks),
+        key=lambda flow: flow.acks[0][0],
+        default=None,
+    )
+    if flow is None or sim._heap[0][0] <= flow.acks[0][0]:
+        at, _, handler, args = heapq.heappop(sim._heap)
+    else:
+        (at, *ack), handler = flow.acks.popleft(), Simulation._on_ack_arrival
+        args = (flow, *ack)
     sim.now_us = at
     handler(sim, *args)
     return handler
@@ -137,7 +154,7 @@ def test_steady_run_keeps_one_rto_entry_per_flow():
         sim = build_sim(n_links, duration_ms=10_000, actions=actions)
         sim.schedule_action(0, Simulation._bootstrap)
         events = 0
-        while sim._heap[0][0] < sim.duration_us:
+        while next_at(sim) < sim.duration_us:
             step(sim)
             events += 1
             for flow in sim._flows.values():
@@ -185,14 +202,14 @@ def test_later_rearm_waits_for_the_pending_entry_then_doubles():
     assert sf.died_us == 1_700_000
 
 
-@pytest.mark.parametrize("bandwidth_bps, dies", [(23_360, False), (23_359, True)])
-def test_a_first_ack_at_the_third_timeout_keeps_the_subflow(bandwidth_bps, dies):
+@pytest.mark.parametrize("bandwidth_bps, dies", [(23_361, False), (23_360, True)])
+def test_a_timer_runs_before_an_ack_of_the_same_us(bandwidth_bps, dies):
     # 1,460 B at 23,360 bps serialize in exactly 500 ms, so with 2 x 150 ms
     # the first ack lands at 800 ms, the third timeout of a fresh sub-flow.
-    # It was pushed first, so it pops first; 1 bps less is 21 µs too late.
+    # The timeout runs first and kills it; 1 bps more is 22 µs early.
     sender = new_connection([addr("10.0.0.1")], [addr("10.0.1.1")])
     spec = LinkSpec(1, sender.mesh_pairs()[0], bandwidth_bps, 150)
-    assert (simnet.first_ack_us(spec) > simnet.FIRST_DEATH_US) is dies
+    assert (simnet.first_ack_us(spec) >= simnet.FIRST_DEATH_US) is dies
     assert simnet.FIRST_DEATH_US == 800_000
     report = Simulation(sender, [spec], duration_ms=2_000).run()
     first = report.subflow_genealogy[0]
@@ -236,6 +253,73 @@ def test_finished_simulation_is_freed_by_reference_counting(monkeypatch):
         gc.enable()
     assert pending[0] > 0
     assert freed
+
+
+# --------------------------------------------------------------------- #
+# same-µs order and the ack FIFOs
+
+
+@pytest.mark.parametrize("down_ms, acked", [(210, 0), (211, MSS)])
+def test_an_action_runs_before_an_ack_of_the_same_us(down_ms, acked):
+    # 1,460 B at 1,168,000 bps serialize in exactly 10 ms, so the first ack
+    # is due at 210 ms. A link_down at that µs drops it; 1 ms later it counts.
+    sender = new_connection([addr("10.0.0.1")], [addr("10.0.1.1")])
+    spec = LinkSpec(1, sender.mesh_pairs()[0], 1_168_000, 100)
+    sim = Simulation(sender, [spec], duration_ms=1_000)
+    sim.schedule_action(down_ms, link_action(1, False))
+    report = sim.run()
+    assert sum(row.bytes_acked for row in report.rows) == acked
+
+
+@pytest.mark.parametrize("delay2_ms, carrier", [(100, 1), (99, 2)])
+def test_a_queued_mp_prio_rides_the_first_ack_clocked_segment(delay2_ms, carrier, monkeypatch):
+    # Marking sub-flow 3 backup at 1 s queues an MP_PRIO that the action's
+    # pump cannot send: the windows of sub-flows 1 and 2 are full. It rides
+    # the segment sent by the next ack. With equal links the two sub-flows
+    # are phase-locked and their acks tie, so the lower id goes first; with
+    # link 2 1 ms shorter, sub-flow 2's ack comes 2 ms earlier.
+    carriers = []
+    arrival = Simulation._on_options_arrival
+
+    def record(sim, flow, epoch, options):
+        carriers.append(flow.sf.id)
+        arrival(sim, flow, epoch, options)
+
+    monkeypatch.setattr(Simulation, "_on_options_arrival", record)
+    sender = new_connection([addr("10.0.0.1")], [addr(f"10.0.{i}.1") for i in (1, 2, 3)])
+    delays = (100, delay2_ms, 100)
+    links = [
+        LinkSpec(i + 1, mesh_pair, MBPS, delays[i])
+        for i, mesh_pair in enumerate(sender.mesh_pairs())
+    ]
+    sim = Simulation(sender, links, duration_ms=2_000)
+    sim.schedule_action(1_000, mark_backup(3))
+    sim.run()
+    assert carriers == [carrier]
+    assert sim.receiver.subflow_by_id(3).low_prio
+
+
+def test_acks_after_a_short_outage_are_handled_at_their_own_times():
+    # Sub-flow 2 is a draining backup when link 2 flaps for 20 ms at 1.1 s:
+    # its segments in flight are lost, but it lives on, and marking sub-flow
+    # 1 backup at 1.15 s has it carry again on the restarted link. Its first
+    # new ack is due at 1,361.68 ms, before the last lost one (1,368 ms).
+    overdue = []
+
+    def look(sim):
+        for flow in sim._flows.values():
+            overdue.extend(at for at, *_ in flow.acks if at < sim.now_us)
+
+    actions = [
+        (1_000, mark_backup(2)),
+        (1_100, link_action(2, False)),
+        (1_120, link_action(2, True)),
+        (1_150, mark_backup(1)),
+        (1_365, look),
+    ]
+    report = build_sim(2, duration_ms=4_000, actions=actions).run()
+    assert overdue == []
+    assert [rec.died_ms for rec in report.subflow_genealogy] == [None, None]
 
 
 # --------------------------------------------------------------------- #
