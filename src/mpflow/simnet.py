@@ -61,6 +61,23 @@ falls due inside the horizon and the acks of different sub-flows commute.
 The exception is an MP_PRIO option queued on the sender, which rides the
 next segment of any sub-flow: while one waits, acks are drained in (time,
 sub-flow id) order.
+
+Most acks belong to steady trains, which the drain handles in closed form
+(:meth:`Simulation._train`). A train needs a clocked flow with a full
+window on a link that is up and stays busy past the first ack ``a0``; 32
+queued acks of one MSS in the link's epoch, spaced by the serialization
+time ``s``, each sampling a round trip of ``32 * s``; srtt at the integer
+EWMA's fixed point for that sample, up to 7 µs below it; no probe or
+timeout outstanding; and a pending timer entry no later than the first
+ack's deadline. Each ack then frees one MSS and sends one, which finishes
+``s`` after the one before and is acked ``32 * s`` after it was sent; it
+changes neither the window nor srtt and pushes no timer entry, so the next
+ack meets the same conditions. The acks form the progression
+``a0 + i * s``, and the k due before the horizon are exactly k calls of
+:meth:`Simulation._on_ack_arrival`: k MSS acked, split at bucket edges,
+and sent, the link busy ``k * s`` longer, the FIFO k terms further on, and
+the timer armed once, from the last ack. Trains run only once the outbox
+is empty, since they carry no option.
 """
 
 from __future__ import annotations
@@ -89,7 +106,8 @@ US_PER_MS = 1000
 # Transmission constants. The window saturates a 1 Mbps / 200 ms-RTT path:
 # 32 * 1460 B / 0.2 s is about 1.87 Mbps of window, above link rate.
 MSS = 1460
-WINDOW_BYTES = 32 * MSS
+WINDOW_SEGMENTS = 32
+WINDOW_BYTES = WINDOW_SEGMENTS * MSS
 RTO_MIN_US = 200_000
 RTO_DEATH_TIMEOUTS = 3
 PROBE_INTERVAL_US = 1_000_000
@@ -183,6 +201,8 @@ class _Flow:
     clocked: bool = False  # alive in the deciding tier: its acks refill it
     # acks in flight, in send order: (arrival, nbytes, link epoch, sent at)
     acks: Deque[Tuple[int, int, int, int]] = field(default_factory=deque)
+    train_wait: int = 0  # acks to handle one by one before a train is tried
+    train_tail: Optional[tuple] = None  # the last ack the last train queued
 
 
 class TopologyError(ValidationError):
@@ -500,8 +520,71 @@ class Simulation:
         for flow in flows:
             acks = flow.acks
             while acks and acks[0][0] < horizon:
+                if flow.clocked:
+                    # A refused train is tried again once a window of acks
+                    # has replaced every entry it looked at.
+                    if not flow.train_wait:
+                        if self._train(flow, horizon):
+                            break
+                        flow.train_wait = WINDOW_SEGMENTS
+                    flow.train_wait -= 1
                 self.now_us, nbytes, epoch, sent_us = acks.popleft()
                 on_ack(flow, nbytes, epoch, sent_us)
+
+    def _train(self, flow: _Flow, horizon: int) -> bool:
+        """Handle the acks of the clocked ``flow`` that are due before
+        ``horizon`` in one step if they form a steady train (module
+        docstring); otherwise return False and change nothing."""
+        sf, link, acks = flow.sf, flow.link, flow.acks
+        a0 = acks[0][0]
+        s = MSS * 8 * 1_000_000 // link.spec.bandwidth_bps
+        rtt = WINDOW_SEGMENTS * s
+        srtt = sf.srtt_us
+        pending = flow.timer_pending
+        if not (
+            sf.alive
+            and link.up
+            and sf.inflight_bytes == WINDOW_BYTES
+            and len(acks) == WINDOW_SEGMENTS
+            and not flow.probe_outstanding
+            and sf.consecutive_timeouts == 0
+            and pending is not None
+            and pending[0] <= a0 + max(2 * srtt, RTO_MIN_US)
+            and srtt
+            and (7 * srtt + rtt) // 8 == srtt
+            and link.tx_free_us >= a0
+            and acks[-1][0] == link.tx_free_us + 2 * link.delay_us
+        ):
+            return False
+        epoch = link.epoch
+        if acks[-1] is not flow.train_tail:  # else the FIFO is as the last train left it
+            at = a0
+            for ack in acks:
+                if ack != (at, MSS, epoch, at - rtt):
+                    return False
+                at += s
+        k = -((a0 - horizon) // s)  # the acks a0 + i * s before the horizon
+        acked, bucket_us = flow.acked, self.bucket_us
+        i = 0
+        while i < k:
+            bucket = (a0 + i * s) // bucket_us
+            j = min(k, -((a0 - (bucket + 1) * bucket_us) // s))  # the acks before its end
+            acked[bucket] = acked.get(bucket, 0) + (j - i) * MSS
+            i = j
+        sf.bytes_sent_total += k * MSS
+        link.tx_free_us += k * s
+        # The FIFO moves k terms along the progression.
+        if k < WINDOW_SEGMENTS:
+            for _ in range(k):
+                acks.popleft()
+        else:
+            acks.clear()
+        first = a0 + max(k, WINDOW_SEGMENTS) * s
+        acks.extend((at, MSS, epoch, at - rtt) for at in range(first, a0 + rtt + k * s, s))
+        flow.train_tail = acks[-1]
+        self.now_us = a0 + (k - 1) * s
+        self._arm_rto(flow)
+        return True
 
     def _build_report(self) -> TimelineReport:
         # Flows are in id order, so rows come out sorted by (bucket, id); a

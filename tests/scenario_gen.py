@@ -29,6 +29,7 @@ import hashlib
 import io
 import importlib.util
 import json
+import logging
 import random
 from pathlib import Path
 
@@ -133,6 +134,8 @@ if __name__ == "__main__":
         " benchmark's scenarios, instead of the corpus alone",
     )
     args = parser.parse_args()
+    # Skipped actions are part of the scenarios; only the digests are output.
+    logging.getLogger("mpflow").setLevel(logging.ERROR)
     if args.diff is None:
         out = digests(corpus())
     else:

@@ -75,8 +75,10 @@ def test_cached_pair_matches_endpoints_after_recreation():
 
 def count_selects_by_handler(build):
     """Run ``build()``; count its ``select`` calls by the innermost handler
-    that made them, and how often each handler ran."""
+    that made them, how often each handler ran, and the acks handled in
+    trains (each sends one segment)."""
     stack, selects, runs = [], Counter(), Counter()
+    trained = 0
     with pytest.MonkeyPatch.context() as patch:
 
         def wrap(name):
@@ -99,31 +101,43 @@ def count_selects_by_handler(build):
             "_open_on_pair",
             "_on_ack_arrival",
             "_on_timer",
+            "_train",
         ):
             wrap(name)
-        select = simnet.select
+        select, train = simnet.select, Simulation._train
 
         def counting_select(conn, mss, window):
             selects[stack[-1]] += 1
             return select(conn, mss, window)
 
+        def counting_train(sim, flow, horizon):
+            nonlocal trained
+            sent = flow.sf.bytes_sent_total
+            handled = train(sim, flow, horizon)
+            trained += (flow.sf.bytes_sent_total - sent) // simnet.MSS
+            return handled
+
         patch.setattr(simnet, "select", counting_select)
+        patch.setattr(Simulation, "_train", counting_train)
         build().run()
-    return selects, runs
+    return selects, runs, trained
 
 
 def test_select_runs_only_when_the_tiers_can_change():
     """An ack refills its own flow without asking the scheduler, so
     ``select`` runs only in the pumps of the bootstrap, actions, deaths and
-    re-openings. On the steady run that is the bootstrap alone: its pump
-    fills the three empty windows with three calls. The flapping run adds
-    one NO_PATH call for each of its two link actions, and one call for its
-    one death and its one re-opening."""
-    selects, runs = count_selects_by_handler(build_steady_sim)
-    assert runs["_on_ack_arrival"] > 1000
+    re-openings; never in a train, which handles many acks at once. On the
+    steady run that is the bootstrap alone: its pump fills the three empty
+    windows with three calls. The flapping run adds one NO_PATH call for
+    each of its two link actions, and one call for its one death and its
+    one re-opening."""
+    selects, runs, trained = count_selects_by_handler(build_steady_sim)
+    assert runs["_on_ack_arrival"] + trained > 1000
+    assert "_train" not in selects
     assert selects == {"_bootstrap": 3}
 
-    selects, runs = count_selects_by_handler(build_flapping_sim)
-    assert runs["_on_ack_arrival"] > 1000
+    selects, runs, trained = count_selects_by_handler(build_flapping_sim)
+    assert runs["_on_ack_arrival"] + trained > 1000
+    assert "_train" not in selects
     assert (runs["_kill"], runs["_open_on_pair"]) == (1, 1)
     assert selects == {"_bootstrap": 3, "_on_action": 2, "_kill": 1, "_open_on_pair": 1}
