@@ -22,20 +22,22 @@ from mpflow.scenario import (
 
 
 def carrier_phases(report):
-    """Collapse the timeline into (start_s, end_s, carrying sub-flow ids)."""
-    per_bucket = {}
-    for row in report.rows:
-        bucket = row.bucket_start_ms // 1000
-        per_bucket.setdefault(bucket, set())
-        if row.bytes_acked > 0:
-            per_bucket[bucket].add(row.subflow_id)
+    """Collapse the timeline into (start_s, end_s, carrying sub-flow ids):
+    the starts of the first and the last bucket of each phase, in seconds."""
+    carriers = {}
+    for column in report.columns:
+        for bucket in range(column.first, column.last + 1):
+            ids = carriers.setdefault(bucket, set())
+            if column.acked.get(bucket, 0) > 0:
+                ids.add(column.subflow_id)
     phases = []
-    for bucket in sorted(per_bucket):
-        carriers = tuple(sorted(per_bucket[bucket]))
-        if phases and phases[-1][2] == carriers:
-            phases[-1] = (phases[-1][0], bucket, carriers)
+    for bucket in sorted(carriers):
+        ids = tuple(sorted(carriers[bucket]))
+        start_s = bucket * report.bucket_ms / 1000
+        if phases and phases[-1][2] == ids:
+            phases[-1] = (phases[-1][0], start_s, ids)
         else:
-            phases.append((bucket, bucket, carriers))
+            phases.append((start_s, start_s, ids))
     return phases
 
 
@@ -50,7 +52,7 @@ def main() -> int:
         print(f"  wrote {target}")
         for start, end, carriers in carrier_phases(report):
             label = ",".join(map(str, carriers)) if carriers else "-"
-            print(f"  [{start:3d}s..{end:3d}s] carrying: {label}")
+            print(f"  [{start:3g}s..{end:3g}s] carrying: {label}")
         for rec in report.subflow_genealogy:
             died = "-" if rec.died_ms is None else f"{rec.died_ms / 1000:.1f}s"
             print(

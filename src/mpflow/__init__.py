@@ -33,12 +33,16 @@ from .scheduler import (
     is_schedulable,
     select,
 )
-from .simnet import (
-    LinkSpec,
-    Simulation,
+from .report import (
+    SubflowColumn,
     SubflowRecord,
     ThroughputBucket,
     TimelineReport,
+    emit_csv,
+)
+from .simnet import (
+    LinkSpec,
+    Simulation,
     mirror_connection,
 )
 from .sockopt import (
@@ -55,7 +59,6 @@ from .scenario import (
     ScenarioAction,
     ScenarioError,
     builtin_scenario,
-    emit_csv,
     format_scenario,
     parse_scenario,
     run_scenario,

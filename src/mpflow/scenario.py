@@ -26,6 +26,9 @@ suffix, bandwidths ``bps``, ``kbps`` or ``mbps``. Action verbs:
 List and ppos actions name interface pairs through the link that serves
 them. Setting the environment variable ``MPFLOW_PRIMARY_PATH_ONLY=1``
 forces ``enable_ppos`` at t=0 with the default primary pair on every run.
+
+The CSV output, ``emit_csv`` and ``CSV_HEADER``, comes from
+:mod:`mpflow.report`.
 """
 
 from __future__ import annotations
@@ -33,8 +36,7 @@ from __future__ import annotations
 import logging
 import os
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, IO, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import simnet, sockopt
 from .model import (
@@ -44,14 +46,13 @@ from .model import (
     ValidationError,
     new_connection,
 )
+from .report import CSV_HEADER, emit_csv
 from .simnet import LinkSpec, Simulation, TimelineReport
 from .sockopt import SubPrioRequest
 
 logger = logging.getLogger(__name__)
 
 PPOS_ENV_VAR = "MPFLOW_PRIMARY_PATH_ONLY"
-
-CSV_HEADER = "bucket_start_ms,subflow_id,pair,bytes_acked,throughput_bps,low_prio,alive"
 
 ACTION_VERBS = (
     "set_sub_prio",
@@ -386,27 +387,3 @@ def run_scenario(
     for action in scenario.actions:
         sim.schedule_action(action.at_ms, _action_closure(scenario, action))
     return sim.run()
-
-
-def emit_csv(report: TimelineReport, out: Union[str, Path, IO[str]]) -> None:
-    """Write a report as CSV: one row per (bucket, sub-flow alive in it),
-    sorted by (bucket_start_ms, subflow_id), plus a genealogy footer in
-    comment lines."""
-    if isinstance(out, (str, Path)):
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            emit_csv(report, handle)
-        return
-    pair_by_id = {rec.subflow_id: str(rec.pair) for rec in report.subflow_genealogy}
-    out.write(CSV_HEADER + "\n")
-    for row in report.rows:
-        throughput_bps = row.bytes_acked * 8 * 1000 // report.bucket_ms
-        out.write(
-            f"{row.bucket_start_ms},{row.subflow_id},{pair_by_id[row.subflow_id]},"
-            f"{row.bytes_acked},{throughput_bps},{int(row.low_prio)},{int(row.alive)}\n"
-        )
-    for rec in report.subflow_genealogy:
-        died = "-" if rec.died_ms is None else str(rec.died_ms)
-        out.write(
-            f"# subflow {rec.subflow_id} pair={rec.pair} "
-            f"created_ms={rec.created_ms} died_ms={died}\n"
-        )

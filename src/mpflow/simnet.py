@@ -78,13 +78,16 @@ ack meets the same conditions. The acks form the progression
 and sent, the link busy ``k * s`` longer, the FIFO k terms further on, and
 the timer armed once, from the last ack. Trains run only once the outbox
 is empty, since they carry no option.
+
+A run ends in a :class:`~mpflow.report.TimelineReport`: one column per
+sub-flow, with its lifetime, its acked bytes by bucket and its flag
+history, from which the report's rows and CSV derive (:mod:`mpflow.report`).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
@@ -99,9 +102,8 @@ from .model import (
     ValidationError,
     open_subflow,
 )
+from .report import US_PER_MS, SubflowColumn, SubflowRecord, TimelineReport
 from .scheduler import select, tier
-
-US_PER_MS = 1000
 
 # Transmission constants. The window saturates a 1 Mbps / 200 ms-RTT path:
 # 32 * 1460 B / 0.2 s is about 1.87 Mbps of window, above link rate.
@@ -137,38 +139,6 @@ def first_ack_us(spec: LinkSpec) -> int:
     """How long after an MSS is sent on the idle link ``spec`` its ack comes
     back. From FIRST_DEATH_US on, every sub-flow on the link dies unacked."""
     return MSS * 8 * 1_000_000 // spec.bandwidth_bps + 2 * spec.one_way_delay_ms * US_PER_MS
-
-
-@dataclass
-class ThroughputBucket:
-    """Acked bytes of one sub-flow in one bucket, with the flags the
-    sub-flow had when the bucket closed."""
-
-    bucket_start_ms: int
-    subflow_id: int
-    bytes_acked: int
-    low_prio: bool
-    alive: bool
-
-
-@dataclass(frozen=True)
-class SubflowRecord:
-    """Genealogy entry: one sub-flow's pair and lifetime."""
-
-    subflow_id: int
-    pair: InterfacePair
-    created_ms: int
-    died_ms: Optional[int]
-
-
-@dataclass
-class TimelineReport:
-    """Per-bucket, per-sub-flow throughput plus the sub-flow genealogy."""
-
-    bucket_ms: int
-    duration_ms: int
-    rows: List[ThroughputBucket]
-    subflow_genealogy: List[SubflowRecord]
 
 
 @dataclass
@@ -587,29 +557,7 @@ class Simulation:
         return True
 
     def _build_report(self) -> TimelineReport:
-        # Flows are in id order, so rows come out sorted by (bucket, id); a
-        # flag history starts at its flow's creation, before any row ends.
-        rows: List[ThroughputBucket] = []
         n_buckets = -(-self.duration_us // self.bucket_us)  # ceil
-        for bucket in range(n_buckets):
-            start_us = bucket * self.bucket_us
-            end_us = min(start_us + self.bucket_us, self.duration_us)
-            for flow in self._flows.values():
-                sf = flow.sf
-                born_before_end = sf.created_us < end_us
-                died = sf.died_us
-                alive_past_start = died is None or died > start_us
-                if not (born_before_end and alive_past_start):
-                    continue
-                rows.append(
-                    ThroughputBucket(
-                        bucket_start_ms=start_us // US_PER_MS,
-                        subflow_id=sf.id,
-                        bytes_acked=flow.acked.get(bucket, 0),
-                        low_prio=flow.flag_values[bisect_right(flow.flag_times, end_us) - 1],
-                        alive=died is None or died >= end_us,
-                    )
-                )
         genealogy = [
             SubflowRecord(
                 subflow_id=sf.id,
@@ -622,7 +570,9 @@ class Simulation:
         return TimelineReport(
             bucket_ms=self.bucket_ms,
             duration_ms=self.duration_ms,
-            rows=rows,
+            columns=[
+                SubflowColumn.of(flow, self.bucket_us, n_buckets) for flow in self._flows.values()
+            ],
             subflow_genealogy=genealogy,
         )
 

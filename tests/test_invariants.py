@@ -11,6 +11,12 @@ re-create them, and every action verb. Every run checks that:
   most ``bucket // serialization + 1`` segments (as in perfbench/README.md);
 * genealogy ids strictly increase;
 * the sub-flows on one pair have lifetimes that do not overlap;
+* every CSV data line is the matching ``report.rows`` entry written as a
+  CSV line, so the two views of the report agree;
+* each sub-flow has exactly one row in each bucket that it was born before
+  the end of and alive past the start of, and no other row, with the bytes
+  acked in the bucket, the flag in force at the bucket's end and whether it
+  died at or after that end, all read from the simulation's own state;
 * every data segment goes on the sub-flow that ``select`` chooses just
   before it is sent, so no bytes go on a backup sub-flow while an active
   one is alive, nor off the primary pairs while a sub-flow on one is. A
@@ -19,7 +25,9 @@ re-create them, and every action verb. Every run checks that:
   train began, so each train is checked once, in that state.
 """
 
+import io
 import random
+from bisect import bisect_right
 from collections import defaultdict
 from unittest import mock
 
@@ -27,7 +35,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mpflow import scenario as scenario_module
-from mpflow.scenario import PPOS_ENV_VAR, parse_scenario, run_scenario
+from mpflow.report import ThroughputBucket
+from mpflow.scenario import PPOS_ENV_VAR, emit_csv, parse_scenario, run_scenario
 from mpflow.scheduler import select
 from mpflow.simnet import MSS, WINDOW_BYTES, Simulation
 from scenario_gen import random_scenario
@@ -101,3 +110,32 @@ def test_generated_scenarios_keep_the_invariants(seed, bucket_ms):
         for earlier, later in zip(records, records[1:]):
             assert earlier.died_ms is not None, (earlier, later)
             assert earlier.died_ms <= later.created_ms, (earlier, later)
+
+    buf = io.StringIO()
+    emit_csv(report, buf)
+    data = [line for line in buf.getvalue().splitlines()[1:] if not line.startswith("#")]
+    assert data == [
+        f"{row.bucket_start_ms},{row.subflow_id},{pair_of[row.subflow_id]},"
+        f"{row.bytes_acked},{row.bytes_acked * 8 * 1000 // bucket_ms},"
+        f"{int(row.low_prio)},{int(row.alive)}"
+        for row in report.rows
+    ]
+
+    bucket_us, duration_us = bucket_ms * 1000, scenario.duration_ms * 1000
+    expected = []
+    for bucket in range(-(-duration_us // bucket_us)):
+        start_us = bucket * bucket_us
+        end_us = min(start_us + bucket_us, duration_us)
+        for flow in sim._flows.values():
+            died = flow.sf.died_us
+            if flow.sf.created_us < end_us and (died is None or died > start_us):
+                expected.append(
+                    ThroughputBucket(
+                        start_us // 1000,
+                        flow.sf.id,
+                        flow.acked.get(bucket, 0),
+                        flow.flag_values[bisect_right(flow.flag_times, end_us) - 1],
+                        died is None or died >= end_us,
+                    )
+                )
+    assert report.rows == expected

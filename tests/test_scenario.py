@@ -219,7 +219,7 @@ def test_env_var_unset_leaves_default_scheduler(monkeypatch):
 
 
 def test_emit_csv_empty_report_is_header_only():
-    report = TimelineReport(bucket_ms=1000, duration_ms=0, rows=[], subflow_genealogy=[])
+    report = TimelineReport(bucket_ms=1000, duration_ms=0, columns=[], subflow_genealogy=[])
     buf = io.StringIO()
     emit_csv(report, buf)
     assert buf.getvalue() == CSV_HEADER + "\n"
@@ -276,6 +276,49 @@ def test_rows_densely_cover_every_alive_subflow():
                 rec.subflow_id,
                 bucket_start,
             )
+
+
+def _rows_by_key(report):
+    return {(row.bucket_start_ms, row.subflow_id): row for row in report.rows}
+
+
+def test_a_flag_set_at_a_bucket_end_shows_in_that_bucket(monkeypatch):
+    monkeypatch.delenv("MPFLOW_PRIMARY_PATH_ONLY", raising=False)
+    doc = "scenario edge\nduration 4s\n" + THREE_LINKS + "at 2s set_sub_prio 2 backup\n"
+    rows = _rows_by_key(run_scenario(parse_scenario(doc)))
+    assert [rows[(start, 2)].low_prio for start in (0, 1_000, 2_000, 3_000)] == [
+        False,
+        True,
+        True,
+        True,
+    ]
+
+
+def test_a_death_on_a_bucket_edge_ends_the_rows_there(monkeypatch):
+    # Link 1 is down before the first segment, so sub-flow 1 is never acked
+    # and dies at its third timeout, 800 ms in: the end of the 400-800 ms
+    # bucket and the start of the 800-1200 ms one.
+    monkeypatch.delenv("MPFLOW_PRIMARY_PATH_ONLY", raising=False)
+    doc = "scenario edge\nduration 2s\n" + THREE_LINKS + "at 0s link_down 1\n"
+    report = run_scenario(parse_scenario(doc), bucket_ms=400)
+    assert report.subflow_genealogy[0].died_ms == 800
+    rows = _rows_by_key(report)
+    assert sorted(start for start, sf in rows if sf == 1) == [0, 400]
+    assert rows[(400, 1)].alive  # died at this bucket's end, inclusive
+    assert rows[(800, 2)].alive
+
+
+def test_a_duration_off_the_bucket_grid_ends_with_a_short_bucket():
+    report = run_scenario(builtin_scenario("fig4"), duration_ms=2_500)
+    starts = sorted({row.bucket_start_ms for row in report.rows})
+    assert starts == [0, 1_000, 2_000]
+    buf = io.StringIO()
+    emit_csv(report, buf)
+    last = [line.split(",") for line in buf.getvalue().splitlines() if line.startswith("2000,")]
+    assert [int(fields[1]) for fields in last] == [1, 2, 3]
+    for fields in last:
+        # the short bucket still divides by the full bucket width
+        assert int(fields[4]) == int(fields[3]) * 8
 
 
 def test_every_builtin_completes_quickly():
