@@ -33,7 +33,9 @@ links, one link per (local, remote) interface pair. The engine models:
     second while the link is down; an attempt that finds the link up opens
     a brand-new sub-flow on the pair, inheriting nothing.
   A deadline that moves later is only recorded: the timer's one pending
-  heap event, when it fires early, is pushed again for the deadline.
+  heap event, when it fires early, is pushed again for the deadline. A
+  sub-flow in a train (below) has no live timer entry: its pending one is
+  dropped when it pops, and the train's end pushes one again.
 * MP_PRIO delivery: priority signals queued on the sender ride the next
   outgoing segment and are applied to the receiver's view on arrival; they
   are lost with their segment.
@@ -62,22 +64,29 @@ The exception is an MP_PRIO option queued on the sender, which rides the
 next segment of any sub-flow: while one waits, acks are drained in (time,
 sub-flow id) order.
 
-Most acks belong to steady trains, which the drain handles in closed form
-(:meth:`Simulation._train`). A train needs a clocked flow with a full
-window on a link that is up and stays busy past the first ack ``a0``; 32
-queued acks of one MSS in the link's epoch, spaced by the serialization
-time ``s``, each sampling a round trip of ``32 * s``; srtt at the integer
-EWMA's fixed point for that sample, up to 7 µs below it; no probe or
-timeout outstanding; and a pending timer entry no later than the first
-ack's deadline. Each ack then frees one MSS and sends one, which finishes
-``s`` after the one before and is acked ``32 * s`` after it was sent; it
-changes neither the window nor srtt and pushes no timer entry, so the next
-ack meets the same conditions. The acks form the progression
-``a0 + i * s``, and the k due before the horizon are exactly k calls of
+Most acks belong to steady trains, which run in closed form. A train is a
+state of the sub-flow, not a step of the drain: :meth:`Simulation._train`
+starts one on a clocked flow with a full window on a link that is up and
+stays busy past the first ack ``a0``; 32 queued acks of one MSS in the
+link's epoch, spaced by the serialization time ``s``, each sampling a
+round trip of ``32 * s``; srtt at the integer EWMA's fixed point for that
+sample, up to 7 µs below it; and no probe or timeout outstanding. Each ack
+then frees one MSS and sends one, which finishes ``s`` after the one
+before and is acked ``32 * s`` after it was sent. It changes neither the
+window nor srtt, so the next ack meets the same conditions, and it arms
+the timer at least ``RTO_MIN_US`` past itself, so the timer never fires
+while the acks keep coming. So the acks form the progression
+``a0 + i * s``, the FIFO stays implicit and the drain skips the flow, and
+every pump reads the state it would read per ack. The train lasts until
+:meth:`Simulation._end_train` runs, in one of four places: a change of the
+flow's link, before the epoch grows; a pump that takes the flow out of the
+deciding tier; an action that leaves an MP_PRIO waiting, since the next
+segment of any flow carries it and trains carry none; and the end of the
+run. The k acks due before that moment are exactly k calls of
 :meth:`Simulation._on_ack_arrival`: k MSS acked, split at bucket edges,
-and sent, the link busy ``k * s`` longer, the FIFO k terms further on, and
-the timer armed once, from the last ack. Trains run only once the outbox
-is empty, since they carry no option.
+and sent, the link busy ``k * s`` longer, the FIFO refilled with the next
+32 terms, and the timer armed once, from the last ack. Trains start only
+once the outbox is empty.
 
 A run ends in a :class:`~mpflow.report.TimelineReport`: one column per
 sub-flow, with its lifetime, its acked bytes by bucket and its flag
@@ -172,7 +181,7 @@ class _Flow:
     # acks in flight, in send order: (arrival, nbytes, link epoch, sent at)
     acks: Deque[Tuple[int, int, int, int]] = field(default_factory=deque)
     train_wait: int = 0  # acks to handle one by one before a train is tried
-    train_tail: Optional[tuple] = None  # the last ack the last train queued
+    train: Optional[int] = None  # in a train: its next ack's arrival, the FIFO's head
 
 
 class TopologyError(ValidationError):
@@ -279,12 +288,14 @@ class Simulation:
         link = self._links_by_id.get(link_id)
         if link is None:
             raise ValidationError(f"no link with id {link_id}")
+        for flow in self._flows.values():
+            if flow.link is link:
+                if flow.train is not None:
+                    self._end_train(flow, self.now_us)
+                flow.acks.clear()  # all dropped on arrival: the epoch changes
         link.up = up
         link.epoch += 1
         link.tx_free_us = self.now_us
-        for flow in self._flows.values():
-            if flow.link is link:
-                flow.acks.clear()  # all dropped on arrival: the epoch changed
 
     def _send_segment(self, flow: _Flow, nbytes: int) -> None:
         """Hand a segment to the flow's link; a probe is one of 0 bytes."""
@@ -339,7 +350,10 @@ class Simulation:
                 break
         sender = self.sender
         for flow in self._flows.values():
-            flow.clocked = flow.sf.alive and tier(sender, flow.sf) == decision.tier
+            clocked = flow.sf.alive and tier(sender, flow.sf) == decision.tier
+            if flow.train is not None and not clocked:
+                self._end_train(flow, self.now_us)
+            flow.clocked = clocked
 
     def _fill(self, flow: _Flow) -> None:
         sf = flow.sf
@@ -388,6 +402,8 @@ class Simulation:
         if flow.timer_pending is None or flow.timer_pending[1] != seq:
             return  # superseded by an earlier deadline
         flow.timer_pending = None
+        if flow.train is not None:
+            return  # not due: the train's deadline is RTO_MIN_US past its latest ack
         if flow.timer != self.now_us:
             self._push_timer(flow)  # the deadline moved later: wait for it
             return
@@ -442,6 +458,10 @@ class Simulation:
                 flow.flag_times.append(self.now_us)
                 flow.flag_values.append(flow.sf.low_prio)
         self._pump()
+        if self.sender.outbox:  # the next segment takes it: any train's may be first
+            for flow in self._flows.values():
+                if flow.train is not None:
+                    self._end_train(flow, self.now_us)
 
     # ------------------------------------------------------------------ #
     # main loop and report
@@ -474,6 +494,9 @@ class Simulation:
             at_us, _, handler, args = heapq.heappop(heap)
             self.now_us = at_us
             handler(self, *args)
+        for flow in self._flows.values():
+            if flow.train is not None:
+                self._end_train(flow, duration_us)
         return self._build_report()
 
     def _drain_acks(self, horizon: int) -> None:
@@ -494,23 +517,23 @@ class Simulation:
                     # A refused train is tried again once a window of acks
                     # has replaced every entry it looked at.
                     if not flow.train_wait:
-                        if self._train(flow, horizon):
+                        if self._train(flow):
                             break
                         flow.train_wait = WINDOW_SEGMENTS
                     flow.train_wait -= 1
                 self.now_us, nbytes, epoch, sent_us = acks.popleft()
                 on_ack(flow, nbytes, epoch, sent_us)
 
-    def _train(self, flow: _Flow, horizon: int) -> bool:
-        """Handle the acks of the clocked ``flow`` that are due before
-        ``horizon`` in one step if they form a steady train (module
-        docstring); otherwise return False and change nothing."""
+    def _train(self, flow: _Flow) -> bool:
+        """Start a train on the clocked ``flow`` if its acks form a steady
+        one (module docstring): empty its FIFO, which the train keeps
+        implicit, and return True. Otherwise return False and change
+        nothing."""
         sf, link, acks = flow.sf, flow.link, flow.acks
         a0 = acks[0][0]
         s = MSS * 8 * 1_000_000 // link.spec.bandwidth_bps
         rtt = WINDOW_SEGMENTS * s
         srtt = sf.srtt_us
-        pending = flow.timer_pending
         if not (
             sf.alive
             and link.up
@@ -518,22 +541,32 @@ class Simulation:
             and len(acks) == WINDOW_SEGMENTS
             and not flow.probe_outstanding
             and sf.consecutive_timeouts == 0
-            and pending is not None
-            and pending[0] <= a0 + max(2 * srtt, RTO_MIN_US)
             and srtt
             and (7 * srtt + rtt) // 8 == srtt
             and link.tx_free_us >= a0
             and acks[-1][0] == link.tx_free_us + 2 * link.delay_us
         ):
             return False
-        epoch = link.epoch
-        if acks[-1] is not flow.train_tail:  # else the FIFO is as the last train left it
-            at = a0
-            for ack in acks:
-                if ack != (at, MSS, epoch, at - rtt):
-                    return False
-                at += s
-        k = -((a0 - horizon) // s)  # the acks a0 + i * s before the horizon
+        at, epoch = a0, link.epoch
+        for ack in acks:
+            if ack != (at, MSS, epoch, at - rtt):
+                return False
+            at += s
+        acks.clear()
+        flow.train = a0
+        return True
+
+    def _end_train(self, flow: _Flow, until: int) -> None:
+        """End the train of ``flow``: handle its acks due before ``until``
+        as k calls of :meth:`_on_ack_arrival` would, then queue the next
+        window of acks and arm the timer from the last ack handled. A train
+        starts on an ack due before a horizon and ends at a heap event or
+        at the end of the run, so ``until`` is past its first ack."""
+        sf, link = flow.sf, flow.link
+        a0, flow.train = flow.train, None
+        s = MSS * 8 * 1_000_000 // link.spec.bandwidth_bps
+        rtt = WINDOW_SEGMENTS * s
+        k = -((a0 - until) // s)  # the acks a0 + i * s before until
         acked, bucket_us = flow.acked, self.bucket_us
         i = 0
         while i < k:
@@ -543,18 +576,11 @@ class Simulation:
             i = j
         sf.bytes_sent_total += k * MSS
         link.tx_free_us += k * s
-        # The FIFO moves k terms along the progression.
-        if k < WINDOW_SEGMENTS:
-            for _ in range(k):
-                acks.popleft()
-        else:
-            acks.clear()
-        first = a0 + max(k, WINDOW_SEGMENTS) * s
-        acks.extend((at, MSS, epoch, at - rtt) for at in range(first, a0 + rtt + k * s, s))
-        flow.train_tail = acks[-1]
-        self.now_us = a0 + (k - 1) * s
+        head, epoch = a0 + k * s, link.epoch
+        flow.acks.extend((at, MSS, epoch, at - rtt) for at in range(head, head + rtt, s))
+        now_us, self.now_us = self.now_us, head - s
         self._arm_rto(flow)
-        return True
+        self.now_us = now_us
 
     def _build_report(self) -> TimelineReport:
         n_buckets = -(-self.duration_us // self.bucket_us)  # ceil

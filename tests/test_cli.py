@@ -171,6 +171,61 @@ def test_validate_warns_about_a_link_too_slow_to_ack_its_first_segment(tmp_path,
     ]
 
 
+def test_validate_warns_about_a_link_up_on_a_link_that_is_up(tmp_path, capsys):
+    # Both links are up at 7,410 ms. Restarting link 1 drops its window in
+    # flight, nothing retransmits it, and sub-flow 1 dies of three timeouts
+    # at 8,813 ms although its link never went down.
+    path = tmp_path / "relink.scn"
+    path.write_text(
+        "scenario relink\nduration 11s\n"
+        "link 1 2126kbps 7ms 10.1.0.1 10.2.0.1\n"
+        "link 2 498kbps 50ms 10.1.0.1 10.2.1.1\n"
+        "at 2s link_down 2\n"
+        "at 3s link_up 2\n"
+        "at 7410ms link_up 2 1\n"
+        "at 11s link_up 1\n"
+    )
+    assert main(["validate", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert "ok:" in captured.out
+    assert captured.err.splitlines() == [
+        "warning: at 11000ms link_up 1 is at or after duration 11000ms and never runs",
+    ] + [
+        f"warning: at 7410ms link_up {link_id}: link {link_id} is already up; "
+        "the run drops its in-flight segments"
+        for link_id in (2, 1)
+    ]
+
+
+def test_validate_warns_about_set_sub_prio_ids_that_no_run_creates(tmp_path, capsys):
+    # Two links, one link_down target and no restart of a link that is up:
+    # no run creates an id above 3. With a link too slow to ack a first
+    # segment, sub-flows on it die and come back without bound: no warning.
+    doc = (
+        "scenario ids\nduration 10s\n"
+        "link 1 1mbps 100ms 10.0.0.1 10.0.1.1\n"
+        "link 2 1mbps 100ms 10.0.0.1 10.0.2.1\n"
+        "at 1s set_sub_prio 2 4 backup\n"
+        "at 2s link_down 1\n"
+        "at 5s link_up 1\n"
+        "at 6s set_sub_prio 3 active\n"
+        "at 12s set_sub_prio 9 active\n"
+    )
+    path = tmp_path / "ids.scn"
+    path.write_text(doc)
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: at 12000ms set_sub_prio 9 active is at or after duration 10000ms "
+        "and never runs",
+        "warning: at 1000ms set_sub_prio 2 4 backup: no run creates sub-flow 4, "
+        "since sub-flow ids go up to 3",
+    ]
+    path.write_text(doc.replace("link 2 1mbps", "link 2 10kbps"))
+    assert main(["validate", str(path)]) == 0
+    (_, slow) = capsys.readouterr().err.splitlines()
+    assert slow.startswith("warning: link 2 acks a first segment after ")
+
+
 @pytest.mark.parametrize("argv", [["validate"], ["run", "--scenario"]])
 def test_a_non_utf8_scenario_file_is_one_error_line(tmp_path, capsys, argv):
     path = tmp_path / "bad.scn"

@@ -76,7 +76,7 @@ def test_cached_pair_matches_endpoints_after_recreation():
 def count_selects_by_handler(build):
     """Run ``build()``; count its ``select`` calls by the innermost handler
     that made them, how often each handler ran, and the acks handled in
-    trains (each sends one segment)."""
+    trains (each sends one segment), counted as each train ends."""
     stack, selects, runs = [], Counter(), Counter()
     trained = 0
     with pytest.MonkeyPatch.context() as patch:
@@ -102,23 +102,23 @@ def count_selects_by_handler(build):
             "_on_ack_arrival",
             "_on_timer",
             "_train",
+            "_end_train",
         ):
             wrap(name)
-        select, train = simnet.select, Simulation._train
+        select, end_train = simnet.select, Simulation._end_train
 
         def counting_select(conn, mss, window):
             selects[stack[-1]] += 1
             return select(conn, mss, window)
 
-        def counting_train(sim, flow, horizon):
+        def counting_end_train(sim, flow, until):
             nonlocal trained
             sent = flow.sf.bytes_sent_total
-            handled = train(sim, flow, horizon)
+            end_train(sim, flow, until)
             trained += (flow.sf.bytes_sent_total - sent) // simnet.MSS
-            return handled
 
         patch.setattr(simnet, "select", counting_select)
-        patch.setattr(Simulation, "_train", counting_train)
+        patch.setattr(Simulation, "_end_train", counting_end_train)
         build().run()
     return selects, runs, trained
 
@@ -133,11 +133,11 @@ def test_select_runs_only_when_the_tiers_can_change():
     one re-opening."""
     selects, runs, trained = count_selects_by_handler(build_steady_sim)
     assert runs["_on_ack_arrival"] + trained > 1000
-    assert "_train" not in selects
+    assert "_train" not in selects and "_end_train" not in selects
     assert selects == {"_bootstrap": 3}
 
     selects, runs, trained = count_selects_by_handler(build_flapping_sim)
     assert runs["_on_ack_arrival"] + trained > 1000
-    assert "_train" not in selects
+    assert "_train" not in selects and "_end_train" not in selects
     assert (runs["_kill"], runs["_open_on_pair"]) == (1, 1)
     assert selects == {"_bootstrap": 3, "_on_action": 2, "_kill": 1, "_open_on_pair": 1}

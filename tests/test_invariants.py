@@ -21,8 +21,10 @@ re-create them, and every action verb. Every run checks that:
   before it is sent, so no bytes go on a backup sub-flow while an active
   one is alive, nor off the primary pairs while a sub-flow on one is. A
   steady ack train sends its segments without ``_send_segment``, each with
-  its flow's window one MSS short and nothing else changed since the
-  train began, so each train is checked once, in that state.
+  its flow's window one MSS short. Between pumps, only acks change what
+  ``select`` reads, and an ack leaves each flow of the deciding tier with
+  a full window, so a train is checked in that state when it starts and
+  after each pump that it outlives.
 """
 
 import io
@@ -31,14 +33,15 @@ from bisect import bisect_right
 from collections import defaultdict
 from unittest import mock
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from mpflow import scenario as scenario_module
+from mpflow.cli import subflow_id_bound
 from mpflow.report import ThroughputBucket
 from mpflow.scenario import PPOS_ENV_VAR, emit_csv, parse_scenario, run_scenario
 from mpflow.scheduler import select
-from mpflow.simnet import MSS, WINDOW_BYTES, Simulation
+from mpflow.simnet import FIRST_DEATH_US, MSS, WINDOW_BYTES, Simulation, first_ack_us
 from scenario_gen import random_scenario
 
 
@@ -59,14 +62,23 @@ class RecordingSimulation(Simulation):
             assert decision.chosen == flow.sf.id, (self.now_us, flow.sf.id, decision)
         super()._send_segment(flow, nbytes)
 
-    def _train(self, flow, horizon):
-        if not super()._train(flow, horizon):
+    def _train(self, flow):
+        if not super()._train(flow):
             return False
+        self._check_train(flow)
+        return True
+
+    def _pump(self):
+        super()._pump()
+        for flow in self._flows.values():
+            if flow.train is not None:
+                self._check_train(flow)
+
+    def _check_train(self, flow):
         flow.sf.inflight_bytes -= MSS
         decision = select(self.sender, MSS, WINDOW_BYTES)
         flow.sf.inflight_bytes += MSS
         assert decision.chosen == flow.sf.id, (self.now_us, flow.sf.id, decision)
-        return True
 
 
 def run_recorded(doc, bucket_ms):
@@ -139,3 +151,15 @@ def test_generated_scenarios_keep_the_invariants(seed, bucket_ms):
                     )
                 )
     assert report.rows == expected
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1))
+def test_no_run_creates_a_sub_flow_id_above_the_bound(seed):
+    # The bound that ``mpflow validate`` checks set_sub_prio ids against;
+    # it does not hold with a link too slow to ack a first segment.
+    scenario = parse_scenario(random_scenario(random.Random(seed)))
+    assume(all(first_ack_us(link) < FIRST_DEATH_US for link in scenario.links))
+    with mock.patch.dict("os.environ", {PPOS_ENV_VAR: ""}):
+        report = run_scenario(scenario)
+    assert max(rec.subflow_id for rec in report.subflow_genealogy) <= subflow_id_bound(scenario)

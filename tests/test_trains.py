@@ -1,12 +1,14 @@
 """Steady ack trains against the per-ack path.
 
-``Simulation._train`` handles the acks of a saturated sub-flow up to the
-horizon in one step. It must leave exactly the state that handling them one
-by one through ``_on_ack_arrival`` leaves. Each test runs one input twice,
-with trains and with ``_train`` patched to refuse every train, and compares
-the CSV and the end state of every flow, every link and the heap. The
-targeted cases also check that the trains they are about were taken, or, on
-a link the window cannot saturate, that none was.
+``Simulation._train`` starts a train on a saturated sub-flow, and
+``Simulation._end_train`` handles the acks it ran over in one step when an
+event touches the flow or the run ends. Together they must leave exactly
+the state that handling those acks one by one through ``_on_ack_arrival``
+leaves. Each test runs one input twice, with trains and with ``_train``
+patched to refuse every train, and compares the CSV and the end state of
+every flow and every link. The targeted cases also check that the trains
+they are about were taken and where they ended, or, on a link the window
+cannot saturate, that none was.
 """
 
 import io
@@ -19,15 +21,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mpflow import scenario as scenario_module
+from mpflow import sockopt
 from mpflow.model import new_connection
 from mpflow.scenario import PPOS_ENV_VAR, emit_csv, parse_scenario, run_scenario
 from mpflow.simnet import MSS, WINDOW_SEGMENTS, LinkSpec, Simulation
+from mpflow.sockopt import SubPrioRequest
 from helpers import addr
 from scenario_gen import random_scenario
 
 
 class Train(NamedTuple):
-    horizon: int
+    flow_id: int
+    until: int  # it handled the acks due before this
     first_ack: int
     acks: int
     serialization_us: int
@@ -35,27 +40,50 @@ class Train(NamedTuple):
 
 
 class TrainLog(Simulation):
-    """A Simulation that logs the trains it takes and remembers its
-    instances, for runs built inside ``run_scenario``."""
+    """A Simulation that logs the trains it takes, and the timer pops of
+    flows while they are in a train, and remembers its instances, for runs
+    built inside ``run_scenario``."""
 
     instances = []
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.trains = []
+        self.train_timer_pops = 0
+        self._start_srtt = {}
         TrainLog.instances.append(self)
 
-    def _train(self, flow, horizon):
-        first_ack, srtt, sent = flow.acks[0][0], flow.sf.srtt_us, flow.sf.bytes_sent_total
-        if not super()._train(flow, horizon):
+    def _train(self, flow):
+        srtt = flow.sf.srtt_us
+        if not super()._train(flow):
             return False
+        self._start_srtt[flow.sf.id] = srtt
+        return True
+
+    def _end_train(self, flow, until):
+        first_ack, sent = flow.train, flow.sf.bytes_sent_total
+        super()._end_train(flow, until)
         s = MSS * 8 * 1_000_000 // flow.link.spec.bandwidth_bps
         acks = (flow.sf.bytes_sent_total - sent) // MSS  # each acks one segment and sends one
-        self.trains.append(Train(horizon, first_ack, acks, s, srtt))
-        return True
+        srtt = self._start_srtt.pop(flow.sf.id)
+        self.trains.append(Train(flow.sf.id, until, first_ack, acks, s, srtt))
+
+
+def counting_train_pops(on_timer):
+    """``Simulation._on_timer`` that also counts the pops of flows in a train."""
+
+    def counting(sim, flow, seq):
+        if flow.train is not None:
+            sim.train_timer_pops += 1
+        on_timer(sim, flow, seq)
+
+    return counting
 
 
 def end_state(sim, report):
+    """The CSV, and per flow and per link what a later event could read. A
+    train pushes no timer entry, so the heap differs from the per-ack
+    run's: each flow's deadline and whether it has a live entry agree."""
     csv = io.StringIO()
     emit_csv(report, csv)
     flows = {
@@ -66,34 +94,42 @@ def end_state(sim, report):
             flow.sf.consecutive_timeouts,
             flow.armed_at_us,
             flow.timer,
-            flow.timer_pending,
+            flow.timer_pending is not None,
+            flow.train,
             flow.acked,
             list(flow.acks),
         )
         for flow_id, flow in sim._flows.items()
     }
     links = {link_id: link.tx_free_us for link_id, link in sim._links_by_id.items()}
-    heap = sorted((at, rank) for at, rank, _, _ in sim._heap)
-    return csv.getvalue(), flows, links, heap
+    return csv.getvalue(), flows, links
 
 
 def run_both(run):
     """Call ``run()``, which gives a TrainLog and its report, with trains and
     then with every train refused; assert that both runs end in the same
     state, and return the run with trains."""
-    sim, report = run()
-    with mock.patch.object(TrainLog, "_train", lambda sim, flow, horizon: False):
-        per_ack, per_ack_report = run()
+    with mock.patch.object(Simulation, "_on_timer", counting_train_pops(Simulation._on_timer)):
+        sim, report = run()
+        with mock.patch.object(TrainLog, "_train", lambda sim, flow: False):
+            per_ack, per_ack_report = run()
     assert per_ack.trains == []
     assert end_state(sim, report) == end_state(per_ack, per_ack_report)
     return sim
 
 
-def one_link(bandwidth_bps, delay_ms, duration_ms, bucket_ms=1000, actions=()):
+def links_run(links, duration_ms, bucket_ms=1000, actions=()):
+    """A run over one local address and one remote address per link;
+    ``links`` are (bandwidth in bps, one-way delay in ms)."""
+
     def run():
-        sender = new_connection([addr("10.0.0.1")], [addr("10.0.1.1")])
-        spec = LinkSpec(1, sender.mesh_pairs()[0], bandwidth_bps, delay_ms)
-        sim = TrainLog(sender, [spec], duration_ms, bucket_ms)
+        remotes = [addr(f"10.0.{i + 1}.1") for i in range(len(links))]
+        sender = new_connection([addr("10.0.0.1")], remotes)
+        specs = [
+            LinkSpec(i + 1, pair, bandwidth_bps, delay_ms)
+            for i, (pair, (bandwidth_bps, delay_ms)) in enumerate(zip(sender.mesh_pairs(), links))
+        ]
+        sim = TrainLog(sender, specs, duration_ms, bucket_ms)
         for at_ms, action in actions:
             sim.schedule_action(at_ms, action)
         return sim, sim.run()
@@ -101,8 +137,16 @@ def one_link(bandwidth_bps, delay_ms, duration_ms, bucket_ms=1000, actions=()):
     return run
 
 
+def one_link(bandwidth_bps, delay_ms, duration_ms, bucket_ms=1000, actions=()):
+    return links_run([(bandwidth_bps, delay_ms)], duration_ms, bucket_ms, actions)
+
+
 def acks_of(train):
     return [train.first_ack + i * train.serialization_us for i in range(train.acks)]
+
+
+def mark_backup(subflow_id):
+    return lambda sim: sockopt.set_subflow_priority(sim.sender, SubPrioRequest(subflow_id, True))
 
 
 # At 5,840,000 bps an MSS serializes in exactly 2 ms. The bootstrap sends at
@@ -125,6 +169,17 @@ def test_generated_scenarios_end_alike_with_and_without_trains(seed, bucket_ms):
         run_both(run)
 
 
+def test_a_steady_run_takes_one_train():
+    # Nothing touches the flow after its train starts, so the train runs to
+    # the end of the run. Its timer entry, pushed by the last ack before the
+    # train, pops once, is dropped, and nothing pushes another.
+    sim = run_both(one_link(EVEN_BPS, 20, 60_000))
+    (train,) = sim.trains
+    assert train.until == 60_000_000
+    assert train.acks > 29_000
+    assert sim.train_timer_pops <= 1
+
+
 def test_a_train_splits_its_acks_at_bucket_edges():
     # Some train spans five 10 ms buckets or more, with acks on their edges.
     trains = run_both(one_link(EVEN_BPS, 20, 2_000, bucket_ms=10)).trains
@@ -134,11 +189,11 @@ def test_a_train_splits_its_acks_at_bucket_edges():
 
 @pytest.mark.parametrize("duration_ms", [2_000, 2_001])
 def test_an_ack_at_the_horizon_waits(duration_ms):
-    # An ack is due at exactly 2 s, the end of the first run: it is not
-    # handled. 1 ms later it is.
+    # An ack is due at exactly 2 s, the end of the first run: the train ends
+    # there and leaves it unhandled. 1 ms later it is handled.
     trains = run_both(one_link(EVEN_BPS, 20, duration_ms)).trains
     last = trains[-1]
-    assert last.horizon == duration_ms * 1000
+    assert last.until == duration_ms * 1000
     assert acks_of(last)[-1] == 2_000_000 - 2_000 * (duration_ms == 2_000)
 
 
@@ -165,7 +220,7 @@ def test_a_train_starts_at_an_ewma_below_its_sample():
 
 
 def test_a_link_down_at_an_ack_stops_the_train_before_it():
-    # The link goes down at 1 s, when an ack is due: the train stops at the
+    # The link goes down at 1 s, when an ack is due: the train ends at the
     # ack before, the one at 1 s is dropped, and the sub-flow dies at its
     # third timeout, 200 + 200 + 400 ms after that earlier ack. It is
     # re-created after the link comes back.
@@ -174,7 +229,67 @@ def test_a_link_down_at_an_ack_stops_the_train_before_it():
         (2_500, lambda sim: sim.set_link_state(1, up=True)),
     ]
     sim = run_both(one_link(EVEN_BPS, 20, 4_000, actions=actions))
-    (cut,) = [train for train in sim.trains if train.horizon == 1_000_000]
+    (cut,) = [train for train in sim.trains if train.until == 1_000_000]
     assert cut.acks > 1 and acks_of(cut)[-1] == 998_000
     first, successor = sim.sender.subflows
     assert (first.died_us, successor.created_us) == (1_798_000, 2_798_000)
+
+
+def test_a_backup_flip_ends_the_train_of_the_flow_it_takes_out_of_the_tier():
+    # Both sub-flows run trains when sub-flow 1 is marked backup at 3 s. The
+    # action's pump takes it out of the deciding tier, so its train ends
+    # there and its later acks send nothing; sub-flow 2 carries on alone.
+    links = [(EVEN_BPS, 20), (EVEN_BPS, 25)]
+    sim = run_both(links_run(links, 6_000, actions=[(3_000, mark_backup(1))]))
+    ended = [train for train in sim.trains if train.until == 3_000_000]
+    assert {train.flow_id for train in ended} >= {1}
+    assert all(train.until <= 3_000_000 for train in sim.trains if train.flow_id == 1)
+    assert sim.sender.subflow_by_id(1).low_prio
+    assert sim.sender.subflow_by_id(1).inflight_bytes == 0
+    assert any(train.flow_id == 2 and train.until == 6_000_000 for train in sim.trains)
+
+
+def test_a_reopened_active_sub_flow_ends_the_train_of_a_backup():
+    # Sub-flow 2 is a backup that takes over when sub-flow 1 dies of the
+    # outage of link 1, at 1,798 ms, and runs a train. Once the link is back,
+    # sub-flow 1's timer opens sub-flow 3 on it at 2,798 ms. That pump queues
+    # no MP_PRIO, but it takes sub-flow 2 out of the deciding tier, so its
+    # train ends there and its later acks send nothing.
+    actions = [
+        (500, mark_backup(2)),
+        (1_000, lambda sim: sim.set_link_state(1, up=False)),
+        (2_500, lambda sim: sim.set_link_state(1, up=True)),
+    ]
+    sim = run_both(links_run([(EVEN_BPS, 20), (EVEN_BPS, 25)], 5_000, actions=actions))
+    assert sim.sender.subflow_by_id(3).created_us == 2_798_000
+    after_death = [train for train in sim.trains if train.first_ack > 1_798_000]
+    (backup,) = [train for train in after_death if train.flow_id == 2]
+    assert backup.until == 2_798_000
+    assert sim.sender.subflow_by_id(2).inflight_bytes == 0
+
+
+def test_a_waiting_mp_prio_rides_the_first_segment_after_a_train_ack(monkeypatch):
+    # Link 1 is too fast for its window to saturate it, so sub-flow 1 takes
+    # no train, while sub-flow 2 runs one when sub-flow 3 is marked backup
+    # at 3,005 ms. All windows are full, so the MP_PRIO waits for the next
+    # segment. Sub-flow 2's train has the first ack after the flip, so its
+    # segment carries the option, although the drain handles sub-flow 1's
+    # acks first when it goes sub-flow by sub-flow.
+    carriers, in_train = [], []
+    arrival = Simulation._on_options_arrival
+
+    def record(sim, flow, epoch, options):
+        carriers.append(flow.sf.id)
+        arrival(sim, flow, epoch, options)
+
+    def flip(sim):
+        in_train.append(sim._flows[2].train is not None)
+        mark_backup(3)(sim)
+
+    monkeypatch.setattr(Simulation, "_on_options_arrival", record)
+    links = [(10_000_000, 100), (EVEN_BPS, 20), (EVEN_BPS, 20)]
+    sim = run_both(links_run(links, 4_000, actions=[(3_005, flip)]))
+    assert in_train == [True, False]  # with trains, then per ack
+    assert carriers == [2, 2]
+    assert sim.receiver.subflow_by_id(3).low_prio
+    assert {train.flow_id for train in sim.trains} == {2, 3}
