@@ -66,27 +66,42 @@ sub-flow id) order.
 
 Most acks belong to steady trains, which run in closed form. A train is a
 state of the sub-flow, not a step of the drain: :meth:`Simulation._train`
-starts one on a clocked flow with a full window on a link that is up and
-stays busy past the first ack ``a0``; 32 queued acks of one MSS in the
-link's epoch, spaced by the serialization time ``s``, each sampling a
-round trip of ``32 * s``; srtt at the integer EWMA's fixed point for that
-sample, up to 7 µs below it; and no probe or timeout outstanding. Each ack
-then frees one MSS and sends one, which finishes ``s`` after the one
-before and is acked ``32 * s`` after it was sent. It changes neither the
-window nor srtt, so the next ack meets the same conditions, and it arms
-the timer at least ``RTO_MIN_US`` past itself, so the timer never fires
-while the acks keep coming. So the acks form the progression
-``a0 + i * s``, the FIFO stays implicit and the drain skips the flow, and
-every pump reads the state it would read per ack. The train lasts until
-:meth:`Simulation._end_train` runs, in one of four places: a change of the
-flow's link, before the epoch grows; a pump that takes the flow out of the
-deciding tier; an action that leaves an MP_PRIO waiting, since the next
-segment of any flow carries it and trains carry none; and the end of the
-run. The k acks due before that moment are exactly k calls of
-:meth:`Simulation._on_ack_arrival`: k MSS acked, split at bucket edges,
-and sent, the link busy ``k * s`` longer, the FIFO refilled with the next
-32 terms, and the timer armed once, from the last ack. Trains start only
-once the outbox is empty.
+starts one on a clocked flow from its first full window. The window is
+full on a link that is up and stays busy past the first ack ``a0``; 32
+acks of one MSS in the link's epoch are queued, spaced by the
+serialization time ``s`` of at least 1 µs; and no probe or timeout is
+outstanding. The
+acks' round-trip samples may be anything, such as the ramp of a window
+sent in one burst. Each ack then frees one MSS and sends one, which
+finishes ``s`` after the one before and is acked ``32 * s`` after it was
+sent. It leaves the window full, so the next ack meets the same
+conditions. Only srtt moves, by its EWMA, and nothing reads it meanwhile:
+``select`` reads it only on a flow with room in its window, and the timer
+at its next arming.
+
+The timer never fires between two acks of a train. When the drain tries
+the train, its horizon is past ``a0`` and no later than the flow's pending
+timer entry, so with no timeout outstanding the deadline
+``armed_at + max(2 * srtt, RTO_MIN_US)`` is past ``a0`` as well. The timer
+was armed at an earlier ack, or at a send from idle no later than that of
+``a0``'s segment; either was at least ``s`` before ``a0``, since that
+segment serialized for ``s`` after the segments of earlier acks. So the
+base exceeds ``s``, and since every sample is at least ``s``, the EWMA
+keeps it above ``s``: each ack's deadline falls after the next ack.
+
+So the acks form the progression ``a0 + i * s``, the FIFO stays implicit
+and the drain skips the flow, and every pump reads the state it would
+read per ack. The train lasts until :meth:`Simulation._end_train` runs, in
+one of four places: a change of the flow's link, before the epoch grows; a
+pump that takes the flow out of the deciding tier; an action that leaves
+an MP_PRIO waiting, since the next segment of any flow carries it and
+trains carry none; and the end of the run. The k acks due before that
+moment are exactly k calls of :meth:`Simulation._on_ack_arrival`: k MSS
+acked, split at bucket edges, and sent; srtt's EWMA carried in closed
+form, over the samples of the window the train started with and then over
+the steady ``32 * s`` up to its fixed point; the link busy ``k * s``
+longer; the FIFO refilled with the next 32 acks; and the timer armed
+once, from the last ack. Trains start only once the outbox is empty.
 
 A run ends in a :class:`~mpflow.report.TimelineReport`: one column per
 sub-flow, with its lifetime, its acked bytes by bucket and its flag
@@ -181,7 +196,8 @@ class _Flow:
     # acks in flight, in send order: (arrival, nbytes, link epoch, sent at)
     acks: Deque[Tuple[int, int, int, int]] = field(default_factory=deque)
     train_wait: int = 0  # acks to handle one by one before a train is tried
-    train: Optional[int] = None  # in a train: its next ack's arrival, the FIFO's head
+    train: Optional[int] = None  # in a train: its first ack's arrival
+    train_window: Tuple[tuple, ...] = ()  # in a train: the FIFO it started from
 
 
 class TopologyError(ValidationError):
@@ -525,33 +541,33 @@ class Simulation:
                 on_ack(flow, nbytes, epoch, sent_us)
 
     def _train(self, flow: _Flow) -> bool:
-        """Start a train on the clocked ``flow`` if its acks form a steady
-        one (module docstring): empty its FIFO, which the train keeps
-        implicit, and return True. Otherwise return False and change
-        nothing."""
+        """Start a train on the clocked ``flow`` if its FIFO holds a full
+        window of acks that form one (module docstring): keep the window on
+        the flow, empty its FIFO, which the train keeps implicit, and
+        return True. Otherwise return False and change nothing. The acks'
+        samples may be anything: the train's end replays srtt's EWMA over
+        them."""
         sf, link, acks = flow.sf, flow.link, flow.acks
         a0 = acks[0][0]
         s = MSS * 8 * 1_000_000 // link.spec.bandwidth_bps
-        rtt = WINDOW_SEGMENTS * s
-        srtt = sf.srtt_us
         if not (
-            sf.alive
+            s
+            and sf.alive
             and link.up
             and sf.inflight_bytes == WINDOW_BYTES
             and len(acks) == WINDOW_SEGMENTS
             and not flow.probe_outstanding
             and sf.consecutive_timeouts == 0
-            and srtt
-            and (7 * srtt + rtt) // 8 == srtt
             and link.tx_free_us >= a0
             and acks[-1][0] == link.tx_free_us + 2 * link.delay_us
         ):
             return False
         at, epoch = a0, link.epoch
-        for ack in acks:
-            if ack != (at, MSS, epoch, at - rtt):
+        for arrival, nbytes, ack_epoch, _ in acks:
+            if arrival != at or nbytes != MSS or ack_epoch != epoch:
                 return False
             at += s
+        flow.train_window = tuple(acks)
         acks.clear()
         flow.train = a0
         return True
@@ -561,9 +577,14 @@ class Simulation:
         as k calls of :meth:`_on_ack_arrival` would, then queue the next
         window of acks and arm the timer from the last ack handled. A train
         starts on an ack due before a horizon and ends at a heap event or
-        at the end of the run, so ``until`` is past its first ack."""
-        sf, link = flow.sf, flow.link
-        a0, flow.train = flow.train, None
+        at the end of the run, so ``until`` is past its first ack.
+
+        srtt's EWMA runs over the samples of the acks of the window the
+        train started with, then over the steady sample ``32 * s`` of the
+        acks the train sent, up to its fixed point: its steps grow with the
+        log of srtt's distance from ``32 * s``, not with k."""
+        sf, link, window = flow.sf, flow.link, flow.train_window
+        a0, flow.train, flow.train_window = flow.train, None, ()
         s = MSS * 8 * 1_000_000 // link.spec.bandwidth_bps
         rtt = WINDOW_SEGMENTS * s
         k = -((a0 - until) // s)  # the acks a0 + i * s before until
@@ -574,10 +595,22 @@ class Simulation:
             j = min(k, -((a0 - (bucket + 1) * bucket_us) // s))  # the acks before its end
             acked[bucket] = acked.get(bucket, 0) + (j - i) * MSS
             i = j
+        srtt = sf.srtt_us
+        for at, _, _, sent_us in window[:k]:
+            sample = at - sent_us
+            srtt = sample if srtt == 0 else (7 * srtt + sample) // 8
+        for _ in range(k - WINDOW_SEGMENTS):
+            settled, srtt = srtt, (7 * srtt + rtt) // 8
+            if srtt == settled:
+                break
+        sf.srtt_us = srtt
         sf.bytes_sent_total += k * MSS
         link.tx_free_us += k * s
+        # The window's acks not yet handled, then those of the train's sends.
         head, epoch = a0 + k * s, link.epoch
-        flow.acks.extend((at, MSS, epoch, at - rtt) for at in range(head, head + rtt, s))
+        flow.acks.extend(window[k:])
+        arrivals = range(max(head, a0 + rtt), head + rtt, s)
+        flow.acks.extend((at, MSS, epoch, at - rtt) for at in arrivals)
         now_us, self.now_us = self.now_us, head - s
         self._arm_rto(flow)
         self.now_us = now_us

@@ -101,14 +101,21 @@ def digests(scenarios, buckets_ms=CORPUS_BUCKETS_MS):
     }
 
 
-def workload_digests():
-    """Digests of the benchmark's scenarios at their workload's bucket width,
-    named ``workload/seed/scenario``."""
+def perfbench_workloads():
+    """The benchmark's workload generators, ``perfbench/workloads.py``,
+    loaded as a module of their own."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", PERFBENCH / "workloads.py"
     )
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def workload_digests():
+    """Digests of the benchmark's scenarios at their workload's bucket width,
+    named ``workload/seed/scenario``."""
+    workloads = perfbench_workloads()
     runs = [("paper_figs", 0, workloads.paper_figs(0, BUILTIN_DOCS))]
     for name in ("mesh16_flaps", "prio_churn_fine"):
         runs += [(name, seed, getattr(workloads, name)(seed)) for seed in WORKLOAD_SEEDS]

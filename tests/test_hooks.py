@@ -9,13 +9,16 @@ endpoints, for sub-flows re-created during the run as well.
 
 from collections import Counter
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 
 from mpflow import simnet
 from mpflow.model import InterfacePair, new_connection
+from mpflow.scenario import PPOS_ENV_VAR, parse_scenario, run_scenario
 from mpflow.simnet import LinkSpec, Simulation
 from helpers import addr
+from scenario_gen import perfbench_workloads
 
 
 def build_steady_sim():
@@ -73,10 +76,11 @@ def test_cached_pair_matches_endpoints_after_recreation():
             assert sf.pair() == InterfacePair.between(sf.src, sf.dst)
 
 
-def count_selects_by_handler(build):
-    """Run ``build()``; count its ``select`` calls by the innermost handler
-    that made them, how often each handler ran, and the acks handled in
-    trains (each sends one segment), counted as each train ends."""
+def count_selects_by_handler(run):
+    """Call ``run()``, which runs simulations; count their ``select`` calls
+    by the innermost handler that made them, how often each handler ran,
+    and the acks handled in trains (each sends one segment), counted as
+    each train ends."""
     stack, selects, runs = [], Counter(), Counter()
     trained = 0
     with pytest.MonkeyPatch.context() as patch:
@@ -119,7 +123,7 @@ def count_selects_by_handler(build):
 
         patch.setattr(simnet, "select", counting_select)
         patch.setattr(Simulation, "_end_train", counting_end_train)
-        build().run()
+        run()
     return selects, runs, trained
 
 
@@ -131,13 +135,29 @@ def test_select_runs_only_when_the_tiers_can_change():
     windows with three calls. The flapping run adds one NO_PATH call for
     each of its two link actions, and one call for its one death and its
     one re-opening."""
-    selects, runs, trained = count_selects_by_handler(build_steady_sim)
+    selects, runs, trained = count_selects_by_handler(lambda: build_steady_sim().run())
     assert runs["_on_ack_arrival"] + trained > 1000
     assert "_train" not in selects and "_end_train" not in selects
     assert selects == {"_bootstrap": 3}
 
-    selects, runs, trained = count_selects_by_handler(build_flapping_sim)
+    selects, runs, trained = count_selects_by_handler(lambda: build_flapping_sim().run())
     assert runs["_on_ack_arrival"] + trained > 1000
     assert "_train" not in selects and "_end_train" not in selects
     assert (runs["_kill"], runs["_open_on_pair"]) == (1, 1)
     assert selects == {"_bootstrap": 3, "_on_action": 2, "_kill": 1, "_open_on_pair": 1}
+
+
+def test_every_ack_of_mesh16_flaps_runs_in_a_train():
+    """On the benchmark's ``mesh16_flaps`` at seed 0, every window of acks
+    on a saturated link is a train from its first full window on, so no ack
+    is handled one by one. The acks handled either way stay the 167,815 of
+    the per-ack design."""
+    workload = perfbench_workloads().mesh16_flaps(0)
+
+    def run():
+        for _, doc in workload.docs:
+            run_scenario(parse_scenario(doc), bucket_ms=workload.bucket_ms)
+
+    with mock.patch.dict("os.environ", {PPOS_ENV_VAR: ""}):
+        _, runs, trained = count_selects_by_handler(run)
+    assert (runs["_on_ack_arrival"], trained) == (0, 167_815)

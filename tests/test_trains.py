@@ -11,6 +11,7 @@ they are about were taken and where they ended, or, on a link the window
 cannot saturate, that none was.
 """
 
+import contextlib
 import io
 import random
 from typing import NamedTuple
@@ -24,7 +25,7 @@ from mpflow import scenario as scenario_module
 from mpflow import sockopt
 from mpflow.model import new_connection
 from mpflow.scenario import PPOS_ENV_VAR, emit_csv, parse_scenario, run_scenario
-from mpflow.simnet import MSS, WINDOW_SEGMENTS, LinkSpec, Simulation
+from mpflow.simnet import MSS, RTO_MIN_US, WINDOW_SEGMENTS, LinkSpec, Simulation
 from mpflow.sockopt import SubPrioRequest
 from helpers import addr
 from scenario_gen import random_scenario
@@ -169,6 +170,42 @@ def test_generated_scenarios_end_alike_with_and_without_trains(seed, bucket_ms):
         run_both(run)
 
 
+@st.composite
+def slow_link_runs(draw):
+    """A ``links_run`` over 1-3 links, one of them at 15-60 kbps, where an
+    MSS serializes for longer than RTO_MIN_US, with sub-flow priority flips
+    at random times. The others run at 15 kbps-2 Mbps."""
+    slow = (draw(st.integers(15_000, 60_000)), draw(st.integers(0, 150)))
+    others = st.tuples(st.integers(15_000, 2_000_000), st.integers(0, 150))
+    links = draw(st.permutations([slow] + draw(st.lists(others, max_size=2))))
+    duration_ms = draw(st.integers(2_000, 40_000))
+    flips = st.tuples(
+        st.integers(0, duration_ms - 1), st.integers(1, len(links) + 2), st.booleans()
+    )
+    actions = [
+        (at_ms, set_prio(subflow_id, backup))
+        for at_ms, subflow_id, backup in draw(st.lists(flips, max_size=6))
+    ]
+    return links_run(links, duration_ms, draw(st.sampled_from((1000, 100))), actions)
+
+
+def set_prio(subflow_id, backup):
+    """``set_sub_prio`` as a scenario runs it: an id that names no alive
+    sub-flow is skipped."""
+
+    def act(sim):
+        with contextlib.suppress(sockopt.NotFoundError):
+            sockopt.set_subflow_priority(sim.sender, SubPrioRequest(subflow_id, backup))
+
+    return act
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(run=slow_link_runs())
+def test_slow_links_with_priority_flips_end_alike_with_and_without_trains(run):
+    run_both(run)
+
+
 def test_a_steady_run_takes_one_train():
     # Nothing touches the flow after its train starts, so the train runs to
     # the end of the run. Its timer entry, pushed by the last ack before the
@@ -211,12 +248,41 @@ def test_a_train_needs_a_saturated_link(bandwidth_bps, delay_ms, trains_run):
     assert bool(trains) is trains_run
 
 
-def test_a_train_starts_at_an_ewma_below_its_sample():
-    # With 5 ms of delay the first window's samples pull srtt below the
-    # steady 64 ms sample, and the integer EWMA stops short of it.
-    trains = run_both(one_link(EVEN_BPS, 5, 3_000)).trains
-    gaps = {WINDOW_SEGMENTS * train.serialization_us - train.srtt_us for train in trains}
-    assert gaps and gaps <= set(range(1, 8))
+def test_a_train_starts_at_the_first_ack_before_any_sample():
+    # The bootstrap sends the first window in one burst at t = 0, and the
+    # link is still busy with it when the first ack comes back, at
+    # s + 2d = 12 ms. So a train starts there, before srtt has a sample,
+    # and its end replays srtt's EWMA over the window's samples of 12, 14,
+    # ..., 74 ms before the steady 64 ms ones.
+    (train,) = run_both(one_link(EVEN_BPS, 5, 3_000)).trains
+    assert (train.first_ack, train.srtt_us, train.until) == (12_000, 0, 3_000_000)
+
+
+def test_a_slow_link_times_out_in_its_first_window_and_trains_later(monkeypatch):
+    # At 50 kbps an MSS serializes in 233.6 ms, longer than RTO_MIN_US.
+    # Sub-flow 2 idles as a backup on keepalive probes, which set its srtt
+    # to the 100 ms round trip, until it is made active at 3 s. Its timer,
+    # armed with a base of 200 ms by the first window's burst, fires before
+    # the first ack, at 333.6 ms, so that window takes no train. The first
+    # ack's sample lifts the base above s, and the next window, whose acks
+    # come back from 33 * s + 2d on, runs as a train.
+    timeouts = []
+    on_timer = Simulation._on_timer
+
+    def record(sim, flow, seq):
+        before = flow.sf.consecutive_timeouts
+        on_timer(sim, flow, seq)
+        if flow.sf.consecutive_timeouts > before:
+            timeouts.append((flow.sf.id, sim.now_us))
+
+    monkeypatch.setattr(Simulation, "_on_timer", record)
+    actions = [(0, mark_backup(2)), (3_000, set_prio(2, False))]
+    sim = run_both(links_run([(EVEN_BPS, 20), (50_000, 50)], 15_000, actions=actions))
+    assert timeouts == [(2, 3_200_000)] * 2  # in the run with trains, then per ack
+    (late,) = [train for train in sim.trains if train.flow_id == 2]
+    assert late.serialization_us == 233_600 > RTO_MIN_US
+    assert late.first_ack == 3_000_000 + 33 * 233_600 + 100_000
+    assert late.until == 15_000_000
 
 
 def test_a_link_down_at_an_ack_stops_the_train_before_it():
