@@ -175,7 +175,9 @@ class ConnectionState:
     (non-empty ``primary_pairs`` select the primary-path-only scheduler).
 
     A ConnectionState is confined to a single logical owner; nothing here
-    locks. Cross-host signaling is explicit through ``outbox``.
+    locks. Cross-host signaling is explicit through ``outbox``: the MP_PRIO
+    options queued for the peer, each with the id of the sub-flow it travels
+    on and applies to.
     """
 
     local_addrs: List[EndpointAddress]
@@ -185,7 +187,7 @@ class ConnectionState:
     active_list: List[InterfacePair] = field(default_factory=list)
     backup_list: List[InterfacePair] = field(default_factory=list)
     primary_pairs: List[InterfacePair] = field(default_factory=list)
-    outbox: List[MpPrioOption] = field(default_factory=list)
+    outbox: List[Tuple[int, MpPrioOption]] = field(default_factory=list)
 
     def priority_lists(self) -> PriorityLists:
         return PriorityLists(tuple(self.active_list), tuple(self.backup_list))

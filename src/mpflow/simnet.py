@@ -10,8 +10,7 @@ links, one link per (local, remote) interface pair. The engine models:
   future segment and ack. The ack is queued on its sub-flow when the
   segment is sent and dropped on arrival if the link went down or changed
   meanwhile: a link's epoch grows on every change, so an unchanged epoch at
-  ack time means the segment arrived too. Only a segment that carries
-  options gets an arrival event of its own.
+  ack time means the segment arrived too.
 * an infinite-backlog sender that keeps the windows of the sub-flows the
   scheduler offers filled with MSS-sized segments. The scheduler runs only
   where its tiers can change: at start, after an action, a death or a new
@@ -36,9 +35,11 @@ links, one link per (local, remote) interface pair. The engine models:
   heap event, when it fires early, is pushed again for the deadline. A
   sub-flow in a train (below) has no live timer entry: its pending one is
   dropped when it pops, and the train's end pushes one again.
-* MP_PRIO delivery: priority signals queued on the sender ride the next
-  outgoing segment and are applied to the receiver's view on arrival; they
-  are lost with their segment.
+* MP_PRIO delivery: a priority signal applies to the sub-flow that carries
+  it (RFC 8684 §3.3.8). One that an action queues travels alone on its
+  sub-flow's link and sets the receiver's view one one-way delay later,
+  unless the link is down or has changed by then. It carries no ack, sets
+  no timer, gives no RTT sample and does not occupy the link.
 
 Timeouts are counters only; no retransmission segment is emitted, because
 links are lossless while up, so a timeout implies the path is down and
@@ -60,9 +61,6 @@ event. The horizon is the next heap event, the end of the run or
 touches only its own sub-flow, that sub-flow's link and its acked bytes,
 and any deadline it sets is at least ``RTO_MIN_US`` away, so no heap event
 falls due inside the horizon and the acks of different sub-flows commute.
-The exception is an MP_PRIO option queued on the sender, which rides the
-next segment of any sub-flow: while one waits, acks are drained in (time,
-sub-flow id) order.
 
 Most acks belong to steady trains, which run in closed form. A train is a
 state of the sub-flow, not a step of the drain: :meth:`Simulation._train`
@@ -92,16 +90,14 @@ keeps it above ``s``: each ack's deadline falls after the next ack.
 So the acks form the progression ``a0 + i * s``, the FIFO stays implicit
 and the drain skips the flow, and every pump reads the state it would
 read per ack. The train lasts until :meth:`Simulation._end_train` runs, in
-one of four places: a change of the flow's link, before the epoch grows; a
-pump that takes the flow out of the deciding tier; an action that leaves
-an MP_PRIO waiting, since the next segment of any flow carries it and
-trains carry none; and the end of the run. The k acks due before that
-moment are exactly k calls of :meth:`Simulation._on_ack_arrival`: k MSS
-acked, split at bucket edges, and sent; srtt's EWMA carried in closed
-form, over the samples of the window the train started with and then over
-the steady ``32 * s`` up to its fixed point; the link busy ``k * s``
-longer; the FIFO refilled with the next 32 acks; and the timer armed
-once, from the last ack. Trains start only once the outbox is empty.
+one of three places: a change of the flow's link, before the epoch grows; a
+pump that takes the flow out of the deciding tier; and the end of the run.
+The k acks due before that moment are exactly k calls of
+:meth:`Simulation._on_ack_arrival`: k MSS acked, split at bucket edges,
+and sent; srtt's EWMA carried in closed form, over the samples of the
+window the train started with and then over the steady ``32 * s`` up to
+its fixed point; the link busy ``k * s`` longer; the FIFO refilled with
+the next 32 acks; and the timer armed once, from the last ack.
 
 A run ends in a :class:`~mpflow.report.TimelineReport`: one column per
 sub-flow, with its lifetime, its acked bytes by bucket and its flag
@@ -128,6 +124,7 @@ from .model import (
 )
 from .report import US_PER_MS, SubflowColumn, SubflowRecord, TimelineReport
 from .scheduler import select, tier
+from .wire import MpPrioOption
 
 # Transmission constants. The window saturates a 1 Mbps / 200 ms-RTT path:
 # 32 * 1460 B / 0.2 s is about 1.87 Mbps of window, above link rate.
@@ -157,6 +154,10 @@ class LinkSpec:
             raise ValidationError(f"link {self.link_id}: bandwidth must be positive")
         if self.one_way_delay_ms < 0:
             raise ValidationError(f"link {self.link_id}: delay must be >= 0")
+        if first_ack_us(self) == 0:  # each ack would send the next in its own µs
+            raise ValidationError(
+                f"link {self.link_id}: at 0 ms delay, bandwidth must be <= {MSS * 8_000_000} bps"
+            )
 
 
 def first_ack_us(spec: LinkSpec) -> int:
@@ -321,11 +322,6 @@ class Simulation:
         link.tx_free_us = done
         sf.inflight_bytes += nbytes
         sf.bytes_sent_total += nbytes
-        outbox = self.sender.outbox
-        if outbox:
-            delivery = (flow, link.epoch, tuple(outbox))
-            outbox.clear()
-            self._push(done + link.delay_us, Simulation._on_options_arrival, delivery)
         flow.acks.append((done + 2 * link.delay_us, nbytes, link.epoch, self.now_us))
         if flow.armed_at_us is None:
             self._arm_rto(flow)
@@ -379,12 +375,11 @@ class Simulation:
     # ------------------------------------------------------------------ #
     # event handlers
 
-    def _on_options_arrival(self, flow: _Flow, epoch: int, options: tuple) -> None:
+    def _on_options_arrival(self, flow: _Flow, epoch: int, opt: MpPrioOption) -> None:
         link = flow.link
         if link.epoch != epoch or not link.up:
-            return  # lost with their segment on a changed or down link
-        for opt in options:
-            sockopt.apply_remote_mp_prio(self.receiver, opt, received_on=flow.sf.id)
+            return  # lost on a changed or down link
+        sockopt.apply_remote_mp_prio(self.receiver, opt, received_on=flow.sf.id)
 
     def _on_ack_arrival(self, flow: _Flow, nbytes: int, epoch: int, sent_us: int) -> None:
         # Epochs only grow, so an unchanged epoch at ack time means the link
@@ -474,10 +469,12 @@ class Simulation:
                 flow.flag_times.append(self.now_us)
                 flow.flag_values.append(flow.sf.low_prio)
         self._pump()
-        if self.sender.outbox:  # the next segment takes it: any train's may be first
-            for flow in self._flows.values():
-                if flow.train is not None:
-                    self._end_train(flow, self.now_us)
+        outbox = self.sender.outbox
+        for sf_id, opt in outbox:  # each on its own sub-flow's link
+            flow = self._flows[sf_id]
+            arrival = self.now_us + flow.link.delay_us
+            self._push(arrival, Simulation._on_options_arrival, (flow, flow.link.epoch, opt))
+        outbox.clear()
 
     # ------------------------------------------------------------------ #
     # main loop and report
@@ -517,16 +514,8 @@ class Simulation:
 
     def _drain_acks(self, horizon: int) -> None:
         """Handle every queued ack that arrives before ``horizon``."""
-        flows = self._flows.values()
-        outbox = self.sender.outbox
         on_ack = self._on_ack_arrival
-        while outbox:  # the next segment sent takes it: keep (time, id) order
-            flow = min(flows, key=lambda f: f.acks[0][0] if f.acks else horizon)
-            if not flow.acks or flow.acks[0][0] >= horizon:
-                return
-            self.now_us, *ack = flow.acks.popleft()
-            on_ack(flow, *ack)
-        for flow in flows:
+        for flow in self._flows.values():
             acks = flow.acks
             while acks and acks[0][0] < horizon:
                 if flow.clocked:

@@ -3,7 +3,9 @@
 These operations are the public API an application drives a connection
 with: flip one sub-flow between active and backup, maintain the persistent
 active/backup interface lists, and enable the primary-path-only scheduler.
-Every local priority flip also queues an MP_PRIO signal for the peer.
+Every local priority flip also queues an MP_PRIO signal for the peer on
+``conn.outbox``, as ``(sub-flow id, option)``: the option carries no
+addr_id, because it travels on the sub-flow it names (RFC 8684 §3.3.8).
 """
 
 from __future__ import annotations
@@ -43,14 +45,14 @@ class SubPrioRequest:
 
 def _set_flag_and_signal(conn: ConnectionState, sf: SubflowState, low_prio: bool) -> None:
     sf.low_prio = low_prio
-    conn.outbox.append(MpPrioOption(backup_flag=low_prio, addr_id=sf.id))
+    conn.outbox.append((sf.id, MpPrioOption(backup_flag=low_prio)))
 
 
 def set_subflow_priority(conn: ConnectionState, req: SubPrioRequest) -> None:
     """Make a sub-flow active (low_prio=False) or backup (low_prio=True).
 
-    Always queues exactly one MP_PRIO signal for the peer, even when the
-    requested value equals the current one. Takes effect for the next
+    Always queues exactly one MP_PRIO signal for the peer on the sub-flow,
+    even when the requested value equals the current one. Takes effect for the next
     scheduling decision.
     """
     sf = conn.subflow_by_id(req.id)
@@ -64,9 +66,10 @@ def apply_remote_mp_prio(
 ) -> None:
     """Apply a peer's MP_PRIO signal to the local view.
 
-    An absent addr_id addresses the sub-flow the option arrived on
-    (``received_on``). A signal naming no alive sub-flow is ignored with a
-    diagnostic, per liberal-receive.
+    An absent addr_id, the form this library sends, addresses the sub-flow
+    the option arrived on (``received_on``); a peer may still name one. A
+    signal naming no alive sub-flow is ignored with a diagnostic, per
+    liberal-receive.
     """
     target = opt.addr_id if opt.addr_id is not None else received_on
     if target is None:
@@ -110,8 +113,8 @@ def enable_primary_path_only(
     set.
 
     Every current and future sub-flow off the primary pairs becomes a backup
-    sub-flow; each flipped sub-flow also gets an MP_PRIO signal queued so the
-    peer's view follows. Sub-flows on a primary pair keep the priority the
+    sub-flow; each flipped sub-flow also gets an MP_PRIO signal queued on it
+    so the peer's view follows. Sub-flows on a primary pair keep the priority the
     lists give them, which is what lets a re-established primary sub-flow
     come back active.
     """

@@ -68,6 +68,19 @@ def test_validate_rejects_a_topology_that_cannot_run(tmp_path, capsys):
     assert "line 4: no link serves interface pair 10.0.0.1->10.0.2.1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_a_link_that_would_stop_the_clock_is_rejected_with_its_line(tmp_path, capsys, command):
+    # At 20 Gbps a 1,460 B segment serializes in under 1 µs, so with 0 ms
+    # delay each ack would come back, and send the next segment, in the µs
+    # its own segment was sent: the run would never get past t=0.
+    path = tmp_path / "fast.scn"
+    path.write_text("scenario fast\nduration 1000ms\nlink 1 20000mbps 0ms 10.0.0.1 10.0.1.1\n")
+    args = ["validate", str(path)] if command == "validate" else ["run", "--scenario", str(path)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "line 3: link 1: at 0 ms delay, bandwidth must be <= 11680000000 bps" in err
+
+
 def test_validate_missing_file(capsys):
     assert main(["validate", "/nonexistent/file.scn"]) == 1
     assert "error" in capsys.readouterr().err
@@ -129,10 +142,11 @@ def test_validate_warns_about_actions_that_never_run(tmp_path, capsys):
     ]
 
 
-def test_run_reports_an_mp_prio_addr_id_overflow_as_an_error(tmp_path, capsys):
+def test_run_signals_a_flip_of_a_sub_flow_id_past_255(tmp_path, capsys):
     # Every outage of link 2 kills its sub-flow and its successor takes the
-    # next id; after 300 of them the flip that enable_ppos 1 signals for the
-    # sub-flow on link 2 names an id that does not fit MP_PRIO's one byte.
+    # next id; after 300 of them enable_ppos 1 flips sub-flow 302 on link 2.
+    # Its MP_PRIO travels on that sub-flow and names no id, so the id need
+    # not fit the option's one-byte addr_id.
     flaps = "".join(
         f"at {5 * k + 1}s link_down 2\nat {5 * k + 4}s link_up 2\n" for k in range(300)
     )
@@ -144,9 +158,13 @@ def test_run_reports_an_mp_prio_addr_id_overflow_as_an_error(tmp_path, capsys):
     )
     assert main(["validate", str(path)]) == 0
     capsys.readouterr()
-    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "report.csv")]) == 1
-    (line,) = capsys.readouterr().err.splitlines()
-    assert line.startswith("error: MP_PRIO addr_id out of range: ")
+    out = tmp_path / "report.csv"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    genealogy = [line for line in out.read_text().splitlines() if line.startswith("# subflow")]
+    assert genealogy[-1] == (
+        "# subflow 302 pair=10.0.0.1->10.0.2.1 created_ms=1499988 died_ms=-"
+    )
 
 
 def test_validate_warns_about_a_link_too_slow_to_ack_its_first_segment(tmp_path, capsys):

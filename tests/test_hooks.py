@@ -2,9 +2,10 @@
 
 Profilers (such as the benchmark's tracer) count the per-segment calls by
 replacing module attributes of ``mpflow.simnet`` while a run is traced, so
-``Simulation`` must look ``select`` and ``heapq`` up at call time. The
-sub-flow's cached interface pair must also stay equal to the pair of its
-endpoints, for sub-flows re-created during the run as well.
+``Simulation`` must look ``select``, ``heapq`` and the receiver's MP_PRIO
+handler up at call time. The sub-flow's cached interface pair must also
+stay equal to the pair of its endpoints, for sub-flows re-created during
+the run as well.
 """
 
 from collections import Counter
@@ -13,10 +14,11 @@ from unittest import mock
 
 import pytest
 
-from mpflow import simnet
+from mpflow import simnet, sockopt
 from mpflow.model import InterfacePair, new_connection
 from mpflow.scenario import PPOS_ENV_VAR, parse_scenario, run_scenario
 from mpflow.simnet import LinkSpec, Simulation
+from mpflow.sockopt import SubPrioRequest
 from helpers import addr
 from scenario_gen import perfbench_workloads
 
@@ -64,6 +66,45 @@ def test_run_looks_up_select_and_heapq_at_call_time(monkeypatch):
     assert counts["select"] > 0
     assert counts["heappush"] > 0
     assert counts["heappop"] > 0
+
+
+def test_every_delivered_mp_prio_goes_through_the_sockopt_seam(monkeypatch):
+    """The benchmark's tracer counts MP_PRIO deliveries by replacing
+    ``simnet.sockopt.apply_remote_mp_prio``. A replacement that only
+    records sees every delivered option, and the receiver's flags then stay
+    at their birth values: nothing else writes them."""
+
+    def flip(subflow_id, low_prio):
+        request = SubPrioRequest(subflow_id, low_prio)
+        return lambda sim: sockopt.set_subflow_priority(sim.sender, request)
+
+    def ppos(sim):
+        sockopt.enable_primary_path_only(sim.sender, sim.sender.mesh_pairs()[:1])
+
+    def build():
+        sim = build_steady_sim()
+        for at_ms, action in ((1_000, flip(2, True)), (2_000, flip(2, False)), (3_000, ppos)):
+            sim.schedule_action(at_ms, action)
+        return sim
+
+    sim, seen = build(), []
+
+    def record(conn, opt, received_on=None):
+        seen.append((sim.now_us, received_on, opt.backup_flag))
+
+    monkeypatch.setattr(simnet.sockopt, "apply_remote_mp_prio", record)
+    sim.run()
+    assert seen == [
+        (1_100_000, 2, True),
+        (2_100_000, 2, False),
+        (3_100_000, 2, True),
+        (3_100_000, 3, True),
+    ]
+    assert [sf.low_prio for sf in sim.receiver.subflows] == [False] * 3
+    monkeypatch.undo()
+    sim = build()
+    sim.run()
+    assert [sf.low_prio for sf in sim.receiver.subflows] == [False, True, True]
 
 
 def test_cached_pair_matches_endpoints_after_recreation():

@@ -271,19 +271,18 @@ def test_an_action_runs_before_an_ack_of_the_same_us(down_ms, acked):
     assert sum(row.bytes_acked for row in report.rows) == acked
 
 
-@pytest.mark.parametrize("delay2_ms, carrier", [(100, 1), (99, 2)])
-def test_a_queued_mp_prio_rides_the_first_ack_clocked_segment(delay2_ms, carrier, monkeypatch):
-    # Marking sub-flow 3 backup at 1 s queues an MP_PRIO that the action's
-    # pump cannot send: the windows of sub-flows 1 and 2 are full. It rides
-    # the segment sent by the next ack. With equal links the two sub-flows
-    # are phase-locked and their acks tie, so the lower id goes first; with
-    # link 2 1 ms shorter, sub-flow 2's ack comes 2 ms earlier.
+@pytest.mark.parametrize("delay2_ms", [100, 99])
+def test_an_mp_prio_travels_on_the_sub_flow_it_names(delay2_ms, monkeypatch):
+    # Marking sub-flow 3 backup at 1 s queues an MP_PRIO while the windows
+    # of sub-flows 1 and 2 are full. Whichever of their acks comes next,
+    # with equal links or with link 2 1 ms shorter, the option travels on
+    # sub-flow 3 and lands one 100 ms delay after the flip.
     carriers = []
     arrival = Simulation._on_options_arrival
 
-    def record(sim, flow, epoch, options):
-        carriers.append(flow.sf.id)
-        arrival(sim, flow, epoch, options)
+    def record(sim, flow, epoch, opt):
+        carriers.append((sim.now_us, flow.sf.id))
+        arrival(sim, flow, epoch, opt)
 
     monkeypatch.setattr(Simulation, "_on_options_arrival", record)
     sender = new_connection([addr("10.0.0.1")], [addr(f"10.0.{i}.1") for i in (1, 2, 3)])
@@ -295,8 +294,59 @@ def test_a_queued_mp_prio_rides_the_first_ack_clocked_segment(delay2_ms, carrier
     sim = Simulation(sender, links, duration_ms=2_000)
     sim.schedule_action(1_000, mark_backup(3))
     sim.run()
-    assert carriers == [carrier]
+    assert carriers == [(1_100_000, 3)]
     assert sim.receiver.subflow_by_id(3).low_prio
+
+
+def record_applied(monkeypatch, sim):
+    """Replace the receiver's MP_PRIO handler with one that also records
+    (time, carrying sub-flow, backup flag) of each call in ``sim``."""
+    applied = []
+    apply = sockopt.apply_remote_mp_prio
+
+    def record(conn, opt, received_on=None):
+        applied.append((sim.now_us, received_on, opt.backup_flag))
+        apply(conn, opt, received_on=received_on)
+
+    monkeypatch.setattr(sockopt, "apply_remote_mp_prio", record)
+    return applied
+
+
+def test_an_mp_prio_lands_exactly_one_one_way_delay_after_the_flip(monkeypatch):
+    seen = {}
+    sim = build_sim(3, duration_ms=1_500, actions=[(1_000, mark_backup(2))])
+    applied = record_applied(monkeypatch, sim)
+
+    def look(sim):
+        seen[sim.now_us] = sim.receiver.subflow_by_id(2).low_prio
+
+    for at_us in (1_099_999, 1_100_001):
+        sim._push(at_us, look, ())
+    sim.run()
+    assert applied == [(1_100_000, 2, True)]
+    assert seen == {1_099_999: False, 1_100_001: True}
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        [(990, False)],  # down at the flip and when the option arrives
+        [(1_050, False)],  # goes down on the way
+        [(1_050, False), (1_080, True)],  # back up, but no longer the same link
+        [(1_050, True)],  # a link_up on an up link changes it as well
+    ],
+    ids=["down-at-the-flip", "down-on-the-way", "down-and-up", "up-on-up"],
+)
+def test_an_mp_prio_is_lost_on_a_link_that_is_down_or_changes_before_it_arrives(
+    changes, monkeypatch
+):
+    actions = [(1_000, mark_backup(2))] + [(at_ms, link_action(2, up)) for at_ms, up in changes]
+    sim = build_sim(3, duration_ms=1_500, actions=actions)
+    applied = record_applied(monkeypatch, sim)
+    sim.run()
+    assert applied == []
+    assert sim.sender.subflow_by_id(2).low_prio
+    assert not sim.receiver.subflow_by_id(2).low_prio
 
 
 def test_acks_after_a_short_outage_are_handled_at_their_own_times():
@@ -534,6 +584,18 @@ def test_link_spec_validation():
         LinkSpec(1, pair("10.0.0.1", "10.0.1.1"), 0, 100)
     with pytest.raises(ValidationError):
         LinkSpec(1, pair("10.0.0.1", "10.0.1.1"), MBPS, -5)
+
+
+def test_a_link_without_delay_must_take_a_us_per_segment():
+    # Otherwise an ack comes back, and sends the next segment, in the µs
+    # its own segment was sent, and the clock never moves.
+    from helpers import pair
+
+    p = pair("10.0.0.1", "10.0.1.1")
+    LinkSpec(1, p, 11_680_000_000, 0)  # 1,460 B in exactly 1 µs
+    LinkSpec(1, p, 20_000_000_000, 1)
+    with pytest.raises(ValidationError, match="at 0 ms delay"):
+        LinkSpec(1, p, 11_680_000_001, 0)
 
 
 def test_nonpositive_duration_rejected():

@@ -69,14 +69,14 @@ def test_set_subflow_priority_flips_flag_and_signals():
     conn = three_paths()
     set_subflow_priority(conn, SubPrioRequest(2, True))
     assert conn.subflow_by_id(2).low_prio is True
-    assert conn.outbox == [MpPrioOption(backup_flag=True, addr_id=2)]
+    assert conn.outbox == [(2, MpPrioOption(backup_flag=True))]
 
 
 def test_set_subflow_priority_same_value_still_signals():
     conn = three_paths()
     set_subflow_priority(conn, SubPrioRequest(1, False))
     assert conn.subflow_by_id(1).low_prio is False
-    assert conn.outbox == [MpPrioOption(backup_flag=False, addr_id=1)]
+    assert conn.outbox == [(1, MpPrioOption(backup_flag=False))]
 
 
 def test_set_subflow_priority_dead_id():
@@ -167,8 +167,9 @@ def test_priority_signal_roundtrip_reproduces_flag_on_peer(low_prio, subflow_id)
     conn = three_paths()
     peer = mirror_connection(conn)
     set_subflow_priority(conn, SubPrioRequest(subflow_id, low_prio))
-    signal = decode_mp_prio(encode_mp_prio(conn.outbox[-1]))
-    apply_remote_mp_prio(peer, signal)
+    carrier, opt = conn.outbox[-1]
+    signal = decode_mp_prio(encode_mp_prio(opt))
+    apply_remote_mp_prio(peer, signal, received_on=carrier)
     assert peer.subflow_by_id(subflow_id).low_prio is low_prio
 
 
@@ -178,7 +179,7 @@ def test_enable_ppos_marks_other_subflows_backup():
     assert conn.primary_pairs == [conn.mesh_pairs()[0]]
     assert [sf.low_prio for sf in conn.subflows] == [False, True, True]
     # the two flips are signalled to the peer
-    assert conn.outbox == [MpPrioOption(True, 2), MpPrioOption(True, 3)]
+    assert conn.outbox == [(2, MpPrioOption(True)), (3, MpPrioOption(True))]
 
 
 def test_enable_ppos_with_all_pairs_primary_forces_nothing():

@@ -334,19 +334,18 @@ def test_a_reopened_active_sub_flow_ends_the_train_of_a_backup():
     assert sim.sender.subflow_by_id(2).inflight_bytes == 0
 
 
-def test_a_waiting_mp_prio_rides_the_first_segment_after_a_train_ack(monkeypatch):
+def test_a_flip_of_sub_flow_3_leaves_sub_flow_2_s_train_running(monkeypatch):
     # Link 1 is too fast for its window to saturate it, so sub-flow 1 takes
-    # no train, while sub-flow 2 runs one when sub-flow 3 is marked backup
-    # at 3,005 ms. All windows are full, so the MP_PRIO waits for the next
-    # segment. Sub-flow 2's train has the first ack after the flip, so its
-    # segment carries the option, although the drain handles sub-flow 1's
-    # acks first when it goes sub-flow by sub-flow.
+    # no train, while sub-flows 2 and 3 run one when sub-flow 3 is marked
+    # backup at 3,005 ms. The flip takes sub-flow 3 out of the deciding tier
+    # and ends its train. Its MP_PRIO travels on sub-flow 3, so sub-flow 2's
+    # train, which started before the flip, runs on to the end of the run.
     carriers, in_train = [], []
     arrival = Simulation._on_options_arrival
 
-    def record(sim, flow, epoch, options):
+    def record(sim, flow, epoch, opt):
         carriers.append(flow.sf.id)
-        arrival(sim, flow, epoch, options)
+        arrival(sim, flow, epoch, opt)
 
     def flip(sim):
         in_train.append(sim._flows[2].train is not None)
@@ -356,6 +355,8 @@ def test_a_waiting_mp_prio_rides_the_first_segment_after_a_train_ack(monkeypatch
     links = [(10_000_000, 100), (EVEN_BPS, 20), (EVEN_BPS, 20)]
     sim = run_both(links_run(links, 4_000, actions=[(3_005, flip)]))
     assert in_train == [True, False]  # with trains, then per ack
-    assert carriers == [2, 2]
+    assert carriers == [3, 3]
     assert sim.receiver.subflow_by_id(3).low_prio
-    assert {train.flow_id for train in sim.trains} == {2, 3}
+    (running,) = [train for train in sim.trains if train.flow_id == 2]
+    assert running.first_ack < 3_005_000 and running.until == 4_000_000
+    assert [train.until for train in sim.trains if train.flow_id == 3] == [3_005_000]
