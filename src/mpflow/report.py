@@ -4,8 +4,11 @@ columns, and the CSV writer.
 The report is columnar. A :class:`SubflowColumn` holds one sub-flow's
 bucket range, its acked bytes by bucket and its flag history, and states
 the row rule. :attr:`TimelineReport.rows` and :func:`emit_csv` both derive
-their rows through it, so no per-row object is built unless ``rows`` is
-read.
+their rows through :meth:`SubflowColumn.per_row`, which finds the rows of
+each flag interval in closed form from the flag times and maps their
+acked bytes in bulk. :func:`emit_csv` maps them through a cache of row
+ends keyed by byte count, one per pair of flags and shared by all
+sub-flows, so no per-row object is built unless ``rows`` is read.
 """
 
 from __future__ import annotations
@@ -13,9 +16,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import (
+    IO, TYPE_CHECKING, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
+)
 
 from .model import InterfacePair
 
@@ -25,6 +30,8 @@ if TYPE_CHECKING:
 US_PER_MS = 1000  # the simulator's clock ticks in µs; reports count in ms
 
 CSV_HEADER = "bucket_start_ms,subflow_id,pair,bytes_acked,throughput_bps,low_prio,alive"
+
+_FLAGS = ((False, False), (False, True), (True, False), (True, True))  # (low_prio, alive)
 
 
 class ThroughputBucket(NamedTuple):
@@ -83,18 +90,25 @@ class SubflowColumn(NamedTuple):
             died_us=died,
         )
 
-    def cells(self, bucket_us: int) -> Iterator[Tuple[int, bool, bool]]:
-        """``(bytes_acked, low_prio, alive)`` of each row, ``first`` to
-        ``last``. The last bucket of a run may end before ``(bucket + 1) *
-        bucket_us``, but no flag time and no death is at or after the end of
-        the run, so the cell is the same."""
-        acked, times, values, died = self.acked, self.flag_times, self.flag_values, self.died_us
-        k, n = 0, len(times)
-        for bucket in range(self.first, self.last + 1):
-            end_us = (bucket + 1) * bucket_us
-            while k + 1 < n and times[k + 1] <= end_us:  # ends only grow: k never goes back
-                k += 1
-            yield acked.get(bucket, 0), values[k], died is None or died >= end_us
+    def per_row(
+        self, bucket_us: int, convert: Dict[Tuple[bool, bool], Callable[[int], object]]
+    ) -> list:
+        """``convert[low_prio, alive](bytes_acked)`` of each row, ``first`` to
+        ``last``, mapped over one flag interval at a time. ``flag_values[i]``
+        is in force from the first bucket that ends at or after
+        ``flag_times[i]`` to the next flag's, and only the last row of a
+        sub-flow that died off a bucket edge is not alive. The last bucket
+        of a run may end before ``(bucket + 1) * bucket_us``, but no flag
+        time and no death is at or after the end of the run, so its row is
+        the same."""
+        first, n = self.first, self.last + 1 - self.first
+        cells = list(map(self.acked.get, range(first, self.last + 1), repeat(0)))
+        starts = [min(max(-(-t // bucket_us) - 1 - first, 0), n) for t in self.flag_times[1:]]
+        cut = n - 1 if self.died_us is not None and self.died_us % bucket_us else n
+        for low_prio, lo, hi in zip(self.flag_values, [0] + starts, starts + [n]):
+            for i, j, alive in ((lo, min(hi, cut), True), (max(lo, cut), hi, False)):
+                cells[i:j] = map(convert[low_prio, alive], cells[i:j])
+        return cells
 
 
 @dataclass
@@ -126,7 +140,8 @@ class TimelineReport:
     def rows(self) -> List[ThroughputBucket]:
         """The rows, sorted by (bucket, sub-flow id), built on first use."""
         bucket_us = self.bucket_ms * US_PER_MS
-        cells = {c.subflow_id: list(c.cells(bucket_us)) for c in self.columns}
+        cell = {flags: (lambda n, flags=flags: (n, *flags)) for flags in _FLAGS}
+        cells = {c.subflow_id: c.per_row(bucket_us, cell) for c in self.columns}
         return [
             ThroughputBucket(
                 bucket * self.bucket_ms, c.subflow_id, *cells[c.subflow_id][bucket - c.first]
@@ -137,45 +152,44 @@ class TimelineReport:
         ]
 
 
-class _RowBodies(dict):
-    """A sub-flow's CSV rows after their bucket start, by cell
-    (``SubflowColumn.cells``), each formatted once."""
+class _RowEnds(dict):
+    """The ends of CSV rows with one pair of flags, after the sub-flow's
+    pair, by acked bytes, each formatted once."""
 
-    def __init__(self, column: SubflowColumn, bucket_ms: int) -> None:
+    def __init__(self, bucket_ms: int, flags: str) -> None:
         super().__init__()
-        self.middle = f",{column.subflow_id},{column.pair},"
-        self.bucket_ms = bucket_ms
+        self.bucket_ms, self.flags = bucket_ms, flags
 
-    def __missing__(self, cell: Tuple[int, bool, bool]) -> str:
-        nbytes, low_prio, alive = cell
+    def __missing__(self, nbytes: int) -> str:
         throughput_bps = nbytes * 8 * 1000 // self.bucket_ms
-        body = self[cell] = (
-            f"{self.middle}{nbytes},{throughput_bps},{int(low_prio)},{int(alive)}\n"
-        )
-        return body
+        end = self[nbytes] = f"{nbytes},{throughput_bps},{self.flags}"
+        return end
 
 
 def emit_csv(report: TimelineReport, out: Union[str, Path, IO[str]]) -> None:
     """Write a report as CSV: one row per (bucket, sub-flow alive in it),
     sorted by (bucket_start_ms, subflow_id), plus a genealogy footer in
-    comment lines. The rows are written straight from the report's columns,
-    a stretch of buckets with the same sub-flows at a time."""
+    comment lines. The ends of each sub-flow's rows, after its pair, are
+    formatted one flag interval at a time (:meth:`SubflowColumn.per_row`),
+    and the rows are written a stretch of buckets with the same sub-flows
+    at a time."""
     if isinstance(out, (str, Path)):
         with open(out, "w", encoding="utf-8", newline="") as handle:
             emit_csv(report, handle)
         return
     bucket_ms = report.bucket_ms
     bucket_us = bucket_ms * US_PER_MS
-    bodies = {}
-    for column in report.columns:
-        body_of = _RowBodies(column, bucket_ms).__getitem__
-        bodies[column.subflow_id] = list(map(body_of, column.cells(bucket_us)))
+    end_of = {
+        flags: _RowEnds(bucket_ms, "{:d},{:d}\n".format(*flags)).__getitem__ for flags in _FLAGS
+    }
+    ends = {c.subflow_id: c.per_row(bucket_us, end_of) for c in report.columns}
     parts = [CSV_HEADER + "\n"]
     for lo, hi, active in report._stretches():
         starts = list(map(str, range(lo * bucket_ms, hi * bucket_ms, bucket_ms)))
-        pieces = []  # zipped, each bucket's (start, body) per sub-flow
-        for column in active:
-            pieces += (starts, bodies[column.subflow_id][lo - column.first : hi - column.first])
+        pieces = []  # zipped, each bucket's (start, middle, end) per sub-flow
+        for c in active:
+            middle = repeat(f",{c.subflow_id},{c.pair},")
+            pieces += (starts, middle, ends[c.subflow_id][lo - c.first : hi - c.first])
         parts += chain.from_iterable(zip(*pieces))
     for rec in report.subflow_genealogy:
         died = "-" if rec.died_ms is None else str(rec.died_ms)

@@ -93,10 +93,10 @@ read per ack. The train lasts until :meth:`Simulation._end_train` runs, in
 one of three places: a change of the flow's link, before the epoch grows; a
 pump that takes the flow out of the deciding tier; and the end of the run.
 The k acks due before that moment are exactly k calls of
-:meth:`Simulation._on_ack_arrival`: k MSS acked, split at bucket edges,
-and sent; srtt's EWMA carried in closed form, over the samples of the
-window the train started with and then over the steady ``32 * s`` up to
-its fixed point; the link busy ``k * s`` longer; the FIFO refilled with
+:meth:`Simulation._on_ack_arrival`: k MSS acked, split among the buckets
+in bulk, and sent; srtt's EWMA carried in closed form, over the samples of
+the window the train started with and then over the steady ``32 * s`` up
+to its fixed point; the link busy ``k * s`` longer; the FIFO refilled with
 the next 32 acks; and the timer armed once, from the last ack.
 
 A run ends in a :class:`~mpflow.report.TimelineReport`: one column per
@@ -108,6 +108,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
@@ -568,6 +569,10 @@ class Simulation:
         starts on an ack due before a horizon and ends at a heap event or
         at the end of the run, so ``until`` is past its first ack.
 
+        The acked bytes are split among the buckets in bulk, with no Python
+        step per bucket: all to one bucket if the acks fall in one, from the
+        bucket of each ack when a bucket holds one at most, or else from the
+        count of acks before each bucket edge.
         srtt's EWMA runs over the samples of the acks of the window the
         train started with, then over the steady sample ``32 * s`` of the
         acks the train sent, up to its fixed point: its steps grow with the
@@ -578,12 +583,27 @@ class Simulation:
         rtt = WINDOW_SEGMENTS * s
         k = -((a0 - until) // s)  # the acks a0 + i * s before until
         acked, bucket_us = flow.acked, self.bucket_us
-        i = 0
-        while i < k:
-            bucket = (a0 + i * s) // bucket_us
-            j = min(k, -((a0 - (bucket + 1) * bucket_us) // s))  # the acks before its end
-            acked[bucket] = acked.get(bucket, 0) + (j - i) * MSS
-            i = j
+        # A link serializes one segment at a time, so a flow's acks come at
+        # least s apart. If s >= bucket_us, each bucket holds one ack at most
+        # and none from before the train. Otherwise each bucket from the first
+        # ack's to the last's holds one at least, only the first may hold
+        # earlier acks, and the acks before an inner edge e number
+        # ceil((e - a0) / s).
+        first, last = a0 // bucket_us, (a0 + (k - 1) * s) // bucket_us
+        repeat, floordiv = itertools.repeat, operator.floordiv
+        if first == last:
+            acked[first] = acked.get(first, 0) + k * MSS
+        elif s >= bucket_us:
+            handled = range(a0, a0 + k * s, s)
+            acked.update(zip(map(floordiv, handled, repeat(bucket_us)), repeat(MSS)))
+        else:
+            ceils = range(
+                (first + 1) * bucket_us - a0 + s - 1, last * bucket_us - a0 + s, bucket_us
+            )
+            before = [*map(floordiv, ceils, repeat(s)), k]
+            acked[first] = acked.get(first, 0) + before[0] * MSS
+            nbytes = map(operator.mul, map(operator.sub, before[1:], before), repeat(MSS))
+            acked.update(zip(range(first + 1, last + 1), nbytes))
         srtt = sf.srtt_us
         for at, _, _, sent_us in window[:k]:
             sample = at - sent_us

@@ -1,0 +1,120 @@
+"""The row rule of ``mpflow.report`` against a plain per-bucket statement of it.
+
+Columns are drawn at random, as a run can leave them: births mid-run,
+deaths on a bucket edge and mid-bucket, priority flips several to a bucket,
+exactly on bucket ends and in a sub-flow's last bucket, and durations off
+the bucket grid. Both the CSV's data lines and ``TimelineReport.rows`` must
+hold exactly the rows that the reference below derives bucket by bucket.
+"""
+
+import io
+from types import SimpleNamespace
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mpflow.report import SubflowColumn, ThroughputBucket, TimelineReport, emit_csv
+
+
+def reference_rows(bucket_ms, duration_ms, flows):
+    """Each bucket of the run, each sub-flow in id order: a row if the
+    sub-flow was born before the bucket's end and is alive past its start,
+    holding the bytes acked in it, the flag set last at or before its end,
+    and whether the sub-flow is still alive at its end."""
+    bucket_us = bucket_ms * 1000
+    n_buckets = -(-duration_ms // bucket_ms)
+    rows = []
+    for bucket in range(n_buckets):
+        start, end = bucket * bucket_us, (bucket + 1) * bucket_us
+        for flow in flows:
+            sf = flow.sf
+            if sf.created_us >= end or (sf.died_us is not None and sf.died_us <= start):
+                continue
+            low_prio = flow.flag_values[0]
+            for at, value in zip(flow.flag_times, flow.flag_values):
+                if at <= end:
+                    low_prio = value
+            alive = sf.died_us is None or sf.died_us >= end
+            nbytes = flow.acked.get(bucket, 0)
+            rows.append(ThroughputBucket(bucket * bucket_ms, sf.id, nbytes, low_prio, alive))
+    return rows
+
+
+@st.composite
+def runs(draw):
+    """``(bucket_ms, duration_ms, flows)``: flows with what ``SubflowColumn.of``
+    reads of a simulated sub-flow, in id and creation order."""
+    bucket_ms = draw(st.sampled_from((1, 7, 10, 100)))
+    duration_ms = draw(st.integers(1, 40 * bucket_ms))
+    duration_us, bucket_us = duration_ms * 1000, bucket_ms * 1000
+    # Any µs of the run, often a bucket edge or 1 µs off one, from ``lo`` on.
+    near_edge = st.builds(
+        lambda bucket, offset: bucket * bucket_us + offset,
+        st.integers(0, duration_ms // bucket_ms),
+        st.sampled_from((-1, 0, 1)),
+    )
+
+    def moment(lo=0):
+        anywhere = st.one_of(st.integers(0, duration_us - 1), near_edge)
+        return anywhere.map(lambda t: min(max(t, lo), duration_us - 1))
+
+    births = sorted(draw(st.lists(moment(), min_size=1, max_size=5)))
+    births = [0] * draw(st.integers(0, 3)) + births
+    rng = draw(st.randoms(use_true_random=False))
+    flows = []
+    for subflow_id, created_us in enumerate(births, start=1):
+        died_us = None
+        if created_us < duration_us - 1 and draw(st.booleans()):
+            died_us = draw(moment(created_us + 1))
+        # Flips may come after a death; a flag changes only while the run does.
+        flips = sorted(draw(st.lists(moment(created_us), max_size=8)))
+        if died_us is not None and draw(st.booleans()):
+            flips = sorted(flips + [died_us - 1])  # in its last bucket
+        flips += [flips[-1]] * draw(st.integers(0, 2)) if flips else []  # same µs
+        values = [draw(st.booleans())]
+        for _ in flips:
+            values.append(not values[-1])  # the simulator records changes only
+        last = (duration_us if died_us is None else died_us) - 1
+        buckets = range(created_us // bucket_us, last // bucket_us + 1)
+        # An empty bucket has no entry, as in the simulator.
+        acked = {bucket: rng.randint(1, 10**6) for bucket in buckets if rng.random() < 0.8}
+        flows.append(
+            SimpleNamespace(
+                sf=SimpleNamespace(id=subflow_id, created_us=created_us, died_us=died_us),
+                link=SimpleNamespace(spec=SimpleNamespace(pair=f"10.0.0.1->10.0.{subflow_id}.1")),
+                acked=acked,
+                flag_times=[created_us] + flips,
+                flag_values=values,
+            )
+        )
+    return bucket_ms, duration_ms, flows
+
+
+def report_of(bucket_ms, duration_ms, flows):
+    """The report the simulator builds from its flows at the end of a run."""
+    bucket_us = bucket_ms * 1000
+    n_buckets = -(-duration_ms * 1000 // bucket_us)
+    columns = [SubflowColumn.of(flow, bucket_us, n_buckets) for flow in flows]
+    return TimelineReport(bucket_ms, duration_ms, columns, subflow_genealogy=[])
+
+
+def csv_line(row, bucket_ms, pair):
+    throughput_bps = row.bytes_acked * 8 * 1000 // bucket_ms
+    return (
+        f"{row.bucket_start_ms},{row.subflow_id},{pair},{row.bytes_acked},"
+        f"{throughput_bps},{int(row.low_prio)},{int(row.alive)}"
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(run=runs())
+def test_csv_and_rows_follow_the_row_rule_bucket_by_bucket(run):
+    bucket_ms, duration_ms, flows = run
+    expected = reference_rows(bucket_ms, duration_ms, flows)
+    report = report_of(bucket_ms, duration_ms, flows)
+    assert report.rows == expected
+    out = io.StringIO()
+    emit_csv(report, out)
+    header, *lines = out.getvalue().splitlines()
+    pairs = {flow.sf.id: flow.link.spec.pair for flow in flows}
+    assert lines == [csv_line(row, bucket_ms, pairs[row.subflow_id]) for row in expected]

@@ -217,18 +217,27 @@ def test_a_timer_runs_before_an_ack_of_the_same_us(bandwidth_bps, dies):
 
 
 def test_mp_prio_is_lost_with_its_segment():
-    sim = build_sim(1)
-    flow = sim._flows[1]
-    sockopt.set_subflow_priority(sim.sender, SubPrioRequest(1, True))
-    sim._send_segment(flow, MSS)
-    sim.now_us = 50_000  # the segment lands at 111.68 ms
-    sim.set_link_state(1, up=False)
-    while flow.sf.alive:
-        step(sim)
-    assert flow.sf.low_prio
-    assert not flow.peer.low_prio
-    assert flow.acked == {}
-    assert flow.sf.srtt_us == 0  # its ack never came back
+    # One action at t = 0 marks sub-flows 1 and 2 backup, which queues an
+    # MP_PRIO on each, and its pump sends their first segments: each option
+    # is due at the receiver at 100 ms, each segment at 111.68 ms. The same
+    # action takes link 1 down, so its option leaves on a down link in that
+    # link's new epoch. Link 2 goes down at 50 ms and is up again at 80 ms,
+    # so its option arrives on an up link in a later epoch. Both options are
+    # lost with their segments, and both sub-flows die at 800 ms.
+    def flip_and_cut(sim):
+        mark_backup(1)(sim)
+        mark_backup(2)(sim)
+        sim.set_link_state(1, up=False)
+
+    actions = [(0, flip_and_cut), (50, link_action(2, False)), (80, link_action(2, True))]
+    sim = build_sim(2, duration_ms=1_500, actions=actions)
+    sim.run()
+    for flow in sim._flows.values():
+        assert flow.sf.low_prio
+        assert not flow.peer.low_prio
+        assert flow.acked == {}
+        assert flow.sf.srtt_us == 0  # its ack never came back
+        assert flow.sf.died_us == 800_000
 
 
 def test_finished_simulation_is_freed_by_reference_counting(monkeypatch):

@@ -224,6 +224,48 @@ def test_a_train_splits_its_acks_at_bucket_edges():
     assert max(train.acks * train.serialization_us for train in edges) >= 5 * 10_000
 
 
+def test_a_bucket_narrower_than_s_leaves_buckets_inside_a_train_empty():
+    # At 1 Mbps an MSS serializes in 11.68 ms, so at 10 ms buckets a train
+    # steps over a bucket now and then: it holds no ack, and the split adds
+    # no entry for it, as the per-ack run does not.
+    sim = run_both(one_link(1_000_000, 20, 3_000, bucket_ms=10))
+    acked = sim._flows[1].acked
+    (train,) = sim.trains
+    buckets = {at // 10_000 for at in acks_of(train)}
+    skipped = set(range(min(buckets), max(buckets) + 1)) - buckets
+    assert train.serialization_us == 11_680 and len(skipped) > 10
+    assert not skipped & acked.keys()
+    assert all(acked[bucket] == MSS for bucket in buckets if bucket > min(buckets))
+
+
+@pytest.mark.parametrize("bucket_ms", [2, 10])
+def test_a_bucket_that_is_a_multiple_of_s_holds_that_many_acks(bucket_ms):
+    # An MSS serializes in exactly 2 ms at EVEN_BPS, and every ack is due on
+    # a multiple of 2 ms, so each bucket inside the train holds bucket_ms / 2
+    # acks, the one on its start edge included: one each when s is the
+    # bucket width, five at 10 ms.
+    sim = run_both(one_link(EVEN_BPS, 20, 2_000, bucket_ms=bucket_ms))
+    acked = sim._flows[1].acked
+    (train,) = sim.trains
+    first, last = acks_of(train)[0] // (bucket_ms * 1000), acks_of(train)[-1] // (bucket_ms * 1000)
+    assert last - first > 100
+    assert all(acked[bucket] == bucket_ms // 2 * MSS for bucket in range(first + 1, last + 1))
+
+
+@pytest.mark.parametrize("duration_ms, last_bucket_acks", [(2_000, 5), (2_001, 1)])
+def test_a_train_ending_on_a_bucket_edge_splits_there(duration_ms, last_bucket_acks):
+    # At 10 ms buckets an ack is due on every bucket edge. A run of 2,000 ms
+    # ends the train on the edge at 2 s and leaves the ack due there, so the
+    # last bucket with acks is 199, with five. A run of 2,001 ms handles it
+    # alone in bucket 200, the run's short last bucket.
+    sim = run_both(one_link(EVEN_BPS, 20, duration_ms, bucket_ms=10))
+    acked = sim._flows[1].acked
+    last = sim.trains[-1]
+    assert last.until == duration_ms * 1000
+    assert max(acked) == 199 + (duration_ms == 2_001)
+    assert acked[max(acked)] == last_bucket_acks * MSS
+
+
 @pytest.mark.parametrize("duration_ms", [2_000, 2_001])
 def test_an_ack_at_the_horizon_waits(duration_ms):
     # An ack is due at exactly 2 s, the end of the first run: the train ends
