@@ -16,9 +16,8 @@ re-creation.
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .wire import MpPrioOption
 
@@ -53,23 +52,35 @@ class AddrFamily(Enum):
 _ADDR_WIDTH = {AddrFamily.V4: 4, AddrFamily.V6: 16}
 
 
-@dataclass(frozen=True)
-class EndpointAddress:
-    """An interface address plus port. Port 0 is allowed in list/interface
-    contexts, where matching is on addresses only."""
+def _slots_repr(self) -> str:
+    """``Name(field=value, ...)`` over the public ``__slots__`` of a state class."""
+    names = [name for name in type(self).__slots__ if not name.startswith("_")]
+    fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
+    return f"{type(self).__name__}({fields})"
 
+
+class _EndpointAddressFields(NamedTuple):
     family: AddrFamily
     address: bytes
     port: int = 0
 
-    def __post_init__(self) -> None:
-        if len(self.address) != _ADDR_WIDTH[self.family]:
+
+class EndpointAddress(_EndpointAddressFields):
+    """An interface address plus port. Port 0 is allowed in list/interface
+    contexts, where matching is on addresses only. A named tuple, checked
+    when built."""
+
+    __slots__ = ()
+
+    def __new__(cls, family: AddrFamily, address: bytes, port: int = 0) -> EndpointAddress:
+        if len(address) != _ADDR_WIDTH[family]:
             raise ValidationError(
-                f"{self.family.value} address must be "
-                f"{_ADDR_WIDTH[self.family]} bytes, got {len(self.address)}"
+                f"{family.value} address must be "
+                f"{_ADDR_WIDTH[family]} bytes, got {len(address)}"
             )
-        if not 0 <= self.port <= 0xFFFF:
-            raise ValidationError(f"port out of range: {self.port}")
+        if not 0 <= port <= 0xFFFF:
+            raise ValidationError(f"port out of range: {port}")
+        return super().__new__(cls, family, address, port)
 
     @classmethod
     def from_string(cls, text: str, port: int = 0) -> "EndpointAddress":
@@ -84,25 +95,29 @@ class EndpointAddress:
         return EndpointAddress(self.family, self.address, port)
 
 
-@dataclass(frozen=True)
-class InterfacePair:
-    """A (source address, destination address) pair identifying a path.
-
-    Equality is exact byte equality on (family, src, dst); ports are not
-    part of a pair.
-    """
-
+class _InterfacePairFields(NamedTuple):
     family: AddrFamily
     src: bytes
     dst: bytes
 
-    def __post_init__(self) -> None:
-        width = _ADDR_WIDTH[self.family]
-        if len(self.src) != width or len(self.dst) != width:
+
+class InterfacePair(_InterfacePairFields):
+    """A (source address, destination address) pair identifying a path.
+
+    Equality is exact byte equality on (family, src, dst); ports are not
+    part of a pair. A named tuple, checked when built.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, family: AddrFamily, src: bytes, dst: bytes) -> InterfacePair:
+        width = _ADDR_WIDTH[family]
+        if len(src) != width or len(dst) != width:
             raise ValidationError(
                 f"pair addresses must both be {width}-byte "
-                f"{self.family.value} addresses"
+                f"{family.value} addresses"
             )
+        return super().__new__(cls, family, src, dst)
 
     @classmethod
     def between(cls, src: EndpointAddress, dst: EndpointAddress) -> "InterfacePair":
@@ -114,7 +129,6 @@ class InterfacePair:
         return f"{ipaddress.ip_address(self.src)}->{ipaddress.ip_address(self.dst)}"
 
 
-@dataclass
 class SubflowState:
     """One sub-flow of a connection.
 
@@ -124,28 +138,37 @@ class SubflowState:
     endpoints are fixed at creation, so the interface pair is computed once.
     """
 
-    id: int
-    src: EndpointAddress
-    dst: EndpointAddress
-    low_prio: bool = False
-    alive: bool = True
-    srtt_us: int = 0
-    inflight_bytes: int = 0
-    consecutive_timeouts: int = 0
-    bytes_sent_total: int = 0
-    created_us: int = 0
-    died_us: Optional[int] = None
-    _pair: InterfacePair = field(init=False, repr=False, compare=False)
+    __slots__ = (
+        "id", "src", "dst", "low_prio", "alive", "srtt_us", "inflight_bytes",
+        "consecutive_timeouts", "bytes_sent_total", "created_us", "died_us", "_pair",
+    )
 
-    def __post_init__(self) -> None:
-        self._pair = InterfacePair.between(self.src, self.dst)
+    def __init__(
+        self, id: int, src: EndpointAddress, dst: EndpointAddress, low_prio: bool = False,
+        alive: bool = True, srtt_us: int = 0, inflight_bytes: int = 0,
+        consecutive_timeouts: int = 0, bytes_sent_total: int = 0, created_us: int = 0,
+        died_us: Optional[int] = None,
+    ) -> None:
+        self.id = id
+        self.src = src
+        self.dst = dst
+        self.low_prio = low_prio
+        self.alive = alive
+        self.srtt_us = srtt_us
+        self.inflight_bytes = inflight_bytes
+        self.consecutive_timeouts = consecutive_timeouts
+        self.bytes_sent_total = bytes_sent_total
+        self.created_us = created_us
+        self.died_us = died_us
+        self._pair = InterfacePair.between(src, dst)
+
+    __repr__ = _slots_repr
 
     def pair(self) -> InterfacePair:
         return self._pair
 
 
-@dataclass(frozen=True)
-class PriorityLists:
+class PriorityLists(NamedTuple):
     """The two persistent interface lists consulted at sub-flow creation."""
 
     active_list: Tuple[InterfacePair, ...] = ()
@@ -169,7 +192,6 @@ def classify_subflow_priority(pair: InterfacePair, lists: PriorityLists) -> bool
     return False
 
 
-@dataclass
 class ConnectionState:
     """The meta-connection: sub-flow set, priority lists and scheduler choice
     (non-empty ``primary_pairs`` select the primary-path-only scheduler).
@@ -177,17 +199,32 @@ class ConnectionState:
     A ConnectionState is confined to a single logical owner; nothing here
     locks. Cross-host signaling is explicit through ``outbox``: the MP_PRIO
     options queued for the peer, each with the id of the sub-flow it travels
-    on and applies to.
+    on and applies to. A list left out starts empty.
     """
 
-    local_addrs: List[EndpointAddress]
-    remote_addrs: List[EndpointAddress]
-    subflows: List[SubflowState] = field(default_factory=list)
-    next_id: int = 1
-    active_list: List[InterfacePair] = field(default_factory=list)
-    backup_list: List[InterfacePair] = field(default_factory=list)
-    primary_pairs: List[InterfacePair] = field(default_factory=list)
-    outbox: List[Tuple[int, MpPrioOption]] = field(default_factory=list)
+    __slots__ = (
+        "local_addrs", "remote_addrs", "subflows", "next_id", "active_list", "backup_list",
+        "primary_pairs", "outbox",
+    )
+
+    def __init__(
+        self, local_addrs: List[EndpointAddress], remote_addrs: List[EndpointAddress],
+        subflows: Optional[List[SubflowState]] = None, next_id: int = 1,
+        active_list: Optional[List[InterfacePair]] = None,
+        backup_list: Optional[List[InterfacePair]] = None,
+        primary_pairs: Optional[List[InterfacePair]] = None,
+        outbox: Optional[List[Tuple[int, MpPrioOption]]] = None,
+    ) -> None:
+        self.local_addrs = local_addrs
+        self.remote_addrs = remote_addrs
+        self.subflows = [] if subflows is None else subflows
+        self.next_id = next_id
+        self.active_list = [] if active_list is None else active_list
+        self.backup_list = [] if backup_list is None else backup_list
+        self.primary_pairs = [] if primary_pairs is None else primary_pairs
+        self.outbox = [] if outbox is None else outbox
+
+    __repr__ = _slots_repr
 
     def priority_lists(self) -> PriorityLists:
         return PriorityLists(tuple(self.active_list), tuple(self.backup_list))

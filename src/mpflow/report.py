@@ -13,16 +13,15 @@ sub-flows, so no per-row object is built unless ``rows`` is read.
 
 from __future__ import annotations
 
+import os
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
-from pathlib import Path
 from typing import (
     IO, TYPE_CHECKING, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 )
 
-from .model import InterfacePair
+from .model import InterfacePair, _slots_repr
 
 if TYPE_CHECKING:
     from .simnet import _Flow
@@ -81,7 +80,7 @@ class SubflowColumn(NamedTuple):
         died = sf.died_us
         return cls(
             subflow_id=sf.id,
-            pair=str(flow.link.spec.pair),
+            pair=flow.link.pair_text,
             first=sf.created_us // bucket_us,
             last=n_buckets - 1 if died is None else (died - 1) // bucket_us,
             acked=flow.acked,
@@ -111,17 +110,33 @@ class SubflowColumn(NamedTuple):
         return cells
 
 
-@dataclass
 class TimelineReport:
     """Per-bucket, per-sub-flow throughput plus the sub-flow genealogy.
 
     ``columns`` are in id order, which is also the order of their first
-    buckets, since ids are given out in creation order."""
+    buckets, since ids are given out in creation order. Two reports are
+    equal when these four fields are."""
 
-    bucket_ms: int
-    duration_ms: int
-    columns: List[SubflowColumn]
-    subflow_genealogy: List[SubflowRecord]
+    # __dict__ holds the cached ``rows``.
+    __slots__ = ("bucket_ms", "duration_ms", "columns", "subflow_genealogy", "__dict__")
+
+    def __init__(
+        self, bucket_ms: int, duration_ms: int, columns: List[SubflowColumn],
+        subflow_genealogy: List[SubflowRecord],
+    ) -> None:
+        self.bucket_ms = bucket_ms
+        self.duration_ms = duration_ms
+        self.columns = columns
+        self.subflow_genealogy = subflow_genealogy
+
+    __repr__ = _slots_repr
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not TimelineReport:
+            return NotImplemented
+        return (self.bucket_ms, self.duration_ms, self.columns, self.subflow_genealogy) == (
+            other.bucket_ms, other.duration_ms, other.columns, other.subflow_genealogy
+        )
 
     def _stretches(self) -> Iterator[Tuple[int, int, List[SubflowColumn]]]:
         """``(lo, hi, columns)`` for each stretch of buckets ``lo`` to
@@ -166,14 +181,14 @@ class _RowEnds(dict):
         return end
 
 
-def emit_csv(report: TimelineReport, out: Union[str, Path, IO[str]]) -> None:
+def emit_csv(report: TimelineReport, out: Union[str, os.PathLike, IO[str]]) -> None:
     """Write a report as CSV: one row per (bucket, sub-flow alive in it),
     sorted by (bucket_start_ms, subflow_id), plus a genealogy footer in
     comment lines. The ends of each sub-flow's rows, after its pair, are
     formatted one flag interval at a time (:meth:`SubflowColumn.per_row`),
     and the rows are written a stretch of buckets with the same sub-flows
     at a time."""
-    if isinstance(out, (str, Path)):
+    if isinstance(out, (str, os.PathLike)):
         with open(out, "w", encoding="utf-8", newline="") as handle:
             emit_csv(report, handle)
         return
@@ -191,10 +206,11 @@ def emit_csv(report: TimelineReport, out: Union[str, Path, IO[str]]) -> None:
             middle = repeat(f",{c.subflow_id},{c.pair},")
             pieces += (starts, middle, ends[c.subflow_id][lo - c.first : hi - c.first])
         parts += chain.from_iterable(zip(*pieces))
+    pair_text = {c.subflow_id: c.pair for c in report.columns}  # as formatted on its link
     for rec in report.subflow_genealogy:
         died = "-" if rec.died_ms is None else str(rec.died_ms)
         parts.append(
-            f"# subflow {rec.subflow_id} pair={rec.pair} "
+            f"# subflow {rec.subflow_id} pair={pair_text.get(rec.subflow_id, rec.pair)} "
             f"created_ms={rec.created_ms} died_ms={died}\n"
         )
     out.write("".join(parts))

@@ -33,10 +33,8 @@ The CSV output, ``emit_csv`` and ``CSV_HEADER``, comes from
 
 from __future__ import annotations
 
-import logging
 import os
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import simnet, sockopt
 from .model import (
@@ -49,8 +47,6 @@ from .model import (
 from .report import CSV_HEADER, emit_csv
 from .simnet import LinkSpec, Simulation, TimelineReport
 from .sockopt import SubPrioRequest
-
-logger = logging.getLogger(__name__)
 
 PPOS_ENV_VAR = "MPFLOW_PRIMARY_PATH_ONLY"
 
@@ -80,8 +76,7 @@ class ScenarioSemanticError(ScenarioError):
     pass
 
 
-@dataclass(frozen=True)
-class ScenarioAction:
+class ScenarioAction(NamedTuple):
     """One timed action; targets are sub-flow ids for set_sub_prio and link
     ids for everything else."""
 
@@ -91,8 +86,7 @@ class ScenarioAction:
     low_prio: Optional[bool] = None
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     name: str
     duration_ms: int
     links: Tuple[LinkSpec, ...]
@@ -336,7 +330,9 @@ def _action_closure(scenario: Scenario, action: ScenarioAction):
                         sim.sender, SubPrioRequest(subflow_id, action.low_prio)
                     )
                 except NotFoundError:
-                    logger.warning(
+                    import logging  # only here, to keep it off ``import mpflow``
+
+                    logging.getLogger(__name__).warning(
                         "at %d ms set_sub_prio: no alive sub-flow %d; skipped",
                         action.at_ms,
                         subflow_id,

@@ -38,9 +38,8 @@ scheduling is fully deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .model import ConnectionState, SubflowState
 
@@ -52,8 +51,7 @@ class ChoiceReason(Enum):
     NO_PATH = "no-path"
 
 
-@dataclass(frozen=True)
-class SchedulerDecision:
+class SchedulerDecision(NamedTuple):
     """Outcome of one selection; ``chosen`` is None iff reason is NO_PATH.
 
     ``alone`` is True iff ``chosen`` is the only schedulable member of the

@@ -110,8 +110,7 @@ import heapq
 import itertools
 import operator
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import sockopt
 from .model import (
@@ -141,24 +140,32 @@ REESTABLISH_INTERVAL_US = 1_000_000
 FIRST_DEATH_US = RTO_MIN_US * 2 ** (RTO_DEATH_TIMEOUTS - 1)
 
 
-@dataclass(frozen=True)
-class LinkSpec:
-    """A point-to-point link bound to one interface pair."""
-
+class _LinkSpecFields(NamedTuple):
     link_id: int
     pair: InterfacePair
     bandwidth_bps: int
     one_way_delay_ms: int
 
-    def __post_init__(self) -> None:
-        if self.bandwidth_bps <= 0:
-            raise ValidationError(f"link {self.link_id}: bandwidth must be positive")
-        if self.one_way_delay_ms < 0:
-            raise ValidationError(f"link {self.link_id}: delay must be >= 0")
-        if first_ack_us(self) == 0:  # each ack would send the next in its own µs
+
+class LinkSpec(_LinkSpecFields):
+    """A point-to-point link bound to one interface pair, as a named tuple
+    checked when built."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, link_id: int, pair: InterfacePair, bandwidth_bps: int, one_way_delay_ms: int
+    ) -> LinkSpec:
+        spec = super().__new__(cls, link_id, pair, bandwidth_bps, one_way_delay_ms)
+        if bandwidth_bps <= 0:
+            raise ValidationError(f"link {link_id}: bandwidth must be positive")
+        if one_way_delay_ms < 0:
+            raise ValidationError(f"link {link_id}: delay must be >= 0")
+        if first_ack_us(spec) == 0:  # each ack would send the next in its own µs
             raise ValidationError(
-                f"link {self.link_id}: at 0 ms delay, bandwidth must be <= {MSS * 8_000_000} bps"
+                f"link {link_id}: at 0 ms delay, bandwidth must be <= {MSS * 8_000_000} bps"
             )
+        return spec
 
 
 def first_ack_us(spec: LinkSpec) -> int:
@@ -167,39 +174,61 @@ def first_ack_us(spec: LinkSpec) -> int:
     return MSS * 8 * 1_000_000 // spec.bandwidth_bps + 2 * spec.one_way_delay_ms * US_PER_MS
 
 
-@dataclass
 class _Link:
-    spec: LinkSpec
-    delay_us: int
-    up: bool = True
-    epoch: int = 0
-    tx_free_us: int = 0
+    """Simulator state of one link. The bandwidth and the pair's text are
+    copied off ``spec`` once: the sends read the one, the report the other."""
+
+    __slots__ = ("spec", "delay_us", "up", "epoch", "tx_free_us", "bandwidth_bps", "pair_text")
+
+    def __init__(
+        self, spec: LinkSpec, delay_us: int, up: bool = True, epoch: int = 0, tx_free_us: int = 0
+    ) -> None:
+        self.spec = spec
+        self.delay_us = delay_us
+        self.up = up
+        self.epoch = epoch
+        self.tx_free_us = tx_free_us
+        self.bandwidth_bps = spec.bandwidth_bps
+        self.pair_text = str(spec.pair)
 
 
-@dataclass
 class _Flow:
     """Simulator state of one sub-flow: the sender's sub-flow, the receiver's
     mirror of it (``peer``), the link serving its pair, its timer, its acked
     bytes per bucket and the history of its priority flag
     (``flag_values[i]`` holds from ``flag_times[i]`` on)."""
 
-    sf: SubflowState
-    peer: SubflowState
-    link: _Link
-    flag_times: List[int]
-    flag_values: List[bool]
-    acked: Dict[int, int] = field(default_factory=dict)
-    armed_at_us: Optional[int] = None  # None: idle, no retransmission timeout runs
-    base_us: int = 0
-    timer: int = 0  # deadline
-    timer_pending: Optional[Tuple[int, int]] = None  # (at, seq) of its heap entry
-    probe_outstanding: bool = False
-    clocked: bool = False  # alive in the deciding tier: its acks refill it
-    # acks in flight, in send order: (arrival, nbytes, link epoch, sent at)
-    acks: Deque[Tuple[int, int, int, int]] = field(default_factory=deque)
-    train_wait: int = 0  # acks to handle one by one before a train is tried
-    train: Optional[int] = None  # in a train: its first ack's arrival
-    train_window: Tuple[tuple, ...] = ()  # in a train: the FIFO it started from
+    __slots__ = (
+        "sf", "peer", "link", "flag_times", "flag_values", "acked", "armed_at_us", "base_us",
+        "timer", "timer_pending", "probe_outstanding", "clocked", "acks", "train_wait", "train",
+        "train_window",
+    )
+
+    def __init__(
+        self, sf: SubflowState, peer: SubflowState, link: _Link, flag_times: List[int],
+        flag_values: List[bool], acked: Optional[Dict[int, int]] = None,
+        armed_at_us: Optional[int] = None, base_us: int = 0, timer: int = 0,
+        timer_pending: Optional[Tuple[int, int]] = None, probe_outstanding: bool = False,
+        clocked: bool = False, acks: Optional[Deque[Tuple[int, int, int, int]]] = None,
+        train_wait: int = 0, train: Optional[int] = None, train_window: Tuple[tuple, ...] = (),
+    ) -> None:
+        self.sf = sf
+        self.peer = peer
+        self.link = link
+        self.flag_times = flag_times
+        self.flag_values = flag_values
+        self.acked = {} if acked is None else acked  # bytes by bucket
+        self.armed_at_us = armed_at_us  # None: idle, no retransmission timeout runs
+        self.base_us = base_us
+        self.timer = timer  # deadline
+        self.timer_pending = timer_pending  # (at, seq) of its heap entry
+        self.probe_outstanding = probe_outstanding
+        self.clocked = clocked  # alive in the deciding tier: its acks refill it
+        # acks in flight, in send order: (arrival, nbytes, link epoch, sent at)
+        self.acks = deque() if acks is None else acks
+        self.train_wait = train_wait  # acks to handle one by one before a train is tried
+        self.train = train  # in a train: its first ack's arrival
+        self.train_window = train_window  # in a train: the FIFO it started from
 
 
 class TopologyError(ValidationError):
@@ -319,7 +348,7 @@ class Simulation:
         """Hand a segment to the flow's link; a probe is one of 0 bytes."""
         sf, link = flow.sf, flow.link
         start = max(self.now_us, link.tx_free_us)
-        done = start + nbytes * 8 * 1_000_000 // link.spec.bandwidth_bps
+        done = start + nbytes * 8 * 1_000_000 // link.bandwidth_bps
         link.tx_free_us = done
         sf.inflight_bytes += nbytes
         sf.bytes_sent_total += nbytes
@@ -539,7 +568,7 @@ class Simulation:
         them."""
         sf, link, acks = flow.sf, flow.link, flow.acks
         a0 = acks[0][0]
-        s = MSS * 8 * 1_000_000 // link.spec.bandwidth_bps
+        s = MSS * 8 * 1_000_000 // link.bandwidth_bps
         if not (
             s
             and sf.alive
@@ -579,7 +608,7 @@ class Simulation:
         log of srtt's distance from ``32 * s``, not with k."""
         sf, link, window = flow.sf, flow.link, flow.train_window
         a0, flow.train, flow.train_window = flow.train, None, ()
-        s = MSS * 8 * 1_000_000 // link.spec.bandwidth_bps
+        s = MSS * 8 * 1_000_000 // link.bandwidth_bps
         rtt = WINDOW_SEGMENTS * s
         k = -((a0 - until) // s)  # the acks a0 + i * s before until
         acked, bucket_us = flow.acked, self.bucket_us

@@ -10,9 +10,7 @@ addr_id, because it travels on the sub-flow it names (RFC 8684 §3.3.8).
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from .model import (
     ConnectionState,
@@ -32,15 +30,20 @@ __all__ = [
     "enable_primary_path_only",
 ]
 
-logger = logging.getLogger(__name__)
 
-
-@dataclass(frozen=True)
-class SubPrioRequest:
+class SubPrioRequest(NamedTuple):
     """Request to set one sub-flow's priority: (id, low_prio)."""
 
     id: int
     low_prio: bool
+
+
+def _debug(message: str, *args: object) -> None:
+    # logging is imported only on the branch that logs, to keep it off
+    # ``import mpflow``.
+    import logging
+
+    logging.getLogger(__name__).debug(message, *args)
 
 
 def _set_flag_and_signal(conn: ConnectionState, sf: SubflowState, low_prio: bool) -> None:
@@ -73,11 +76,11 @@ def apply_remote_mp_prio(
     """
     target = opt.addr_id if opt.addr_id is not None else received_on
     if target is None:
-        logger.debug("MP_PRIO without addr_id and no carrying sub-flow; ignored")
+        _debug("MP_PRIO without addr_id and no carrying sub-flow; ignored")
         return
     sf = conn.subflow_by_id(target)
     if sf is None or not sf.alive:
-        logger.debug("MP_PRIO for unknown or dead sub-flow %d; ignored", target)
+        _debug("MP_PRIO for unknown or dead sub-flow %d; ignored", target)
         return
     sf.low_prio = opt.backup_flag
 

@@ -15,8 +15,7 @@ zero and ignored on decode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 MP_PRIO_KIND = 30
 MP_PRIO_SUBTYPE = 5
@@ -34,20 +33,24 @@ class MalformedOptionError(OptionError):
     """The buffer claims to be MP_PRIO but violates the length rules."""
 
 
-@dataclass(frozen=True)
-class MpPrioOption:
-    """A single priority-change signal.
+class _MpPrioOptionFields(NamedTuple):
+    backup_flag: bool
+    addr_id: Optional[int] = None
+
+
+class MpPrioOption(_MpPrioOptionFields):
+    """A single priority-change signal, as a named tuple checked when built.
 
     ``addr_id`` names the sub-flow whose priority changes; ``None`` means
     "the sub-flow this option arrived on".
     """
 
-    backup_flag: bool
-    addr_id: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.addr_id is not None and not 0 <= self.addr_id <= 0xFF:
-            raise OptionError(f"MP_PRIO addr_id out of range: {self.addr_id} (0-255)")
+    def __new__(cls, backup_flag: bool, addr_id: Optional[int] = None) -> MpPrioOption:
+        if addr_id is not None and not 0 <= addr_id <= 0xFF:
+            raise OptionError(f"MP_PRIO addr_id out of range: {addr_id} (0-255)")
+        return super().__new__(cls, backup_flag, addr_id)
 
 
 def encode_mp_prio(opt: MpPrioOption) -> bytes:

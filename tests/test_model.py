@@ -7,11 +7,14 @@ from hypothesis import strategies as st
 from mpflow.model import (
     AlreadyExistsError,
     ConfigurationError,
+    ConnectionState,
     EndpointAddress,
     InterfacePair,
     AddrFamily,
     NotFoundError,
     PORT_BASE,
+    PriorityLists,
+    SubflowState,
     ValidationError,
     close_subflow,
     get_subflow_tuple,
@@ -19,6 +22,8 @@ from mpflow.model import (
     new_connection,
     open_subflow,
 )
+from mpflow.scheduler import ChoiceReason, SchedulerDecision
+from mpflow.sockopt import SubPrioRequest
 from helpers import LOCAL, REMOTES, addr, pair, three_paths, tuple_for_next
 
 
@@ -240,3 +245,117 @@ def test_pair_equality_ignores_ports():
     a = InterfacePair.between(addr("10.0.0.1", 1111), addr("10.0.1.1", 2222))
     b = InterfacePair.between(addr("10.0.0.1", 3333), addr("10.0.1.1", 4444))
     assert a == b
+
+
+# ---------------------------------------------------------------------- #
+# The value and state types as callers build and use them.
+
+V4_A, V4_B = b"\x0a\x00\x00\x01", b"\x0a\x00\x01\x01"
+
+
+def test_value_types_take_every_field_by_keyword_with_its_default():
+    endpoint = EndpointAddress(family=AddrFamily.V4, address=V4_A)
+    assert (endpoint.family, endpoint.address, endpoint.port) == (AddrFamily.V4, V4_A, 0)
+    assert EndpointAddress(family=AddrFamily.V4, address=V4_A, port=7).port == 7
+    p = InterfacePair(family=AddrFamily.V4, src=V4_A, dst=V4_B)
+    assert (p.family, p.src, p.dst) == (AddrFamily.V4, V4_A, V4_B)
+    lists = PriorityLists()
+    assert (lists.active_list, lists.backup_list) == ((), ())
+    assert PriorityLists(active_list=(p,), backup_list=()).active_list == (p,)
+    decision = SchedulerDecision(chosen=None, reason=ChoiceReason.NO_PATH, alone=False, tier=None)
+    assert (decision.chosen, decision.reason, decision.alone, decision.tier) == (
+        None, ChoiceReason.NO_PATH, False, None
+    )
+    request = SubPrioRequest(id=2, low_prio=True)
+    assert (request.id, request.low_prio) == (2, True)
+
+
+def test_subflow_state_takes_every_field_by_keyword_with_its_default():
+    src, dst = addr("10.0.0.1", 40001), addr("10.0.1.1", 40001)
+    sf = SubflowState(id=1, src=src, dst=dst)
+    assert (sf.id, sf.src, sf.dst) == (1, src, dst)
+    assert (sf.low_prio, sf.alive, sf.srtt_us, sf.inflight_bytes) == (False, True, 0, 0)
+    assert (sf.consecutive_timeouts, sf.bytes_sent_total, sf.created_us, sf.died_us) == (
+        0, 0, 0, None
+    )
+    assert sf.pair() == InterfacePair.between(src, dst)
+    values = dict(
+        low_prio=True, alive=False, srtt_us=5, inflight_bytes=6, consecutive_timeouts=2,
+        bytes_sent_total=7, created_us=8, died_us=9,
+    )
+    sf = SubflowState(id=1, src=src, dst=dst, **values)
+    assert {name: getattr(sf, name) for name in values} == values
+    sf.low_prio = False  # mutable
+    assert sf.low_prio is False
+
+
+def test_connection_state_takes_every_field_by_keyword_with_its_default():
+    local, remote = [addr("10.0.0.1")], [addr("10.0.1.1")]
+    conn = ConnectionState(local_addrs=local, remote_addrs=remote)
+    assert (conn.local_addrs, conn.remote_addrs, conn.next_id) == (local, remote, 1)
+    assert conn.subflows == conn.active_list == conn.backup_list == []
+    assert conn.primary_pairs == conn.outbox == []
+    other = ConnectionState(local_addrs=local, remote_addrs=remote)
+    conn.outbox.append((1, None))
+    assert other.outbox == []  # no list is shared between connections
+    p = InterfacePair.between(local[0], remote[0])
+    sf = SubflowState(id=4, src=local[0], dst=remote[0])
+    full = ConnectionState(
+        local_addrs=local, remote_addrs=remote, subflows=[sf], next_id=5,
+        active_list=[p], backup_list=[p], primary_pairs=[p], outbox=[(4, None)],
+    )
+    assert full.subflow_by_id(4) is sf
+    assert (full.next_id, full.active_list, full.backup_list) == (5, [p], [p])
+    assert (full.primary_pairs, full.outbox) == ([p], [(4, None)])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: EndpointAddress(AddrFamily.V4, b"\x0a\x00\x00"),
+        lambda: EndpointAddress(AddrFamily.V6, V4_A),
+        lambda: EndpointAddress(AddrFamily.V4, V4_A, port=-1),
+        lambda: EndpointAddress(AddrFamily.V4, V4_A, port=0x10000),
+        lambda: InterfacePair(AddrFamily.V4, V4_A, b"\x0a\x00\x01"),
+        lambda: InterfacePair(AddrFamily.V6, V4_A, V4_B),
+        lambda: InterfacePair(family=AddrFamily.V4, src=b"", dst=V4_B),
+    ],
+    ids=["v4-3-bytes", "v6-4-bytes", "port-negative", "port-65536", "dst-3-bytes",
+         "v6-pair-of-v4", "src-empty"],
+)
+def test_addresses_and_pairs_are_checked_when_built(build):
+    with pytest.raises(ValidationError):
+        build()
+
+
+def test_endpoints_and_pairs_work_as_dict_keys():
+    a = InterfacePair(AddrFamily.V4, V4_A, V4_B)
+    b = InterfacePair.between(addr("10.0.0.1", 1), addr("10.0.1.1", 2))
+    assert a == b and hash(a) == hash(b)
+    assert a != InterfacePair(AddrFamily.V4, V4_B, V4_A)
+    by_pair = {a: "first"}
+    by_pair[b] = "second"
+    assert by_pair == {a: "second"}
+    e1, e2 = EndpointAddress(AddrFamily.V4, V4_A, 80), addr("10.0.0.1", 80)
+    assert e1 == e2 and hash(e1) == hash(e2)
+    assert e1 != e1.with_port(81)
+    assert {e1: 1, e2: 2, e1.with_port(81): 3} == {e1: 2, e1.with_port(81): 3}
+    assert str(a) == "10.0.0.1->10.0.1.1" and e1.host() == "10.0.0.1"
+
+
+@pytest.mark.parametrize(
+    "value, field",
+    [
+        (EndpointAddress(AddrFamily.V4, V4_A), "port"),
+        (InterfacePair(AddrFamily.V4, V4_A, V4_B), "src"),
+        (PriorityLists(), "active_list"),
+        (SchedulerDecision(1, ChoiceReason.ACTIVE_PATH, True, 1), "chosen"),
+        (SubPrioRequest(1, True), "low_prio"),
+    ],
+    ids=lambda v: type(v).__name__ if not isinstance(v, str) else v,
+)
+def test_value_types_are_frozen(value, field):
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+    with pytest.raises(AttributeError):
+        value.extra = 1

@@ -81,7 +81,7 @@ def runs(draw):
         flows.append(
             SimpleNamespace(
                 sf=SimpleNamespace(id=subflow_id, created_us=created_us, died_us=died_us),
-                link=SimpleNamespace(spec=SimpleNamespace(pair=f"10.0.0.1->10.0.{subflow_id}.1")),
+                link=SimpleNamespace(pair_text=f"10.0.0.1->10.0.{subflow_id}.1"),
                 acked=acked,
                 flag_times=[created_us] + flips,
                 flag_values=values,
@@ -116,5 +116,5 @@ def test_csv_and_rows_follow_the_row_rule_bucket_by_bucket(run):
     out = io.StringIO()
     emit_csv(report, out)
     header, *lines = out.getvalue().splitlines()
-    pairs = {flow.sf.id: flow.link.spec.pair for flow in flows}
+    pairs = {flow.sf.id: flow.link.pair_text for flow in flows}
     assert lines == [csv_line(row, bucket_ms, pairs[row.subflow_id]) for row in expected]

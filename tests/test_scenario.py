@@ -7,6 +7,7 @@ from mpflow.scenario import (
     BUILTIN_DOCS,
     CSV_HEADER,
     Scenario,
+    ScenarioAction,
     ScenarioSemanticError,
     ScenarioSyntaxError,
     builtin_scenario,
@@ -15,7 +16,8 @@ from mpflow.scenario import (
     parse_scenario,
     run_scenario,
 )
-from mpflow.simnet import TimelineReport
+from mpflow.simnet import LinkSpec, TimelineReport
+from helpers import pair
 
 THREE_LINKS = """\
 link 1 1mbps 100ms 10.0.0.1 10.0.1.1
@@ -337,3 +339,70 @@ def test_csv_output_is_byte_identical_across_runs():
         emit_csv(run_scenario(builtin_scenario("fig5")), buf)
         outputs.append(buf.getvalue())
     assert outputs[0] == outputs[1]
+
+
+# ---------------------------------------------------------------------- #
+# The scenario value types and the report, as callers build and compare them.
+
+
+def test_link_specs_and_actions_take_every_field_by_keyword():
+    p = pair("10.0.0.1", "10.0.1.1")
+    spec = LinkSpec(link_id=1, pair=p, bandwidth_bps=1_000_000, one_way_delay_ms=0)
+    assert (spec.link_id, spec.pair, spec.bandwidth_bps, spec.one_way_delay_ms) == (
+        1, p, 1_000_000, 0
+    )
+    action = ScenarioAction(at_ms=5, verb="link_down")
+    assert (action.at_ms, action.verb, action.targets, action.low_prio) == (
+        5, "link_down", (), None
+    )
+    flip = ScenarioAction(at_ms=0, verb="set_sub_prio", targets=(2, 3), low_prio=True)
+    assert (flip.targets, flip.low_prio) == ((2, 3), True)
+    scenario = Scenario(name="s", duration_ms=10, links=(spec,), actions=(action,))
+    assert (scenario.name, scenario.duration_ms, scenario.links, scenario.actions) == (
+        "s", 10, (spec,), (action,)
+    )
+    assert scenario == Scenario("s", 10, (spec,), (action,))
+
+
+@pytest.mark.parametrize(
+    "bandwidth_bps, delay_ms, message",
+    [
+        (0, 100, "bandwidth must be positive"),
+        (-1, 100, "bandwidth must be positive"),
+        (1_000_000, -1, "delay must be >= 0"),
+        (11_680_000_001, 0, "at 0 ms delay"),
+    ],
+)
+def test_link_specs_are_checked_when_built(bandwidth_bps, delay_ms, message):
+    with pytest.raises(ValidationError, match=f"link 7: {message}"):
+        LinkSpec(7, pair("10.0.0.1", "10.0.1.1"), bandwidth_bps, delay_ms)
+
+
+@pytest.mark.parametrize(
+    "value, field",
+    [
+        (LinkSpec(1, pair("10.0.0.1", "10.0.1.1"), 1_000_000, 1), "bandwidth_bps"),
+        (ScenarioAction(0, "link_up", (1,)), "targets"),
+        (Scenario("s", 10, (), ()), "duration_ms"),
+    ],
+    ids=["LinkSpec", "ScenarioAction", "Scenario"],
+)
+def test_scenario_value_types_are_frozen(value, field):
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+def test_reports_are_equal_field_by_field():
+    scenario = builtin_scenario("fig6_ppos")
+    first = run_scenario(scenario, duration_ms=5_000)
+    second = run_scenario(scenario, duration_ms=5_000)
+    assert first == second and not first != second
+    assert first.rows == second.rows
+    assert first != run_scenario(scenario, duration_ms=4_000)
+    assert first != run_scenario(scenario, duration_ms=5_000, bucket_ms=500)
+    empty = TimelineReport(bucket_ms=1000, duration_ms=0, columns=[], subflow_genealogy=[])
+    assert empty == TimelineReport(1000, 0, [], [])
+    assert empty != TimelineReport(1000, 0, [], first.subflow_genealogy)
+    assert empty != (1000, 0, [], [])

@@ -1,4 +1,5 @@
 import itertools
+import logging
 
 import pytest
 from hypothesis import given
@@ -106,6 +107,18 @@ def test_apply_remote_unknown_target_ignored():
     before = [(sf.id, sf.low_prio) for sf in conn.subflows]
     apply_remote_mp_prio(conn, MpPrioOption(True, 9))
     assert [(sf.id, sf.low_prio) for sf in conn.subflows] == before
+
+
+def test_apply_remote_unknown_target_is_logged_at_debug(caplog):
+    conn = three_paths()
+    close_subflow(conn, 2)
+    with caplog.at_level(logging.DEBUG, logger="mpflow.sockopt"):
+        apply_remote_mp_prio(conn, MpPrioOption(True, 9))
+        apply_remote_mp_prio(conn, MpPrioOption(True), received_on=2)
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        ("mpflow.sockopt", logging.DEBUG, f"MP_PRIO for unknown or dead sub-flow {sf_id}; ignored")
+        for sf_id in (9, 2)
+    ]
 
 
 def test_apply_remote_absent_addr_id_uses_carrying_subflow():

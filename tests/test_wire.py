@@ -94,3 +94,26 @@ def test_decode_total_on_arbitrary_bytes(data):
     except OptionError:
         return
     assert isinstance(opt, MpPrioOption)
+
+
+def test_option_takes_its_fields_by_keyword_with_addr_id_defaulting_to_none():
+    opt = MpPrioOption(backup_flag=True)
+    assert (opt.backup_flag, opt.addr_id) == (True, None)
+    assert MpPrioOption(backup_flag=False, addr_id=255).addr_id == 255
+    assert MpPrioOption(True, 0) == MpPrioOption(backup_flag=True, addr_id=0)
+
+
+@pytest.mark.parametrize("addr_id", [-1, 256, 1 << 16])
+def test_addr_id_is_checked_when_built(addr_id):
+    with pytest.raises(OptionError, match="addr_id out of range"):
+        MpPrioOption(backup_flag=True, addr_id=addr_id)
+
+
+def test_options_compare_and_hash_by_value_and_are_frozen():
+    opt = MpPrioOption(True, 3)
+    assert {opt: 1}[MpPrioOption(True, 3)] == 1
+    assert opt != MpPrioOption(False, 3) and opt != MpPrioOption(True)
+    with pytest.raises(AttributeError):
+        opt.backup_flag = False
+    with pytest.raises(AttributeError):
+        opt.extra = 1
