@@ -97,7 +97,7 @@ def _parse_time_ms(token: str, line: int) -> int:
     for suffix, scale in (("ms", 1), ("s", 1000)):
         if token.endswith(suffix):
             digits = token[: -len(suffix)]
-            if digits.isdigit():
+            if digits.isdecimal():
                 return int(digits) * scale
     raise ScenarioSyntaxError(f"bad time {token!r} (want e.g. 15s or 15000ms)", line)
 
@@ -107,7 +107,7 @@ def _parse_bandwidth_bps(token: str, line: int) -> int:
     for suffix, scale in (("mbps", 1_000_000), ("kbps", 1_000), ("bps", 1)):
         if lowered.endswith(suffix):
             digits = lowered[: -len(suffix)]
-            if digits.isdigit():
+            if digits.isdecimal():
                 return int(digits) * scale
     raise ScenarioSyntaxError(f"bad bandwidth {token!r} (want e.g. 1mbps)", line)
 
@@ -115,7 +115,7 @@ def _parse_bandwidth_bps(token: str, line: int) -> int:
 def _parse_int_list(tokens: List[str], line: int, what: str) -> Tuple[int, ...]:
     values = []
     for token in tokens:
-        if not token.isdigit():
+        if not token.isdecimal():
             raise ScenarioSyntaxError(f"bad {what} {token!r}", line)
         values.append(int(token))
     return tuple(values)

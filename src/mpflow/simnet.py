@@ -8,9 +8,9 @@ links, one link per (local, remote) interface pair. The engine models:
   delivered one one-way delay later; the ack returns after another one-way
   delay. Links are lossless while up; a down link drops every in-flight and
   future segment and ack. The ack is queued on its sub-flow when the
-  segment is sent and dropped on arrival if the link went down or changed
-  meanwhile: a link's epoch grows on every change, so an unchanged epoch at
-  ack time means the segment arrived too.
+  segment is sent on a link that is up; a segment sent on a down link
+  queues none. A link change drops its sub-flows' queued acks at once, so
+  every queued ack arrives.
 * an infinite-backlog sender that keeps the windows of the sub-flows the
   scheduler offers filled with MSS-sized segments. The scheduler runs only
   where its tiers can change: at start, after an action, a death or a new
@@ -38,8 +38,10 @@ links, one link per (local, remote) interface pair. The engine models:
 * MP_PRIO delivery: a priority signal applies to the sub-flow that carries
   it (RFC 8684 §3.3.8). One that an action queues travels alone on its
   sub-flow's link and sets the receiver's view one one-way delay later,
-  unless the link is down or has changed by then. It carries no ack, sets
-  no timer, gives no RTT sample and does not occupy the link.
+  unless the link is down or has changed by then: it is a heap event, which
+  a link change cannot drop, so it checks the link's epoch, which grows on
+  every change. It carries no ack, sets no timer, gives no RTT sample and
+  does not occupy the link.
 
 Timeouts are counters only; no retransmission segment is emitted, because
 links are lossless while up, so a timeout implies the path is down and
@@ -53,7 +55,7 @@ give byte-identical reports on any platform.
 
 Acks are not heap events. A link serializes in send order, so a sub-flow's
 acks come back in send order and wait in a FIFO on the sub-flow; a link
-change, which restarts the link's clock, drops them and empties the FIFOs
+change, which restarts the link's clock, drops them by emptying the FIFOs
 of its sub-flows. :meth:`Simulation.run` alternates between draining every
 FIFO, sub-flow by sub-flow, up to a horizon, and running the next heap
 event. The horizon is the next heap event, the end of the run or
@@ -65,17 +67,16 @@ falls due inside the horizon and the acks of different sub-flows commute.
 Most acks belong to steady trains, which run in closed form. A train is a
 state of the sub-flow, not a step of the drain: :meth:`Simulation._train`
 starts one on a clocked flow from its first full window. The window is
-full on a link that is up and stays busy past the first ack ``a0``; 32
-acks of one MSS in the link's epoch are queued, spaced by the
-serialization time ``s`` of at least 1 µs; and no probe or timeout is
-outstanding. The
-acks' round-trip samples may be anything, such as the ramp of a window
-sent in one burst. Each ack then frees one MSS and sends one, which
-finishes ``s`` after the one before and is acked ``32 * s`` after it was
-sent. It leaves the window full, so the next ack meets the same
-conditions. Only srtt moves, by its EWMA, and nothing reads it meanwhile:
-``select`` reads it only on a flow with room in its window, and the timer
-at its next arming.
+full on a link that stays busy past the first ack ``a0``; 32 acks of one
+MSS are queued, spaced by the serialization time ``s`` of at least 1 µs,
+so the link is up and unchanged since they were sent; and no probe or
+timeout is outstanding. The acks' round-trip samples may be anything,
+such as the ramp of a window sent in one burst. Each ack then frees one
+MSS and sends one, which finishes ``s`` after the one before and is acked
+``32 * s`` after it was sent. It leaves the window full, so the next ack
+meets the same conditions. Only srtt moves, by its EWMA, and nothing reads
+it meanwhile: ``select`` reads it only on a flow with room in its window,
+and the timer at its next arming.
 
 The timer never fires between two acks of a train. When the drain tries
 the train, its horizon is past ``a0`` and no later than the flow's pending
@@ -90,7 +91,7 @@ keeps it above ``s``: each ack's deadline falls after the next ack.
 So the acks form the progression ``a0 + i * s``, the FIFO stays implicit
 and the drain skips the flow, and every pump reads the state it would
 read per ack. The train lasts until :meth:`Simulation._end_train` runs, in
-one of three places: a change of the flow's link, before the epoch grows; a
+one of three places: a change of the flow's link, before its acks drop; a
 pump that takes the flow out of the deciding tier; and the end of the run.
 The k acks due before that moment are exactly k calls of
 :meth:`Simulation._on_ack_arrival`: k MSS acked, split among the buckets
@@ -168,28 +169,32 @@ class LinkSpec(_LinkSpecFields):
         return spec
 
 
+def mss_us(bandwidth_bps: int) -> int:
+    """How long an MSS serializes at ``bandwidth_bps``, in whole µs."""
+    return MSS * 8 * 1_000_000 // bandwidth_bps
+
+
 def first_ack_us(spec: LinkSpec) -> int:
     """How long after an MSS is sent on the idle link ``spec`` its ack comes
     back. From FIRST_DEATH_US on, every sub-flow on the link dies unacked."""
-    return MSS * 8 * 1_000_000 // spec.bandwidth_bps + 2 * spec.one_way_delay_ms * US_PER_MS
+    return mss_us(spec.bandwidth_bps) + 2 * spec.one_way_delay_ms * US_PER_MS
 
 
 class _Link:
-    """Simulator state of one link. The bandwidth and the pair's text are
-    copied off ``spec`` once: the sends read the one, the report the other."""
+    """Simulator state of one link. What the sends and the report read of
+    ``spec`` is worked out once: the one-way delay and an MSS's
+    serialization time in µs, and the pair's text."""
 
-    __slots__ = ("spec", "delay_us", "up", "epoch", "tx_free_us", "bandwidth_bps", "pair_text")
+    __slots__ = ("spec", "delay_us", "mss_us", "pair_text", "up", "epoch", "tx_free_us")
 
-    def __init__(
-        self, spec: LinkSpec, delay_us: int, up: bool = True, epoch: int = 0, tx_free_us: int = 0
-    ) -> None:
+    def __init__(self, spec: LinkSpec) -> None:
         self.spec = spec
-        self.delay_us = delay_us
-        self.up = up
-        self.epoch = epoch
-        self.tx_free_us = tx_free_us
-        self.bandwidth_bps = spec.bandwidth_bps
+        self.delay_us = spec.one_way_delay_ms * US_PER_MS
+        self.mss_us = mss_us(spec.bandwidth_bps)
         self.pair_text = str(spec.pair)
+        self.up = True
+        self.epoch = 0  # grows on every change, for the MP_PRIO arrivals
+        self.tx_free_us = 0
 
 
 class _Flow:
@@ -204,31 +209,24 @@ class _Flow:
         "train_window",
     )
 
-    def __init__(
-        self, sf: SubflowState, peer: SubflowState, link: _Link, flag_times: List[int],
-        flag_values: List[bool], acked: Optional[Dict[int, int]] = None,
-        armed_at_us: Optional[int] = None, base_us: int = 0, timer: int = 0,
-        timer_pending: Optional[Tuple[int, int]] = None, probe_outstanding: bool = False,
-        clocked: bool = False, acks: Optional[Deque[Tuple[int, int, int, int]]] = None,
-        train_wait: int = 0, train: Optional[int] = None, train_window: Tuple[tuple, ...] = (),
-    ) -> None:
+    def __init__(self, sf: SubflowState, peer: SubflowState, link: _Link, born_us: int) -> None:
         self.sf = sf
         self.peer = peer
         self.link = link
-        self.flag_times = flag_times
-        self.flag_values = flag_values
-        self.acked = {} if acked is None else acked  # bytes by bucket
-        self.armed_at_us = armed_at_us  # None: idle, no retransmission timeout runs
-        self.base_us = base_us
-        self.timer = timer  # deadline
-        self.timer_pending = timer_pending  # (at, seq) of its heap entry
-        self.probe_outstanding = probe_outstanding
-        self.clocked = clocked  # alive in the deciding tier: its acks refill it
-        # acks in flight, in send order: (arrival, nbytes, link epoch, sent at)
-        self.acks = deque() if acks is None else acks
-        self.train_wait = train_wait  # acks to handle one by one before a train is tried
-        self.train = train  # in a train: its first ack's arrival
-        self.train_window = train_window  # in a train: the FIFO it started from
+        self.flag_times = [born_us]
+        self.flag_values = [sf.low_prio]
+        self.acked: Dict[int, int] = {}  # bytes by bucket
+        self.armed_at_us: Optional[int] = None  # None: idle, no retransmission timeout runs
+        self.base_us = 0
+        self.timer = 0  # deadline
+        self.timer_pending: Optional[Tuple[int, int]] = None  # (at, seq) of its heap entry
+        self.probe_outstanding = False
+        self.clocked = False  # alive in the deciding tier: its acks refill it
+        # acks that will arrive, in send order: (arrival, nbytes, sent at)
+        self.acks: Deque[Tuple[int, int, int]] = deque()
+        self.train_wait = 0  # acks to handle one by one before a train is tried
+        self.train: Optional[int] = None  # in a train: its first ack's arrival
+        self.train_window: Tuple[tuple, ...] = ()  # in a train: the FIFO it started from
 
 
 class TopologyError(ValidationError):
@@ -295,13 +293,9 @@ class Simulation:
         self.receiver = mirror_connection(sender)
         self.duration_us = duration_ms * US_PER_MS
         self.bucket_us = bucket_ms * US_PER_MS
-        self.bucket_ms = bucket_ms
-        self.duration_ms = duration_ms
         self.now_us = 0
 
-        links_by_pair = {
-            spec.pair: _Link(spec, spec.one_way_delay_ms * US_PER_MS) for spec in links
-        }
+        links_by_pair = {spec.pair: _Link(spec) for spec in links}
         self._links_by_id = {link.spec.link_id: link for link in links_by_pair.values()}
 
         # (at_us, rank, handler, args): run() calls handler(self, *args). The
@@ -313,7 +307,7 @@ class Simulation:
         self._heap: List[tuple] = []
         self._seq = itertools.count()
         self._flows: Dict[int, _Flow] = {
-            sf.id: _Flow(sf, peer, links_by_pair[sf.pair()], [0], [sf.low_prio])
+            sf.id: _Flow(sf, peer, links_by_pair[sf.pair()], 0)
             for sf, peer in zip(sender.subflows, self.receiver.subflows)
         }
         self._finished = False
@@ -339,7 +333,7 @@ class Simulation:
             if flow.link is link:
                 if flow.train is not None:
                     self._end_train(flow, self.now_us)
-                flow.acks.clear()  # all dropped on arrival: the epoch changes
+                flow.acks.clear()
         link.up = up
         link.epoch += 1
         link.tx_free_us = self.now_us
@@ -348,11 +342,12 @@ class Simulation:
         """Hand a segment to the flow's link; a probe is one of 0 bytes."""
         sf, link = flow.sf, flow.link
         start = max(self.now_us, link.tx_free_us)
-        done = start + nbytes * 8 * 1_000_000 // link.bandwidth_bps
+        done = start + link.mss_us if nbytes else start
         link.tx_free_us = done
         sf.inflight_bytes += nbytes
         sf.bytes_sent_total += nbytes
-        flow.acks.append((done + 2 * link.delay_us, nbytes, link.epoch, self.now_us))
+        if link.up:  # on a down link, the segment and its ack are lost
+            flow.acks.append((done + 2 * link.delay_us, nbytes, self.now_us))
         if flow.armed_at_us is None:
             self._arm_rto(flow)
 
@@ -411,12 +406,7 @@ class Simulation:
             return  # lost on a changed or down link
         sockopt.apply_remote_mp_prio(self.receiver, opt, received_on=flow.sf.id)
 
-    def _on_ack_arrival(self, flow: _Flow, nbytes: int, epoch: int, sent_us: int) -> None:
-        # Epochs only grow, so an unchanged epoch at ack time means the link
-        # was up and unchanged when the segment arrived as well.
-        link = flow.link
-        if link.epoch != epoch or not link.up:
-            return  # the segment or its ack was dropped
+    def _on_ack_arrival(self, flow: _Flow, nbytes: int, sent_us: int) -> None:
         sf = flow.sf
         if not sf.alive:
             return  # late ack for a sub-flow already declared dead
@@ -480,14 +470,14 @@ class Simulation:
         port = PORT_BASE + self.sender.next_id
         src = EndpointAddress(pair.family, pair.src, port)
         dst = EndpointAddress(pair.family, pair.dst, port)
-        new_id = open_subflow(self.sender, (src, dst))
-        sf = self.sender.subflow_by_id(new_id)
+        open_subflow(self.sender, (src, dst))
+        sf = self.sender.subflows[-1]  # open_subflow appends it
         sf.created_us = self.now_us
         peer = _mirror(sf)
         self.receiver.subflows.append(peer)
         self.receiver.next_id = self.sender.next_id
-        flow = _Flow(sf, peer, link, [self.now_us], [sf.low_prio])
-        self._flows[new_id] = flow
+        flow = _Flow(sf, peer, link, self.now_us)
+        self._flows[sf.id] = flow
         self._pump()
         if flow.armed_at_us is None:
             self._set_timer(flow, self.now_us + PROBE_INTERVAL_US)
@@ -556,8 +546,8 @@ class Simulation:
                             break
                         flow.train_wait = WINDOW_SEGMENTS
                     flow.train_wait -= 1
-                self.now_us, nbytes, epoch, sent_us = acks.popleft()
-                on_ack(flow, nbytes, epoch, sent_us)
+                self.now_us, nbytes, sent_us = acks.popleft()
+                on_ack(flow, nbytes, sent_us)
 
     def _train(self, flow: _Flow) -> bool:
         """Start a train on the clocked ``flow`` if its FIFO holds a full
@@ -567,12 +557,10 @@ class Simulation:
         samples may be anything: the train's end replays srtt's EWMA over
         them."""
         sf, link, acks = flow.sf, flow.link, flow.acks
-        a0 = acks[0][0]
-        s = MSS * 8 * 1_000_000 // link.bandwidth_bps
+        a0, s = acks[0][0], link.mss_us
         if not (
             s
             and sf.alive
-            and link.up
             and sf.inflight_bytes == WINDOW_BYTES
             and len(acks) == WINDOW_SEGMENTS
             and not flow.probe_outstanding
@@ -581,9 +569,9 @@ class Simulation:
             and acks[-1][0] == link.tx_free_us + 2 * link.delay_us
         ):
             return False
-        at, epoch = a0, link.epoch
-        for arrival, nbytes, ack_epoch, _ in acks:
-            if arrival != at or nbytes != MSS or ack_epoch != epoch:
+        at = a0
+        for arrival, nbytes, _ in acks:
+            if arrival != at or nbytes != MSS:
                 return False
             at += s
         flow.train_window = tuple(acks)
@@ -599,16 +587,15 @@ class Simulation:
         at the end of the run, so ``until`` is past its first ack.
 
         The acked bytes are split among the buckets in bulk, with no Python
-        step per bucket: all to one bucket if the acks fall in one, from the
-        bucket of each ack when a bucket holds one at most, or else from the
-        count of acks before each bucket edge.
+        step per bucket: from the bucket of each ack when a bucket holds one
+        at most, or else from the count of acks before each bucket edge.
         srtt's EWMA runs over the samples of the acks of the window the
         train started with, then over the steady sample ``32 * s`` of the
         acks the train sent, up to its fixed point: its steps grow with the
         log of srtt's distance from ``32 * s``, not with k."""
         sf, link, window = flow.sf, flow.link, flow.train_window
         a0, flow.train, flow.train_window = flow.train, None, ()
-        s = MSS * 8 * 1_000_000 // link.bandwidth_bps
+        s = link.mss_us
         rtt = WINDOW_SEGMENTS * s
         k = -((a0 - until) // s)  # the acks a0 + i * s before until
         acked, bucket_us = flow.acked, self.bucket_us
@@ -617,12 +604,10 @@ class Simulation:
         # and none from before the train. Otherwise each bucket from the first
         # ack's to the last's holds one at least, only the first may hold
         # earlier acks, and the acks before an inner edge e number
-        # ceil((e - a0) / s).
+        # ceil((e - a0) / s); with no inner edge, all k go to the first.
         first, last = a0 // bucket_us, (a0 + (k - 1) * s) // bucket_us
         repeat, floordiv = itertools.repeat, operator.floordiv
-        if first == last:
-            acked[first] = acked.get(first, 0) + k * MSS
-        elif s >= bucket_us:
+        if s >= bucket_us:
             handled = range(a0, a0 + k * s, s)
             acked.update(zip(map(floordiv, handled, repeat(bucket_us)), repeat(MSS)))
         else:
@@ -634,7 +619,7 @@ class Simulation:
             nbytes = map(operator.mul, map(operator.sub, before[1:], before), repeat(MSS))
             acked.update(zip(range(first + 1, last + 1), nbytes))
         srtt = sf.srtt_us
-        for at, _, _, sent_us in window[:k]:
+        for at, _, sent_us in window[:k]:
             sample = at - sent_us
             srtt = sample if srtt == 0 else (7 * srtt + sample) // 8
         for _ in range(k - WINDOW_SEGMENTS):
@@ -645,10 +630,10 @@ class Simulation:
         sf.bytes_sent_total += k * MSS
         link.tx_free_us += k * s
         # The window's acks not yet handled, then those of the train's sends.
-        head, epoch = a0 + k * s, link.epoch
+        head = a0 + k * s
         flow.acks.extend(window[k:])
         arrivals = range(max(head, a0 + rtt), head + rtt, s)
-        flow.acks.extend((at, MSS, epoch, at - rtt) for at in arrivals)
+        flow.acks.extend((at, MSS, at - rtt) for at in arrivals)
         now_us, self.now_us = self.now_us, head - s
         self._arm_rto(flow)
         self.now_us = now_us
@@ -665,8 +650,8 @@ class Simulation:
             for sf in self.sender.subflows
         ]
         return TimelineReport(
-            bucket_ms=self.bucket_ms,
-            duration_ms=self.duration_ms,
+            bucket_ms=self.bucket_us // US_PER_MS,
+            duration_ms=self.duration_us // US_PER_MS,
             columns=[
                 SubflowColumn.of(flow, self.bucket_us, n_buckets) for flow in self._flows.values()
             ],

@@ -57,6 +57,25 @@ def test_validate_bad_file(tmp_path, capsys):
     assert "invalid scenario" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [(["validate"], "invalid scenario"), (["run", "--scenario"], "error")],
+    ids=["validate", "run"],
+)
+def test_a_superscript_digit_is_one_error_line(tmp_path, capsys, argv, prefix):
+    # str.isdigit accepts "³", which int() rejects with a ValueError.
+    path = tmp_path / "superscript.scn"
+    path.write_text(
+        "scenario s\nduration 2s\nlink 1 1mbps 10ms 10.0.0.1 10.0.1.1\n"
+        "at 1s set_sub_prio ³ backup\n",
+        encoding="utf-8",
+    )
+    assert main(argv + [str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"{prefix}: line 4: bad sub-flow id '³'\n"
+    assert captured.out == ""
+
+
 def test_validate_rejects_a_topology_that_cannot_run(tmp_path, capsys):
     path = tmp_path / "split.scn"
     path.write_text(

@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from scenario_gen import CORPUS_BUCKETS_MS, corpus, csv_digest
-from mpflow.scenario import PPOS_ENV_VAR
+from mpflow.scenario import PPOS_ENV_VAR, parse_scenario, run_scenario
+from mpflow.simnet import Simulation
 
 PINNED = json.loads((Path(__file__).resolve().parent / "golden_corpus.json").read_text())
 DOCS = dict(corpus())
@@ -29,3 +30,22 @@ def test_corpus_csv_matches_pinned_digest(name, monkeypatch):
     monkeypatch.delenv(PPOS_ENV_VAR, raising=False)
     digests = {str(width): csv_digest(DOCS[name], width) for width in CORPUS_BUCKETS_MS}
     assert digests == PINNED[name]
+
+
+def test_every_ack_handled_one_by_one_finds_its_link_up(monkeypatch):
+    # A segment sent on a down link queues no ack, and a link change drops
+    # the acks queued on its sub-flows, so no ack reaches _on_ack_arrival
+    # on a link that is down.
+    handled, on_down_link = [], []
+    on_ack = Simulation._on_ack_arrival
+
+    def check(sim, flow, *ack):
+        (handled if flow.link.up else on_down_link).append((flow.sf.id, sim.now_us))
+        on_ack(sim, flow, *ack)
+
+    monkeypatch.setattr(Simulation, "_on_ack_arrival", check)
+    monkeypatch.delenv(PPOS_ENV_VAR, raising=False)
+    for doc in DOCS.values():
+        run_scenario(parse_scenario(doc), bucket_ms=1000)
+    assert len(handled) > 1000
+    assert on_down_link == []

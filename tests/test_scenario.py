@@ -82,6 +82,23 @@ def test_bad_time_suffix_rejected():
         parse_scenario("scenario s\nduration 10\nlink 1 1mbps 10ms 10.0.0.1 10.0.1.1\n")
 
 
+@pytest.mark.parametrize(
+    "doc, line, message",
+    [
+        ("duration ²s\nlink 1 1mbps 10ms 10.0.0.1 10.0.1.1\n", 2, "bad time"),
+        ("duration 2s\nlink 1 ²mbps 10ms 10.0.0.1 10.0.1.1\n", 3, "bad bandwidth"),
+        ("duration 2s\nlink ¹ 1mbps 10ms 10.0.0.1 10.0.1.1\n", 3, "bad link id"),
+        ("duration 2s\n" + THREE_LINKS + "at 1s set_sub_prio ³ backup\n", 6, "bad sub-flow id"),
+    ],
+    ids=["time", "bandwidth", "link-id", "sub-flow-id"],
+)
+def test_a_superscript_digit_is_a_syntax_error_with_its_line(doc, line, message):
+    # str.isdigit accepts superscript digits, which int() rejects.
+    with pytest.raises(ScenarioSyntaxError, match=message) as err:
+        parse_scenario("scenario s\n" + doc)
+    assert err.value.line == line
+
+
 def test_action_referencing_missing_link_is_semantic_error():
     doc = (
         "scenario s\nduration 1s\n" + THREE_LINKS + "at 1s link_down 9\n"

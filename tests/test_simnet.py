@@ -358,6 +358,34 @@ def test_an_mp_prio_is_lost_on_a_link_that_is_down_or_changes_before_it_arrives(
     assert not sim.receiver.subflow_by_id(2).low_prio
 
 
+def test_a_window_sent_on_a_down_link_queues_no_acks(monkeypatch):
+    # Sub-flow 2 is an idle backup on a 1 Mbps, 100 ms link; its first probe
+    # at 1 s gives it a 200 ms srtt. Link 2 goes down at 1.3 s and link 1 at
+    # 1.5 s, and sub-flow 1 dies of it at 2,298 ms. That death's pump fills
+    # sub-flow 2's window on the down link: the window counts in flight, but
+    # no ack is queued. The probe sent at 2.2 s, also on the down link, armed
+    # its timer with a 400 ms base, so it dies at its third timeout, at
+    # 2.2 + 4 * 0.4 s.
+    sender = new_connection([addr("10.0.0.1")], [addr("10.0.1.1"), addr("10.0.2.1")])
+    fast, slow = sender.mesh_pairs()
+    links = [LinkSpec(1, fast, 5_840_000, 20), LinkSpec(2, slow, MBPS, 100)]
+    sim = Simulation(sender, links, duration_ms=6_000)
+    sim.schedule_action(0, mark_backup(2))
+    sim.schedule_action(1_300, link_action(2, False))
+    sim.schedule_action(1_500, link_action(1, False))
+    after_kill, kill = [], Simulation._kill
+
+    def record(sim, flow):
+        kill(sim, flow)
+        backup = sim._flows[2]
+        after_kill.append((sim.now_us, flow.sf.id, backup.sf.inflight_bytes, list(backup.acks)))
+
+    monkeypatch.setattr(Simulation, "_kill", record)
+    sim.run()
+    assert after_kill == [(2_298_000, 1, WINDOW, []), (3_800_000, 2, 0, [])]
+    assert sim._flows[2].acked == {}
+
+
 def test_acks_after_a_short_outage_are_handled_at_their_own_times():
     # Sub-flow 2 is a draining backup when link 2 flaps for 20 ms at 1.1 s:
     # its segments in flight are lost, but it lives on, and marking sub-flow

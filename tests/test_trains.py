@@ -252,6 +252,26 @@ def test_a_bucket_that_is_a_multiple_of_s_holds_that_many_acks(bucket_ms):
     assert all(acked[bucket] == bucket_ms // 2 * MSS for bucket in range(first + 1, last + 1))
 
 
+@pytest.mark.parametrize(
+    "bandwidth_bps, duration_ms, bucket_ms, bucket, acks",
+    [(EVEN_BPS, 500, 1000, 0, 229), (1_000_000, 60, 10, 5, 1)],
+    ids=["s-below-the-bucket", "s-above-the-bucket"],
+)
+def test_a_train_that_ends_in_the_bucket_it_started_in(
+    bandwidth_bps, duration_ms, bucket_ms, bucket, acks
+):
+    # The only train starts at the first ack, s + 40 ms, and the run's end
+    # stops it in the same bucket: at 2 ms per MSS, 229 acks from 42 ms on
+    # in the first 1 s bucket; at 11.68 ms per MSS, wider than a 10 ms
+    # bucket, the one ack at 51.68 ms, in bucket 5, before a run of 60 ms
+    # ends.
+    sim = run_both(one_link(bandwidth_bps, 20, duration_ms, bucket_ms=bucket_ms))
+    (train,) = sim.trains
+    assert (train.acks, train.until) == (acks, duration_ms * 1000)
+    assert {at // (bucket_ms * 1000) for at in acks_of(train)} == {bucket}
+    assert sim._flows[1].acked == {bucket: acks * MSS}
+
+
 @pytest.mark.parametrize("duration_ms, last_bucket_acks", [(2_000, 5), (2_001, 1)])
 def test_a_train_ending_on_a_bucket_edge_splits_there(duration_ms, last_bucket_acks):
     # At 10 ms buckets an ack is due on every bucket edge. A run of 2,000 ms
