@@ -5,8 +5,9 @@ Usage:
     python3 scripts/run_experiments.py [output-dir]
 
 Also prints a compact per-phase summary (which sub-flows carried data in
-each second) so a run can be eyeballed without plotting. Feed the CSVs to
-your plotting tool of choice for the throughput-vs-time figures.
+each second) and each sub-flow's pair, birth and death, read from the
+report's columns, so a run can be eyeballed without plotting. Feed the
+CSVs to your plotting tool of choice for the throughput-vs-time figures.
 """
 
 import sys
@@ -53,11 +54,11 @@ def main() -> int:
         for start, end, carriers in carrier_phases(report):
             label = ",".join(map(str, carriers)) if carriers else "-"
             print(f"  [{start:3g}s..{end:3g}s] carrying: {label}")
-        for rec in report.subflow_genealogy:
-            died = "-" if rec.died_ms is None else f"{rec.died_ms / 1000:.1f}s"
+        for column in report.columns:
+            died = "-" if column.died_ms is None else f"{column.died_ms / 1000:.1f}s"
             print(
-                f"  subflow {rec.subflow_id} on {rec.pair}: "
-                f"created {rec.created_ms / 1000:.1f}s, died {died}"
+                f"  subflow {column.subflow_id} on {column.pair}: "
+                f"created {column.created_ms / 1000:.1f}s, died {died}"
             )
     return 0
 

@@ -35,7 +35,6 @@ from .scheduler import (
 )
 from .report import (
     SubflowColumn,
-    SubflowRecord,
     ThroughputBucket,
     TimelineReport,
     emit_csv,

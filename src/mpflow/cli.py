@@ -185,7 +185,7 @@ def main(argv=None) -> int:
     logger.addHandler(to_stderr)
     try:
         return args.func(args)
-    except (ScenarioError, MpflowError, OptionError, OSError) as exc:
+    except (MpflowError, OptionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -1,9 +1,10 @@
 """A run's report: one column per sub-flow, the rows derived from the
 columns, and the CSV writer.
 
-The report is columnar. A :class:`SubflowColumn` holds one sub-flow's
-bucket range, its acked bytes by bucket and its flag history, and states
-the row rule. :attr:`TimelineReport.rows` and :func:`emit_csv` both derive
+The report is its columns. A :class:`SubflowColumn` is the one record of
+a sub-flow: its id, pair, birth and death (the genealogy), its bucket
+range, its acked bytes by bucket and its flag history, and it states the
+row rule. :attr:`TimelineReport.rows` and :func:`emit_csv` both derive
 their rows through :meth:`SubflowColumn.per_row`, which finds the rows of
 each flag interval in closed form from the flag times and maps their
 acked bytes in bulk. :func:`emit_csv` maps them through a cache of row
@@ -15,13 +16,12 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from functools import cached_property
 from itertools import chain, repeat
 from typing import (
     IO, TYPE_CHECKING, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 )
 
-from .model import InterfacePair, _slots_repr
+from .model import InterfacePair
 
 if TYPE_CHECKING:
     from .simnet import _Flow
@@ -44,15 +44,6 @@ class ThroughputBucket(NamedTuple):
     alive: bool
 
 
-class SubflowRecord(NamedTuple):
-    """Genealogy entry: one sub-flow's pair and lifetime."""
-
-    subflow_id: int
-    pair: InterfacePair
-    created_ms: int
-    died_ms: Optional[int]
-
-
 class SubflowColumn(NamedTuple):
     """One sub-flow's part of a report, from which its rows derive.
 
@@ -62,16 +53,26 @@ class SubflowColumn(NamedTuple):
     row holds the bytes acked in the bucket, the flag in force at the
     bucket's end, a flag set at the end included, and whether the sub-flow
     died at or after the end (``alive``). ``flag_values[i]`` holds from
-    ``flag_times[i]`` on."""
+    ``flag_times[i]`` on, and ``flag_times[0]`` is the sub-flow's birth.
+    The column is also the sub-flow's genealogy entry: its id, pair, birth
+    (:attr:`created_ms`) and death (:attr:`died_ms`)."""
 
     subflow_id: int
-    pair: str
+    pair: InterfacePair
     first: int
     last: int
     acked: Dict[int, int]  # bytes by bucket
     flag_times: List[int]
     flag_values: List[bool]
     died_us: Optional[int]
+
+    @property
+    def created_ms(self) -> int:
+        return self.flag_times[0] // US_PER_MS
+
+    @property
+    def died_ms(self) -> Optional[int]:
+        return None if self.died_us is None else self.died_us // US_PER_MS
 
     @classmethod
     def of(cls, flow: _Flow, bucket_us: int, n_buckets: int) -> SubflowColumn:
@@ -80,8 +81,8 @@ class SubflowColumn(NamedTuple):
         died = sf.died_us
         return cls(
             subflow_id=sf.id,
-            pair=flow.link.pair_text,
-            first=sf.created_us // bucket_us,
+            pair=flow.link.spec.pair,
+            first=flow.flag_times[0] // bucket_us,
             last=n_buckets - 1 if died is None else (died - 1) // bucket_us,
             acked=flow.acked,
             flag_times=flow.flag_times,
@@ -110,33 +111,16 @@ class SubflowColumn(NamedTuple):
         return cells
 
 
-class TimelineReport:
-    """Per-bucket, per-sub-flow throughput plus the sub-flow genealogy.
+class TimelineReport(NamedTuple):
+    """Per-bucket, per-sub-flow throughput and the sub-flow genealogy, both
+    held in the columns.
 
     ``columns`` are in id order, which is also the order of their first
-    buckets, since ids are given out in creation order. Two reports are
-    equal when these four fields are."""
+    buckets, since ids are given out in creation order."""
 
-    # __dict__ holds the cached ``rows``.
-    __slots__ = ("bucket_ms", "duration_ms", "columns", "subflow_genealogy", "__dict__")
-
-    def __init__(
-        self, bucket_ms: int, duration_ms: int, columns: List[SubflowColumn],
-        subflow_genealogy: List[SubflowRecord],
-    ) -> None:
-        self.bucket_ms = bucket_ms
-        self.duration_ms = duration_ms
-        self.columns = columns
-        self.subflow_genealogy = subflow_genealogy
-
-    __repr__ = _slots_repr
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not TimelineReport:
-            return NotImplemented
-        return (self.bucket_ms, self.duration_ms, self.columns, self.subflow_genealogy) == (
-            other.bucket_ms, other.duration_ms, other.columns, other.subflow_genealogy
-        )
+    bucket_ms: int
+    duration_ms: int
+    columns: List[SubflowColumn]
 
     def _stretches(self) -> Iterator[Tuple[int, int, List[SubflowColumn]]]:
         """``(lo, hi, columns)`` for each stretch of buckets ``lo`` to
@@ -151,9 +135,9 @@ class TimelineReport:
             if active:
                 yield lo, hi, active
 
-    @cached_property
+    @property
     def rows(self) -> List[ThroughputBucket]:
-        """The rows, sorted by (bucket, sub-flow id), built on first use."""
+        """The rows, sorted by (bucket, sub-flow id), built on each access."""
         bucket_us = self.bucket_ms * US_PER_MS
         cell = {flags: (lambda n, flags=flags: (n, *flags)) for flags in _FLAGS}
         cells = {c.subflow_id: c.per_row(bucket_us, cell) for c in self.columns}
@@ -194,23 +178,24 @@ def emit_csv(report: TimelineReport, out: Union[str, os.PathLike, IO[str]]) -> N
         return
     bucket_ms = report.bucket_ms
     bucket_us = bucket_ms * US_PER_MS
+    columns = report.columns
     end_of = {
         flags: _RowEnds(bucket_ms, "{:d},{:d}\n".format(*flags)).__getitem__ for flags in _FLAGS
     }
-    ends = {c.subflow_id: c.per_row(bucket_us, end_of) for c in report.columns}
+    ends = {c.subflow_id: c.per_row(bucket_us, end_of) for c in columns}
+    pair_text = {p: str(p) for p in {c.pair for c in columns}}
     parts = [CSV_HEADER + "\n"]
     for lo, hi, active in report._stretches():
         starts = list(map(str, range(lo * bucket_ms, hi * bucket_ms, bucket_ms)))
         pieces = []  # zipped, each bucket's (start, middle, end) per sub-flow
         for c in active:
-            middle = repeat(f",{c.subflow_id},{c.pair},")
+            middle = repeat(f",{c.subflow_id},{pair_text[c.pair]},")
             pieces += (starts, middle, ends[c.subflow_id][lo - c.first : hi - c.first])
         parts += chain.from_iterable(zip(*pieces))
-    pair_text = {c.subflow_id: c.pair for c in report.columns}  # as formatted on its link
-    for rec in report.subflow_genealogy:
-        died = "-" if rec.died_ms is None else str(rec.died_ms)
+    for c in columns:
+        died = "-" if c.died_ms is None else c.died_ms
         parts.append(
-            f"# subflow {rec.subflow_id} pair={pair_text.get(rec.subflow_id, rec.pair)} "
-            f"created_ms={rec.created_ms} died_ms={died}\n"
+            f"# subflow {c.subflow_id} pair={pair_text[c.pair]} "
+            f"created_ms={c.created_ms} died_ms={died}\n"
         )
     out.write("".join(parts))

@@ -40,6 +40,7 @@ from . import simnet, sockopt
 from .model import (
     EndpointAddress,
     InterfacePair,
+    MpflowError,
     NotFoundError,
     ValidationError,
     new_connection,
@@ -60,7 +61,7 @@ ACTION_VERBS = (
 )
 
 
-class ScenarioError(Exception):
+class ScenarioError(MpflowError):
     """Problem in a scenario document."""
 
     def __init__(self, message: str, line: Optional[int] = None) -> None:
@@ -138,10 +139,14 @@ def parse_scenario(text: str) -> Scenario:
         if keyword == "scenario":
             if len(tokens) != 2:
                 raise ScenarioSyntaxError("scenario takes exactly one name", lineno)
+            if name is not None:
+                raise ScenarioSyntaxError("a second 'scenario' line", lineno)
             name = tokens[1]
         elif keyword == "duration":
             if len(tokens) != 2:
                 raise ScenarioSyntaxError("duration takes exactly one time", lineno)
+            if duration_ms is not None:
+                raise ScenarioSyntaxError("a second 'duration' line", lineno)
             duration_ms = _parse_time_ms(tokens[1], lineno)
         elif keyword == "link":
             if len(tokens) != 6:

@@ -101,8 +101,9 @@ to its fixed point; the link busy ``k * s`` longer; the FIFO refilled with
 the next 32 acks; and the timer armed once, from the last ack.
 
 A run ends in a :class:`~mpflow.report.TimelineReport`: one column per
-sub-flow, with its lifetime, its acked bytes by bucket and its flag
-history, from which the report's rows and CSV derive (:mod:`mpflow.report`).
+sub-flow, with its pair, its lifetime, its acked bytes by bucket and its
+flag history, from which the report's rows, its genealogy and its CSV
+derive (:mod:`mpflow.report`).
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ from .model import (
     ValidationError,
     open_subflow,
 )
-from .report import US_PER_MS, SubflowColumn, SubflowRecord, TimelineReport
+from .report import US_PER_MS, SubflowColumn, TimelineReport
 from .scheduler import select, tier
 from .wire import MpPrioOption
 
@@ -181,17 +182,16 @@ def first_ack_us(spec: LinkSpec) -> int:
 
 
 class _Link:
-    """Simulator state of one link. What the sends and the report read of
-    ``spec`` is worked out once: the one-way delay and an MSS's
-    serialization time in µs, and the pair's text."""
+    """Simulator state of one link. What the sends read of ``spec`` is
+    worked out once: the one-way delay and an MSS's serialization time in
+    µs."""
 
-    __slots__ = ("spec", "delay_us", "mss_us", "pair_text", "up", "epoch", "tx_free_us")
+    __slots__ = ("spec", "delay_us", "mss_us", "up", "epoch", "tx_free_us")
 
     def __init__(self, spec: LinkSpec) -> None:
         self.spec = spec
         self.delay_us = spec.one_way_delay_ms * US_PER_MS
         self.mss_us = mss_us(spec.bandwidth_bps)
-        self.pair_text = str(spec.pair)
         self.up = True
         self.epoch = 0  # grows on every change, for the MP_PRIO arrivals
         self.tx_free_us = 0
@@ -201,7 +201,8 @@ class _Flow:
     """Simulator state of one sub-flow: the sender's sub-flow, the receiver's
     mirror of it (``peer``), the link serving its pair, its timer, its acked
     bytes per bucket and the history of its priority flag
-    (``flag_values[i]`` holds from ``flag_times[i]`` on)."""
+    (``flag_values[i]`` holds from ``flag_times[i]`` on, the first from the
+    sub-flow's birth)."""
 
     __slots__ = (
         "sf", "peer", "link", "flag_times", "flag_values", "acked", "armed_at_us", "base_us",
@@ -209,11 +210,11 @@ class _Flow:
         "train_window",
     )
 
-    def __init__(self, sf: SubflowState, peer: SubflowState, link: _Link, born_us: int) -> None:
+    def __init__(self, sf: SubflowState, peer: SubflowState, link: _Link) -> None:
         self.sf = sf
         self.peer = peer
         self.link = link
-        self.flag_times = [born_us]
+        self.flag_times = [sf.created_us]
         self.flag_values = [sf.low_prio]
         self.acked: Dict[int, int] = {}  # bytes by bucket
         self.armed_at_us: Optional[int] = None  # None: idle, no retransmission timeout runs
@@ -307,7 +308,7 @@ class Simulation:
         self._heap: List[tuple] = []
         self._seq = itertools.count()
         self._flows: Dict[int, _Flow] = {
-            sf.id: _Flow(sf, peer, links_by_pair[sf.pair()], 0)
+            sf.id: _Flow(sf, peer, links_by_pair[sf.pair()])
             for sf, peer in zip(sender.subflows, self.receiver.subflows)
         }
         self._finished = False
@@ -476,7 +477,7 @@ class Simulation:
         peer = _mirror(sf)
         self.receiver.subflows.append(peer)
         self.receiver.next_id = self.sender.next_id
-        flow = _Flow(sf, peer, link, self.now_us)
+        flow = _Flow(sf, peer, link)
         self._flows[sf.id] = flow
         self._pump()
         if flow.armed_at_us is None:
@@ -640,22 +641,12 @@ class Simulation:
 
     def _build_report(self) -> TimelineReport:
         n_buckets = -(-self.duration_us // self.bucket_us)  # ceil
-        genealogy = [
-            SubflowRecord(
-                subflow_id=sf.id,
-                pair=sf.pair(),
-                created_ms=sf.created_us // US_PER_MS,
-                died_ms=None if sf.died_us is None else sf.died_us // US_PER_MS,
-            )
-            for sf in self.sender.subflows
-        ]
         return TimelineReport(
             bucket_ms=self.bucket_us // US_PER_MS,
             duration_ms=self.duration_us // US_PER_MS,
             columns=[
                 SubflowColumn.of(flow, self.bucket_us, n_buckets) for flow in self._flows.values()
             ],
-            subflow_genealogy=genealogy,
         )
 
 

@@ -68,7 +68,7 @@ def timed_runs():
 
 
 def nonzero_pairs_per_bucket(report):
-    pair_of = {rec.subflow_id: rec.pair for rec in report.subflow_genealogy}
+    pair_of = {rec.subflow_id: rec.pair for rec in report.columns}
     out = {}
     for row in report.rows:
         if row.bytes_acked > 0:
@@ -115,7 +115,7 @@ def test_criterion_1_priority_flip_and_failover_phases(timed_runs):
             events,
         )
         # the final-phase carriers on paths 2 and 3 are re-created sub-flows
-        gen = {rec.subflow_id: rec for rec in report.subflow_genealogy}
+        gen = {rec.subflow_id: rec for rec in report.columns}
         late = [rec for rec in gen.values() if rec.created_ms > 95_000 and rec.died_ms is None]
         assert {rec.pair for rec in late} == {P2, P3}
         assert all(rec.subflow_id not in (1, 2, 3) for rec in late)
@@ -144,7 +144,7 @@ def test_criterion_2_backup_list_keeps_recreated_subflows_backup(timed_runs):
         # the re-created sub-flows exist but are backup and silent
         recreated = [
             rec
-            for rec in report.subflow_genealogy
+            for rec in report.columns
             if rec.pair in (P2, P3) and rec.created_ms > 95_000
         ]
         assert len(recreated) == 2
@@ -161,7 +161,7 @@ def test_criterion_3_default_vs_primary_path_only(timed_runs):
     with criterion(3, "fig6 default uses all paths; ppos isolates the primary"):
         # default scheduler: every sub-flow alive for a whole bucket carries
         # data in at least 95% of those buckets
-        gen = {rec.subflow_id: rec for rec in default_report.subflow_genealogy}
+        gen = {rec.subflow_id: rec for rec in default_report.columns}
         total = good = 0
         for row in default_report.rows:
             rec = gen[row.subflow_id]
@@ -175,7 +175,7 @@ def test_criterion_3_default_vs_primary_path_only(timed_runs):
         assert good / total >= 0.95, f"only {good}/{total} alive buckets carried data"
 
         # ppos: nothing off the primary pair outside the outage window
-        pair_of = {rec.subflow_id: rec.pair for rec in ppos_report.subflow_genealogy}
+        pair_of = {rec.subflow_id: rec.pair for rec in ppos_report.columns}
         for row in ppos_report.rows:
             bucket = row.bucket_start_ms // 1000
             if pair_of[row.subflow_id] != P1 and (bucket < 30 or bucket > 72):

@@ -87,6 +87,22 @@ def test_validate_rejects_a_topology_that_cannot_run(tmp_path, capsys):
     assert "line 4: no link serves interface pair 10.0.0.1->10.0.2.1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [(["validate"], "invalid scenario"), (["run", "--scenario"], "error")],
+    ids=["validate", "run"],
+)
+def test_a_second_duration_line_is_one_error_line(tmp_path, capsys, argv, prefix):
+    path = tmp_path / "twice.scn"
+    path.write_text(
+        "scenario twice\nduration 10s\nduration 3s\nlink 1 1mbps 10ms 10.0.0.1 10.0.1.1\n"
+    )
+    assert main(argv + [str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"{prefix}: line 3: a second 'duration' line\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_a_link_that_would_stop_the_clock_is_rejected_with_its_line(tmp_path, capsys, command):
     # At 20 Gbps a 1,460 B segment serializes in under 1 µs, so with 0 ms

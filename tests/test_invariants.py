@@ -108,15 +108,15 @@ def test_generated_scenarios_keep_the_invariants(seed, bucket_ms):
     for link in scenario.links:
         serialization_us = MSS * 8 * 1_000_000 // link.bandwidth_bps
         segments_by_pair[link.pair] = bucket_ms * 1000 // serialization_us + 1
-    pair_of = {rec.subflow_id: rec.pair for rec in report.subflow_genealogy}
+    pair_of = {rec.subflow_id: rec.pair for rec in report.columns}
     for row in report.rows:
         assert row.bytes_acked <= segments_by_pair[pair_of[row.subflow_id]] * MSS, row
 
-    ids = [rec.subflow_id for rec in report.subflow_genealogy]
+    ids = [rec.subflow_id for rec in report.columns]
     assert all(a < b for a, b in zip(ids, ids[1:])), ids
 
     by_pair = defaultdict(list)
-    for rec in report.subflow_genealogy:
+    for rec in report.columns:
         by_pair[rec.pair].append(rec)
     for records in by_pair.values():
         for earlier, later in zip(records, records[1:]):
@@ -162,4 +162,4 @@ def test_no_run_creates_a_sub_flow_id_above_the_bound(seed):
     assume(all(first_ack_us(link) < FIRST_DEATH_US for link in scenario.links))
     with mock.patch.dict("os.environ", {PPOS_ENV_VAR: ""}):
         report = run_scenario(scenario)
-    assert max(rec.subflow_id for rec in report.subflow_genealogy) <= subflow_id_bound(scenario)
+    assert max(rec.subflow_id for rec in report.columns) <= subflow_id_bound(scenario)

@@ -4,7 +4,8 @@ Columns are drawn at random, as a run can leave them: births mid-run,
 deaths on a bucket edge and mid-bucket, priority flips several to a bucket,
 exactly on bucket ends and in a sub-flow's last bucket, and durations off
 the bucket grid. Both the CSV's data lines and ``TimelineReport.rows`` must
-hold exactly the rows that the reference below derives bucket by bucket.
+hold exactly the rows that the reference below derives bucket by bucket,
+and the CSV's footer one genealogy line per sub-flow, in id order.
 """
 
 import io
@@ -13,6 +14,7 @@ from types import SimpleNamespace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpflow.model import AddrFamily, InterfacePair
 from mpflow.report import SubflowColumn, ThroughputBucket, TimelineReport, emit_csv
 
 
@@ -38,6 +40,20 @@ def reference_rows(bucket_ms, duration_ms, flows):
             nbytes = flow.acked.get(bucket, 0)
             rows.append(ThroughputBucket(bucket * bucket_ms, sf.id, nbytes, low_prio, alive))
     return rows
+
+
+def reference_footer(flows):
+    """One comment line per sub-flow, in id order: its pair, and its birth
+    and death in whole ms, ``-`` if it never died."""
+    lines = []
+    for flow in flows:
+        sf = flow.sf
+        died = "-" if sf.died_us is None else sf.died_us // 1000
+        lines.append(
+            f"# subflow {sf.id} pair={flow.link.spec.pair} "
+            f"created_ms={sf.created_us // 1000} died_ms={died}"
+        )
+    return lines
 
 
 @st.composite
@@ -81,7 +97,9 @@ def runs(draw):
         flows.append(
             SimpleNamespace(
                 sf=SimpleNamespace(id=subflow_id, created_us=created_us, died_us=died_us),
-                link=SimpleNamespace(pair_text=f"10.0.0.1->10.0.{subflow_id}.1"),
+                link=SimpleNamespace(spec=SimpleNamespace(pair=InterfacePair(
+                    AddrFamily.V4, bytes([10, 0, 0, 1]), bytes([10, 0, subflow_id, 1])
+                ))),
                 acked=acked,
                 flag_times=[created_us] + flips,
                 flag_values=values,
@@ -95,7 +113,7 @@ def report_of(bucket_ms, duration_ms, flows):
     bucket_us = bucket_ms * 1000
     n_buckets = -(-duration_ms * 1000 // bucket_us)
     columns = [SubflowColumn.of(flow, bucket_us, n_buckets) for flow in flows]
-    return TimelineReport(bucket_ms, duration_ms, columns, subflow_genealogy=[])
+    return TimelineReport(bucket_ms, duration_ms, columns)
 
 
 def csv_line(row, bucket_ms, pair):
@@ -116,5 +134,6 @@ def test_csv_and_rows_follow_the_row_rule_bucket_by_bucket(run):
     out = io.StringIO()
     emit_csv(report, out)
     header, *lines = out.getvalue().splitlines()
-    pairs = {flow.sf.id: flow.link.pair_text for flow in flows}
-    assert lines == [csv_line(row, bucket_ms, pairs[row.subflow_id]) for row in expected]
+    pairs = {flow.sf.id: str(flow.link.spec.pair) for flow in flows}
+    data = [csv_line(row, bucket_ms, pairs[row.subflow_id]) for row in expected]
+    assert lines == data + reference_footer(flows)

@@ -43,3 +43,13 @@ def test_run_experiments_writes_every_builtin_and_its_phases(tmp_path, monkeypat
     # fig4: once sub-flows 2 and 3 turn backup at 15 s, only 1 carries
     # until link 1 goes down at 35 s.
     assert "  [ 16s.. 34s] carrying: 1" in sections["fig4"]
+    # fig4's genealogy, from the report's columns: link 1's sub-flow dies
+    # in its outage and sub-flow 4 replaces it on the same pair.
+    assert [line for line in sections["fig4"] if line.startswith("  subflow ")] == [
+        "  subflow 1 on 10.0.0.1->10.0.1.1: created 0.0s, died 38.0s",
+        "  subflow 2 on 10.0.0.1->10.0.2.1: created 0.0s, died 77.1s",
+        "  subflow 3 on 10.0.0.1->10.0.3.1: created 0.0s, died 77.1s",
+        "  subflow 4 on 10.0.0.1->10.0.1.1: created 56.0s, died -",
+        "  subflow 5 on 10.0.0.1->10.0.2.1: created 95.1s, died -",
+        "  subflow 6 on 10.0.0.1->10.0.3.1: created 95.1s, died -",
+    ]

@@ -2,7 +2,7 @@ import io
 
 import pytest
 
-from mpflow.model import ValidationError
+from mpflow.model import MpflowError, ValidationError
 from mpflow.scenario import (
     BUILTIN_DOCS,
     CSV_HEADER,
@@ -169,6 +169,25 @@ def test_missing_sections_rejected():
         parse_scenario("scenario s\nduration 1s\n")
 
 
+@pytest.mark.parametrize(
+    "doc, line, keyword",
+    [
+        ("scenario a\nduration 10s\nduration 3s\n", 3, "duration"),
+        ("scenario a\nscenario b\nduration 10s\n", 2, "scenario"),
+    ],
+    ids=["duration", "scenario"],
+)
+def test_a_second_scenario_or_duration_line_is_a_syntax_error_with_its_line(doc, line, keyword):
+    with pytest.raises(ScenarioSyntaxError, match=f"^line {line}: a second '{keyword}' line$"):
+        parse_scenario(doc + THREE_LINKS)
+
+
+def test_scenario_errors_are_library_errors():
+    with pytest.raises(MpflowError) as caught:
+        parse_scenario("scenario s\nduration 1s\nat 1s link_down 9\n" + THREE_LINKS)
+    assert isinstance(caught.value, ScenarioSemanticError)
+
+
 def test_actions_sorted_by_time():
     doc = (
         "scenario s\nduration 10s\n" + THREE_LINKS
@@ -212,7 +231,7 @@ def test_set_sub_prio_skips_a_dead_target_and_applies_the_rest():
         + "at 1s link_down 2\nat 5s set_sub_prio 2 3 backup\n"
     )
     report = run_scenario(parse_scenario(doc))
-    records = {rec.subflow_id: rec for rec in report.subflow_genealogy}
+    records = {rec.subflow_id: rec for rec in report.columns}
     assert records[2].died_ms < 5_000  # dead, and link 2 stays down
     assert len(records) == 3
     last = {row.subflow_id: row.low_prio for row in report.rows if row.bucket_start_ms == 7_000}
@@ -238,7 +257,7 @@ def test_env_var_unset_leaves_default_scheduler(monkeypatch):
 
 
 def test_emit_csv_empty_report_is_header_only():
-    report = TimelineReport(bucket_ms=1000, duration_ms=0, columns=[], subflow_genealogy=[])
+    report = TimelineReport(bucket_ms=1000, duration_ms=0, columns=[])
     buf = io.StringIO()
     emit_csv(report, buf)
     assert buf.getvalue() == CSV_HEADER + "\n"
@@ -270,7 +289,7 @@ def test_emit_csv_accepts_paths(tmp_path):
 
 def test_fig4_genealogy_three_originals_three_recreated():
     report = run_scenario(builtin_scenario("fig4"))
-    gen = report.subflow_genealogy
+    gen = report.columns
     buf = io.StringIO()
     emit_csv(report, buf)
     footer = [line for line in buf.getvalue().splitlines() if line.startswith("#")]
@@ -286,7 +305,7 @@ def test_rows_densely_cover_every_alive_subflow():
     by_bucket = {}
     for row in report.rows:
         by_bucket.setdefault(row.bucket_start_ms, set()).add(row.subflow_id)
-    for rec in report.subflow_genealogy:
+    for rec in report.columns:
         first = rec.created_ms // 1000 * 1000
         last_ms = rec.died_ms if rec.died_ms is not None else report.duration_ms - 1
         last = last_ms // 1000 * 1000
@@ -320,7 +339,7 @@ def test_a_death_on_a_bucket_edge_ends_the_rows_there(monkeypatch):
     monkeypatch.delenv("MPFLOW_PRIMARY_PATH_ONLY", raising=False)
     doc = "scenario edge\nduration 2s\n" + THREE_LINKS + "at 0s link_down 1\n"
     report = run_scenario(parse_scenario(doc), bucket_ms=400)
-    assert report.subflow_genealogy[0].died_ms == 800
+    assert report.columns[0].died_ms == 800
     rows = _rows_by_key(report)
     assert sorted(start for start, sf in rows if sf == 1) == [0, 400]
     assert rows[(400, 1)].alive  # died at this bucket's end, inclusive
@@ -419,7 +438,7 @@ def test_reports_are_equal_field_by_field():
     assert first.rows == second.rows
     assert first != run_scenario(scenario, duration_ms=4_000)
     assert first != run_scenario(scenario, duration_ms=5_000, bucket_ms=500)
-    empty = TimelineReport(bucket_ms=1000, duration_ms=0, columns=[], subflow_genealogy=[])
-    assert empty == TimelineReport(1000, 0, [], [])
-    assert empty != TimelineReport(1000, 0, [], first.subflow_genealogy)
-    assert empty != (1000, 0, [], [])
+    empty = TimelineReport(bucket_ms=1000, duration_ms=0, columns=[])
+    assert empty == TimelineReport(1000, 0, [])
+    assert empty != TimelineReport(1000, 0, first.columns)
+    assert empty == (1000, 0, [])  # a named tuple, like the other value types

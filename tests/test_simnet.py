@@ -212,7 +212,7 @@ def test_a_timer_runs_before_an_ack_of_the_same_us(bandwidth_bps, dies):
     assert (simnet.first_ack_us(spec) >= simnet.FIRST_DEATH_US) is dies
     assert simnet.FIRST_DEATH_US == 800_000
     report = Simulation(sender, [spec], duration_ms=2_000).run()
-    first = report.subflow_genealogy[0]
+    first = report.columns[0]
     assert first.died_ms == (800 if dies else None)
 
 
@@ -406,7 +406,7 @@ def test_acks_after_a_short_outage_are_handled_at_their_own_times():
     ]
     report = build_sim(2, duration_ms=4_000, actions=actions).run()
     assert overdue == []
-    assert [rec.died_ms for rec in report.subflow_genealogy] == [None, None]
+    assert [rec.died_ms for rec in report.columns] == [None, None]
 
 
 # --------------------------------------------------------------------- #
@@ -469,7 +469,7 @@ def test_outage_kills_busy_subflow_and_reestablishes_within_a_second():
         actions=[(5_000, link_action(1, False)), (12_000, link_action(1, True))],
     )
     report = sim.run()
-    records = {rec.subflow_id: rec for rec in report.subflow_genealogy}
+    records = {rec.subflow_id: rec for rec in report.columns}
     # busy sub-flow died a few retransmission timeouts after the cut
     assert records[1].died_ms is not None
     assert 5_000 < records[1].died_ms < 9_000
@@ -489,11 +489,11 @@ def test_dead_path_is_silent_until_successor_exists():
     report = sim.run()
     per = bytes_by_flow_bucket(report)
     died_bucket = next(
-        rec.died_ms // 1000 for rec in report.subflow_genealogy if rec.subflow_id == 1
+        rec.died_ms // 1000 for rec in report.columns if rec.subflow_id == 1
     )
     created_bucket = next(
         rec.created_ms // 1000
-        for rec in report.subflow_genealogy
+        for rec in report.columns
         if rec.subflow_id == 3
     )
     for bucket in range(6, 20):
@@ -523,7 +523,7 @@ def test_idle_backup_survives_via_probes():
     per = bytes_by_flow_bucket(report)
     for bucket in range(3, 15):
         assert per[(bucket, 2)] == 0  # silent while an active exists
-    rec = next(r for r in report.subflow_genealogy if r.subflow_id == 2)
+    rec = next(r for r in report.columns if r.subflow_id == 2)
     assert rec.died_ms is None  # probes kept it alive the whole run
 
 
@@ -547,7 +547,7 @@ def test_downing_an_idle_backup_link_changes_no_throughput():
     for bucket in range(3, 15):
         assert drop_per.get((bucket, 2), 0) == 0
     # the idle path was detected dead through probe timeouts
-    rec = next(r for r in dropped.subflow_genealogy if r.subflow_id == 2)
+    rec = next(r for r in dropped.columns if r.subflow_id == 2)
     assert rec.died_ms is not None and 8_000 < rec.died_ms < 14_000
 
 
