@@ -148,6 +148,8 @@ def parse_scenario(text: str) -> Scenario:
             if duration_ms is not None:
                 raise ScenarioSyntaxError("a second 'duration' line", lineno)
             duration_ms = _parse_time_ms(tokens[1], lineno)
+            if duration_ms == 0:
+                raise ScenarioSyntaxError("duration must be positive", lineno)
         elif keyword == "link":
             if len(tokens) != 6:
                 raise ScenarioSyntaxError(
@@ -197,8 +199,8 @@ def parse_scenario(text: str) -> Scenario:
 
     if name is None:
         raise ScenarioSyntaxError("missing 'scenario <name>' line")
-    if duration_ms is None or duration_ms <= 0:
-        raise ScenarioSyntaxError("missing or non-positive 'duration'")
+    if duration_ms is None:
+        raise ScenarioSyntaxError("missing 'duration <time>' line")
     if not links:
         raise ScenarioSyntaxError("scenario needs at least one link")
     try:
@@ -323,9 +325,7 @@ def _connection_endpoints(
     return locals_, remotes
 
 
-def _action_closure(scenario: Scenario, action: ScenarioAction):
-    pair_by_link = {link.link_id: link.pair for link in scenario.links}
-
+def _action_closure(action: ScenarioAction, pair_by_link: Dict[int, InterfacePair]):
     def apply(sim: Simulation) -> None:
         if action.verb == "set_sub_prio":
             # Liberal, like a remote MP_PRIO: the sub-flow may have died.
@@ -382,9 +382,10 @@ def run_scenario(
         duration_ms=duration_ms if duration_ms is not None else scenario.duration_ms,
         bucket_ms=bucket_ms,
     )
+    pair_by_link = {link.link_id: link.pair for link in scenario.links}
     if _ppos_forced_by_env():
         default_primary = ScenarioAction(0, "enable_ppos")
-        sim.schedule_action(0, _action_closure(scenario, default_primary))
+        sim.schedule_action(0, _action_closure(default_primary, pair_by_link))
     for action in scenario.actions:
-        sim.schedule_action(action.at_ms, _action_closure(scenario, action))
+        sim.schedule_action(action.at_ms, _action_closure(action, pair_by_link))
     return sim.run()

@@ -56,13 +56,17 @@ give byte-identical reports on any platform.
 Acks are not heap events. A link serializes in send order, so a sub-flow's
 acks come back in send order and wait in a FIFO on the sub-flow; a link
 change, which restarts the link's clock, drops them by emptying the FIFOs
-of its sub-flows. :meth:`Simulation.run` alternates between draining every
-FIFO, sub-flow by sub-flow, up to a horizon, and running the next heap
-event. The horizon is the next heap event, the end of the run or
-``RTO_MIN_US`` after the previous horizon, whichever is first. An ack
-touches only its own sub-flow, that sub-flow's link and its acked bytes,
-and any deadline it sets is at least ``RTO_MIN_US`` away, so no heap event
-falls due inside the horizon and the acks of different sub-flows commute.
+of its sub-flows. :meth:`Simulation.run` keeps a lower bound on the
+arrival of every queued ack, which a send or a train's end lowers and a
+drain sets to the earliest arrival it leaves; a link change that drops
+acks leaves it low, for one drain more. Before each heap event, the run
+drains every FIFO, sub-flow by sub-flow, up to a horizon if the bound is
+before it. The horizon is the next heap event, the end of the run or
+``RTO_MIN_US`` after the bound, whichever is first. An ack touches only
+its own sub-flow, that sub-flow's link and its acked bytes, and any
+deadline it sets is ``RTO_MIN_US`` or more after it, so past the horizon:
+no heap event falls due inside it and the acks of different sub-flows
+commute.
 
 Most acks belong to steady trains, which run in closed form. A train is a
 state of the sub-flow, not a step of the drain: :meth:`Simulation._train`
@@ -79,14 +83,15 @@ it meanwhile: ``select`` reads it only on a flow with room in its window,
 and the timer at its next arming.
 
 The timer never fires between two acks of a train. When the drain tries
-the train, its horizon is past ``a0`` and no later than the flow's pending
-timer entry, so with no timeout outstanding the deadline
-``armed_at + max(2 * srtt, RTO_MIN_US)`` is past ``a0`` as well. The timer
-was armed at an earlier ack, or at a send from idle no later than that of
-``a0``'s segment; either was at least ``s`` before ``a0``, since that
-segment serialized for ``s`` after the segments of earlier acks. So the
-base exceeds ``s``, and since every sample is at least ``s``, the EWMA
-keeps it above ``s``: each ack's deadline falls after the next ack.
+the train, its horizon is past ``a0`` and, as no horizon passes the next
+heap event, no later than the flow's pending timer entry. So with no
+timeout outstanding, the deadline ``armed_at + max(2 * srtt, RTO_MIN_US)``
+is past ``a0`` as well. The timer was armed at an earlier ack, or at a
+send from idle no later than that of ``a0``'s segment; either was at
+least ``s`` before ``a0``, since that segment serialized for ``s`` after
+the segments of earlier acks. So the base exceeds ``s``, and since every
+sample is at least ``s``, the EWMA keeps it above ``s``: each ack's
+deadline falls after the next ack.
 
 So the acks form the progression ``a0 + i * s``, the FIFO stays implicit
 and the drain skips the flow, and every pump reads the state it would
@@ -311,6 +316,7 @@ class Simulation:
             sf.id: _Flow(sf, peer, links_by_pair[sf.pair()])
             for sf, peer in zip(sender.subflows, self.receiver.subflows)
         }
+        self._next_ack = self.duration_us  # no queued ack arrives before it
         self._finished = False
 
     # ------------------------------------------------------------------ #
@@ -339,18 +345,14 @@ class Simulation:
         link.epoch += 1
         link.tx_free_us = self.now_us
 
-    def _send_segment(self, flow: _Flow, nbytes: int) -> None:
-        """Hand a segment to the flow's link; a probe is one of 0 bytes."""
-        sf, link = flow.sf, flow.link
-        start = max(self.now_us, link.tx_free_us)
-        done = start + link.mss_us if nbytes else start
-        link.tx_free_us = done
-        sf.inflight_bytes += nbytes
-        sf.bytes_sent_total += nbytes
-        if link.up:  # on a down link, the segment and its ack are lost
-            flow.acks.append((done + 2 * link.delay_us, nbytes, self.now_us))
-        if flow.armed_at_us is None:
-            self._arm_rto(flow)
+    def _send_probe(self, flow: _Flow) -> None:
+        """Hand a keepalive probe, 0 bytes that take no time, to the idle flow's link."""
+        link = flow.link
+        link.tx_free_us = start = max(self.now_us, link.tx_free_us)
+        if link.up:  # on a down link, the probe and its ack are lost
+            flow.acks.append((start + 2 * link.delay_us, 0, self.now_us))
+            self._next_ack = min(self._next_ack, start + 2 * link.delay_us)
+        self._arm_rto(flow)
 
     def _arm_rto(self, flow: _Flow) -> None:
         sf = flow.sf
@@ -394,9 +396,26 @@ class Simulation:
             flow.clocked = clocked
 
     def _fill(self, flow: _Flow) -> None:
-        sf = flow.sf
-        while sf.inflight_bytes + MSS <= WINDOW_BYTES:  # is_schedulable, inlined
-            self._send_segment(flow, MSS)
+        """Send the ``n`` MSS segments that fit the flow's window in one step:
+        back to back on its link, each acked ``s`` after the one before."""
+        sf, link, now = flow.sf, flow.link, self.now_us
+        n = (WINDOW_BYTES - sf.inflight_bytes) // MSS
+        if n <= 0:
+            return
+        s, start = link.mss_us, max(now, link.tx_free_us)
+        link.tx_free_us = start + n * s
+        sf.inflight_bytes += n * MSS
+        sf.bytes_sent_total += n * MSS
+        if link.up:  # on a down link, the segments and their acks are lost
+            first = start + s + 2 * link.delay_us
+            if n == 1:  # an ack's refill
+                flow.acks.append((first, MSS, now))
+            else:
+                arrivals = range(first, first + n * s, s) if s else itertools.repeat(first, n)
+                flow.acks.extend(zip(arrivals, itertools.repeat(MSS), itertools.repeat(now)))
+            self._next_ack = min(self._next_ack, first)
+        if flow.armed_at_us is None:
+            self._arm_rto(flow)
 
     # ------------------------------------------------------------------ #
     # event handlers
@@ -447,7 +466,7 @@ class Simulation:
                 self._set_timer(flow, self.now_us + REESTABLISH_INTERVAL_US)
         elif flow.armed_at_us is None:
             flow.probe_outstanding = True
-            self._send_segment(flow, 0)
+            self._send_probe(flow)
         else:
             sf.consecutive_timeouts += 1
             if sf.consecutive_timeouts >= RTO_DEATH_TIMEOUTS:
@@ -518,11 +537,12 @@ class Simulation:
         duration_us = self.duration_us
         horizon = 0
         while horizon < duration_us:
-            # Every ack left is at or after the last horizon, and any deadline
+            # Every queued ack is due at or after _next_ack, and any deadline
             # it sets is RTO_MIN_US later (module docstring).
             next_us = min(heap[0][0], duration_us) if heap else duration_us
-            horizon = min(next_us, horizon + RTO_MIN_US)
-            self._drain_acks(horizon)
+            horizon = min(next_us, self._next_ack + RTO_MIN_US)
+            if self._next_ack < horizon:
+                self._next_ack = self._drain_acks(horizon)
             if horizon < next_us or horizon == duration_us:
                 continue
             at_us, _, handler, args = heapq.heappop(heap)
@@ -533,9 +553,10 @@ class Simulation:
                 self._end_train(flow, duration_us)
         return self._build_report()
 
-    def _drain_acks(self, horizon: int) -> None:
-        """Handle every queued ack that arrives before ``horizon``."""
+    def _drain_acks(self, horizon: int) -> int:
+        """Handle the acks due before ``horizon``; return the earliest left, or the run's end."""
         on_ack = self._on_ack_arrival
+        next_ack = self.duration_us
         for flow in self._flows.values():
             acks = flow.acks
             while acks and acks[0][0] < horizon:
@@ -549,6 +570,9 @@ class Simulation:
                     flow.train_wait -= 1
                 self.now_us, nbytes, sent_us = acks.popleft()
                 on_ack(flow, nbytes, sent_us)
+            if acks and acks[0][0] < next_ack:
+                next_ack = acks[0][0]
+        return next_ack
 
     def _train(self, flow: _Flow) -> bool:
         """Start a train on the clocked ``flow`` if its FIFO holds a full
@@ -635,6 +659,7 @@ class Simulation:
         flow.acks.extend(window[k:])
         arrivals = range(max(head, a0 + rtt), head + rtt, s)
         flow.acks.extend((at, MSS, at - rtt) for at in arrivals)
+        self._next_ack = min(self._next_ack, flow.acks[0][0])
         now_us, self.now_us = self.now_us, head - s
         self._arm_rto(flow)
         self.now_us = now_us

@@ -17,9 +17,10 @@ alter timelines re-pins it on purpose with::
 ``N`` scenarios drawn from ``random.Random(f"diff/{k}")`` for ``k < N``,
 which no test pins, and of the benchmark's scenarios at their workload's
 bucket width: the built-ins, and seeds 0-3 of ``mesh16_flaps`` and
-``prio_churn_fine`` from ``perfbench/workloads.py``. Running it in two
-checkouts and comparing the outputs with ``cmp`` shows whether a change
-keeps all those timelines byte-identical.
+``prio_churn_fine`` from ``perfbench/workloads.py``. It also digests the
+``edge_*`` scenarios of ``edge_scenarios()``, on links that the generator
+never draws. Running it in two checkouts and comparing the outputs with
+``cmp`` shows whether a change keeps all those timelines byte-identical.
 """
 
 from __future__ import annotations
@@ -126,6 +127,32 @@ def workload_digests():
     return out
 
 
+# Links at the edges of the simulator's closed forms, with the MSS's
+# serialization time s: s == 0 with a delay, s equal to the 100 ms bucket,
+# and 31 * s == 2 * delay, where a window sent from idle keeps the link busy
+# up to its first ack exactly.
+EDGE_LINKS = {
+    "s_zero": "20000mbps 1ms",
+    "s_bucket": "116800bps 10ms",
+    "saturation": "1168kbps 155ms",
+}
+
+
+def edge_scenarios():
+    """Scenarios with one ``EDGE_LINKS`` link beside a plain one, flipped
+    and flapped: (name, scenario text) pairs."""
+    return [
+        (
+            f"edge_{name}",
+            f"scenario edge_{name}\nduration 6s\n"
+            f"link 1 {link} 10.1.0.1 10.2.0.1\nlink 2 1mbps 20ms 10.1.0.1 10.2.1.1\n"
+            "at 1500ms set_sub_prio 1 backup\nat 2500ms set_sub_prio 1 active\n"
+            "at 3000ms link_down 1\nat 4200ms link_up 1\n",
+        )
+        for name, link in EDGE_LINKS.items()
+    ]
+
+
 def diff_scenarios(n: int):
     """The first ``n`` differential scenarios: (name, scenario text) pairs."""
     return [(f"diff_{k:03d}", random_scenario(random.Random(f"diff/{k}"))) for k in range(n)]
@@ -137,8 +164,8 @@ if __name__ == "__main__":
         "--diff",
         type=int,
         metavar="N",
-        help="digest the corpus, the first N differential scenarios and the"
-        " benchmark's scenarios, instead of the corpus alone",
+        help="digest the corpus, the first N differential scenarios, the edge"
+        " scenarios and the benchmark's scenarios, instead of the corpus alone",
     )
     args = parser.parse_args()
     # Skipped actions are part of the scenarios; only the digests are output.
@@ -146,5 +173,6 @@ if __name__ == "__main__":
     if args.diff is None:
         out = digests(corpus())
     else:
-        out = {**digests(corpus() + diff_scenarios(args.diff)), **workload_digests()}
+        scenarios = corpus() + diff_scenarios(args.diff) + edge_scenarios()
+        out = {**digests(scenarios), **workload_digests()}
     print(json.dumps(out, indent=1, sort_keys=True))

@@ -103,6 +103,20 @@ def test_a_second_duration_line_is_one_error_line(tmp_path, capsys, argv, prefix
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [(["validate"], "invalid scenario"), (["run", "--scenario"], "error")],
+    ids=["validate", "run"],
+)
+def test_a_zero_duration_line_is_one_error_line(tmp_path, capsys, argv, prefix):
+    path = tmp_path / "zero.scn"
+    path.write_text("scenario zero\nduration 0s\nlink 1 1mbps 10ms 10.0.0.1 10.0.1.1\n")
+    assert main(argv + [str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"{prefix}: line 2: duration must be positive\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_a_link_that_would_stop_the_clock_is_rejected_with_its_line(tmp_path, capsys, command):
     # At 20 Gbps a 1,460 B segment serializes in under 1 µs, so with 0 ms

@@ -202,3 +202,24 @@ def test_every_ack_of_mesh16_flaps_runs_in_a_train():
     with mock.patch.dict("os.environ", {PPOS_ENV_VAR: ""}):
         _, runs, trained = count_selects_by_handler(run)
     assert (runs["_on_ack_arrival"], trained) == (0, 167_815)
+
+
+def test_a_steady_run_drains_acks_as_often_however_long_it_runs(monkeypatch):
+    """The run drains the ack FIFOs only when an ack is due before the
+    horizon. On one saturated link, the bootstrap's window starts a train at
+    its first ack, and a train keeps its FIFO empty, so that drain is the
+    only one whether the run lasts 6 s, 60 s or 600 s. A horizon that
+    stepped by RTO_MIN_US drained 31, 301 and 3,001 times."""
+    drains, drain = [], Simulation._drain_acks
+
+    def counting(sim, horizon):
+        drains[-1] += 1
+        return drain(sim, horizon)
+
+    monkeypatch.setattr(Simulation, "_drain_acks", counting)
+    monkeypatch.delenv(PPOS_ENV_VAR, raising=False)
+    for duration in ("6s", "60s", "600s"):
+        drains.append(0)
+        doc = f"scenario steady\nduration {duration}\nlink 1 2mbps 5ms 10.0.0.1 10.0.1.1\n"
+        run_scenario(parse_scenario(doc))
+    assert drains == [1, 1, 1]

@@ -19,12 +19,17 @@ re-create them, and every action verb. Every run checks that:
   died at or after that end, all read from the simulation's own state;
 * every data segment goes on the sub-flow that ``select`` chooses just
   before it is sent, so no bytes go on a backup sub-flow while an active
-  one is alive, nor off the primary pairs while a sub-flow on one is. A
-  steady ack train sends its segments without ``_send_segment``, each with
-  its flow's window one MSS short. Between pumps, only acks change what
-  ``select`` reads, and an ack leaves each flow of the deciding tier with
-  a full window, so a train is checked in that state when it starts and
-  after each pump that it outlives.
+  one is alive, nor off the primary pairs while a sub-flow on one is.
+  ``_fill`` sends the ``n`` segments that fit a window in one step, so the
+  ``i``-th of them is checked with the window ``i`` MSS fuller than the
+  fill found it. A steady ack train sends its segments without ``_fill``,
+  each with its flow's window one MSS short. Between pumps, only acks
+  change what ``select`` reads, and an ack leaves each flow of the deciding
+  tier with a full window, so a train is checked in that state when it
+  starts and after each pump that it outlives;
+* the run's bound on queued acks holds: no queued ack is due before it
+  when a drain starts, a drain returns the earliest one left (or the end
+  of the run), and no ack due before a pump's heap event is still queued.
 """
 
 import io
@@ -46,9 +51,10 @@ from scenario_gen import random_scenario
 
 
 class RecordingSimulation(Simulation):
-    """A Simulation that remembers its instances, for their end state, and
-    checks each data segment and each ack train against a fresh scheduler
-    choice."""
+    """A Simulation that remembers its instances, for their end state,
+    checks each data segment of a fill and each ack train against a fresh
+    scheduler choice, and checks the bound on queued acks at each drain and
+    pump."""
 
     instances = []
 
@@ -56,11 +62,24 @@ class RecordingSimulation(Simulation):
         RecordingSimulation.instances.append(self)
         return super().run()
 
-    def _send_segment(self, flow, nbytes):
-        if nbytes:
+    def _ack_heads(self):
+        return [flow.acks[0][0] for flow in self._flows.values() if flow.acks]
+
+    def _drain_acks(self, horizon):
+        assert self._next_ack <= min(self._ack_heads(), default=horizon), self.now_us
+        bound = super()._drain_acks(horizon)
+        assert bound == min([self.duration_us, *self._ack_heads()]), (self.now_us, bound)
+        return bound
+
+    def _fill(self, flow):
+        sf = flow.sf
+        inflight = sf.inflight_bytes
+        while sf.inflight_bytes + MSS <= WINDOW_BYTES:
             decision = select(self.sender, MSS, WINDOW_BYTES)
-            assert decision.chosen == flow.sf.id, (self.now_us, flow.sf.id, decision)
-        super()._send_segment(flow, nbytes)
+            assert decision.chosen == sf.id, (self.now_us, sf.id, decision)
+            sf.inflight_bytes += MSS
+        sf.inflight_bytes = inflight
+        super()._fill(flow)
 
     def _train(self, flow):
         if not super()._train(flow):
@@ -69,6 +88,7 @@ class RecordingSimulation(Simulation):
         return True
 
     def _pump(self):
+        assert min(self._ack_heads(), default=self.now_us) >= self.now_us, self.now_us
         super()._pump()
         for flow in self._flows.values():
             if flow.train is not None:

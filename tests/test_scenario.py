@@ -169,6 +169,17 @@ def test_missing_sections_rejected():
         parse_scenario("scenario s\nduration 1s\n")
 
 
+@pytest.mark.parametrize("duration", ["0s", "0ms"])
+def test_a_zero_duration_is_a_syntax_error_with_its_line(duration):
+    with pytest.raises(ScenarioSyntaxError, match="^line 2: duration must be positive$"):
+        parse_scenario(f"scenario s\nduration {duration}\n" + THREE_LINKS)
+
+
+def test_a_missing_duration_is_a_syntax_error_without_a_line():
+    with pytest.raises(ScenarioSyntaxError, match="^missing 'duration <time>' line$"):
+        parse_scenario("scenario s\n" + THREE_LINKS)
+
+
 @pytest.mark.parametrize(
     "doc, line, keyword",
     [

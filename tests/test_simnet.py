@@ -125,8 +125,9 @@ def test_spurious_timeout_then_ack_resets_counter():
     sim = build_sim(1)
     flow = sim._flows[1]
     sf = flow.sf
-    sim._send_segment(flow, MSS)
-    # fresh flow: srtt 0 so the timer (200 ms) beats the first ack (211.68 ms)
+    sim._fill(flow)
+    # fresh flow: srtt 0 so the timer (200 ms) beats the first window's
+    # first ack (211.68 ms)
     handlers = [step(sim) for _ in range(2)]
     assert handlers == [Simulation._on_timer, Simulation._on_ack_arrival]
     assert sf.alive
