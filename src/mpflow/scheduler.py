@@ -20,16 +20,11 @@ sub-flow on one of them is alive, falls back to the remaining sub-flows on
 primary failure, and returns to the primary as soon as a sub-flow on it
 exists again.
 
-A decision also says whether its sub-flow is ``alone``: the only
-schedulable member of the deciding tier. Sending on the chosen sub-flow
-changes nothing but its own window, so the caller may keep sending on it
-until its window is full; after that, an ``alone`` choice leaves the tier
-with nothing schedulable, and the next selection would be NO_PATH.
-
-The decision names the deciding tier as well, and :func:`tier` ranks one
-sub-flow. The simulator runs :func:`select` whenever the tiers can change
-(an action, a death, a new sub-flow) and in between refills only the
-members of the deciding tier as their acks free window; the segments go
+The decision names the deciding tier, and :func:`tier` ranks one
+sub-flow. Sending on a sub-flow changes nothing but its own window, so the
+simulator runs :func:`select` only when the tiers can change (an action, a
+death, a new sub-flow), fills the windows of the deciding tier's members
+then, and refills each of them as its acks free window; the segments go
 where a fresh :func:`select` per segment would send them.
 
 Selection is a pure function of (connection state, mss, window), so
@@ -53,16 +48,10 @@ class ChoiceReason(Enum):
 
 class SchedulerDecision(NamedTuple):
     """Outcome of one selection; ``chosen`` is None iff reason is NO_PATH.
-
-    ``alone`` is True iff ``chosen`` is the only schedulable member of the
-    deciding tier, so once its window is full no sub-flow is schedulable
-    until the connection changes otherwise. It is False for NO_PATH.
-    ``tier`` is the deciding tier, None iff no sub-flow is alive.
-    """
+    ``tier`` is the deciding tier, None iff no sub-flow is alive."""
 
     chosen: Optional[int]
     reason: ChoiceReason
-    alone: bool
     tier: Optional[int]
 
 
@@ -89,8 +78,7 @@ def is_schedulable(sf: SubflowState, mss: int, window: int) -> bool:
 def select(conn: ConnectionState, mss: int, window: int) -> SchedulerDecision:
     """One pass over the sub-flows: the lowest tier with an alive member
     decides (see the module docstring), and NO_PATH means that none of its
-    members is schedulable. The decision counts the tier's schedulable
-    members to tell whether the chosen one is ``alone``.
+    members is schedulable.
 
     A choice from tier 0 is PRIMARY_PATH. With primary pairs set, a choice
     from tier 1 or 2 is BACKUP_FALLBACK whatever the sub-flow's flag;
@@ -100,7 +88,6 @@ def select(conn: ConnectionState, mss: int, window: int) -> SchedulerDecision:
     best: Optional[SubflowState] = None
     best_tier = len(_REASONS)  # no alive sub-flow seen yet
     best_srtt = 0
-    fits = 0  # schedulable members of tier best_tier
     for sf in conn.subflows:
         if not sf.alive:
             continue
@@ -110,16 +97,14 @@ def select(conn: ConnectionState, mss: int, window: int) -> SchedulerDecision:
         if rank < best_tier:
             best_tier = rank
             best = None
-            fits = 0
         if sf.inflight_bytes > limit:  # not is_schedulable
             continue
-        fits += 1
         srtt = sf.srtt_us
         if best is None or srtt < best_srtt or (srtt == best_srtt and sf.id < best.id):
             best = sf
             best_srtt = srtt
     if best is None:
         deciding = best_tier if best_tier < len(_REASONS) else None
-        return SchedulerDecision(None, ChoiceReason.NO_PATH, False, deciding)
+        return SchedulerDecision(None, ChoiceReason.NO_PATH, deciding)
     reasons = _PPOS_REASONS if conn.primary_pairs else _REASONS
-    return SchedulerDecision(best.id, reasons[best_tier], fits == 1, best_tier)
+    return SchedulerDecision(best.id, reasons[best_tier], best_tier)

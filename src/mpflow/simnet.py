@@ -9,17 +9,18 @@ links, one link per (local, remote) interface pair. The engine models:
   delay. Links are lossless while up; a down link drops every in-flight and
   future segment and ack. The ack is queued on its sub-flow when the
   segment is sent on a link that is up; a segment sent on a down link
-  queues none. A link change drops its sub-flows' queued acks at once, so
-  every queued ack arrives.
-* an infinite-backlog sender that keeps the windows of the sub-flows the
-  scheduler offers filled with MSS-sized segments. The scheduler runs only
+  queues none. A death drops its sub-flow's queued acks, and a link change
+  those of the link's newest sub-flow, the only one that may be alive, so
+  every queued ack of a live sub-flow arrives.
+* an infinite-backlog sender that keeps the windows of the scheduler's
+  deciding tier filled with MSS-sized segments. The scheduler runs only
   where its tiers can change: at start, after an action, a death or a new
-  sub-flow. Each such run leaves no schedulable member in the deciding
-  tier, and until the next one an ack changes only its own flow's window
-  and RTT, so the deciding tier stays the same and the next choice could
-  only be the acked flow. An ack therefore refills its own flow's window
-  when the flow is in the deciding tier (``clocked``) and sends nothing
-  otherwise, exactly as a per-segment choice would.
+  sub-flow. Then each alive flow of that tier (``clocked``) fills its
+  window, and refills it at each of its acks; other flows send nothing.
+  In between, an ack changes only its own flow's window and RTT, so the
+  tier stays the same. A clocked flow is the only live flow on its link
+  and a send changes only its own flow and link, so the fills commute,
+  and the segments go exactly where a per-segment choice would send them.
 * one timer per sub-flow, which acts on the sub-flow's state when it fires:
   - busy (data or a probe unacknowledged): count a retransmission timeout.
     The deadline is ``max(2 * srtt, 200 ms)`` after the last ack and
@@ -55,8 +56,8 @@ give byte-identical reports on any platform.
 
 Acks are not heap events. A link serializes in send order, so a sub-flow's
 acks come back in send order and wait in a FIFO on the sub-flow; a link
-change, which restarts the link's clock, drops them by emptying the FIFOs
-of its sub-flows. :meth:`Simulation.run` keeps a lower bound on the
+change, which restarts the link's clock, drops them by emptying the FIFO
+of its newest sub-flow. :meth:`Simulation.run` keeps a lower bound on the
 arrival of every queued ack, which a send or a train's end lowers and a
 drain sets to the earliest arrival it leaves; a link change that drops
 acks leaves it low, for one drain more. Before each heap event, the run
@@ -116,7 +117,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import operator
-from collections import deque
+from collections import Counter, deque
 from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import sockopt
@@ -295,6 +296,10 @@ class Simulation:
         if bucket_ms <= 0:
             raise ValidationError("bucket width must be positive")
         check_topology(sender.local_addrs, sender.remote_addrs, links)
+        # A dead sub-flow counts as None, the pair of no link.
+        pairs = Counter(sf.pair() if sf.alive else None for sf in sender.subflows)
+        if pairs != Counter(spec.pair for spec in links):
+            raise ValidationError("the sender must hold one live sub-flow per link pair")
         self.sender = sender
         self.receiver = mirror_connection(sender)
         self.duration_us = duration_ms * US_PER_MS
@@ -302,7 +307,6 @@ class Simulation:
         self.now_us = 0
 
         links_by_pair = {spec.pair: _Link(spec) for spec in links}
-        self._links_by_id = {link.spec.link_id: link for link in links_by_pair.values()}
 
         # (at_us, rank, handler, args): run() calls handler(self, *args). The
         # rank is (0, seq) for actions and option arrivals and (1, sub-flow
@@ -316,6 +320,8 @@ class Simulation:
             sf.id: _Flow(sf, peer, links_by_pair[sf.pair()])
             for sf, peer in zip(sender.subflows, self.receiver.subflows)
         }
+        # The newest flow on each link, by link id: the only one that may be alive.
+        self._newest_flow = {flow.link.spec.link_id: flow for flow in self._flows.values()}
         self._next_ack = self.duration_us  # no queued ack arrives before it
         self._finished = False
 
@@ -326,6 +332,9 @@ class Simulation:
         heapq.heappush(self._heap, (at_us, (0, next(self._seq)), handler, args))
 
     def schedule_action(self, at_ms: int, action: Callable[["Simulation"], None]) -> None:
+        """Run ``action(self)`` at ``at_ms``. An action changes priorities
+        through :mod:`mpflow.sockopt`, and the run records a flip from the
+        MP_PRIO that the flip queues."""
         self._push(at_ms * US_PER_MS, Simulation._on_action, (action,))
 
     # ------------------------------------------------------------------ #
@@ -333,14 +342,13 @@ class Simulation:
 
     def set_link_state(self, link_id: int, up: bool) -> None:
         """Bring a link up or down, dropping everything in flight on it."""
-        link = self._links_by_id.get(link_id)
-        if link is None:
+        flow = self._newest_flow.get(link_id)
+        if flow is None:
             raise ValidationError(f"no link with id {link_id}")
-        for flow in self._flows.values():
-            if flow.link is link:
-                if flow.train is not None:
-                    self._end_train(flow, self.now_us)
-                flow.acks.clear()
+        if flow.train is not None:
+            self._end_train(flow, self.now_us)
+        flow.acks.clear()
+        link = flow.link
         link.up = up
         link.epoch += 1
         link.tx_free_us = self.now_us
@@ -372,28 +380,22 @@ class Simulation:
         heapq.heappush(self._heap, (at_us, (1, flow.sf.id, seq), Simulation._on_timer, (flow, seq)))
 
     def _pump(self) -> None:
-        """Send MSS segments while the scheduler offers a sub-flow, then mark
-        the flows of the deciding tier ``clocked``.
+        """Ask the scheduler for the deciding tier, mark its alive flows
+        ``clocked`` and fill their windows, as an ack refills its own flow's.
 
-        A send changes only its own flow's window, so the chosen flow stays
-        the scheduler's choice until its window is full, and it is filled
-        without asking again. If it was the only schedulable member of its
-        tier (``alone``), the next choice would be NO_PATH and the pump
-        stops without that closing scan; otherwise it asks again. Either
-        way the deciding tier has no schedulable member left."""
-        while True:
-            decision = select(self.sender, MSS, WINDOW_BYTES)
-            if decision.chosen is None:
-                break
-            self._fill(self._flows[decision.chosen])
-            if decision.alone:
-                break
+        Each clocked flow is the only live flow on its link, and a fill
+        touches only its own flow and link, so the order of the fills moves
+        no segment: they send what a choice per segment would, and leave
+        the deciding tier with no schedulable member."""
         sender = self.sender
+        deciding = select(sender, MSS, WINDOW_BYTES).tier
         for flow in self._flows.values():
-            clocked = flow.sf.alive and tier(sender, flow.sf) == decision.tier
+            clocked = flow.sf.alive and tier(sender, flow.sf) == deciding
             if flow.train is not None and not clocked:
                 self._end_train(flow, self.now_us)
             flow.clocked = clocked
+            if clocked:
+                self._fill(flow)
 
     def _fill(self, flow: _Flow) -> None:
         """Send the ``n`` MSS segments that fit the flow's window in one step:
@@ -479,6 +481,7 @@ class Simulation:
         sf.alive = False
         sf.died_us = self.now_us
         sf.inflight_bytes = 0  # in-flight data goes back to the backlog
+        flow.acks.clear()  # late acks, which would change nothing
         flow.peer.alive = False
         # A pair has one sub-flow that is not dead, and gets a new one only
         # when this flow's timer finds the link up, so attempts never overlap.
@@ -497,24 +500,23 @@ class Simulation:
         self.receiver.subflows.append(peer)
         self.receiver.next_id = self.sender.next_id
         flow = _Flow(sf, peer, link)
-        self._flows[sf.id] = flow
+        self._flows[sf.id] = self._newest_flow[link.spec.link_id] = flow
         self._pump()
         if flow.armed_at_us is None:
             self._set_timer(flow, self.now_us + PROBE_INTERVAL_US)
 
     def _on_action(self, action: Callable[["Simulation"], None]) -> None:
         action(self)
-        for flow in self._flows.values():
-            if flow.sf.low_prio != flow.flag_values[-1]:
-                flow.flag_times.append(self.now_us)
-                flow.flag_values.append(flow.sf.low_prio)
-        self._pump()
         outbox = self.sender.outbox
         for sf_id, opt in outbox:  # each on its own sub-flow's link
             flow = self._flows[sf_id]
+            if flow.sf.low_prio != flow.flag_values[-1]:
+                flow.flag_times.append(self.now_us)
+                flow.flag_values.append(flow.sf.low_prio)
             arrival = self.now_us + flow.link.delay_us
             self._push(arrival, Simulation._on_options_arrival, (flow, flow.link.epoch, opt))
         outbox.clear()
+        self._pump()
 
     # ------------------------------------------------------------------ #
     # main loop and report

@@ -19,8 +19,11 @@ which no test pins, and of the benchmark's scenarios at their workload's
 bucket width: the built-ins, and seeds 0-3 of ``mesh16_flaps`` and
 ``prio_churn_fine`` from ``perfbench/workloads.py``. It also digests the
 ``edge_*`` scenarios of ``edge_scenarios()``, on links that the generator
-never draws. Running it in two checkouts and comparing the outputs with
-``cmp`` shows whether a change keeps all those timelines byte-identical.
+never draws. Beside each CSV digest, under the key ``<bucket>/state``, it
+prints a digest of the run's end state (``state_digest``), which moves
+when a change shifts ack timing by less than a bucket edge. Running it in
+two checkouts and comparing the outputs with ``cmp`` shows whether a
+change keeps all those timelines and end states byte-identical.
 """
 
 from __future__ import annotations
@@ -33,8 +36,11 @@ import json
 import logging
 import random
 from pathlib import Path
+from unittest import mock
 
+from mpflow import scenario as scenario_module
 from mpflow.scenario import BUILTIN_DOCS, emit_csv, parse_scenario, run_scenario
+from mpflow.simnet import Simulation
 
 # Spelled out, not imported, so that a new verb does not move the corpus.
 ACTION_VERBS = (
@@ -87,19 +93,62 @@ def corpus():
     ]
 
 
+class _KeptSimulation(Simulation):
+    """A Simulation that keeps its last instance, for the run's end state."""
+
+    last = None
+
+    def run(self):
+        _KeptSimulation.last = self
+        return super().run()
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def state_digest(sim: Simulation) -> str:
+    """SHA-256 of the end state of the finished run ``sim``: per sub-flow,
+    its srtt, bytes sent and in flight, consecutive timeouts, death time and
+    the flag at both ends; per link, when it is free, whether it is up and
+    its epoch. The run ends every train first, so this is the state that a
+    run handling every ack one by one would leave."""
+    flows, links = [], {}
+    for flow in sim._flows.values():
+        sf, link = flow.sf, flow.link
+        flows.append(
+            (sf.id, sf.srtt_us, sf.bytes_sent_total, sf.inflight_bytes, sf.consecutive_timeouts,
+             sf.died_us, sf.low_prio, flow.peer.low_prio)
+        )
+        links[link.spec.link_id] = (link.tx_free_us, link.up, link.epoch)
+    return _sha256(repr((flows, sorted(links.items()))))
+
+
+def run_digests(doc: str, bucket_ms: int):
+    """(CSV digest, end-state digest) of one run of ``doc`` at ``bucket_ms``."""
+    with mock.patch.object(scenario_module, "Simulation", _KeptSimulation):
+        report = run_scenario(parse_scenario(doc), bucket_ms=bucket_ms)
+    buf = io.StringIO()
+    emit_csv(report, buf)
+    return _sha256(buf.getvalue()), state_digest(_KeptSimulation.last)
+
+
 def csv_digest(doc: str, bucket_ms: int) -> str:
     """SHA-256 of the CSV that ``doc`` gives at ``bucket_ms``."""
-    buf = io.StringIO()
-    emit_csv(run_scenario(parse_scenario(doc), bucket_ms=bucket_ms), buf)
-    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    return run_digests(doc, bucket_ms)[0]
 
 
-def digests(scenarios, buckets_ms=CORPUS_BUCKETS_MS):
-    """{name: {bucket width: digest}} over (name, scenario text) pairs."""
-    return {
-        name: {str(bucket_ms): csv_digest(doc, bucket_ms) for bucket_ms in buckets_ms}
-        for name, doc in scenarios
-    }
+def digests(scenarios, buckets_ms=CORPUS_BUCKETS_MS, state=False):
+    """{name: {bucket width: digest}} over (name, scenario text) pairs; with
+    ``state``, also {"<bucket width>/state": end-state digest}."""
+    out = {}
+    for name, doc in scenarios:
+        out[name] = cells = {}
+        for bucket_ms in buckets_ms:
+            cells[str(bucket_ms)], end_state = run_digests(doc, bucket_ms)
+            if state:
+                cells[f"{bucket_ms}/state"] = end_state
+    return out
 
 
 def perfbench_workloads():
@@ -114,8 +163,8 @@ def perfbench_workloads():
 
 
 def workload_digests():
-    """Digests of the benchmark's scenarios at their workload's bucket width,
-    named ``workload/seed/scenario``."""
+    """CSV and end-state digests of the benchmark's scenarios at their
+    workload's bucket width, named ``workload/seed/scenario``."""
     workloads = perfbench_workloads()
     runs = [("paper_figs", 0, workloads.paper_figs(0, BUILTIN_DOCS))]
     for name in ("mesh16_flaps", "prio_churn_fine"):
@@ -123,7 +172,7 @@ def workload_digests():
     out = {}
     for name, seed, workload in runs:
         docs = [(f"{name}/{seed}/{doc_name}", doc) for doc_name, doc in workload.docs]
-        out.update(digests(docs, (workload.bucket_ms,)))
+        out.update(digests(docs, (workload.bucket_ms,), state=True))
     return out
 
 
@@ -164,8 +213,9 @@ if __name__ == "__main__":
         "--diff",
         type=int,
         metavar="N",
-        help="digest the corpus, the first N differential scenarios, the edge"
-        " scenarios and the benchmark's scenarios, instead of the corpus alone",
+        help="digest the CSVs and end states of the corpus, the first N differential"
+        " scenarios, the edge scenarios and the benchmark's scenarios, instead of the"
+        " corpus's CSVs alone",
     )
     args = parser.parse_args()
     # Skipped actions are part of the scenarios; only the digests are output.
@@ -174,5 +224,5 @@ if __name__ == "__main__":
         out = digests(corpus())
     else:
         scenarios = corpus() + diff_scenarios(args.diff) + edge_scenarios()
-        out = {**digests(scenarios), **workload_digests()}
+        out = {**digests(scenarios, state=True), **workload_digests()}
     print(json.dumps(out, indent=1, sort_keys=True))

@@ -235,29 +235,25 @@ def test_criterion_5_classification_truth_table():
 
 
 def _lowest_rtt(subflows, mss, window):
-    """(id, alone) of the member that fits one more MSS in its window with
-    the lowest (srtt, id), alone being whether no other member fits; or
-    (None, False) if no member fits."""
+    """Id of the member that fits one more MSS in its window with the lowest
+    (srtt, id), or None if no member fits."""
     fits = [sf for sf in subflows if sf.inflight_bytes + mss <= window]
-    if not fits:
-        return None, False
-    return min(fits, key=lambda sf: (sf.srtt_us, sf.id)).id, len(fits) == 1
+    return min(fits, key=lambda sf: (sf.srtt_us, sf.id)).id if fits else None
 
 
 def _oracle_default(subflows, mss, window):
     """Brute-force restatement of the default selection rules: the actives
     decide while any of them is alive, even if none has room in its window;
     the backups decide only when no active is alive. Returns (chosen id,
-    reason, alone, deciding ids): alone iff the deciding set has one member
-    that fits."""
+    reason, deciding ids)."""
     alive = [sf for sf in subflows if sf.alive]
     actives = [sf for sf in alive if not sf.low_prio]
     if actives:
-        (chosen, alone), reason = _lowest_rtt(actives, mss, window), "active-path"
+        chosen, reason = _lowest_rtt(actives, mss, window), "active-path"
     else:
-        (chosen, alone), reason = _lowest_rtt(alive, mss, window), "backup-fallback"
+        chosen, reason = _lowest_rtt(alive, mss, window), "backup-fallback"
     ids = {sf.id for sf in actives or alive}
-    return (chosen, reason, alone, ids) if chosen is not None else (None, "no-path", False, ids)
+    return (chosen, reason, ids) if chosen is not None else (None, "no-path", ids)
 
 
 def _oracle_ppos(conn, mss, window):
@@ -267,12 +263,12 @@ def _oracle_ppos(conn, mss, window):
     alive = [sf for sf in conn.subflows if sf.alive]
     primaries = [sf for sf in alive if sf.pair() in conn.primary_pairs]
     if primaries:
-        (chosen, alone), reason = _lowest_rtt(primaries, mss, window), "primary-path"
+        chosen, reason = _lowest_rtt(primaries, mss, window), "primary-path"
         ids = {sf.id for sf in primaries}
     else:
-        chosen, _, alone, ids = _oracle_default(alive, mss, window)
+        chosen, _, ids = _oracle_default(alive, mss, window)
         reason = "backup-fallback"
-    return (chosen, reason, alone, ids) if chosen is not None else (None, "no-path", False, ids)
+    return (chosen, reason, ids) if chosen is not None else (None, "no-path", ids)
 
 
 def _tier_ids(conn, decision):
@@ -301,16 +297,13 @@ def test_criterion_6_scheduler_matches_bruteforce_oracle():
                 sf.srtt_us = srtt
                 sf.inflight_bytes = inflight
             got = select(conn, MSS, WINDOW)
-            want = _oracle_default(conn.subflows, MSS, WINDOW)
-            want_id, want_reason, want_alone, want_ids = want
+            want_id, want_reason, want_ids = _oracle_default(conn.subflows, MSS, WINDOW)
             assert (got.chosen, got.reason.value) == (want_id, want_reason), state
-            assert got.alone == want_alone, state
             assert _tier_ids(conn, got) == want_ids, state
             conn.primary_pairs = [P1]
             got = select(conn, MSS, WINDOW)
-            want_id, want_reason, want_alone, want_ids = _oracle_ppos(conn, MSS, WINDOW)
+            want_id, want_reason, want_ids = _oracle_ppos(conn, MSS, WINDOW)
             assert (got.chosen, got.reason.value) == (want_id, want_reason), state
-            assert got.alone == want_alone, state
             assert _tier_ids(conn, got) == want_ids, state
             cases += 1
         assert cases == 13824

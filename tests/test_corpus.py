@@ -32,10 +32,20 @@ def test_corpus_csv_matches_pinned_digest(name, monkeypatch):
     assert digests == PINNED[name]
 
 
+# Sub-flow 1 dies unacked with a window queued on its 10 kbps link, its
+# successor opens beside it, and the link goes down while the dead
+# sub-flow's acks are still on the way.
+DEAD_ACKS_DOC = (
+    "scenario dead_acks\nduration 20s\n"
+    "link 1 10kbps 150ms 10.0.0.1 10.0.1.1\nlink 2 1mbps 10ms 10.0.0.1 10.0.2.1\n"
+    "at 5s link_down 1\n"
+)
+
+
 def test_every_ack_handled_one_by_one_finds_its_link_up(monkeypatch):
-    # A segment sent on a down link queues no ack, and a link change drops
-    # the acks queued on its sub-flows, so no ack reaches _on_ack_arrival
-    # on a link that is down.
+    # A segment sent on a down link queues no ack, a death drops its
+    # sub-flow's queued acks and a link change those of the sub-flow on it,
+    # so no ack reaches _on_ack_arrival on a link that is down.
     handled, on_down_link = [], []
     on_ack = Simulation._on_ack_arrival
 
@@ -45,7 +55,7 @@ def test_every_ack_handled_one_by_one_finds_its_link_up(monkeypatch):
 
     monkeypatch.setattr(Simulation, "_on_ack_arrival", check)
     monkeypatch.delenv(PPOS_ENV_VAR, raising=False)
-    for doc in DOCS.values():
+    for doc in [*DOCS.values(), DEAD_ACKS_DOC]:
         run_scenario(parse_scenario(doc), bucket_ms=1000)
     assert len(handled) > 1000
     assert on_down_link == []

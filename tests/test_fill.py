@@ -139,13 +139,14 @@ def test_a_link_that_serializes_in_no_time_acks_a_window_at_once():
 def test_a_fill_of_a_partly_full_window_sends_the_room_left():
     # Sub-flow 1 is backup from 1 s: its acks come back and send nothing.
     # Made active again 60 ms later, it still has segments in flight, and
-    # the action's pump fills the room its acks freed.
+    # the action's pump fills the room its acks freed. The pump also fills
+    # sub-flow 2, whose full window takes no segment.
     def flip(at, flag):
         return f"at {at} set_sub_prio 1 {flag}\n"
 
     doc = "scenario partly\nduration 3s\n" + TWO_LINKS + flip("1000ms", "backup")
     fills = run_both(doc + flip("1060ms", "active"))
-    (refill,) = [fill for fill in fills if fill.at == 1_060_000]
+    (refill,) = [fill for fill in fills if fill.at == 1_060_000 and fill.segments]
     assert refill.flow_id == 1 and 0 < refill.inflight_before < WINDOW_BYTES
     assert 1 < refill.segments < WINDOW_SEGMENTS
     assert refill.inflight_bytes == WINDOW_BYTES

@@ -171,21 +171,21 @@ def count_selects_by_handler(run):
 def test_select_runs_only_when_the_tiers_can_change():
     """An ack refills its own flow without asking the scheduler, so
     ``select`` runs only in the pumps of the bootstrap, actions, deaths and
-    re-openings; never in a train, which handles many acks at once. On the
-    steady run that is the bootstrap alone: its pump fills the three empty
-    windows with three calls. The flapping run adds one NO_PATH call for
-    each of its two link actions, and one call for its one death and its
-    one re-opening."""
+    re-openings, once per pump; never in a train, which handles many acks
+    at once. On the steady run that is the bootstrap alone, whose one call
+    names the tier whose three empty windows its pump fills. The flapping
+    run adds one call for each of its two link actions, one for its one
+    death and one for its one re-opening."""
     selects, runs, trained = count_selects_by_handler(lambda: build_steady_sim().run())
     assert runs["_on_ack_arrival"] + trained > 1000
     assert "_train" not in selects and "_end_train" not in selects
-    assert selects == {"_bootstrap": 3}
+    assert selects == {"_bootstrap": 1}
 
     selects, runs, trained = count_selects_by_handler(lambda: build_flapping_sim().run())
     assert runs["_on_ack_arrival"] + trained > 1000
     assert "_train" not in selects and "_end_train" not in selects
     assert (runs["_kill"], runs["_open_on_pair"]) == (1, 1)
-    assert selects == {"_bootstrap": 3, "_on_action": 2, "_kill": 1, "_open_on_pair": 1}
+    assert selects == {"_bootstrap": 1, "_on_action": 2, "_kill": 1, "_open_on_pair": 1}
 
 
 def test_every_ack_of_mesh16_flaps_runs_in_a_train():

@@ -17,16 +17,19 @@ re-create them, and every action verb. Every run checks that:
   the end of and alive past the start of, and no other row, with the bytes
   acked in the bucket, the flag in force at the bucket's end and whether it
   died at or after that end, all read from the simulation's own state;
-* every data segment goes on the sub-flow that ``select`` chooses just
-  before it is sent, so no bytes go on a backup sub-flow while an active
-  one is alive, nor off the primary pairs while a sub-flow on one is.
-  ``_fill`` sends the ``n`` segments that fit a window in one step, so the
-  ``i``-th of them is checked with the window ``i`` MSS fuller than the
-  fill found it. A steady ack train sends its segments without ``_fill``,
-  each with its flow's window one MSS short. Between pumps, only acks
-  change what ``select`` reads, and an ack leaves each flow of the deciding
-  tier with a full window, so a train is checked in that state when it
-  starts and after each pump that it outlives;
+* every data segment goes where ``select`` would send it, so no bytes go
+  on a backup sub-flow while an active one is alive, nor off the primary
+  pairs while a sub-flow on one is. An ack's refill sends the ``n``
+  segments that fit its window in one step, so the ``i``-th of them is
+  checked against a ``select`` with the window ``i`` MSS fuller than the
+  fill found it. A pump fills every flow of the deciding tier, one flow
+  after another, so the bytes each flow gets in it are checked against a
+  loop of one ``select`` per segment, replayed on the windows as they were
+  just before the pump. A steady ack train sends its segments without
+  ``_fill``, each with its flow's window one MSS short. Between pumps,
+  only acks change what ``select`` reads, and an ack leaves each flow of
+  the deciding tier with a full window, so a train is checked in that
+  state when it starts and after each pump that it outlives;
 * the run's bound on queued acks holds: no queued ack is due before it
   when a drain starts, a drain returns the earliest one left (or the end
   of the run), and no ack due before a pump's heap event is still queued.
@@ -52,11 +55,13 @@ from scenario_gen import random_scenario
 
 class RecordingSimulation(Simulation):
     """A Simulation that remembers its instances, for their end state,
-    checks each data segment of a fill and each ack train against a fresh
-    scheduler choice, and checks the bound on queued acks at each drain and
+    checks each data segment of an ack's refill and each ack train against
+    a fresh scheduler choice and the fills of each pump against a choice
+    per segment, and checks the bound on queued acks at each drain and
     pump."""
 
     instances = []
+    pump_fills = None  # while a pump runs: bytes sent by id
 
     def run(self):
         RecordingSimulation.instances.append(self)
@@ -73,6 +78,12 @@ class RecordingSimulation(Simulation):
 
     def _fill(self, flow):
         sf = flow.sf
+        if self.pump_fills is not None:
+            sent = sf.bytes_sent_total
+            super()._fill(flow)
+            if sf.bytes_sent_total > sent:
+                self.pump_fills[sf.id] = sf.bytes_sent_total - sent
+            return
         inflight = sf.inflight_bytes
         while sf.inflight_bytes + MSS <= WINDOW_BYTES:
             decision = select(self.sender, MSS, WINDOW_BYTES)
@@ -89,10 +100,31 @@ class RecordingSimulation(Simulation):
 
     def _pump(self):
         assert min(self._ack_heads(), default=self.now_us) >= self.now_us, self.now_us
+        windows = {sf.id: sf.inflight_bytes for sf in self.sender.subflows}
+        self.pump_fills = {}
         super()._pump()
+        fills, self.pump_fills = self.pump_fills, None
+        assert fills == self._select_per_segment(windows), self.now_us
         for flow in self._flows.values():
             if flow.train is not None:
                 self._check_train(flow)
+
+    def _select_per_segment(self, windows):
+        """Bytes by id that one ``select`` per segment sends, from the
+        windows ``windows`` (bytes in flight by id) until no sub-flow is
+        chosen. It runs on the sender's sub-flows with their windows
+        swapped for ``windows``, and puts the windows back."""
+        subflows = {sf.id: sf for sf in self.sender.subflows}
+        current = {i: sf.inflight_bytes for i, sf in subflows.items()}
+        sent = defaultdict(int)
+        for i, sf in subflows.items():
+            sf.inflight_bytes = windows[i]
+        while (chosen := select(self.sender, MSS, WINDOW_BYTES).chosen) is not None:
+            subflows[chosen].inflight_bytes += MSS
+            sent[chosen] += MSS
+        for i, sf in subflows.items():
+            sf.inflight_bytes = current[i]
+        return dict(sent)
 
     def _check_train(self, flow):
         flow.sf.inflight_bytes -= MSS

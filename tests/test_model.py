@@ -262,10 +262,8 @@ def test_value_types_take_every_field_by_keyword_with_its_default():
     lists = PriorityLists()
     assert (lists.active_list, lists.backup_list) == ((), ())
     assert PriorityLists(active_list=(p,), backup_list=()).active_list == (p,)
-    decision = SchedulerDecision(chosen=None, reason=ChoiceReason.NO_PATH, alone=False, tier=None)
-    assert (decision.chosen, decision.reason, decision.alone, decision.tier) == (
-        None, ChoiceReason.NO_PATH, False, None
-    )
+    decision = SchedulerDecision(chosen=None, reason=ChoiceReason.NO_PATH, tier=None)
+    assert (decision.chosen, decision.reason, decision.tier) == (None, ChoiceReason.NO_PATH, None)
     request = SubPrioRequest(id=2, low_prio=True)
     assert (request.id, request.low_prio) == (2, True)
 
@@ -349,7 +347,7 @@ def test_endpoints_and_pairs_work_as_dict_keys():
         (EndpointAddress(AddrFamily.V4, V4_A), "port"),
         (InterfacePair(AddrFamily.V4, V4_A, V4_B), "src"),
         (PriorityLists(), "active_list"),
-        (SchedulerDecision(1, ChoiceReason.ACTIVE_PATH, True, 1), "chosen"),
+        (SchedulerDecision(1, ChoiceReason.ACTIVE_PATH, 1), "chosen"),
         (SubPrioRequest(1, True), "low_prio"),
     ],
     ids=lambda v: type(v).__name__ if not isinstance(v, str) else v,

@@ -4,12 +4,12 @@ import weakref
 
 import pytest
 
-from mpflow.model import ValidationError, new_connection
+from mpflow.model import ValidationError, close_subflow, new_connection, open_subflow
 from mpflow.simnet import LinkSpec, Simulation
 from mpflow import simnet, sockopt
 from mpflow.scenario import builtin_scenario, run_scenario
 from mpflow.sockopt import SubPrioRequest
-from helpers import addr
+from helpers import addr, tuple_for_next
 
 MSS = 1460
 WINDOW = 32 * MSS
@@ -244,7 +244,9 @@ def test_mp_prio_is_lost_with_its_segment():
 def test_finished_simulation_is_freed_by_reference_counting(monkeypatch):
     # Events still pending at the end stay on the heap. If they referred to
     # the simulation (as bound methods would), every finished run would
-    # wait for the cycle collector instead of being freed at once.
+    # wait for the cycle collector instead of being freed at once. No other
+    # reference cycle is left for it either, such as a link that points
+    # back at its flow.
     run = Simulation.run
     pending, refs = [], []
 
@@ -255,14 +257,17 @@ def test_finished_simulation_is_freed_by_reference_counting(monkeypatch):
         return report
 
     monkeypatch.setattr(Simulation, "run", run_and_watch)
+    gc.collect()
     gc.disable()
     try:
         run_scenario(builtin_scenario("fig4"))
         freed = refs[0]() is None
+        unreachable = gc.collect()
     finally:
         gc.enable()
     assert pending[0] > 0
     assert freed
+    assert unreachable == 0
 
 
 # --------------------------------------------------------------------- #
@@ -578,6 +583,39 @@ def test_mp_prio_reaches_the_receiver_one_trip_after_the_local_flip():
     assert sim.sender.subflow_by_id(2).low_prio
 
 
+def flag_history(report):
+    """(µs, flag) pairs of each column's flag history, by sub-flow id."""
+    return {c.subflow_id: list(zip(c.flag_times, c.flag_values)) for c in report.columns}
+
+
+def test_an_action_that_flips_a_sub_flow_and_back_records_no_flag_change(monkeypatch):
+    # The run records a flip from the MP_PRIOs that an action queues. One
+    # action that sets sub-flow 2 backup and then active again leaves its
+    # flag where it was: no change is recorded, and both options arrive.
+    def there_and_back(sim):
+        for low_prio in (True, False):
+            sockopt.set_subflow_priority(sim.sender, SubPrioRequest(2, low_prio))
+
+    sim = build_sim(3, duration_ms=1_500, actions=[(1_000, there_and_back)])
+    applied = record_applied(monkeypatch, sim)
+    report = sim.run()
+    assert applied == [(1_100_000, 2, True), (1_100_000, 2, False)]
+    assert flag_history(report) == {i: [(0, False)] for i in (1, 2, 3)}
+    assert not sim.receiver.subflow_by_id(2).low_prio
+
+
+def test_enable_ppos_records_the_flips_it_queues_at_the_action_s_us():
+    def ppos(sim):
+        sockopt.enable_primary_path_only(sim.sender, sim.sender.mesh_pairs()[:1])
+
+    report = build_sim(3, duration_ms=1_500, actions=[(1_000, ppos)]).run()
+    assert flag_history(report) == {
+        1: [(0, False)],
+        2: [(0, False), (1_000_000, True)],
+        3: [(0, False), (1_000_000, True)],
+    }
+
+
 def test_identical_runs_produce_identical_reports():
     assert run_scenario(builtin_scenario("fig4")) == run_scenario(
         builtin_scenario("fig4")
@@ -607,6 +645,24 @@ def test_link_must_serve_a_connection_pair():
     with pytest.raises(ValidationError):
         Simulation(sender, links, duration_ms=1000)
     del stray
+
+
+@pytest.mark.parametrize(
+    "close, reopen",
+    [(True, True), (True, False), (False, True)],
+    ids=["closed-and-reopened", "closed", "two-live"],
+)
+def test_the_sender_must_hold_one_live_sub_flow_per_link_pair(close, reopen):
+    # Closed and re-opened, sub-flow 2 would stay on link 2 beside sub-flow
+    # 3, and run, it would open a fourth sub-flow there a second in.
+    sender = new_connection([addr("10.0.0.1")], [addr("10.0.1.1"), addr("10.0.2.1")])
+    links = [LinkSpec(i + 1, p, MBPS, 100) for i, p in enumerate(sender.mesh_pairs())]
+    if close:
+        close_subflow(sender, 2)
+    if reopen:
+        open_subflow(sender, tuple_for_next(sender, sender.mesh_pairs()[1]))
+    with pytest.raises(ValidationError, match="one live sub-flow per link pair"):
+        Simulation(sender, links, duration_ms=3_000)
 
 
 def test_unknown_link_id_rejected_at_runtime():

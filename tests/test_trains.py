@@ -102,7 +102,7 @@ def end_state(sim, report):
         )
         for flow_id, flow in sim._flows.items()
     }
-    links = {link_id: link.tx_free_us for link_id, link in sim._links_by_id.items()}
+    links = {flow.link.spec.link_id: flow.link.tx_free_us for flow in sim._flows.values()}
     return csv.getvalue(), flows, links
 
 
