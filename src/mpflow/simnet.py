@@ -29,13 +29,14 @@ links, one link per (local, remote) interface pair. The engine models:
   - idle: send a zero-length keepalive probe, one second after the
     sub-flow went idle, so a path without data is health-checked by the
     same timeouts. Probes are invisible in the throughput accounting.
-  - dead: attempt re-establishment, one second after the death and every
-    second while the link is down; an attempt that finds the link up opens
-    a brand-new sub-flow on the pair, inheriting nothing.
+  - dead: open a brand-new sub-flow on the pair, inheriting nothing, at
+    the first whole second after the death at which the link is up. The
+    timer runs only while the link is up; the link's coming up sets it.
+    A sub-flow that an action closes dies at the action's µs.
   A deadline that moves later is only recorded: the timer's one pending
   heap event, when it fires early, is pushed again for the deadline. A
-  sub-flow in a train (below) has no live timer entry: its pending one is
-  dropped when it pops, and the train's end pushes one again.
+  sub-flow in a train or a keepalive (below) has no live timer entry: its
+  pending one is dropped when it pops, and their end pushes one again.
 * MP_PRIO delivery: a priority signal applies to the sub-flow that carries
   it (RFC 8684 §3.3.8). One that an action queues travels alone on its
   sub-flow's link and sets the receiver's view one one-way delay later,
@@ -71,12 +72,14 @@ commute.
 
 Most acks belong to steady trains, which run in closed form. A train is a
 state of the sub-flow, not a step of the drain: :meth:`Simulation._train`
-starts one on a clocked flow from its first full window. The window is
+starts one on a clocked flow at an ack of a full window. The window is
 full on a link that stays busy past the first ack ``a0``; 32 acks of one
 MSS are queued, spaced by the serialization time ``s`` of at least 1 µs,
 so the link is up and unchanged since they were sent; and no probe or
-timeout is outstanding. The acks' round-trip samples may be anything,
-such as the ramp of a window sent in one burst. Each ack then frees one
+timeout is outstanding. A try that finds one outstanding is made again
+at the next ack, which may clear it, and any other once a window of acks
+has replaced the ones it saw. The acks' round-trip samples may be
+anything, such as the ramp of a window sent in one burst. Each ack frees one
 MSS and sends one, which finishes ``s`` after the one before and is acked
 ``32 * s`` after it was sent. It leaves the window full, so the next ack
 meets the same conditions. Only srtt moves, by its EWMA, and nothing reads
@@ -105,6 +108,18 @@ in bulk, and sent; srtt's EWMA carried in closed form, over the samples of
 the window the train started with and then over the steady ``32 * s`` up
 to its fixed point; the link busy ``k * s`` longer; the FIFO refilled with
 the next 32 acks; and the timer armed once, from the last ack.
+
+An idle flow's probes run in closed form too, in a keepalive that
+:meth:`Simulation._keepalive` starts when the flow goes idle, unclocked,
+on a link that is up, with ``max(2 * srtt, RTO_MIN_US)`` above the round
+trip ``2 * d``. Each probe's ack then beats its timeout, and its sample
+moves srtt toward ``2 * d``, which keeps it so for the next probe. The
+probes, at ``p0 + k * (PROBE_INTERVAL_US + 2 * d)``, hold no heap or
+FIFO entry until :meth:`Simulation._end_keepalive` works them out where
+they can be read: a pump that clocks the flow or finds it closed
+(``select``'s tier reads no srtt), a change of its link and the end of
+the run. A probe due in that very µs has been sent only if a pump in the
+timer of a sub-flow with a higher id ends it: timers run by id.
 
 A run ends in a :class:`~mpflow.report.TimelineReport`: one column per
 sub-flow, with its pair, its lifetime, its acked bytes by bucket and its
@@ -213,7 +228,7 @@ class _Flow:
     __slots__ = (
         "sf", "peer", "link", "flag_times", "flag_values", "acked", "armed_at_us", "base_us",
         "timer", "timer_pending", "probe_outstanding", "clocked", "acks", "train_wait", "train",
-        "train_window",
+        "train_window", "keepalive",
     )
 
     def __init__(self, sf: SubflowState, peer: SubflowState, link: _Link) -> None:
@@ -234,6 +249,7 @@ class _Flow:
         self.train_wait = 0  # acks to handle one by one before a train is tried
         self.train: Optional[int] = None  # in a train: its first ack's arrival
         self.train_window: Tuple[tuple, ...] = ()  # in a train: the FIFO it started from
+        self.keepalive: Optional[int] = None  # in a keepalive: its next probe's send time
 
 
 class TopologyError(ValidationError):
@@ -345,13 +361,18 @@ class Simulation:
         flow = self._newest_flow.get(link_id)
         if flow is None:
             raise ValidationError(f"no link with id {link_id}")
+        now, sf, link = self.now_us, flow.sf, flow.link
         if flow.train is not None:
-            self._end_train(flow, self.now_us)
+            self._end_train(flow, now)
+        if flow.keepalive is not None:
+            self._end_keepalive(flow, now)
         flow.acks.clear()
-        link = flow.link
         link.up = up
         link.epoch += 1
-        link.tx_free_us = self.now_us
+        link.tx_free_us = now
+        if up and sf.died_us is not None:  # its next attempt, on the grid from its death
+            attempts = max(1, -((sf.died_us - now) // REESTABLISH_INTERVAL_US))
+            self._set_timer(flow, sf.died_us + attempts * REESTABLISH_INTERVAL_US)
 
     def _send_probe(self, flow: _Flow) -> None:
         """Hand a keepalive probe, 0 bytes that take no time, to the idle flow's link."""
@@ -379,20 +400,33 @@ class Simulation:
         flow.timer_pending = at_us, seq = flow.timer, next(self._seq)
         heapq.heappush(self._heap, (at_us, (1, flow.sf.id, seq), Simulation._on_timer, (flow, seq)))
 
-    def _pump(self) -> None:
+    def _pump(self, timer_id: int = 0) -> None:
         """Ask the scheduler for the deciding tier, mark its alive flows
         ``clocked`` and fill their windows, as an ack refills its own flow's.
+        It records the death of a sub-flow killed by its timer, whose id
+        is ``timer_id``, or closed by an action.
 
         Each clocked flow is the only live flow on its link, and a fill
         touches only its own flow and link, so the order of the fills moves
         no segment: they send what a choice per segment would, and leave
         the deciding tier with no schedulable member."""
-        sender = self.sender
+        sender, now = self.sender, self.now_us
         deciding = select(sender, MSS, WINDOW_BYTES).tier
         for flow in self._flows.values():
-            clocked = flow.sf.alive and tier(sender, flow.sf) == deciding
+            sf = flow.sf
+            clocked = sf.alive and tier(sender, sf) == deciding
             if flow.train is not None and not clocked:
-                self._end_train(flow, self.now_us)
+                self._end_train(flow, now)
+            if flow.keepalive is not None and (clocked or not sf.alive):
+                self._end_keepalive(flow, now, sf.id < timer_id)
+            if not sf.alive and sf.died_us is None:  # killed, or closed by an action
+                sf.died_us = now
+                sf.inflight_bytes = 0  # in-flight data goes back to the backlog
+                flow.acks.clear()  # late acks, which would change nothing
+                flow.peer.alive = False
+                # Only this flow's timer, finding the link up, re-opens the pair.
+                if flow.link.up:
+                    self._set_timer(flow, now + REESTABLISH_INTERVAL_US)
             flow.clocked = clocked
             if clocked:
                 self._fill(flow)
@@ -430,8 +464,6 @@ class Simulation:
 
     def _on_ack_arrival(self, flow: _Flow, nbytes: int, sent_us: int) -> None:
         sf = flow.sf
-        if not sf.alive:
-            return  # late ack for a sub-flow already declared dead
         sample = self.now_us - sent_us
         sf.srtt_us = sample if sf.srtt_us == 0 else (7 * sf.srtt_us + sample) // 8
         sf.consecutive_timeouts = 0
@@ -448,24 +480,30 @@ class Simulation:
         # What a pump would do here, without its select (module docstring).
         if flow.clocked:
             self._fill(flow)
-        if flow.armed_at_us is None:
+        if flow.armed_at_us is None and not self._keepalive(flow):
             self._set_timer(flow, self.now_us + PROBE_INTERVAL_US)
+
+    def _keepalive(self, flow: _Flow) -> bool:
+        """Start a keepalive on the idle, unclocked ``flow`` if one can run; say if it did."""
+        link = flow.link
+        if not link.up or max(2 * flow.sf.srtt_us, RTO_MIN_US) <= 2 * link.delay_us:
+            return False
+        flow.keepalive = flow.timer = self.now_us + PROBE_INTERVAL_US
+        return True
 
     def _on_timer(self, flow: _Flow, seq: int) -> None:
         if flow.timer_pending is None or flow.timer_pending[1] != seq:
             return  # superseded by an earlier deadline
         flow.timer_pending = None
-        if flow.train is not None:
-            return  # not due: the train's deadline is RTO_MIN_US past its latest ack
+        if flow.train is not None or flow.keepalive is not None:
+            return  # not due: a train's or a keepalive's end pushes its timer again
         if flow.timer != self.now_us:
             self._push_timer(flow)  # the deadline moved later: wait for it
             return
         sf = flow.sf
         if not sf.alive:
-            if flow.link.up:
+            if flow.link.up:  # else its link's coming up sets the timer again
                 self._open_on_pair(flow.link)
-            else:
-                self._set_timer(flow, self.now_us + REESTABLISH_INTERVAL_US)
         elif flow.armed_at_us is None:
             flow.probe_outstanding = True
             self._send_probe(flow)
@@ -477,16 +515,8 @@ class Simulation:
                 self._set_timer(flow, flow.armed_at_us + flow.base_us * 2**sf.consecutive_timeouts)
 
     def _kill(self, flow: _Flow) -> None:
-        sf = flow.sf
-        sf.alive = False
-        sf.died_us = self.now_us
-        sf.inflight_bytes = 0  # in-flight data goes back to the backlog
-        flow.acks.clear()  # late acks, which would change nothing
-        flow.peer.alive = False
-        # A pair has one sub-flow that is not dead, and gets a new one only
-        # when this flow's timer finds the link up, so attempts never overlap.
-        self._set_timer(flow, self.now_us + REESTABLISH_INTERVAL_US)
-        self._pump()
+        flow.sf.alive = False
+        self._pump(flow.sf.id)
 
     def _open_on_pair(self, link: _Link) -> None:
         pair = link.spec.pair
@@ -501,8 +531,9 @@ class Simulation:
         self.receiver.next_id = self.sender.next_id
         flow = _Flow(sf, peer, link)
         self._flows[sf.id] = self._newest_flow[link.spec.link_id] = flow
+        # A new sub-flow can only lower the deciding tier, to its own, alone.
         self._pump()
-        if flow.armed_at_us is None:
+        if flow.armed_at_us is None and not self._keepalive(flow):
             self._set_timer(flow, self.now_us + PROBE_INTERVAL_US)
 
     def _on_action(self, action: Callable[["Simulation"], None]) -> None:
@@ -527,7 +558,7 @@ class Simulation:
         # scheduler "just after socket creation" precedes the first segment.
         self._pump()
         for flow in self._flows.values():
-            if flow.armed_at_us is None:
+            if flow.armed_at_us is None and not self._keepalive(flow):
                 self._set_timer(flow, self.now_us + PROBE_INTERVAL_US)
 
     def run(self) -> TimelineReport:
@@ -553,6 +584,8 @@ class Simulation:
         for flow in self._flows.values():
             if flow.train is not None:
                 self._end_train(flow, duration_us)
+            if flow.keepalive is not None:
+                self._end_keepalive(flow, duration_us)
         return self._build_report()
 
     def _drain_acks(self, horizon: int) -> int:
@@ -563,12 +596,12 @@ class Simulation:
             acks = flow.acks
             while acks and acks[0][0] < horizon:
                 if flow.clocked:
-                    # A refused train is tried again once a window of acks
-                    # has replaced every entry it looked at.
+                    # Tried again at the next ack or a window later (module docstring).
                     if not flow.train_wait:
                         if self._train(flow):
                             break
-                        flow.train_wait = WINDOW_SEGMENTS
+                        wait = flow.probe_outstanding or flow.sf.consecutive_timeouts
+                        flow.train_wait = 1 if wait else WINDOW_SEGMENTS
                     flow.train_wait -= 1
                 self.now_us, nbytes, sent_us = acks.popleft()
                 on_ack(flow, nbytes, sent_us)
@@ -665,6 +698,33 @@ class Simulation:
         now_us, self.now_us = self.now_us, head - s
         self._arm_rto(flow)
         self.now_us = now_us
+
+    def _end_keepalive(self, flow: _Flow, until: int, probe_at_until: bool = False) -> None:
+        """End the keepalive of ``flow``: send the probes due before ``until``,
+        and the one due at it if ``probe_at_until``, and handle their acks
+        due before ``until``, as the timer and :meth:`_on_ack_arrival` would."""
+        sf, link = flow.sf, flow.link
+        first, flow.keepalive = flow.keepalive, None
+        rtt = 2 * link.delay_us
+        period = PROBE_INTERVAL_US + rtt
+        n = -((first - until - probe_at_until) // period)  # probes sent
+        if n <= 0:
+            self._set_timer(flow, first)
+            return
+        last = first + (n - 1) * period
+        outstanding = last + rtt >= until
+        for _ in range(n - outstanding):  # their acks, up to srtt's fixed point
+            settled, sf.srtt_us = sf.srtt_us, (7 * sf.srtt_us + rtt) // 8 if sf.srtt_us else rtt
+            if sf.srtt_us == settled:
+                break
+        link.tx_free_us = last
+        if outstanding:
+            now_us, self.now_us = self.now_us, last
+            flow.probe_outstanding = True
+            self._send_probe(flow)
+            self.now_us = now_us
+        else:
+            self._set_timer(flow, last + period)
 
     def _build_report(self) -> TimelineReport:
         n_buckets = -(-self.duration_us // self.bucket_us)  # ceil

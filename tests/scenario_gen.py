@@ -19,11 +19,12 @@ which no test pins, and of the benchmark's scenarios at their workload's
 bucket width: the built-ins, and seeds 0-3 of ``mesh16_flaps`` and
 ``prio_churn_fine`` from ``perfbench/workloads.py``. It also digests the
 ``edge_*`` scenarios of ``edge_scenarios()``, on links that the generator
-never draws. Beside each CSV digest, under the key ``<bucket>/state``, it
-prints a digest of the run's end state (``state_digest``), which moves
-when a change shifts ack timing by less than a bucket edge. Running it in
-two checkouts and comparing the outputs with ``cmp`` shows whether a
-change keeps all those timelines and end states byte-identical.
+never draws or at a same-µs tie between a probe and a death. Beside each
+CSV digest, under the key ``<bucket>/state``, it prints a digest of the
+run's end state (``state_digest``), which moves when a change shifts ack
+timing by less than a bucket edge. Running it in two checkouts and
+comparing the outputs with ``cmp`` shows whether a change keeps all those
+timelines and end states byte-identical.
 """
 
 from __future__ import annotations
@@ -187,9 +188,28 @@ EDGE_LINKS = {
 }
 
 
+# A slow link, whose MSS serializes in 100 ms, and a fast one. The fast
+# link's sub-flow is the primary until its link goes down at 20,801 ms; it
+# dies at 21,600 ms, the µs of a keepalive probe of the slow link's
+# sub-flow, whose pump then clocks that sub-flow. The timers run by id, so
+# the probe has been sent when the slow link is link 1 (``lo``) and not
+# yet when it is link 2 (``hi``).
+def tie_scenario(name: str) -> str:
+    """The text of the ``edge_tie_lo`` or ``edge_tie_hi`` scenario."""
+    slow_id = 1 if name == "lo" else 2
+    fast_id = 3 - slow_id
+    links = {slow_id: "116800bps 50ms", fast_id: "11680kbps 5ms"}
+    return (
+        f"scenario edge_tie_{name}\nduration 30s\n"
+        f"link 1 {links[1]} 10.0.0.1 10.0.1.1\nlink 2 {links[2]} 10.0.0.1 10.0.2.1\n"
+        f"at 1000ms enable_ppos {fast_id}\nat 20801ms link_down {fast_id}\n"
+    )
+
+
 def edge_scenarios():
     """Scenarios with one ``EDGE_LINKS`` link beside a plain one, flipped
-    and flapped: (name, scenario text) pairs."""
+    and flapped, and the two ``tie_scenario`` ones: (name, scenario text)
+    pairs."""
     return [
         (
             f"edge_{name}",
@@ -199,7 +219,7 @@ def edge_scenarios():
             "at 3000ms link_down 1\nat 4200ms link_up 1\n",
         )
         for name, link in EDGE_LINKS.items()
-    ]
+    ] + [(f"edge_tie_{name}", tie_scenario(name)) for name in ("lo", "hi")]
 
 
 def diff_scenarios(n: int):

@@ -16,7 +16,7 @@ import pytest
 
 from mpflow import simnet, sockopt
 from mpflow.model import InterfacePair, new_connection
-from mpflow.scenario import PPOS_ENV_VAR, parse_scenario, run_scenario
+from mpflow.scenario import BUILTIN_DOCS, PPOS_ENV_VAR, parse_scenario, run_scenario
 from mpflow.simnet import LinkSpec, Simulation
 from mpflow.sockopt import SubPrioRequest
 from helpers import addr
@@ -223,3 +223,33 @@ def test_a_steady_run_drains_acks_as_often_however_long_it_runs(monkeypatch):
         doc = f"scenario steady\nduration {duration}\nlink 1 2mbps 5ms 10.0.0.1 10.0.1.1\n"
         run_scenario(parse_scenario(doc))
     assert drains == [1, 1, 1]
+
+
+def test_idle_and_dead_sub_flows_of_the_built_ins_pop_no_timer_for_nothing():
+    """On the four built-ins, the timer sends a probe as a heap event only
+    on a down link, where the keepalive ended at the link change, or as the
+    first probe of a sub-flow without an RTT sample. Its 200 ms timeout
+    does not outlast the 200 ms round trip, so no keepalive runs, and the
+    timeout fires in the µs of the ack, before it. Every other probe runs
+    in a keepalive. A dead sub-flow's timer never pops while its link is
+    down: a death on a down link sets none, and the link's coming up sets
+    it for the next attempt."""
+    probes, dead_pops_on_down_links = Counter(), 0
+    on_timer = Simulation._on_timer
+
+    def counting(sim, flow, seq):
+        nonlocal dead_pops_on_down_links
+        sf, link = flow.sf, flow.link
+        dead_pops_on_down_links += not sf.alive and not link.up
+        before, srtt = flow.probe_outstanding, sf.srtt_us
+        on_timer(sim, flow, seq)
+        if flow.probe_outstanding and not before:
+            kind = "up link" if srtt else "up link, no sample"
+            probes[kind if link.up else "down link"] += 1
+
+    with mock.patch.object(Simulation, "_on_timer", counting):
+        with mock.patch.dict("os.environ", {PPOS_ENV_VAR: ""}):
+            for doc in BUILTIN_DOCS.values():
+                run_scenario(parse_scenario(doc))
+    assert probes == {"down link": 4, "up link, no sample": 4}
+    assert dead_pops_on_down_links == 0

@@ -98,11 +98,11 @@ class RecordingSimulation(Simulation):
         self._check_train(flow)
         return True
 
-    def _pump(self):
+    def _pump(self, *args):
         assert min(self._ack_heads(), default=self.now_us) >= self.now_us, self.now_us
         windows = {sf.id: sf.inflight_bytes for sf in self.sender.subflows}
         self.pump_fills = {}
-        super()._pump()
+        super()._pump(*args)
         fills, self.pump_fills = self.pump_fills, None
         assert fills == self._select_per_segment(windows), self.now_us
         for flow in self._flows.values():

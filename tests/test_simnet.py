@@ -143,8 +143,8 @@ def mark_backup(subflow_id):
 def test_steady_run_keeps_one_rto_entry_per_flow():
     # The second input idles a backup, so it is probed, and cuts its link for
     # long enough that the probe times out three times, the sub-flow dies
-    # and re-establishment attempts fail until one re-creates it. Every
-    # flow, dead ones included, holds at most one timer entry throughout.
+    # and its re-establishment waits for the link to come back. Every flow,
+    # dead ones included, holds at most one timer entry throughout.
     outage = [
         (1_000, mark_backup(2)),
         (3_000, link_action(2, False)),
@@ -663,6 +663,24 @@ def test_the_sender_must_hold_one_live_sub_flow_per_link_pair(close, reopen):
         open_subflow(sender, tuple_for_next(sender, sender.mesh_pairs()[1]))
     with pytest.raises(ValidationError, match="one live sub-flow per link pair"):
         Simulation(sender, links, duration_ms=3_000)
+
+
+def test_a_sub_flow_closed_by_an_action_dies_at_the_action_s_us():
+    # Sub-flow 2 of two 1 Mbps / 100 ms pairs is closed at 1 s of a 4 s run.
+    # It dies there at both ends: its last row is the bucket that ends at
+    # its death, and the receiver's copy is dead too. Its successor opens a
+    # second later, as after any death, not at 1,743 ms, when the timer it
+    # had pending when it was closed is due.
+    sim = build_sim(2, duration_ms=4_000, actions=[(1_000, lambda s: close_subflow(s.sender, 2))])
+    report = sim.run()
+    assert [(c.subflow_id, c.created_ms, c.died_ms) for c in report.columns] == [
+        (1, 0, None),
+        (2, 0, 1_000),
+        (3, 2_000, None),
+    ]
+    assert [row.bucket_start_ms for row in report.rows if row.subflow_id == 2] == [0]
+    assert [sf.alive for sf in sim.receiver.subflows] == [True, False, True]
+    assert not sim._flows[2].acks and sim.sender.subflow_by_id(2).inflight_bytes == 0
 
 
 def test_unknown_link_id_rejected_at_runtime():

@@ -1,14 +1,18 @@
-"""Steady ack trains against the per-ack path.
+"""Steady ack trains and keepalives against the per-event path.
 
 ``Simulation._train`` starts a train on a saturated sub-flow, and
 ``Simulation._end_train`` handles the acks it ran over in one step when an
 event touches the flow or the run ends. Together they must leave exactly
 the state that handling those acks one by one through ``_on_ack_arrival``
-leaves. Each test runs one input twice, with trains and with ``_train``
-patched to refuse every train, and compares the CSV and the end state of
-every flow and every link. The targeted cases also check that the trains
-they are about were taken and where they ended, or, on a link the window
-cannot saturate, that none was.
+leaves. In the same way, ``Simulation._keepalive`` takes an idle sub-flow's
+probes out of the event loop, and ``Simulation._end_keepalive`` must leave
+the state that sending each probe from the timer and handling each of
+their acks leaves. Each test runs one input twice, in closed form and with
+``_train`` and ``_keepalive`` patched to refuse every train and keepalive,
+and compares the CSV and the end state of every flow and every link. The
+targeted cases also check that the trains and keepalives they are about
+were taken and where they ended, or, on a link the window cannot
+saturate, that no train was.
 """
 
 import contextlib
@@ -23,12 +27,12 @@ from hypothesis import strategies as st
 
 from mpflow import scenario as scenario_module
 from mpflow import sockopt
-from mpflow.model import new_connection
+from mpflow.model import close_subflow, new_connection
 from mpflow.scenario import PPOS_ENV_VAR, emit_csv, parse_scenario, run_scenario
 from mpflow.simnet import MSS, RTO_MIN_US, WINDOW_SEGMENTS, LinkSpec, Simulation
 from mpflow.sockopt import SubPrioRequest
 from helpers import addr
-from scenario_gen import random_scenario
+from scenario_gen import random_scenario, tie_scenario
 
 
 class Train(NamedTuple):
@@ -40,16 +44,24 @@ class Train(NamedTuple):
     srtt_us: int  # at the start of the train
 
 
+class Keepalive(NamedTuple):
+    flow_id: int
+    until: int  # it sent the probes due before this
+    probe_at_until: bool  # and the one due at it
+    first_probe: int
+
+
 class TrainLog(Simulation):
-    """A Simulation that logs the trains it takes, and the timer pops of
-    flows while they are in a train, and remembers its instances, for runs
-    built inside ``run_scenario``."""
+    """A Simulation that logs the trains and keepalives it takes, and the
+    timer pops of flows while they are in a train, and remembers its
+    instances, for runs built inside ``run_scenario``."""
 
     instances = []
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.trains = []
+        self.keepalives = []
         self.train_timer_pops = 0
         self._start_srtt = {}
         TrainLog.instances.append(self)
@@ -69,6 +81,10 @@ class TrainLog(Simulation):
         srtt = self._start_srtt.pop(flow.sf.id)
         self.trains.append(Train(flow.sf.id, until, first_ack, acks, s, srtt))
 
+    def _end_keepalive(self, flow, until, probe_at_until=False):
+        self.keepalives.append(Keepalive(flow.sf.id, until, probe_at_until, flow.keepalive))
+        super()._end_keepalive(flow, until, probe_at_until)
+
 
 def counting_train_pops(on_timer):
     """``Simulation._on_timer`` that also counts the pops of flows in a train."""
@@ -83,8 +99,9 @@ def counting_train_pops(on_timer):
 
 def end_state(sim, report):
     """The CSV, and per flow and per link what a later event could read. A
-    train pushes no timer entry, so the heap differs from the per-ack
-    run's: each flow's deadline and whether it has a live entry agree."""
+    train or a keepalive pushes no timer entry, so the heap differs from
+    the per-event run's: each flow's deadline and whether it has a live
+    entry agree."""
     csv = io.StringIO()
     emit_csv(report, csv)
     flows = {
@@ -93,10 +110,14 @@ def end_state(sim, report):
             flow.sf.srtt_us,
             flow.sf.inflight_bytes,
             flow.sf.consecutive_timeouts,
+            flow.sf.died_us,
+            flow.peer.alive,
+            flow.probe_outstanding,
             flow.armed_at_us,
             flow.timer,
             flow.timer_pending is not None,
             flow.train,
+            flow.keepalive,
             flow.acked,
             list(flow.acks),
         )
@@ -106,17 +127,34 @@ def end_state(sim, report):
     return csv.getvalue(), flows, links
 
 
-def run_both(run):
-    """Call ``run()``, which gives a TrainLog and its report, with trains and
-    then with every train refused; assert that both runs end in the same
-    state, and return the run with trains."""
+def run_both(run, refused=("_train", "_keepalive")):
+    """Call ``run()``, which gives a TrainLog and its report, in closed form
+    and then with every train and keepalive refused, or those of
+    ``refused``; assert that both runs end in the same state, and return
+    the run in closed form."""
     with mock.patch.object(Simulation, "_on_timer", counting_train_pops(Simulation._on_timer)):
         sim, report = run()
-        with mock.patch.object(TrainLog, "_train", lambda sim, flow: False):
-            per_ack, per_ack_report = run()
-    assert per_ack.trains == []
-    assert end_state(sim, report) == end_state(per_ack, per_ack_report)
+        with contextlib.ExitStack() as patches:
+            for name in refused:
+                patches.enter_context(mock.patch.object(TrainLog, name, lambda sim, flow: False))
+            per_event, per_event_report = run()
+    assert per_event.trains == [] or "_train" not in refused
+    assert per_event.keepalives == [] or "_keepalive" not in refused
+    assert end_state(sim, report) == end_state(per_event, per_event_report)
     return sim
+
+
+def scenario_run(doc, bucket_ms):
+    """A run of the scenario ``doc`` through ``run_scenario``."""
+    scenario = parse_scenario(doc)
+
+    def run():
+        with mock.patch.object(scenario_module, "Simulation", TrainLog):
+            with mock.patch.dict("os.environ", {PPOS_ENV_VAR: ""}):
+                report = run_scenario(scenario, bucket_ms=bucket_ms)
+        return TrainLog.instances.pop(), report
+
+    return run
 
 
 def links_run(links, duration_ms, bucket_ms=1000, actions=()):
@@ -159,15 +197,14 @@ EVEN_BPS = 5_840_000
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(0, 2**32 - 1), bucket_ms=st.sampled_from((1000, 100, 10)))
 def test_generated_scenarios_end_alike_with_and_without_trains(seed, bucket_ms):
-    scenario = parse_scenario(random_scenario(random.Random(seed)))
+    run_both(scenario_run(random_scenario(random.Random(seed)), bucket_ms))
 
-    def run():
-        with mock.patch.object(scenario_module, "Simulation", TrainLog):
-            report = run_scenario(scenario, bucket_ms=bucket_ms)
-        return TrainLog.instances.pop(), report
 
-    with mock.patch.dict("os.environ", {PPOS_ENV_VAR: ""}):
-        run_both(run)
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), bucket_ms=st.sampled_from((1000, 100)))
+def test_generated_scenarios_end_alike_with_and_without_keepalives(seed, bucket_ms):
+    # Trains run in both runs, so every difference is the keepalives'.
+    run_both(scenario_run(random_scenario(random.Random(seed)), bucket_ms), ("_keepalive",))
 
 
 @st.composite
@@ -325,9 +362,9 @@ def test_a_slow_link_times_out_in_its_first_window_and_trains_later(monkeypatch)
     # Sub-flow 2 idles as a backup on keepalive probes, which set its srtt
     # to the 100 ms round trip, until it is made active at 3 s. Its timer,
     # armed with a base of 200 ms by the first window's burst, fires before
-    # the first ack, at 333.6 ms, so that window takes no train. The first
-    # ack's sample lifts the base above s, and the next window, whose acks
-    # come back from 33 * s + 2d on, runs as a train.
+    # the first ack, at 333.6 ms, so the train tried at that ack is
+    # refused. The ack clears the timeout, and its sample lifts the base
+    # above s, so the train tried again at the next ack, s later, runs.
     timeouts = []
     on_timer = Simulation._on_timer
 
@@ -343,7 +380,7 @@ def test_a_slow_link_times_out_in_its_first_window_and_trains_later(monkeypatch)
     assert timeouts == [(2, 3_200_000)] * 2  # in the run with trains, then per ack
     (late,) = [train for train in sim.trains if train.flow_id == 2]
     assert late.serialization_us == 233_600 > RTO_MIN_US
-    assert late.first_ack == 3_000_000 + 33 * 233_600 + 100_000
+    assert late.first_ack == 3_000_000 + 2 * 233_600 + 100_000 == 3_567_200
     assert late.until == 15_000_000
 
 
@@ -422,3 +459,59 @@ def test_a_flip_of_sub_flow_3_leaves_sub_flow_2_s_train_running(monkeypatch):
     (running,) = [train for train in sim.trains if train.flow_id == 2]
     assert running.first_ack < 3_005_000 and running.until == 4_000_000
     assert [train.until for train in sim.trains if train.flow_id == 3] == [3_005_000]
+
+
+@pytest.mark.parametrize(
+    "name, dying, idle, probe_sent", [("lo", 2, 1, True), ("hi", 1, 2, False)], ids=["lo", "hi"]
+)
+def test_a_probe_due_at_a_pump_that_clocks_its_flow_is_sent_first_under_a_higher_id(
+    name, dying, idle, probe_sent
+):
+    # The slow link's sub-flow idles in a keepalive from 4.1 s on, with
+    # probes every 1.1 s from 5.1 s. The primary on the fast link dies at
+    # 21,600 ms, the µs of the probe 15 periods on, and the pump of that
+    # death clocks the idle sub-flow. Timers run by id: with the dying
+    # sub-flow 2 (lo), the idle sub-flow 1's probe timer has run before the
+    # pump, and the keepalive ends with that probe sent; with the dying
+    # sub-flow 1 (hi), the pump comes first, and the probe is never sent.
+    sim = run_both(scenario_run(tie_scenario(name), 100))
+    assert sim.sender.subflow_by_id(dying).died_us == 21_600_000
+    assert sim.keepalives == [Keepalive(idle, 21_600_000, probe_sent, 5_100_000)]
+    assert 5_100_000 + 15 * (1_000_000 + 100_000) == 21_600_000
+
+
+def close(subflow_id):
+    return lambda sim: close_subflow(sim.sender, subflow_id)
+
+
+@pytest.mark.parametrize(
+    "actions, ended",
+    [([(2_000, close(2))], "train"), ([(0, mark_backup(2)), (4_500, close(2))], "keepalive")],
+    ids=["in-a-train", "in-a-keepalive"],
+)
+def test_a_sub_flow_closed_by_an_action_ends_its_train_or_keepalive_there(actions, ended):
+    # Sub-flow 2 runs a train on a saturated link, or idles as a backup in a
+    # keepalive from the bootstrap on, as the 200 ms timeout outlasts its
+    # 40 ms round trip. Closed, it dies at the action's µs, after its acks
+    # and probes due before it are handled, and its successor opens a
+    # second later.
+    at_us = actions[-1][0] * 1000
+    sim = run_both(links_run([(EVEN_BPS, 20), (EVEN_BPS, 20)], 8_000, actions=actions))
+    assert sim.sender.subflow_by_id(2).died_us == at_us
+    assert sim.sender.subflow_by_id(3).created_us == at_us + 1_000_000
+    log = sim.trains if ended == "train" else sim.keepalives
+    assert [entry.until for entry in log if entry.flow_id == 2] == [at_us]
+
+
+@pytest.mark.parametrize("down_ms", [3_650, 3_900], ids=["mid-flight", "at-the-ack"])
+def test_a_link_change_ends_a_keepalive_with_its_probe_in_flight(down_ms):
+    # A backup on a 150 ms link idles in a keepalive from its first probe's
+    # ack, at 1.3 s, with probes every 1.3 s from 2.3 s on. Its link goes
+    # down after the probe of 3.6 s and no later than its ack's µs, 3.9 s,
+    # which runs after the action: the probe is in flight, its ack is
+    # dropped, and it times out at 1x, 2x and 4x the base of 2 * srtt =
+    # 600 ms after it.
+    actions = [(0, mark_backup(2)), (down_ms, lambda sim: sim.set_link_state(2, up=False))]
+    sim = run_both(links_run([(EVEN_BPS, 20), (1_000_000, 150)], 8_000, actions=actions))
+    assert sim.keepalives == [Keepalive(2, down_ms * 1000, False, 2_300_000)]
+    assert sim.sender.subflow_by_id(2).died_us == 3_600_000 + 4 * 600_000
