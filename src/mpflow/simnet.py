@@ -110,16 +110,18 @@ to its fixed point; the link busy ``k * s`` longer; the FIFO refilled with
 the next 32 acks; and the timer armed once, from the last ack.
 
 An idle flow's probes run in closed form too, in a keepalive that
-:meth:`Simulation._keepalive` starts when the flow goes idle, unclocked,
-on a link that is up, with ``max(2 * srtt, RTO_MIN_US)`` above the round
-trip ``2 * d``. Each probe's ack then beats its timeout, and its sample
-moves srtt toward ``2 * d``, which keeps it so for the next probe. The
-probes, at ``p0 + k * (PROBE_INTERVAL_US + 2 * d)``, hold no heap or
-FIFO entry until :meth:`Simulation._end_keepalive` works them out where
-they can be read: a pump that clocks the flow or finds it closed
-(``select``'s tier reads no srtt), a change of its link and the end of
-the run. A probe due in that very µs has been sent only if a pump in the
-timer of a sub-flow with a higher id ends it: timers run by id.
+:meth:`Simulation._idle` starts when the flow goes idle, unclocked, on a
+link that is up and free, with ``max(2 * srtt, RTO_MIN_US)`` above the
+round trip ``2 * d`` (:meth:`Simulation._keepalive`); a dead flow's window
+can hold it busy long after. No other flow sends on it meanwhile, so each
+probe's ack beats its timeout, and its sample moves srtt toward ``2 * d``,
+which keeps it so for the next probe. The probes, at
+``p0 + k * (PROBE_INTERVAL_US + 2 * d)``, hold no heap or FIFO entry until
+:meth:`Simulation._end_keepalive` works them out where they can be read:
+a pump that clocks the flow or finds it closed (``select``'s tier reads
+no srtt), a change of its link and the end of the run. A probe due in
+that very µs has been sent only if a pump in the timer of a sub-flow with
+a higher id ends it: timers run by id.
 
 A run ends in a :class:`~mpflow.report.TimelineReport`: one column per
 sub-flow, with its pair, its lifetime, its acked bytes by bucket and its
@@ -480,16 +482,23 @@ class Simulation:
         # What a pump would do here, without its select (module docstring).
         if flow.clocked:
             self._fill(flow)
-        if flow.armed_at_us is None and not self._keepalive(flow):
+        self._idle(flow)
+
+    def _idle(self, flow: _Flow) -> None:
+        """If the unclocked ``flow`` is idle, time its next probe: in a
+        keepalive if :meth:`_keepalive` lets one run, else by its timer."""
+        if flow.armed_at_us is not None:
+            return
+        if self._keepalive(flow):
+            flow.keepalive = flow.timer = self.now_us + PROBE_INTERVAL_US
+        else:
             self._set_timer(flow, self.now_us + PROBE_INTERVAL_US)
 
     def _keepalive(self, flow: _Flow) -> bool:
-        """Start a keepalive on the idle, unclocked ``flow`` if one can run; say if it did."""
+        """Whether the idle ``flow``'s probes can run in closed form (module docstring)."""
         link = flow.link
-        if not link.up or max(2 * flow.sf.srtt_us, RTO_MIN_US) <= 2 * link.delay_us:
-            return False
-        flow.keepalive = flow.timer = self.now_us + PROBE_INTERVAL_US
-        return True
+        free = link.up and link.tx_free_us <= self.now_us
+        return free and max(2 * flow.sf.srtt_us, RTO_MIN_US) > 2 * link.delay_us
 
     def _on_timer(self, flow: _Flow, seq: int) -> None:
         if flow.timer_pending is None or flow.timer_pending[1] != seq:
@@ -533,8 +542,7 @@ class Simulation:
         self._flows[sf.id] = self._newest_flow[link.spec.link_id] = flow
         # A new sub-flow can only lower the deciding tier, to its own, alone.
         self._pump()
-        if flow.armed_at_us is None and not self._keepalive(flow):
-            self._set_timer(flow, self.now_us + PROBE_INTERVAL_US)
+        self._idle(flow)
 
     def _on_action(self, action: Callable[["Simulation"], None]) -> None:
         action(self)
@@ -558,8 +566,7 @@ class Simulation:
         # scheduler "just after socket creation" precedes the first segment.
         self._pump()
         for flow in self._flows.values():
-            if flow.armed_at_us is None and not self._keepalive(flow):
-                self._set_timer(flow, self.now_us + PROBE_INTERVAL_US)
+            self._idle(flow)
 
     def run(self) -> TimelineReport:
         if self._finished:

@@ -206,10 +206,20 @@ def tie_scenario(name: str) -> str:
     )
 
 
+# At 10 kbps an MSS serializes for 1.168 s, and the first window holds the
+# link busy to 37.4 s, long after its sub-flow dies unacked at 800 ms. The
+# successor idles outside the primary-path tier, and its first probe waits
+# behind the dead window and times out.
+BUSY_SCENARIO = (
+    "scenario edge_busy\nduration 6s\nlink 1 1mbps 5ms 10.0.0.1 10.0.1.1\n"
+    "link 2 10kbps 5ms 10.0.0.1 10.0.2.1\nat 1000ms enable_ppos 1\n"
+)
+
+
 def edge_scenarios():
     """Scenarios with one ``EDGE_LINKS`` link beside a plain one, flipped
-    and flapped, and the two ``tie_scenario`` ones: (name, scenario text)
-    pairs."""
+    and flapped, the two ``tie_scenario`` ones and ``BUSY_SCENARIO``:
+    (name, scenario text) pairs."""
     return [
         (
             f"edge_{name}",
@@ -219,7 +229,9 @@ def edge_scenarios():
             "at 3000ms link_down 1\nat 4200ms link_up 1\n",
         )
         for name, link in EDGE_LINKS.items()
-    ] + [(f"edge_tie_{name}", tie_scenario(name)) for name in ("lo", "hi")]
+    ] + [(f"edge_tie_{name}", tie_scenario(name)) for name in ("lo", "hi")] + [
+        ("edge_busy", BUSY_SCENARIO)
+    ]
 
 
 def diff_scenarios(n: int):

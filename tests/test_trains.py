@@ -4,10 +4,10 @@
 ``Simulation._end_train`` handles the acks it ran over in one step when an
 event touches the flow or the run ends. Together they must leave exactly
 the state that handling those acks one by one through ``_on_ack_arrival``
-leaves. In the same way, ``Simulation._keepalive`` takes an idle sub-flow's
-probes out of the event loop, and ``Simulation._end_keepalive`` must leave
-the state that sending each probe from the timer and handling each of
-their acks leaves. Each test runs one input twice, in closed form and with
+leaves. In the same way, ``Simulation._idle`` takes an idle sub-flow's
+probes out of the event loop when ``Simulation._keepalive`` lets it, and
+``Simulation._end_keepalive`` must leave the state that sending each probe
+from the timer and handling each of their acks leaves. Each test runs one input twice, in closed form and with
 ``_train`` and ``_keepalive`` patched to refuse every train and keepalive,
 and compares the CSV and the end state of every flow and every link. The
 targeted cases also check that the trains and keepalives they are about
@@ -32,7 +32,7 @@ from mpflow.scenario import PPOS_ENV_VAR, emit_csv, parse_scenario, run_scenario
 from mpflow.simnet import MSS, RTO_MIN_US, WINDOW_SEGMENTS, LinkSpec, Simulation
 from mpflow.sockopt import SubPrioRequest
 from helpers import addr
-from scenario_gen import random_scenario, tie_scenario
+from scenario_gen import BUSY_SCENARIO, random_scenario, tie_scenario
 
 
 class Train(NamedTuple):
@@ -515,3 +515,17 @@ def test_a_link_change_ends_a_keepalive_with_its_probe_in_flight(down_ms):
     sim = run_both(links_run([(EVEN_BPS, 20), (1_000_000, 150)], 8_000, actions=actions))
     assert sim.keepalives == [Keepalive(2, down_ms * 1000, False, 2_300_000)]
     assert sim.sender.subflow_by_id(2).died_us == 3_600_000 + 4 * 600_000
+
+
+def test_a_successor_on_a_link_a_dead_window_keeps_busy_probes_from_its_timer():
+    # At 10 kbps an MSS serializes for 1.168 s. Sub-flow 2's first window
+    # holds its link busy to 32 * 1.168 s = 37.4 s, and it times out at
+    # 200, 400 and 800 ms, before its first ack, and dies. Its successor,
+    # sub-flow 3, opens at 1.8 s outside the primary-path tier and idles,
+    # but not in a keepalive: its probe of 2.8 s waits behind the dead
+    # window, times out at 1x, 2x and 4x the 200 ms base and kills it.
+    sim = run_both(scenario_run(BUSY_SCENARIO, 1000))
+    lives = [(sf.id, sf.created_us, sf.died_us) for sf in sim.sender.subflows[1:]]
+    assert lives == [(2, 0, 800_000), (3, 1_800_000, 3_600_000), (4, 4_600_000, None)]
+    assert sim.keepalives == []
+    assert sim._newest_flow[2].link.tx_free_us == 32 * 1_168_000
