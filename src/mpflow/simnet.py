@@ -23,8 +23,9 @@ links, one link per (local, remote) interface pair. The engine models:
   and the segments go exactly where a per-segment choice would send them.
 * one timer per sub-flow, which acts on the sub-flow's state when it fires:
   - busy (data or a probe unacknowledged): count a retransmission timeout.
-    The deadline is ``max(2 * srtt, 200 ms)`` after the last ack and
-    doubles per consecutive timeout (base, 2*base, 4*base); the third
+    The deadline is ``max(2 * srtt, 200 ms)`` after the send or ack that
+    armed the timer (srtt changes only where it is armed or disarmed next)
+    and doubles per consecutive timeout (base, 2*base, 4*base); the third
     declares the sub-flow dead and requeues its in-flight bytes.
   - idle: send a zero-length keepalive probe, one second after the
     sub-flow went idle, so a path without data is health-checked by the
@@ -99,10 +100,8 @@ deadline falls after the next ack.
 
 So the acks form the progression ``a0 + i * s``, the FIFO stays implicit
 and the drain skips the flow, and every pump reads the state it would
-read per ack. The train lasts until :meth:`Simulation._end_train` runs, in
-one of three places: a change of the flow's link, before its acks drop; a
-pump that takes the flow out of the deciding tier; and the end of the run.
-The k acks due before that moment are exactly k calls of
+read per ack. The train lasts until :meth:`Simulation._end_train` runs
+(below). The k acks due before that moment are exactly k calls of
 :meth:`Simulation._on_ack_arrival`: k MSS acked, split among the buckets
 in bulk, and sent; srtt's EWMA carried in closed form, over the samples of
 the window the train started with and then over the steady ``32 * s`` up
@@ -110,18 +109,20 @@ to its fixed point; the link busy ``k * s`` longer; the FIFO refilled with
 the next 32 acks; and the timer armed once, from the last ack.
 
 An idle flow's probes run in closed form too, in a keepalive that
-:meth:`Simulation._idle` starts when the flow goes idle, unclocked, on a
-link that is up and free, with ``max(2 * srtt, RTO_MIN_US)`` above the
-round trip ``2 * d`` (:meth:`Simulation._keepalive`); a dead flow's window
-can hold it busy long after. No other flow sends on it meanwhile, so each
-probe's ack beats its timeout, and its sample moves srtt toward ``2 * d``,
-which keeps it so for the next probe. The probes, at
+:meth:`Simulation._idle` starts when the flow goes idle, alive and
+unclocked, on a link that is up and free, with ``max(2 * srtt, RTO_MIN_US)``
+above the round trip ``2 * d`` (:meth:`Simulation._keepalive`); a dead
+flow's window can hold it busy long after. No other flow sends on it
+meanwhile, so each probe's ack beats its timeout, and its sample moves
+srtt toward ``2 * d``, which keeps it so for the next probe. The probes, at
 ``p0 + k * (PROBE_INTERVAL_US + 2 * d)``, hold no heap or FIFO entry until
-:meth:`Simulation._end_keepalive` works them out where they can be read:
-a pump that clocks the flow or finds it closed (``select``'s tier reads
-no srtt), a change of its link and the end of the run. A probe due in
-that very µs has been sent only if a pump in the timer of a sub-flow with
-a higher id ends it: timers run by id.
+:meth:`Simulation._end_keepalive` works them out where they can be read
+(below; ``select``'s tier reads no srtt). A probe due in that very µs has
+been sent only if a pump in the timer of a sub-flow with a higher id ends
+it: timers run by id. Both closed forms end in :meth:`Simulation._settle`
+alone: at a change of the flow's link, before its acks drop; at a pump
+that changes its ``clocked`` flag (a train runs clocked, a keepalive
+unclocked) or records its death; and at the end of the run.
 
 A run ends in a :class:`~mpflow.report.TimelineReport`: one column per
 sub-flow, with its pair, its lifetime, its acked bytes by bucket and its
@@ -228,8 +229,8 @@ class _Flow:
     sub-flow's birth)."""
 
     __slots__ = (
-        "sf", "peer", "link", "flag_times", "flag_values", "acked", "armed_at_us", "base_us",
-        "timer", "timer_pending", "probe_outstanding", "clocked", "acks", "train_wait", "train",
+        "sf", "peer", "link", "flag_times", "flag_values", "acked", "armed_at_us", "timer",
+        "timer_pending", "probe_outstanding", "clocked", "acks", "train_wait", "train",
         "train_window", "keepalive",
     )
 
@@ -241,7 +242,6 @@ class _Flow:
         self.flag_values = [sf.low_prio]
         self.acked: Dict[int, int] = {}  # bytes by bucket
         self.armed_at_us: Optional[int] = None  # None: idle, no retransmission timeout runs
-        self.base_us = 0
         self.timer = 0  # deadline
         self.timer_pending: Optional[Tuple[int, int]] = None  # (at, seq) of its heap entry
         self.probe_outstanding = False
@@ -351,8 +351,8 @@ class Simulation:
 
     def schedule_action(self, at_ms: int, action: Callable[["Simulation"], None]) -> None:
         """Run ``action(self)`` at ``at_ms``. An action changes priorities
-        through :mod:`mpflow.sockopt`, and the run records a flip from the
-        MP_PRIO that the flip queues."""
+        through :mod:`mpflow.sockopt` but opens no sub-flow (ValidationError),
+        and the run records a flip from the MP_PRIO that the flip queues."""
         self._push(at_ms * US_PER_MS, Simulation._on_action, (action,))
 
     # ------------------------------------------------------------------ #
@@ -364,10 +364,7 @@ class Simulation:
         if flow is None:
             raise ValidationError(f"no link with id {link_id}")
         now, sf, link = self.now_us, flow.sf, flow.link
-        if flow.train is not None:
-            self._end_train(flow, now)
-        if flow.keepalive is not None:
-            self._end_keepalive(flow, now)
+        self._settle(flow, now)
         flow.acks.clear()
         link.up = up
         link.epoch += 1
@@ -376,20 +373,21 @@ class Simulation:
             attempts = max(1, -((sf.died_us - now) // REESTABLISH_INTERVAL_US))
             self._set_timer(flow, sf.died_us + attempts * REESTABLISH_INTERVAL_US)
 
-    def _send_probe(self, flow: _Flow) -> None:
-        """Hand a keepalive probe, 0 bytes that take no time, to the idle flow's link."""
+    def _send_probe(self, flow: _Flow, at: int) -> None:
+        """Send a keepalive probe, 0 bytes that take no time, at ``at``; time it out."""
         link = flow.link
-        link.tx_free_us = start = max(self.now_us, link.tx_free_us)
+        link.tx_free_us = start = max(at, link.tx_free_us)
         if link.up:  # on a down link, the probe and its ack are lost
-            flow.acks.append((start + 2 * link.delay_us, 0, self.now_us))
+            flow.acks.append((start + 2 * link.delay_us, 0, at))
             self._next_ack = min(self._next_ack, start + 2 * link.delay_us)
-        self._arm_rto(flow)
+        flow.probe_outstanding = True
+        self._arm_rto(flow, at)
 
-    def _arm_rto(self, flow: _Flow) -> None:
+    def _arm_rto(self, flow: _Flow, at: int) -> None:
+        """Arm the flow's retransmission timeout from ``at`` (RFC 6298)."""
         sf = flow.sf
-        flow.armed_at_us = self.now_us
-        flow.base_us = max(2 * sf.srtt_us, RTO_MIN_US)
-        self._set_timer(flow, flow.armed_at_us + flow.base_us * (2**sf.consecutive_timeouts))
+        flow.armed_at_us = at
+        self._set_timer(flow, at + max(2 * sf.srtt_us, RTO_MIN_US) * 2**sf.consecutive_timeouts)
 
     def _set_timer(self, flow: _Flow, fire_at: int) -> None:
         # Pushed only if it beats the flow's pending entry; a later deadline
@@ -416,12 +414,12 @@ class Simulation:
         deciding = select(sender, MSS, WINDOW_BYTES).tier
         for flow in self._flows.values():
             sf = flow.sf
+            if sf.died_us is not None:
+                continue  # dead before this pump, unclocked
             clocked = sf.alive and tier(sender, sf) == deciding
-            if flow.train is not None and not clocked:
-                self._end_train(flow, now)
-            if flow.keepalive is not None and (clocked or not sf.alive):
-                self._end_keepalive(flow, now, sf.id < timer_id)
-            if not sf.alive and sf.died_us is None:  # killed, or closed by an action
+            if clocked != flow.clocked or not sf.alive:  # a closed form ends (module docstring)
+                self._settle(flow, now, sf.id < timer_id)
+            if not sf.alive:  # killed, or closed by an action
                 sf.died_us = now
                 sf.inflight_bytes = 0  # in-flight data goes back to the backlog
                 flow.acks.clear()  # late acks, which would change nothing
@@ -453,7 +451,7 @@ class Simulation:
                 flow.acks.extend(zip(arrivals, itertools.repeat(MSS), itertools.repeat(now)))
             self._next_ack = min(self._next_ack, first)
         if flow.armed_at_us is None:
-            self._arm_rto(flow)
+            self._arm_rto(flow, now)
 
     # ------------------------------------------------------------------ #
     # event handlers
@@ -476,7 +474,7 @@ class Simulation:
         else:
             flow.probe_outstanding = False
         if sf.inflight_bytes > 0 or flow.probe_outstanding:
-            self._arm_rto(flow)
+            self._arm_rto(flow, self.now_us)
         else:
             flow.armed_at_us = None
         # What a pump would do here, without its select (module docstring).
@@ -485,12 +483,12 @@ class Simulation:
         self._idle(flow)
 
     def _idle(self, flow: _Flow) -> None:
-        """If the unclocked ``flow`` is idle, time its next probe: in a
-        keepalive if :meth:`_keepalive` lets one run, else by its timer."""
-        if flow.armed_at_us is not None:
+        """If the unclocked ``flow`` is alive and idle, time its next probe: in
+        a keepalive if :meth:`_keepalive` lets one run, else by its timer."""
+        if flow.armed_at_us is not None or not flow.sf.alive:
             return
         if self._keepalive(flow):
-            flow.keepalive = flow.timer = self.now_us + PROBE_INTERVAL_US
+            flow.keepalive = self.now_us + PROBE_INTERVAL_US
         else:
             self._set_timer(flow, self.now_us + PROBE_INTERVAL_US)
 
@@ -514,14 +512,13 @@ class Simulation:
             if flow.link.up:  # else its link's coming up sets the timer again
                 self._open_on_pair(flow.link)
         elif flow.armed_at_us is None:
-            flow.probe_outstanding = True
-            self._send_probe(flow)
+            self._send_probe(flow, self.now_us)
         else:
             sf.consecutive_timeouts += 1
             if sf.consecutive_timeouts >= RTO_DEATH_TIMEOUTS:
                 self._kill(flow)
             else:
-                self._set_timer(flow, flow.armed_at_us + flow.base_us * 2**sf.consecutive_timeouts)
+                self._arm_rto(flow, flow.armed_at_us)
 
     def _kill(self, flow: _Flow) -> None:
         flow.sf.alive = False
@@ -546,6 +543,8 @@ class Simulation:
 
     def _on_action(self, action: Callable[["Simulation"], None]) -> None:
         action(self)
+        if len(self.sender.subflows) != len(self._flows):
+            raise ValidationError("an action may not open sub-flows; the simulator opens them")
         outbox = self.sender.outbox
         for sf_id, opt in outbox:  # each on its own sub-flow's link
             flow = self._flows[sf_id]
@@ -589,10 +588,7 @@ class Simulation:
             self.now_us = at_us
             handler(self, *args)
         for flow in self._flows.values():
-            if flow.train is not None:
-                self._end_train(flow, duration_us)
-            if flow.keepalive is not None:
-                self._end_keepalive(flow, duration_us)
+            self._settle(flow, duration_us)
         return self._build_report()
 
     def _drain_acks(self, horizon: int) -> int:
@@ -646,6 +642,13 @@ class Simulation:
         flow.train = a0
         return True
 
+    def _settle(self, flow: _Flow, until: int, probe_at_until: bool = False) -> None:
+        """End the train or the keepalive of ``flow``, if it runs one, at ``until``."""
+        if flow.train is not None:
+            self._end_train(flow, until)
+        elif flow.keepalive is not None:
+            self._end_keepalive(flow, until, probe_at_until)
+
     def _end_train(self, flow: _Flow, until: int) -> None:
         """End the train of ``flow``: handle its acks due before ``until``
         as k calls of :meth:`_on_ack_arrival` would, then queue the next
@@ -689,11 +692,7 @@ class Simulation:
         for at, _, sent_us in window[:k]:
             sample = at - sent_us
             srtt = sample if srtt == 0 else (7 * srtt + sample) // 8
-        for _ in range(k - WINDOW_SEGMENTS):
-            settled, srtt = srtt, (7 * srtt + rtt) // 8
-            if srtt == settled:
-                break
-        sf.srtt_us = srtt
+        sf.srtt_us = _srtt_after(srtt, rtt, k - WINDOW_SEGMENTS)
         sf.bytes_sent_total += k * MSS
         link.tx_free_us += k * s
         # The window's acks not yet handled, then those of the train's sends.
@@ -702,9 +701,7 @@ class Simulation:
         arrivals = range(max(head, a0 + rtt), head + rtt, s)
         flow.acks.extend((at, MSS, at - rtt) for at in arrivals)
         self._next_ack = min(self._next_ack, flow.acks[0][0])
-        now_us, self.now_us = self.now_us, head - s
-        self._arm_rto(flow)
-        self.now_us = now_us
+        self._arm_rto(flow, head - s)
 
     def _end_keepalive(self, flow: _Flow, until: int, probe_at_until: bool = False) -> None:
         """End the keepalive of ``flow``: send the probes due before ``until``,
@@ -720,16 +717,11 @@ class Simulation:
             return
         last = first + (n - 1) * period
         outstanding = last + rtt >= until
-        for _ in range(n - outstanding):  # their acks, up to srtt's fixed point
-            settled, sf.srtt_us = sf.srtt_us, (7 * sf.srtt_us + rtt) // 8 if sf.srtt_us else rtt
-            if sf.srtt_us == settled:
-                break
+        if n > outstanding:  # their acks; the first sets srtt if it has no sample yet
+            sf.srtt_us = _srtt_after(sf.srtt_us or rtt, rtt, n - outstanding)
         link.tx_free_us = last
         if outstanding:
-            now_us, self.now_us = self.now_us, last
-            flow.probe_outstanding = True
-            self._send_probe(flow)
-            self.now_us = now_us
+            self._send_probe(flow, last)
         else:
             self._set_timer(flow, last + period)
 
@@ -742,6 +734,15 @@ class Simulation:
                 SubflowColumn.of(flow, self.bucket_us, n_buckets) for flow in self._flows.values()
             ],
         )
+
+
+def _srtt_after(srtt: int, sample: int, n: int) -> int:
+    """srtt after ``n`` acks of round trip ``sample``: its EWMA, run up to its fixed point."""
+    for _ in range(n):
+        settled, srtt = srtt, (7 * srtt + sample) // 8
+        if srtt == settled:
+            break
+    return srtt
 
 
 def _mirror(sf: SubflowState) -> SubflowState:

@@ -10,7 +10,7 @@ addr_id, because it travels on the sub-flow it names (RFC 8684 §3.3.8).
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional
+from typing import List, NamedTuple
 
 from .model import (
     ConnectionState,
@@ -38,14 +38,6 @@ class SubPrioRequest(NamedTuple):
     low_prio: bool
 
 
-def _debug(message: str, *args: object) -> None:
-    # logging is imported only on the branch that logs, to keep it off
-    # ``import mpflow``.
-    import logging
-
-    logging.getLogger(__name__).debug(message, *args)
-
-
 def _set_flag_and_signal(conn: ConnectionState, sf: SubflowState, low_prio: bool) -> None:
     sf.low_prio = low_prio
     conn.outbox.append((sf.id, MpPrioOption(backup_flag=low_prio)))
@@ -64,23 +56,19 @@ def set_subflow_priority(conn: ConnectionState, req: SubPrioRequest) -> None:
     _set_flag_and_signal(conn, sf, req.low_prio)
 
 
-def apply_remote_mp_prio(
-    conn: ConnectionState, opt: MpPrioOption, received_on: Optional[int] = None
-) -> None:
-    """Apply a peer's MP_PRIO signal to the local view.
-
-    An absent addr_id, the form this library sends, addresses the sub-flow
-    the option arrived on (``received_on``); a peer may still name one. A
-    signal naming no alive sub-flow is ignored with a diagnostic, per
-    liberal-receive.
+def apply_remote_mp_prio(conn: ConnectionState, opt: MpPrioOption, received_on: int) -> None:
+    """Apply a peer's MP_PRIO signal to the sub-flow it arrived on,
+    ``received_on`` (RFC 8684 §3.3.8). An addr_id names one of the peer's
+    addresses, not a sub-flow, and is ignored. A signal on no alive
+    sub-flow is ignored with a diagnostic, per liberal-receive.
     """
-    target = opt.addr_id if opt.addr_id is not None else received_on
-    if target is None:
-        _debug("MP_PRIO without addr_id and no carrying sub-flow; ignored")
-        return
-    sf = conn.subflow_by_id(target)
+    sf = conn.subflow_by_id(received_on)
     if sf is None or not sf.alive:
-        _debug("MP_PRIO for unknown or dead sub-flow %d; ignored", target)
+        import logging  # only on the branch that logs, to keep it off ``import mpflow``
+
+        logging.getLogger(__name__).debug(
+            "MP_PRIO for unknown or dead sub-flow %d; ignored", received_on
+        )
         return
     sf.low_prio = opt.backup_flag
 

@@ -41,8 +41,8 @@ class _MpPrioOptionFields(NamedTuple):
 class MpPrioOption(_MpPrioOptionFields):
     """A single priority-change signal, as a named tuple checked when built.
 
-    ``addr_id`` names the sub-flow whose priority changes; ``None`` means
-    "the sub-flow this option arrived on".
+    ``addr_id``, RFC 6824's optional address id, names an address, not a
+    sub-flow: the option applies to the sub-flow it arrives on.
     """
 
     __slots__ = ()

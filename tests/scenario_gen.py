@@ -22,7 +22,9 @@ bucket width: the built-ins, and seeds 0-3 of ``mesh16_flaps`` and
 never draws or at a same-µs tie between a probe and a death. Beside each
 CSV digest, under the key ``<bucket>/state``, it prints a digest of the
 run's end state (``state_digest``), which moves when a change shifts ack
-timing by less than a bucket edge. Running it in two checkouts and
+timing by less than a bucket edge, and under ``<bucket>/timer`` one of its
+timers and queued acks (``timer_digest``), which moves when a change
+arms a timer or queues an ack elsewhere. Running it in two checkouts and
 comparing the outputs with ``cmp`` shows whether a change keeps all those
 timelines and end states byte-identical.
 """
@@ -125,13 +127,30 @@ def state_digest(sim: Simulation) -> str:
     return _sha256(repr((flows, sorted(links.items()))))
 
 
+def timer_digest(sim: Simulation) -> str:
+    """SHA-256 of the timers of the finished run ``sim``: per sub-flow, when
+    its retransmission timer was armed, its deadline, whether a probe is
+    outstanding, the deadline of its pending heap entry and its queued
+    acks."""
+    flows = []
+    for flow in sim._flows.values():
+        pending = flow.timer_pending[0] if flow.timer_pending is not None else None
+        flows.append(
+            (flow.sf.id, flow.armed_at_us, flow.timer, flow.probe_outstanding, pending,
+             list(flow.acks))
+        )
+    return _sha256(repr(flows))
+
+
 def run_digests(doc: str, bucket_ms: int):
-    """(CSV digest, end-state digest) of one run of ``doc`` at ``bucket_ms``."""
+    """(CSV digest, end-state digest, timer digest) of one run of ``doc`` at
+    ``bucket_ms``."""
     with mock.patch.object(scenario_module, "Simulation", _KeptSimulation):
         report = run_scenario(parse_scenario(doc), bucket_ms=bucket_ms)
     buf = io.StringIO()
     emit_csv(report, buf)
-    return _sha256(buf.getvalue()), state_digest(_KeptSimulation.last)
+    sim = _KeptSimulation.last
+    return _sha256(buf.getvalue()), state_digest(sim), timer_digest(sim)
 
 
 def csv_digest(doc: str, bucket_ms: int) -> str:
@@ -141,14 +160,16 @@ def csv_digest(doc: str, bucket_ms: int) -> str:
 
 def digests(scenarios, buckets_ms=CORPUS_BUCKETS_MS, state=False):
     """{name: {bucket width: digest}} over (name, scenario text) pairs; with
-    ``state``, also {"<bucket width>/state": end-state digest}."""
+    ``state``, also {"<bucket width>/state": end-state digest} and
+    {"<bucket width>/timer": timer digest}."""
     out = {}
     for name, doc in scenarios:
         out[name] = cells = {}
         for bucket_ms in buckets_ms:
-            cells[str(bucket_ms)], end_state = run_digests(doc, bucket_ms)
+            cells[str(bucket_ms)], end_state, timers = run_digests(doc, bucket_ms)
             if state:
                 cells[f"{bucket_ms}/state"] = end_state
+                cells[f"{bucket_ms}/timer"] = timers
     return out
 
 
@@ -164,7 +185,7 @@ def perfbench_workloads():
 
 
 def workload_digests():
-    """CSV and end-state digests of the benchmark's scenarios at their
+    """CSV, end-state and timer digests of the benchmark's scenarios at their
     workload's bucket width, named ``workload/seed/scenario``."""
     workloads = perfbench_workloads()
     runs = [("paper_figs", 0, workloads.paper_figs(0, BUILTIN_DOCS))]
@@ -245,7 +266,7 @@ if __name__ == "__main__":
         "--diff",
         type=int,
         metavar="N",
-        help="digest the CSVs and end states of the corpus, the first N differential"
+        help="digest the CSVs, end states and timers of the corpus, the first N differential"
         " scenarios, the edge scenarios and the benchmark's scenarios, instead of the"
         " corpus's CSVs alone",
     )

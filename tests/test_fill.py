@@ -38,7 +38,7 @@ def fill_per_segment(sim, flow):
             flow.acks.append((arrival, MSS, sim.now_us))
             sim._next_ack = min(sim._next_ack, arrival)
         if flow.armed_at_us is None:
-            sim._arm_rto(flow)
+            sim._arm_rto(flow, sim.now_us)
 
 
 class Fill(NamedTuple):

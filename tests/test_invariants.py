@@ -32,7 +32,12 @@ re-create them, and every action verb. Every run checks that:
   state when it starts and after each pump that it outlives;
 * the run's bound on queued acks holds: no queued ack is due before it
   when a drain starts, a drain returns the earliest one left (or the end
-  of the run), and no ack due before a pump's heap event is still queued.
+  of the run), and no ack due before a pump's heap event is still queued;
+* at each pump and around each drain, every alive flow with its timer
+  armed and in no train or keepalive has the deadline
+  ``armed_at + max(2 * srtt, RTO_MIN_US) * 2**consecutive_timeouts``: srtt
+  changes only where the timer is armed or disarmed next, so a timeout
+  re-arms from the same base.
 """
 
 import io
@@ -49,7 +54,7 @@ from mpflow.cli import subflow_id_bound
 from mpflow.report import ThroughputBucket
 from mpflow.scenario import PPOS_ENV_VAR, emit_csv, parse_scenario, run_scenario
 from mpflow.scheduler import select
-from mpflow.simnet import FIRST_DEATH_US, MSS, WINDOW_BYTES, Simulation, first_ack_us
+from mpflow.simnet import FIRST_DEATH_US, MSS, RTO_MIN_US, WINDOW_BYTES, Simulation, first_ack_us
 from scenario_gen import random_scenario
 
 
@@ -57,8 +62,8 @@ class RecordingSimulation(Simulation):
     """A Simulation that remembers its instances, for their end state,
     checks each data segment of an ack's refill and each ack train against
     a fresh scheduler choice and the fills of each pump against a choice
-    per segment, and checks the bound on queued acks at each drain and
-    pump."""
+    per segment, and checks the bound on queued acks and the deadlines of
+    armed timers at each drain and pump."""
 
     instances = []
     pump_fills = None  # while a pump runs: bytes sent by id
@@ -70,10 +75,21 @@ class RecordingSimulation(Simulation):
     def _ack_heads(self):
         return [flow.acks[0][0] for flow in self._flows.values() if flow.acks]
 
+    def _check_deadlines(self):
+        for flow in self._flows.values():
+            sf = flow.sf
+            closed_form = flow.train is not None or flow.keepalive is not None
+            if sf.alive and flow.armed_at_us is not None and not closed_form:
+                base = max(2 * sf.srtt_us, RTO_MIN_US)
+                deadline = flow.armed_at_us + base * 2**sf.consecutive_timeouts
+                assert flow.timer == deadline, (self.now_us, sf.id)
+
     def _drain_acks(self, horizon):
         assert self._next_ack <= min(self._ack_heads(), default=horizon), self.now_us
+        self._check_deadlines()
         bound = super()._drain_acks(horizon)
         assert bound == min([self.duration_us, *self._ack_heads()]), (self.now_us, bound)
+        self._check_deadlines()
         return bound
 
     def _fill(self, flow):
@@ -100,6 +116,7 @@ class RecordingSimulation(Simulation):
 
     def _pump(self, *args):
         assert min(self._ack_heads(), default=self.now_us) >= self.now_us, self.now_us
+        self._check_deadlines()
         windows = {sf.id: sf.inflight_bytes for sf in self.sender.subflows}
         self.pump_fills = {}
         super()._pump(*args)

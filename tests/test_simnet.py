@@ -96,7 +96,7 @@ def test_rto_fires_at_doubling_offsets_and_third_kills():
     sf = flow.sf
     sf.srtt_us = 200_000
     sf.inflight_bytes = MSS
-    sim._arm_rto(flow)
+    sim._arm_rto(flow, sim.now_us)
     fires = []
     while sf.alive:
         at, _, handler, args = heapq.heappop(sim._heap)
@@ -116,7 +116,7 @@ def test_rto_floor_applies_when_srtt_small():
     flow = sim._flows[1]
     flow.sf.srtt_us = 10_000
     flow.sf.inflight_bytes = MSS
-    sim._arm_rto(flow)
+    sim._arm_rto(flow, sim.now_us)
     at, _, _, _ = sim._heap[0]
     assert at == 200_000  # max(2 * 10 ms, 200 ms)
 
@@ -173,11 +173,11 @@ def test_rearm_to_an_earlier_deadline_fires_at_the_new_one():
     sf = flow.sf
     sf.inflight_bytes = MSS
     sf.srtt_us = 500_000
-    sim._arm_rto(flow)  # base 1 s
+    sim._arm_rto(flow, sim.now_us)  # base 1 s
     # an ack at 100 ms after srtt fell: base max(2 * 50 ms, 200 ms)
     sim.now_us = 100_000
     sf.srtt_us = 50_000
-    sim._arm_rto(flow)
+    sim._arm_rto(flow, sim.now_us)
     assert sorted(entry[0] for entry in timer_entries(sim, flow)) == [300_000, 1_000_000]
     popped, timeouts = time_out_until_dead(sim, sf)
     assert timeouts == [300_000, 500_000, 900_000]
@@ -191,9 +191,9 @@ def test_later_rearm_waits_for_the_pending_entry_then_doubles():
     sf = flow.sf
     sf.inflight_bytes = MSS
     sf.srtt_us = 200_000
-    sim._arm_rto(flow)  # base 400 ms, pending at 400 ms
+    sim._arm_rto(flow, sim.now_us)  # base 400 ms, pending at 400 ms
     sim.now_us = 100_000
-    sim._arm_rto(flow)  # an ack at 100 ms moves the deadline to 500 ms
+    sim._arm_rto(flow, sim.now_us)  # an ack at 100 ms moves the deadline to 500 ms
     assert [entry[0] for entry in timer_entries(sim, flow)] == [400_000]
     popped, timeouts = time_out_until_dead(sim, sf)
     # the 400 ms entry is pushed again for 500 ms; then 1x, 2x and 4x the
@@ -681,6 +681,22 @@ def test_a_sub_flow_closed_by_an_action_dies_at_the_action_s_us():
     assert [row.bucket_start_ms for row in report.rows if row.subflow_id == 2] == [0]
     assert [sf.alive for sf in sim.receiver.subflows] == [True, False, True]
     assert not sim._flows[2].acks and sim.sender.subflow_by_id(2).inflight_bytes == 0
+
+
+@pytest.mark.parametrize("flip", [True, False], ids=["and-flips-it", "alone"])
+def test_an_action_that_opens_a_sub_flow_is_rejected(flip):
+    # The simulator serves only the sub-flows it opens itself. One that an
+    # action opens, after closing sub-flow 2, would get no simulator state,
+    # yet the scheduler would rank it, and its flip would name no flow.
+    def reopen(sim):
+        close_subflow(sim.sender, 2)
+        sf_id = open_subflow(sim.sender, tuple_for_next(sim.sender, sim.sender.mesh_pairs()[1]))
+        if flip:
+            sockopt.set_subflow_priority(sim.sender, SubPrioRequest(sf_id, True))
+
+    sim = build_sim(2, duration_ms=3_000, actions=[(1_000, reopen)])
+    with pytest.raises(ValidationError, match="may not open sub-flows"):
+        sim.run()
 
 
 def test_unknown_link_id_rejected_at_runtime():

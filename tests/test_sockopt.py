@@ -91,21 +91,21 @@ def test_set_subflow_priority_dead_id():
 
 def test_apply_remote_sets_addressed_subflow():
     conn = three_paths()
-    apply_remote_mp_prio(conn, MpPrioOption(True, 2))
+    apply_remote_mp_prio(conn, MpPrioOption(True), received_on=2)
     assert conn.subflow_by_id(2).low_prio is True
 
 
 def test_apply_remote_is_idempotent():
     conn = three_paths()
     for _ in range(2):
-        apply_remote_mp_prio(conn, MpPrioOption(False, 2))
+        apply_remote_mp_prio(conn, MpPrioOption(False), received_on=2)
     assert conn.subflow_by_id(2).low_prio is False
 
 
 def test_apply_remote_unknown_target_ignored():
     conn = three_paths()
     before = [(sf.id, sf.low_prio) for sf in conn.subflows]
-    apply_remote_mp_prio(conn, MpPrioOption(True, 9))
+    apply_remote_mp_prio(conn, MpPrioOption(True), received_on=9)
     assert [(sf.id, sf.low_prio) for sf in conn.subflows] == before
 
 
@@ -113,7 +113,7 @@ def test_apply_remote_unknown_target_is_logged_at_debug(caplog):
     conn = three_paths()
     close_subflow(conn, 2)
     with caplog.at_level(logging.DEBUG, logger="mpflow.sockopt"):
-        apply_remote_mp_prio(conn, MpPrioOption(True, 9))
+        apply_remote_mp_prio(conn, MpPrioOption(True), received_on=9)
         apply_remote_mp_prio(conn, MpPrioOption(True), received_on=2)
     assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
         ("mpflow.sockopt", logging.DEBUG, f"MP_PRIO for unknown or dead sub-flow {sf_id}; ignored")
@@ -125,6 +125,14 @@ def test_apply_remote_absent_addr_id_uses_carrying_subflow():
     conn = three_paths()
     apply_remote_mp_prio(conn, MpPrioOption(True), received_on=3)
     assert conn.subflow_by_id(3).low_prio is True
+
+
+def test_apply_remote_ignores_an_addr_id_naming_another_subflow():
+    # An address id names an address of the peer, not a sub-flow: the
+    # option applies to the sub-flow that carried it, and to no other.
+    conn = three_paths()
+    apply_remote_mp_prio(conn, MpPrioOption(True, 2), received_on=3)
+    assert [sf.low_prio for sf in conn.subflows] == [False, False, True]
 
 
 def test_list_change_never_reclassifies_existing():

@@ -503,6 +503,18 @@ def test_a_sub_flow_closed_by_an_action_ends_its_train_or_keepalive_there(action
     assert [entry.until for entry in log if entry.flow_id == 2] == [at_us]
 
 
+def test_a_sub_flow_closed_at_0_ms_takes_no_keepalive_and_is_re_created():
+    # The bootstrap runs after an action at 0 ms, so sub-flow 2 is dead
+    # when the bootstrap times the idle flows' probes. It takes no
+    # keepalive, whose timer would drop the re-establishment: its timer
+    # re-opens the pair a second later, and the successor carries data.
+    sim = run_both(links_run([(1_000_000, 10), (1_000_000, 10)], 5_000, actions=[(0, close(2))]))
+    assert sim.keepalives == []
+    assert sim.sender.subflow_by_id(2).died_us == 0
+    assert sim.sender.subflow_by_id(3).created_us == 1_000_000
+    assert sum(sim._flows[3].acked.values()) == 496_400
+
+
 @pytest.mark.parametrize("down_ms", [3_650, 3_900], ids=["mid-flight", "at-the-ack"])
 def test_a_link_change_ends_a_keepalive_with_its_probe_in_flight(down_ms):
     # A backup on a 150 ms link idles in a keepalive from its first probe's
