@@ -48,6 +48,11 @@ class AddrFamily(Enum):
     V4 = "v4"
     V6 = "v6"
 
+    # Members compare by identity, so they may hash by it, which runs in C;
+    # Enum's hash(name) runs as Python code for every pair or address used
+    # as a key. Either hash varies with PYTHONHASHSEED.
+    __hash__ = object.__hash__
+
 
 _ADDR_WIDTH = {AddrFamily.V4: 4, AddrFamily.V6: 16}
 
@@ -126,6 +131,8 @@ class InterfacePair(_InterfacePairFields):
         return cls(src.family, src.address, dst.address)
 
     def __str__(self) -> str:
+        if self.family is AddrFamily.V4:  # what ipaddress writes, without it
+            return "%d.%d.%d.%d->%d.%d.%d.%d" % (*self.src, *self.dst)
         return f"{ipaddress.ip_address(self.src)}->{ipaddress.ip_address(self.dst)}"
 
 

@@ -69,7 +69,10 @@ before it. The horizon is the next heap event, the end of the run or
 its own sub-flow, that sub-flow's link and its acked bytes, and any
 deadline it sets is ``RTO_MIN_US`` or more after it, so past the horizon:
 no heap event falls due inside it and the acks of different sub-flows
-commute.
+commute. A recorded death empties its sub-flow's FIFO for good and ends
+its train or keepalive, so the drains, the pumps and the run's end visit
+only the sub-flows whose death is not recorded yet, in id order: a birth
+adds its sub-flow last and a recorded death takes it out.
 
 Most acks belong to steady trains, which run in closed form. A train is a
 state of the sub-flow, not a step of the drain: :meth:`Simulation._train`
@@ -77,9 +80,14 @@ starts one on a clocked flow at an ack of a full window. The window is
 full on a link that stays busy past the first ack ``a0``; 32 acks of one
 MSS are queued, spaced by the serialization time ``s`` of at least 1 µs,
 so the link is up and unchanged since they were sent; and no probe or
-timeout is outstanding. A try that finds one outstanding is made again
-at the next ack, which may clear it, and any other once a window of acks
-has replaced the ones it saw. The acks' round-trip samples may be
+timeout is outstanding. The spacing is read from the window's two ends
+alone: a link serializes one segment at a time, so a flow's data acks come
+at least ``s`` apart, and a probe's ack is queued only while the probe is
+outstanding. So with no probe outstanding, 32 queued acks whose last comes
+``31 * s`` after ``a0`` are data acks exactly ``s`` apart. A try that
+finds a probe or a timeout outstanding is made again at the next ack,
+which may clear it, and any other once a window of acks has replaced the
+ones it saw. The acks' round-trip samples may be
 anything, such as the ramp of a window sent in one burst. Each ack frees one
 MSS and sends one, which finishes ``s`` after the one before and is acked
 ``32 * s`` after it was sent. It leaves the window full, so the next ack
@@ -103,9 +111,10 @@ and the drain skips the flow, and every pump reads the state it would
 read per ack. The train lasts until :meth:`Simulation._end_train` runs
 (below). The k acks due before that moment are exactly k calls of
 :meth:`Simulation._on_ack_arrival`: k MSS acked, split among the buckets
-in bulk, and sent; srtt's EWMA carried in closed form, over the samples of
-the window the train started with and then over the steady ``32 * s`` up
-to its fixed point; the link busy ``k * s`` longer; the FIFO refilled with
+in bulk, and sent; srtt's EWMA carried over the samples of the window the
+train started with and then over the steady ``32 * s`` up to its fixed
+point, which :func:`_srtt_after` gives in closed form once enough acks
+surely reach it; the link busy ``k * s`` longer; the FIFO refilled with
 the next 32 acks; and the timer armed once, from the last ack.
 
 An idle flow's probes run in closed form too, in a keepalive that
@@ -273,13 +282,18 @@ def check_topology(
     pair that cannot be served is blamed on the later of the first link from
     its local and the first link to its remote address."""
 
+    first_from: Dict[bytes, int] = {}  # the index of the first link from each address
+    first_to: Dict[bytes, int] = {}  # and to each
+    for k, spec in enumerate(links):
+        first_from.setdefault(spec.pair.src, k)
+        first_to.setdefault(spec.pair.dst, k)
+
     def blame(local: EndpointAddress, remote: EndpointAddress) -> Optional[int]:
-        i = next((k for k, spec in enumerate(links) if spec.pair.src == local.address), None)
-        j = next((k for k, spec in enumerate(links) if spec.pair.dst == remote.address), None)
+        i, j = first_from.get(local.address), first_to.get(remote.address)
         return None if i is None or j is None else max(i, j)
 
     served = {spec.pair for spec in links}
-    mesh = []
+    mesh = set()
     for local in local_addrs:
         for remote in remote_addrs:
             if local.family is not remote.family:
@@ -288,14 +302,17 @@ def check_topology(
             pair = InterfacePair(local.family, local.address, remote.address)
             if pair not in served:
                 raise TopologyError(f"no link serves interface pair {pair}", blame(local, remote))
-            mesh.append(pair)
+            mesh.add(pair)
+    pairs, link_ids = set(), set()
     for i, spec in enumerate(links):
-        if any(other.pair == spec.pair for other in links[:i]):
+        if spec.pair in pairs:
             raise TopologyError(f"duplicate link for pair {spec.pair}", i)
-        if any(other.link_id == spec.link_id for other in links[:i]):
+        if spec.link_id in link_ids:
             raise TopologyError(f"duplicate link id {spec.link_id}", i)
         if spec.pair not in mesh:
             raise TopologyError(f"link {spec.link_id} pair {spec.pair} is not in the mesh", i)
+        pairs.add(spec.pair)
+        link_ids.add(spec.link_id)
 
 
 class Simulation:
@@ -340,6 +357,9 @@ class Simulation:
         }
         # The newest flow on each link, by link id: the only one that may be alive.
         self._newest_flow = {flow.link.spec.link_id: flow for flow in self._flows.values()}
+        # The flows whose death is not recorded yet, in the order of _flows:
+        # the pumps, the drains and the run's end visit only these.
+        self._alive = {i: flow for i, flow in self._flows.items() if flow.sf.died_us is None}
         self._next_ack = self.duration_us  # no queued ack arrives before it
         self._finished = False
 
@@ -412,15 +432,14 @@ class Simulation:
         the deciding tier with no schedulable member."""
         sender, now = self.sender, self.now_us
         deciding = select(sender, MSS, WINDOW_BYTES).tier
-        for flow in self._flows.values():
+        for flow in [*self._alive.values()]:  # a death leaves _alive
             sf = flow.sf
-            if sf.died_us is not None:
-                continue  # dead before this pump, unclocked
             clocked = sf.alive and tier(sender, sf) == deciding
             if clocked != flow.clocked or not sf.alive:  # a closed form ends (module docstring)
                 self._settle(flow, now, sf.id < timer_id)
             if not sf.alive:  # killed, or closed by an action
                 sf.died_us = now
+                del self._alive[sf.id]
                 sf.inflight_bytes = 0  # in-flight data goes back to the backlog
                 flow.acks.clear()  # late acks, which would change nothing
                 flow.peer.alive = False
@@ -428,7 +447,7 @@ class Simulation:
                 if flow.link.up:
                     self._set_timer(flow, now + REESTABLISH_INTERVAL_US)
             flow.clocked = clocked
-            if clocked:
+            if clocked and sf.inflight_bytes < WINDOW_BYTES:  # an ack left most windows full
                 self._fill(flow)
 
     def _fill(self, flow: _Flow) -> None:
@@ -536,7 +555,7 @@ class Simulation:
         self.receiver.subflows.append(peer)
         self.receiver.next_id = self.sender.next_id
         flow = _Flow(sf, peer, link)
-        self._flows[sf.id] = self._newest_flow[link.spec.link_id] = flow
+        self._flows[sf.id] = self._alive[sf.id] = self._newest_flow[link.spec.link_id] = flow
         # A new sub-flow can only lower the deciding tier, to its own, alone.
         self._pump()
         self._idle(flow)
@@ -587,7 +606,7 @@ class Simulation:
             at_us, _, handler, args = heapq.heappop(heap)
             self.now_us = at_us
             handler(self, *args)
-        for flow in self._flows.values():
+        for flow in self._alive.values():
             self._settle(flow, duration_us)
         return self._build_report()
 
@@ -595,7 +614,7 @@ class Simulation:
         """Handle the acks due before ``horizon``; return the earliest left, or the run's end."""
         on_ack = self._on_ack_arrival
         next_ack = self.duration_us
-        for flow in self._flows.values():
+        for flow in self._alive.values():
             acks = flow.acks
             while acks and acks[0][0] < horizon:
                 if flow.clocked:
@@ -614,11 +633,11 @@ class Simulation:
 
     def _train(self, flow: _Flow) -> bool:
         """Start a train on the clocked ``flow`` if its FIFO holds a full
-        window of acks that form one (module docstring): keep the window on
-        the flow, empty its FIFO, which the train keeps implicit, and
-        return True. Otherwise return False and change nothing. The acks'
-        samples may be anything: the train's end replays srtt's EWMA over
-        them."""
+        window of acks that form one, checked from its two ends (module
+        docstring): keep the window on the flow, empty its FIFO, which the
+        train keeps implicit, and return True. Otherwise return False and
+        change nothing. The acks' samples may be anything: the train's end
+        replays srtt's EWMA over them."""
         sf, link, acks = flow.sf, flow.link, flow.acks
         a0, s = acks[0][0], link.mss_us
         if not (
@@ -630,13 +649,9 @@ class Simulation:
             and sf.consecutive_timeouts == 0
             and link.tx_free_us >= a0
             and acks[-1][0] == link.tx_free_us + 2 * link.delay_us
+            and acks[-1][0] - a0 == (WINDOW_SEGMENTS - 1) * s
         ):
             return False
-        at = a0
-        for arrival, nbytes, _ in acks:
-            if arrival != at or nbytes != MSS:
-                return False
-            at += s
         flow.train_window = tuple(acks)
         acks.clear()
         flow.train = a0
@@ -698,8 +713,8 @@ class Simulation:
         # The window's acks not yet handled, then those of the train's sends.
         head = a0 + k * s
         flow.acks.extend(window[k:])
-        arrivals = range(max(head, a0 + rtt), head + rtt, s)
-        flow.acks.extend((at, MSS, at - rtt) for at in arrivals)
+        sent = range(max(head - rtt, a0), head, s)
+        flow.acks.extend(zip(range(sent.start + rtt, head + rtt, s), repeat(MSS), sent))
         self._next_ack = min(self._next_ack, flow.acks[0][0])
         self._arm_rto(flow, head - s)
 
@@ -737,7 +752,17 @@ class Simulation:
 
 
 def _srtt_after(srtt: int, sample: int, n: int) -> int:
-    """srtt after ``n`` acks of round trip ``sample``: its EWMA, run up to its fixed point."""
+    """srtt after ``n`` acks of round trip ``sample``: its EWMA, run up to
+    its fixed point, in closed form once ``n`` steps surely reach it.
+
+    A step maps the gap ``d = srtt - sample`` to ``(7 * d) // 8``. Above
+    the sample, the gap shrinks by at least an eighth a step, down to 0.
+    Below it, the gap to -7 does, and a gap from -7 to -1 stays. So the
+    fixed point is ``sample + max(min(d, 0), -7)``, reached within
+    ``8 + 8 * abs(d).bit_length()`` steps, since (7/8)**8 < 1/2."""
+    d = srtt - sample
+    if n >= 8 + 8 * abs(d).bit_length():
+        return sample + max(min(d, 0), -7)
     for _ in range(n):
         settled, srtt = srtt, (7 * srtt + sample) // 8
         if srtt == settled:

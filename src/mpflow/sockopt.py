@@ -67,7 +67,7 @@ def apply_remote_mp_prio(conn: ConnectionState, opt: MpPrioOption, received_on: 
         import logging  # only on the branch that logs, to keep it off ``import mpflow``
 
         logging.getLogger(__name__).debug(
-            "MP_PRIO for unknown or dead sub-flow %d; ignored", received_on
+            "MP_PRIO for unknown or dead sub-flow %r; ignored", received_on
         )
         return
     sf.low_prio = opt.backup_flag

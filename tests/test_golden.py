@@ -13,6 +13,9 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,6 +29,7 @@ from mpflow.scenario import (
 )
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = PERFBENCH.parent / "src"
 
 GOLDEN_SHA256 = {
     "fig4": "2aeb31311b97c52c79f8e8487b04630b3cdd703b379743f9dc945702f60a264c",
@@ -41,6 +45,29 @@ def test_builtin_csv_matches_pinned_digest(name, monkeypatch):
     buf = io.StringIO()
     emit_csv(run_scenario(builtin_scenario(name)), buf)
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == GOLDEN_SHA256[name]
+
+
+def test_a_generated_mesh_writes_the_same_csv_under_any_hash_seed():
+    # Pairs, addresses and their address family are dict and set keys, and
+    # their hashes vary with PYTHONHASHSEED; no byte of a CSV may.
+    doc = _load_workloads().mesh16_flaps(0).docs[0][1]
+    program = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(SRC)!r})\n"
+        "from mpflow.scenario import emit_csv, parse_scenario, run_scenario\n"
+        "emit_csv(run_scenario(parse_scenario(sys.stdin.read())), sys.stdout)\n"
+    )
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+        env.pop(PPOS_ENV_VAR, None)
+        done = subprocess.run(
+            [sys.executable, "-c", program], input=doc, capture_output=True, text=True,
+            env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1] and outputs[0].count("\n") > 100
 
 
 def _load_workloads():

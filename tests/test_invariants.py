@@ -5,10 +5,13 @@ reach random meshes, slow and fast links, outages that kill sub-flows and
 re-create them, and every action verb. Every run checks that:
 
 * the scenario passes ``parse_scenario`` and then runs without raising;
+  the built-ins and the ``edge_*`` scenarios of ``scenario_gen`` run
+  under the same checks;
 * no sub-flow has more bytes acked than it sent;
 * no row carries more than its link can serialize in one bucket: acks come
   back spaced by one segment's serialization time, so a bucket holds at
-  most ``bucket // serialization + 1`` segments (as in perfbench/README.md);
+  most ``bucket // serialization + 1`` segments (as in perfbench/README.md).
+  A link whose MSS serializes in under 1 µs has no such bound;
 * genealogy ids strictly increase;
 * the sub-flows on one pair have lifetimes that do not overlap;
 * every CSV data line is the matching ``report.rows`` entry written as a
@@ -33,6 +36,11 @@ re-create them, and every action verb. Every run checks that:
 * the run's bound on queued acks holds: no queued ack is due before it
   when a drain starts, a drain returns the earliest one left (or the end
   of the run), and no ack due before a pump's heap event is still queued;
+* each flow's queued data acks are at least its link's serialization
+  time ``s`` apart, checked after each send that queues them (a fill or a
+  train's end): its link serializes one segment at a time. A train is
+  taken when 32 queued acks span ``31 * s``, which on this fact means
+  every gap is ``s``;
 * at each pump and around each drain, every alive flow with its timer
   armed and in no train or keepalive has the deadline
   ``armed_at + max(2 * srtt, RTO_MIN_US) * 2**consecutive_timeouts``: srtt
@@ -46,16 +54,17 @@ from bisect import bisect_right
 from collections import defaultdict
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from mpflow import scenario as scenario_module
 from mpflow.cli import subflow_id_bound
 from mpflow.report import ThroughputBucket
-from mpflow.scenario import PPOS_ENV_VAR, emit_csv, parse_scenario, run_scenario
+from mpflow.scenario import BUILTIN_DOCS, PPOS_ENV_VAR, emit_csv, parse_scenario, run_scenario
 from mpflow.scheduler import select
 from mpflow.simnet import FIRST_DEATH_US, MSS, RTO_MIN_US, WINDOW_BYTES, Simulation, first_ack_us
-from scenario_gen import random_scenario
+from scenario_gen import edge_scenarios, random_scenario
 
 
 class RecordingSimulation(Simulation):
@@ -63,7 +72,8 @@ class RecordingSimulation(Simulation):
     checks each data segment of an ack's refill and each ack train against
     a fresh scheduler choice and the fills of each pump against a choice
     per segment, and checks the bound on queued acks and the deadlines of
-    armed timers at each drain and pump."""
+    armed timers at each drain and pump, and the spacing of each flow's
+    queued data acks after each send that queues them."""
 
     instances = []
     pump_fills = None  # while a pump runs: bytes sent by id
@@ -92,6 +102,11 @@ class RecordingSimulation(Simulation):
         self._check_deadlines()
         return bound
 
+    def _check_ack_spacing(self, flow):
+        arrivals = [at for at, nbytes, _ in flow.acks if nbytes]
+        s = flow.link.mss_us
+        assert all(b - a >= s for a, b in zip(arrivals, arrivals[1:])), (self.now_us, flow.sf.id)
+
     def _fill(self, flow):
         sf = flow.sf
         if self.pump_fills is not None:
@@ -99,14 +114,19 @@ class RecordingSimulation(Simulation):
             super()._fill(flow)
             if sf.bytes_sent_total > sent:
                 self.pump_fills[sf.id] = sf.bytes_sent_total - sent
-            return
-        inflight = sf.inflight_bytes
-        while sf.inflight_bytes + MSS <= WINDOW_BYTES:
-            decision = select(self.sender, MSS, WINDOW_BYTES)
-            assert decision.chosen == sf.id, (self.now_us, sf.id, decision)
-            sf.inflight_bytes += MSS
-        sf.inflight_bytes = inflight
-        super()._fill(flow)
+        else:
+            inflight = sf.inflight_bytes
+            while sf.inflight_bytes + MSS <= WINDOW_BYTES:
+                decision = select(self.sender, MSS, WINDOW_BYTES)
+                assert decision.chosen == sf.id, (self.now_us, sf.id, decision)
+                sf.inflight_bytes += MSS
+            sf.inflight_bytes = inflight
+            super()._fill(flow)
+        self._check_ack_spacing(flow)
+
+    def _end_train(self, flow, until):
+        super()._end_train(flow, until)
+        self._check_ack_spacing(flow)
 
     def _train(self, flow):
         if not super()._train(flow):
@@ -164,8 +184,23 @@ def run_recorded(doc, bucket_ms):
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(0, 2**32 - 1), bucket_ms=st.sampled_from((1000, 100)))
 def test_generated_scenarios_keep_the_invariants(seed, bucket_ms):
+    check_invariants(random_scenario(random.Random(seed)), bucket_ms)
+
+
+CANNED = {**BUILTIN_DOCS, **dict(edge_scenarios())}
+
+
+@pytest.mark.parametrize("bucket_ms", (1000, 100))
+@pytest.mark.parametrize("name", sorted(CANNED))
+def test_canned_scenarios_keep_the_invariants(name, bucket_ms):
+    check_invariants(CANNED[name], bucket_ms)
+
+
+def check_invariants(doc, bucket_ms):
+    """Run ``doc`` at ``bucket_ms`` under the checks of
+    RecordingSimulation, then check its report against its end state."""
     with mock.patch.dict("os.environ", {PPOS_ENV_VAR: ""}):
-        scenario, report, sim = run_recorded(random_scenario(random.Random(seed)), bucket_ms)
+        scenario, report, sim = run_recorded(doc, bucket_ms)
 
     acked = defaultdict(int)
     for row in report.rows:
@@ -176,10 +211,12 @@ def test_generated_scenarios_keep_the_invariants(seed, bucket_ms):
     segments_by_pair = {}
     for link in scenario.links:
         serialization_us = MSS * 8 * 1_000_000 // link.bandwidth_bps
-        segments_by_pair[link.pair] = bucket_ms * 1000 // serialization_us + 1
+        if serialization_us:  # at s == 0, which only a canned link has, no bound
+            segments_by_pair[link.pair] = bucket_ms * 1000 // serialization_us + 1
     pair_of = {rec.subflow_id: rec.pair for rec in report.columns}
     for row in report.rows:
-        assert row.bytes_acked <= segments_by_pair[pair_of[row.subflow_id]] * MSS, row
+        segments = segments_by_pair.get(pair_of[row.subflow_id])
+        assert segments is None or row.bytes_acked <= segments * MSS, row
 
     ids = [rec.subflow_id for rec in report.columns]
     assert all(a < b for a, b in zip(ids, ids[1:])), ids

@@ -1,3 +1,4 @@
+import ipaddress
 import itertools
 
 import pytest
@@ -339,6 +340,23 @@ def test_endpoints_and_pairs_work_as_dict_keys():
     assert e1 != e1.with_port(81)
     assert {e1: 1, e2: 2, e1.with_port(81): 3} == {e1: 2, e1.with_port(81): 3}
     assert str(a) == "10.0.0.1->10.0.1.1" and e1.host() == "10.0.0.1"
+
+
+def addresses(family, width):
+    address = st.binary(min_size=width, max_size=width)
+    return st.tuples(st.just(family), address, address)
+
+
+@given(st.one_of(addresses(AddrFamily.V4, 4), addresses(AddrFamily.V6, 16)))
+def test_a_pair_prints_as_ipaddress_writes_its_addresses(fields):
+    family, src, dst = fields
+    expected = f"{ipaddress.ip_address(src)}->{ipaddress.ip_address(dst)}"
+    assert str(InterfacePair(family, src, dst)) == expected
+
+
+def test_an_address_family_hashes_by_identity():
+    assert [hash(family) for family in AddrFamily] == [object.__hash__(f) for f in AddrFamily]
+    assert {AddrFamily.V4: 4, AddrFamily.V6: 6}[AddrFamily("v6")] == 6
 
 
 @pytest.mark.parametrize(

@@ -121,6 +121,18 @@ def test_apply_remote_unknown_target_is_logged_at_debug(caplog):
     ]
 
 
+def test_apply_remote_logs_a_signal_on_no_sub_flow_at_all(caplog):
+    # A caller without a sub-flow id, such as a tracer that defaults it to
+    # None, gets the diagnostic, not a logging error.
+    conn = three_paths()
+    with caplog.at_level(logging.DEBUG, logger="mpflow.sockopt"):
+        apply_remote_mp_prio(conn, MpPrioOption(True), None)
+    assert [r.getMessage() for r in caplog.records] == [
+        "MP_PRIO for unknown or dead sub-flow None; ignored"
+    ]
+    assert not any(sf.low_prio for sf in conn.subflows)
+
+
 def test_apply_remote_absent_addr_id_uses_carrying_subflow():
     conn = three_paths()
     apply_remote_mp_prio(conn, MpPrioOption(True), received_on=3)

@@ -29,7 +29,7 @@ from mpflow import scenario as scenario_module
 from mpflow import sockopt
 from mpflow.model import close_subflow, new_connection
 from mpflow.scenario import PPOS_ENV_VAR, emit_csv, parse_scenario, run_scenario
-from mpflow.simnet import MSS, RTO_MIN_US, WINDOW_SEGMENTS, LinkSpec, Simulation
+from mpflow.simnet import MSS, RTO_MIN_US, WINDOW_SEGMENTS, LinkSpec, Simulation, _srtt_after
 from mpflow.sockopt import SubPrioRequest
 from helpers import addr
 from scenario_gen import BUSY_SCENARIO, random_scenario, tie_scenario
@@ -241,6 +241,53 @@ def set_prio(subflow_id, backup):
 @given(run=slow_link_runs())
 def test_slow_links_with_priority_flips_end_alike_with_and_without_trains(run):
     run_both(run)
+
+
+def ewma(srtt, sample, n):
+    """srtt after ``n`` acks of round trip ``sample``, one EWMA step per ack."""
+    for _ in range(n):
+        srtt = (7 * srtt + sample) // 8
+    return srtt
+
+
+def closed_form_steps(srtt, sample):
+    """The step count from which ``_srtt_after`` answers in closed form."""
+    return 8 + 8 * abs(srtt - sample).bit_length()
+
+
+def test_srtt_after_matches_the_ewma_loop_within_4096_of_the_sample():
+    # Every gap |srtt - sample| <= 4096, at two samples, with n on both
+    # sides of the closed form's step count, far past it, and at the last
+    # step before the loop reaches its fixed point, which a closed form
+    # answering too early would get wrong.
+    for sample in (4096, 10_000):
+        for srtt in range(sample - 4096, sample + 4097):
+            bound = closed_form_steps(srtt, sample)
+            steps = [srtt]
+            for _ in range(bound + 1):
+                steps.append((7 * steps[-1] + sample) // 8)
+            reached = steps.index(steps[-1])
+            for n in (0, 1, max(reached - 1, 0), reached, bound - 1, bound, bound + 1):
+                assert _srtt_after(srtt, sample, n) == steps[n], (srtt, sample, n)
+            assert _srtt_after(srtt, sample, 10**9) == steps[-1], (srtt, sample)
+
+
+def test_srtt_after_from_no_sample():
+    # srtt 0 at every sample up to 4096, and _end_keepalive's ``srtt or rtt``,
+    # which starts the EWMA at its own sample.
+    for sample in range(4097):
+        bound = closed_form_steps(0, sample)
+        for n in (bound - 1, bound, 10**9):
+            assert _srtt_after(0, sample, n) == ewma(0, sample, min(n, 2 * bound)), (sample, n)
+        assert _srtt_after(0 or sample, sample, 10**9) == sample
+
+
+@given(
+    srtt=st.integers(0, 2**48), sample=st.integers(0, 2**48), offset=st.integers(-3, 3)
+)
+def test_srtt_after_matches_the_ewma_loop_on_large_values(srtt, sample, offset):
+    n = max(0, closed_form_steps(srtt, sample) + offset)
+    assert _srtt_after(srtt, sample, n) == ewma(srtt, sample, n)
 
 
 def test_a_steady_run_takes_one_train():
