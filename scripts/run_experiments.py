@@ -27,9 +27,9 @@ def carrier_phases(report):
     the starts of the first and the last bucket of each phase, in seconds."""
     carriers = {}
     for column in report.columns:
-        for bucket in range(column.first, column.last + 1):
+        for bucket, nbytes in enumerate(column.acked, column.first):
             ids = carriers.setdefault(bucket, set())
-            if column.acked.get(bucket, 0) > 0:
+            if nbytes > 0:
                 ids.add(column.subflow_id)
     phases = []
     for bucket in sorted(carriers):

@@ -3,13 +3,14 @@ columns, and the CSV writer.
 
 The report is its columns. A :class:`SubflowColumn` is the one record of
 a sub-flow: its id, pair, birth and death (the genealogy), its bucket
-range, its acked bytes by bucket and its flag history, and it states the
-row rule. :attr:`TimelineReport.rows` and :func:`emit_csv` both derive
-their rows through :meth:`SubflowColumn.per_row`, which finds the rows of
-each flag interval in closed form from the flag times and maps their
-acked bytes in bulk. :func:`emit_csv` maps them through a cache of row
-ends keyed by byte count, one per pair of flags and shared by all
-sub-flows, so no per-row object is built unless ``rows`` is read.
+range, its acked bytes as a list with one entry per bucket of that range,
+and its flag history, and it states the row rule.
+:attr:`TimelineReport.rows` and :func:`emit_csv` both derive their rows
+through :meth:`SubflowColumn.per_row`, which finds the rows of each flag
+interval in closed form from the flag times and maps that interval's slice
+of the list. :func:`emit_csv` maps them through a cache of row ends keyed
+by byte count, one per pair of flags and shared by all sub-flows, so no
+per-row object is built unless ``rows`` is read.
 """
 
 from __future__ import annotations
@@ -50,9 +51,10 @@ class SubflowColumn(NamedTuple):
     This is the row rule, for :attr:`TimelineReport.rows` and the CSV
     alike. A sub-flow has a row in each bucket that it was born before the
     end of and alive past the start of: buckets ``first`` to ``last``. The
-    row holds the bytes acked in the bucket, the flag in force at the
-    bucket's end, a flag set at the end included, and whether the sub-flow
-    died at or after the end (``alive``). ``flag_values[i]`` holds from
+    row holds the bytes acked in the bucket (``acked[bucket - first]``, 0 if
+    none), the flag in force at the bucket's end, a flag set at the end
+    included, and whether the sub-flow died at or after the end
+    (``alive``). ``flag_values[i]`` holds from
     ``flag_times[i]`` on, and ``flag_times[0]`` is the sub-flow's birth.
     The column is also the sub-flow's genealogy entry: its id, pair, birth
     (:attr:`created_ms`) and death (:attr:`died_ms`)."""
@@ -61,7 +63,7 @@ class SubflowColumn(NamedTuple):
     pair: InterfacePair
     first: int
     last: int
-    acked: Dict[int, int]  # bytes by bucket
+    acked: List[int]  # bytes by bucket: acked[i] those of bucket first + i
     flag_times: List[int]
     flag_values: List[bool]
     died_us: Optional[int]
@@ -76,15 +78,22 @@ class SubflowColumn(NamedTuple):
 
     @classmethod
     def of(cls, flow: _Flow, bucket_us: int, n_buckets: int) -> SubflowColumn:
-        """The column of a simulated sub-flow at the end of a run."""
+        """The column of a simulated sub-flow at the end of a run. It takes
+        the flow's list of acked bytes, which grows on demand, and cuts or
+        pads it in place to one entry per row."""
         sf = flow.sf
         died = sf.died_us
+        first = flow.first_bucket
+        last = n_buckets - 1 if died is None else (died - 1) // bucket_us
+        acked = flow.acked
+        del acked[last + 1 - first :]
+        acked += [0] * (last + 1 - first - len(acked))
         return cls(
             subflow_id=sf.id,
             pair=flow.link.spec.pair,
-            first=flow.flag_times[0] // bucket_us,
-            last=n_buckets - 1 if died is None else (died - 1) // bucket_us,
-            acked=flow.acked,
+            first=first,
+            last=last,
+            acked=acked,
             flag_times=flow.flag_times,
             flag_values=flow.flag_values,
             died_us=died,
@@ -101,13 +110,13 @@ class SubflowColumn(NamedTuple):
         of a run may end before ``(bucket + 1) * bucket_us``, but no flag
         time and no death is at or after the end of the run, so its row is
         the same."""
-        first, n = self.first, self.last + 1 - self.first
-        cells = list(map(self.acked.get, range(first, self.last + 1), repeat(0)))
+        acked, first, n = self.acked, self.first, self.last + 1 - self.first
         starts = [min(max(-(-t // bucket_us) - 1 - first, 0), n) for t in self.flag_times[1:]]
         cut = n - 1 if self.died_us is not None and self.died_us % bucket_us else n
+        cells: list = []
         for low_prio, lo, hi in zip(self.flag_values, [0] + starts, starts + [n]):
             for i, j, alive in ((lo, min(hi, cut), True), (max(lo, cut), hi, False)):
-                cells[i:j] = map(convert[low_prio, alive], cells[i:j])
+                cells += map(convert[low_prio, alive], acked[i:j])
         return cells
 
 

@@ -74,6 +74,16 @@ its train or keepalive, so the drains, the pumps and the run's end visit
 only the sub-flows whose death is not recorded yet, in id order: a birth
 adds its sub-flow last and a recorded death takes it out.
 
+A clocked flow's acks run one by one through
+:meth:`Simulation._on_ack_arrival`, or in a train (below). An unclocked
+flow sends nothing at an ack, so the drain hands its due acks to
+:meth:`Simulation._on_acks_unclocked` in one call, which stops at an ack
+that leaves the flow idle and leaves the state that many calls of
+``_on_ack_arrival`` would. Each of those calls that arms the timer pushes
+an entry if its deadline beats the pending one, so the pending entry ends
+at the earliest of its own deadline and theirs; the one call pushes that
+entry alone, and none of the entries it supersedes.
+
 Most acks belong to steady trains, which run in closed form. A train is a
 state of the sub-flow, not a step of the drain: :meth:`Simulation._train`
 starts one on a clocked flow at an ack of a full window. The window is
@@ -110,8 +120,8 @@ So the acks form the progression ``a0 + i * s``, the FIFO stays implicit
 and the drain skips the flow, and every pump reads the state it would
 read per ack. The train lasts until :meth:`Simulation._end_train` runs
 (below). The k acks due before that moment are exactly k calls of
-:meth:`Simulation._on_ack_arrival`: k MSS acked, split among the buckets
-in bulk, and sent; srtt's EWMA carried over the samples of the window the
+:meth:`Simulation._on_ack_arrival`: k MSS acked, split among the buckets,
+and sent; srtt's EWMA carried over the samples of the window the
 train started with and then over the steady ``32 * s`` up to its fixed
 point, which :func:`_srtt_after` gives in closed form once enough acks
 surely reach it; the link busy ``k * s`` longer; the FIFO refilled with
@@ -136,7 +146,10 @@ unclocked) or records its death; and at the end of the run.
 A run ends in a :class:`~mpflow.report.TimelineReport`: one column per
 sub-flow, with its pair, its lifetime, its acked bytes by bucket and its
 flag history, from which the report's rows, its genealogy and its CSV
-derive (:mod:`mpflow.report`).
+derive (:mod:`mpflow.report`). A flow keeps its acked bytes in a list
+indexed from its first bucket, which an ack past its end grows to twice
+its length or more, up to the run's last bucket, so a short-lived
+sub-flow costs no more than its rows at any bucket width.
 """
 
 from __future__ import annotations
@@ -233,23 +246,25 @@ class _Link:
 class _Flow:
     """Simulator state of one sub-flow: the sender's sub-flow, the receiver's
     mirror of it (``peer``), the link serving its pair, its timer, its acked
-    bytes per bucket and the history of its priority flag
+    bytes per bucket from its first bucket on (``acked[i]`` those of bucket
+    ``first_bucket + i``) and the history of its priority flag
     (``flag_values[i]`` holds from ``flag_times[i]`` on, the first from the
     sub-flow's birth)."""
 
     __slots__ = (
-        "sf", "peer", "link", "flag_times", "flag_values", "acked", "armed_at_us", "timer",
-        "timer_pending", "probe_outstanding", "clocked", "acks", "train_wait", "train",
-        "train_window", "keepalive",
+        "sf", "peer", "link", "flag_times", "flag_values", "first_bucket", "acked",
+        "armed_at_us", "timer", "timer_pending", "probe_outstanding", "clocked", "acks",
+        "train_wait", "train", "train_window", "keepalive",
     )
 
-    def __init__(self, sf: SubflowState, peer: SubflowState, link: _Link) -> None:
+    def __init__(self, sf: SubflowState, peer: SubflowState, link: _Link, bucket_us: int) -> None:
         self.sf = sf
         self.peer = peer
         self.link = link
         self.flag_times = [sf.created_us]
         self.flag_values = [sf.low_prio]
-        self.acked: Dict[int, int] = {}  # bytes by bucket
+        self.first_bucket = sf.created_us // bucket_us
+        self.acked: List[int] = []  # grown by Simulation._grow
         self.armed_at_us: Optional[int] = None  # None: idle, no retransmission timeout runs
         self.timer = 0  # deadline
         self.timer_pending: Optional[Tuple[int, int]] = None  # (at, seq) of its heap entry
@@ -339,6 +354,7 @@ class Simulation:
         self.receiver = mirror_connection(sender)
         self.duration_us = duration_ms * US_PER_MS
         self.bucket_us = bucket_ms * US_PER_MS
+        self.n_buckets = -(-self.duration_us // self.bucket_us)  # ceil
         self.now_us = 0
 
         links_by_pair = {spec.pair: _Link(spec) for spec in links}
@@ -352,7 +368,7 @@ class Simulation:
         self._heap: List[tuple] = []
         self._seq = itertools.count()
         self._flows: Dict[int, _Flow] = {
-            sf.id: _Flow(sf, peer, links_by_pair[sf.pair()])
+            sf.id: _Flow(sf, peer, links_by_pair[sf.pair()], self.bucket_us)
             for sf, peer in zip(sender.subflows, self.receiver.subflows)
         }
         # The newest flow on each link, by link id: the only one that may be alive.
@@ -488,8 +504,10 @@ class Simulation:
         sf.consecutive_timeouts = 0
         if nbytes:
             sf.inflight_bytes -= nbytes
-            bucket = self.now_us // self.bucket_us
-            flow.acked[bucket] = flow.acked.get(bucket, 0) + nbytes
+            acked, i = flow.acked, self.now_us // self.bucket_us - flow.first_bucket
+            if i >= len(acked):
+                self._grow(flow, i)
+            acked[i] += nbytes
         else:
             flow.probe_outstanding = False
         if sf.inflight_bytes > 0 or flow.probe_outstanding:
@@ -499,6 +517,49 @@ class Simulation:
         # What a pump would do here, without its select (module docstring).
         if flow.clocked:
             self._fill(flow)
+        self._idle(flow)
+
+    def _grow(self, flow: _Flow, i: int) -> None:
+        """Grow ``flow.acked`` to hold index ``i``: to twice its length at
+        least, but never past the run's last bucket."""
+        acked = flow.acked
+        size = min(max(2 * len(acked), i + 1), self.n_buckets - flow.first_bucket)
+        acked += [0] * (size - len(acked))
+
+    def _on_acks_unclocked(self, flow: _Flow, horizon: int) -> None:
+        """Handle the unclocked ``flow``'s acks due before ``horizon`` as that
+        many calls of :meth:`_on_ack_arrival` would, up to one that leaves
+        it idle: the timer's pending entry is pushed once, at the earliest
+        of the deadlines those calls would set."""
+        sf, acks, acked = flow.sf, flow.acks, flow.acked
+        bucket_us, first_bucket = self.bucket_us, flow.first_bucket
+        srtt, inflight, probe = sf.srtt_us, sf.inflight_bytes, flow.probe_outstanding
+        armed_at = soonest = None
+        while acks and acks[0][0] < horizon:
+            at, nbytes, sent_us = acks.popleft()
+            sample = at - sent_us
+            srtt = sample if srtt == 0 else (7 * srtt + sample) // 8
+            if nbytes:
+                inflight -= nbytes
+                i = at // bucket_us - first_bucket
+                if i >= len(acked):
+                    self._grow(flow, i)
+                acked[i] += nbytes
+            else:
+                probe = False
+            if inflight <= 0 and not probe:
+                break
+            # _arm_rto's deadline: the ack leaves no timeout outstanding.
+            armed_at, deadline = at, at + max(2 * srtt, RTO_MIN_US)
+            if soonest is None or deadline < soonest:
+                soonest = deadline
+        self.now_us = at
+        sf.srtt_us, sf.inflight_bytes, flow.probe_outstanding = srtt, inflight, probe
+        sf.consecutive_timeouts = 0
+        if soonest is not None:
+            self._set_timer(flow, soonest)
+            flow.timer = deadline
+        flow.armed_at_us = armed_at if inflight > 0 or probe else None
         self._idle(flow)
 
     def _idle(self, flow: _Flow) -> None:
@@ -554,7 +615,7 @@ class Simulation:
         peer = _mirror(sf)
         self.receiver.subflows.append(peer)
         self.receiver.next_id = self.sender.next_id
-        flow = _Flow(sf, peer, link)
+        flow = _Flow(sf, peer, link, self.bucket_us)
         self._flows[sf.id] = self._alive[sf.id] = self._newest_flow[link.spec.link_id] = flow
         # A new sub-flow can only lower the deciding tier, to its own, alone.
         self._pump()
@@ -617,14 +678,16 @@ class Simulation:
         for flow in self._alive.values():
             acks = flow.acks
             while acks and acks[0][0] < horizon:
-                if flow.clocked:
-                    # Tried again at the next ack or a window later (module docstring).
-                    if not flow.train_wait:
-                        if self._train(flow):
-                            break
-                        wait = flow.probe_outstanding or flow.sf.consecutive_timeouts
-                        flow.train_wait = 1 if wait else WINDOW_SEGMENTS
-                    flow.train_wait -= 1
+                if not flow.clocked:
+                    self._on_acks_unclocked(flow, horizon)
+                    continue
+                # Tried again at the next ack or a window later (module docstring).
+                if not flow.train_wait:
+                    if self._train(flow):
+                        break
+                    wait = flow.probe_outstanding or flow.sf.consecutive_timeouts
+                    flow.train_wait = 1 if wait else WINDOW_SEGMENTS
+                flow.train_wait -= 1
                 self.now_us, nbytes, sent_us = acks.popleft()
                 on_ack(flow, nbytes, sent_us)
             if acks and acks[0][0] < next_ack:
@@ -671,9 +734,10 @@ class Simulation:
         starts on an ack due before a horizon and ends at a heap event or
         at the end of the run, so ``until`` is past its first ack.
 
-        The acked bytes are split among the buckets in bulk, with no Python
-        step per bucket: from the bucket of each ack when a bucket holds one
-        at most, or else from the count of acks before each bucket edge.
+        The acked bytes are split among the buckets by one store per ack
+        when a bucket holds one at most, or else by one slice store, from
+        the count of acks before each bucket edge, with no Python step per
+        bucket.
         srtt's EWMA runs over the samples of the acks of the window the
         train started with, then over the steady sample ``32 * s`` of the
         acks the train sent, up to its fixed point: its steps grow with the
@@ -690,19 +754,21 @@ class Simulation:
         # ack's to the last's holds one at least, only the first may hold
         # earlier acks, and the acks before an inner edge e number
         # ceil((e - a0) / s); with no inner edge, all k go to the first.
-        first, last = a0 // bucket_us, (a0 + (k - 1) * s) // bucket_us
-        repeat, floordiv = itertools.repeat, operator.floordiv
+        # Times count from the start of the flow's first bucket, acked[0].
+        a = a0 - flow.first_bucket * bucket_us
+        first, last = a // bucket_us, (a + (k - 1) * s) // bucket_us
+        if last >= len(acked):
+            self._grow(flow, last)
+        repeat = itertools.repeat
         if s >= bucket_us:
-            handled = range(a0, a0 + k * s, s)
-            acked.update(zip(map(floordiv, handled, repeat(bucket_us)), repeat(MSS)))
+            for at in range(a, a + k * s, s):
+                acked[at // bucket_us] = MSS
         else:
-            ceils = range(
-                (first + 1) * bucket_us - a0 + s - 1, last * bucket_us - a0 + s, bucket_us
-            )
-            before = [*map(floordiv, ceils, repeat(s)), k]
-            acked[first] = acked.get(first, 0) + before[0] * MSS
+            ceils = range((first + 1) * bucket_us - a + s - 1, last * bucket_us - a + s, bucket_us)
+            before = [*map(operator.floordiv, ceils, repeat(s)), k]
+            acked[first] += before[0] * MSS
             nbytes = map(operator.mul, map(operator.sub, before[1:], before), repeat(MSS))
-            acked.update(zip(range(first + 1, last + 1), nbytes))
+            acked[first + 1 : last + 1] = nbytes
         srtt = sf.srtt_us
         for at, _, sent_us in window[:k]:
             sample = at - sent_us
@@ -741,13 +807,11 @@ class Simulation:
             self._set_timer(flow, last + period)
 
     def _build_report(self) -> TimelineReport:
-        n_buckets = -(-self.duration_us // self.bucket_us)  # ceil
+        bucket_us, n_buckets = self.bucket_us, self.n_buckets
         return TimelineReport(
-            bucket_ms=self.bucket_us // US_PER_MS,
+            bucket_ms=bucket_us // US_PER_MS,
             duration_ms=self.duration_us // US_PER_MS,
-            columns=[
-                SubflowColumn.of(flow, self.bucket_us, n_buckets) for flow in self._flows.values()
-            ],
+            columns=[SubflowColumn.of(flow, bucket_us, n_buckets) for flow in self._flows.values()],
         )
 
 

@@ -32,3 +32,10 @@ def tuple_for_next(conn, mesh_pair):
         EndpointAddress(mesh_pair.family, mesh_pair.src, port),
         EndpointAddress(mesh_pair.family, mesh_pair.dst, port),
     )
+
+
+def acked_by_bucket(flow):
+    """A simulated sub-flow's acked bytes as {bucket: bytes}, for the buckets
+    that hold any; ``flow.acked[i]`` holds those of bucket
+    ``flow.first_bucket + i``."""
+    return {flow.first_bucket + i: nbytes for i, nbytes in enumerate(flow.acked) if nbytes}

@@ -204,6 +204,38 @@ def test_every_ack_of_mesh16_flaps_runs_in_a_train():
     assert (runs["_on_ack_arrival"], trained) == (0, 167_815)
 
 
+def test_no_ack_of_an_unclocked_flow_runs_one_by_one_on_prio_churn_fine():
+    """On the benchmark's ``prio_churn_fine`` at seed 0, the due acks of a
+    flow outside the deciding tier go to ``_on_acks_unclocked`` in one call,
+    so only clocked flows' acks outside trains run one by one. The acks
+    handled in all stay the 89,155 of the per-ack design."""
+    workload = perfbench_workloads().prio_churn_fine(0)
+    unclocked = in_bulk = 0
+    on_ack, drain = Simulation._on_ack_arrival, Simulation._on_acks_unclocked
+
+    def checking_on_ack(sim, flow, nbytes, sent_us):
+        nonlocal unclocked
+        unclocked += not flow.clocked
+        on_ack(sim, flow, nbytes, sent_us)
+
+    def counting_drain(sim, flow, horizon):
+        nonlocal in_bulk
+        queued = len(flow.acks)
+        drain(sim, flow, horizon)
+        in_bulk += queued - len(flow.acks)
+
+    def run():
+        for _, doc in workload.docs:
+            run_scenario(parse_scenario(doc), bucket_ms=workload.bucket_ms)
+
+    with mock.patch.object(Simulation, "_on_ack_arrival", checking_on_ack), mock.patch.object(
+        Simulation, "_on_acks_unclocked", counting_drain
+    ), mock.patch.dict("os.environ", {PPOS_ENV_VAR: ""}):
+        _, runs, trained = count_selects_by_handler(run)
+    assert (runs["_on_ack_arrival"], unclocked, in_bulk, trained) == (4_081, 0, 11_019, 74_055)
+    assert runs["_on_ack_arrival"] + in_bulk + trained == 89_155
+
+
 def test_a_steady_run_drains_acks_as_often_however_long_it_runs(monkeypatch):
     """The run drains the ack FIFOs only when an ack is due before the
     horizon. On one saturated link, the bootstrap's window starts a train at

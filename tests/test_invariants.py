@@ -64,6 +64,7 @@ from mpflow.report import ThroughputBucket
 from mpflow.scenario import BUILTIN_DOCS, PPOS_ENV_VAR, emit_csv, parse_scenario, run_scenario
 from mpflow.scheduler import select
 from mpflow.simnet import FIRST_DEATH_US, MSS, RTO_MIN_US, WINDOW_BYTES, Simulation, first_ack_us
+from helpers import acked_by_bucket
 from scenario_gen import edge_scenarios, random_scenario
 
 
@@ -240,6 +241,7 @@ def check_invariants(doc, bucket_ms):
     ]
 
     bucket_us, duration_us = bucket_ms * 1000, scenario.duration_ms * 1000
+    acked = {flow.sf.id: acked_by_bucket(flow) for flow in sim._flows.values()}
     expected = []
     for bucket in range(-(-duration_us // bucket_us)):
         start_us = bucket * bucket_us
@@ -251,7 +253,7 @@ def check_invariants(doc, bucket_ms):
                     ThroughputBucket(
                         start_us // 1000,
                         flow.sf.id,
-                        flow.acked.get(bucket, 0),
+                        acked[flow.sf.id].get(bucket, 0),
                         flow.flag_values[bisect_right(flow.flag_times, end_us) - 1],
                         died is None or died >= end_us,
                     )

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from mpflow.model import AddrFamily, InterfacePair
 from mpflow.report import SubflowColumn, ThroughputBucket, TimelineReport, emit_csv
+from helpers import acked_by_bucket
 
 
 def reference_rows(bucket_ms, duration_ms, flows):
@@ -26,6 +27,7 @@ def reference_rows(bucket_ms, duration_ms, flows):
     bucket_us = bucket_ms * 1000
     n_buckets = -(-duration_ms // bucket_ms)
     rows = []
+    acked = {flow.sf.id: acked_by_bucket(flow) for flow in flows}
     for bucket in range(n_buckets):
         start, end = bucket * bucket_us, (bucket + 1) * bucket_us
         for flow in flows:
@@ -37,7 +39,7 @@ def reference_rows(bucket_ms, duration_ms, flows):
                 if at <= end:
                     low_prio = value
             alive = sf.died_us is None or sf.died_us >= end
-            nbytes = flow.acked.get(bucket, 0)
+            nbytes = acked[sf.id].get(bucket, 0)
             rows.append(ThroughputBucket(bucket * bucket_ms, sf.id, nbytes, low_prio, alive))
     return rows
 
@@ -92,14 +94,20 @@ def runs(draw):
             values.append(not values[-1])  # the simulator records changes only
         last = (duration_us if died_us is None else died_us) - 1
         buckets = range(created_us // bucket_us, last // bucket_us + 1)
-        # An empty bucket has no entry, as in the simulator.
-        acked = {bucket: rng.randint(1, 10**6) for bucket in buckets if rng.random() < 0.8}
+        # Bytes from the first bucket on, 0 in an empty one. As in the
+        # simulator, the list grows on demand: it may end before the last
+        # bucket, or run on past it, up to twice the rows, with 0s.
+        acked = [
+            rng.randint(1, 10**6) if i < len(buckets) and rng.random() < 0.8 else 0
+            for i in range(rng.randint(0, 2 * len(buckets)))
+        ]
         flows.append(
             SimpleNamespace(
                 sf=SimpleNamespace(id=subflow_id, created_us=created_us, died_us=died_us),
                 link=SimpleNamespace(spec=SimpleNamespace(pair=InterfacePair(
                     AddrFamily.V4, bytes([10, 0, 0, 1]), bytes([10, 0, subflow_id, 1])
                 ))),
+                first_bucket=created_us // bucket_us,
                 acked=acked,
                 flag_times=[created_us] + flips,
                 flag_values=values,

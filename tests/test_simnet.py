@@ -7,9 +7,9 @@ import pytest
 from mpflow.model import ValidationError, close_subflow, new_connection, open_subflow
 from mpflow.simnet import LinkSpec, Simulation
 from mpflow import simnet, sockopt
-from mpflow.scenario import builtin_scenario, run_scenario
+from mpflow.scenario import PPOS_ENV_VAR, builtin_scenario, parse_scenario, run_scenario
 from mpflow.sockopt import SubPrioRequest
-from helpers import addr, tuple_for_next
+from helpers import acked_by_bucket, addr, tuple_for_next
 
 MSS = 1460
 WINDOW = 32 * MSS
@@ -236,7 +236,7 @@ def test_mp_prio_is_lost_with_its_segment():
     for flow in sim._flows.values():
         assert flow.sf.low_prio
         assert not flow.peer.low_prio
-        assert flow.acked == {}
+        assert acked_by_bucket(flow) == {}
         assert flow.sf.srtt_us == 0  # its ack never came back
         assert flow.sf.died_us == 800_000
 
@@ -389,7 +389,7 @@ def test_a_window_sent_on_a_down_link_queues_no_acks(monkeypatch):
     monkeypatch.setattr(Simulation, "_kill", record)
     sim.run()
     assert after_kill == [(2_298_000, 1, WINDOW, []), (3_800_000, 2, 0, [])]
-    assert sim._flows[2].acked == {}
+    assert acked_by_bucket(sim._flows[2]) == {}
 
 
 def test_acks_after_a_short_outage_are_handled_at_their_own_times():
@@ -731,3 +731,33 @@ def test_nonpositive_duration_rejected():
     links = [LinkSpec(1, sender.mesh_pairs()[0], MBPS, 100)]
     with pytest.raises(ValidationError):
         Simulation(sender, links, duration_ms=0)
+
+
+# At 10 kbps no first segment is acked before its sub-flow dies, 800 ms
+# after it is sent, so link 1 goes through 223 sub-flows in 400 s, none of
+# which acks a byte, while link 2's one sub-flow carries data throughout.
+SLOW_LINK_DOC = (
+    "scenario slow_link\nduration 400s\n"
+    "link 1 10kbps 150ms 10.0.0.1 10.0.1.1\nlink 2 1mbps 10ms 10.0.0.1 10.0.2.1\n"
+)
+
+
+def test_bucket_lists_grow_with_the_acks_not_with_the_run(monkeypatch):
+    # At 1 ms buckets the run has 400,000 of them. Each flow's list of bytes
+    # per bucket grows on demand, doubling, so before the report it holds at
+    # most twice the flow's rows; each column holds exactly one per row.
+    sizes, build = [], Simulation._build_report
+
+    def recording(sim):
+        sizes.extend(len(flow.acked) for flow in sim._flows.values())
+        return build(sim)
+
+    monkeypatch.setattr(Simulation, "_build_report", recording)
+    monkeypatch.delenv(PPOS_ENV_VAR, raising=False)
+    report = run_scenario(parse_scenario(SLOW_LINK_DOC), bucket_ms=1)
+    assert len(report.columns) == len(sizes) == 224
+    for column, size in zip(report.columns, sizes):
+        rows = column.last - column.first + 1
+        assert size <= 2 * rows, (column.subflow_id, size, rows)
+        assert len(column.acked) == rows, column.subflow_id
+    assert [column.subflow_id for column in report.columns if any(column.acked)] == [2]

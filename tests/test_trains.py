@@ -7,12 +7,17 @@ the state that handling those acks one by one through ``_on_ack_arrival``
 leaves. In the same way, ``Simulation._idle`` takes an idle sub-flow's
 probes out of the event loop when ``Simulation._keepalive`` lets it, and
 ``Simulation._end_keepalive`` must leave the state that sending each probe
-from the timer and handling each of their acks leaves. Each test runs one input twice, in closed form and with
-``_train`` and ``_keepalive`` patched to refuse every train and keepalive,
-and compares the CSV and the end state of every flow and every link. The
-targeted cases also check that the trains and keepalives they are about
-were taken and where they ended, or, on a link the window cannot
-saturate, that no train was.
+from the timer and handling each of their acks leaves, and
+``Simulation._on_acks_unclocked``, which handles an unclocked sub-flow's due
+acks in one call, the state that ``_on_ack_arrival`` leaves ack by ack.
+Each test runs one input twice, in closed form and with ``_train`` and
+``_keepalive`` patched to refuse every train and keepalive and
+``_on_acks_unclocked`` to hand over one ack at a time, and compares the CSV
+and the end state of every flow and every link. Where only the bulk drain
+is refused, the timers' pending heap entries must agree too. The targeted
+cases also check that the trains and keepalives they are about were taken
+and where they ended, or, on a link the window cannot saturate, that no
+train was.
 """
 
 import contextlib
@@ -31,8 +36,8 @@ from mpflow.model import close_subflow, new_connection
 from mpflow.scenario import PPOS_ENV_VAR, emit_csv, parse_scenario, run_scenario
 from mpflow.simnet import MSS, RTO_MIN_US, WINDOW_SEGMENTS, LinkSpec, Simulation, _srtt_after
 from mpflow.sockopt import SubPrioRequest
-from helpers import addr
-from scenario_gen import BUSY_SCENARIO, random_scenario, tie_scenario
+from helpers import acked_by_bucket, addr
+from scenario_gen import BUSY_SCENARIO, edge_scenarios, random_scenario, tie_scenario
 
 
 class Train(NamedTuple):
@@ -97,11 +102,11 @@ def counting_train_pops(on_timer):
     return counting
 
 
-def end_state(sim, report):
+def end_state(sim, report, pending_at=False):
     """The CSV, and per flow and per link what a later event could read. A
     train or a keepalive pushes no timer entry, so the heap differs from
     the per-event run's: each flow's deadline and whether it has a live
-    entry agree."""
+    entry agree, and with ``pending_at`` also the entry's deadline."""
     csv = io.StringIO()
     emit_csv(report, csv)
     flows = {
@@ -116,6 +121,7 @@ def end_state(sim, report):
             flow.armed_at_us,
             flow.timer,
             flow.timer_pending is not None,
+            flow.timer_pending[0] if pending_at and flow.timer_pending else None,
             flow.train,
             flow.keepalive,
             flow.acked,
@@ -127,20 +133,36 @@ def end_state(sim, report):
     return csv.getvalue(), flows, links
 
 
-def run_both(run, refused=("_train", "_keepalive")):
+def one_ack(sim, flow, horizon):
+    """``_on_acks_unclocked`` refused: the flow's next ack through
+    ``_on_ack_arrival``, as the drain hands a clocked flow's."""
+    sim.now_us, nbytes, sent_us = flow.acks.popleft()
+    sim._on_ack_arrival(flow, nbytes, sent_us)
+
+
+REFUSALS = {
+    "_train": lambda sim, flow: False,
+    "_keepalive": lambda sim, flow: False,
+    "_on_acks_unclocked": one_ack,
+}
+
+
+def run_both(run, refused=tuple(REFUSALS)):
     """Call ``run()``, which gives a TrainLog and its report, in closed form
-    and then with every train and keepalive refused, or those of
-    ``refused``; assert that both runs end in the same state, and return
-    the run in closed form."""
+    and then with every train and keepalive and the bulk drain refused, or
+    those of ``refused``; assert that both runs end in the same state, and
+    return the run in closed form. With trains and keepalives in both runs,
+    the flows' pending timer entries are at the same deadlines."""
     with mock.patch.object(Simulation, "_on_timer", counting_train_pops(Simulation._on_timer)):
         sim, report = run()
         with contextlib.ExitStack() as patches:
             for name in refused:
-                patches.enter_context(mock.patch.object(TrainLog, name, lambda sim, flow: False))
+                patches.enter_context(mock.patch.object(TrainLog, name, REFUSALS[name]))
             per_event, per_event_report = run()
     assert per_event.trains == [] or "_train" not in refused
     assert per_event.keepalives == [] or "_keepalive" not in refused
-    assert end_state(sim, report) == end_state(per_event, per_event_report)
+    pending_at = not {"_train", "_keepalive"} & set(refused)
+    assert end_state(sim, report, pending_at) == end_state(per_event, per_event_report, pending_at)
     return sim
 
 
@@ -198,6 +220,24 @@ EVEN_BPS = 5_840_000
 @given(seed=st.integers(0, 2**32 - 1), bucket_ms=st.sampled_from((1000, 100, 10)))
 def test_generated_scenarios_end_alike_with_and_without_trains(seed, bucket_ms):
     run_both(scenario_run(random_scenario(random.Random(seed)), bucket_ms))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), bucket_ms=st.sampled_from((1000, 100, 10)))
+def test_generated_scenarios_end_alike_with_and_without_bulk_drains(seed, bucket_ms):
+    # Trains and keepalives run in both runs, so every difference is the
+    # bulk drain's, and the timers' pending entries are compared too.
+    run_both(scenario_run(random_scenario(random.Random(seed)), bucket_ms), ("_on_acks_unclocked",))
+
+
+EDGE = dict(edge_scenarios())
+
+
+@pytest.mark.parametrize("refused", [tuple(REFUSALS), ("_on_acks_unclocked",)], ids=["all", "bulk"])
+@pytest.mark.parametrize("bucket_ms", [1000, 100, 10])
+@pytest.mark.parametrize("name", sorted(EDGE))
+def test_edge_scenarios_end_alike_with_and_without_closed_forms(name, bucket_ms, refused):
+    run_both(scenario_run(EDGE[name], bucket_ms), refused)
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -290,6 +330,20 @@ def test_srtt_after_matches_the_ewma_loop_on_large_values(srtt, sample, offset):
     assert _srtt_after(srtt, sample, n) == ewma(srtt, sample, n)
 
 
+def test_a_bulk_drain_leaves_the_timer_entry_at_its_earliest_deadline():
+    # At 50 ms one-way, 31 serializations of 2 ms fall short of the 100 ms
+    # round trip, so the window limits sub-flow 1, which never trains. Its
+    # first window went out in one burst, with samples from 102 to 164 ms,
+    # so srtt is still about 134 ms when the flow is marked backup at 210 ms,
+    # above the steady 102 ms. Unclocked, its acks, 2 ms apart, each lower
+    # srtt by an eighth of the gap, so their deadlines ``at + 2 * srtt``
+    # first fall and then rise. The timer's pending entry stays at the
+    # lowest, past the run's end, and the deadline is the last ack's.
+    run = links_run([(EVEN_BPS, 50), (EVEN_BPS, 20)], 310, actions=[(210, mark_backup(1))])
+    flow = run_both(run, ("_on_acks_unclocked",))._flows[1]
+    assert (flow.timer_pending[0], flow.armed_at_us, flow.timer) == (448_868, 308_000, 513_022)
+
+
 def test_a_steady_run_takes_one_train():
     # Nothing touches the flow after its train starts, so the train runs to
     # the end of the run. Its timer entry, pushed by the last ack before the
@@ -313,7 +367,7 @@ def test_a_bucket_narrower_than_s_leaves_buckets_inside_a_train_empty():
     # steps over a bucket now and then: it holds no ack, and the split adds
     # no entry for it, as the per-ack run does not.
     sim = run_both(one_link(1_000_000, 20, 3_000, bucket_ms=10))
-    acked = sim._flows[1].acked
+    acked = acked_by_bucket(sim._flows[1])
     (train,) = sim.trains
     buckets = {at // 10_000 for at in acks_of(train)}
     skipped = set(range(min(buckets), max(buckets) + 1)) - buckets
@@ -329,7 +383,7 @@ def test_a_bucket_that_is_a_multiple_of_s_holds_that_many_acks(bucket_ms):
     # acks, the one on its start edge included: one each when s is the
     # bucket width, five at 10 ms.
     sim = run_both(one_link(EVEN_BPS, 20, 2_000, bucket_ms=bucket_ms))
-    acked = sim._flows[1].acked
+    acked = acked_by_bucket(sim._flows[1])
     (train,) = sim.trains
     first, last = acks_of(train)[0] // (bucket_ms * 1000), acks_of(train)[-1] // (bucket_ms * 1000)
     assert last - first > 100
@@ -353,7 +407,7 @@ def test_a_train_that_ends_in_the_bucket_it_started_in(
     (train,) = sim.trains
     assert (train.acks, train.until) == (acks, duration_ms * 1000)
     assert {at // (bucket_ms * 1000) for at in acks_of(train)} == {bucket}
-    assert sim._flows[1].acked == {bucket: acks * MSS}
+    assert acked_by_bucket(sim._flows[1]) == {bucket: acks * MSS}
 
 
 @pytest.mark.parametrize("duration_ms, last_bucket_acks", [(2_000, 5), (2_001, 1)])
@@ -363,7 +417,7 @@ def test_a_train_ending_on_a_bucket_edge_splits_there(duration_ms, last_bucket_a
     # last bucket with acks is 199, with five. A run of 2,001 ms handles it
     # alone in bucket 200, the run's short last bucket.
     sim = run_both(one_link(EVEN_BPS, 20, duration_ms, bucket_ms=10))
-    acked = sim._flows[1].acked
+    acked = acked_by_bucket(sim._flows[1])
     last = sim.trains[-1]
     assert last.until == duration_ms * 1000
     assert max(acked) == 199 + (duration_ms == 2_001)
@@ -559,7 +613,7 @@ def test_a_sub_flow_closed_at_0_ms_takes_no_keepalive_and_is_re_created():
     assert sim.keepalives == []
     assert sim.sender.subflow_by_id(2).died_us == 0
     assert sim.sender.subflow_by_id(3).created_us == 1_000_000
-    assert sum(sim._flows[3].acked.values()) == 496_400
+    assert sum(acked_by_bucket(sim._flows[3]).values()) == 496_400
 
 
 @pytest.mark.parametrize("down_ms", [3_650, 3_900], ids=["mid-flight", "at-the-ack"])
