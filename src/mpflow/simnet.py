@@ -74,15 +74,18 @@ its train or keepalive, so the drains, the pumps and the run's end visit
 only the sub-flows whose death is not recorded yet, in id order: a birth
 adds its sub-flow last and a recorded death takes it out.
 
-A clocked flow's acks run one by one through
-:meth:`Simulation._on_ack_arrival`, or in a train (below). An unclocked
-flow sends nothing at an ack, so the drain hands its due acks to
-:meth:`Simulation._on_acks_unclocked` in one call, which stops at an ack
-that leaves the flow idle and leaves the state that many calls of
-``_on_ack_arrival`` would. Each of those calls that arms the timer pushes
-an entry if its deadline beats the pending one, so the pending entry ends
-at the earliest of its own deadline and theirs; the one call pushes that
-entry alone, and none of the entries it supersedes.
+The drain hands a flow's due acks to :meth:`Simulation._on_acks` in one
+call. Each ack feeds its round trip into srtt's EWMA, clears the
+timeouts, frees its bytes into its bucket or clears the probe, and arms
+the timer at ``at + max(2 * srtt, RTO_MIN_US)``. An unclocked flow sends
+nothing and stops at an ack that leaves it idle. A clocked flow first
+tries a train (below), then refills through :meth:`Simulation._fill`, as
+a pump would. A push per deadline that beats the pending entry would
+leave that entry at the earliest of them, so the call pushes it there
+once. A clocked flow's refill keeps this: its timer is armed when the ack
+comes, as it has data or a probe outstanding, and ``_fill`` arms only an
+idle timer. An ack that freed its last byte would disarm the timer only
+for the refill to arm it in the same µs, at the same deadline.
 
 Most acks belong to steady trains, which run in closed form. A train is a
 state of the sub-flow, not a step of the drain: :meth:`Simulation._train`
@@ -119,13 +122,13 @@ deadline falls after the next ack.
 So the acks form the progression ``a0 + i * s``, the FIFO stays implicit
 and the drain skips the flow, and every pump reads the state it would
 read per ack. The train lasts until :meth:`Simulation._end_train` runs
-(below). The k acks due before that moment are exactly k calls of
-:meth:`Simulation._on_ack_arrival`: k MSS acked, split among the buckets,
-and sent; srtt's EWMA carried over the samples of the window the
-train started with and then over the steady ``32 * s`` up to its fixed
-point, which :func:`_srtt_after` gives in closed form once enough acks
-surely reach it; the link busy ``k * s`` longer; the FIFO refilled with
-the next 32 acks; and the timer armed once, from the last ack.
+(below). It applies the ack rule above to the k acks due before that
+moment: k MSS acked, split among the buckets, and sent; srtt's EWMA
+carried over the samples of the window the train started with and then
+over the steady ``32 * s`` up to its fixed point, which
+:func:`_srtt_after` gives in closed form once enough acks surely reach
+it; the link busy ``k * s`` longer; the FIFO refilled with the next 32
+acks; and the timer armed once, from the last ack.
 
 An idle flow's probes run in closed form too, in a keepalive that
 :meth:`Simulation._idle` starts when the flow goes idle, alive and
@@ -497,28 +500,6 @@ class Simulation:
             return  # lost on a changed or down link
         sockopt.apply_remote_mp_prio(self.receiver, opt, received_on=flow.sf.id)
 
-    def _on_ack_arrival(self, flow: _Flow, nbytes: int, sent_us: int) -> None:
-        sf = flow.sf
-        sample = self.now_us - sent_us
-        sf.srtt_us = sample if sf.srtt_us == 0 else (7 * sf.srtt_us + sample) // 8
-        sf.consecutive_timeouts = 0
-        if nbytes:
-            sf.inflight_bytes -= nbytes
-            acked, i = flow.acked, self.now_us // self.bucket_us - flow.first_bucket
-            if i >= len(acked):
-                self._grow(flow, i)
-            acked[i] += nbytes
-        else:
-            flow.probe_outstanding = False
-        if sf.inflight_bytes > 0 or flow.probe_outstanding:
-            self._arm_rto(flow, self.now_us)
-        else:
-            flow.armed_at_us = None
-        # What a pump would do here, without its select (module docstring).
-        if flow.clocked:
-            self._fill(flow)
-        self._idle(flow)
-
     def _grow(self, flow: _Flow, i: int) -> None:
         """Grow ``flow.acked`` to hold index ``i``: to twice its length at
         least, but never past the run's last bucket."""
@@ -526,16 +507,22 @@ class Simulation:
         size = min(max(2 * len(acked), i + 1), self.n_buckets - flow.first_bucket)
         acked += [0] * (size - len(acked))
 
-    def _on_acks_unclocked(self, flow: _Flow, horizon: int) -> None:
-        """Handle the unclocked ``flow``'s acks due before ``horizon`` as that
-        many calls of :meth:`_on_ack_arrival` would, up to one that leaves
-        it idle: the timer's pending entry is pushed once, at the earliest
-        of the deadlines those calls would set."""
-        sf, acks, acked = flow.sf, flow.acks, flow.acked
+    def _on_acks(self, flow: _Flow, horizon: int) -> None:
+        """Handle ``flow``'s acks due before ``horizon`` (module docstring),
+        up to one that leaves an unclocked flow idle or at which a clocked
+        one starts a train, and push the timer's pending entry once, at the
+        earliest deadline they set."""
+        sf, acks, acked, clocked = flow.sf, flow.acks, flow.acked, flow.clocked
         bucket_us, first_bucket = self.bucket_us, flow.first_bucket
         srtt, inflight, probe = sf.srtt_us, sf.inflight_bytes, flow.probe_outstanding
-        armed_at = soonest = None
+        at, armed_at, soonest = self.now_us, flow.armed_at_us, None
         while acks and acks[0][0] < horizon:
+            if clocked:  # tried again at the next ack or a window later (module docstring)
+                if not flow.train_wait:
+                    if self._train(flow):
+                        break
+                    flow.train_wait = 1 if probe or sf.consecutive_timeouts else WINDOW_SEGMENTS
+                flow.train_wait -= 1
             at, nbytes, sent_us = acks.popleft()
             sample = at - sent_us
             srtt = sample if srtt == 0 else (7 * srtt + sample) // 8
@@ -547,12 +534,17 @@ class Simulation:
                 acked[i] += nbytes
             else:
                 probe = False
-            if inflight <= 0 and not probe:
+            if inflight <= 0 and not probe and not clocked:
                 break
             # _arm_rto's deadline: the ack leaves no timeout outstanding.
             armed_at, deadline = at, at + max(2 * srtt, RTO_MIN_US)
             if soonest is None or deadline < soonest:
                 soonest = deadline
+            if clocked:  # its refill, which leaves the armed timer alone (module docstring)
+                self.now_us, sf.srtt_us, sf.inflight_bytes = at, srtt, inflight
+                flow.probe_outstanding, sf.consecutive_timeouts = probe, 0
+                self._fill(flow)
+                inflight = sf.inflight_bytes
         self.now_us = at
         sf.srtt_us, sf.inflight_bytes, flow.probe_outstanding = srtt, inflight, probe
         sf.consecutive_timeouts = 0
@@ -673,23 +665,11 @@ class Simulation:
 
     def _drain_acks(self, horizon: int) -> int:
         """Handle the acks due before ``horizon``; return the earliest left, or the run's end."""
-        on_ack = self._on_ack_arrival
         next_ack = self.duration_us
         for flow in self._alive.values():
             acks = flow.acks
             while acks and acks[0][0] < horizon:
-                if not flow.clocked:
-                    self._on_acks_unclocked(flow, horizon)
-                    continue
-                # Tried again at the next ack or a window later (module docstring).
-                if not flow.train_wait:
-                    if self._train(flow):
-                        break
-                    wait = flow.probe_outstanding or flow.sf.consecutive_timeouts
-                    flow.train_wait = 1 if wait else WINDOW_SEGMENTS
-                flow.train_wait -= 1
-                self.now_us, nbytes, sent_us = acks.popleft()
-                on_ack(flow, nbytes, sent_us)
+                self._on_acks(flow, horizon)
             if acks and acks[0][0] < next_ack:
                 next_ack = acks[0][0]
         return next_ack
@@ -729,7 +709,7 @@ class Simulation:
 
     def _end_train(self, flow: _Flow, until: int) -> None:
         """End the train of ``flow``: handle its acks due before ``until``
-        as k calls of :meth:`_on_ack_arrival` would, then queue the next
+        as :meth:`_on_acks` would one by one, then queue the next
         window of acks and arm the timer from the last ack handled. A train
         starts on an ack due before a horizon and ends at a heap event or
         at the end of the run, so ``until`` is past its first ack.
@@ -787,7 +767,7 @@ class Simulation:
     def _end_keepalive(self, flow: _Flow, until: int, probe_at_until: bool = False) -> None:
         """End the keepalive of ``flow``: send the probes due before ``until``,
         and the one due at it if ``probe_at_until``, and handle their acks
-        due before ``until``, as the timer and :meth:`_on_ack_arrival` would."""
+        due before ``until``, as the timer and :meth:`_on_acks` would."""
         sf, link = flow.sf, flow.link
         first, flow.keepalive = flow.keepalive, None
         rtt = 2 * link.delay_us

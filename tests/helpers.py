@@ -39,3 +39,31 @@ def acked_by_bucket(flow):
     that hold any; ``flow.acked[i]`` holds those of bucket
     ``flow.first_bucket + i``."""
     return {flow.first_bucket + i: nbytes for i, nbytes in enumerate(flow.acked) if nbytes}
+
+
+def on_ack_arrival(sim, flow, nbytes, sent_us):
+    """The one-ack reference for ``Simulation._on_acks``: ``flow`` receives
+    at ``sim.now_us`` the ack of ``nbytes`` sent at ``sent_us``. It takes an
+    RTT sample, clears the timeouts, frees the bytes or the probe, and arms
+    the timer from the ack or disarms it if the flow is left idle, as its
+    own call of ``_arm_rto``; then a clocked flow refills and an idle one
+    times its next probe."""
+    sf = flow.sf
+    sample = sim.now_us - sent_us
+    sf.srtt_us = sample if sf.srtt_us == 0 else (7 * sf.srtt_us + sample) // 8
+    sf.consecutive_timeouts = 0
+    if nbytes:
+        sf.inflight_bytes -= nbytes
+        acked, i = flow.acked, sim.now_us // sim.bucket_us - flow.first_bucket
+        if i >= len(acked):
+            sim._grow(flow, i)
+        acked[i] += nbytes
+    else:
+        flow.probe_outstanding = False
+    if sf.inflight_bytes > 0 or flow.probe_outstanding:
+        sim._arm_rto(flow, sim.now_us)
+    else:
+        flow.armed_at_us = None
+    if flow.clocked:
+        sim._fill(flow)
+    sim._idle(flow)

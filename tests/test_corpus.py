@@ -45,15 +45,16 @@ DEAD_ACKS_DOC = (
 def test_every_ack_handled_one_by_one_finds_its_link_up(monkeypatch):
     # A segment sent on a down link queues no ack, a death drops its
     # sub-flow's queued acks and a link change those of the sub-flow on it,
-    # so no ack reaches _on_ack_arrival on a link that is down.
+    # so no ack reaches _on_acks on a link that is down. A link changes only
+    # at a heap event, so the link a call finds holds for each of its acks.
     handled, on_down_link = [], []
-    on_ack = Simulation._on_ack_arrival
+    on_acks = Simulation._on_acks
 
-    def check(sim, flow, *ack):
+    def check(sim, flow, horizon):
         (handled if flow.link.up else on_down_link).append((flow.sf.id, sim.now_us))
-        on_ack(sim, flow, *ack)
+        on_acks(sim, flow, horizon)
 
-    monkeypatch.setattr(Simulation, "_on_ack_arrival", check)
+    monkeypatch.setattr(Simulation, "_on_acks", check)
     monkeypatch.delenv(PPOS_ENV_VAR, raising=False)
     for doc in [*DOCS.values(), DEAD_ACKS_DOC]:
         run_scenario(parse_scenario(doc), bucket_ms=1000)

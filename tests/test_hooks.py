@@ -120,10 +120,10 @@ def test_cached_pair_matches_endpoints_after_recreation():
 def count_selects_by_handler(run):
     """Call ``run()``, which runs simulations; count their ``select`` calls
     by the innermost handler that made them, how often each handler ran,
-    and the acks handled in trains (each sends one segment), counted as
-    each train ends."""
-    stack, selects, runs = [], Counter(), Counter()
-    trained = 0
+    and the acks handled: by ``_on_acks``, of clocked flows (each refills
+    through one ``_fill``) and of unclocked ones (which send nothing), and
+    in trains (each sends one segment), counted as each train ends."""
+    stack, selects, runs, acks = [], Counter(), Counter(), Counter()
     with pytest.MonkeyPatch.context() as patch:
 
         def wrap(name):
@@ -144,46 +144,58 @@ def count_selects_by_handler(run):
             "_on_action",
             "_kill",
             "_open_on_pair",
-            "_on_ack_arrival",
+            "_on_acks",
             "_on_timer",
             "_train",
             "_end_train",
         ):
             wrap(name)
-        select, end_train = simnet.select, Simulation._end_train
+        select, on_acks, fill = simnet.select, Simulation._on_acks, Simulation._fill
+        end_train = Simulation._end_train
 
         def counting_select(conn, mss, window):
             selects[stack[-1]] += 1
             return select(conn, mss, window)
 
+        def counting_on_acks(sim, flow, horizon):
+            queued = len(flow.acks)
+            on_acks(sim, flow, horizon)
+            if not flow.clocked:
+                acks["unclocked"] += queued - len(flow.acks)
+
+        def counting_fill(sim, flow):
+            acks["clocked"] += stack[-1:] == ["_on_acks"]
+            fill(sim, flow)
+
         def counting_end_train(sim, flow, until):
-            nonlocal trained
             sent = flow.sf.bytes_sent_total
             end_train(sim, flow, until)
-            trained += (flow.sf.bytes_sent_total - sent) // simnet.MSS
+            acks["trained"] += (flow.sf.bytes_sent_total - sent) // simnet.MSS
 
         patch.setattr(simnet, "select", counting_select)
+        patch.setattr(Simulation, "_on_acks", counting_on_acks)
+        patch.setattr(Simulation, "_fill", counting_fill)
         patch.setattr(Simulation, "_end_train", counting_end_train)
         run()
-    return selects, runs, trained
+    return selects, runs, acks
 
 
 def test_select_runs_only_when_the_tiers_can_change():
     """An ack refills its own flow without asking the scheduler, so
     ``select`` runs only in the pumps of the bootstrap, actions, deaths and
-    re-openings, once per pump; never in a train, which handles many acks
-    at once. On the steady run that is the bootstrap alone, whose one call
-    names the tier whose three empty windows its pump fills. The flapping
-    run adds one call for each of its two link actions, one for its one
-    death and one for its one re-opening."""
-    selects, runs, trained = count_selects_by_handler(lambda: build_steady_sim().run())
-    assert runs["_on_ack_arrival"] + trained > 1000
-    assert "_train" not in selects and "_end_train" not in selects
+    re-openings, once per pump; never in ``_on_acks`` or a train, which
+    handle many acks at once. On the steady run that is the bootstrap
+    alone, whose one call names the tier whose three empty windows its pump
+    fills. The flapping run adds one call for each of its two link actions,
+    one for its one death and one for its one re-opening."""
+    selects, runs, acks = count_selects_by_handler(lambda: build_steady_sim().run())
+    assert sum(acks.values()) > 1000
+    assert not {"_on_acks", "_train", "_end_train"} & selects.keys()
     assert selects == {"_bootstrap": 1}
 
-    selects, runs, trained = count_selects_by_handler(lambda: build_flapping_sim().run())
-    assert runs["_on_ack_arrival"] + trained > 1000
-    assert "_train" not in selects and "_end_train" not in selects
+    selects, runs, acks = count_selects_by_handler(lambda: build_flapping_sim().run())
+    assert sum(acks.values()) > 1000
+    assert not {"_on_acks", "_train", "_end_train"} & selects.keys()
     assert (runs["_kill"], runs["_open_on_pair"]) == (1, 1)
     assert selects == {"_bootstrap": 1, "_on_action": 2, "_kill": 1, "_open_on_pair": 1}
 
@@ -191,8 +203,8 @@ def test_select_runs_only_when_the_tiers_can_change():
 def test_every_ack_of_mesh16_flaps_runs_in_a_train():
     """On the benchmark's ``mesh16_flaps`` at seed 0, every window of acks
     on a saturated link is a train from its first full window on, so no ack
-    is handled one by one. The acks handled either way stay the 167,815 of
-    the per-ack design."""
+    is handled outside one. The acks handled stay the 167,815 of the
+    per-ack design."""
     workload = perfbench_workloads().mesh16_flaps(0)
 
     def run():
@@ -200,40 +212,26 @@ def test_every_ack_of_mesh16_flaps_runs_in_a_train():
             run_scenario(parse_scenario(doc), bucket_ms=workload.bucket_ms)
 
     with mock.patch.dict("os.environ", {PPOS_ENV_VAR: ""}):
-        _, runs, trained = count_selects_by_handler(run)
-    assert (runs["_on_ack_arrival"], trained) == (0, 167_815)
+        _, runs, acks = count_selects_by_handler(run)
+    assert (acks["clocked"], acks["unclocked"], acks["trained"]) == (0, 0, 167_815)
 
 
 def test_no_ack_of_an_unclocked_flow_runs_one_by_one_on_prio_churn_fine():
-    """On the benchmark's ``prio_churn_fine`` at seed 0, the due acks of a
-    flow outside the deciding tier go to ``_on_acks_unclocked`` in one call,
-    so only clocked flows' acks outside trains run one by one. The acks
-    handled in all stay the 89,155 of the per-ack design."""
+    """On the benchmark's ``prio_churn_fine`` at seed 0, ``_on_acks`` takes
+    each flow's due acks in one call, clocked or not, so only a clocked
+    flow's acks outside trains take a send each. The acks handled in all
+    stay the 89,155 of the per-ack design."""
     workload = perfbench_workloads().prio_churn_fine(0)
-    unclocked = in_bulk = 0
-    on_ack, drain = Simulation._on_ack_arrival, Simulation._on_acks_unclocked
-
-    def checking_on_ack(sim, flow, nbytes, sent_us):
-        nonlocal unclocked
-        unclocked += not flow.clocked
-        on_ack(sim, flow, nbytes, sent_us)
-
-    def counting_drain(sim, flow, horizon):
-        nonlocal in_bulk
-        queued = len(flow.acks)
-        drain(sim, flow, horizon)
-        in_bulk += queued - len(flow.acks)
 
     def run():
         for _, doc in workload.docs:
             run_scenario(parse_scenario(doc), bucket_ms=workload.bucket_ms)
 
-    with mock.patch.object(Simulation, "_on_ack_arrival", checking_on_ack), mock.patch.object(
-        Simulation, "_on_acks_unclocked", counting_drain
-    ), mock.patch.dict("os.environ", {PPOS_ENV_VAR: ""}):
-        _, runs, trained = count_selects_by_handler(run)
-    assert (runs["_on_ack_arrival"], unclocked, in_bulk, trained) == (4_081, 0, 11_019, 74_055)
-    assert runs["_on_ack_arrival"] + in_bulk + trained == 89_155
+    with mock.patch.dict("os.environ", {PPOS_ENV_VAR: ""}):
+        _, runs, acks = count_selects_by_handler(run)
+    assert (acks["clocked"], acks["unclocked"], acks["trained"]) == (4_081, 11_019, 74_055)
+    assert runs["_on_acks"] == 2_218  # for the 15,100 acks outside trains
+    assert sum(acks.values()) == 89_155
 
 
 def test_a_steady_run_drains_acks_as_often_however_long_it_runs(monkeypatch):

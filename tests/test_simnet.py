@@ -9,7 +9,7 @@ from mpflow.simnet import LinkSpec, Simulation
 from mpflow import simnet, sockopt
 from mpflow.scenario import PPOS_ENV_VAR, builtin_scenario, parse_scenario, run_scenario
 from mpflow.sockopt import SubPrioRequest
-from helpers import acked_by_bucket, addr, tuple_for_next
+from helpers import acked_by_bucket, addr, on_ack_arrival, tuple_for_next
 
 MSS = 1460
 WINDOW = 32 * MSS
@@ -48,8 +48,9 @@ def next_at(sim):
 
 def step(sim):
     """Run the next event in the simulator's order and return its handler:
-    the heap top, unless a queued ack is due earlier. Within one µs acks run
-    after heap events, by sub-flow id."""
+    the heap top, unless a queued ack is due earlier, which goes to the
+    one-ack reference. Within one µs acks run after heap events, by
+    sub-flow id."""
     flow = min(
         (flow for flow in sim._flows.values() if flow.acks),
         key=lambda flow: flow.acks[0][0],
@@ -58,7 +59,7 @@ def step(sim):
     if flow is None or sim._heap[0][0] <= flow.acks[0][0]:
         at, _, handler, args = heapq.heappop(sim._heap)
     else:
-        (at, *ack), handler = flow.acks.popleft(), Simulation._on_ack_arrival
+        (at, *ack), handler = flow.acks.popleft(), on_ack_arrival
         args = (flow, *ack)
     sim.now_us = at
     handler(sim, *args)
@@ -129,7 +130,7 @@ def test_spurious_timeout_then_ack_resets_counter():
     # fresh flow: srtt 0 so the timer (200 ms) beats the first window's
     # first ack (211.68 ms)
     handlers = [step(sim) for _ in range(2)]
-    assert handlers == [Simulation._on_timer, Simulation._on_ack_arrival]
+    assert handlers == [Simulation._on_timer, on_ack_arrival]
     assert sf.alive
     assert sf.consecutive_timeouts == 0
     # first sample: 11.68 ms serialization + 2 x 100 ms propagation

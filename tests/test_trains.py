@@ -3,18 +3,18 @@
 ``Simulation._train`` starts a train on a saturated sub-flow, and
 ``Simulation._end_train`` handles the acks it ran over in one step when an
 event touches the flow or the run ends. Together they must leave exactly
-the state that handling those acks one by one through ``_on_ack_arrival``
-leaves. In the same way, ``Simulation._idle`` takes an idle sub-flow's
-probes out of the event loop when ``Simulation._keepalive`` lets it, and
-``Simulation._end_keepalive`` must leave the state that sending each probe
-from the timer and handling each of their acks leaves, and
-``Simulation._on_acks_unclocked``, which handles an unclocked sub-flow's due
-acks in one call, the state that ``_on_ack_arrival`` leaves ack by ack.
-Each test runs one input twice, in closed form and with ``_train`` and
-``_keepalive`` patched to refuse every train and keepalive and
-``_on_acks_unclocked`` to hand over one ack at a time, and compares the CSV
-and the end state of every flow and every link. Where only the bulk drain
-is refused, the timers' pending heap entries must agree too. The targeted
+the state that handling those acks one by one through the one-ack
+reference ``helpers.on_ack_arrival`` leaves. In the same way,
+``Simulation._idle`` takes an idle sub-flow's probes out of the event loop
+when ``Simulation._keepalive`` lets it, and ``Simulation._end_keepalive``
+must leave the state that sending each probe from the timer and handling
+each of their acks leaves, and ``Simulation._on_acks``, which handles a
+sub-flow's due acks in one call, the state that the reference leaves ack
+by ack. Each test runs one input twice, in closed form and with ``_train``
+and ``_keepalive`` patched to refuse every train and keepalive and
+``_on_acks`` to hand over one ack at a time, and compares the CSV and the
+end state of every flow and every link. Where only the bulk drain is
+refused, the timers' pending heap entries must agree too. The targeted
 cases also check that the trains and keepalives they are about were taken
 and where they ended, or, on a link the window cannot saturate, that no
 train was.
@@ -36,7 +36,7 @@ from mpflow.model import close_subflow, new_connection
 from mpflow.scenario import PPOS_ENV_VAR, emit_csv, parse_scenario, run_scenario
 from mpflow.simnet import MSS, RTO_MIN_US, WINDOW_SEGMENTS, LinkSpec, Simulation, _srtt_after
 from mpflow.sockopt import SubPrioRequest
-from helpers import acked_by_bucket, addr
+from helpers import acked_by_bucket, addr, on_ack_arrival
 from scenario_gen import BUSY_SCENARIO, edge_scenarios, random_scenario, tie_scenario
 
 
@@ -134,16 +134,23 @@ def end_state(sim, report, pending_at=False):
 
 
 def one_ack(sim, flow, horizon):
-    """``_on_acks_unclocked`` refused: the flow's next ack through
-    ``_on_ack_arrival``, as the drain hands a clocked flow's."""
+    """``_on_acks`` refused: the flow's next ack through the one-ack
+    reference, after the train that ``_on_acks`` tries at that ack."""
+    if flow.clocked:
+        if not flow.train_wait:
+            if sim._train(flow):
+                return
+            wait = flow.probe_outstanding or flow.sf.consecutive_timeouts
+            flow.train_wait = 1 if wait else WINDOW_SEGMENTS
+        flow.train_wait -= 1
     sim.now_us, nbytes, sent_us = flow.acks.popleft()
-    sim._on_ack_arrival(flow, nbytes, sent_us)
+    on_ack_arrival(sim, flow, nbytes, sent_us)
 
 
 REFUSALS = {
     "_train": lambda sim, flow: False,
     "_keepalive": lambda sim, flow: False,
-    "_on_acks_unclocked": one_ack,
+    "_on_acks": one_ack,
 }
 
 
@@ -227,13 +234,13 @@ def test_generated_scenarios_end_alike_with_and_without_trains(seed, bucket_ms):
 def test_generated_scenarios_end_alike_with_and_without_bulk_drains(seed, bucket_ms):
     # Trains and keepalives run in both runs, so every difference is the
     # bulk drain's, and the timers' pending entries are compared too.
-    run_both(scenario_run(random_scenario(random.Random(seed)), bucket_ms), ("_on_acks_unclocked",))
+    run_both(scenario_run(random_scenario(random.Random(seed)), bucket_ms), ("_on_acks",))
 
 
 EDGE = dict(edge_scenarios())
 
 
-@pytest.mark.parametrize("refused", [tuple(REFUSALS), ("_on_acks_unclocked",)], ids=["all", "bulk"])
+@pytest.mark.parametrize("refused", [tuple(REFUSALS), ("_on_acks",)], ids=["all", "bulk"])
 @pytest.mark.parametrize("bucket_ms", [1000, 100, 10])
 @pytest.mark.parametrize("name", sorted(EDGE))
 def test_edge_scenarios_end_alike_with_and_without_closed_forms(name, bucket_ms, refused):
@@ -340,8 +347,32 @@ def test_a_bulk_drain_leaves_the_timer_entry_at_its_earliest_deadline():
     # first fall and then rise. The timer's pending entry stays at the
     # lowest, past the run's end, and the deadline is the last ack's.
     run = links_run([(EVEN_BPS, 50), (EVEN_BPS, 20)], 310, actions=[(210, mark_backup(1))])
-    flow = run_both(run, ("_on_acks_unclocked",))._flows[1]
+    flow = run_both(run, ("_on_acks",))._flows[1]
     assert (flow.timer_pending[0], flow.armed_at_us, flow.timer) == (448_868, 308_000, 513_022)
+
+
+def test_a_clocked_drain_leaves_the_timer_entry_at_its_earliest_deadline(monkeypatch):
+    # The clocked twin of the test above. Alone on its link, sub-flow 1
+    # stays clocked, and the window limits it, so it never trains and each
+    # ack refills it. Its first window went out in one burst, so srtt is
+    # still about 134 ms when the refills' acks come back from 204 ms on,
+    # 2 ms apart, each with a sample of 102 ms. Their deadlines first fall,
+    # eight times from 214 to 230 ms, and then rise. One drain handles the
+    # acks from 204 to 308 ms. It pushes the flow's pending entry once, at
+    # the lowest deadline, where one push per falling deadline leaves the
+    # per-ack reference with 11 in all.
+    pushes, push_timer = [], Simulation._push_timer
+
+    def counting(sim, flow):
+        pushes.append(sim)
+        push_timer(sim, flow)
+
+    monkeypatch.setattr(Simulation, "_push_timer", counting)
+    sim = run_both(links_run([(EVEN_BPS, 50)], 310), ("_on_acks",))
+    flow = sim._flows[1]
+    assert sim.trains == [] and flow.clocked
+    assert (flow.timer_pending[0], flow.armed_at_us, flow.timer) == (448_868, 308_000, 513_022)
+    assert (pushes.count(sim), len(pushes)) == (3, 3 + 11)
 
 
 def test_a_steady_run_takes_one_train():
