@@ -60,31 +60,40 @@ Acks are not heap events. A link serializes in send order, so a sub-flow's
 acks come back in send order and wait in a FIFO on the sub-flow; a link
 change, which restarts the link's clock, drops them by emptying the FIFO
 of its newest sub-flow. :meth:`Simulation.run` keeps a lower bound on the
-arrival of every queued ack, which a send or a train's end lowers and a
-drain sets to the earliest arrival it leaves; a link change that drops
-acks leaves it low, for one drain more. Before each heap event, the run
-drains every FIFO, sub-flow by sub-flow, up to a horizon if the bound is
-before it. The horizon is the next heap event, the end of the run or
-``RTO_MIN_US`` after the bound, whichever is first. An ack touches only
-its own sub-flow, that sub-flow's link and its acked bytes, and any
-deadline it sets is ``RTO_MIN_US`` or more after it, so past the horizon:
-no heap event falls due inside it and the acks of different sub-flows
-commute. A recorded death empties its sub-flow's FIFO for good and ends
-its train or keepalive, so the drains, the pumps and the run's end visit
-only the sub-flows whose death is not recorded yet, in id order: a birth
-adds its sub-flow last and a recorded death takes it out.
+arrival of every queued ack, which a send outside a drain or a train's end
+lowers and a drain sets to the earliest arrival it leaves, those of its
+own sends included; a link change that drops acks leaves it low, for one
+drain more. Before each heap event, the run drains every FIFO, sub-flow by
+sub-flow, up to a horizon if the bound is before it. The horizon is the
+next heap event, the end of the run or ``RTO_MIN_US`` after the bound,
+whichever is first. An ack touches only its own sub-flow, that sub-flow's
+link and its acked bytes, and any deadline it sets is ``RTO_MIN_US`` or
+more after it, so past the horizon: no heap event falls due inside it and
+the acks of different sub-flows commute. An MP_PRIO arrival sets only the
+receiver's view of its sub-flow, which no ack reads or writes, and reads
+only its link's state and epoch, which no ack changes; so it commutes with
+every queued ack, and the run delivers one at the top of the heap before
+the drain, which it does not cut. A receiver that read its own view during
+the run, such as a peer that sends too, would have to cut it again. A
+recorded death empties its sub-flow's FIFO for good and ends its train or
+keepalive, so the drains, the pumps and the run's end visit only the
+sub-flows whose death is not recorded yet, in id order: a birth adds its
+sub-flow last and a recorded death takes it out.
 
 The drain hands a flow's due acks to :meth:`Simulation._on_acks` in one
-call. Each ack feeds its round trip into srtt's EWMA, clears the
-timeouts, frees its bytes into its bucket or clears the probe, and arms
-the timer at ``at + max(2 * srtt, RTO_MIN_US)``. An unclocked flow sends
-nothing and stops at an ack that leaves it idle. A clocked flow first
-tries a train (below), then refills through :meth:`Simulation._fill`, as
-a pump would. A push per deadline that beats the pending entry would
-leave that entry at the earliest of them, so the call pushes it there
-once. A clocked flow's refill keeps this: its timer is armed when the ack
-comes, as it has data or a probe outstanding, and ``_fill`` arms only an
-idle timer. An ack that freed its last byte would disarm the timer only
+call. Each ack feeds its round trip into srtt's EWMA, clears the timeouts,
+frees its bytes into its bucket or clears the probe, and arms the timer at
+``at + max(2 * srtt, RTO_MIN_US)``. An unclocked flow sends nothing and
+stops at an ack that leaves it idle. A clocked flow first tries a train
+(below), then refills. Its pump filled its window and each ack since
+refilled what it freed, so the window is full before each ack, and a data
+ack's refill is the one MSS it freed, which the call sends itself as
+:meth:`Simulation._fill` would, on a link that is up, as at every ack;
+only pumps call ``_fill``. A push per deadline that beats the pending
+entry would leave that entry at the earliest of them, so the call pushes
+it there once. A clocked flow's refill keeps this: its timer is armed when
+the ack comes, as it has data or a probe outstanding, and a send arms only
+an idle timer. An ack that freed its last byte would disarm the timer only
 for the refill to arm it in the same µs, at the same deadline.
 
 Most acks belong to steady trains, which run in closed form. A train is a
@@ -471,7 +480,8 @@ class Simulation:
 
     def _fill(self, flow: _Flow) -> None:
         """Send the ``n`` MSS segments that fit the flow's window in one step:
-        back to back on its link, each acked ``s`` after the one before."""
+        back to back on its link, each acked ``s`` after the one before. An
+        ack's one-MSS refill is sent in :meth:`_on_acks` (module docstring)."""
         sf, link, now = flow.sf, flow.link, self.now_us
         n = (WINDOW_BYTES - sf.inflight_bytes) // MSS
         if n <= 0:
@@ -482,11 +492,8 @@ class Simulation:
         sf.bytes_sent_total += n * MSS
         if link.up:  # on a down link, the segments and their acks are lost
             first = start + s + 2 * link.delay_us
-            if n == 1:  # an ack's refill
-                flow.acks.append((first, MSS, now))
-            else:
-                arrivals = range(first, first + n * s, s) if s else itertools.repeat(first, n)
-                flow.acks.extend(zip(arrivals, itertools.repeat(MSS), itertools.repeat(now)))
+            arrivals = range(first, first + n * s, s) if s else itertools.repeat(first, n)
+            flow.acks.extend(zip(arrivals, itertools.repeat(MSS), itertools.repeat(now)))
             self._next_ack = min(self._next_ack, first)
         if flow.armed_at_us is None:
             self._arm_rto(flow, now)
@@ -512,13 +519,16 @@ class Simulation:
         up to one that leaves an unclocked flow idle or at which a clocked
         one starts a train, and push the timer's pending entry once, at the
         earliest deadline they set."""
-        sf, acks, acked, clocked = flow.sf, flow.acks, flow.acked, flow.clocked
-        bucket_us, first_bucket = self.bucket_us, flow.first_bucket
+        sf, link, acks, acked, clocked = flow.sf, flow.link, flow.acks, flow.acked, flow.clocked
+        bucket_us, first_bucket, size = self.bucket_us, flow.first_bucket, len(acked)
+        s, rtt, rto_min = link.mss_us, 2 * link.delay_us, RTO_MIN_US
         srtt, inflight, probe = sf.srtt_us, sf.inflight_bytes, flow.probe_outstanding
-        at, armed_at, soonest = self.now_us, flow.armed_at_us, None
+        at, armed_at, soonest, sent = self.now_us, flow.armed_at_us, None, 0
         while acks and acks[0][0] < horizon:
             if clocked:  # tried again at the next ack or a window later (module docstring)
                 if not flow.train_wait:
+                    if soonest is not None:  # what _train reads; the window stays full
+                        flow.probe_outstanding, sf.consecutive_timeouts = probe, 0
                     if self._train(flow):
                         break
                     flow.train_wait = 1 if probe or sf.consecutive_timeouts else WINDOW_SEGMENTS
@@ -529,25 +539,30 @@ class Simulation:
             if nbytes:
                 inflight -= nbytes
                 i = at // bucket_us - first_bucket
-                if i >= len(acked):
+                if i >= size:
                     self._grow(flow, i)
+                    size = len(acked)
                 acked[i] += nbytes
             else:
                 probe = False
             if inflight <= 0 and not probe and not clocked:
                 break
             # _arm_rto's deadline: the ack leaves no timeout outstanding.
-            armed_at, deadline = at, at + max(2 * srtt, RTO_MIN_US)
+            armed_at, rto = at, 2 * srtt
+            deadline = at + rto if rto > rto_min else at + rto_min
             if soonest is None or deadline < soonest:
                 soonest = deadline
-            if clocked:  # its refill, which leaves the armed timer alone (module docstring)
-                self.now_us, sf.srtt_us, sf.inflight_bytes = at, srtt, inflight
-                flow.probe_outstanding, sf.consecutive_timeouts = probe, 0
-                self._fill(flow)
-                inflight = sf.inflight_bytes
+            if clocked and inflight < WINDOW_BYTES:  # its one-MSS refill (module docstring)
+                start = link.tx_free_us
+                if start < at:
+                    start = at
+                link.tx_free_us = start = start + s
+                acks.append((start + rtt, MSS, at))
+                inflight += MSS
+                sent += MSS
         self.now_us = at
         sf.srtt_us, sf.inflight_bytes, flow.probe_outstanding = srtt, inflight, probe
-        sf.consecutive_timeouts = 0
+        sf.consecutive_timeouts, sf.bytes_sent_total = 0, sf.bytes_sent_total + sent
         if soonest is not None:
             self._set_timer(flow, soonest)
             flow.timer = deadline
@@ -645,16 +660,19 @@ class Simulation:
         self._finished = True
         self._push(0, Simulation._bootstrap, ())
         heap = self._heap
-        duration_us = self.duration_us
+        duration_us, deliver = self.duration_us, Simulation._on_options_arrival
         horizon = 0
         while horizon < duration_us:
             # Every queued ack is due at or after _next_ack, and any deadline
             # it sets is RTO_MIN_US later (module docstring).
             next_us = min(heap[0][0], duration_us) if heap else duration_us
             horizon = min(next_us, self._next_ack + RTO_MIN_US)
-            if self._next_ack < horizon:
+            # An MP_PRIO arrival at the top cuts no drain (module docstring).
+            if self._next_ack < horizon and (next_us == duration_us or heap[0][2] is not deliver):
                 self._next_ack = self._drain_acks(horizon)
-            if horizon < next_us or horizon == duration_us:
+                if horizon < next_us:
+                    continue
+            if horizon == duration_us:
                 continue
             at_us, _, handler, args = heapq.heappop(heap)
             self.now_us = at_us

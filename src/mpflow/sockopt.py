@@ -38,9 +38,13 @@ class SubPrioRequest(NamedTuple):
     low_prio: bool
 
 
+# The only two options a local flip queues, built once: an option is immutable.
+_ACTIVE, _BACKUP = MpPrioOption(backup_flag=False), MpPrioOption(backup_flag=True)
+
+
 def _set_flag_and_signal(conn: ConnectionState, sf: SubflowState, low_prio: bool) -> None:
     sf.low_prio = low_prio
-    conn.outbox.append((sf.id, MpPrioOption(backup_flag=low_prio)))
+    conn.outbox.append((sf.id, _BACKUP if low_prio else _ACTIVE))
 
 
 def set_subflow_priority(conn: ConnectionState, req: SubPrioRequest) -> None:

@@ -6,6 +6,7 @@ from mpflow.model import (
     PORT_BASE,
     new_connection,
 )
+from mpflow.simnet import MSS
 
 LOCAL = "10.0.0.1"
 REMOTES = ("10.0.1.1", "10.0.2.1", "10.0.3.1")
@@ -39,6 +40,15 @@ def acked_by_bucket(flow):
     that hold any; ``flow.acked[i]`` holds those of bucket
     ``flow.first_bucket + i``."""
     return {flow.first_bucket + i: nbytes for i, nbytes in enumerate(flow.acked) if nbytes}
+
+
+def acks_handled(flow, queued, sent):
+    """How many acks a call of ``Simulation._on_acks`` handled on ``flow``,
+    which held ``queued`` acks and had sent ``sent`` bytes before it. The
+    FIFO gains the ack of each segment the call sends, all on a link that
+    is up, and a train that starts in it takes the FIFO's acks unhandled."""
+    gained = (flow.sf.bytes_sent_total - sent) // MSS
+    return queued + gained - len(flow.acks) - len(flow.train_window)
 
 
 def on_ack_arrival(sim, flow, nbytes, sent_us):

@@ -6,8 +6,11 @@ leave: the link busy ``n`` serializations longer, the window and the bytes
 sent ``n`` MSS larger, one queued ack per segment on a link that is up, and
 the timer armed by the first send. Each test runs one input twice, with
 the bulk fill and with ``_fill`` replaced by a loop of single sends, logs
-each flow's state after every fill and compares the logs and the CSVs. The
-targeted cases also check that the fill they are about happened.
+each flow's state after every fill and compares the logs and the CSVs. A
+clocked flow's data ack refills the one MSS it freed in ``_on_acks``
+itself, not through ``_fill``, so the logs also hold the state after each
+``_on_acks`` call that sent, with the acks it handled. The targeted cases
+also check that the fill they are about happened.
 """
 
 import io
@@ -21,6 +24,7 @@ from hypothesis import strategies as st
 from mpflow import scenario as scenario_module
 from mpflow.scenario import PPOS_ENV_VAR, emit_csv, parse_scenario, run_scenario
 from mpflow.simnet import MSS, WINDOW_BYTES, WINDOW_SEGMENTS, Simulation
+from helpers import acks_handled
 from scenario_gen import random_scenario
 
 
@@ -55,6 +59,7 @@ class Fill(NamedTuple):
     armed_at_us: object
     timer: int
     timer_pending_at: object
+    acks_handled: object = None  # for the one-MSS refills of an _on_acks call
 
 
 class FillLog(Simulation):
@@ -69,10 +74,18 @@ class FillLog(Simulation):
         FillLog.instances.append(self)
 
     def _fill(self, flow):
-        sf, link = flow.sf, flow.link
-        before, sent = sf.inflight_bytes, sf.bytes_sent_total
+        before, sent = flow.sf.inflight_bytes, flow.sf.bytes_sent_total
         super()._fill(flow)
-        pending = flow.timer_pending
+        self._log(flow, before, sent)
+
+    def _on_acks(self, flow, horizon):
+        before, sent, queued = flow.sf.inflight_bytes, flow.sf.bytes_sent_total, len(flow.acks)
+        super()._on_acks(flow, horizon)
+        if flow.sf.bytes_sent_total > sent:
+            self._log(flow, before, sent, acks_handled(flow, queued, sent))
+
+    def _log(self, flow, before, sent, acks_handled=None):
+        sf, link, pending = flow.sf, flow.link, flow.timer_pending
         self.fills.append(
             Fill(
                 self.now_us,
@@ -88,6 +101,7 @@ class FillLog(Simulation):
                 flow.armed_at_us,
                 flow.timer,
                 pending and pending[0],
+                acks_handled,
             )
         )
 
@@ -133,7 +147,8 @@ def test_a_link_that_serializes_in_no_time_acks_a_window_at_once():
     first = fills[0]
     assert (first.serialization_us, first.segments) == (0, WINDOW_SEGMENTS)
     assert first.acks == [(2_000, MSS, 0)] * WINDOW_SEGMENTS
-    assert any(fill.at > 0 and fill.segments == 1 for fill in fills)
+    # Later, each ack refills the one MSS it freed.
+    assert any(fill.at > 0 and fill.segments == fill.acks_handled for fill in fills)
 
 
 def test_a_fill_of_a_partly_full_window_sends_the_room_left():

@@ -19,7 +19,7 @@ from mpflow.model import InterfacePair, new_connection
 from mpflow.scenario import BUILTIN_DOCS, PPOS_ENV_VAR, parse_scenario, run_scenario
 from mpflow.simnet import LinkSpec, Simulation
 from mpflow.sockopt import SubPrioRequest
-from helpers import addr
+from helpers import acks_handled, addr
 from scenario_gen import perfbench_workloads
 
 
@@ -120,9 +120,9 @@ def test_cached_pair_matches_endpoints_after_recreation():
 def count_selects_by_handler(run):
     """Call ``run()``, which runs simulations; count their ``select`` calls
     by the innermost handler that made them, how often each handler ran,
-    and the acks handled: by ``_on_acks``, of clocked flows (each refills
-    through one ``_fill``) and of unclocked ones (which send nothing), and
-    in trains (each sends one segment), counted as each train ends."""
+    and the acks handled: by ``_on_acks``, of clocked flows (each data ack
+    sends one segment, there) and of unclocked ones (which send nothing),
+    and in trains (each sends one segment), counted as each train ends."""
     stack, selects, runs, acks = [], Counter(), Counter(), Counter()
     with pytest.MonkeyPatch.context() as patch:
 
@@ -150,7 +150,7 @@ def count_selects_by_handler(run):
             "_end_train",
         ):
             wrap(name)
-        select, on_acks, fill = simnet.select, Simulation._on_acks, Simulation._fill
+        select, on_acks = simnet.select, Simulation._on_acks
         end_train = Simulation._end_train
 
         def counting_select(conn, mss, window):
@@ -158,14 +158,9 @@ def count_selects_by_handler(run):
             return select(conn, mss, window)
 
         def counting_on_acks(sim, flow, horizon):
-            queued = len(flow.acks)
+            queued, sent = len(flow.acks), flow.sf.bytes_sent_total
             on_acks(sim, flow, horizon)
-            if not flow.clocked:
-                acks["unclocked"] += queued - len(flow.acks)
-
-        def counting_fill(sim, flow):
-            acks["clocked"] += stack[-1:] == ["_on_acks"]
-            fill(sim, flow)
+            acks["clocked" if flow.clocked else "unclocked"] += acks_handled(flow, queued, sent)
 
         def counting_end_train(sim, flow, until):
             sent = flow.sf.bytes_sent_total
@@ -174,7 +169,6 @@ def count_selects_by_handler(run):
 
         patch.setattr(simnet, "select", counting_select)
         patch.setattr(Simulation, "_on_acks", counting_on_acks)
-        patch.setattr(Simulation, "_fill", counting_fill)
         patch.setattr(Simulation, "_end_train", counting_end_train)
         run()
     return selects, runs, acks
@@ -230,7 +224,7 @@ def test_no_ack_of_an_unclocked_flow_runs_one_by_one_on_prio_churn_fine():
     with mock.patch.dict("os.environ", {PPOS_ENV_VAR: ""}):
         _, runs, acks = count_selects_by_handler(run)
     assert (acks["clocked"], acks["unclocked"], acks["trained"]) == (4_081, 11_019, 74_055)
-    assert runs["_on_acks"] == 2_218  # for the 15,100 acks outside trains
+    assert runs["_on_acks"] == 1_820  # for the 15,100 acks outside trains
     assert sum(acks.values()) == 89_155
 
 
@@ -253,6 +247,30 @@ def test_a_steady_run_drains_acks_as_often_however_long_it_runs(monkeypatch):
         doc = f"scenario steady\nduration {duration}\nlink 1 2mbps 5ms 10.0.0.1 10.0.1.1\n"
         run_scenario(parse_scenario(doc))
     assert drains == [1, 1, 1]
+
+
+def test_an_mp_prio_arrival_cuts_no_drain(monkeypatch):
+    """An MP_PRIO arrival sets only the receiver's view of its sub-flow,
+    which no ack reads or writes, so the run delivers one at the top of the
+    heap before it drains the acks due before it. On two window-limited
+    links, whose acks queue, 20 flips of sub-flow 1 to active (each queues
+    an MP_PRIO) then drain the acks as often as 20 backup-list changes at
+    the same times, which queue none. With a drain cut at each arrival,
+    the flips drained 47 times and the list changes 33."""
+    drains, drain = [], Simulation._drain_acks
+
+    def counting(sim, horizon):
+        drains[-1] += 1
+        return drain(sim, horizon)
+
+    monkeypatch.setattr(Simulation, "_drain_acks", counting)
+    monkeypatch.delenv(PPOS_ENV_VAR, raising=False)
+    links = "link 1 10mbps 40ms 10.0.0.1 10.0.1.1\nlink 2 10mbps 40ms 10.0.0.1 10.0.2.1\n"
+    for action in ("set_sub_prio 1 active", "set_backup_list 1"):
+        drains.append(0)
+        times = "".join(f"at {500 + 100 * k}ms {action}\n" for k in range(20))
+        run_scenario(parse_scenario(f"scenario flips\nduration 3s\n{links}{times}"))
+    assert drains == [33, 33]
 
 
 def test_idle_and_dead_sub_flows_of_the_built_ins_pop_no_timer_for_nothing():

@@ -22,23 +22,25 @@ re-create them, and every action verb. Every run checks that:
   died at or after that end, all read from the simulation's own state;
 * every data segment goes where ``select`` would send it, so no bytes go
   on a backup sub-flow while an active one is alive, nor off the primary
-  pairs while a sub-flow on one is. An ack's refill sends the ``n``
-  segments that fit its window in one step, so the ``i``-th of them is
-  checked against a ``select`` with the window ``i`` MSS fuller than the
-  fill found it. A pump fills every flow of the deciding tier, one flow
-  after another, so the bytes each flow gets in it are checked against a
-  loop of one ``select`` per segment, replayed on the windows as they were
-  just before the pump. A steady ack train sends its segments without
-  ``_fill``, each with its flow's window one MSS short. Between pumps,
-  only acks change what ``select`` reads, and an ack leaves each flow of
-  the deciding tier with a full window, so a train is checked in that
-  state when it starts and after each pump that it outlives;
+  pairs while a sub-flow on one is. Only pumps call ``_fill``. A pump
+  fills every flow of the deciding tier, one flow after another, so the
+  bytes each flow gets in it are checked against a loop of one ``select``
+  per segment, replayed on the windows as they were just before the pump.
+  Between pumps, only acks change what ``select`` reads, and an ack
+  leaves each flow of the deciding tier with a full window. So a clocked
+  flow's window is checked full before and after each ``_on_acks`` call,
+  and each data ack in it refills the one MSS it freed: the refill is
+  checked against a ``select`` with that window one MSS short, which is
+  what each ack's refill sees. A steady ack train sends its segments
+  without ``_fill`` too, each in that same state, so a train is checked
+  in it when it starts and after each pump that it outlives;
 * the run's bound on queued acks holds: no queued ack is due before it
   when a drain starts, a drain returns the earliest one left (or the end
   of the run), and no ack due before a pump's heap event is still queued;
 * each flow's queued data acks are at least its link's serialization
-  time ``s`` apart, checked after each send that queues them (a fill or a
-  train's end): its link serializes one segment at a time. A train is
+  time ``s`` apart, checked after each send that queues them (a fill, an
+  ``_on_acks`` call or a train's end): its link serializes one segment at
+  a time. A train is
   taken when 32 queued acks span ``31 * s``, which on this fact means
   every gap is ``s``;
 * at each pump and around each drain, every alive flow with its timer
@@ -70,7 +72,7 @@ from scenario_gen import edge_scenarios, random_scenario
 
 class RecordingSimulation(Simulation):
     """A Simulation that remembers its instances, for their end state,
-    checks each data segment of an ack's refill and each ack train against
+    checks the refills of each ``_on_acks`` call and each ack train against
     a fresh scheduler choice and the fills of each pump against a choice
     per segment, and checks the bound on queued acks and the deadlines of
     armed timers at each drain and pump, and the spacing of each flow's
@@ -109,20 +111,21 @@ class RecordingSimulation(Simulation):
         assert all(b - a >= s for a, b in zip(arrivals, arrivals[1:])), (self.now_us, flow.sf.id)
 
     def _fill(self, flow):
+        assert self.pump_fills is not None, self.now_us  # only pumps fill
         sf = flow.sf
-        if self.pump_fills is not None:
-            sent = sf.bytes_sent_total
-            super()._fill(flow)
-            if sf.bytes_sent_total > sent:
-                self.pump_fills[sf.id] = sf.bytes_sent_total - sent
-        else:
-            inflight = sf.inflight_bytes
-            while sf.inflight_bytes + MSS <= WINDOW_BYTES:
-                decision = select(self.sender, MSS, WINDOW_BYTES)
-                assert decision.chosen == sf.id, (self.now_us, sf.id, decision)
-                sf.inflight_bytes += MSS
-            sf.inflight_bytes = inflight
-            super()._fill(flow)
+        sent = sf.bytes_sent_total
+        super()._fill(flow)
+        if sf.bytes_sent_total > sent:
+            self.pump_fills[sf.id] = sf.bytes_sent_total - sent
+        self._check_ack_spacing(flow)
+
+    def _on_acks(self, flow, horizon):
+        if flow.clocked:
+            assert flow.sf.inflight_bytes == WINDOW_BYTES, (self.now_us, flow.sf.id)
+            self._check_one_mss_short(flow)
+        super()._on_acks(flow, horizon)
+        if flow.clocked:
+            assert flow.sf.inflight_bytes == WINDOW_BYTES, (self.now_us, flow.sf.id)
         self._check_ack_spacing(flow)
 
     def _end_train(self, flow, until):
@@ -132,7 +135,7 @@ class RecordingSimulation(Simulation):
     def _train(self, flow):
         if not super()._train(flow):
             return False
-        self._check_train(flow)
+        self._check_one_mss_short(flow)
         return True
 
     def _pump(self, *args):
@@ -145,7 +148,7 @@ class RecordingSimulation(Simulation):
         assert fills == self._select_per_segment(windows), self.now_us
         for flow in self._flows.values():
             if flow.train is not None:
-                self._check_train(flow)
+                self._check_one_mss_short(flow)
 
     def _select_per_segment(self, windows):
         """Bytes by id that one ``select`` per segment sends, from the
@@ -164,7 +167,7 @@ class RecordingSimulation(Simulation):
             sf.inflight_bytes = current[i]
         return dict(sent)
 
-    def _check_train(self, flow):
+    def _check_one_mss_short(self, flow):
         flow.sf.inflight_bytes -= MSS
         decision = select(self.sender, MSS, WINDOW_BYTES)
         flow.sf.inflight_bytes += MSS
