@@ -21,11 +21,16 @@ primary failure, and returns to the primary as soon as a sub-flow on it
 exists again.
 
 The decision names the deciding tier, and :func:`tier` ranks one
-sub-flow. Sending on a sub-flow changes nothing but its own window, so the
-simulator runs :func:`select` only when the tiers can change (an action, a
-death, a new sub-flow), fills the windows of the deciding tier's members
-then, and refills each of them as its acks free window; the segments go
-where a fresh :func:`select` per segment would send them.
+sub-flow. Sending on a sub-flow changes nothing but its own window, and a
+sub-flow's tier changes only with its flag, its life or the primary pairs.
+So the simulator ranks a sub-flow with :func:`tier` at its birth and again
+only where one of those may have changed (an action that flips or closes
+it or sets the primary pairs, its death), counts the alive sub-flows by
+tier, and reads the deciding tier from the counts; :func:`select` names it
+once, at the start of a run. The simulator fills the windows of the
+deciding tier's members when that tier moves or a member joins it, and
+refills each of them as its acks free window; the segments go where a
+fresh :func:`select` per segment would send them.
 
 Selection is a pure function of (connection state, mss, window), so
 scheduling is fully deterministic.

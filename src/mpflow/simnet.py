@@ -13,14 +13,20 @@ links, one link per (local, remote) interface pair. The engine models:
   those of the link's newest sub-flow, the only one that may be alive, so
   every queued ack of a live sub-flow arrives.
 * an infinite-backlog sender that keeps the windows of the scheduler's
-  deciding tier filled with MSS-sized segments. The scheduler runs only
-  where its tiers can change: at start, after an action, a death or a new
-  sub-flow. Then each alive flow of that tier (``clocked``) fills its
-  window, and refills it at each of its acks; other flows send nothing.
-  In between, an ack changes only its own flow's window and RTT, so the
-  tier stays the same. A clocked flow is the only live flow on its link
-  and a send changes only its own flow and link, so the fills commute,
-  and the segments go exactly where a per-segment choice would send them.
+  deciding tier, the lowest with an alive flow, filled with MSS-sized
+  segments. Each alive flow keeps its tier, and the run counts alive flows
+  by tier, so the deciding tier is a lookup; ``select`` names it once, at
+  start. A tier changes only with its flow's flag or life or the primary
+  pairs: at an action (a flag changes only through :mod:`mpflow.sockopt`,
+  which queues an MP_PRIO per flip), a death or a new sub-flow. A pump
+  there re-tiers the flows that may have changed and visits only them, or
+  every alive flow if the deciding tier moved. Each alive flow of that
+  tier (``clocked``) fills its window, and refills it at each of its acks;
+  other flows send nothing. In between, an ack changes only its own flow's
+  window and RTT, so no tier moves. A clocked flow is the only live flow
+  on its link and a send changes only its own flow and link, so the fills
+  commute, and the segments go exactly where a per-segment choice would
+  send them.
 * one timer per sub-flow, which acts on the sub-flow's state when it fires:
   - busy (data or a probe unacknowledged): count a retransmission timeout.
     The deadline is ``max(2 * srtt, 200 ms)`` after the send or ack that
@@ -114,8 +120,8 @@ anything, such as the ramp of a window sent in one burst. Each ack frees one
 MSS and sends one, which finishes ``s`` after the one before and is acked
 ``32 * s`` after it was sent. It leaves the window full, so the next ack
 meets the same conditions. Only srtt moves, by its EWMA, and nothing reads
-it meanwhile: ``select`` reads it only on a flow with room in its window,
-and the timer at its next arming.
+it meanwhile: a pump reads tiers, which read no srtt, and the timer reads
+it at its next arming.
 
 The timer never fires between two acks of a train. When the drain tries
 the train, its horizon is past ``a0`` and, as no horizon passes the next
@@ -148,7 +154,7 @@ meanwhile, so each probe's ack beats its timeout, and its sample moves
 srtt toward ``2 * d``, which keeps it so for the next probe. The probes, at
 ``p0 + k * (PROBE_INTERVAL_US + 2 * d)``, hold no heap or FIFO entry until
 :meth:`Simulation._end_keepalive` works them out where they can be read
-(below; ``select``'s tier reads no srtt). A probe due in that very µs has
+(below; a tier reads no srtt). A probe due in that very µs has
 been sent only if a pump in the timer of a sub-flow with a higher id ends
 it: timers run by id. Both closed forms end in :meth:`Simulation._settle`
 alone: at a change of the flow's link, before its acks drop; at a pump
@@ -180,7 +186,8 @@ from .model import (
     PORT_BASE,
     SubflowState,
     ValidationError,
-    open_subflow,
+    _add_subflow,
+    open_subflow,  # not called here, but profilers rebind simnet.open_subflow
 )
 from .report import US_PER_MS, SubflowColumn, TimelineReport
 from .scheduler import select, tier
@@ -266,7 +273,7 @@ class _Flow:
     __slots__ = (
         "sf", "peer", "link", "flag_times", "flag_values", "first_bucket", "acked",
         "armed_at_us", "timer", "timer_pending", "probe_outstanding", "clocked", "acks",
-        "train_wait", "train", "train_window", "keepalive",
+        "train_wait", "train", "train_window", "keepalive", "tier",
     )
 
     def __init__(self, sf: SubflowState, peer: SubflowState, link: _Link, bucket_us: int) -> None:
@@ -288,6 +295,7 @@ class _Flow:
         self.train: Optional[int] = None  # in a train: its first ack's arrival
         self.train_window: Tuple[tuple, ...] = ()  # in a train: the FIFO it started from
         self.keepalive: Optional[int] = None  # in a keepalive: its next probe's send time
+        self.tier: Optional[int] = None  # alive: its tier, as Simulation counts it; dead: None
 
 
 class TopologyError(ValidationError):
@@ -388,6 +396,13 @@ class Simulation:
         # The flows whose death is not recorded yet, in the order of _flows:
         # the pumps, the drains and the run's end visit only these.
         self._alive = {i: flow for i, flow in self._flows.items() if flow.sf.died_us is None}
+        # Alive flows counted by cached tier from here on, as actions at
+        # 0 ms pump before the bootstrap; and the tier whose flows are
+        # clocked, None before the first pump.
+        self._tier_counts = [0, 0, 0]
+        self._deciding: Optional[int] = None
+        for flow in self._alive.values():
+            self._retier(flow)
         self._next_ack = self.duration_us  # no queued ack arrives before it
         self._finished = False
 
@@ -448,21 +463,48 @@ class Simulation:
         flow.timer_pending = at_us, seq = flow.timer, next(self._seq)
         heapq.heappush(self._heap, (at_us, (1, flow.sf.id, seq), Simulation._on_timer, (flow, seq)))
 
-    def _pump(self, timer_id: int = 0) -> None:
-        """Ask the scheduler for the deciding tier, mark its alive flows
-        ``clocked`` and fill their windows, as an ack refills its own flow's.
-        It records the death of a sub-flow killed by its timer, whose id
-        is ``timer_id``, or closed by an action.
+    def _retier(self, flow: _Flow) -> None:
+        """Cache the tier of ``flow``, None once it is dead, and keep the
+        counts of alive flows by tier."""
+        sf, counts = flow.sf, self._tier_counts
+        rank = tier(self.sender, sf) if sf.alive else None
+        if rank != flow.tier:
+            if flow.tier is not None:
+                counts[flow.tier] -= 1
+            if rank is not None:
+                counts[rank] += 1
+            flow.tier = rank
 
+    def _pump(self, flows: Optional[List[_Flow]] = None, timer_id: int = 0) -> None:
+        """Mark the alive flows of the deciding tier ``clocked`` and fill
+        their windows, as an ack refills its own flow's. ``flows``, in id
+        order, are the alive flows whose tier or life may have changed since
+        the last pump: it re-tiers them and visits only them, unless the
+        deciding tier moved; then, and at the bootstrap (``flows`` None,
+        where ``select`` names the tier), it visits every alive flow. It
+        records the death of a sub-flow killed by its timer, whose id is
+        ``timer_id``, or closed by an action.
+
+        A flow not visited keeps its tier and life, so its ``clocked``
+        flag, and a clocked one its full window, as its acks refill it.
         Each clocked flow is the only live flow on its link, and a fill
         touches only its own flow and link, so the order of the fills moves
         no segment: they send what a choice per segment would, and leave
         the deciding tier with no schedulable member."""
-        sender, now = self.sender, self.now_us
-        deciding = select(sender, MSS, WINDOW_BYTES).tier
-        for flow in [*self._alive.values()]:  # a death leaves _alive
+        now = self.now_us
+        if flows is None:
+            deciding = select(self.sender, MSS, WINDOW_BYTES).tier
+        else:
+            for flow in flows:
+                self._retier(flow)
+            counts = self._tier_counts  # the lowest tier with an alive flow decides
+            deciding = 0 if counts[0] else 1 if counts[1] else 2 if counts[2] else None
+        if flows is None or deciding != self._deciding:
+            flows = [*self._alive.values()]  # a copy: a death leaves _alive
+        self._deciding = deciding
+        for flow in flows:
             sf = flow.sf
-            clocked = sf.alive and tier(sender, sf) == deciding
+            clocked = sf.alive and flow.tier == deciding
             if clocked != flow.clocked or not sf.alive:  # a closed form ends (module docstring)
                 self._settle(flow, now, sf.id < timer_id)
             if not sf.alive:  # killed, or closed by an action
@@ -609,30 +651,38 @@ class Simulation:
 
     def _kill(self, flow: _Flow) -> None:
         flow.sf.alive = False
-        self._pump(flow.sf.id)
+        self._pump([flow], flow.sf.id)
 
     def _open_on_pair(self, link: _Link) -> None:
-        pair = link.spec.pair
-        port = PORT_BASE + self.sender.next_id
-        src = EndpointAddress(pair.family, pair.src, port)
-        dst = EndpointAddress(pair.family, pair.dst, port)
-        open_subflow(self.sender, (src, dst))
-        sf = self.sender.subflows[-1]  # open_subflow appends it
+        """Open a sub-flow on the pair of ``link``, whose sub-flows are all
+        dead. Its endpoints take the pair's addresses, checked when the link
+        was built, and no live sub-flow holds the pair, so none is bound to
+        their tuple: ``open_subflow``'s checks would find nothing."""
+        sender, pair = self.sender, link.spec.pair
+        port = PORT_BASE + sender.next_id
+        src = EndpointAddress._make((pair.family, pair.src, port))
+        dst = EndpointAddress._make((pair.family, pair.dst, port))
+        sf = _add_subflow(sender, src, dst)
         sf.created_us = self.now_us
         peer = _mirror(sf)
         self.receiver.subflows.append(peer)
-        self.receiver.next_id = self.sender.next_id
+        self.receiver.next_id = sender.next_id
         flow = _Flow(sf, peer, link, self.bucket_us)
         self._flows[sf.id] = self._alive[sf.id] = self._newest_flow[link.spec.link_id] = flow
         # A new sub-flow can only lower the deciding tier, to its own, alone.
-        self._pump()
+        self._pump([flow])
         self._idle(flow)
 
     def _on_action(self, action: Callable[["Simulation"], None]) -> None:
+        """Run ``action``, then pump the flows whose tier it may have
+        changed: each that it flipped, as every flip queues an MP_PRIO, or
+        closed; every alive flow if it changed the primary pairs."""
+        sender = self.sender
+        primary = [*sender.primary_pairs]
         action(self)
-        if len(self.sender.subflows) != len(self._flows):
+        if len(sender.subflows) != len(self._flows):
             raise ValidationError("an action may not open sub-flows; the simulator opens them")
-        outbox = self.sender.outbox
+        outbox = sender.outbox
         for sf_id, opt in outbox:  # each on its own sub-flow's link
             flow = self._flows[sf_id]
             if flow.sf.low_prio != flow.flag_values[-1]:
@@ -640,8 +690,13 @@ class Simulation:
                 flow.flag_values.append(flow.sf.low_prio)
             arrival = self.now_us + flow.link.delay_us
             self._push(arrival, Simulation._on_options_arrival, (flow, flow.link.epoch, opt))
+        flipped = {sf_id for sf_id, _ in outbox}
         outbox.clear()
-        self._pump()
+        alive = self._alive.values()
+        if sender.primary_pairs != primary:
+            self._pump([*alive])
+        else:
+            self._pump([flow for flow in alive if flow.sf.id in flipped or not flow.sf.alive])
 
     # ------------------------------------------------------------------ #
     # main loop and report
@@ -650,6 +705,7 @@ class Simulation:
         # Runs at t=0 after any t=0 scenario actions (which were scheduled
         # earlier and sort first), so e.g. enabling the primary-path-only
         # scheduler "just after socket creation" precedes the first segment.
+        # Its pump is the run's one ``select``; later pumps read the counts.
         self._pump()
         for flow in self._flows.values():
             self._idle(flow)

@@ -237,10 +237,22 @@ BUSY_SCENARIO = (
 )
 
 
+# An action at 0 ms runs before the bootstrap, so its pump is the run's
+# first: sub-flow 1 starts as a backup, beside the active sub-flow 2, which
+# alone fills its window. The flip of sub-flow 2 moves the deciding tier to
+# the backups, the death of sub-flow 1 on its down link keeps it there, and
+# its successor is born active and moves it back.
+AT_ZERO_SCENARIO = (
+    "scenario edge_at_zero\nduration 6s\nlink 1 10mbps 5ms 10.0.0.1 10.0.1.1\n"
+    "link 2 2mbps 10ms 10.0.0.1 10.0.2.1\nat 0ms set_sub_prio 1 backup\n"
+    "at 1500ms set_sub_prio 2 backup\nat 2000ms link_down 1\nat 4000ms link_up 1\n"
+)
+
+
 def edge_scenarios():
     """Scenarios with one ``EDGE_LINKS`` link beside a plain one, flipped
-    and flapped, the two ``tie_scenario`` ones and ``BUSY_SCENARIO``:
-    (name, scenario text) pairs."""
+    and flapped, the two ``tie_scenario`` ones, ``BUSY_SCENARIO`` and
+    ``AT_ZERO_SCENARIO``: (name, scenario text) pairs."""
     return [
         (
             f"edge_{name}",
@@ -251,7 +263,7 @@ def edge_scenarios():
         )
         for name, link in EDGE_LINKS.items()
     ] + [(f"edge_tie_{name}", tie_scenario(name)) for name in ("lo", "hi")] + [
-        ("edge_busy", BUSY_SCENARIO)
+        ("edge_busy", BUSY_SCENARIO), ("edge_at_zero", AT_ZERO_SCENARIO)
     ]
 
 

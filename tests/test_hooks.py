@@ -118,12 +118,18 @@ def test_cached_pair_matches_endpoints_after_recreation():
 
 
 def count_selects_by_handler(run):
-    """Call ``run()``, which runs simulations; count their ``select`` calls
-    by the innermost handler that made them, how often each handler ran,
-    and the acks handled: by ``_on_acks``, of clocked flows (each data ack
-    sends one segment, there) and of unclocked ones (which send nothing),
-    and in trains (each sends one segment), counted as each train ends."""
-    stack, selects, runs, acks = [], Counter(), Counter(), Counter()
+    """Call ``run()``, which runs simulations. Count by the innermost
+    handler that made them (``"__init__"`` outside any, as when a
+    ``Simulation`` is built): their ``select`` calls, their ``tier`` calls
+    and the flows their pumps visit, which are every alive flow when the
+    pump is the bootstrap's or the deciding tier moved, and else the flows
+    handed to it. Also count how often each handler ran, and the acks
+    handled: by ``_on_acks``, of clocked flows (each data ack sends one
+    segment, there) and of unclocked ones (which send nothing), and in
+    trains (each sends one segment), counted as each train ends. Return
+    them as a namespace of Counters."""
+    stack, runs, acks = [], Counter(), Counter()
+    selects, tiers, visits = Counter(), Counter(), Counter()
     with pytest.MonkeyPatch.context() as patch:
 
         def wrap(name):
@@ -150,12 +156,22 @@ def count_selects_by_handler(run):
             "_end_train",
         ):
             wrap(name)
-        select, on_acks = simnet.select, Simulation._on_acks
-        end_train = Simulation._end_train
+        select, tier, on_acks = simnet.select, simnet.tier, Simulation._on_acks
+        end_train, pump = Simulation._end_train, Simulation._pump
 
         def counting_select(conn, mss, window):
             selects[stack[-1]] += 1
             return select(conn, mss, window)
+
+        def counting_tier(conn, sf):
+            tiers[stack[-1] if stack else "__init__"] += 1
+            return tier(conn, sf)
+
+        def counting_pump(sim, flows=None, timer_id=0):
+            deciding, alive = sim._deciding, len(sim._alive)
+            pump(sim, flows, timer_id)
+            moved = flows is None or sim._deciding != deciding
+            visits[stack[-1]] += alive if moved else len(flows)
 
         def counting_on_acks(sim, flow, horizon):
             queued, sent = len(flow.acks), flow.sf.bytes_sent_total
@@ -168,30 +184,70 @@ def count_selects_by_handler(run):
             acks["trained"] += (flow.sf.bytes_sent_total - sent) // simnet.MSS
 
         patch.setattr(simnet, "select", counting_select)
+        patch.setattr(simnet, "tier", counting_tier)
+        patch.setattr(Simulation, "_pump", counting_pump)
         patch.setattr(Simulation, "_on_acks", counting_on_acks)
         patch.setattr(Simulation, "_end_train", counting_end_train)
         run()
-    return selects, runs, acks
+    return SimpleNamespace(selects=selects, tiers=tiers, visits=visits, runs=runs, acks=acks)
 
 
 def test_select_runs_only_when_the_tiers_can_change():
-    """An ack refills its own flow without asking the scheduler, so
-    ``select`` runs only in the pumps of the bootstrap, actions, deaths and
-    re-openings, once per pump; never in ``_on_acks`` or a train, which
-    handle many acks at once. On the steady run that is the bootstrap
-    alone, whose one call names the tier whose three empty windows its pump
-    fills. The flapping run adds one call for each of its two link actions,
-    one for its one death and one for its one re-opening."""
-    selects, runs, acks = count_selects_by_handler(lambda: build_steady_sim().run())
-    assert sum(acks.values()) > 1000
-    assert not {"_on_acks", "_train", "_end_train"} & selects.keys()
-    assert selects == {"_bootstrap": 1}
+    """An ack refills its own flow without asking the scheduler, and each
+    alive flow keeps its tier, which the simulation counts, so ``select``
+    runs once per run, in the bootstrap's pump; never in ``_on_acks`` or a
+    train, which handle many acks at once. A flow is ranked with ``tier``
+    when it is built and again only where its tier or life may change, and
+    a pump visits only such flows, unless the deciding tier moves. On the
+    steady run, the bootstrap's one ``select`` names the tier whose three
+    empty windows its pump fills. The flapping run's two link actions
+    change no tier, so their pumps visit no flow; its one death and its one
+    re-opening each visit their own flow, and the re-opened one is ranked.
+    At the parent design, every pump asked ``select`` and ranked every
+    alive flow."""
+    counts = count_selects_by_handler(lambda: build_steady_sim().run())
+    assert sum(counts.acks.values()) > 1000
+    assert counts.selects == {"_bootstrap": 1}
+    assert counts.tiers == {"__init__": 3}
+    assert counts.visits == {"_bootstrap": 3}
 
-    selects, runs, acks = count_selects_by_handler(lambda: build_flapping_sim().run())
-    assert sum(acks.values()) > 1000
-    assert not {"_on_acks", "_train", "_end_train"} & selects.keys()
-    assert (runs["_kill"], runs["_open_on_pair"]) == (1, 1)
-    assert selects == {"_bootstrap": 1, "_on_action": 2, "_kill": 1, "_open_on_pair": 1}
+    counts = count_selects_by_handler(lambda: build_flapping_sim().run())
+    assert sum(counts.acks.values()) > 1000
+    assert (counts.runs["_kill"], counts.runs["_open_on_pair"]) == (1, 1)
+    assert counts.selects == {"_bootstrap": 1}
+    assert counts.tiers == {"__init__": 3, "_open_on_pair": 1}
+    assert counts.visits == {"_bootstrap": 3, "_on_action": 0, "_kill": 1, "_open_on_pair": 1}
+
+
+@pytest.mark.parametrize(
+    "name, selects, tiers, action_visits",
+    [("mesh16_flaps", 2, 63, 0), ("prio_churn_fine", 4, 2_250, 2_492)],
+)
+def test_the_benchmark_workloads_ask_select_once_per_run(name, selects, tiers, action_visits):
+    """On a pass of the benchmark's ``mesh16_flaps`` or ``prio_churn_fine``
+    at seed 0, ``select`` runs once per scenario, in its bootstrap, and a
+    flow is ranked with ``tier`` only when it is built and after an action
+    that may flip it. ``mesh16_flaps`` (2 scenarios of 16 links) ranks its
+    32 first sub-flows and the 31 it re-opens; all its actions are link
+    changes, whose pumps visit no flow. ``prio_churn_fine`` (4 scenarios
+    of 3 links) ranks its 12 sub-flows and, after each of its 1,596
+    actions, the ones it flipped: 2,238 in all. Its action pumps visit
+    those, or all 3 flows after the 377 actions that move the deciding
+    tier: 2,492 visits, where visiting every alive flow made 4,788. At
+    the parent design, every pump asked ``select`` and ranked every alive
+    flow: 96 ``select`` and 984 ``tier`` calls on ``mesh16_flaps``, and
+    1,600 and 4,800 on ``prio_churn_fine``."""
+    workload = getattr(perfbench_workloads(), name)(0)
+
+    def run():
+        for _, doc in workload.docs:
+            run_scenario(parse_scenario(doc), bucket_ms=workload.bucket_ms)
+
+    with mock.patch.dict("os.environ", {PPOS_ENV_VAR: ""}):
+        counts = count_selects_by_handler(run)
+    assert counts.selects == {"_bootstrap": selects} and selects == len(workload.docs)
+    assert sum(counts.tiers.values()) == tiers
+    assert counts.visits["_on_action"] == action_visits
 
 
 def test_every_ack_of_mesh16_flaps_runs_in_a_train():
@@ -206,7 +262,7 @@ def test_every_ack_of_mesh16_flaps_runs_in_a_train():
             run_scenario(parse_scenario(doc), bucket_ms=workload.bucket_ms)
 
     with mock.patch.dict("os.environ", {PPOS_ENV_VAR: ""}):
-        _, runs, acks = count_selects_by_handler(run)
+        acks = count_selects_by_handler(run).acks
     assert (acks["clocked"], acks["unclocked"], acks["trained"]) == (0, 0, 167_815)
 
 
@@ -222,9 +278,10 @@ def test_no_ack_of_an_unclocked_flow_runs_one_by_one_on_prio_churn_fine():
             run_scenario(parse_scenario(doc), bucket_ms=workload.bucket_ms)
 
     with mock.patch.dict("os.environ", {PPOS_ENV_VAR: ""}):
-        _, runs, acks = count_selects_by_handler(run)
+        counts = count_selects_by_handler(run)
+    acks = counts.acks
     assert (acks["clocked"], acks["unclocked"], acks["trained"]) == (4_081, 11_019, 74_055)
-    assert runs["_on_acks"] == 1_820  # for the 15,100 acks outside trains
+    assert counts.runs["_on_acks"] == 1_820  # for the 15,100 acks outside trains
     assert sum(acks.values()) == 89_155
 
 

@@ -43,6 +43,10 @@ re-create them, and every action verb. Every run checks that:
   a time. A train is
   taken when 32 queued acks span ``31 * s``, which on this fact means
   every gap is ``s``;
+* after each pump, every flow's cached tier is ``tier`` of its sub-flow
+  if it is alive and None if not, the counts of alive flows by tier match
+  a recount, and the deciding tier is ``select``'s: only the bootstrap's
+  pump asks ``select``, and the others read the counts;
 * at each pump and around each drain, every alive flow with its timer
   armed and in no train or keepalive has the deadline
   ``armed_at + max(2 * srtt, RTO_MIN_US) * 2**consecutive_timeouts``: srtt
@@ -64,7 +68,7 @@ from mpflow import scenario as scenario_module
 from mpflow.cli import subflow_id_bound
 from mpflow.report import ThroughputBucket
 from mpflow.scenario import BUILTIN_DOCS, PPOS_ENV_VAR, emit_csv, parse_scenario, run_scenario
-from mpflow.scheduler import select
+from mpflow.scheduler import select, tier
 from mpflow.simnet import FIRST_DEATH_US, MSS, RTO_MIN_US, WINDOW_BYTES, Simulation, first_ack_us
 from helpers import acked_by_bucket
 from scenario_gen import edge_scenarios, random_scenario
@@ -75,7 +79,8 @@ class RecordingSimulation(Simulation):
     checks the refills of each ``_on_acks`` call and each ack train against
     a fresh scheduler choice and the fills of each pump against a choice
     per segment, and checks the bound on queued acks and the deadlines of
-    armed timers at each drain and pump, and the spacing of each flow's
+    armed timers at each drain and pump, the cached tiers, their counts and
+    the deciding tier after each pump, and the spacing of each flow's
     queued data acks after each send that queues them."""
 
     instances = []
@@ -146,9 +151,20 @@ class RecordingSimulation(Simulation):
         super()._pump(*args)
         fills, self.pump_fills = self.pump_fills, None
         assert fills == self._select_per_segment(windows), self.now_us
+        self._check_tiers()
         for flow in self._flows.values():
             if flow.train is not None:
                 self._check_one_mss_short(flow)
+
+    def _check_tiers(self):
+        counts = [0, 0, 0]
+        for flow in self._flows.values():
+            sf = flow.sf
+            assert flow.tier == (tier(self.sender, sf) if sf.alive else None), (self.now_us, sf.id)
+            if sf.alive:
+                counts[flow.tier] += 1
+        assert self._tier_counts == counts, (self.now_us, self._tier_counts, counts)
+        assert self._deciding == select(self.sender, MSS, WINDOW_BYTES).tier, self.now_us
 
     def _select_per_segment(self, windows):
         """Bytes by id that one ``select`` per segment sends, from the
