@@ -14,18 +14,22 @@ a timed action script::
     at 35s link_down 1
 
 Lines starting with ``#`` are comments. Times take an ``ms`` or ``s``
-suffix, bandwidths ``bps``, ``kbps`` or ``mbps``. Action verbs:
+suffix in lower case only (``10MS`` is rejected); bandwidths take ``bps``,
+``kbps`` or ``mbps`` in any case (``1Mbps``). The action verbs are the keys
+of one table, ``_RULES``, which maps each to the rule that runs it;
+``ACTION_VERBS`` is that table's list:
 
     set_sub_prio <subflow-id>... backup|active   (ids not alive then: skipped)
     set_active_list [<link-id>...]
     set_backup_list [<link-id>...]
-    enable_ppos [<link-id>...]        (no ids: link of the first pair)
+    enable_ppos [<link-id>...]     (no ids: the pair of the first link line)
     link_down <link-id>...
     link_up <link-id>...
 
 List and ppos actions name interface pairs through the link that serves
 them. Setting the environment variable ``MPFLOW_PRIMARY_PATH_ONLY=1``
-forces ``enable_ppos`` at t=0 with the default primary pair on every run.
+adds ``at 0s enable_ppos`` with no ids before the scenario's own actions,
+on every run, scheduled and run like them.
 
 The CSV output, ``emit_csv`` and ``CSV_HEADER``, comes from
 :mod:`mpflow.report`.
@@ -34,7 +38,8 @@ The CSV output, ``emit_csv`` and ``CSV_HEADER``, comes from
 from __future__ import annotations
 
 import os
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import simnet, sockopt
 from .model import (
@@ -51,14 +56,7 @@ from .sockopt import SubPrioRequest
 
 PPOS_ENV_VAR = "MPFLOW_PRIMARY_PATH_ONLY"
 
-ACTION_VERBS = (
-    "set_sub_prio",
-    "set_active_list",
-    "set_backup_list",
-    "enable_ppos",
-    "link_down",
-    "link_up",
-)
+_PairByLink = Dict[int, InterfacePair]
 
 
 class ScenarioError(MpflowError):
@@ -92,6 +90,54 @@ class Scenario(NamedTuple):
     duration_ms: int
     links: Tuple[LinkSpec, ...]
     actions: Tuple[ScenarioAction, ...]
+
+
+# Each verb's rule, run as ``rule(sim, action, pair_by_link)`` when the
+# action is due. A rule reads ``sockopt`` and ``sim`` then, so a call
+# rebound on them (as a tracer does) is the one that runs.
+
+
+def _set_sub_prio(sim: Simulation, action: ScenarioAction, pair_by_link: _PairByLink) -> None:
+    # Liberal, like a remote MP_PRIO: the sub-flow may have died.
+    for subflow_id in action.targets:
+        try:
+            sockopt.set_subflow_priority(sim.sender, SubPrioRequest(subflow_id, action.low_prio))
+        except NotFoundError:
+            import logging  # only here, to keep it off ``import mpflow``
+
+            logging.getLogger(__name__).warning(
+                "at %d ms set_sub_prio: no alive sub-flow %d; skipped", action.at_ms, subflow_id
+            )
+
+
+def _set_active_list(sim: Simulation, action: ScenarioAction, pair_by_link: _PairByLink) -> None:
+    sockopt.set_active_interface_list(sim.sender, [pair_by_link[i] for i in action.targets])
+
+
+def _set_backup_list(sim: Simulation, action: ScenarioAction, pair_by_link: _PairByLink) -> None:
+    sockopt.set_backup_interface_list(sim.sender, [pair_by_link[i] for i in action.targets])
+
+
+def _enable_ppos(sim: Simulation, action: ScenarioAction, pair_by_link: _PairByLink) -> None:
+    pairs = [pair_by_link[i] for i in action.targets] or [sim.sender.mesh_pairs()[0]]
+    sockopt.enable_primary_path_only(sim.sender, pairs)
+
+
+def _set_links(sim: Simulation, action: ScenarioAction, pair_by_link: _PairByLink) -> None:
+    for link_id in action.targets:
+        sim.set_link_state(link_id, up=action.verb == "link_up")
+
+
+_RULES: Dict[str, Callable[[Simulation, ScenarioAction, _PairByLink], None]] = {
+    "set_sub_prio": _set_sub_prio,
+    "set_active_list": _set_active_list,
+    "set_backup_list": _set_backup_list,
+    "enable_ppos": _enable_ppos,
+    "link_down": _set_links,
+    "link_up": _set_links,
+}
+
+ACTION_VERBS = tuple(_RULES)
 
 
 def _parse_time_ms(token: str, line: int) -> int:
@@ -256,8 +302,7 @@ link 2 1mbps 100ms 10.0.0.1 10.0.2.1
 link 3 1mbps 100ms 10.0.0.1 10.0.3.1
 """
 
-FIG4_DOC = (
-    "scenario fig4\nduration 100s\n\n" + _FIG_TOPOLOGY + "\n"
+_FIG4_SCRIPT = (
     "at 15s set_sub_prio 2 3 backup\n"
     "at 35s link_down 1\n"
     "at 55s link_up 1\n"
@@ -265,35 +310,24 @@ FIG4_DOC = (
     "at 95s link_up 2 3\n"
 )
 
-FIG5_DOC = (
-    "scenario fig5\nduration 100s\n\n" + _FIG_TOPOLOGY + "\n"
-    "at 0s set_backup_list 2 3\n"
-    "at 15s set_sub_prio 2 3 backup\n"
-    "at 35s link_down 1\n"
-    "at 55s link_up 1\n"
-    "at 75s link_down 2 3\n"
-    "at 95s link_up 2 3\n"
-)
+_FIG6_SCRIPT = "at 30s link_down 1\nat 70s link_up 1\n"
 
-FIG6_DEFAULT_DOC = (
-    "scenario fig6_default\nduration 100s\n\n" + _FIG_TOPOLOGY + "\n"
-    "at 30s link_down 1\n"
-    "at 70s link_up 1\n"
-)
 
-FIG6_PPOS_DOC = (
-    "scenario fig6_ppos\nduration 100s\n\n" + _FIG_TOPOLOGY + "\n"
-    "at 0s enable_ppos 1\n"
-    "at 30s link_down 1\n"
-    "at 70s link_up 1\n"
-)
+def _fig_docs(**scripts: str) -> Dict[str, str]:
+    """The paper figures' documents, by name: each one's action script on
+    the shared topology, for 100 s."""
+    return {
+        name: f"scenario {name}\nduration 100s\n\n{_FIG_TOPOLOGY}\n{script}"
+        for name, script in scripts.items()
+    }
 
-BUILTIN_DOCS: Dict[str, str] = {
-    "fig4": FIG4_DOC,
-    "fig5": FIG5_DOC,
-    "fig6_default": FIG6_DEFAULT_DOC,
-    "fig6_ppos": FIG6_PPOS_DOC,
-}
+
+BUILTIN_DOCS: Dict[str, str] = _fig_docs(
+    fig4=_FIG4_SCRIPT,
+    fig5="at 0s set_backup_list 2 3\n" + _FIG4_SCRIPT,
+    fig6_default=_FIG6_SCRIPT,
+    fig6_ppos="at 0s enable_ppos 1\n" + _FIG6_SCRIPT,
+)
 
 BUILTIN_SUMMARIES: Dict[str, str] = {
     "fig4": "priority flip at 15s, link-1 outage 35-55s, links-2/3 outage 75-95s",
@@ -325,50 +359,6 @@ def _connection_endpoints(
     return locals_, remotes
 
 
-def _action_closure(action: ScenarioAction, pair_by_link: Dict[int, InterfacePair]):
-    def apply(sim: Simulation) -> None:
-        if action.verb == "set_sub_prio":
-            # Liberal, like a remote MP_PRIO: the sub-flow may have died.
-            for subflow_id in action.targets:
-                try:
-                    sockopt.set_subflow_priority(
-                        sim.sender, SubPrioRequest(subflow_id, action.low_prio)
-                    )
-                except NotFoundError:
-                    import logging  # only here, to keep it off ``import mpflow``
-
-                    logging.getLogger(__name__).warning(
-                        "at %d ms set_sub_prio: no alive sub-flow %d; skipped",
-                        action.at_ms,
-                        subflow_id,
-                    )
-        elif action.verb == "set_active_list":
-            sockopt.set_active_interface_list(
-                sim.sender, [pair_by_link[i] for i in action.targets]
-            )
-        elif action.verb == "set_backup_list":
-            sockopt.set_backup_interface_list(
-                sim.sender, [pair_by_link[i] for i in action.targets]
-            )
-        elif action.verb == "enable_ppos":
-            if action.targets:
-                pairs = [pair_by_link[i] for i in action.targets]
-            else:
-                pairs = [sim.sender.mesh_pairs()[0]]
-            sockopt.enable_primary_path_only(sim.sender, pairs)
-        elif action.verb in ("link_down", "link_up"):
-            for link_id in action.targets:
-                sim.set_link_state(link_id, up=action.verb == "link_up")
-        else:  # pragma: no cover - parse_scenario rejects unknown verbs
-            raise ScenarioError(f"unknown action verb {action.verb!r}")
-
-    return apply
-
-
-def _ppos_forced_by_env() -> bool:
-    return os.environ.get(PPOS_ENV_VAR, "").lower() in ("1", "true", "yes", "on")
-
-
 def run_scenario(
     scenario: Scenario,
     bucket_ms: int = 1000,
@@ -383,9 +373,10 @@ def run_scenario(
         bucket_ms=bucket_ms,
     )
     pair_by_link = {link.link_id: link.pair for link in scenario.links}
-    if _ppos_forced_by_env():
-        default_primary = ScenarioAction(0, "enable_ppos")
-        sim.schedule_action(0, _action_closure(default_primary, pair_by_link))
-    for action in scenario.actions:
-        sim.schedule_action(action.at_ms, _action_closure(action, pair_by_link))
+    actions = scenario.actions
+    if os.environ.get(PPOS_ENV_VAR, "").lower() in ("1", "true", "yes", "on"):
+        actions = (ScenarioAction(0, "enable_ppos"), *actions)
+    for action in actions:
+        rule = partial(_RULES[action.verb], action=action, pair_by_link=pair_by_link)
+        sim.schedule_action(action.at_ms, rule)
     return sim.run()

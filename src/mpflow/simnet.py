@@ -838,7 +838,7 @@ class Simulation:
         self._next_ack = min(self._next_ack, flow.acks[0][0])
         self._arm_rto(flow, head - s)
 
-    def _end_keepalive(self, flow: _Flow, until: int, probe_at_until: bool = False) -> None:
+    def _end_keepalive(self, flow: _Flow, until: int, probe_at_until: bool) -> None:
         """End the keepalive of ``flow``: send the probes due before ``until``,
         and the one due at it if ``probe_at_until``, and handle their acks
         due before ``until``, as the timer and :meth:`_on_acks` would."""

@@ -6,6 +6,7 @@ from mpflow.model import MpflowError, ValidationError
 from mpflow.scenario import (
     BUILTIN_DOCS,
     CSV_HEADER,
+    PPOS_ENV_VAR,
     Scenario,
     ScenarioAction,
     ScenarioSemanticError,
@@ -225,6 +226,14 @@ def test_bandwidth_units():
     assert {link.bandwidth_bps for link in scenario.links} == {1_000_000}
 
 
+def test_bandwidth_suffixes_take_any_case_and_time_suffixes_lower_case_only():
+    doc = "scenario s\nduration 1s\nlink 1 1Mbps 10ms 10.0.0.1 10.0.1.1\n"
+    assert parse_scenario(doc).links[0].bandwidth_bps == 1_000_000
+    with pytest.raises(ScenarioSyntaxError, match="bad time") as err:
+        parse_scenario(doc.replace("10ms", "10MS"))
+    assert err.value.line == 3
+
+
 def test_duration_override_truncates_run():
     report = run_scenario(builtin_scenario("fig4"), duration_ms=3_000)
     assert report.duration_ms == 3_000
@@ -265,6 +274,36 @@ def test_env_var_unset_leaves_default_scheduler(monkeypatch):
     report = run_scenario(scenario)
     carried = {row.subflow_id for row in report.rows if row.bytes_acked > 0}
     assert carried == {1, 2, 3}
+
+
+def _builtin_csv(name):
+    buf = io.StringIO()
+    emit_csv(run_scenario(builtin_scenario(name)), buf)
+    return buf.getvalue()
+
+
+def test_env_var_runs_like_an_enable_ppos_at_zero(monkeypatch):
+    # fig6_ppos is fig6_default after "at 0s enable_ppos 1", and link 1
+    # serves the pair of the first link line, which the switch takes.
+    monkeypatch.delenv(PPOS_ENV_VAR, raising=False)
+    ppos = _builtin_csv("fig6_ppos")
+    monkeypatch.setenv(PPOS_ENV_VAR, "1")
+    assert _builtin_csv("fig6_default") == ppos
+    assert _builtin_csv("fig6_ppos") == ppos
+
+
+def test_enable_ppos_without_ids_takes_the_pair_of_the_first_link_line(monkeypatch):
+    monkeypatch.delenv(PPOS_ENV_VAR, raising=False)
+    doc = (
+        "scenario first_line\nduration 4s\n"
+        "link 2 1mbps 100ms 10.0.0.1 10.0.2.1\nlink 1 1mbps 100ms 10.0.0.1 10.0.1.1\n"
+        "at 0s enable_ppos\n"
+    )
+    scenario = parse_scenario(doc)
+    report = run_scenario(scenario)
+    pair_of = {rec.subflow_id: rec.pair for rec in report.columns}
+    carried = {pair_of[row.subflow_id] for row in report.rows if row.bytes_acked}
+    assert carried == {scenario.links[0].pair}
 
 
 def test_emit_csv_empty_report_is_header_only():

@@ -86,7 +86,7 @@ class TrainLog(Simulation):
         srtt = self._start_srtt.pop(flow.sf.id)
         self.trains.append(Train(flow.sf.id, until, first_ack, acks, s, srtt))
 
-    def _end_keepalive(self, flow, until, probe_at_until=False):
+    def _end_keepalive(self, flow, until, probe_at_until):
         self.keepalives.append(Keepalive(flow.sf.id, until, probe_at_until, flow.keepalive))
         super()._end_keepalive(flow, until, probe_at_until)
 
