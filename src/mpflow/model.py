@@ -11,13 +11,19 @@ created sub-flow starts active or backup is decided by
 :func:`classify_subflow_priority` against the connection's persistent
 interface lists, which is what makes priorities survive sub-flow
 re-creation.
+
+Each value is checked once, where it is built: an :class:`EndpointAddress`
+checks its address width and port, and an :class:`InterfacePair` built
+with :meth:`InterfacePair.between` checks only that its two endpoints share
+a family, as their widths were checked when they were built. Sub-flow
+births build from such checked parts and check nothing again.
 """
 
 from __future__ import annotations
 
 import ipaddress
 from enum import Enum
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 from .wire import MpPrioOption
 
@@ -126,9 +132,12 @@ class InterfacePair(_InterfacePairFields):
 
     @classmethod
     def between(cls, src: EndpointAddress, dst: EndpointAddress) -> "InterfacePair":
+        """The pair from ``src`` to ``dst``. Their address widths were
+        checked when the endpoints were built, so this checks only that
+        their families match."""
         if src.family is not dst.family:
             raise ValidationError("mixed address families within one pair")
-        return cls(src.family, src.address, dst.address)
+        return cls._make((src.family, src.address, dst.address))
 
     def __str__(self) -> str:
         if self.family is AddrFamily.V4:  # what ipaddress writes, without it
@@ -182,8 +191,12 @@ class PriorityLists(NamedTuple):
     backup_list: Tuple[InterfacePair, ...] = ()
 
 
-def classify_subflow_priority(pair: InterfacePair, lists: PriorityLists) -> bool:
-    """Return the ``low_prio`` flag for a sub-flow created over ``pair``.
+def classify_subflow_priority(
+    pair: InterfacePair, lists: Union[PriorityLists, ConnectionState]
+) -> bool:
+    """Return the ``low_prio`` flag for a sub-flow created over ``pair``,
+    from the two lists of ``lists``, a :class:`PriorityLists` or a
+    connection's own.
 
     Rules, in precedence order:
       1. if the active list is non-empty, pairs on it are active and every
@@ -265,13 +278,20 @@ def _birth_priority(conn: ConnectionState, pair: InterfacePair) -> bool:
     # sub-flow off them is forced to backup, current and future alike.
     if conn.primary_pairs and pair not in conn.primary_pairs:
         return True
-    return classify_subflow_priority(pair, conn.priority_lists())
+    return classify_subflow_priority(pair, conn)
+
+
+def subflow_port(subflow_id: int) -> int:
+    """The port of both endpoints of sub-flow ``subflow_id``: PORT_BASE +
+    id, wrapped to stay within PORT_BASE..0xFFFF. Only an alive sub-flow's
+    4-tuple must be unique, and the alive sub-flows have distinct pairs."""
+    return PORT_BASE + subflow_id % (0x10000 - PORT_BASE)
 
 
 def _add_subflow(
     conn: ConnectionState, src: EndpointAddress, dst: EndpointAddress
 ) -> SubflowState:
-    sf = SubflowState(id=conn.next_id, src=src, dst=dst)
+    sf = SubflowState(conn.next_id, src, dst)
     sf.low_prio = _birth_priority(conn, sf.pair())
     conn.next_id += 1
     conn.subflows.append(sf)
@@ -285,16 +305,18 @@ def new_connection(
     """Create a connection with the full mesh of m x n sub-flows.
 
     Sub-flow ids are assigned in (local-index, remote-index) order starting
-    at 1, and sub-flow ports deterministically as PORT_BASE + id, so a fresh
-    connection is fully reproducible.
+    at 1, and sub-flow ports deterministically by :func:`subflow_port`, so a
+    fresh connection is fully reproducible.
     """
     if not local_addrs or not remote_addrs:
         raise ConfigurationError("both address lists must be non-empty")
     conn = ConnectionState(local_addrs=list(local_addrs), remote_addrs=list(remote_addrs))
     for local in conn.local_addrs:
         for remote in conn.remote_addrs:
-            port = PORT_BASE + conn.next_id
-            _add_subflow(conn, local.with_port(port), remote.with_port(port))
+            port = subflow_port(conn.next_id)
+            src = EndpointAddress._make((local.family, local.address, port))
+            dst = EndpointAddress._make((remote.family, remote.address, port))
+            _add_subflow(conn, src, dst)
     return conn
 
 

@@ -89,14 +89,7 @@ class SubflowColumn(NamedTuple):
         del acked[last + 1 - first :]
         acked += [0] * (last + 1 - first - len(acked))
         return cls(
-            subflow_id=sf.id,
-            pair=flow.link.spec.pair,
-            first=first,
-            last=last,
-            acked=acked,
-            flag_times=flow.flag_times,
-            flag_values=flow.flag_values,
-            died_us=died,
+            sf.id, flow.link.spec.pair, first, last, acked, flow.flag_times, flow.flag_values, died
         )
 
     def per_row(
@@ -106,13 +99,21 @@ class SubflowColumn(NamedTuple):
         ``last``, mapped over one flag interval at a time. ``flag_values[i]``
         is in force from the first bucket that ends at or after
         ``flag_times[i]`` to the next flag's, and only the last row of a
-        sub-flow that died off a bucket edge is not alive. The last bucket
+        sub-flow that died off a bucket edge is not alive. A column whose
+        flag never changed is one interval: one ``map`` over its bytes, and
+        its last row apart if it died off a bucket edge. The last bucket
         of a run may end before ``(bucket + 1) * bucket_us``, but no flag
         time and no death is at or after the end of the run, so its row is
         the same."""
         acked, first, n = self.acked, self.first, self.last + 1 - self.first
+        died = self.died_us
+        cut = n - 1 if died is not None and died % bucket_us else n
+        if len(self.flag_times) == 1:
+            low_prio = self.flag_values[0]
+            if cut == n:
+                return [*map(convert[low_prio, True], acked)]
+            return [*map(convert[low_prio, True], acked[:cut]), convert[low_prio, False](acked[-1])]
         starts = [min(max(-(-t // bucket_us) - 1 - first, 0), n) for t in self.flag_times[1:]]
-        cut = n - 1 if self.died_us is not None and self.died_us % bucket_us else n
         cells: list = []
         for low_prio, lo, hi in zip(self.flag_values, [0] + starts, starts + [n]):
             for i, j, alive in ((lo, min(hi, cut), True), (max(lo, cut), hi, False)):
@@ -191,20 +192,27 @@ def emit_csv(report: TimelineReport, out: Union[str, os.PathLike, IO[str]]) -> N
     end_of = {
         flags: _RowEnds(bucket_ms, "{:d},{:d}\n".format(*flags)).__getitem__ for flags in _FLAGS
     }
-    ends = {c.subflow_id: c.per_row(bucket_us, end_of) for c in columns}
     pair_text = {p: str(p) for p in {c.pair for c in columns}}
+    # Each sub-flow's row middles and ends, as iterators: a stretch's zip
+    # stops at the end of its first iterable, its bucket starts, so each
+    # takes up its sub-flow's rows where the stretch before left off.
+    rest = {
+        c.subflow_id: (
+            repeat(f",{c.subflow_id},{pair_text[c.pair]},"), iter(c.per_row(bucket_us, end_of))
+        )
+        for c in columns
+    }
     parts = [CSV_HEADER + "\n"]
     for lo, hi, active in report._stretches():
         starts = list(map(str, range(lo * bucket_ms, hi * bucket_ms, bucket_ms)))
         pieces = []  # zipped, each bucket's (start, middle, end) per sub-flow
         for c in active:
-            middle = repeat(f",{c.subflow_id},{pair_text[c.pair]},")
-            pieces += (starts, middle, ends[c.subflow_id][lo - c.first : hi - c.first])
+            pieces += (starts, *rest[c.subflow_id])
         parts += chain.from_iterable(zip(*pieces))
-    for c in columns:
-        died = "-" if c.died_ms is None else c.died_ms
+    for c in columns:  # created_ms and died_ms, read off the fields
+        died = "-" if c.died_us is None else c.died_us // US_PER_MS
         parts.append(
             f"# subflow {c.subflow_id} pair={pair_text[c.pair]} "
-            f"created_ms={c.created_ms} died_ms={died}\n"
+            f"created_ms={c.flag_times[0] // US_PER_MS} died_ms={died}\n"
         )
     out.write("".join(parts))

@@ -348,15 +348,15 @@ def builtin_scenario(name: str) -> Scenario:
 def _connection_endpoints(
     links: Sequence[LinkSpec],
 ) -> Tuple[List[EndpointAddress], List[EndpointAddress]]:
-    locals_, remotes = [], []
-    for link in links:
-        src = EndpointAddress(link.pair.family, link.pair.src)
-        dst = EndpointAddress(link.pair.family, link.pair.dst)
-        if src not in locals_:
-            locals_.append(src)
-        if dst not in remotes:
-            remotes.append(dst)
-    return locals_, remotes
+    """The local and the remote addresses of ``links``, each once, in order
+    of first use, built from the links' checked pairs."""
+    pairs = [link.pair for link in links]
+    local_keys = dict.fromkeys((pair.family, pair.src) for pair in pairs)
+    remote_keys = dict.fromkeys((pair.family, pair.dst) for pair in pairs)
+    return (
+        [EndpointAddress._make((family, address, 0)) for family, address in local_keys],
+        [EndpointAddress._make((family, address, 0)) for family, address in remote_keys],
+    )
 
 
 def run_scenario(

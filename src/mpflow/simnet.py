@@ -175,7 +175,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import operator
-from collections import Counter, deque
+from collections import deque
 from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import sockopt
@@ -183,11 +183,11 @@ from .model import (
     ConnectionState,
     EndpointAddress,
     InterfacePair,
-    PORT_BASE,
     SubflowState,
     ValidationError,
     _add_subflow,
     open_subflow,  # not called here, but profilers rebind simnet.open_subflow
+    subflow_port,
 )
 from .report import US_PER_MS, SubflowColumn, TimelineReport
 from .scheduler import select, tier
@@ -328,15 +328,16 @@ def check_topology(
         return None if i is None or j is None else max(i, j)
 
     served = {spec.pair for spec in links}
-    mesh = set()
+    mesh = set()  # as plain tuples, which equal and hash as the pairs do
     for local in local_addrs:
         for remote in remote_addrs:
             if local.family is not remote.family:
                 problem = f"mixed address families within one pair {local.host()}->{remote.host()}"
                 raise TopologyError(problem, blame(local, remote))
-            pair = InterfacePair(local.family, local.address, remote.address)
+            pair = (local.family, local.address, remote.address)
             if pair not in served:
-                raise TopologyError(f"no link serves interface pair {pair}", blame(local, remote))
+                problem = f"no link serves interface pair {InterfacePair._make(pair)}"
+                raise TopologyError(problem, blame(local, remote))
             mesh.add(pair)
     pairs, link_ids = set(), set()
     for i, spec in enumerate(links):
@@ -366,9 +367,10 @@ class Simulation:
         if bucket_ms <= 0:
             raise ValidationError("bucket width must be positive")
         check_topology(sender.local_addrs, sender.remote_addrs, links)
-        # A dead sub-flow counts as None, the pair of no link.
-        pairs = Counter(sf.pair() if sf.alive else None for sf in sender.subflows)
-        if pairs != Counter(spec.pair for spec in links):
+        # A dead sub-flow counts as None, the pair of no link. The links'
+        # pairs are distinct, so equal sets of as many pairs are equal counts.
+        pairs = {sf.pair() if sf.alive else None for sf in sender.subflows}
+        if len(sender.subflows) != len(links) or pairs != {spec.pair for spec in links}:
             raise ValidationError("the sender must hold one live sub-flow per link pair")
         self.sender = sender
         self.receiver = mirror_connection(sender)
@@ -659,7 +661,7 @@ class Simulation:
         was built, and no live sub-flow holds the pair, so none is bound to
         their tuple: ``open_subflow``'s checks would find nothing."""
         sender, pair = self.sender, link.spec.pair
-        port = PORT_BASE + sender.next_id
+        port = subflow_port(sender.next_id)
         src = EndpointAddress._make((pair.family, pair.src, port))
         dst = EndpointAddress._make((pair.family, pair.dst, port))
         sf = _add_subflow(sender, src, dst)
@@ -892,7 +894,7 @@ def _mirror(sf: SubflowState) -> SubflowState:
     """The receiver's view of ``sf``: same id, reversed tuple, and the birth
     priority, which travels with the join (stand-in for the handshake's
     backup bit)."""
-    return SubflowState(id=sf.id, src=sf.dst, dst=sf.src, low_prio=sf.low_prio)
+    return SubflowState(sf.id, sf.dst, sf.src, sf.low_prio)
 
 
 def mirror_connection(conn: ConnectionState) -> ConnectionState:

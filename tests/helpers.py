@@ -3,8 +3,8 @@
 from mpflow.model import (
     EndpointAddress,
     InterfacePair,
-    PORT_BASE,
     new_connection,
+    subflow_port,
 )
 from mpflow.simnet import MSS
 
@@ -28,7 +28,7 @@ def three_paths():
 
 def tuple_for_next(conn, mesh_pair):
     """The deterministic 4-tuple open_subflow would use for a pair."""
-    port = PORT_BASE + conn.next_id
+    port = subflow_port(conn.next_id)
     return (
         EndpointAddress(mesh_pair.family, mesh_pair.src, port),
         EndpointAddress(mesh_pair.family, mesh_pair.dst, port),

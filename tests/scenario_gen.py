@@ -17,7 +17,9 @@ alter timelines re-pins it on purpose with::
 ``N`` scenarios drawn from ``random.Random(f"diff/{k}")`` for ``k < N``,
 which no test pins, and of the benchmark's scenarios at their workload's
 bucket width: the built-ins, and seeds 0-3 of ``mesh16_flaps`` and
-``prio_churn_fine`` from ``perfbench/workloads.py``. It also digests the
+``prio_churn_fine`` from ``perfbench/workloads.py``; ``mesh16_flaps`` also
+at ``MESH_FINE_BUCKET_MS``, where its sub-flows die and are re-opened both
+on and off bucket edges. It also digests the
 ``edge_*`` scenarios of ``edge_scenarios()``, on links that the generator
 never draws or at a same-µs tie between a probe and a death. Beside each
 CSV digest, under the key ``<bucket>/state``, it prints a digest of the
@@ -58,6 +60,7 @@ ACTION_VERBS = (
 CORPUS_SIZE = 60
 CORPUS_BUCKETS_MS = (1000, 100)
 WORKLOAD_SEEDS = range(4)
+MESH_FINE_BUCKET_MS = 100
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -186,7 +189,8 @@ def perfbench_workloads():
 
 def workload_digests():
     """CSV, end-state and timer digests of the benchmark's scenarios at their
-    workload's bucket width, named ``workload/seed/scenario``."""
+    workload's bucket width, and ``mesh16_flaps`` also at
+    ``MESH_FINE_BUCKET_MS``, named ``workload/seed/scenario``."""
     workloads = perfbench_workloads()
     runs = [("paper_figs", 0, workloads.paper_figs(0, BUILTIN_DOCS))]
     for name in ("mesh16_flaps", "prio_churn_fine"):
@@ -194,7 +198,10 @@ def workload_digests():
     out = {}
     for name, seed, workload in runs:
         docs = [(f"{name}/{seed}/{doc_name}", doc) for doc_name, doc in workload.docs]
-        out.update(digests(docs, (workload.bucket_ms,), state=True))
+        buckets_ms = (workload.bucket_ms,)
+        if name == "mesh16_flaps":
+            buckets_ms += (MESH_FINE_BUCKET_MS,)
+        out.update(digests(docs, buckets_ms, state=True))
     return out
 
 

@@ -22,6 +22,7 @@ from mpflow.model import (
     list_subflow_ids,
     new_connection,
     open_subflow,
+    subflow_port,
 )
 from mpflow.scheduler import ChoiceReason, SchedulerDecision
 from mpflow.sockopt import SubPrioRequest
@@ -240,6 +241,23 @@ def test_pair_rejects_mixed_families():
     v6 = addr("2001:db8::1")
     with pytest.raises(ValidationError):
         InterfacePair.between(v4, v6)
+
+
+@pytest.mark.parametrize("src, dst", [("10.0.0.1", "10.0.1.1"), ("2001:db8::1", "2001:db8::2")])
+def test_between_builds_the_pair_that_the_checked_constructor_builds(src, dst):
+    # It checks the families only: the widths were checked with the endpoints.
+    a, b = addr(src, 40001), addr(dst, 40001)
+    built = InterfacePair.between(a, b)
+    assert type(built) is InterfacePair
+    assert built == InterfacePair(a.family, a.address, b.address)
+    with pytest.raises(ValidationError, match="mixed address families"):
+        InterfacePair.between(a, addr("10.0.0.9" if ":" in src else "2001:db8::9"))
+
+
+def test_a_sub_flow_port_wraps_within_port_base_to_0xffff():
+    assert [subflow_port(i) for i in (1, 25_535, 25_536, 25_600)] == [
+        PORT_BASE + 1, 0xFFFF, PORT_BASE, PORT_BASE + 64
+    ]
 
 
 def test_pair_equality_ignores_ports():

@@ -145,3 +145,34 @@ def test_csv_and_rows_follow_the_row_rule_bucket_by_bucket(run):
     pairs = {flow.sf.id: str(flow.link.spec.pair) for flow in flows}
     data = [csv_line(row, bucket_ms, pairs[row.subflow_id]) for row in expected]
     assert lines == data + reference_footer(flows)
+
+
+def csv_text(report):
+    out = io.StringIO()
+    emit_csv(report, out)
+    return out.getvalue()
+
+
+def test_a_same_value_flag_entry_changes_no_row():
+    # A column whose flag never changed takes per_row's one-interval path.
+    # A second flag entry of the same value sends it through the path of
+    # several intervals, which must give the same rows and CSV bytes.
+    def pair(k):
+        return InterfacePair(AddrFamily.V4, bytes([10, 0, 0, 1]), bytes([10, 0, k, 1]))
+
+    columns = [  # 1 s buckets over 5.5 s: buckets 0-5
+        SubflowColumn(1, pair(1), 0, 5, [5, 6, 7, 8, 9, 10], [0], [False], None),
+        SubflowColumn(2, pair(2), 1, 2, [11, 12], [1_200_000], [True], 3_000_000),
+        SubflowColumn(3, pair(3), 2, 4, [13, 14, 15], [2_500_000], [False], 4_700_000),
+    ]
+    report = TimelineReport(1000, 5500, columns)
+    rows, text = report.rows, csv_text(report)
+    # Alive at the run's end, dead on a bucket edge, and dead off one.
+    assert [(r.subflow_id, r.alive) for r in rows if r.bucket_start_ms == 5000] == [(1, True)]
+    assert [r.alive for r in rows if r.subflow_id == 2] == [True, True]
+    assert [r.alive for r in rows if r.subflow_id == 3] == [True, True, False]
+    for column in columns:
+        column.flag_times.append(column.flag_times[0] + 300_000)
+        column.flag_values.append(column.flag_values[0])
+    assert report.rows == rows
+    assert csv_text(report) == text

@@ -4,7 +4,16 @@ import weakref
 
 import pytest
 
-from mpflow.model import ValidationError, close_subflow, new_connection, open_subflow
+from mpflow.model import (
+    PORT_BASE,
+    EndpointAddress,
+    InterfacePair,
+    ValidationError,
+    close_subflow,
+    new_connection,
+    open_subflow,
+    subflow_port,
+)
 from mpflow.simnet import LinkSpec, Simulation
 from mpflow import simnet, sockopt
 from mpflow.scenario import PPOS_ENV_VAR, builtin_scenario, parse_scenario, run_scenario
@@ -467,6 +476,48 @@ def test_single_path_ppos_timeline_identical_to_default():
 
 # --------------------------------------------------------------------- #
 # failure, detection and re-establishment
+
+
+def test_a_sub_flow_re_opened_past_the_last_port_wraps_to_the_port_base():
+    # PORT_BASE + 25,600 would be 65,600, past 0xFFFF: the port wraps, and
+    # the re-opened sub-flow's endpoints are ones the checked constructor
+    # accepts, at both ends.
+    sim = build_sim(1, duration_ms=6_000)
+    sim.sender.next_id = sim.receiver.next_id = 25_600
+    sim.schedule_action(1_000, link_action(1, False))
+    sim.schedule_action(4_000, link_action(1, True))
+    report = sim.run()
+    assert [c.subflow_id for c in report.columns] == [1, 25_600]
+    assert report.columns[1].died_us is None
+    for conn in (sim.sender, sim.receiver):
+        sf = conn.subflow_by_id(25_600)
+        assert sf.src.port == sf.dst.port == PORT_BASE + 64 == subflow_port(25_600)
+        assert (EndpointAddress(*sf.src), EndpointAddress(*sf.dst)) == (sf.src, sf.dst)
+
+
+def test_a_flapping_mesh_builds_nothing_checked_after_parsing(monkeypatch):
+    # Every address and pair was checked when the scenario was parsed, so
+    # neither the set-up nor the sub-flows re-opened in the run check one
+    # again: none goes through a checked constructor.
+    scenario = parse_scenario(
+        "scenario flaps\nduration 8s\n"
+        "link 1 10mbps 5ms 10.0.0.1 10.0.1.1\nlink 2 10mbps 7ms 10.0.0.1 10.0.2.1\n"
+        "link 3 10mbps 9ms 10.0.0.2 10.0.1.1\nlink 4 10mbps 11ms 10.0.0.2 10.0.2.1\n"
+        "at 1s link_down 1 4\nat 3500ms link_up 1 4\nat 4s link_down 2\nat 6500ms link_up 2\n"
+    )
+    checked = []
+    for cls in (EndpointAddress, InterfacePair):
+        def counting(cls, *args, new=cls.__new__, **kwargs):
+            checked.append(cls)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__new__", staticmethod(counting))
+    EndpointAddress.from_string("10.0.0.1")
+    assert checked == [EndpointAddress]  # the count sees a checked build
+    checked.clear()
+    report = run_scenario(scenario)
+    assert len(report.columns) == 7  # 3 re-opened
+    assert checked == []
 
 
 def test_outage_kills_busy_subflow_and_reestablishes_within_a_second():
