@@ -64,27 +64,28 @@ give byte-identical reports on any platform.
 
 Acks are not heap events. A link serializes in send order, so a sub-flow's
 acks come back in send order and wait in a FIFO on the sub-flow; a link
-change, which restarts the link's clock, drops them by emptying the FIFO
-of its newest sub-flow. :meth:`Simulation.run` keeps a lower bound on the
-arrival of every queued ack, which a send outside a drain or a train's end
-lowers and a drain sets to the earliest arrival it leaves, those of its
-own sends included; a link change that drops acks leaves it low, for one
-drain more. Before each heap event, the run drains every FIFO, sub-flow by
-sub-flow, up to a horizon if the bound is before it. The horizon is the
-next heap event, the end of the run or ``RTO_MIN_US`` after the bound,
-whichever is first. An ack touches only its own sub-flow, that sub-flow's
-link and its acked bytes, and any deadline it sets is ``RTO_MIN_US`` or
-more after it, so past the horizon: no heap event falls due inside it and
-the acks of different sub-flows commute. An MP_PRIO arrival sets only the
-receiver's view of its sub-flow, which no ack reads or writes, and reads
-only its link's state and epoch, which no ack changes; so it commutes with
-every queued ack, and the run delivers one at the top of the heap before
-the drain, which it does not cut. A receiver that read its own view during
-the run, such as a peer that sends too, would have to cut it again. A
-recorded death empties its sub-flow's FIFO for good and ends its train or
-keepalive, so the drains, the pumps and the run's end visit only the
-sub-flows whose death is not recorded yet, in id order: a birth adds its
-sub-flow last and a recorded death takes it out.
+change, which restarts the link's clock, drops them by emptying the FIFO of
+its newest sub-flow. The run's ack calendar is a heap of ``(head arrival,
+sub-flow id, flow)``, where an id names one flow, so heapq compares no
+flows. A send into an empty FIFO pushes its flow's entry, and a drain that
+leaves acks in a FIFO pushes it at the new head. An entry whose key is not
+its FIFO's head is stale, as a link change, a death or a train emptied the
+FIFO, and a drain skips it. So no queued ack is due before the calendar's
+top. Before each heap event, the run drains the FIFOs, by head arrival, up
+to a horizon if the top is before it: the next heap event, the end of the
+run or ``RTO_MIN_US`` after the top, whichever is first. An ack touches
+only its own sub-flow, that sub-flow's link and its acked bytes, and any
+deadline it sets is ``RTO_MIN_US`` or more after it, so past the horizon:
+no heap event falls due inside it and the acks of different sub-flows
+commute. An MP_PRIO arrival sets only the receiver's view of its sub-flow,
+which no ack reads or writes, and reads only its link's state and epoch,
+which no ack changes; so it commutes with every queued ack, and the run
+delivers one at the top of the heap before the drain, which it does not
+cut. A receiver that read its own view during the run, such as a peer that
+sends too, would have to cut it again. A recorded death empties its
+sub-flow's FIFO for good and ends its train or keepalive, and only a link's
+newest sub-flow may be alive, so the pumps and the run's end visit the
+newest flow of each link, and a pump skips a recorded death.
 
 The drain hands a flow's due acks to :meth:`Simulation._on_acks` in one
 call. Each ack feeds its round trip into srtt's EWMA, clears the timeouts,
@@ -176,6 +177,7 @@ import heapq
 import itertools
 import operator
 from collections import deque
+from heapq import heappop, heappush  # the ack calendar's, which profilers do not count
 from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import sockopt
@@ -362,10 +364,11 @@ class Simulation:
         duration_ms: int,
         bucket_ms: int = 1000,
     ) -> None:
-        if duration_ms <= 0:
-            raise ValidationError("duration must be positive")
-        if bucket_ms <= 0:
-            raise ValidationError("bucket width must be positive")
+        for what, ms in (("duration", duration_ms), ("bucket width", bucket_ms)):
+            if not isinstance(ms, int):
+                raise ValidationError(f"{what} must be a whole number of ms: {ms}")
+            if ms <= 0:
+                raise ValidationError(f"{what} must be positive")
         check_topology(sender.local_addrs, sender.remote_addrs, links)
         # A dead sub-flow counts as None, the pair of no link. The links'
         # pairs are distinct, so equal sets of as many pairs are equal counts.
@@ -395,17 +398,14 @@ class Simulation:
         }
         # The newest flow on each link, by link id: the only one that may be alive.
         self._newest_flow = {flow.link.spec.link_id: flow for flow in self._flows.values()}
-        # The flows whose death is not recorded yet, in the order of _flows:
-        # the pumps, the drains and the run's end visit only these.
-        self._alive = {i: flow for i, flow in self._flows.items() if flow.sf.died_us is None}
+        self._calendar: List[tuple] = []  # the ack calendar (module docstring)
         # Alive flows counted by cached tier from here on, as actions at
         # 0 ms pump before the bootstrap; and the tier whose flows are
         # clocked, None before the first pump.
         self._tier_counts = [0, 0, 0]
         self._deciding: Optional[int] = None
-        for flow in self._alive.values():
+        for flow in self._flows.values():
             self._retier(flow)
-        self._next_ack = self.duration_us  # no queued ack arrives before it
         self._finished = False
 
     # ------------------------------------------------------------------ #
@@ -418,6 +418,8 @@ class Simulation:
         """Run ``action(self)`` at ``at_ms``. An action changes priorities
         through :mod:`mpflow.sockopt` but opens no sub-flow (ValidationError),
         and the run records a flip from the MP_PRIO that the flip queues."""
+        if not isinstance(at_ms, int) or at_ms < 0:
+            raise ValidationError(f"an action's time must be a whole number of ms >= 0: {at_ms}")
         self._push(at_ms * US_PER_MS, Simulation._on_action, (action,))
 
     # ------------------------------------------------------------------ #
@@ -443,8 +445,8 @@ class Simulation:
         link = flow.link
         link.tx_free_us = start = max(at, link.tx_free_us)
         if link.up:  # on a down link, the probe and its ack are lost
-            flow.acks.append((start + 2 * link.delay_us, 0, at))
-            self._next_ack = min(self._next_ack, start + 2 * link.delay_us)
+            flow.acks.append((start + 2 * link.delay_us, 0, at))  # an idle flow's FIFO was empty
+            heappush(self._calendar, (start + 2 * link.delay_us, flow.sf.id, flow))
         flow.probe_outstanding = True
         self._arm_rto(flow, at)
 
@@ -479,13 +481,14 @@ class Simulation:
 
     def _pump(self, flows: Optional[List[_Flow]] = None, timer_id: int = 0) -> None:
         """Mark the alive flows of the deciding tier ``clocked`` and fill
-        their windows, as an ack refills its own flow's. ``flows``, in id
-        order, are the alive flows whose tier or life may have changed since
-        the last pump: it re-tiers them and visits only them, unless the
-        deciding tier moved; then, and at the bootstrap (``flows`` None,
-        where ``select`` names the tier), it visits every alive flow. It
-        records the death of a sub-flow killed by its timer, whose id is
-        ``timer_id``, or closed by an action.
+        their windows, as an ack refills its own flow's. ``flows`` are the
+        flows whose tier or life may have changed since the last pump and
+        whose death is not recorded: it re-tiers them and visits only them,
+        unless the deciding tier moved; then, and at the bootstrap (``flows``
+        None, where ``select`` names the tier), it visits the newest flow of
+        each link, unless its death is recorded. It records the death of a
+        sub-flow killed by its timer, whose id is ``timer_id``, or closed by
+        an action.
 
         A flow not visited keeps its tier and life, so its ``clocked``
         flag, and a clocked one its full window, as its acks refill it.
@@ -502,7 +505,7 @@ class Simulation:
             counts = self._tier_counts  # the lowest tier with an alive flow decides
             deciding = 0 if counts[0] else 1 if counts[1] else 2 if counts[2] else None
         if flows is None or deciding != self._deciding:
-            flows = [*self._alive.values()]  # a copy: a death leaves _alive
+            flows = [flow for flow in self._newest_flow.values() if flow.sf.died_us is None]
         self._deciding = deciding
         for flow in flows:
             sf = flow.sf
@@ -511,7 +514,6 @@ class Simulation:
                 self._settle(flow, now, sf.id < timer_id)
             if not sf.alive:  # killed, or closed by an action
                 sf.died_us = now
-                del self._alive[sf.id]
                 sf.inflight_bytes = 0  # in-flight data goes back to the backlog
                 flow.acks.clear()  # late acks, which would change nothing
                 flow.peer.alive = False
@@ -536,9 +538,10 @@ class Simulation:
         sf.bytes_sent_total += n * MSS
         if link.up:  # on a down link, the segments and their acks are lost
             first = start + s + 2 * link.delay_us
+            if not flow.acks:
+                heappush(self._calendar, (first, sf.id, flow))
             arrivals = range(first, first + n * s, s) if s else itertools.repeat(first, n)
             flow.acks.extend(zip(arrivals, itertools.repeat(MSS), itertools.repeat(now)))
-            self._next_ack = min(self._next_ack, first)
         if flow.armed_at_us is None:
             self._arm_rto(flow, now)
 
@@ -670,7 +673,7 @@ class Simulation:
         self.receiver.subflows.append(peer)
         self.receiver.next_id = sender.next_id
         flow = _Flow(sf, peer, link, self.bucket_us)
-        self._flows[sf.id] = self._alive[sf.id] = self._newest_flow[link.spec.link_id] = flow
+        self._flows[sf.id] = self._newest_flow[link.spec.link_id] = flow
         # A new sub-flow can only lower the deciding tier, to its own, alone.
         self._pump([flow])
         self._idle(flow)
@@ -694,11 +697,10 @@ class Simulation:
             self._push(arrival, Simulation._on_options_arrival, (flow, flow.link.epoch, opt))
         flipped = {sf_id for sf_id, _ in outbox}
         outbox.clear()
-        alive = self._alive.values()
-        if sender.primary_pairs != primary:
-            self._pump([*alive])
-        else:
-            self._pump([flow for flow in alive if flow.sf.id in flipped or not flow.sf.alive])
+        flows = self._newest_flow.values()
+        if sender.primary_pairs == primary:  # else every flow may change tier
+            flows = [flow for flow in flows if flow.sf.id in flipped or not flow.sf.alive]
+        self._pump([flow for flow in flows if flow.sf.died_us is None])
 
     # ------------------------------------------------------------------ #
     # main loop and report
@@ -717,17 +719,18 @@ class Simulation:
             raise RuntimeError("a Simulation instance runs only once")
         self._finished = True
         self._push(0, Simulation._bootstrap, ())
-        heap = self._heap
+        heap, calendar = self._heap, self._calendar
         duration_us, deliver = self.duration_us, Simulation._on_options_arrival
         horizon = 0
         while horizon < duration_us:
-            # Every queued ack is due at or after _next_ack, and any deadline
+            # No queued ack is due before the calendar's top, and any deadline
             # it sets is RTO_MIN_US later (module docstring).
             next_us = min(heap[0][0], duration_us) if heap else duration_us
-            horizon = min(next_us, self._next_ack + RTO_MIN_US)
+            next_ack = calendar[0][0] if calendar else duration_us
+            horizon = min(next_us, next_ack + RTO_MIN_US)
             # An MP_PRIO arrival at the top cuts no drain (module docstring).
-            if self._next_ack < horizon and (next_us == duration_us or heap[0][2] is not deliver):
-                self._next_ack = self._drain_acks(horizon)
+            if next_ack < horizon and (next_us == duration_us or heap[0][2] is not deliver):
+                self._drain_acks(horizon)
                 if horizon < next_us:
                     continue
             if horizon == duration_us:
@@ -735,20 +738,20 @@ class Simulation:
             at_us, _, handler, args = heapq.heappop(heap)
             self.now_us = at_us
             handler(self, *args)
-        for flow in self._alive.values():
+        for flow in self._newest_flow.values():
             self._settle(flow, duration_us)
         return self._build_report()
 
-    def _drain_acks(self, horizon: int) -> int:
-        """Handle the acks due before ``horizon``; return the earliest left, or the run's end."""
-        next_ack = self.duration_us
-        for flow in self._alive.values():
+    def _drain_acks(self, horizon: int) -> None:
+        """Handle the acks due before ``horizon``, by head arrival (module docstring)."""
+        calendar = self._calendar
+        while calendar and calendar[0][0] < horizon:
+            head, _, flow = heappop(calendar)
             acks = flow.acks
-            while acks and acks[0][0] < horizon:
+            if acks and acks[0][0] == head:  # else stale
                 self._on_acks(flow, horizon)
-            if acks and acks[0][0] < next_ack:
-                next_ack = acks[0][0]
-        return next_ack
+                if acks:
+                    heappush(calendar, (acks[0][0], flow.sf.id, flow))
 
     def _train(self, flow: _Flow) -> bool:
         """Start a train on the clocked ``flow`` if its FIFO holds a full
@@ -837,7 +840,7 @@ class Simulation:
         flow.acks.extend(window[k:])
         sent = range(max(head - rtt, a0), head, s)
         flow.acks.extend(zip(range(sent.start + rtt, head + rtt, s), repeat(MSS), sent))
-        self._next_ack = min(self._next_ack, flow.acks[0][0])
+        heappush(self._calendar, (flow.acks[0][0], sf.id, flow))  # a train's FIFO was empty
         self._arm_rto(flow, head - s)
 
     def _end_keepalive(self, flow: _Flow, until: int, probe_at_until: bool) -> None:

@@ -29,6 +29,12 @@ timers and queued acks (``timer_digest``), which moves when a change
 arms a timer or queues an ack elsewhere. Running it in two checkouts and
 comparing the outputs with ``cmp`` shows whether a change keeps all those
 timelines and end states byte-identical.
+
+``--compare BASE.json HEAD.json`` sorts the (scenario, bucket) keys of two
+such outputs into moved (a different digest), removed (only in the base)
+and added (only in the head), writes the count and the first 20 keys of
+each kind to stderr as Markdown, and prints the count of moved and removed
+keys, which is a timeline change unless the corpus is re-pinned with it.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ import importlib.util
 import json
 import logging
 import random
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -279,6 +286,29 @@ def diff_scenarios(n: int):
     return [(f"diff_{k:03d}", random_scenario(random.Random(f"diff/{k}"))) for k in range(n)]
 
 
+def compare_digests(base, head):
+    """{"moved": keys, "removed": keys, "added": keys} between two ``--diff``
+    outputs, each kind a sorted list of (scenario, bucket) keys."""
+    base, head = (
+        {(name, bucket): digest for name, cells in out.items() for bucket, digest in cells.items()}
+        for out in (base, head)
+    )
+    return {
+        "moved": sorted(key for key in base.keys() & head.keys() if base[key] != head[key]),
+        "removed": sorted(base.keys() - head.keys()),
+        "added": sorted(head.keys() - base.keys()),
+    }
+
+
+def write_comparison(kinds, out, shown=20):
+    """Write each kind's count and first ``shown`` keys to ``out`` as Markdown."""
+    for kind, keys in kinds.items():
+        out.write(f"\nTimeline digests {kind}: {len(keys)}\n\n")
+        out.writelines(f"- `{name}` at {bucket} ms\n" for name, bucket in keys[:shown])
+        if len(keys) > shown:
+            out.write(f"- and {len(keys) - shown} more\n")
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description="Print CSV digests of generated scenarios.")
     parser.add_argument(
@@ -289,7 +319,20 @@ if __name__ == "__main__":
         " scenarios, the edge scenarios and the benchmark's scenarios, instead of the"
         " corpus's CSVs alone",
     )
+    parser.add_argument(
+        "--compare",
+        nargs=2,
+        metavar=("BASE.json", "HEAD.json"),
+        help="compare two --diff outputs: list the moved, removed and added digests on"
+        " stderr and print the count of moved and removed ones",
+    )
     args = parser.parse_args()
+    if args.compare:
+        base, head = (json.loads(Path(path).read_text()) for path in args.compare)
+        kinds = compare_digests(base, head)
+        write_comparison(kinds, sys.stderr)
+        print(len(kinds["moved"]) + len(kinds["removed"]))
+        sys.exit()
     # Skipped actions are part of the scenarios; only the digests are output.
     logging.getLogger("mpflow").setLevel(logging.ERROR)
     if args.diff is None:

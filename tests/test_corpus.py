@@ -7,12 +7,16 @@ Every digest was taken before the simulator's timers were merged into one
 per sub-flow, so a timeline change anywhere shows up here.
 """
 
+import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from scenario_gen import CORPUS_BUCKETS_MS, corpus, csv_digest
+from scenario_gen import CORPUS_BUCKETS_MS, compare_digests, corpus, csv_digest, write_comparison
 from mpflow.scenario import PPOS_ENV_VAR, parse_scenario, run_scenario
 from mpflow.simnet import Simulation
 
@@ -60,3 +64,30 @@ def test_every_ack_handled_one_by_one_finds_its_link_up(monkeypatch):
         run_scenario(parse_scenario(doc), bucket_ms=1000)
     assert len(handled) > 1000
     assert on_down_link == []
+
+
+def test_compare_sorts_digests_into_moved_removed_and_added(tmp_path):
+    """``scenario_gen.py --compare``, which the CI timelines job gates on,
+    counts a digest that changed or went as a timeline change, and lists a
+    new one without counting it."""
+    base = {"a": {"100": "1", "100/state": "2"}, "b": {"100": "3"}}
+    head = {"a": {"100": "1", "100/state": "9"}, "c": {"100": "4"}}
+    kinds = compare_digests(base, head)
+    assert kinds == {
+        "moved": [("a", "100/state")], "removed": [("b", "100")], "added": [("c", "100")]
+    }
+    out = io.StringIO()
+    write_comparison(kinds, out, shown=0)
+    assert out.getvalue().count("- and 1 more\n") == 3
+    paths = []
+    for name, digests in (("base", base), ("head", head)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(digests))
+    script = Path(__file__).resolve().parent / "scenario_gen.py"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run(
+        [sys.executable, str(script), "--compare", *map(str, paths)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert done.stdout == "2\n"
+    assert "Timeline digests moved: 1\n\n- `a` at 100/state ms\n" in done.stderr

@@ -13,6 +13,7 @@ itself, not through ``_fill``, so the logs also hold the state after each
 also check that the fill they are about happened.
 """
 
+import heapq
 import io
 import random
 from typing import NamedTuple
@@ -30,8 +31,9 @@ from scenario_gen import random_scenario
 
 def fill_per_segment(sim, flow):
     """The fill as one send per segment: each starts serializing when the
-    link is free, is acked one round trip after it finishes, lowers the
-    bound on queued acks, and arms the timer if the flow was idle."""
+    link is free, is acked one round trip after it finishes, puts its flow
+    on the ack calendar if its FIFO was empty, and arms the timer if the
+    flow was idle."""
     sf, link = flow.sf, flow.link
     while sf.inflight_bytes + MSS <= WINDOW_BYTES:
         link.tx_free_us = max(sim.now_us, link.tx_free_us) + link.mss_us
@@ -39,8 +41,9 @@ def fill_per_segment(sim, flow):
         sf.bytes_sent_total += MSS
         if link.up:
             arrival = link.tx_free_us + 2 * link.delay_us
+            if not flow.acks:
+                heapq.heappush(sim._calendar, (arrival, sf.id, flow))
             flow.acks.append((arrival, MSS, sim.now_us))
-            sim._next_ack = min(sim._next_ack, arrival)
         if flow.armed_at_us is None:
             sim._arm_rto(flow, sim.now_us)
 

@@ -3,7 +3,8 @@
 Profilers (such as the benchmark's tracer) count the per-segment calls by
 replacing module attributes of ``mpflow.simnet`` while a run is traced, so
 ``Simulation`` must look ``select``, ``heapq`` and the receiver's MP_PRIO
-handler up at call time. The sub-flow's cached interface pair must also
+handler up at call time, and only heap events may go through ``heapq``, not
+the ack calendar's entries. The sub-flow's cached interface pair must also
 stay equal to the pair of its endpoints, for sub-flows re-created during
 the run as well.
 """
@@ -66,6 +67,47 @@ def test_run_looks_up_select_and_heapq_at_call_time(monkeypatch):
     assert counts["select"] > 0
     assert counts["heappush"] > 0
     assert counts["heappop"] > 0
+
+
+def test_only_heap_events_go_through_the_heapq_seam(monkeypatch):
+    """The benchmark's tracer counts heap events by rebinding
+    ``simnet.heapq``, so the ack calendar keeps its pushes and pops off that
+    seam: every item pushed or popped through it is a heap event
+    ``(at, rank, handler, args)``, while the calendar's own ``(head arrival,
+    sub-flow id, flow)`` entries go through ``simnet.heappush`` and
+    ``simnet.heappop``."""
+    handlers = {
+        Simulation._bootstrap, Simulation._on_action, Simulation._on_options_arrival,
+        Simulation._on_timer,
+    }
+    seam, calendar = [], []
+    heapq = simnet.heapq
+
+    def seam_heappush(heap, item):
+        seam.append(item)
+        heapq.heappush(heap, item)
+
+    def seam_heappop(heap):
+        seam.append(heapq.heappop(heap))
+        return seam[-1]
+
+    def calendar_heappush(heap, item):
+        calendar.append(item)
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr(
+        simnet, "heapq", SimpleNamespace(heappush=seam_heappush, heappop=seam_heappop)
+    )
+    monkeypatch.setattr(simnet, "heappush", calendar_heappush)
+    sim = build_flapping_sim()
+    request = SubPrioRequest(2, True)
+    sim.schedule_action(2_000, lambda s: sockopt.set_subflow_priority(s.sender, request))
+    sim.run()
+    assert {item[2] for item in seam} == handlers
+    for item in seam:
+        at, rank, handler, args = item
+        assert isinstance(at, int) and isinstance(rank, tuple) and isinstance(args, tuple)
+    assert calendar and all(flow.sf.id == sf_id for _, sf_id, flow in calendar)
 
 
 def test_every_delivered_mp_prio_goes_through_the_sockopt_seam(monkeypatch):
@@ -168,7 +210,8 @@ def count_selects_by_handler(run):
             return tier(conn, sf)
 
         def counting_pump(sim, flows=None, timer_id=0):
-            deciding, alive = sim._deciding, len(sim._alive)
+            newest = sim._newest_flow.values()
+            deciding, alive = sim._deciding, sum(flow.sf.died_us is None for flow in newest)
             pump(sim, flows, timer_id)
             moved = flows is None or sim._deciding != deciding
             visits[stack[-1]] += alive if moved else len(flows)

@@ -34,9 +34,10 @@ re-create them, and every action verb. Every run checks that:
   what each ack's refill sees. A steady ack train sends its segments
   without ``_fill`` too, each in that same state, so a train is checked
   in it when it starts and after each pump that it outlives;
-* the run's bound on queued acks holds: no queued ack is due before it
-  when a drain starts, a drain returns the earliest one left (or the end
-  of the run), and no ack due before a pump's heap event is still queued;
+* the ack calendar has an entry keyed at the head of every flow with
+  queued acks when a drain starts and when it ends, a drain leaves no ack
+  due before its horizon, and no ack due before a pump's heap event is
+  still queued;
 * each flow's queued data acks are at least its link's serialization
   time ``s`` apart, checked after each send that queues them (a fill, an
   ``_on_acks`` call or a train's end): its link serializes one segment at
@@ -78,8 +79,8 @@ class RecordingSimulation(Simulation):
     """A Simulation that remembers its instances, for their end state,
     checks the refills of each ``_on_acks`` call and each ack train against
     a fresh scheduler choice and the fills of each pump against a choice
-    per segment, and checks the bound on queued acks and the deadlines of
-    armed timers at each drain and pump, the cached tiers, their counts and
+    per segment, and checks the ack calendar and the deadlines of armed
+    timers at each drain and pump, the cached tiers, their counts and
     the deciding tier after each pump, and the spacing of each flow's
     queued data acks after each send that queues them."""
 
@@ -102,13 +103,20 @@ class RecordingSimulation(Simulation):
                 deadline = flow.armed_at_us + base * 2**sf.consecutive_timeouts
                 assert flow.timer == deadline, (self.now_us, sf.id)
 
+    def _check_calendar(self):
+        entries = {(at, sf_id): flow for at, sf_id, flow in self._calendar}
+        for flow in self._flows.values():
+            if flow.acks:
+                key = (flow.acks[0][0], flow.sf.id)
+                assert entries.get(key) is flow, (self.now_us, key)
+
     def _drain_acks(self, horizon):
-        assert self._next_ack <= min(self._ack_heads(), default=horizon), self.now_us
+        self._check_calendar()
         self._check_deadlines()
-        bound = super()._drain_acks(horizon)
-        assert bound == min([self.duration_us, *self._ack_heads()]), (self.now_us, bound)
+        super()._drain_acks(horizon)
+        assert min(self._ack_heads(), default=horizon) >= horizon, self.now_us
+        self._check_calendar()
         self._check_deadlines()
-        return bound
 
     def _check_ack_spacing(self, flow):
         arrivals = [at for at, nbytes, _ in flow.acks if nbytes]

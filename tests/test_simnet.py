@@ -1,5 +1,6 @@
 import gc
 import heapq
+import re
 import weakref
 
 import pytest
@@ -783,6 +784,38 @@ def test_nonpositive_duration_rejected():
     links = [LinkSpec(1, sender.mesh_pairs()[0], MBPS, 100)]
     with pytest.raises(ValidationError):
         Simulation(sender, links, duration_ms=0)
+
+
+@pytest.mark.parametrize(
+    "times, message",
+    [
+        ({"duration_ms": 5000.5}, "duration must be a whole number of ms: 5000.5"),
+        ({"bucket_ms": 0.5}, "bucket width must be a whole number of ms: 0.5"),
+        ({"bucket_ms": 250.0}, "bucket width must be a whole number of ms: 250.0"),
+    ],
+    ids=["duration_5000.5", "bucket_0.5", "bucket_250.0"],
+)
+def test_a_run_s_times_must_be_whole_ms(times, message):
+    """A fractional duration or bucket width would reach the bucket lists
+    and the report's rows as a bare TypeError; the constructor rejects it."""
+    sender = new_connection([addr("10.0.0.1")], [addr("10.0.1.1")])
+    links = [LinkSpec(1, sender.mesh_pairs()[0], MBPS, 100)]
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        Simulation(sender, links, **{"duration_ms": 5_000, **times})
+
+
+@pytest.mark.parametrize("at_ms", [1.5, -5])
+def test_an_action_s_time_must_be_whole_ms_and_not_negative(at_ms):
+    """A fractional time would reach the flag history and the report as a
+    bare TypeError, and a negative one ran before the bootstrap and left
+    the flag history at ``[0, -5000]``; ``schedule_action`` rejects both
+    and schedules nothing."""
+    sim = build_sim(2, duration_ms=2_000)
+    message = f"an action's time must be a whole number of ms >= 0: {at_ms}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        sim.schedule_action(at_ms, mark_backup(2))
+    sim.run()
+    assert [flow.flag_times for flow in sim._flows.values()] == [[0], [0]]
 
 
 # At 10 kbps no first segment is acked before its sub-flow dies, 800 ms
