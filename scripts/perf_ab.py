@@ -1,0 +1,135 @@
+#!/usr/bin/env python3
+"""Compare the benchmark's end-to-end metrics of two checkouts, run in
+alternating pairs.
+
+Usage, from the root of this checkout:
+
+    python3 scripts/perf_ab.py BASE_DIR [--workload W] [--pairs N]
+                               [--seed S] [--seconds T]
+
+BASE_DIR is another checkout of the repository, for example a
+``git worktree`` or a ``git archive`` of the parent commit. Each pair runs
+``perfbench/run.py --workload W --seed S --seconds T --trace 0`` once in
+BASE_DIR and once in this checkout, the base first in even pairs and last
+in odd ones, so that a drift of the host's speed falls on both sides. Per
+metric, it prints the median of each side, their ratio (this checkout over
+the base), the spread between the quartiles of the base's runs, and the
+pairs that this checkout won, by the direction that ``BENCHMARK.json``
+gives the metric. A run that exits non-zero or reports a failed scenario
+run stops the script.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+from typing import Dict, List, NamedTuple, Sequence, Tuple
+
+HERE = Path(__file__).resolve().parent.parent
+
+
+class Row(NamedTuple):
+    """One metric over the pairs."""
+
+    name: str
+    base: float  # median
+    head: float  # median
+    spread: float  # between the quartiles of the base's runs
+    wins: int
+    pairs: int
+
+    @property
+    def ratio(self) -> float:
+        return self.head / self.base if self.base else float("nan")
+
+
+def result_of(stdout: str) -> Dict:
+    """The JSON result that ``perfbench/run.py`` prints as its last line."""
+    lines = stdout.strip().splitlines()
+    if not lines:
+        raise ValueError("perfbench printed nothing")
+    return json.loads(lines[-1])
+
+
+def directions(benchmark: Path = HERE / "BENCHMARK.json") -> Dict[str, str]:
+    """``"higher"`` or ``"lower"`` by end-to-end metric name."""
+    spec = json.loads(benchmark.read_text())
+    return {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+
+
+def quartile_spread(values: Sequence[float]) -> float:
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q3 - q1
+
+
+def summarize(pairs: Sequence[Tuple[Dict, Dict]], better: Dict[str, str]) -> List[Row]:
+    """A row per metric of ``better`` that every result reports, from
+    (base result, head result) pairs."""
+    rows = []
+    for name, direction in better.items():
+        if not all(name in r["metrics"] for pair in pairs for r in pair):
+            continue
+        base = [b["metrics"][name]["value"] for b, _ in pairs]
+        head = [h["metrics"][name]["value"] for _, h in pairs]
+        wins = sum((h > b) if direction == "higher" else (h < b) for b, h in zip(base, head))
+        rows.append(
+            Row(
+                name, statistics.median(base), statistics.median(head),
+                quartile_spread(base), wins, len(pairs),
+            )
+        )
+    return rows
+
+
+def format_rows(workload: str, rows: Sequence[Row]) -> str:
+    lines = [f"{'workload':<16} {'metric':<12} {'base':>12} {'head':>12} {'ratio':>7} "
+             f"{'base IQR':>10} wins"]
+    for row in rows:
+        lines.append(
+            f"{workload:<16} {row.name:<12} {row.base:>12.6g} {row.head:>12.6g} "
+            f"{row.ratio:>7.3f} {row.spread:>10.4g} {row.wins}/{row.pairs}"
+        )
+    return "\n".join(lines)
+
+
+def run_bench(checkout: Path, args: argparse.Namespace) -> Dict:
+    cmd = [
+        sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed",
+        str(args.seed), "--seconds", str(args.seconds), "--trace", "0",
+    ]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=900)
+    if proc.returncode != 0:
+        raise SystemExit(f"perf_ab: {' '.join(cmd)} failed in {checkout}:\n{proc.stderr}")
+    result = result_of(proc.stdout)
+    if result["failed"]:
+        raise SystemExit(f"perf_ab: {result['failed']} runs failed in {checkout}")
+    return result
+
+
+def main(argv: List[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base_dir", type=Path)
+    parser.add_argument("--workload", default="mesh16_flaps")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seconds", type=float, default=10.0)
+    args = parser.parse_args(argv)
+    checkouts, pairs = (args.base_dir, HERE), []
+    for k in range(args.pairs):
+        results = [{}, {}]
+        for side in (0, 1) if k % 2 == 0 else (1, 0):
+            results[side] = run_bench(checkouts[side], args)
+        pairs.append((results[0], results[1]))
+        print(f"pair {k + 1}/{args.pairs} done", file=sys.stderr, flush=True)
+    print(format_rows(args.workload, summarize(pairs, directions())))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

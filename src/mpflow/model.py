@@ -21,6 +21,7 @@ births build from such checked parts and check nothing again.
 
 from __future__ import annotations
 
+import functools
 import ipaddress
 from enum import Enum
 from typing import List, NamedTuple, Optional, Tuple, Union
@@ -116,7 +117,9 @@ class InterfacePair(_InterfacePairFields):
     """A (source address, destination address) pair identifying a path.
 
     Equality is exact byte equality on (family, src, dst); ports are not
-    part of a pair. A named tuple, checked when built.
+    part of a pair. A named tuple, checked when built. Its text is kept
+    once formatted, for at most 4,096 pairs: far more than a run's one per
+    link, and a bound for a process that reports on ever new pairs.
     """
 
     __slots__ = ()
@@ -139,6 +142,7 @@ class InterfacePair(_InterfacePairFields):
             raise ValidationError("mixed address families within one pair")
         return cls._make((src.family, src.address, dst.address))
 
+    @functools.lru_cache(maxsize=4096)
     def __str__(self) -> str:
         if self.family is AddrFamily.V4:  # what ipaddress writes, without it
             return "%d.%d.%d.%d->%d.%d.%d.%d" % (*self.src, *self.dst)
@@ -250,6 +254,12 @@ class ConnectionState:
         return PriorityLists(tuple(self.active_list), tuple(self.backup_list))
 
     def subflow_by_id(self, subflow_id: int) -> Optional[SubflowState]:
+        """The sub-flow ``subflow_id`` or None. Ids go out in order from 1 and
+        are never reused, so it is at index ``id - 1`` unless built by hand."""
+        if isinstance(subflow_id, int) and 0 < subflow_id <= len(self.subflows):
+            sf = self.subflows[subflow_id - 1]
+            if sf.id == subflow_id:
+                return sf
         for sf in self.subflows:
             if sf.id == subflow_id:
                 return sf

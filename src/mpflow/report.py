@@ -32,6 +32,7 @@ US_PER_MS = 1000  # the simulator's clock ticks in µs; reports count in ms
 CSV_HEADER = "bucket_start_ms,subflow_id,pair,bytes_acked,throughput_bps,low_prio,alive"
 
 _FLAGS = ((False, False), (False, True), (True, False), (True, True))  # (low_prio, alive)
+_FLAG_TEXT = {flags: "{:d},{:d}\n".format(*flags) for flags in _FLAGS}  # each row's last two cells
 
 
 class ThroughputBucket(NamedTuple):
@@ -189,16 +190,13 @@ def emit_csv(report: TimelineReport, out: Union[str, os.PathLike, IO[str]]) -> N
     bucket_ms = report.bucket_ms
     bucket_us = bucket_ms * US_PER_MS
     columns = report.columns
-    end_of = {
-        flags: _RowEnds(bucket_ms, "{:d},{:d}\n".format(*flags)).__getitem__ for flags in _FLAGS
-    }
-    pair_text = {p: str(p) for p in {c.pair for c in columns}}
+    end_of = {flags: _RowEnds(bucket_ms, text).__getitem__ for flags, text in _FLAG_TEXT.items()}
     # Each sub-flow's row middles and ends, as iterators: a stretch's zip
     # stops at the end of its first iterable, its bucket starts, so each
     # takes up its sub-flow's rows where the stretch before left off.
     rest = {
         c.subflow_id: (
-            repeat(f",{c.subflow_id},{pair_text[c.pair]},"), iter(c.per_row(bucket_us, end_of))
+            repeat(f",{c.subflow_id},{c.pair},"), iter(c.per_row(bucket_us, end_of))
         )
         for c in columns
     }
@@ -212,7 +210,7 @@ def emit_csv(report: TimelineReport, out: Union[str, os.PathLike, IO[str]]) -> N
     for c in columns:  # created_ms and died_ms, read off the fields
         died = "-" if c.died_us is None else c.died_us // US_PER_MS
         parts.append(
-            f"# subflow {c.subflow_id} pair={pair_text[c.pair]} "
+            f"# subflow {c.subflow_id} pair={c.pair} "
             f"created_ms={c.flag_times[0] // US_PER_MS} died_ms={died}\n"
         )
     out.write("".join(parts))

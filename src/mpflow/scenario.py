@@ -365,11 +365,13 @@ def run_scenario(
     duration_ms: Optional[int] = None,
 ) -> TimelineReport:
     """Build the connection pair for a scenario and execute it.
-    ``duration_ms``, if given, replaces the scenario's duration."""
+    ``duration_ms``, if given, replaces the scenario's duration. Actions
+    at or after the run's end would never run and are left out."""
+    duration_ms = scenario.duration_ms if duration_ms is None else duration_ms
     sim = Simulation(
         new_connection(*_connection_endpoints(scenario.links)),
         list(scenario.links),
-        duration_ms=duration_ms if duration_ms is not None else scenario.duration_ms,
+        duration_ms=duration_ms,
         bucket_ms=bucket_ms,
     )
     pair_by_link = {link.link_id: link.pair for link in scenario.links}
@@ -377,6 +379,7 @@ def run_scenario(
     if os.environ.get(PPOS_ENV_VAR, "").lower() in ("1", "true", "yes", "on"):
         actions = (ScenarioAction(0, "enable_ppos"), *actions)
     for action in actions:
-        rule = partial(_RULES[action.verb], action=action, pair_by_link=pair_by_link)
-        sim.schedule_action(action.at_ms, rule)
+        if action.at_ms < duration_ms:
+            rule = partial(_RULES[action.verb], action=action, pair_by_link=pair_by_link)
+            sim.schedule_action(action.at_ms, rule)
     return sim.run()

@@ -67,25 +67,26 @@ acks come back in send order and wait in a FIFO on the sub-flow; a link
 change, which restarts the link's clock, drops them by emptying the FIFO of
 its newest sub-flow. The run's ack calendar is a heap of ``(head arrival,
 sub-flow id, flow)``, where an id names one flow, so heapq compares no
-flows. A send into an empty FIFO pushes its flow's entry, and a drain that
-leaves acks in a FIFO pushes it at the new head. An entry whose key is not
-its FIFO's head is stale, as a link change, a death or a train emptied the
-FIFO, and a drain skips it. So no queued ack is due before the calendar's
-top. Before each heap event, the run drains the FIFOs, by head arrival, up
-to a horizon if the top is before it: the next heap event, the end of the
-run or ``RTO_MIN_US`` after the top, whichever is first. An ack touches
-only its own sub-flow, that sub-flow's link and its acked bytes, and any
-deadline it sets is ``RTO_MIN_US`` or more after it, so past the horizon:
-no heap event falls due inside it and the acks of different sub-flows
-commute. An MP_PRIO arrival sets only the receiver's view of its sub-flow,
-which no ack reads or writes, and reads only its link's state and epoch,
-which no ack changes; so it commutes with every queued ack, and the run
-delivers one at the top of the heap before the drain, which it does not
-cut. A receiver that read its own view during the run, such as a peer that
-sends too, would have to cut it again. A recorded death empties its
-sub-flow's FIFO for good and ends its train or keepalive, and only a link's
-newest sub-flow may be alive, so the pumps and the run's end visit the
-newest flow of each link, and a pump skips a recorded death.
+flows. A send into an empty FIFO pushes its flow's entry, unless it starts
+a train, and a drain that leaves acks in a FIFO pushes it at the new head.
+An entry whose key is not its FIFO's head is stale, as a link change, a
+death or a train emptied the FIFO, and a drain skips it. So no queued ack
+is due before the calendar's top. Before each heap event, the run drains
+the FIFOs, by head arrival, up to a horizon if the top is before it: the
+next heap event, the end of the run or ``RTO_MIN_US`` after the top,
+whichever is first. An ack touches only its own sub-flow, that sub-flow's
+link and its acked bytes, and any deadline it sets is ``RTO_MIN_US`` or
+more after it, so past the horizon: no heap event falls due inside it and
+the acks of different sub-flows commute. An MP_PRIO arrival sets only the
+receiver's view of its sub-flow, which no ack reads or writes, and reads
+only its link's state and epoch, which no ack changes; so it commutes with
+every queued ack, and the run delivers one at the top of the heap before
+the drain, which it does not cut. A receiver that read its own view during
+the run, such as a peer that sends too, would have to cut it again. A
+recorded death empties its sub-flow's FIFO for good and ends its train or
+keepalive, and only a link's newest sub-flow may be alive, so the pumps and
+the run's end visit the newest flow of each link, and a pump skips a
+recorded death.
 
 The drain hands a flow's due acks to :meth:`Simulation._on_acks` in one
 call. Each ack feeds its round trip into srtt's EWMA, clears the timeouts,
@@ -105,28 +106,32 @@ for the refill to arm it in the same µs, at the same deadline.
 
 Most acks belong to steady trains, which run in closed form. A train is a
 state of the sub-flow, not a step of the drain: :meth:`Simulation._train`
-starts one on a clocked flow at an ack of a full window. The window is
-full on a link that stays busy past the first ack ``a0``; 32 acks of one
-MSS are queued, spaced by the serialization time ``s`` of at least 1 µs,
-so the link is up and unchanged since they were sent; and no probe or
-timeout is outstanding. The spacing is read from the window's two ends
-alone: a link serializes one segment at a time, so a flow's data acks come
-at least ``s`` apart, and a probe's ack is queued only while the probe is
-outstanding. So with no probe outstanding, 32 queued acks whose last comes
-``31 * s`` after ``a0`` are data acks exactly ``s`` apart. A try that
-finds a probe or a timeout outstanding is made again at the next ack,
-which may clear it, and any other once a window of acks has replaced the
-ones it saw. The acks' round-trip samples may be
-anything, such as the ramp of a window sent in one burst. Each ack frees one
-MSS and sends one, which finishes ``s`` after the one before and is acked
-``32 * s`` after it was sent. It leaves the window full, so the next ack
-meets the same conditions. Only srtt moves, by its EWMA, and nothing reads
-it meanwhile: a pump reads tiers, which read no srtt, and the timer reads
-it at its next arming.
+starts one on a clocked flow at an ack of a full window, or at the send of
+a whole window into an empty FIFO, as its first ack would find it: until
+then only the timer (below) or a change that ends the train alters what
+the try reads. The window is full on a link that stays busy past the
+first ack ``a0``; 32 acks of one MSS are queued, spaced by the
+serialization time ``s`` of at least 1 µs, so the link is up and
+unchanged since they were sent; and no probe or timeout is outstanding. The
+spacing is read from the window's two ends alone: a link serializes one
+segment at a time, so a flow's data acks come at least ``s`` apart, and a
+probe's ack is queued only while the probe is outstanding. So with no probe
+outstanding, 32 queued acks whose last comes ``31 * s`` after ``a0`` are
+data acks exactly ``s`` apart. A try that finds a probe or a timeout
+outstanding is made again at the next ack, which may clear it, and any
+other once a window of acks has replaced the ones it saw. The acks'
+round-trip samples may be anything, such as the ramp of a window sent in
+one burst. Each ack frees one MSS and sends one, which finishes ``s`` after
+the one before and is acked ``32 * s`` after it was sent. It leaves the
+window full, so the next ack meets the same conditions. Only srtt moves, by
+its EWMA, and nothing reads it meanwhile: a pump reads tiers, which read no
+srtt, and the timer reads it at its next arming.
 
 The timer never fires between two acks of a train. When the drain tries
 the train, its horizon is past ``a0`` and, as no horizon passes the next
-heap event, no later than the flow's pending timer entry. So with no
+heap event, no later than the flow's pending timer entry; a try at the
+send checks that this entry is past ``a0``, as one that pops by then would
+time out or push itself again, which a train's pop does not. So with no
 timeout outstanding, the deadline ``armed_at + max(2 * srtt, RTO_MIN_US)``
 is past ``a0`` as well. The timer was armed at an earlier ack, or at a
 send from idle no later than that of ``a0``'s segment; either was at
@@ -137,14 +142,17 @@ deadline falls after the next ack.
 
 So the acks form the progression ``a0 + i * s``, the FIFO stays implicit
 and the drain skips the flow, and every pump reads the state it would
-read per ack. The train lasts until :meth:`Simulation._end_train` runs
-(below). It applies the ack rule above to the k acks due before that
-moment: k MSS acked, split among the buckets, and sent; srtt's EWMA
-carried over the samples of the window the train started with and then
-over the steady ``32 * s`` up to its fixed point, which
-:func:`_srtt_after` gives in closed form once enough acks surely reach
-it; the link busy ``k * s`` longer; the FIFO refilled with the next 32
-acks; and the timer armed once, from the last ack.
+read per ack. A train started at the send at ``t0`` keeps its first
+window implicit too: ack ``j`` at ``a0 + j * s``, with the sample
+``a0 - t0 + j * s``. The train lasts until :meth:`Simulation._end_train`
+runs (below), which may be before ``a0``. It applies the ack rule above
+to the k acks due before that moment: k MSS acked, split among the
+buckets, and sent; srtt's EWMA carried over the samples of the window the
+train started with and then over the steady ``32 * s`` up to its fixed
+point, which :func:`_srtt_after` gives in closed form once enough acks
+surely reach it; the link busy ``k * s`` longer; the timer armed once,
+from the last ack, if k > 0; and the FIFO refilled with the next 32 acks,
+unless a link change ends the train and drops them.
 
 An idle flow's probes run in closed form too, in a keepalive that
 :meth:`Simulation._idle` starts when the flow goes idle, alive and
@@ -158,7 +166,8 @@ srtt toward ``2 * d``, which keeps it so for the next probe. The probes, at
 (below; a tier reads no srtt). A probe due in that very µs has
 been sent only if a pump in the timer of a sub-flow with a higher id ends
 it: timers run by id. Both closed forms end in :meth:`Simulation._settle`
-alone: at a change of the flow's link, before its acks drop; at a pump
+alone: at a change of the flow's link, which marks the link down first,
+so that neither queues an ack that the change drops; at a pump
 that changes its ``clocked`` flag (a train runs clocked, a keepalive
 unclocked) or records its death; and at the end of the run.
 
@@ -275,7 +284,7 @@ class _Flow:
     __slots__ = (
         "sf", "peer", "link", "flag_times", "flag_values", "first_bucket", "acked",
         "armed_at_us", "timer", "timer_pending", "probe_outstanding", "clocked", "acks",
-        "train_wait", "train", "train_window", "keepalive", "tier",
+        "train_wait", "train", "train_window", "train_sent", "keepalive", "tier",
     )
 
     def __init__(self, sf: SubflowState, peer: SubflowState, link: _Link, bucket_us: int) -> None:
@@ -295,7 +304,8 @@ class _Flow:
         self.acks: Deque[Tuple[int, int, int]] = deque()
         self.train_wait = 0  # acks to handle one by one before a train is tried
         self.train: Optional[int] = None  # in a train: its first ack's arrival
-        self.train_window: Tuple[tuple, ...] = ()  # in a train: the FIFO it started from
+        self.train_window: Tuple[tuple, ...] = ()  # in a train started at an ack: its FIFO
+        self.train_sent: Optional[int] = None  # in a train started at a send: its send time
         self.keepalive: Optional[int] = None  # in a keepalive: its next probe's send time
         self.tier: Optional[int] = None  # alive: its tier, as Simulation counts it; dead: None
 
@@ -415,11 +425,13 @@ class Simulation:
         heapq.heappush(self._heap, (at_us, (0, next(self._seq)), handler, args))
 
     def schedule_action(self, at_ms: int, action: Callable[["Simulation"], None]) -> None:
-        """Run ``action(self)`` at ``at_ms``. An action changes priorities
-        through :mod:`mpflow.sockopt` but opens no sub-flow (ValidationError),
-        and the run records a flip from the MP_PRIO that the flip queues."""
+        """Run ``action(self)`` at ``at_ms``, before the run ends. An action
+        changes priorities through :mod:`mpflow.sockopt` but opens no sub-flow
+        (ValidationError); the run records a flip from the MP_PRIO it queues."""
         if not isinstance(at_ms, int) or at_ms < 0:
             raise ValidationError(f"an action's time must be a whole number of ms >= 0: {at_ms}")
+        if at_ms * US_PER_MS >= self.duration_us:
+            raise ValidationError(f"an action at {at_ms} ms would never run: the run ends first")
         self._push(at_ms * US_PER_MS, Simulation._on_action, (action,))
 
     # ------------------------------------------------------------------ #
@@ -431,6 +443,7 @@ class Simulation:
         if flow is None:
             raise ValidationError(f"no link with id {link_id}")
         now, sf, link = self.now_us, flow.sf, flow.link
+        link.up = False  # so a closed form's end queues no ack that the change drops
         self._settle(flow, now)
         flow.acks.clear()
         link.up = up
@@ -536,14 +549,16 @@ class Simulation:
         link.tx_free_us = start + n * s
         sf.inflight_bytes += n * MSS
         sf.bytes_sent_total += n * MSS
+        if flow.armed_at_us is None:
+            self._arm_rto(flow, now)
         if link.up:  # on a down link, the segments and their acks are lost
             first = start + s + 2 * link.delay_us
-            if not flow.acks:
+            if not flow.acks:  # a whole window may start a train at once (module docstring)
+                if n == WINDOW_SEGMENTS and not flow.train_wait and self._train(flow):
+                    return
                 heappush(self._calendar, (first, sf.id, flow))
             arrivals = range(first, first + n * s, s) if s else itertools.repeat(first, n)
             flow.acks.extend(zip(arrivals, itertools.repeat(MSS), itertools.repeat(now)))
-        if flow.armed_at_us is None:
-            self._arm_rto(flow, now)
 
     # ------------------------------------------------------------------ #
     # event handlers
@@ -754,29 +769,34 @@ class Simulation:
                     heappush(calendar, (acks[0][0], flow.sf.id, flow))
 
     def _train(self, flow: _Flow) -> bool:
-        """Start a train on the clocked ``flow`` if its FIFO holds a full
-        window of acks that form one, checked from its two ends (module
-        docstring): keep the window on the flow, empty its FIFO, which the
-        train keeps implicit, and return True. Otherwise return False and
-        change nothing. The acks' samples may be anything: the train's end
-        replays srtt's EWMA over them."""
+        """Start a train on the clocked ``flow`` if its window of acks forms
+        one, checked from its two ends (module docstring), and return True;
+        otherwise return False and change nothing. The window is the FIFO's,
+        which the train takes: the acks' samples may be anything, and the
+        train's end replays srtt's EWMA over them. A fill tries it with the
+        FIFO empty, for the whole window it just sent, which stays implicit."""
         sf, link, acks = flow.sf, flow.link, flow.acks
-        a0, s = acks[0][0], link.mss_us
+        s, free, rtt = link.mss_us, link.tx_free_us, 2 * link.delay_us
+        if acks:
+            a0, last, n = acks[0][0], acks[-1][0], len(acks)
+        else:  # the window just sent: its last ack one round trip after the link frees
+            a0, last, n = free + rtt - (WINDOW_SEGMENTS - 1) * s, free + rtt, WINDOW_SEGMENTS
         if not (
             s
             and sf.alive
             and sf.inflight_bytes == WINDOW_BYTES
-            and len(acks) == WINDOW_SEGMENTS
+            and n == WINDOW_SEGMENTS
             and not flow.probe_outstanding
             and sf.consecutive_timeouts == 0
-            and link.tx_free_us >= a0
-            and acks[-1][0] == link.tx_free_us + 2 * link.delay_us
-            and acks[-1][0] - a0 == (WINDOW_SEGMENTS - 1) * s
+            and flow.timer_pending[0] > a0  # a timer runs before an ack of its µs
+            and free >= a0
+            and last == free + rtt
+            and last - a0 == (WINDOW_SEGMENTS - 1) * s
         ):
             return False
+        flow.train, flow.train_sent = a0, None if acks else self.now_us
         flow.train_window = tuple(acks)
         acks.clear()
-        flow.train = a0
         return True
 
     def _settle(self, flow: _Flow, until: int, probe_at_until: bool = False) -> None:
@@ -788,10 +808,11 @@ class Simulation:
 
     def _end_train(self, flow: _Flow, until: int) -> None:
         """End the train of ``flow``: handle its acks due before ``until``
-        as :meth:`_on_acks` would one by one, then queue the next
-        window of acks and arm the timer from the last ack handled. A train
-        starts on an ack due before a horizon and ends at a heap event or
-        at the end of the run, so ``until`` is past its first ack.
+        as :meth:`_on_acks` would one by one, arm the timer from the last
+        one, and queue the acks still to come on a link that is up, where
+        a link change would not drop them. A train started at an ack ends
+        at a heap event or at the end of the run, past its first ack; one
+        started at a send may end before it, handling none.
 
         The acked bytes are split among the buckets by one store per ack
         when a bucket holds one at most, or else by one slice store, from
@@ -801,11 +822,21 @@ class Simulation:
         train started with, then over the steady sample ``32 * s`` of the
         acks the train sent, up to its fixed point: its steps grow with the
         log of srtt's distance from ``32 * s``, not with k."""
-        sf, link, window = flow.sf, flow.link, flow.train_window
-        a0, flow.train, flow.train_window = flow.train, None, ()
-        s = link.mss_us
-        rtt = WINDOW_SEGMENTS * s
-        k = -((a0 - until) // s)  # the acks a0 + i * s before until
+        sf, link, window, t0 = flow.sf, flow.link, flow.train_window, flow.train_sent
+        a0, flow.train, flow.train_window, flow.train_sent = flow.train, None, (), None
+        s, rtt = link.mss_us, WINDOW_SEGMENTS * link.mss_us
+        k = max(-((a0 - until) // s), 0)  # the acks a0 + i * s before until
+        head = a0 + k * s
+        repeat = itertools.repeat
+        if link.up:  # the window's acks not yet handled, then those of the train's sends
+            acks = flow.acks
+            rest = range(head, a0 + rtt, s)
+            acks.extend(window[k:] if t0 is None else zip(rest, repeat(MSS), repeat(t0)))
+            sent = range(max(head - rtt, a0), head, s)
+            acks.extend(zip(range(sent.start + rtt, head + rtt, s), repeat(MSS), sent))
+            heappush(self._calendar, (acks[0][0], sf.id, flow))  # a train's FIFO was empty
+        if not k:
+            return
         acked, bucket_us = flow.acked, self.bucket_us
         # A link serializes one segment at a time, so a flow's acks come at
         # least s apart. If s >= bucket_us, each bucket holds one ack at most
@@ -818,7 +849,6 @@ class Simulation:
         first, last = a // bucket_us, (a + (k - 1) * s) // bucket_us
         if last >= len(acked):
             self._grow(flow, last)
-        repeat = itertools.repeat
         if s >= bucket_us:
             for at in range(a, a + k * s, s):
                 acked[at // bucket_us] = MSS
@@ -829,18 +859,16 @@ class Simulation:
             nbytes = map(operator.mul, map(operator.sub, before[1:], before), repeat(MSS))
             acked[first + 1 : last + 1] = nbytes
         srtt = sf.srtt_us
-        for at, _, sent_us in window[:k]:
-            sample = at - sent_us
-            srtt = sample if srtt == 0 else (7 * srtt + sample) // 8
+        if t0 is None:
+            for at, _, sent_us in window[:k]:
+                sample = at - sent_us
+                srtt = sample if srtt == 0 else (7 * srtt + sample) // 8
+        else:  # sent at t0 in one burst: ack j's sample is a0 - t0 + j * s
+            for sample in range(a0 - t0, min(head, a0 + rtt) - t0, s):
+                srtt = sample if srtt == 0 else (7 * srtt + sample) // 8
         sf.srtt_us = _srtt_after(srtt, rtt, k - WINDOW_SEGMENTS)
         sf.bytes_sent_total += k * MSS
         link.tx_free_us += k * s
-        # The window's acks not yet handled, then those of the train's sends.
-        head = a0 + k * s
-        flow.acks.extend(window[k:])
-        sent = range(max(head - rtt, a0), head, s)
-        flow.acks.extend(zip(range(sent.start + rtt, head + rtt, s), repeat(MSS), sent))
-        heappush(self._calendar, (flow.acks[0][0], sf.id, flow))  # a train's FIFO was empty
         self._arm_rto(flow, head - s)
 
     def _end_keepalive(self, flow: _Flow, until: int, probe_at_until: bool) -> None:

@@ -21,7 +21,8 @@ bucket width: the built-ins, and seeds 0-3 of ``mesh16_flaps`` and
 at ``MESH_FINE_BUCKET_MS``, where its sub-flows die and are re-opened both
 on and off bucket edges. It also digests the
 ``edge_*`` scenarios of ``edge_scenarios()``, on links that the generator
-never draws or at a same-µs tie between a probe and a death. Beside each
+never draws, at a same-µs tie between a probe and a death, or with events
+between a window's send and its first ack. Beside each
 CSV digest, under the key ``<bucket>/state``, it prints a digest of the
 run's end state (``state_digest``), which moves when a change shifts ack
 timing by less than a bucket edge, and under ``<bucket>/timer`` one of its
@@ -263,10 +264,28 @@ AT_ZERO_SCENARIO = (
 )
 
 
+# Events between a window's send in one burst and its first ack. Link 1's
+# first ack comes 311.68 ms after a send, after the 200 ms timeout of a
+# sub-flow without an RTT sample, so no train starts at its sends. Link 2's
+# comes 51.68 ms after, before it, so its sub-flows start trains at their
+# sends; the flip at 20 ms takes sub-flow 2 out of the deciding tier before
+# its first ack. Link 1 goes down at 250 ms, after its first timeout and
+# before its first ack, and sub-flow 1 dies at 800 ms, where sub-flow 2
+# sends a window again; link 2 goes down 30 ms later, before that window's
+# first ack. Link 2's next sub-flow opens at 4,466.384 ms, and the run ends
+# before its first window's first ack.
+BURST_SCENARIO = (
+    "scenario edge_burst\nduration 4500ms\nlink 1 1mbps 150ms 10.1.0.1 10.2.0.1\n"
+    "link 2 1mbps 20ms 10.1.0.1 10.2.1.1\nat 20ms set_sub_prio 2 backup\n"
+    "at 250ms link_down 1\nat 830ms link_down 2\nat 1500ms link_up 1\nat 2000ms link_up 2\n"
+)
+
+
 def edge_scenarios():
     """Scenarios with one ``EDGE_LINKS`` link beside a plain one, flipped
-    and flapped, the two ``tie_scenario`` ones, ``BUSY_SCENARIO`` and
-    ``AT_ZERO_SCENARIO``: (name, scenario text) pairs."""
+    and flapped, the two ``tie_scenario`` ones, ``BUSY_SCENARIO``,
+    ``AT_ZERO_SCENARIO`` and ``BURST_SCENARIO``: (name, scenario text)
+    pairs."""
     return [
         (
             f"edge_{name}",
@@ -277,7 +296,8 @@ def edge_scenarios():
         )
         for name, link in EDGE_LINKS.items()
     ] + [(f"edge_tie_{name}", tie_scenario(name)) for name in ("lo", "hi")] + [
-        ("edge_busy", BUSY_SCENARIO), ("edge_at_zero", AT_ZERO_SCENARIO)
+        ("edge_busy", BUSY_SCENARIO), ("edge_at_zero", AT_ZERO_SCENARIO),
+        ("edge_burst", BURST_SCENARIO),
     ]
 
 

@@ -7,6 +7,11 @@ sent ``n`` MSS larger, one queued ack per segment on a link that is up, and
 the timer armed by the first send. Each test runs one input twice, with
 the bulk fill and with ``_fill`` replaced by a loop of single sends, logs
 each flow's state after every fill and compares the logs and the CSVs. A
+whole window sent into an empty FIFO may start a train at once: the bulk
+fill reads the window's ends off the link and keeps its acks implicit,
+and the per-segment fill tries the train on the acks it queued, so the
+end of such a train is checked against the end of one that holds its
+window as ack tuples. A
 clocked flow's data ack refills the one MSS it freed in ``_on_acks``
 itself, not through ``_fill``, so the logs also hold the state after each
 ``_on_acks`` call that sent, with the acks it handled. The targeted cases
@@ -31,21 +36,37 @@ from scenario_gen import random_scenario
 
 def fill_per_segment(sim, flow):
     """The fill as one send per segment: each starts serializing when the
-    link is free, is acked one round trip after it finishes, puts its flow
-    on the ack calendar if its FIFO was empty, and arms the timer if the
-    flow was idle."""
+    link is free, is acked one round trip after it finishes, and arms the
+    timer if the flow was idle. A whole window sent into an empty FIFO then
+    tries a train on the acks it queued, as at an ack, and a FIFO that the
+    fill found empty and left non-empty puts its flow on the ack calendar."""
     sf, link = flow.sf, flow.link
+    found_empty, sent = not flow.acks, 0
     while sf.inflight_bytes + MSS <= WINDOW_BYTES:
         link.tx_free_us = max(sim.now_us, link.tx_free_us) + link.mss_us
         sf.inflight_bytes += MSS
         sf.bytes_sent_total += MSS
+        sent += 1
         if link.up:
-            arrival = link.tx_free_us + 2 * link.delay_us
-            if not flow.acks:
-                heapq.heappush(sim._calendar, (arrival, sf.id, flow))
-            flow.acks.append((arrival, MSS, sim.now_us))
+            flow.acks.append((link.tx_free_us + 2 * link.delay_us, MSS, sim.now_us))
         if flow.armed_at_us is None:
             sim._arm_rto(flow, sim.now_us)
+    if found_empty and flow.acks:
+        if sent == WINDOW_SEGMENTS and not flow.train_wait and sim._train(flow):
+            return
+        heapq.heappush(sim._calendar, (flow.acks[0][0], sf.id, flow))
+
+
+def queued_acks(flow):
+    """The acks queued on ``flow``, or, in a train, the window it started
+    from. A train that the bulk fill starts at once keeps that window
+    implicit: ack ``j`` due ``j * s`` after the first, all sent in the
+    fill's µs. The per-segment fill starts it on the queued acks, which it
+    keeps as they are."""
+    if flow.train_sent is None:
+        return list(flow.train_window or flow.acks)
+    first, s = flow.train, flow.link.mss_us
+    return [(first + j * s, MSS, flow.train_sent) for j in range(WINDOW_SEGMENTS)]
 
 
 class Fill(NamedTuple):
@@ -97,7 +118,7 @@ class FillLog(Simulation):
                 before,
                 link.mss_us,
                 link.up,
-                list(flow.acks),
+                queued_acks(flow),
                 link.tx_free_us,
                 sf.inflight_bytes,
                 sf.bytes_sent_total,

@@ -192,6 +192,7 @@ def count_selects_by_handler(run):
             "_on_action",
             "_kill",
             "_open_on_pair",
+            "_drain_acks",
             "_on_acks",
             "_on_timer",
             "_train",
@@ -297,7 +298,11 @@ def test_every_ack_of_mesh16_flaps_runs_in_a_train():
     """On the benchmark's ``mesh16_flaps`` at seed 0, every window of acks
     on a saturated link is a train from its first full window on, so no ack
     is handled outside one. The acks handled stay the 167,815 of the
-    per-ack design."""
+    per-ack design. Each sub-flow sends its first window in one burst, with
+    its timer due after the first ack, so its train starts at that send; a
+    link change queues none of the acks it drops; so acks are queued only
+    as the run ends, and the pass drains none. Trains started at their
+    first ack made 33 drains and 63 ``_on_acks`` calls per pass."""
     workload = perfbench_workloads().mesh16_flaps(0)
 
     def run():
@@ -305,15 +310,20 @@ def test_every_ack_of_mesh16_flaps_runs_in_a_train():
             run_scenario(parse_scenario(doc), bucket_ms=workload.bucket_ms)
 
     with mock.patch.dict("os.environ", {PPOS_ENV_VAR: ""}):
-        acks = count_selects_by_handler(run).acks
+        counts = count_selects_by_handler(run)
+    acks = counts.acks
     assert (acks["clocked"], acks["unclocked"], acks["trained"]) == (0, 0, 167_815)
+    assert (counts.runs["_drain_acks"], counts.runs["_on_acks"]) == (0, 0)
 
 
 def test_no_ack_of_an_unclocked_flow_runs_one_by_one_on_prio_churn_fine():
     """On the benchmark's ``prio_churn_fine`` at seed 0, ``_on_acks`` takes
     each flow's due acks in one call, clocked or not, so only a clocked
     flow's acks outside trains take a send each. The acks handled in all
-    stay the 89,155 of the per-ack design."""
+    stay the 89,155 of the per-ack design. A window sent in one burst into
+    an empty FIFO starts its train at the send, so no ``_on_acks`` call
+    starts it at its first ack: 1,686 calls, where starting every train at
+    an ack made 1,820."""
     workload = perfbench_workloads().prio_churn_fine(0)
 
     def run():
@@ -324,16 +334,17 @@ def test_no_ack_of_an_unclocked_flow_runs_one_by_one_on_prio_churn_fine():
         counts = count_selects_by_handler(run)
     acks = counts.acks
     assert (acks["clocked"], acks["unclocked"], acks["trained"]) == (4_081, 11_019, 74_055)
-    assert counts.runs["_on_acks"] == 1_820  # for the 15,100 acks outside trains
+    assert counts.runs["_on_acks"] == 1_686  # for the 15,100 acks outside trains
     assert sum(acks.values()) == 89_155
 
 
 def test_a_steady_run_drains_acks_as_often_however_long_it_runs(monkeypatch):
     """The run drains the ack FIFOs only when an ack is due before the
     horizon. On one saturated link, the bootstrap's window starts a train at
-    its first ack, and a train keeps its FIFO empty, so that drain is the
-    only one whether the run lasts 6 s, 60 s or 600 s. A horizon that
-    stepped by RTO_MIN_US drained 31, 301 and 3,001 times."""
+    its send, and a train keeps its FIFO empty, so the run drains no ack
+    whether it lasts 6 s, 60 s or 600 s. A train started at the window's
+    first ack drained once, and a horizon that stepped by RTO_MIN_US
+    drained 31, 301 and 3,001 times."""
     drains, drain = [], Simulation._drain_acks
 
     def counting(sim, horizon):
@@ -346,7 +357,7 @@ def test_a_steady_run_drains_acks_as_often_however_long_it_runs(monkeypatch):
         drains.append(0)
         doc = f"scenario steady\nduration {duration}\nlink 1 2mbps 5ms 10.0.0.1 10.0.1.1\n"
         run_scenario(parse_scenario(doc))
-    assert drains == [1, 1, 1]
+    assert drains == [0, 0, 0]
 
 
 def test_an_mp_prio_arrival_cuts_no_drain(monkeypatch):

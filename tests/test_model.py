@@ -393,3 +393,42 @@ def test_value_types_are_frozen(value, field):
         setattr(value, field, getattr(value, field))
     with pytest.raises(AttributeError):
         value.extra = 1
+
+
+class ScanCountingList(list):
+    """A sub-flow list that counts the scans over it."""
+
+    scans = 0
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+
+def test_subflow_by_id_finds_an_id_at_its_index_past_300_dead_sub_flows():
+    # Sub-flow 1 is closed and its pair re-opened 300 times: ids 1-300 are
+    # dead and 301 is alive. Ids are given out in order from 1, so each
+    # sits at index id - 1, where the lookup finds it without a scan; an
+    # id that names no sub-flow is scanned for.
+    conn = new_connection([addr(LOCAL)], [addr(REMOTES[0])])
+    for _ in range(300):
+        close_subflow(conn, conn.subflows[-1].id)
+        open_subflow(conn, tuple_for_next(conn, conn.mesh_pairs()[0]))
+    assert [sf.alive for sf in conn.subflows] == [False] * 300 + [True]
+    conn.subflows = ScanCountingList(conn.subflows)
+    for subflow_id in (1, 150, 300, 301):
+        assert conn.subflow_by_id(subflow_id) is conn.subflows[subflow_id - 1]
+    assert conn.subflows.scans == 0
+    for missing in (0, -1, 302, None):
+        assert conn.subflow_by_id(missing) is None
+    assert conn.subflows.scans == 4
+
+
+def test_subflow_by_id_scans_a_shuffled_hand_built_list():
+    local, remotes = addr(LOCAL), [addr(remote) for remote in REMOTES]
+    subflows = [SubflowState(i, local, remotes[i % 3]) for i in range(1, 10)]
+    shuffled = subflows[3:] + subflows[:3]
+    conn = ConnectionState(local_addrs=[local], remote_addrs=remotes, subflows=shuffled)
+    for sf in subflows:
+        assert conn.subflow_by_id(sf.id) is sf
+    assert conn.subflow_by_id(10) is None

@@ -1,0 +1,66 @@
+"""``scripts/perf_ab.py`` on canned benchmark output: it reads each run's
+last line and summarizes the pairs by the metrics' directions, running no
+benchmark."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "perf_ab.py"
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("perf_ab", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def stdout(sim_s_per_s, run_s):
+    """What ``perfbench/run.py --trace 0`` prints: lines of text, then its
+    result as one JSON line."""
+    result = {
+        "correct": True,
+        "attempted": 40,
+        "failed": 0,
+        "metrics": {
+            "sim_s_per_s": {"value": sim_s_per_s, "unit": "s/s"},
+            "run_s.p50": {"value": run_s, "unit": "s"},
+        },
+    }
+    return f"mesh16_flaps run_s.p50 = {run_s} s (n=40)\n{json.dumps(result)}\n"
+
+
+def test_a_result_is_the_last_line_of_the_output():
+    perf_ab = load_script()
+    assert perf_ab.result_of(stdout(7000.0, 0.0014))["metrics"]["sim_s_per_s"]["value"] == 7000.0
+    with pytest.raises(ValueError):
+        perf_ab.result_of("\n")
+
+
+def test_pairs_are_summarized_by_each_metric_s_direction():
+    perf_ab = load_script()
+    runs = [((6600, 0.00150), (7800, 0.00125)), ((6900, 0.00145), (7700, 0.00126)),
+            ((6600, 0.00148), (8000, 0.00150)), ((6500, 0.00151), (6400, 0.00124))]
+    pairs = [(perf_ab.result_of(stdout(*b)), perf_ab.result_of(stdout(*h))) for b, h in runs]
+    better = {"run_s.p50": "lower", "sim_s_per_s": "higher", "setup_s": "lower"}
+    rows = {row.name: row for row in perf_ab.summarize(pairs, better)}
+    assert sorted(rows) == ["run_s.p50", "sim_s_per_s"]  # setup_s is in no result
+    speed = rows["sim_s_per_s"]
+    assert (speed.base, speed.head, speed.wins, speed.pairs) == (6600, 7750, 3, 4)
+    assert speed.ratio == pytest.approx(7750 / 6600)
+    assert speed.spread == pytest.approx(6825 - 6525)  # the base's quartiles
+    time = rows["run_s.p50"]
+    assert (time.base, time.head, time.wins) == (0.001490, 0.001255, 3)
+    table = perf_ab.format_rows("mesh16_flaps", perf_ab.summarize(pairs, better))
+    assert table.splitlines()[2].split() == [
+        "mesh16_flaps", "sim_s_per_s", "6600", "7750", "1.174", "300", "3/4"
+    ]
+
+
+def test_the_directions_come_from_the_benchmark_declaration():
+    assert load_script().directions() == {
+        "run_s.p50": "lower", "sim_s_per_s": "higher", "setup_s": "lower", "peak_rss_mb": "lower"
+    }

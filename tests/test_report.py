@@ -176,3 +176,25 @@ def test_a_same_value_flag_entry_changes_no_row():
         column.flag_values.append(column.flag_values[0])
     assert report.rows == rows
     assert csv_text(report) == text
+
+
+def test_each_pair_s_text_is_formatted_once_across_reports():
+    # A pair's text never changes, so the pair keeps it: two reports over
+    # the same two pairs, each emitted twice, format each pair once. A
+    # plain tuple equal to a pair still prints as a tuple.
+    InterfacePair.__str__.cache_clear()
+    src = bytes([10, 0, 0, 1])
+    pairs = [InterfacePair(AddrFamily.V4, src, bytes([10, 0, k, 1])) for k in (1, 2)]
+    columns = [
+        SubflowColumn(k + 1, p, 0, 1, [1460, 0], [0], [False], None) for k, p in enumerate(pairs)
+    ]
+    texts = []
+    for report in (TimelineReport(1000, 2000, columns), TimelineReport(500, 1000, columns)):
+        for _ in range(2):
+            buf = io.StringIO()
+            emit_csv(report, buf)
+            texts.append(buf.getvalue())
+    assert InterfacePair.__str__.cache_info().misses == 2
+    assert texts[0] == texts[1] and texts[2] == texts[3]
+    assert "0,1,10.0.0.1->10.0.1.1,1460,11680,0,1\n" in texts[0]
+    assert str(tuple(pairs[0])) != str(pairs[0])

@@ -240,6 +240,23 @@ def test_duration_override_truncates_run():
     assert max(row.bucket_start_ms for row in report.rows) == 2_000
 
 
+def test_a_shorter_run_leaves_out_the_actions_at_or_after_its_end(monkeypatch):
+    """The simulation rejects an action that its run would never reach, so
+    a duration override that ends the run early runs only the actions
+    before its end, here the first of three: it writes the report of the
+    scenario without the other two. The scenario keeps all three, and
+    ``mpflow validate`` warns only about actions at or after the
+    scenario's own duration."""
+    monkeypatch.delenv(PPOS_ENV_VAR, raising=False)
+    actions = "at 1s set_sub_prio 2 backup\nat 3s link_down 1\nat 5s set_sub_prio 2 active\n"
+    scenario = parse_scenario("scenario late\nduration 10s\n" + THREE_LINKS + actions)
+    assert len(scenario.actions) == 3
+    first = Scenario(
+        name="late", duration_ms=10_000, links=scenario.links, actions=scenario.actions[:1]
+    )
+    assert run_scenario(scenario, duration_ms=3_000) == run_scenario(first, duration_ms=3_000)
+
+
 def test_zero_duration_override_is_rejected_not_ignored():
     with pytest.raises(ValidationError, match="duration must be positive"):
         run_scenario(builtin_scenario("fig4"), duration_ms=0)

@@ -818,6 +818,20 @@ def test_an_action_s_time_must_be_whole_ms_and_not_negative(at_ms):
     assert [flow.flag_times for flow in sim._flows.values()] == [[0], [0]]
 
 
+@pytest.mark.parametrize("at_ms", [2_000, 2_500])
+def test_an_action_the_run_never_reaches_is_rejected(at_ms):
+    """An action at or after the end of the run stayed on the heap and
+    never ran; ``schedule_action`` rejects it and schedules nothing, and
+    an action in the run's last ms still runs."""
+    sim = build_sim(2, duration_ms=2_000)
+    message = f"an action at {at_ms} ms would never run: the run ends first"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        sim.schedule_action(at_ms, mark_backup(2))
+    sim.schedule_action(1_999, mark_backup(1))
+    sim.run()
+    assert [flow.flag_times for flow in sim._flows.values()] == [[0, 1_999_000], [0]]
+
+
 # At 10 kbps no first segment is acked before its sub-flow dies, 800 ms
 # after it is sent, so link 1 goes through 223 sub-flows in 400 s, none of
 # which acks a byte, while link 2's one sub-flow carries data throughout.
