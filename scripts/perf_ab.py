@@ -4,7 +4,7 @@ alternating pairs.
 
 Usage, from the root of this checkout:
 
-    python3 scripts/perf_ab.py BASE_DIR [--workload W] [--pairs N]
+    python3 scripts/perf_ab.py BASE_DIR [--workload W|all] [--pairs N]
                                [--seed S] [--seconds T]
 
 BASE_DIR is another checkout of the repository, for example a
@@ -13,10 +13,13 @@ BASE_DIR is another checkout of the repository, for example a
 BASE_DIR and once in this checkout, the base first in even pairs and last
 in odd ones, so that a drift of the host's speed falls on both sides. Per
 metric, it prints the median of each side, their ratio (this checkout over
-the base), the spread between the quartiles of the base's runs, and the
-pairs that this checkout won, by the direction that ``BENCHMARK.json``
-gives the metric. A run that exits non-zero or reports a failed scenario
-run stops the script.
+the base), the spread between the quartiles of the base's runs, the pairs
+that this checkout won, by the direction that ``BENCHMARK.json`` gives the
+metric, and those it won by more than that spread. ``--workload all`` runs the pairs of each workload that
+``BENCHMARK.json`` declares in turn, and prints a block of rows for each as
+it is done, so one command shows both a claimed gain and that no other
+workload lost. A run that exits non-zero or reports a failed scenario run
+stops the script.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ class Row(NamedTuple):
     spread: float  # between the quartiles of the base's runs
     wins: int
     pairs: int
+    clear_wins: int  # by more than the spread
 
     @property
     def ratio(self) -> float:
@@ -55,10 +59,18 @@ def result_of(stdout: str) -> Dict:
     return json.loads(lines[-1])
 
 
-def directions(benchmark: Path = HERE / "BENCHMARK.json") -> Dict[str, str]:
+BENCHMARK = HERE / "BENCHMARK.json"
+
+
+def directions(benchmark: Path = BENCHMARK) -> Dict[str, str]:
     """``"higher"`` or ``"lower"`` by end-to-end metric name."""
     spec = json.loads(benchmark.read_text())
     return {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+
+
+def workloads(benchmark: Path = BENCHMARK) -> List[str]:
+    """The names of the declared workloads, in their order."""
+    return [workload["name"] for workload in json.loads(benchmark.read_text())["workloads"]]
 
 
 def quartile_spread(values: Sequence[float]) -> float:
@@ -77,11 +89,13 @@ def summarize(pairs: Sequence[Tuple[Dict, Dict]], better: Dict[str, str]) -> Lis
             continue
         base = [b["metrics"][name]["value"] for b, _ in pairs]
         head = [h["metrics"][name]["value"] for _, h in pairs]
-        wins = sum((h > b) if direction == "higher" else (h < b) for b, h in zip(base, head))
+        sign = 1 if direction == "higher" else -1
+        gains = [sign * (h - b) for b, h in zip(base, head)]
+        spread = quartile_spread(base)
         rows.append(
             Row(
-                name, statistics.median(base), statistics.median(head),
-                quartile_spread(base), wins, len(pairs),
+                name, statistics.median(base), statistics.median(head), spread,
+                sum(g > 0 for g in gains), len(pairs), sum(g > spread for g in gains),
             )
         )
     return rows
@@ -89,18 +103,19 @@ def summarize(pairs: Sequence[Tuple[Dict, Dict]], better: Dict[str, str]) -> Lis
 
 def format_rows(workload: str, rows: Sequence[Row]) -> str:
     lines = [f"{'workload':<16} {'metric':<12} {'base':>12} {'head':>12} {'ratio':>7} "
-             f"{'base IQR':>10} wins"]
+             f"{'base IQR':>10} wins by>IQR"]
     for row in rows:
         lines.append(
             f"{workload:<16} {row.name:<12} {row.base:>12.6g} {row.head:>12.6g} "
-            f"{row.ratio:>7.3f} {row.spread:>10.4g} {row.wins}/{row.pairs}"
+            f"{row.ratio:>7.3f} {row.spread:>10.4g} {row.wins}/{row.pairs} "
+            f"{row.clear_wins}/{row.pairs}"
         )
     return "\n".join(lines)
 
 
-def run_bench(checkout: Path, args: argparse.Namespace) -> Dict:
+def run_bench(checkout: Path, workload: str, args: argparse.Namespace) -> Dict:
     cmd = [
-        sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed",
+        sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
         str(args.seed), "--seconds", str(args.seconds), "--trace", "0",
     ]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=900)
@@ -120,14 +135,19 @@ def main(argv: List[str]) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--seconds", type=float, default=10.0)
     args = parser.parse_args(argv)
-    checkouts, pairs = (args.base_dir, HERE), []
-    for k in range(args.pairs):
-        results = [{}, {}]
-        for side in (0, 1) if k % 2 == 0 else (1, 0):
-            results[side] = run_bench(checkouts[side], args)
-        pairs.append((results[0], results[1]))
-        print(f"pair {k + 1}/{args.pairs} done", file=sys.stderr, flush=True)
-    print(format_rows(args.workload, summarize(pairs, directions())))
+    checkouts = (args.base_dir, HERE)
+    names = workloads() if args.workload == "all" else [args.workload]
+    for n, workload in enumerate(names):
+        if n:
+            print()
+        pairs = []
+        for k in range(args.pairs):
+            results = [{}, {}]
+            for side in (0, 1) if k % 2 == 0 else (1, 0):
+                results[side] = run_bench(checkouts[side], workload, args)
+            pairs.append((results[0], results[1]))
+            print(f"{workload}: pair {k + 1}/{args.pairs} done", file=sys.stderr, flush=True)
+        print(format_rows(workload, summarize(pairs, directions())), flush=True)
     return 0
 
 

@@ -41,16 +41,15 @@ links, one link per (local, remote) interface pair. The engine models:
     timer runs only while the link is up; the link's coming up sets it.
     A sub-flow that an action closes dies at the action's µs.
   A deadline that moves later is only recorded: the timer's one pending
-  heap event, when it fires early, is pushed again for the deadline. A
+  heap entry, when it fires early, is pushed again for the deadline. A
   sub-flow in a train or a keepalive (below) has no live timer entry: its
   pending one is dropped when it pops, and their end pushes one again.
 * MP_PRIO delivery: a priority signal applies to the sub-flow that carries
   it (RFC 8684 §3.3.8). One that an action queues travels alone on its
   sub-flow's link and sets the receiver's view one one-way delay later,
-  unless the link is down or has changed by then: it is a heap event, which
-  a link change cannot drop, so it checks the link's epoch, which grows on
-  every change. It carries no ack, sets no timer, gives no RTT sample and
-  does not occupy the link.
+  unless the link is down or changes by then, or the sub-flow dies. It
+  carries no ack, sets no timer, gives no RTT sample and does not occupy
+  the link.
 
 Timeouts are counters only; no retransmission segment is emitted, because
 links are lossless while up, so a timeout implies the path is down and
@@ -58,35 +57,52 @@ recovery happens through death plus re-establishment. A consequence is that
 any outage long enough to eat three timeouts replaces the sub-flow.
 
 Everything runs on an integer microsecond clock. Within one µs, actions and
-option arrivals run first, in insertion order; timers run next, by sub-flow
-id; acks run last, by sub-flow id, then in send order. So identical inputs
-give byte-identical reports on any platform.
+option arrivals run first, in the order they were queued; timers run next,
+by sub-flow id; acks run last, by sub-flow id, then in send order. So
+identical inputs give byte-identical reports on any platform.
 
-Acks are not heap events. A link serializes in send order, so a sub-flow's
-acks come back in send order and wait in a FIFO on the sub-flow; a link
-change, which restarts the link's clock, drops them by emptying the FIFO of
-its newest sub-flow. The run's ack calendar is a heap of ``(head arrival,
-sub-flow id, flow)``, where an id names one flow, so heapq compares no
-flows. A send into an empty FIFO pushes its flow's entry, unless it starts
-a train, and a drain that leaves acks in a FIFO pushes it at the new head.
-An entry whose key is not its FIFO's head is stale, as a link change, a
-death or a train emptied the FIFO, and a drain skips it. So no queued ack
-is due before the calendar's top. Before each heap event, the run drains
-the FIFOs, by head arrival, up to a horizon if the top is before it: the
-next heap event, the end of the run or ``RTO_MIN_US`` after the top,
-whichever is first. An ack touches only its own sub-flow, that sub-flow's
-link and its acked bytes, and any deadline it sets is ``RTO_MIN_US`` or
-more after it, so past the horizon: no heap event falls due inside it and
-the acks of different sub-flows commute. An MP_PRIO arrival sets only the
-receiver's view of its sub-flow, which no ack reads or writes, and reads
-only its link's state and epoch, which no ack changes; so it commutes with
-every queued ack, and the run delivers one at the top of the heap before
-the drain, which it does not cut. A receiver that read its own view during
-the run, such as a peer that sends too, would have to cut it again. A
-recorded death empties its sub-flow's FIFO for good and ends its train or
-keepalive, and only a link's newest sub-flow may be alive, so the pumps and
-the run's end visit the newest flow of each link, and a pump skips a
-recorded death.
+Each kind of control event has a queue of its own. The actions form a
+script in time order, which the run consumes by index; the bootstrap
+follows the 0 ms actions scheduled before the run, and an action scheduled
+during it may not be due before its current µs. The heap holds only the
+timers, as ``(at, sub-flow id, seq, flow)``. An option queues on its link
+as ``(arrival, order, sub-flow id, option)``, in arrival order, as the
+link's delay is fixed; actions and options take their order from one count.
+An option writes only the receiver's view of its sub-flow, which during the
+run only actions read, so the run applies the options where the view is
+next read or they are lost:
+
+- before each action, those that arrive before it, at its µs only if
+  queued first: the action reads the view that arrival events would leave;
+- none at a change of its link, which comes in an action, after those:
+  the change drops the rest, as it loses them, and a down link queues none;
+- before a timer records its sub-flow's death, those due by its µs, which
+  arrive before its timers; the rest reach a receiver that has recorded
+  the death, and it ignores them;
+- at the run's end, those that arrive before it.
+
+Acks are not on the timer heap. A link serializes in send order, so a
+sub-flow's acks come back in send order and wait in a FIFO on the sub-flow;
+a link change, which restarts the link's clock, drops them by emptying the
+FIFO of its newest sub-flow. The run's ack calendar is a heap of ``(head
+arrival, sub-flow id, flow)``, where an id names one flow, so heapq
+compares no flows. A send into an empty FIFO pushes its flow's entry,
+unless it starts a train, and a drain that leaves acks in a FIFO pushes it
+at the new head. An entry whose key is not its FIFO's head is stale, as a
+link change, a death or a train emptied the FIFO, and a drain skips it. So
+no queued ack is due before the calendar's top. Before each action or
+timer, the run drains the FIFOs, by head arrival, up to a horizon if the
+top is before it: the next action or timer, the end of the run or
+``RTO_MIN_US`` after the top, whichever is first. An ack touches only its
+own sub-flow, that sub-flow's link and its acked bytes, and any deadline it
+sets is ``RTO_MIN_US`` or more after it, so past the horizon: no timer
+falls due inside it and the acks of different sub-flows commute. No option
+cuts a drain, as no ack reads or writes the receiver's view; a receiver
+that read its own view during the run, such as a peer that sends too,
+would have to apply them before its acks as well. A recorded death empties
+its sub-flow's FIFO for good and ends its train or keepalive, and only a
+link's newest sub-flow may be alive, so the pumps and the run's end visit
+the newest flow of each link, and a pump skips a recorded death.
 
 The drain hands a flow's due acks to :meth:`Simulation._on_acks` in one
 call. Each ack feeds its round trip into srtt's EWMA, clears the timeouts,
@@ -182,6 +198,7 @@ sub-flow costs no more than its rows at any bucket width.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import operator
@@ -202,7 +219,6 @@ from .model import (
 )
 from .report import US_PER_MS, SubflowColumn, TimelineReport
 from .scheduler import select, tier
-from .wire import MpPrioOption
 
 # Transmission constants. The window saturates a 1 Mbps / 200 ms-RTT path:
 # 32 * 1460 B / 0.2 s is about 1.87 Mbps of window, above link rate.
@@ -260,17 +276,17 @@ def first_ack_us(spec: LinkSpec) -> int:
 class _Link:
     """Simulator state of one link. What the sends read of ``spec`` is
     worked out once: the one-way delay and an MSS's serialization time in
-    µs."""
+    µs. It queues the MP_PRIO options on their way (module docstring)."""
 
-    __slots__ = ("spec", "delay_us", "mss_us", "up", "epoch", "tx_free_us")
+    __slots__ = ("spec", "delay_us", "mss_us", "up", "tx_free_us", "options")
 
     def __init__(self, spec: LinkSpec) -> None:
         self.spec = spec
         self.delay_us = spec.one_way_delay_ms * US_PER_MS
         self.mss_us = mss_us(spec.bandwidth_bps)
         self.up = True
-        self.epoch = 0  # grows on every change, for the MP_PRIO arrivals
         self.tx_free_us = 0
+        self.options: Deque[tuple] = deque()
 
 
 class _Flow:
@@ -394,12 +410,13 @@ class Simulation:
 
         links_by_pair = {spec.pair: _Link(spec) for spec in links}
 
-        # (at_us, rank, handler, args): run() calls handler(self, *args). The
-        # rank is (0, seq) for actions and option arrivals and (1, sub-flow
-        # id, seq) for timers, which sets the same-µs order; seq keeps every
-        # entry unique. The handlers are plain functions, not bound methods,
-        # and a _Flow holds no reference to the simulation, so pending events
-        # do not either and a finished run is freed by reference counting.
+        # The control events' queues (module docstring): the script of
+        # actions, (at_us, order, action) in time order, and the heap of
+        # timers, (at_us, sub-flow id, seq, flow). Actions and options take
+        # their order from seq, which also keeps every timer entry unique. A
+        # _Flow holds no reference to the simulation, so pending entries do
+        # not either and a finished run is freed by reference counting.
+        self._script: List[tuple] = []
         self._heap: List[tuple] = []
         self._seq = itertools.count()
         self._flows: Dict[int, _Flow] = {
@@ -421,18 +438,22 @@ class Simulation:
     # ------------------------------------------------------------------ #
     # event plumbing
 
-    def _push(self, at_us: int, handler: Callable, args: tuple) -> None:
-        heapq.heappush(self._heap, (at_us, (0, next(self._seq)), handler, args))
-
     def schedule_action(self, at_ms: int, action: Callable[["Simulation"], None]) -> None:
-        """Run ``action(self)`` at ``at_ms``, before the run ends. An action
-        changes priorities through :mod:`mpflow.sockopt` but opens no sub-flow
-        (ValidationError); the run records a flip from the MP_PRIO it queues."""
+        """Run ``action(self)`` at ``at_ms``, before the run ends and not before
+        the run's current µs, after the actions scheduled for it so far. An
+        action changes priorities through :mod:`mpflow.sockopt` but opens no
+        sub-flow (ValidationError); the run records a flip from the MP_PRIO
+        it queues."""
         if not isinstance(at_ms, int) or at_ms < 0:
             raise ValidationError(f"an action's time must be a whole number of ms >= 0: {at_ms}")
-        if at_ms * US_PER_MS >= self.duration_us:
+        at_us = at_ms * US_PER_MS
+        if at_us >= self.duration_us:
             raise ValidationError(f"an action at {at_ms} ms would never run: the run ends first")
-        self._push(at_ms * US_PER_MS, Simulation._on_action, (action,))
+        if at_us < self.now_us:
+            raise ValidationError(
+                f"an action at {at_ms} ms would run in the past: the run is at {self.now_us} µs"
+            )
+        bisect.insort(self._script, (at_us, next(self._seq), action))  # seq sorts it last
 
     # ------------------------------------------------------------------ #
     # link and flow helpers
@@ -446,8 +467,8 @@ class Simulation:
         link.up = False  # so a closed form's end queues no ack that the change drops
         self._settle(flow, now)
         flow.acks.clear()
+        link.options.clear()  # the ones due before the action that changes it are applied
         link.up = up
-        link.epoch += 1
         link.tx_free_us = now
         if up and sf.died_us is not None:  # its next attempt, on the grid from its death
             attempts = max(1, -((sf.died_us - now) // REESTABLISH_INTERVAL_US))
@@ -478,7 +499,7 @@ class Simulation:
 
     def _push_timer(self, flow: _Flow) -> None:
         flow.timer_pending = at_us, seq = flow.timer, next(self._seq)
-        heapq.heappush(self._heap, (at_us, (1, flow.sf.id, seq), Simulation._on_timer, (flow, seq)))
+        heapq.heappush(self._heap, (at_us, flow.sf.id, seq, flow))
 
     def _retier(self, flow: _Flow) -> None:
         """Cache the tier of ``flow``, None once it is dead, and keep the
@@ -563,11 +584,14 @@ class Simulation:
     # ------------------------------------------------------------------ #
     # event handlers
 
-    def _on_options_arrival(self, flow: _Flow, epoch: int, opt: MpPrioOption) -> None:
-        link = flow.link
-        if link.epoch != epoch or not link.up:
-            return  # lost on a changed or down link
-        sockopt.apply_remote_mp_prio(self.receiver, opt, received_on=flow.sf.id)
+    def _deliver(self, links: Sequence[_Link], before: tuple) -> None:
+        """Apply the MP_PRIO options queued on ``links`` that arrive before
+        ``before``, an ``(at, order)`` key, each to the sub-flow it travels on."""
+        for link in links:
+            options = link.options
+            while options and options[0] < before:
+                _, _, sf_id, opt = options.popleft()
+                sockopt.apply_remote_mp_prio(self.receiver, opt, received_on=sf_id)
 
     def _grow(self, flow: _Flow, i: int) -> None:
         """Grow ``flow.acked`` to hold index ``i``: to twice its length at
@@ -670,6 +694,7 @@ class Simulation:
                 self._arm_rto(flow, flow.armed_at_us)
 
     def _kill(self, flow: _Flow) -> None:
+        self._deliver((flow.link,), (self.now_us + 1,))  # those of its µs arrive before a timer
         flow.sf.alive = False
         self._pump([flow], flow.sf.id)
 
@@ -708,8 +733,9 @@ class Simulation:
             if flow.sf.low_prio != flow.flag_values[-1]:
                 flow.flag_times.append(self.now_us)
                 flow.flag_values.append(flow.sf.low_prio)
-            arrival = self.now_us + flow.link.delay_us
-            self._push(arrival, Simulation._on_options_arrival, (flow, flow.link.epoch, opt))
+            link = flow.link
+            if link.up:  # else lost, as it would be at any change before it arrives
+                link.options.append((self.now_us + link.delay_us, next(self._seq), sf_id, opt))
         flipped = {sf_id for sf_id, _ in outbox}
         outbox.clear()
         flows = self._newest_flow.values()
@@ -721,10 +747,10 @@ class Simulation:
     # main loop and report
 
     def _bootstrap(self) -> None:
-        # Runs at t=0 after any t=0 scenario actions (which were scheduled
-        # earlier and sort first), so e.g. enabling the primary-path-only
-        # scheduler "just after socket creation" precedes the first segment.
-        # Its pump is the run's one ``select``; later pumps read the counts.
+        # Runs at t=0 after the t=0 actions scheduled before the run, so
+        # e.g. enabling the primary-path-only scheduler "just after socket
+        # creation" precedes the first segment. Its pump is the run's one
+        # ``select``; later pumps read the counts.
         self._pump()
         for flow in self._flows.values():
             self._idle(flow)
@@ -733,26 +759,37 @@ class Simulation:
         if self._finished:
             raise RuntimeError("a Simulation instance runs only once")
         self._finished = True
-        self._push(0, Simulation._bootstrap, ())
-        heap, calendar = self._heap, self._calendar
-        duration_us, deliver = self.duration_us, Simulation._on_options_arrival
-        horizon = 0
+        script, heap, calendar = self._script, self._heap, self._calendar
+        bisect.insort(script, (0, next(self._seq), None))  # None: the bootstrap
+        links = [flow.link for flow in self._newest_flow.values()]
+        duration_us, i, horizon = self.duration_us, 0, 0
         while horizon < duration_us:
             # No queued ack is due before the calendar's top, and any deadline
             # it sets is RTO_MIN_US later (module docstring).
-            next_us = min(heap[0][0], duration_us) if heap else duration_us
+            action_us = script[i][0] if i < len(script) else duration_us
+            timer_us = heap[0][0] if heap else duration_us
+            next_us = action_us if action_us <= timer_us else timer_us  # at most duration_us
             next_ack = calendar[0][0] if calendar else duration_us
             horizon = min(next_us, next_ack + RTO_MIN_US)
-            # An MP_PRIO arrival at the top cuts no drain (module docstring).
-            if next_ack < horizon and (next_us == duration_us or heap[0][2] is not deliver):
+            if next_ack < horizon:
                 self._drain_acks(horizon)
                 if horizon < next_us:
                     continue
             if horizon == duration_us:
                 continue
-            at_us, _, handler, args = heapq.heappop(heap)
-            self.now_us = at_us
-            handler(self, *args)
+            self.now_us = next_us
+            if next_us == action_us:  # actions run before the timers of their µs
+                _, order, action = script[i]
+                i += 1
+                self._deliver(links, (next_us, order))
+                if action is None:
+                    self._bootstrap()
+                else:
+                    self._on_action(action)
+            else:
+                _, _, seq, flow = heapq.heappop(heap)
+                self._on_timer(flow, seq)
+        self._deliver(links, (duration_us,))
         for flow in self._newest_flow.values():
             self._settle(flow, duration_us)
         return self._build_report()
@@ -811,7 +848,7 @@ class Simulation:
         as :meth:`_on_acks` would one by one, arm the timer from the last
         one, and queue the acks still to come on a link that is up, where
         a link change would not drop them. A train started at an ack ends
-        at a heap event or at the end of the run, past its first ack; one
+        at an action, a timer or the end of the run, past its first ack; one
         started at a send may end before it, handling none.
 
         The acked bytes are split among the buckets by one store per ack

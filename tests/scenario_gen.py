@@ -108,12 +108,18 @@ def corpus():
 
 
 class _KeptSimulation(Simulation):
-    """A Simulation that keeps its last instance, for the run's end state."""
+    """A Simulation that keeps its last instance, for the run's end state,
+    and counts the changes of each link, by link id."""
 
     last = None
 
+    def set_link_state(self, link_id, up):
+        super().set_link_state(link_id, up)
+        self.link_changes[link_id] = self.link_changes.get(link_id, 0) + 1
+
     def run(self):
         _KeptSimulation.last = self
+        self.link_changes = {}
         return super().run()
 
 
@@ -121,12 +127,12 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def state_digest(sim: Simulation) -> str:
+def state_digest(sim: _KeptSimulation) -> str:
     """SHA-256 of the end state of the finished run ``sim``: per sub-flow,
     its srtt, bytes sent and in flight, consecutive timeouts, death time and
     the flag at both ends; per link, when it is free, whether it is up and
-    its epoch. The run ends every train first, so this is the state that a
-    run handling every ack one by one would leave."""
+    how many times it changed. The run ends every train first, so this is
+    the state that a run handling every ack one by one would leave."""
     flows, links = [], {}
     for flow in sim._flows.values():
         sf, link = flow.sf, flow.link
@@ -134,7 +140,8 @@ def state_digest(sim: Simulation) -> str:
             (sf.id, sf.srtt_us, sf.bytes_sent_total, sf.inflight_bytes, sf.consecutive_timeouts,
              sf.died_us, sf.low_prio, flow.peer.low_prio)
         )
-        links[link.spec.link_id] = (link.tx_free_us, link.up, link.epoch)
+        link_id = link.spec.link_id
+        links[link_id] = (link.tx_free_us, link.up, sim.link_changes.get(link_id, 0))
     return _sha256(repr((flows, sorted(links.items()))))
 
 
@@ -184,15 +191,18 @@ def digests(scenarios, buckets_ms=CORPUS_BUCKETS_MS, state=False):
     return out
 
 
+def perfbench_module(name: str):
+    """The benchmark's module ``perfbench/<name>.py``, loaded as a module of
+    its own, ``perfbench_<name>``, that no other module imports."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def perfbench_workloads():
-    """The benchmark's workload generators, ``perfbench/workloads.py``,
-    loaded as a module of their own."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", PERFBENCH / "workloads.py"
-    )
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads
+    """The benchmark's workload generators, ``perfbench/workloads.py``."""
+    return perfbench_module("workloads")
 
 
 def workload_digests():

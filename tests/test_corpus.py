@@ -50,7 +50,7 @@ def test_every_ack_handled_one_by_one_finds_its_link_up(monkeypatch):
     # A segment sent on a down link queues no ack, a death drops its
     # sub-flow's queued acks and a link change those of the sub-flow on it,
     # so no ack reaches _on_acks on a link that is down. A link changes only
-    # at a heap event, so the link a call finds holds for each of its acks.
+    # in an action, so the link a call finds holds for each of its acks.
     handled, on_down_link = [], []
     on_acks = Simulation._on_acks
 

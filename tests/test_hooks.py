@@ -3,25 +3,28 @@
 Profilers (such as the benchmark's tracer) count the per-segment calls by
 replacing module attributes of ``mpflow.simnet`` while a run is traced, so
 ``Simulation`` must look ``select``, ``heapq`` and the receiver's MP_PRIO
-handler up at call time, and only heap events may go through ``heapq``, not
-the ack calendar's entries. The sub-flow's cached interface pair must also
-stay equal to the pair of its endpoints, for sub-flows re-created during
-the run as well.
+handler up at call time, and only timers may go through ``heapq``, not the
+ack calendar's entries. The benchmark's tracer, which relies on these
+seams, must count a traced pass the same way twice. The sub-flow's cached
+interface pair must also stay equal to the pair of its endpoints, for
+sub-flows re-created during the run as well.
 """
 
+import io
 from collections import Counter
 from types import SimpleNamespace
 from unittest import mock
 
 import pytest
 
+import mpflow
 from mpflow import simnet, sockopt
 from mpflow.model import InterfacePair, new_connection
 from mpflow.scenario import BUILTIN_DOCS, PPOS_ENV_VAR, parse_scenario, run_scenario
 from mpflow.simnet import LinkSpec, Simulation
 from mpflow.sockopt import SubPrioRequest
 from helpers import acks_handled, addr
-from scenario_gen import perfbench_workloads
+from scenario_gen import perfbench_module, perfbench_workloads
 
 
 def build_steady_sim():
@@ -72,41 +75,44 @@ def test_run_looks_up_select_and_heapq_at_call_time(monkeypatch):
 def test_only_heap_events_go_through_the_heapq_seam(monkeypatch):
     """The benchmark's tracer counts heap events by rebinding
     ``simnet.heapq``, so the ack calendar keeps its pushes and pops off that
-    seam: every item pushed or popped through it is a heap event
-    ``(at, rank, handler, args)``, while the calendar's own ``(head arrival,
-    sub-flow id, flow)`` entries go through ``simnet.heappush`` and
-    ``simnet.heappop``."""
-    handlers = {
-        Simulation._bootstrap, Simulation._on_action, Simulation._on_options_arrival,
-        Simulation._on_timer,
-    }
-    seam, calendar = [], []
-    heapq = simnet.heapq
+    seam: every item pushed or popped through it is a timer entry
+    ``(at, sub-flow id, seq, flow)``, while the calendar's own ``(head
+    arrival, sub-flow id, flow)`` entries go through ``simnet.heappush`` and
+    ``simnet.heappop``. Actions and MP_PRIO options are not heap events,
+    and every pop runs a timer."""
+    pushed, popped, calendar, timers = [], [], [], Counter()
+    heapq, on_timer = simnet.heapq, Simulation._on_timer
 
     def seam_heappush(heap, item):
-        seam.append(item)
+        pushed.append(item)
         heapq.heappush(heap, item)
 
     def seam_heappop(heap):
-        seam.append(heapq.heappop(heap))
-        return seam[-1]
+        popped.append(heapq.heappop(heap))
+        return popped[-1]
 
     def calendar_heappush(heap, item):
         calendar.append(item)
         heapq.heappush(heap, item)
 
+    def counting_on_timer(sim, flow, seq):
+        timers[flow.sf.id] += 1
+        on_timer(sim, flow, seq)
+
     monkeypatch.setattr(
         simnet, "heapq", SimpleNamespace(heappush=seam_heappush, heappop=seam_heappop)
     )
     monkeypatch.setattr(simnet, "heappush", calendar_heappush)
+    monkeypatch.setattr(Simulation, "_on_timer", counting_on_timer)
     sim = build_flapping_sim()
     request = SubPrioRequest(2, True)
     sim.schedule_action(2_000, lambda s: sockopt.set_subflow_priority(s.sender, request))
     sim.run()
-    assert {item[2] for item in seam} == handlers
-    for item in seam:
-        at, rank, handler, args = item
-        assert isinstance(at, int) and isinstance(rank, tuple) and isinstance(args, tuple)
+    for at, sf_id, seq, flow in pushed:
+        assert isinstance(at, int) and isinstance(seq, int) and flow is sim._flows[sf_id]
+    assert {sf_id for _, sf_id, _, _ in pushed} == {1, 2, 3, 4}  # 4 re-opens link 1
+    assert sorted(popped + sim._heap) == sorted(pushed)
+    assert timers == Counter(sf_id for _, sf_id, _, _ in popped)
     assert calendar and all(flow.sf.id == sf_id for _, sf_id, flow in calendar)
 
 
@@ -132,16 +138,11 @@ def test_every_delivered_mp_prio_goes_through_the_sockopt_seam(monkeypatch):
     sim, seen = build(), []
 
     def record(conn, opt, received_on=None):
-        seen.append((sim.now_us, received_on, opt.backup_flag))
+        seen.append((received_on, opt.backup_flag))
 
     monkeypatch.setattr(simnet.sockopt, "apply_remote_mp_prio", record)
     sim.run()
-    assert seen == [
-        (1_100_000, 2, True),
-        (2_100_000, 2, False),
-        (3_100_000, 2, True),
-        (3_100_000, 3, True),
-    ]
+    assert seen == [(2, True), (2, False), (2, True), (3, True)]
     assert [sf.low_prio for sf in sim.receiver.subflows] == [False] * 3
     monkeypatch.undo()
     sim = build()
@@ -412,3 +413,32 @@ def test_idle_and_dead_sub_flows_of_the_built_ins_pop_no_timer_for_nothing():
                 run_scenario(parse_scenario(doc))
     assert probes == {"down link": 4, "up link, no sample": 4}
     assert dead_pops_on_down_links == 0
+
+
+@pytest.mark.parametrize(
+    "name, events", [("paper_figs", 98), ("mesh16_flaps", 188), ("prio_churn_fine", 655)]
+)
+def test_two_traced_passes_of_each_benchmark_workload_count_alike(name, events):
+    """``perfbench/run.py --trace 1`` stops unless its traced passes make a
+    ``select`` call and pop a heap event through the ``simnet.heapq`` seam,
+    and fails a pass whose counts differ from the first's. Two seed-0
+    passes through its ``Tracer`` meet both. Only timers are heap events:
+    a pass pops 98, 188 or 655 of them, where the heap that also held
+    actions and MP_PRIO arrivals popped 124, 222 and 4,493. Timers popped
+    past the seam would read 0."""
+    tracer_module = perfbench_module("tracer")
+    workload = perfbench_workloads().make(name, 0, mpflow)
+    passes = []
+    with mock.patch.dict("os.environ", {PPOS_ENV_VAR: ""}):
+        for _ in range(2):
+            with tracer_module.Tracer(mpflow) as tracer:
+                for run_id, (_, doc) in enumerate(workload.docs):
+                    tracer.begin_run(run_id)
+                    report = run_scenario(parse_scenario(doc), bucket_ms=workload.bucket_ms)
+                    mpflow.emit_csv(report, io.StringIO())
+                    tracer.counts["scenario.csv_rows"] += len(report.rows)
+            passes.append(tracer.exact_counts())
+    first, second = passes
+    assert first["scheduler.select_calls"] == len(workload.docs)
+    assert first["simnet.events"] == events
+    assert second == first

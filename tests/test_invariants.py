@@ -37,7 +37,7 @@ re-create them, and every action verb. Every run checks that:
   that starts it at a send, once every flow of the tier is filled;
 * the ack calendar has an entry keyed at the head of every flow with
   queued acks when a drain starts and when it ends, a drain leaves no ack
-  due before its horizon, and no ack due before a pump's heap event is
+  due before its horizon, and no ack due before a pump's action or timer is
   still queued;
 * each flow's queued data acks are at least its link's serialization
   time ``s`` apart, checked after each send that queues them (a fill, an

@@ -49,18 +49,64 @@ def test_pairs_are_summarized_by_each_metric_s_direction():
     rows = {row.name: row for row in perf_ab.summarize(pairs, better)}
     assert sorted(rows) == ["run_s.p50", "sim_s_per_s"]  # setup_s is in no result
     speed = rows["sim_s_per_s"]
-    assert (speed.base, speed.head, speed.wins, speed.pairs) == (6600, 7750, 3, 4)
+    assert (speed.base, speed.head, speed.wins, speed.pairs, speed.clear_wins) == (
+        6600, 7750, 3, 4, 3
+    )
     assert speed.ratio == pytest.approx(7750 / 6600)
     assert speed.spread == pytest.approx(6825 - 6525)  # the base's quartiles
     time = rows["run_s.p50"]
     assert (time.base, time.head, time.wins) == (0.001490, 0.001255, 3)
     table = perf_ab.format_rows("mesh16_flaps", perf_ab.summarize(pairs, better))
     assert table.splitlines()[2].split() == [
-        "mesh16_flaps", "sim_s_per_s", "6600", "7750", "1.174", "300", "3/4"
+        "mesh16_flaps", "sim_s_per_s", "6600", "7750", "1.174", "300", "3/4", "3/4"
     ]
+
+
+def test_a_pair_won_by_no_more_than_the_base_s_spread_is_not_a_clear_win():
+    perf_ab = load_script()
+    # The base's quartiles are 6,925 and 7,175: only the gains of 300 and
+    # 251 are above the spread of 250; 250 itself and 50 are not, in
+    # either direction.
+    base = (7000, 7100, 6900, 7200)
+    for direction, sign in (("higher", 1), ("lower", -1)):
+        heads = [b + sign * gain for b, gain in zip(base, (300, 250, 50, 251))]
+        pairs = [(perf_ab.result_of(stdout(b, 0.001)), perf_ab.result_of(stdout(h, 0.001)))
+                 for b, h in zip(base, heads)]
+        (row,) = perf_ab.summarize(pairs, {"sim_s_per_s": direction})
+        assert row.spread == pytest.approx(250)
+        assert (row.wins, row.clear_wins) == (4, 2)
 
 
 def test_the_directions_come_from_the_benchmark_declaration():
     assert load_script().directions() == {
         "run_s.p50": "lower", "sim_s_per_s": "higher", "setup_s": "lower", "peak_rss_mb": "lower"
     }
+
+
+def test_all_runs_the_pairs_of_each_declared_workload_and_prints_a_block_each(
+    monkeypatch, capsys, tmp_path
+):
+    perf_ab = load_script()
+    assert perf_ab.workloads() == ["paper_figs", "mesh16_flaps", "prio_churn_fine"]
+    speeds = {"paper_figs": (150_000, 151_000), "mesh16_flaps": (7_000, 6_900),
+              "prio_churn_fine": (7_000, 7_500)}
+    runs = []
+
+    def canned_run(checkout, workload, args):
+        side = int(checkout == perf_ab.HERE)
+        runs.append((workload, side))
+        return perf_ab.result_of(stdout(speeds[workload][side], 0.001))
+
+    monkeypatch.setattr(perf_ab, "run_bench", canned_run)
+    assert perf_ab.main([str(tmp_path), "--workload", "all", "--pairs", "2"]) == 0
+    # each workload in turn, the base first in even pairs and last in odd ones
+    assert runs == [(name, side) for name in speeds for side in (0, 1, 1, 0)]
+    blocks = capsys.readouterr().out.split("\n\n")
+    assert len(blocks) == 3
+    for block, (name, (base, head)) in zip(blocks, speeds.items()):
+        header, *rows = block.strip().splitlines()
+        assert header.split()[:2] == ["workload", "metric"]
+        assert {row.split()[0] for row in rows} == {name}
+        (speed,) = [row.split() for row in rows if row.split()[1] == "sim_s_per_s"]
+        assert speed[2:4] == [f"{base:g}", f"{head:g}"]
+        assert speed[-2:] == (["2/2", "2/2"] if head > base else ["0/2", "0/2"])

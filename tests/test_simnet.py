@@ -24,6 +24,7 @@ from helpers import acked_by_bucket, addr, on_ack_arrival, tuple_for_next
 MSS = 1460
 WINDOW = 32 * MSS
 MBPS = 1_000_000
+INF = float("inf")
 
 
 def build_sim(n_links, duration_ms=20_000, actions=()):
@@ -51,37 +52,48 @@ def bytes_by_flow_bucket(report):
     }
 
 
-def next_at(sim):
-    """When the next event is due: the heap top or the earliest queued ack."""
-    return min([sim._heap[0][0]] + [flow.acks[0][0] for flow in sim._flows.values() if flow.acks])
-
-
-def step(sim):
-    """Run the next event in the simulator's order and return its handler:
-    the heap top, unless a queued ack is due earlier, which goes to the
-    one-ack reference. Within one µs acks run after heap events, by
-    sub-flow id."""
+def next_dues(sim):
+    """When the next action, the next timer and the earliest queued ack are
+    due, in that order, each ``inf`` if there is none; and the flow of
+    that ack, by sub-flow id among equals, or None."""
     flow = min(
         (flow for flow in sim._flows.values() if flow.acks),
         key=lambda flow: flow.acks[0][0],
         default=None,
     )
-    if flow is None or sim._heap[0][0] <= flow.acks[0][0]:
-        at, _, handler, args = heapq.heappop(sim._heap)
-    else:
-        (at, *ack), handler = flow.acks.popleft(), on_ack_arrival
-        args = (flow, *ack)
-    sim.now_us = at
-    handler(sim, *args)
-    return handler
+    script, heap = sim._script, sim._heap
+    dues = [script[0][0] if script else INF, heap[0][0] if heap else INF]
+    return dues + [flow.acks[0][0] if flow else INF], flow
+
+
+def next_at(sim):
+    """When the next event is due: an action, a timer or a queued ack."""
+    return min(next_dues(sim)[0])
+
+
+def step(sim):
+    """Run the next event in the simulator's order and return its handler:
+    the script's next action, which it takes off the script, the timer
+    heap's top or the earliest queued ack, which goes to the one-ack
+    reference. Within one µs, actions run first, then timers, then acks,
+    both by sub-flow id."""
+    dues, flow = next_dues(sim)
+    kind = dues.index(min(dues))  # the first of the earliest
+    sim.now_us = dues[kind]
+    if kind == 0:
+        sim._on_action(sim._script.pop(0)[2])
+        return Simulation._on_action
+    if kind == 1:
+        _, _, seq, timer_flow = heapq.heappop(sim._heap)
+        sim._on_timer(timer_flow, seq)
+        return Simulation._on_timer
+    _, nbytes, sent_us = flow.acks.popleft()
+    on_ack_arrival(sim, flow, nbytes, sent_us)
+    return on_ack_arrival
 
 
 def timer_entries(sim, flow):
-    return [
-        entry
-        for entry in sim._heap
-        if entry[2] is Simulation._on_timer and entry[3][0] is flow
-    ]
+    return [entry for entry in sim._heap if entry[3] is flow]
 
 
 def time_out_until_dead(sim, sf):
@@ -110,11 +122,11 @@ def test_rto_fires_at_doubling_offsets_and_third_kills():
     sim._arm_rto(flow, sim.now_us)
     fires = []
     while sf.alive:
-        at, _, handler, args = heapq.heappop(sim._heap)
-        assert handler is Simulation._on_timer
+        at, sf_id, seq, timer_flow = heapq.heappop(sim._heap)
+        assert (sf_id, timer_flow) == (1, flow)
         sim.now_us = at
         fires.append(at)
-        sim._on_timer(*args)
+        sim._on_timer(timer_flow, seq)
     # oracle: base = max(2 * 200 ms, 200 ms) = 400 ms, offsets double per
     # consecutive timeout => fires 400, 800, 1600 ms after arming
     assert fires == [400_000, 800_000, 1_600_000]
@@ -232,10 +244,10 @@ def test_mp_prio_is_lost_with_its_segment():
     # One action at t = 0 marks sub-flows 1 and 2 backup, which queues an
     # MP_PRIO on each, and its pump sends their first segments: each option
     # is due at the receiver at 100 ms, each segment at 111.68 ms. The same
-    # action takes link 1 down, so its option leaves on a down link in that
-    # link's new epoch. Link 2 goes down at 50 ms and is up again at 80 ms,
-    # so its option arrives on an up link in a later epoch. Both options are
-    # lost with their segments, and both sub-flows die at 800 ms.
+    # action takes link 1 down, so its option leaves on a link that is
+    # down. Link 2 goes down at 50 ms and is up again at 80 ms, so its option
+    # arrives on an up link that has changed since it was sent. Both options
+    # are lost with their segments, and both sub-flows die at 800 ms.
     def flip_and_cut(sim):
         mark_backup(1)(sim)
         mark_backup(2)(sim)
@@ -297,20 +309,39 @@ def test_an_action_runs_before_an_ack_of_the_same_us(down_ms, acked):
     assert sum(row.bytes_acked for row in report.rows) == acked
 
 
+def record_applied(monkeypatch):
+    """Replace the receiver's MP_PRIO handler with one that also records
+    (carrying sub-flow, backup flag) of each call."""
+    applied = []
+    apply = sockopt.apply_remote_mp_prio
+
+    def record(conn, opt, received_on=None):
+        applied.append((received_on, opt.backup_flag))
+        apply(conn, opt, received_on=received_on)
+
+    monkeypatch.setattr(sockopt, "apply_remote_mp_prio", record)
+    return applied
+
+
+def looker(seen, subflow_id):
+    """An action that records, by its µs, the receiver's flag of ``subflow_id``."""
+
+    def look(sim):
+        seen[sim.now_us] = sim.receiver.subflow_by_id(subflow_id).low_prio
+
+    return look
+
+
 @pytest.mark.parametrize("delay2_ms", [100, 99])
 def test_an_mp_prio_travels_on_the_sub_flow_it_names(delay2_ms, monkeypatch):
     # Marking sub-flow 3 backup at 1 s queues an MP_PRIO while the windows
     # of sub-flows 1 and 2 are full. Whichever of their acks comes next,
     # with equal links or with link 2 1 ms shorter, the option travels on
-    # sub-flow 3 and lands one 100 ms delay after the flip.
-    carriers = []
-    arrival = Simulation._on_options_arrival
-
-    def record(sim, flow, epoch, opt):
-        carriers.append((sim.now_us, flow.sf.id))
-        arrival(sim, flow, epoch, opt)
-
-    monkeypatch.setattr(Simulation, "_on_options_arrival", record)
+    # sub-flow 3 and lands one 100 ms delay after the flip: an action 1 ms
+    # before does not see it, nor does one at 1,100 ms, queued before the
+    # option, and one 1 ms after does. Had it gone on link 2 at 99 ms, the
+    # action at 1,100 ms would see it.
+    applied, seen = record_applied(monkeypatch), {}
     sender = new_connection([addr("10.0.0.1")], [addr(f"10.0.{i}.1") for i in (1, 2, 3)])
     delays = (100, delay2_ms, 100)
     links = [
@@ -319,38 +350,85 @@ def test_an_mp_prio_travels_on_the_sub_flow_it_names(delay2_ms, monkeypatch):
     ]
     sim = Simulation(sender, links, duration_ms=2_000)
     sim.schedule_action(1_000, mark_backup(3))
+    for at_ms in (1_099, 1_100, 1_101):
+        sim.schedule_action(at_ms, looker(seen, 3))
     sim.run()
-    assert carriers == [(1_100_000, 3)]
+    assert applied == [(3, True)]
+    assert seen == {1_099_000: False, 1_100_000: False, 1_101_000: True}
     assert sim.receiver.subflow_by_id(3).low_prio
 
 
-def record_applied(monkeypatch, sim):
-    """Replace the receiver's MP_PRIO handler with one that also records
-    (time, carrying sub-flow, backup flag) of each call in ``sim``."""
-    applied = []
-    apply = sockopt.apply_remote_mp_prio
-
-    def record(conn, opt, received_on=None):
-        applied.append((sim.now_us, received_on, opt.backup_flag))
-        apply(conn, opt, received_on=received_on)
-
-    monkeypatch.setattr(sockopt, "apply_remote_mp_prio", record)
-    return applied
-
-
 def test_an_mp_prio_lands_exactly_one_one_way_delay_after_the_flip(monkeypatch):
-    seen = {}
-    sim = build_sim(3, duration_ms=1_500, actions=[(1_000, mark_backup(2))])
-    applied = record_applied(monkeypatch, sim)
+    # An action reads the receiver's view as it is at its µs: the option
+    # of the flip at 1 s has not landed at 1,099 ms and has landed at
+    # 1,100 ms for an action queued after it (the next test).
+    applied, seen = record_applied(monkeypatch), {}
+    look = looker(seen, 2)
 
-    def look(sim):
-        seen[sim.now_us] = sim.receiver.subflow_by_id(2).low_prio
+    def late(sim):
+        sim.schedule_action(1_100, look)
 
-    for at_us in (1_099_999, 1_100_001):
-        sim._push(at_us, look, ())
+    actions = [(1_000, mark_backup(2)), (1_099, look), (1_050, late)]
+    sim = build_sim(3, duration_ms=1_500, actions=actions)
     sim.run()
-    assert applied == [(1_100_000, 2, True)]
-    assert seen == {1_099_999: False, 1_100_001: True}
+    assert applied == [(2, True)]
+    assert seen == {1_099_000: False, 1_100_000: True}
+
+
+def test_an_mp_prio_due_at_an_action_s_us_is_applied_first_only_if_queued_first():
+    # The options and the actions of one µs keep the order in which they
+    # were queued. The flip at 1 s queues its MP_PRIO, due at 1,100 ms,
+    # after the run has scheduled a look for then, which runs first; a look
+    # that an action at 1,050 ms schedules for 1,100 ms runs after it.
+    seen = []
+
+    def look(name):
+        return lambda sim: seen.append((name, sim.now_us, sim.receiver.subflow_by_id(2).low_prio))
+
+    actions = [
+        (1_000, mark_backup(2)),
+        (1_100, look("before")),
+        (1_050, lambda sim: sim.schedule_action(1_100, look("after"))),
+    ]
+    build_sim(3, duration_ms=1_500, actions=actions).run()
+    assert seen == [("before", 1_100_000, False), ("after", 1_100_000, True)]
+
+
+@pytest.mark.parametrize("flip_ms, lands", [(650, True), (651, False)])
+def test_an_mp_prio_that_arrives_after_its_sub_flow_s_death_is_ignored(flip_ms, lands):
+    # 1,460 B at 23,360 bps serialize in 500 ms, so with 2 x 150 ms the
+    # first ack comes at 800 ms, and the third timeout of the fresh sub-flow
+    # kills it first. A flip at 650 ms lands in the µs of the death, before
+    # the timer: the receiver's copy turns backup, then dies. The option of
+    # a flip 1 ms later reaches a dead sub-flow, which ignores it.
+    sender = new_connection([addr("10.0.0.1")], [addr("10.0.1.1")])
+    sim = Simulation(sender, [LinkSpec(1, sender.mesh_pairs()[0], 23_360, 150)], duration_ms=2_000)
+    sim.schedule_action(flip_ms, mark_backup(1))
+    sim.run()
+    assert sim.sender.subflow_by_id(1).died_us == 800_000
+    peer = sim.receiver.subflow_by_id(1)
+    assert (peer.alive, peer.low_prio) == (False, lands)
+
+
+def test_an_mp_prio_to_a_sub_flow_closed_on_its_way_is_ignored():
+    # Sub-flow 2 is marked backup at 1 s and closed at 1,050 ms, before its
+    # option lands at 1,100 ms: the option reaches no live sub-flow.
+    actions = [(1_000, mark_backup(2)), (1_050, lambda sim: close_subflow(sim.sender, 2))]
+    sim = build_sim(3, duration_ms=1_500, actions=actions)
+    sim.run()
+    peer = sim.receiver.subflow_by_id(2)
+    assert (peer.alive, peer.low_prio) == (False, False)
+
+
+@pytest.mark.parametrize("flip_ms, lands", [(1_399, True), (1_400, False)])
+def test_an_mp_prio_at_or_after_the_run_s_end_is_never_applied(flip_ms, lands, monkeypatch):
+    # A 1.5 s run ends at 1,500 ms: the option of a flip 100 ms before, due
+    # then, never lands, and that of a flip 1 ms earlier does.
+    applied = record_applied(monkeypatch)
+    sim = build_sim(3, duration_ms=1_500, actions=[(flip_ms, mark_backup(2))])
+    sim.run()
+    assert applied == [(2, True)] * lands
+    assert sim.receiver.subflow_by_id(2).low_prio is lands
 
 
 @pytest.mark.parametrize(
@@ -368,7 +446,7 @@ def test_an_mp_prio_is_lost_on_a_link_that_is_down_or_changes_before_it_arrives(
 ):
     actions = [(1_000, mark_backup(2))] + [(at_ms, link_action(2, up)) for at_ms, up in changes]
     sim = build_sim(3, duration_ms=1_500, actions=actions)
-    applied = record_applied(monkeypatch, sim)
+    applied = record_applied(monkeypatch)
     sim.run()
     assert applied == []
     assert sim.sender.subflow_by_id(2).low_prio
@@ -650,9 +728,9 @@ def test_an_action_that_flips_a_sub_flow_and_back_records_no_flag_change(monkeyp
             sockopt.set_subflow_priority(sim.sender, SubPrioRequest(2, low_prio))
 
     sim = build_sim(3, duration_ms=1_500, actions=[(1_000, there_and_back)])
-    applied = record_applied(monkeypatch, sim)
+    applied = record_applied(monkeypatch)
     report = sim.run()
-    assert applied == [(1_100_000, 2, True), (1_100_000, 2, False)]
+    assert applied == [(2, True), (2, False)]
     assert flag_history(report) == {i: [(0, False)] for i in (1, 2, 3)}
     assert not sim.receiver.subflow_by_id(2).low_prio
 
@@ -830,6 +908,44 @@ def test_an_action_the_run_never_reaches_is_rejected(at_ms):
     sim.schedule_action(1_999, mark_backup(1))
     sim.run()
     assert [flow.flag_times for flow in sim._flows.values()] == [[0, 1_999_000], [0]]
+
+
+def test_an_action_may_not_schedule_one_in_the_past():
+    """An action at 2 s that scheduled one at 1 s sent the run back in time:
+    the two recorded ``now_us`` as 2,000,000 and then 1,000,000. Once the
+    run has started, ``schedule_action`` rejects a time before its current
+    µs, and the error ends the run."""
+    times = []
+
+    def record(sim):
+        times.append(sim.now_us)
+
+    def schedule_earlier(sim):
+        record(sim)
+        if len(times) == 1:  # once, should the run come back to it
+            sim.schedule_action(1_000, record)
+
+    sim = build_sim(1, duration_ms=3_000, actions=[(2_000, schedule_earlier)])
+    message = "an action at 1000 ms would run in the past: the run is at 2000000 µs"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        sim.run()
+    assert times == [2_000_000]
+
+
+def test_an_action_scheduled_for_the_current_us_runs_after_those_already_due():
+    # An action at 2 s schedules another for its own µs, which runs after
+    # it and after the action already scheduled for that µs.
+    order = []
+
+    def record(name):
+        return lambda sim: order.append((name, sim.now_us))
+
+    def first(sim):
+        record("first")(sim)
+        sim.schedule_action(2_000, record("third"))
+
+    build_sim(1, duration_ms=3_000, actions=[(2_000, first), (2_000, record("second"))]).run()
+    assert order == [("first", 2_000_000), ("second", 2_000_000), ("third", 2_000_000)]
 
 
 # At 10 kbps no first segment is acked before its sub-flow dies, 800 ms

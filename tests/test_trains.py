@@ -572,17 +572,17 @@ def test_a_flip_of_sub_flow_3_leaves_sub_flow_2_s_train_running(monkeypatch):
     # and ends its train. Its MP_PRIO travels on sub-flow 3, so sub-flow 2's
     # train, which started before the flip, runs on to the end of the run.
     carriers, in_train = [], []
-    arrival = Simulation._on_options_arrival
+    apply = sockopt.apply_remote_mp_prio
 
-    def record(sim, flow, epoch, opt):
-        carriers.append(flow.sf.id)
-        arrival(sim, flow, epoch, opt)
+    def record(conn, opt, received_on=None):
+        carriers.append(received_on)
+        apply(conn, opt, received_on=received_on)
 
     def flip(sim):
         in_train.append(sim._flows[2].train is not None)
         mark_backup(3)(sim)
 
-    monkeypatch.setattr(Simulation, "_on_options_arrival", record)
+    monkeypatch.setattr(sockopt, "apply_remote_mp_prio", record)
     links = [(10_000_000, 100), (EVEN_BPS, 20), (EVEN_BPS, 20)]
     sim = run_both(links_run(links, 4_000, actions=[(3_005, flip)]))
     assert in_train == [True, False]  # with trains, then per ack
