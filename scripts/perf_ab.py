@@ -11,11 +11,13 @@ BASE_DIR is another checkout of the repository, for example a
 ``git worktree`` or a ``git archive`` of the parent commit. Each pair runs
 ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` once in
 BASE_DIR and once in this checkout, the base first in even pairs and last
-in odd ones, so that a drift of the host's speed falls on both sides. Per
-metric, it prints the median of each side, their ratio (this checkout over
-the base), the spread between the quartiles of the base's runs, the pairs
-that this checkout won, by the direction that ``BENCHMARK.json`` gives the
-metric, and those it won by more than that spread. ``--workload all`` runs the pairs of each workload that
+in odd ones, so that a drift of the host's speed falls on both sides. T
+defaults to the benchmark's own run length, ``run_seconds`` in
+``BENCHMARK.json``. Per metric, it prints the median of each side, their
+ratio (this checkout over the base), the spread between the quartiles of
+the base's runs, the pairs that this checkout won, by the direction that
+``BENCHMARK.json`` gives the metric, and those it won by more than that
+spread. ``--workload all`` runs the pairs of each workload that
 ``BENCHMARK.json`` declares in turn, and prints a block of rows for each as
 it is done, so one command shows both a claimed gain and that no other
 workload lost. A run that exits non-zero or reports a failed scenario run
@@ -71,6 +73,11 @@ def directions(benchmark: Path = BENCHMARK) -> Dict[str, str]:
 def workloads(benchmark: Path = BENCHMARK) -> List[str]:
     """The names of the declared workloads, in their order."""
     return [workload["name"] for workload in json.loads(benchmark.read_text())["workloads"]]
+
+
+def run_seconds(benchmark: Path = BENCHMARK) -> float:
+    """How long the benchmark runs each workload, in seconds."""
+    return float(json.loads(benchmark.read_text())["run_seconds"])
 
 
 def quartile_spread(values: Sequence[float]) -> float:
@@ -133,7 +140,7 @@ def main(argv: List[str]) -> int:
     parser.add_argument("--workload", default="mesh16_flaps")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--seconds", type=float, default=run_seconds())
     args = parser.parse_args(argv)
     checkouts = (args.base_dir, HERE)
     names = workloads() if args.workload == "all" else [args.workload]

@@ -158,17 +158,17 @@ deadline falls after the next ack.
 
 So the acks form the progression ``a0 + i * s``, the FIFO stays implicit
 and the drain skips the flow, and every pump reads the state it would
-read per ack. A train started at the send at ``t0`` keeps its first
-window implicit too: ack ``j`` at ``a0 + j * s``, with the sample
-``a0 - t0 + j * s``. The train lasts until :meth:`Simulation._end_train`
-runs (below), which may be before ``a0``. It applies the ack rule above
-to the k acks due before that moment: k MSS acked, split among the
-buckets, and sent; srtt's EWMA carried over the samples of the window the
-train started with and then over the steady ``32 * s`` up to its fixed
-point, which :func:`_srtt_after` gives in closed form once enough acks
-surely reach it; the link busy ``k * s`` longer; the timer armed once,
-from the last ack, if k > 0; and the FIFO refilled with the next 32 acks,
-unless a link change ends the train and drops them.
+read per ack. Of its first window, ack ``j`` at ``a0 + j * s``, a train
+keeps the round trips: off the FIFO at an ack, or the ``range`` of
+``a0 - t0 + j * s`` at a send at ``t0``. It lasts until
+:meth:`Simulation._end_train` runs (below), which may be before ``a0``,
+and applies the ack rule above to the k acks due before then: k MSS
+acked, split among the buckets, and sent; srtt's EWMA carried over the
+first k round trips, then over the steady ``32 * s`` to its fixed point,
+which :func:`_srtt_after` gives in closed form once enough acks surely
+reach it; the link busy ``k * s`` longer; the timer armed once, from the
+last ack, if k > 0; and the FIFO refilled with the next 32 acks, each
+sent its round trip before it comes, unless a link change drops them.
 
 An idle flow's probes run in closed form too, in a keepalive that
 :meth:`Simulation._idle` starts when the flow goes idle, alive and
@@ -251,6 +251,12 @@ class LinkSpec(_LinkSpecFields):
         cls, link_id: int, pair: InterfacePair, bandwidth_bps: int, one_way_delay_ms: int
     ) -> LinkSpec:
         spec = super().__new__(cls, link_id, pair, bandwidth_bps, one_way_delay_ms)
+        if not isinstance(pair, InterfacePair):
+            raise ValidationError(f"link {link_id}: pair must be an InterfacePair: {pair!r}")
+        numbers = (("id", link_id), ("bandwidth", bandwidth_bps), ("delay", one_way_delay_ms))
+        for what, value in numbers:
+            if not isinstance(value, int):
+                raise ValidationError(f"link {link_id}: {what} must be a whole number: {value!r}")
         if bandwidth_bps <= 0:
             raise ValidationError(f"link {link_id}: bandwidth must be positive")
         if one_way_delay_ms < 0:
@@ -300,7 +306,7 @@ class _Flow:
     __slots__ = (
         "sf", "peer", "link", "flag_times", "flag_values", "first_bucket", "acked",
         "armed_at_us", "timer", "timer_pending", "probe_outstanding", "clocked", "acks",
-        "train_wait", "train", "train_window", "train_sent", "keepalive", "tier",
+        "train_wait", "train", "train_samples", "keepalive", "tier",
     )
 
     def __init__(self, sf: SubflowState, peer: SubflowState, link: _Link, bucket_us: int) -> None:
@@ -320,8 +326,7 @@ class _Flow:
         self.acks: Deque[Tuple[int, int, int]] = deque()
         self.train_wait = 0  # acks to handle one by one before a train is tried
         self.train: Optional[int] = None  # in a train: its first ack's arrival
-        self.train_window: Tuple[tuple, ...] = ()  # in a train started at an ack: its FIFO
-        self.train_sent: Optional[int] = None  # in a train started at a send: its send time
+        self.train_samples: Sequence[int] = ()  # in a train: its window's round trips
         self.keepalive: Optional[int] = None  # in a keepalive: its next probe's send time
         self.tier: Optional[int] = None  # alive: its tier, as Simulation counts it; dead: None
 
@@ -495,11 +500,8 @@ class Simulation:
         # is pushed when the pending entry fires.
         flow.timer = fire_at
         if flow.timer_pending is None or fire_at < flow.timer_pending[0]:
-            self._push_timer(flow)
-
-    def _push_timer(self, flow: _Flow) -> None:
-        flow.timer_pending = at_us, seq = flow.timer, next(self._seq)
-        heapq.heappush(self._heap, (at_us, flow.sf.id, seq, flow))
+            flow.timer_pending = fire_at, seq = fire_at, next(self._seq)
+            heapq.heappush(self._heap, (fire_at, flow.sf.id, seq, flow))
 
     def _retier(self, flow: _Flow) -> None:
         """Cache the tier of ``flow``, None once it is dead, and keep the
@@ -678,7 +680,7 @@ class Simulation:
         if flow.train is not None or flow.keepalive is not None:
             return  # not due: a train's or a keepalive's end pushes its timer again
         if flow.timer != self.now_us:
-            self._push_timer(flow)  # the deadline moved later: wait for it
+            self._set_timer(flow, flow.timer)  # the deadline moved later: wait for it
             return
         sf = flow.sf
         if not sf.alive:
@@ -808,10 +810,9 @@ class Simulation:
     def _train(self, flow: _Flow) -> bool:
         """Start a train on the clocked ``flow`` if its window of acks forms
         one, checked from its two ends (module docstring), and return True;
-        otherwise return False and change nothing. The window is the FIFO's,
-        which the train takes: the acks' samples may be anything, and the
-        train's end replays srtt's EWMA over them. A fill tries it with the
-        FIFO empty, for the whole window it just sent, which stays implicit."""
+        otherwise return False and change nothing. The train keeps its
+        window's round trips, which may be anything: the FIFO's, which it
+        empties, or, at a fill into an empty FIFO, a ``range``."""
         sf, link, acks = flow.sf, flow.link, flow.acks
         s, free, rtt = link.mss_us, link.tx_free_us, 2 * link.delay_us
         if acks:
@@ -831,9 +832,13 @@ class Simulation:
             and last - a0 == (WINDOW_SEGMENTS - 1) * s
         ):
             return False
-        flow.train, flow.train_sent = a0, None if acks else self.now_us
-        flow.train_window = tuple(acks)
-        acks.clear()
+        flow.train = a0
+        if acks:
+            flow.train_samples = [at - sent_us for at, _, sent_us in acks]
+            acks.clear()
+        else:  # the window just sent in one burst: ack j's is a0 - now + j * s
+            first = a0 - self.now_us
+            flow.train_samples = range(first, first + WINDOW_SEGMENTS * s, s)
         return True
 
     def _settle(self, flow: _Flow, until: int, probe_at_until: bool = False) -> None:
@@ -855,20 +860,20 @@ class Simulation:
         when a bucket holds one at most, or else by one slice store, from
         the count of acks before each bucket edge, with no Python step per
         bucket.
-        srtt's EWMA runs over the samples of the acks of the window the
-        train started with, then over the steady sample ``32 * s`` of the
-        acks the train sent, up to its fixed point: its steps grow with the
-        log of srtt's distance from ``32 * s``, not with k."""
-        sf, link, window, t0 = flow.sf, flow.link, flow.train_window, flow.train_sent
-        a0, flow.train, flow.train_window, flow.train_sent = flow.train, None, (), None
+        srtt's EWMA runs over the round trips of the first k acks of the
+        window the train started with, then over the steady ``32 * s`` of
+        the acks the train sent, up to its fixed point: its steps grow with
+        the log of srtt's distance from ``32 * s``, not with k."""
+        sf, link, samples = flow.sf, flow.link, flow.train_samples
+        a0, flow.train, flow.train_samples = flow.train, None, ()
         s, rtt = link.mss_us, WINDOW_SEGMENTS * link.mss_us
         k = max(-((a0 - until) // s), 0)  # the acks a0 + i * s before until
         head = a0 + k * s
         repeat = itertools.repeat
         if link.up:  # the window's acks not yet handled, then those of the train's sends
             acks = flow.acks
-            rest = range(head, a0 + rtt, s)
-            acks.extend(window[k:] if t0 is None else zip(rest, repeat(MSS), repeat(t0)))
+            rest = range(head, a0 + rtt, s)  # each sent its round trip before it comes
+            acks.extend(zip(rest, repeat(MSS), map(operator.sub, rest, samples[k:])))
             sent = range(max(head - rtt, a0), head, s)
             acks.extend(zip(range(sent.start + rtt, head + rtt, s), repeat(MSS), sent))
             heappush(self._calendar, (acks[0][0], sf.id, flow))  # a train's FIFO was empty
@@ -896,13 +901,8 @@ class Simulation:
             nbytes = map(operator.mul, map(operator.sub, before[1:], before), repeat(MSS))
             acked[first + 1 : last + 1] = nbytes
         srtt = sf.srtt_us
-        if t0 is None:
-            for at, _, sent_us in window[:k]:
-                sample = at - sent_us
-                srtt = sample if srtt == 0 else (7 * srtt + sample) // 8
-        else:  # sent at t0 in one burst: ack j's sample is a0 - t0 + j * s
-            for sample in range(a0 - t0, min(head, a0 + rtt) - t0, s):
-                srtt = sample if srtt == 0 else (7 * srtt + sample) // 8
+        for sample in samples[:k]:
+            srtt = sample if srtt == 0 else (7 * srtt + sample) // 8
         sf.srtt_us = _srtt_after(srtt, rtt, k - WINDOW_SEGMENTS)
         sf.bytes_sent_total += k * MSS
         link.tx_free_us += k * s

@@ -65,11 +65,18 @@ def decode_mp_prio(data: bytes) -> MpPrioOption:
     """Decode one MP_PRIO option from ``data``.
 
     Raises :class:`NotMpPrioError` when the kind byte or subtype nibble does
-    not identify MP_PRIO, and :class:`MalformedOptionError` when the length
-    byte is not 3 or 4 or does not match the buffer. Never raises anything
-    else, regardless of input.
+    not identify MP_PRIO, and :class:`MalformedOptionError` when ``data`` is
+    not a ``bytes``, ``bytearray`` or ``memoryview`` buffer or its length
+    byte is not 3 or 4 or does not match it. Never raises anything else,
+    regardless of input.
     """
-    data = bytes(data)
+    if not isinstance(data, bytes):
+        if not isinstance(data, (bytearray, memoryview)):
+            raise MalformedOptionError(f"not a byte buffer: {type(data).__name__}")
+        try:
+            data = bytes(data)
+        except ValueError as exc:  # a released memoryview
+            raise MalformedOptionError(str(exc)) from None
     if len(data) < 1:
         raise MalformedOptionError("empty buffer")
     if data[0] != MP_PRIO_KIND:

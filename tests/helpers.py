@@ -48,7 +48,7 @@ def acks_handled(flow, queued, sent):
     FIFO gains the ack of each segment the call sends, all on a link that
     is up, and a train that starts in it takes the FIFO's acks unhandled."""
     gained = (flow.sf.bytes_sent_total - sent) // MSS
-    return queued + gained - len(flow.acks) - len(flow.train_window)
+    return queued + gained - len(flow.acks) - len(flow.train_samples)
 
 
 def on_ack_arrival(sim, flow, nbytes, sent_us):

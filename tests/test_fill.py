@@ -59,14 +59,13 @@ def fill_per_segment(sim, flow):
 
 def queued_acks(flow):
     """The acks queued on ``flow``, or, in a train, the window it started
-    from. A train that the bulk fill starts at once keeps that window
-    implicit: ack ``j`` due ``j * s`` after the first, all sent in the
-    fill's µs. The per-segment fill starts it on the queued acks, which it
-    keeps as they are."""
-    if flow.train_sent is None:
-        return list(flow.train_window or flow.acks)
+    from, rebuilt from the round trips the train keeps: ack ``j`` is due
+    ``j * s`` after the first and was sent its round trip before. A train
+    that the bulk fill starts at once and one that the per-segment fill
+    starts on the acks it queued give the same window."""
     first, s = flow.train, flow.link.mss_us
-    return [(first + j * s, MSS, flow.train_sent) for j in range(WINDOW_SEGMENTS)]
+    window = enumerate(flow.train_samples)  # empty outside a train
+    return [*flow.acks, *((first + j * s, MSS, first + j * s - rtt) for j, rtt in window)]
 
 
 class Fill(NamedTuple):

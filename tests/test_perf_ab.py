@@ -83,6 +83,25 @@ def test_the_directions_come_from_the_benchmark_declaration():
     }
 
 
+def test_seconds_default_to_the_benchmark_s_run_length(monkeypatch, tmp_path):
+    perf_ab = load_script()
+    canned = tmp_path / "BENCHMARK.json"
+    canned.write_text(json.dumps({"run_seconds": 7, "workloads": [], "end_to_end": []}))
+    read = perf_ab.run_seconds
+    assert read(canned) == 7.0
+    seconds = []
+
+    def canned_run(checkout, workload, args):
+        seconds.append(args.seconds)
+        return perf_ab.result_of(stdout(7_000, 0.001))
+
+    monkeypatch.setattr(perf_ab, "run_bench", canned_run)
+    monkeypatch.setattr(perf_ab, "run_seconds", lambda: read(canned))
+    perf_ab.main([str(tmp_path), "--pairs", "1"])
+    perf_ab.main([str(tmp_path), "--pairs", "1", "--seconds", "4"])
+    assert seconds == [7.0, 7.0, 4.0, 4.0]
+
+
 def test_all_runs_the_pairs_of_each_declared_workload_and_prints_a_block_each(
     monkeypatch, capsys, tmp_path
 ):

@@ -845,6 +845,29 @@ def test_link_spec_validation():
         LinkSpec(1, pair("10.0.0.1", "10.0.1.1"), MBPS, -5)
 
 
+@pytest.mark.parametrize(
+    "link_id, pair_text, bandwidth_bps, delay_ms, message",
+    [
+        (1, None, 1_500_000.0, 10, "link 1: bandwidth must be a whole number: 1500000.0"),
+        (1, None, MBPS, 10.5, "link 1: delay must be a whole number: 10.5"),
+        (1, "not a pair", MBPS, 10, "link 1: pair must be an InterfacePair: 'not a pair'"),
+        ([1], None, MBPS, 10, "link [1]: id must be a whole number: [1]"),
+    ],
+    ids=["float-bandwidth", "float-delay", "not-a-pair", "list-id"],
+)
+def test_a_link_spec_takes_whole_numbers_and_an_interface_pair(
+    link_id, pair_text, bandwidth_bps, delay_ms, message
+):
+    # A float bandwidth or delay would make the run's integer ranges raise a
+    # bare TypeError, and an unhashable id the topology check, so the spec
+    # refuses them when built, as it does a pair that no link could serve.
+    from helpers import pair
+
+    link_pair = pair("10.0.0.1", "10.0.1.1") if pair_text is None else pair_text
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        LinkSpec(link_id, link_pair, bandwidth_bps, delay_ms)
+
+
 def test_a_link_without_delay_must_take_a_us_per_segment():
     # Otherwise an ack comes back, and sends the next segment, in the µs
     # its own segment was sent, and the clock never moves.

@@ -21,8 +21,10 @@ train was.
 """
 
 import contextlib
+import heapq
 import io
 import random
+from types import SimpleNamespace
 from typing import NamedTuple
 from unittest import mock
 
@@ -31,7 +33,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mpflow import scenario as scenario_module
-from mpflow import sockopt
+from mpflow import simnet, sockopt
 from mpflow.model import close_subflow, new_connection
 from mpflow.scenario import PPOS_ENV_VAR, emit_csv, parse_scenario, run_scenario
 from mpflow.simnet import MSS, RTO_MIN_US, WINDOW_SEGMENTS, LinkSpec, Simulation, _srtt_after
@@ -360,19 +362,20 @@ def test_a_clocked_drain_leaves_the_timer_entry_at_its_earliest_deadline(monkeyp
     # eight times from 214 to 230 ms, and then rise. One drain handles the
     # acks from 204 to 308 ms. It pushes the flow's pending entry once, at
     # the lowest deadline, where one push per falling deadline leaves the
-    # per-ack reference with 11 in all.
-    pushes, push_timer = [], Simulation._push_timer
+    # per-ack reference with 11 in all. Only timer entries go on the heap
+    # through ``simnet.heapq``, so its pushes are the timer's.
+    pushes = []
 
-    def counting(sim, flow):
-        pushes.append(sim)
-        push_timer(sim, flow)
+    def counting(heap, entry):
+        pushes.append(heap)
+        heapq.heappush(heap, entry)
 
-    monkeypatch.setattr(Simulation, "_push_timer", counting)
+    monkeypatch.setattr(simnet, "heapq", SimpleNamespace(heappush=counting, heappop=heapq.heappop))
     sim = run_both(links_run([(EVEN_BPS, 50)], 310), ("_on_acks",))
     flow = sim._flows[1]
     assert sim.trains == [] and flow.clocked
     assert (flow.timer_pending[0], flow.armed_at_us, flow.timer) == (448_868, 308_000, 513_022)
-    assert (pushes.count(sim), len(pushes)) == (3, 3 + 11)
+    assert (sum(heap is sim._heap for heap in pushes), len(pushes)) == (3, 3 + 11)
 
 
 def test_a_steady_run_takes_one_train():

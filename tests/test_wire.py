@@ -96,6 +96,25 @@ def test_decode_total_on_arbitrary_bytes(data):
     assert isinstance(opt, MpPrioOption)
 
 
+@pytest.mark.parametrize(
+    "data", [None, "ab", -1, 0, 3, 1.5, [30, 3, 81]], ids=repr
+)
+def test_decode_refuses_what_is_not_a_byte_buffer(data):
+    # bytes() would read an int n as n zero bytes, and let a str, None or
+    # a negative int out as a bare TypeError or ValueError.
+    with pytest.raises(MalformedOptionError, match="not a byte buffer"):
+        decode_mp_prio(data)
+
+
+@pytest.mark.parametrize("wrap", [bytearray, memoryview], ids=["bytearray", "memoryview"])
+def test_decode_reads_any_byte_buffer_as_its_bytes(wrap):
+    assert decode_mp_prio(wrap(b"\x1e\x04\x51\x07")) == MpPrioOption(True, 7)
+    released = memoryview(b"\x1e\x03\x51")
+    released.release()
+    with pytest.raises(MalformedOptionError):
+        decode_mp_prio(released)
+
+
 def test_option_takes_its_fields_by_keyword_with_addr_id_defaulting_to_none():
     opt = MpPrioOption(backup_flag=True)
     assert (opt.backup_flag, opt.addr_id) == (True, None)
