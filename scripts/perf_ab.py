@@ -20,8 +20,10 @@ the base's runs, the pairs that this checkout won, by the direction that
 spread. ``--workload all`` runs the pairs of each workload that
 ``BENCHMARK.json`` declares in turn, and prints a block of rows for each as
 it is done, so one command shows both a claimed gain and that no other
-workload lost. A run that exits non-zero or reports a failed scenario run
-stops the script.
+workload lost. After the tables, it prints the line count of
+``src/mpflow/*.py`` in BASE_DIR and in this checkout, and the net change.
+A run that exits non-zero or reports a failed scenario run stops the
+script.
 """
 
 from __future__ import annotations
@@ -78,6 +80,11 @@ def workloads(benchmark: Path = BENCHMARK) -> List[str]:
 def run_seconds(benchmark: Path = BENCHMARK) -> float:
     """How long the benchmark runs each workload, in seconds."""
     return float(json.loads(benchmark.read_text())["run_seconds"])
+
+
+def src_lines(checkout: Path) -> int:
+    """The lines of ``src/mpflow/*.py`` in ``checkout``, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in checkout.glob("src/mpflow/*.py"))
 
 
 def quartile_spread(values: Sequence[float]) -> float:
@@ -155,6 +162,8 @@ def main(argv: List[str]) -> int:
             pairs.append((results[0], results[1]))
             print(f"{workload}: pair {k + 1}/{args.pairs} done", file=sys.stderr, flush=True)
         print(format_rows(workload, summarize(pairs, directions())), flush=True)
+    base, head = map(src_lines, checkouts)
+    print(f"\nsrc/mpflow/*.py lines: {base} -> {head} ({head - base:+d})")
     return 0
 
 

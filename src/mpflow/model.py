@@ -223,12 +223,13 @@ class ConnectionState:
     A ConnectionState is confined to a single logical owner; nothing here
     locks. Cross-host signaling is explicit through ``outbox``: the MP_PRIO
     options queued for the peer, each with the id of the sub-flow it travels
-    on and applies to. A list left out starts empty.
+    on and applies to, and ``closed_ids`` the ids :func:`close_subflow`
+    closed, until the owner clears them. A list left out starts empty.
     """
 
     __slots__ = (
         "local_addrs", "remote_addrs", "subflows", "next_id", "active_list", "backup_list",
-        "primary_pairs", "outbox",
+        "primary_pairs", "outbox", "closed_ids",
     )
 
     def __init__(
@@ -247,6 +248,7 @@ class ConnectionState:
         self.backup_list = [] if backup_list is None else backup_list
         self.primary_pairs = [] if primary_pairs is None else primary_pairs
         self.outbox = [] if outbox is None else outbox
+        self.closed_ids: List[int] = []
 
     __repr__ = _slots_repr
 
@@ -368,3 +370,4 @@ def close_subflow(conn: ConnectionState, subflow_id: int) -> None:
     if sf is None or not sf.alive:
         raise NotFoundError(f"no alive sub-flow with id {subflow_id}")
     sf.alive = False
+    conn.closed_ids.append(subflow_id)

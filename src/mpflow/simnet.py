@@ -82,27 +82,30 @@ next read or they are lost:
 - at the run's end, those that arrive before it.
 
 Acks are not on the timer heap. A link serializes in send order, so a
-sub-flow's acks come back in send order and wait in a FIFO on the sub-flow;
-a link change, which restarts the link's clock, drops them by emptying the
-FIFO of its newest sub-flow. The run's ack calendar is a heap of ``(head
-arrival, sub-flow id, flow)``, where an id names one flow, so heapq
-compares no flows. A send into an empty FIFO pushes its flow's entry,
-unless it starts a train, and a drain that leaves acks in a FIFO pushes it
-at the new head. An entry whose key is not its FIFO's head is stale, as a
-link change, a death or a train emptied the FIFO, and a drain skips it. So
-no queued ack is due before the calendar's top. Before each action or
-timer, the run drains the FIFOs, by head arrival, up to a horizon if the
-top is before it: the next action or timer, the end of the run or
-``RTO_MIN_US`` after the top, whichever is first. An ack touches only its
-own sub-flow, that sub-flow's link and its acked bytes, and any deadline it
-sets is ``RTO_MIN_US`` or more after it, so past the horizon: no timer
-falls due inside it and the acks of different sub-flows commute. No option
-cuts a drain, as no ack reads or writes the receiver's view; a receiver
-that read its own view during the run, such as a peer that sends too,
-would have to apply them before its acks as well. A recorded death empties
-its sub-flow's FIFO for good and ends its train or keepalive, and only a
-link's newest sub-flow may be alive, so the pumps and the run's end visit
-the newest flow of each link, and a pump skips a recorded death.
+sub-flow's acks come back in send order and wait in a FIFO on the sub-flow,
+as runs ``(a, n, g, nbytes, r, dr)``: ``n`` acks of ``nbytes``, ack ``j``
+due at ``a + j * g`` and sent ``r + j * dr`` before. What one send queues
+is a run, or extends the last run if it continues its progression. A link
+change, which restarts the link's clock, drops them by emptying the FIFO of
+its newest sub-flow. The run's ack calendar is a heap of ``(head arrival,
+sub-flow id, flow)``, where an id names one flow, so heapq compares no
+flows. A send into an empty FIFO pushes its flow's entry, unless it starts
+a train, and a drain that leaves acks in a FIFO pushes it at the new head.
+An entry whose key is not its FIFO's head is stale, as a link change, a
+death or a train emptied the FIFO, and a drain skips it. So no queued ack
+is due before the calendar's top. Before each action or timer, the run
+drains the FIFOs, by head arrival, up to a horizon if the top is before it:
+the next action or timer, the end of the run or ``RTO_MIN_US`` after the
+top, whichever is first. An ack touches only its own sub-flow, that
+sub-flow's link and its acked bytes, and any deadline it sets is
+``RTO_MIN_US`` or more after it, so past the horizon: no timer falls due
+inside it and the acks of different sub-flows commute. No option cuts a
+drain, as no ack reads or writes the receiver's view; a receiver that read
+its own view during the run, such as a peer that sends too, would have to
+apply them before its acks as well. A recorded death empties its sub-flow's
+FIFO for good and ends its train or keepalive, and only a link's newest
+sub-flow may be alive, so the pumps and the run's end visit the newest flow
+of each link, and a pump skips a recorded death.
 
 The drain hands a flow's due acks to :meth:`Simulation._on_acks` in one
 call. Each ack feeds its round trip into srtt's EWMA, clears the timeouts,
@@ -120,14 +123,25 @@ the ack comes, as it has data or a probe outstanding, and a send arms only
 an idle timer. An ack that freed its last byte would disarm the timer only
 for the refill to arm it in the same µs, at the same deadline.
 
+The call handles the due acks of a run in one step, up to the one that
+idles an unclocked flow or at which a clocked one tries a train, exactly as
+one by one: one store puts their bytes in the buckets, and srtt steps a gap
+``x`` to the next sample to ``(7 * x) // 8 - dr``. Deadlines are worked
+out until samples do not fall and ``x <= 4 * g - 7``: an ack then lowers
+``2 * srtt`` by ``2 * ceil(x / 8) <= g`` at most and keeps ``x`` so, and
+the last deadline follows from srtt. A refill leaves at its ack or when the
+link frees; acks come ``s`` or more apart, so the link, busy at the first,
+stays free once an ack finds it free: the refills form a run spaced ``s``,
+round trips stepping by ``s - g``, then one spaced ``g`` at ``s + 2 * d``.
+
 Most acks belong to steady trains, which run in closed form. A train is a
 state of the sub-flow, not a step of the drain: :meth:`Simulation._train`
 starts one on a clocked flow at an ack of a full window, or at the send of
-a whole window into an empty FIFO, as its first ack would find it: until
-then only the timer (below) or a change that ends the train alters what
-the try reads. The window is full on a link that stays busy past the
-first ack ``a0``; 32 acks of one MSS are queued, spaced by the
-serialization time ``s`` of at least 1 µs, so the link is up and
+a whole window into an empty FIFO, from the FIFO's two ends alike, as its
+first ack would find it: until then only the timer (below) or a change that
+ends the train alters what the try reads. The window is full on a link that
+stays busy past the first ack ``a0``; 32 acks of one MSS are queued, spaced
+by the serialization time ``s`` of at least 1 µs, so the link is up and
 unchanged since they were sent; and no probe or timeout is outstanding. The
 spacing is read from the window's two ends alone: a link serializes one
 segment at a time, so a flow's data acks come at least ``s`` apart, and a
@@ -156,19 +170,18 @@ the segments of earlier acks. So the base exceeds ``s``, and since every
 sample is at least ``s``, the EWMA keeps it above ``s``: each ack's
 deadline falls after the next ack.
 
-So the acks form the progression ``a0 + i * s``, the FIFO stays implicit
-and the drain skips the flow, and every pump reads the state it would
-read per ack. Of its first window, ack ``j`` at ``a0 + j * s``, a train
-keeps the round trips: off the FIFO at an ack, or the ``range`` of
-``a0 - t0 + j * s`` at a send at ``t0``. It lasts until
+So the acks form the progression ``a0 + i * s``: the train takes the
+FIFO's runs as its window, the drain skips the flow, and every pump reads
+the state it would read per ack. It lasts until
 :meth:`Simulation._end_train` runs (below), which may be before ``a0``,
 and applies the ack rule above to the k acks due before then: k MSS
 acked, split among the buckets, and sent; srtt's EWMA carried over the
-first k round trips, then over the steady ``32 * s`` to its fixed point,
-which :func:`_srtt_after` gives in closed form once enough acks surely
-reach it; the link busy ``k * s`` longer; the timer armed once, from the
-last ack, if k > 0; and the FIFO refilled with the next 32 acks, each
-sent its round trip before it comes, unless a link change drops them.
+window's first k round trips, run by run, then over the steady ``32 * s``
+to its fixed point, which :func:`_srtt_after` gives in closed form once
+enough acks surely reach it; the link busy ``k * s`` longer; the timer
+armed once, from the last ack, if k > 0; and the FIFO refilled with the
+window's rest and a run of the train's sends, each sent ``32 * s`` before
+it comes, unless a link change drops them.
 
 An idle flow's probes run in closed form too, in a keepalive that
 :meth:`Simulation._idle` starts when the flow goes idle, alive and
@@ -306,7 +319,7 @@ class _Flow:
     __slots__ = (
         "sf", "peer", "link", "flag_times", "flag_values", "first_bucket", "acked",
         "armed_at_us", "timer", "timer_pending", "probe_outstanding", "clocked", "acks",
-        "train_wait", "train", "train_samples", "keepalive", "tier",
+        "train_wait", "train", "keepalive", "tier",
     )
 
     def __init__(self, sf: SubflowState, peer: SubflowState, link: _Link, bucket_us: int) -> None:
@@ -322,11 +335,10 @@ class _Flow:
         self.timer_pending: Optional[Tuple[int, int]] = None  # (at, seq) of its heap entry
         self.probe_outstanding = False
         self.clocked = False  # alive in the deciding tier: its acks refill it
-        # acks that will arrive, in send order: (arrival, nbytes, sent at)
-        self.acks: Deque[Tuple[int, int, int]] = deque()
-        self.train_wait = 0  # acks to handle one by one before a train is tried
-        self.train: Optional[int] = None  # in a train: its first ack's arrival
-        self.train_samples: Sequence[int] = ()  # in a train: its window's round trips
+        # acks that will arrive, in send order, as runs (module docstring)
+        self.acks: Deque[tuple] = deque()
+        self.train_wait = 0  # acks to handle before a train is tried
+        self.train: Optional[List[tuple]] = None  # in a train: the runs of its window
         self.keepalive: Optional[int] = None  # in a keepalive: its next probe's send time
         self.tier: Optional[int] = None  # alive: its tier, as Simulation counts it; dead: None
 
@@ -481,11 +493,11 @@ class Simulation:
 
     def _send_probe(self, flow: _Flow, at: int) -> None:
         """Send a keepalive probe, 0 bytes that take no time, at ``at``; time it out."""
-        link = flow.link
+        link, rtt = flow.link, 2 * flow.link.delay_us
         link.tx_free_us = start = max(at, link.tx_free_us)
-        if link.up:  # on a down link, the probe and its ack are lost
-            flow.acks.append((start + 2 * link.delay_us, 0, at))  # an idle flow's FIFO was empty
-            heappush(self._calendar, (start + 2 * link.delay_us, flow.sf.id, flow))
+        if link.up:  # on a down link, the probe and its ack are lost; else its FIFO was empty
+            flow.acks.append((start + rtt, 1, 0, 0, start + rtt - at, 0))
+            heappush(self._calendar, (start + rtt, flow.sf.id, flow))
         flow.probe_outstanding = True
         self._arm_rto(flow, at)
 
@@ -575,13 +587,12 @@ class Simulation:
         if flow.armed_at_us is None:
             self._arm_rto(flow, now)
         if link.up:  # on a down link, the segments and their acks are lost
-            first = start + s + 2 * link.delay_us
-            if not flow.acks:  # a whole window may start a train at once (module docstring)
+            first, empty = start + s + 2 * link.delay_us, not flow.acks
+            _queue(flow.acks, first, n, s, first - now, s)
+            if empty:  # a whole window may start a train at once (module docstring)
                 if n == WINDOW_SEGMENTS and not flow.train_wait and self._train(flow):
                     return
                 heappush(self._calendar, (first, sf.id, flow))
-            arrivals = range(first, first + n * s, s) if s else itertools.repeat(first, n)
-            flow.acks.extend(zip(arrivals, itertools.repeat(MSS), itertools.repeat(now)))
 
     # ------------------------------------------------------------------ #
     # event handlers
@@ -602,17 +613,45 @@ class Simulation:
         size = min(max(2 * len(acked), i + 1), self.n_buckets - flow.first_bucket)
         acked += [0] * (size - len(acked))
 
+    def _store(self, flow: _Flow, a: int, k: int, g: int) -> None:
+        """Add the MSS of each of ``k`` acks at ``a + i * g``, after the
+        flow's others, to its bucket. When a bucket holds one at most: one
+        store per ack, or, past a window with no two empty buckets in a row,
+        per empty bucket. Else one slice store, with no Python step per bucket."""
+        acked, bucket_us = flow.acked, self.bucket_us
+        a -= flow.first_bucket * bucket_us  # from the start of acked[0]'s bucket
+        first, last = a // bucket_us, (a + (k - 1) * g) // bucket_us
+        if last >= len(acked):
+            self._grow(flow, last)
+        if g >= bucket_us:  # only the first bucket may hold earlier acks
+            acked[first] += MSS
+            if g < 2 * bucket_us and k > WINDOW_SEGMENTS:  # fill, then clear the empty ones
+                acked[first + 1 : last + 1] = [MSS] * (last - first)
+                d, off = g - bucket_us, a - first * bucket_us
+                for j in range(1, (off + (k - 1) * d) // bucket_us + 1):
+                    acked[first + j - 1 - (off - j * bucket_us) // d] = 0
+            else:
+                for at in range(a + g, a + k * g, g):
+                    acked[at // bucket_us] = MSS
+        else:  # each bucket from first to last holds an ack; only the first, earlier ones
+            ceils = range((first + 1) * bucket_us - a + g - 1, last * bucket_us - a + g, bucket_us)
+            before = [*map(operator.floordiv, ceils, itertools.repeat(g)), k]
+            acked[first] += before[0] * MSS
+            nbytes = map(operator.mul, map(operator.sub, before[1:], before), itertools.repeat(MSS))
+            acked[first + 1 : last + 1] = nbytes
+
     def _on_acks(self, flow: _Flow, horizon: int) -> None:
-        """Handle ``flow``'s acks due before ``horizon`` (module docstring),
-        up to one that leaves an unclocked flow idle or at which a clocked
-        one starts a train, and push the timer's pending entry once, at the
-        earliest deadline they set."""
-        sf, link, acks, acked, clocked = flow.sf, flow.link, flow.acks, flow.acked, flow.clocked
-        bucket_us, first_bucket, size = self.bucket_us, flow.first_bucket, len(acked)
+        """Handle ``flow``'s acks due before ``horizon``, a run's due part per
+        step (module docstring), up to one that idles an unclocked flow or
+        starts a clocked one's train; push the timer's entry once, at the soonest."""
+        sf, link, acks, clocked = flow.sf, flow.link, flow.acks, flow.clocked
         s, rtt, rto_min = link.mss_us, 2 * link.delay_us, RTO_MIN_US
         srtt, inflight, probe = sf.srtt_us, sf.inflight_bytes, flow.probe_outstanding
-        at, armed_at, soonest, sent = self.now_us, flow.armed_at_us, None, 0
+        at, armed_at, soonest, deadline, sent = self.now_us, flow.armed_at_us, None, 0, 0
         while acks and acks[0][0] < horizon:
+            a, n, g, nbytes, r, dr = acks[0]
+            k = n if not g or a + (n - 1) * g < horizon else (horizon - a - 1) // g + 1
+            idle = False
             if clocked:  # tried again at the next ack or a window later (module docstring)
                 if not flow.train_wait:
                     if soonest is not None:  # what _train reads; the window stays full
@@ -620,34 +659,47 @@ class Simulation:
                     if self._train(flow):
                         break
                     flow.train_wait = 1 if probe or sf.consecutive_timeouts else WINDOW_SEGMENTS
-                flow.train_wait -= 1
-            at, nbytes, sent_us = acks.popleft()
-            sample = at - sent_us
-            srtt = sample if srtt == 0 else (7 * srtt + sample) // 8
-            if nbytes:
-                inflight -= nbytes
-                i = at // bucket_us - first_bucket
-                if i >= size:
-                    self._grow(flow, i)
-                    size = len(acked)
-                acked[i] += nbytes
+                k = min(k, flow.train_wait)
+                flow.train_wait -= k
+            elif inflight <= k * nbytes and not (probe and nbytes):  # the ack that idles it
+                idle, k = True, max(-(-inflight // nbytes), 1) if nbytes else 1
+            if k == n:
+                acks.popleft()
             else:
+                acks[0] = (a + k * g, n - k, g, nbytes, r + k * dr, dr)
+            at = a + (k - 1) * g
+            if not nbytes:
                 probe = False
-            if inflight <= 0 and not probe and not clocked:
+            elif clocked:  # the one-MSS refills, while the link is busy, then idle
+                free = link.tx_free_us
+                busy = 0 if free < a else k if g == s else min(k, (free - a) // (g - s) + 1)
+                if busy:
+                    _queue(acks, free + s + rtt, busy, s, free + s + rtt - a, s - g)
+                if busy < k:
+                    _queue(acks, a + busy * g + s + rtt, k - busy, g, s + rtt, 0)
+                link.tx_free_us = at + s if busy < k else free + k * s
+                sent += k * MSS
+            else:
+                inflight -= k * nbytes
+            if nbytes:
+                self._store(flow, a, k, g)
+            armed = k - idle
+            for j in range(armed):  # _arm_rto's deadline: no timeout is outstanding
+                sample = r + j * dr
+                srtt = sample if srtt == 0 else (7 * srtt + sample) // 8
+                rto = 2 * srtt
+                deadline = a + j * g + (rto if rto > rto_min else rto_min)
+                if soonest is None or deadline < soonest:
+                    soonest = deadline
+                if dr >= 0 and srtt - sample - dr <= 4 * g - 7:  # no later deadline is sooner
+                    srtt = _srtt_after(srtt, sample + dr, armed - 1 - j, dr)
+                    deadline = at - idle * g + max(2 * srtt, rto_min)
+                    break
+            if idle:  # its sample too
+                sample = r + armed * dr
+                srtt = sample if srtt == 0 else (7 * srtt + sample) // 8
                 break
-            # _arm_rto's deadline: the ack leaves no timeout outstanding.
-            armed_at, rto = at, 2 * srtt
-            deadline = at + rto if rto > rto_min else at + rto_min
-            if soonest is None or deadline < soonest:
-                soonest = deadline
-            if clocked and inflight < WINDOW_BYTES:  # its one-MSS refill (module docstring)
-                start = link.tx_free_us
-                if start < at:
-                    start = at
-                link.tx_free_us = start = start + s
-                acks.append((start + rtt, MSS, at))
-                inflight += MSS
-                sent += MSS
+            armed_at = at
         self.now_us = at
         sf.srtt_us, sf.inflight_bytes, flow.probe_outstanding = srtt, inflight, probe
         sf.consecutive_timeouts, sf.bytes_sent_total = 0, sf.bytes_sent_total + sent
@@ -722,14 +774,14 @@ class Simulation:
 
     def _on_action(self, action: Callable[["Simulation"], None]) -> None:
         """Run ``action``, then pump the flows whose tier it may have
-        changed: each that it flipped, as every flip queues an MP_PRIO, or
-        closed; every alive flow if it changed the primary pairs."""
+        changed: each that it flipped or closed, by the ids in the outbox
+        and ``closed_ids``; every alive flow if it changed the primary pairs."""
         sender = self.sender
         primary = [*sender.primary_pairs]
         action(self)
         if len(sender.subflows) != len(self._flows):
             raise ValidationError("an action may not open sub-flows; the simulator opens them")
-        outbox = sender.outbox
+        outbox, closed = sender.outbox, sender.closed_ids
         for sf_id, opt in outbox:  # each on its own sub-flow's link
             flow = self._flows[sf_id]
             if flow.sf.low_prio != flow.flag_values[-1]:
@@ -738,11 +790,11 @@ class Simulation:
             link = flow.link
             if link.up:  # else lost, as it would be at any change before it arrives
                 link.options.append((self.now_us + link.delay_us, next(self._seq), sf_id, opt))
-        flipped = {sf_id for sf_id, _ in outbox}
+        flows = map(self._flows.__getitem__, dict.fromkeys([*(i for i, _ in outbox), *closed]))
+        if sender.primary_pairs != primary:  # every flow may change tier
+            flows = self._newest_flow.values()
         outbox.clear()
-        flows = self._newest_flow.values()
-        if sender.primary_pairs == primary:  # else every flow may change tier
-            flows = [flow for flow in flows if flow.sf.id in flipped or not flow.sf.alive]
+        closed.clear()
         self._pump([flow for flow in flows if flow.sf.died_us is None])
 
     # ------------------------------------------------------------------ #
@@ -808,37 +860,27 @@ class Simulation:
                     heappush(calendar, (acks[0][0], flow.sf.id, flow))
 
     def _train(self, flow: _Flow) -> bool:
-        """Start a train on the clocked ``flow`` if its window of acks forms
-        one, checked from its two ends (module docstring), and return True;
-        otherwise return False and change nothing. The train keeps its
-        window's round trips, which may be anything: the FIFO's, which it
-        empties, or, at a fill into an empty FIFO, a ``range``."""
+        """Start a train on the clocked ``flow`` if the acks in its FIFO form
+        one, checked from its two ends (module docstring), taking the FIFO's
+        runs as its window, and return True; else return False, changing nothing."""
         sf, link, acks = flow.sf, flow.link, flow.acks
         s, free, rtt = link.mss_us, link.tx_free_us, 2 * link.delay_us
-        if acks:
-            a0, last, n = acks[0][0], acks[-1][0], len(acks)
-        else:  # the window just sent: its last ack one round trip after the link frees
-            a0, last, n = free + rtt - (WINDOW_SEGMENTS - 1) * s, free + rtt, WINDOW_SEGMENTS
+        a0, (a, n, g, *_) = acks[0][0], acks[-1]
         if not (
             s
             and sf.alive
             and sf.inflight_bytes == WINDOW_BYTES
-            and n == WINDOW_SEGMENTS
             and not flow.probe_outstanding
             and sf.consecutive_timeouts == 0
             and flow.timer_pending[0] > a0  # a timer runs before an ack of its µs
             and free >= a0
-            and last == free + rtt
-            and last - a0 == (WINDOW_SEGMENTS - 1) * s
+            and a + (n - 1) * g == free + rtt  # the FIFO's last ack
+            and free + rtt - a0 == (WINDOW_SEGMENTS - 1) * s
+            and sum(run[1] for run in acks) == WINDOW_SEGMENTS
         ):
             return False
-        flow.train = a0
-        if acks:
-            flow.train_samples = [at - sent_us for at, _, sent_us in acks]
-            acks.clear()
-        else:  # the window just sent in one burst: ack j's is a0 - now + j * s
-            first = a0 - self.now_us
-            flow.train_samples = range(first, first + WINDOW_SEGMENTS * s, s)
+        flow.train = [*acks]
+        acks.clear()
         return True
 
     def _settle(self, flow: _Flow, until: int, probe_at_until: bool = False) -> None:
@@ -850,59 +892,28 @@ class Simulation:
 
     def _end_train(self, flow: _Flow, until: int) -> None:
         """End the train of ``flow``: handle its acks due before ``until``
-        as :meth:`_on_acks` would one by one, arm the timer from the last
-        one, and queue the acks still to come on a link that is up, where
-        a link change would not drop them. A train started at an ack ends
-        at an action, a timer or the end of the run, past its first ack; one
-        started at a send may end before it, handling none.
-
-        The acked bytes are split among the buckets by one store per ack
-        when a bucket holds one at most, or else by one slice store, from
-        the count of acks before each bucket edge, with no Python step per
-        bucket.
-        srtt's EWMA runs over the round trips of the first k acks of the
-        window the train started with, then over the steady ``32 * s`` of
-        the acks the train sent, up to its fixed point: its steps grow with
-        the log of srtt's distance from ``32 * s``, not with k."""
-        sf, link, samples = flow.sf, flow.link, flow.train_samples
-        a0, flow.train, flow.train_samples = flow.train, None, ()
-        s, rtt = link.mss_us, WINDOW_SEGMENTS * link.mss_us
+        as :meth:`_on_acks` would, arm the timer from the last one, and
+        queue the acks still to come on a link that is up, where a link
+        change would not drop them. A train started at an ack ends past its
+        first ack; one started at a send may end before it, handling none.
+        srtt's steps grow with the log of its distance from ``32 * s``."""
+        sf, link, window = flow.sf, flow.link, flow.train
+        flow.train, acks = None, flow.acks
+        a0, s, rtt = window[0][0], link.mss_us, WINDOW_SEGMENTS * link.mss_us
         k = max(-((a0 - until) // s), 0)  # the acks a0 + i * s before until
-        head = a0 + k * s
-        repeat = itertools.repeat
-        if link.up:  # the window's acks not yet handled, then those of the train's sends
-            acks = flow.acks
-            rest = range(head, a0 + rtt, s)  # each sent its round trip before it comes
-            acks.extend(zip(rest, repeat(MSS), map(operator.sub, rest, samples[k:])))
-            sent = range(max(head - rtt, a0), head, s)
-            acks.extend(zip(range(sent.start + rtt, head + rtt, s), repeat(MSS), sent))
+        head, srtt, left = a0 + k * s, sf.srtt_us, k
+        for a, n, g, _, r, dr in window:  # its first acks' round trips; the rest still come
+            done = min(n, left)
+            left -= done
+            srtt = _srtt_after(srtt or r, r, done, dr)  # from the first sample, if none yet
+            if link.up:
+                _queue(acks, a + done * g, n - done, g, r + done * dr, dr)
+        if link.up:  # then those of the train's sends, each sent its round trip before it comes
+            _queue(acks, max(head, a0 + rtt), min(k, WINDOW_SEGMENTS), s, rtt, 0)
             heappush(self._calendar, (acks[0][0], sf.id, flow))  # a train's FIFO was empty
         if not k:
             return
-        acked, bucket_us = flow.acked, self.bucket_us
-        # A link serializes one segment at a time, so a flow's acks come at
-        # least s apart. If s >= bucket_us, each bucket holds one ack at most
-        # and none from before the train. Otherwise each bucket from the first
-        # ack's to the last's holds one at least, only the first may hold
-        # earlier acks, and the acks before an inner edge e number
-        # ceil((e - a0) / s); with no inner edge, all k go to the first.
-        # Times count from the start of the flow's first bucket, acked[0].
-        a = a0 - flow.first_bucket * bucket_us
-        first, last = a // bucket_us, (a + (k - 1) * s) // bucket_us
-        if last >= len(acked):
-            self._grow(flow, last)
-        if s >= bucket_us:
-            for at in range(a, a + k * s, s):
-                acked[at // bucket_us] = MSS
-        else:
-            ceils = range((first + 1) * bucket_us - a + s - 1, last * bucket_us - a + s, bucket_us)
-            before = [*map(operator.floordiv, ceils, repeat(s)), k]
-            acked[first] += before[0] * MSS
-            nbytes = map(operator.mul, map(operator.sub, before[1:], before), repeat(MSS))
-            acked[first + 1 : last + 1] = nbytes
-        srtt = sf.srtt_us
-        for sample in samples[:k]:
-            srtt = sample if srtt == 0 else (7 * srtt + sample) // 8
+        self._store(flow, a0, k, s)
         sf.srtt_us = _srtt_after(srtt, rtt, k - WINDOW_SEGMENTS)
         sf.bytes_sent_total += k * MSS
         link.tx_free_us += k * s
@@ -939,23 +950,34 @@ class Simulation:
         )
 
 
-def _srtt_after(srtt: int, sample: int, n: int) -> int:
-    """srtt after ``n`` acks of round trip ``sample``: its EWMA, run up to
-    its fixed point, in closed form once ``n`` steps surely reach it.
+def _srtt_after(srtt: int, sample: int, n: int, dr: int = 0) -> int:
+    """srtt after ``n`` acks of round trips ``sample + j * dr``: its EWMA,
+    in closed form once a constant round trip surely reaches its fixed point.
 
-    A step maps the gap ``d = srtt - sample`` to ``(7 * d) // 8``. Above
-    the sample, the gap shrinks by at least an eighth a step, down to 0.
-    Below it, the gap to -7 does, and a gap from -7 to -1 stays. So the
-    fixed point is ``sample + max(min(d, 0), -7)``, reached within
-    ``8 + 8 * abs(d).bit_length()`` steps, since (7/8)**8 < 1/2."""
+    A step maps the gap ``d = srtt - sample`` to ``(7 * d) // 8``, and the
+    sample moves by ``dr``. Above a constant sample, the gap shrinks by at
+    least an eighth a step, down to 0. Below it, the gap to -7 does, and a
+    gap from -7 to -1 stays. So the fixed point is ``sample + max(min(d, 0),
+    -7)``, reached within ``6 * abs(d).bit_length()`` steps: (7/8)**6 < 1/2."""
     d = srtt - sample
-    if n >= 8 + 8 * abs(d).bit_length():
+    if not dr and n >= 6 * abs(d).bit_length():
         return sample + max(min(d, 0), -7)
     for _ in range(n):
-        settled, srtt = srtt, (7 * srtt + sample) // 8
-        if srtt == settled:
-            break
-    return srtt
+        d = (7 * d >> 3) - dr  # floors, as (7 * srtt + sample) // 8 does
+    return sample + n * dr + d
+
+
+def _queue(acks: Deque[tuple], a: int, n: int, g: int, r: int, dr: int) -> None:
+    """Queue the run of ``n`` data acks ``(a, n, g, MSS, r, dr)``, or extend
+    the FIFO's last run with it if it continues that run's progression."""
+    if not n:
+        return
+    if acks:
+        a1, n1, g1, nbytes, r1, dr1 = acks[-1]
+        if g1 == g and dr1 == dr and nbytes and a1 + n1 * g == a and r1 + n1 * dr == r:
+            acks[-1] = (a1, n1 + n, g, MSS, r1, dr)
+            return
+    acks.append((a, n, g, MSS, r, dr))
 
 
 def _mirror(sf: SubflowState) -> SubflowState:

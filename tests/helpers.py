@@ -42,13 +42,34 @@ def acked_by_bucket(flow):
     return {flow.first_bucket + i: nbytes for i, nbytes in enumerate(flow.acked) if nbytes}
 
 
+def expand(runs):
+    """The acks of a FIFO of runs, or of a train's window, one by one as
+    ``(arrival, nbytes, sent at)``: a run ``(a, n, g, nbytes, r, dr)`` holds
+    ``n`` acks of ``nbytes``, ack ``j`` due at ``a + j * g`` and sent its
+    round trip ``r + j * dr`` before."""
+    return [
+        (a + j * g, nbytes, a + j * g - (r + j * dr))
+        for a, n, g, nbytes, r, dr in runs or ()
+        for j in range(n)
+    ]
+
+
+def pop_ack(acks):
+    """Take the first ack off the FIFO of runs ``acks``, as ``(arrival,
+    nbytes, sent at)``."""
+    a, n, g, nbytes, r, dr = acks.popleft()
+    if n > 1:
+        acks.appendleft((a + g, n - 1, g, nbytes, r + dr, dr))
+    return a, nbytes, a - r
+
+
 def acks_handled(flow, queued, sent):
     """How many acks a call of ``Simulation._on_acks`` handled on ``flow``,
     which held ``queued`` acks and had sent ``sent`` bytes before it. The
     FIFO gains the ack of each segment the call sends, all on a link that
     is up, and a train that starts in it takes the FIFO's acks unhandled."""
     gained = (flow.sf.bytes_sent_total - sent) // MSS
-    return queued + gained - len(flow.acks) - len(flow.train_samples)
+    return queued + gained - len(expand(flow.acks)) - len(expand(flow.train))
 
 
 def on_ack_arrival(sim, flow, nbytes, sent_us):

@@ -54,6 +54,7 @@ from unittest import mock
 from mpflow import scenario as scenario_module
 from mpflow.scenario import BUILTIN_DOCS, emit_csv, parse_scenario, run_scenario
 from mpflow.simnet import Simulation
+from helpers import expand
 
 # Spelled out, not imported, so that a new verb does not move the corpus.
 ACTION_VERBS = (
@@ -149,13 +150,13 @@ def timer_digest(sim: Simulation) -> str:
     """SHA-256 of the timers of the finished run ``sim``: per sub-flow, when
     its retransmission timer was armed, its deadline, whether a probe is
     outstanding, the deadline of its pending heap entry and its queued
-    acks."""
+    acks, one by one."""
     flows = []
     for flow in sim._flows.values():
         pending = flow.timer_pending[0] if flow.timer_pending is not None else None
         flows.append(
             (flow.sf.id, flow.armed_at_us, flow.timer, flow.probe_outstanding, pending,
-             list(flow.acks))
+             expand(flow.acks))
         )
     return _sha256(repr(flows))
 

@@ -6,12 +6,12 @@ leave: the link busy ``n`` serializations longer, the window and the bytes
 sent ``n`` MSS larger, one queued ack per segment on a link that is up, and
 the timer armed by the first send. Each test runs one input twice, with
 the bulk fill and with ``_fill`` replaced by a loop of single sends, logs
-each flow's state after every fill and compares the logs and the CSVs. A
-whole window sent into an empty FIFO may start a train at once: the bulk
-fill reads the window's ends off the link and keeps its acks implicit,
-and the per-segment fill tries the train on the acks it queued, so the
-end of such a train is checked against the end of one that holds its
-window as ack tuples. A
+each flow's state after every fill and compares the logs and the CSVs,
+with the queued acks expanded one by one. The bulk fill queues its acks as
+one run; the per-segment fill queues a run of one ack per segment, so a
+whole window sent into an empty FIFO starts its train on 32 runs, and the
+end of such a train is checked against the end of one whose window is a
+single run. A
 clocked flow's data ack refills the one MSS it freed in ``_on_acks``
 itself, not through ``_fill``, so the logs also hold the state after each
 ``_on_acks`` call that sent, with the acks it handled. The targeted cases
@@ -30,16 +30,17 @@ from hypothesis import strategies as st
 from mpflow import scenario as scenario_module
 from mpflow.scenario import PPOS_ENV_VAR, emit_csv, parse_scenario, run_scenario
 from mpflow.simnet import MSS, WINDOW_BYTES, WINDOW_SEGMENTS, Simulation
-from helpers import acks_handled
+from helpers import acks_handled, expand
 from scenario_gen import random_scenario
 
 
 def fill_per_segment(sim, flow):
     """The fill as one send per segment: each starts serializing when the
-    link is free, is acked one round trip after it finishes, and arms the
-    timer if the flow was idle. A whole window sent into an empty FIFO then
-    tries a train on the acks it queued, as at an ack, and a FIFO that the
-    fill found empty and left non-empty puts its flow on the ack calendar."""
+    link is free, is acked one round trip after it finishes, as a run of
+    its own, and arms the timer if the flow was idle. A whole window sent
+    into an empty FIFO then tries a train on the acks it queued, as at an
+    ack, and a FIFO that the fill found empty and left non-empty puts its
+    flow on the ack calendar."""
     sf, link = flow.sf, flow.link
     found_empty, sent = not flow.acks, 0
     while sf.inflight_bytes + MSS <= WINDOW_BYTES:
@@ -48,7 +49,8 @@ def fill_per_segment(sim, flow):
         sf.bytes_sent_total += MSS
         sent += 1
         if link.up:
-            flow.acks.append((link.tx_free_us + 2 * link.delay_us, MSS, sim.now_us))
+            arrival = link.tx_free_us + 2 * link.delay_us
+            flow.acks.append((arrival, 1, link.mss_us, MSS, arrival - sim.now_us, 0))
         if flow.armed_at_us is None:
             sim._arm_rto(flow, sim.now_us)
     if found_empty and flow.acks:
@@ -59,13 +61,10 @@ def fill_per_segment(sim, flow):
 
 def queued_acks(flow):
     """The acks queued on ``flow``, or, in a train, the window it started
-    from, rebuilt from the round trips the train keeps: ack ``j`` is due
-    ``j * s`` after the first and was sent its round trip before. A train
-    that the bulk fill starts at once and one that the per-segment fill
-    starts on the acks it queued give the same window."""
-    first, s = flow.train, flow.link.mss_us
-    window = enumerate(flow.train_samples)  # empty outside a train
-    return [*flow.acks, *((first + j * s, MSS, first + j * s - rtt) for j, rtt in window)]
+    from, one by one. A train that the bulk fill starts at once and one
+    that the per-segment fill starts on the acks it queued give the same
+    window, as runs of different lengths."""
+    return expand(flow.acks) + expand(flow.train)
 
 
 class Fill(NamedTuple):
@@ -102,7 +101,8 @@ class FillLog(Simulation):
         self._log(flow, before, sent)
 
     def _on_acks(self, flow, horizon):
-        before, sent, queued = flow.sf.inflight_bytes, flow.sf.bytes_sent_total, len(flow.acks)
+        before, sent = flow.sf.inflight_bytes, flow.sf.bytes_sent_total
+        queued = len(expand(flow.acks))
         super()._on_acks(flow, horizon)
         if flow.sf.bytes_sent_total > sent:
             self._log(flow, before, sent, acks_handled(flow, queued, sent))

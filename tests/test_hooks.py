@@ -19,11 +19,11 @@ import pytest
 
 import mpflow
 from mpflow import simnet, sockopt
-from mpflow.model import InterfacePair, new_connection
+from mpflow.model import InterfacePair, close_subflow, new_connection
 from mpflow.scenario import BUILTIN_DOCS, PPOS_ENV_VAR, parse_scenario, run_scenario
 from mpflow.simnet import LinkSpec, Simulation
 from mpflow.sockopt import SubPrioRequest
-from helpers import acks_handled, addr
+from helpers import acks_handled, addr, expand
 from scenario_gen import perfbench_module, perfbench_workloads
 
 
@@ -160,18 +160,29 @@ def test_cached_pair_matches_endpoints_after_recreation():
             assert sf.pair() == InterfacePair.between(sf.src, sf.dst)
 
 
+def build_mesh16_sim(duration_ms):
+    """Four local and four remote addresses, and a 10 Mbps link with 20 ms
+    delay for each of their 16 pairs."""
+    sender = new_connection(
+        [addr(f"10.0.0.{i}") for i in range(1, 5)], [addr(f"10.1.{i}.1") for i in range(1, 5)]
+    )
+    links = [LinkSpec(i + 1, pair, 10_000_000, 20) for i, pair in enumerate(sender.mesh_pairs())]
+    return Simulation(sender, links, duration_ms)
+
+
 def count_selects_by_handler(run):
     """Call ``run()``, which runs simulations. Count by the innermost
     handler that made them (``"__init__"`` outside any, as when a
     ``Simulation`` is built): their ``select`` calls, their ``tier`` calls
     and the flows their pumps visit, which are every alive flow when the
     pump is the bootstrap's or the deciding tier moved, and else the flows
-    handed to it. Also count how often each handler ran, and the acks
-    handled: by ``_on_acks``, of clocked flows (each data ack sends one
-    segment, there) and of unclocked ones (which send nothing), and in
-    trains (each sends one segment), counted as each train ends. Return
-    them as a namespace of Counters."""
-    stack, runs, acks = [], Counter(), Counter()
+    handed to it. Also count how often each handler ran, the acks handled:
+    by ``_on_acks``, of clocked flows (each data ack sends one segment,
+    there) and of unclocked ones (which send nothing), and in trains (each
+    sends one segment), counted as each train ends; and the runs of data
+    acks whose bytes each handler stored, one step each. Return them as a
+    namespace of Counters."""
+    stack, runs, acks, stores = [], Counter(), Counter(), Counter()
     selects, tiers, visits = Counter(), Counter(), Counter()
     with pytest.MonkeyPatch.context() as patch:
 
@@ -201,7 +212,7 @@ def count_selects_by_handler(run):
         ):
             wrap(name)
         select, tier, on_acks = simnet.select, simnet.tier, Simulation._on_acks
-        end_train, pump = Simulation._end_train, Simulation._pump
+        end_train, pump, store = Simulation._end_train, Simulation._pump, Simulation._store
 
         def counting_select(conn, mss, window):
             selects[stack[-1]] += 1
@@ -219,7 +230,7 @@ def count_selects_by_handler(run):
             visits[stack[-1]] += alive if moved else len(flows)
 
         def counting_on_acks(sim, flow, horizon):
-            queued, sent = len(flow.acks), flow.sf.bytes_sent_total
+            queued, sent = len(expand(flow.acks)), flow.sf.bytes_sent_total
             on_acks(sim, flow, horizon)
             acks["clocked" if flow.clocked else "unclocked"] += acks_handled(flow, queued, sent)
 
@@ -228,13 +239,20 @@ def count_selects_by_handler(run):
             end_train(sim, flow, until)
             acks["trained"] += (flow.sf.bytes_sent_total - sent) // simnet.MSS
 
+        def counting_store(sim, flow, a, k, g):
+            stores[stack[-1]] += 1
+            store(sim, flow, a, k, g)
+
         patch.setattr(simnet, "select", counting_select)
         patch.setattr(simnet, "tier", counting_tier)
         patch.setattr(Simulation, "_pump", counting_pump)
         patch.setattr(Simulation, "_on_acks", counting_on_acks)
         patch.setattr(Simulation, "_end_train", counting_end_train)
+        patch.setattr(Simulation, "_store", counting_store)
         run()
-    return SimpleNamespace(selects=selects, tiers=tiers, visits=visits, runs=runs, acks=acks)
+    return SimpleNamespace(
+        selects=selects, tiers=tiers, visits=visits, runs=runs, acks=acks, stores=stores
+    )
 
 
 def test_select_runs_only_when_the_tiers_can_change():
@@ -262,6 +280,37 @@ def test_select_runs_only_when_the_tiers_can_change():
     assert counts.selects == {"_bootstrap": 1}
     assert counts.tiers == {"__init__": 3, "_open_on_pair": 1}
     assert counts.visits == {"_bootstrap": 3, "_on_action": 0, "_kill": 1, "_open_on_pair": 1}
+
+
+def test_an_action_that_closes_a_sub_flow_visits_that_flow_alone():
+    """``close_subflow`` records the id it closes on the connection, as a
+    flip queues its id in the outbox, so the pump of an action that closes
+    sub-flow 5 of 16 active ones visits that flow alone, and the deciding
+    tier stays, so no part of the action reads the newest flow of every
+    link. At the parent design, ``_on_action`` scanned all 16 for a closed
+    one after every action."""
+
+    def run(scans=None):
+        sim = build_mesh16_sim(3_000)
+        sim.schedule_action(1_000, lambda s: close_subflow(s.sender, 5))
+        if scans is not None:
+
+            class Newest(dict):
+                def values(self):
+                    scans.append(sim.now_us)
+                    return super().values()
+
+            sim._newest_flow = Newest(sim._newest_flow)
+        sim.run()
+        assert sim.sender.closed_ids == []  # read by the action's pump
+        return sim
+
+    counts = count_selects_by_handler(run)
+    assert (counts.runs["_on_action"], counts.visits["_on_action"]) == (1, 1)
+    scans = []
+    sim = run(scans)
+    assert sim.sender.subflow_by_id(5).died_us == 1_000_000
+    assert 1_000_000 not in scans and scans
 
 
 @pytest.mark.parametrize(
@@ -319,12 +368,13 @@ def test_every_ack_of_mesh16_flaps_runs_in_a_train():
 
 def test_no_ack_of_an_unclocked_flow_runs_one_by_one_on_prio_churn_fine():
     """On the benchmark's ``prio_churn_fine`` at seed 0, ``_on_acks`` takes
-    each flow's due acks in one call, clocked or not, so only a clocked
-    flow's acks outside trains take a send each. The acks handled in all
-    stay the 89,155 of the per-ack design. A window sent in one burst into
-    an empty FIFO starts its train at the send, so no ``_on_acks`` call
-    starts it at its first ack: 1,686 calls, where starting every train at
-    an ack made 1,820."""
+    each flow's due acks in one call, clocked or not, and the due part of
+    each run of them in one step. The acks handled in all stay the 89,155
+    of the per-ack design. A window sent in one burst into an empty FIFO
+    starts its train at the send, so no ``_on_acks`` call starts it at its
+    first ack: 1,686 calls, where starting every train at an ack made
+    1,820. Their 15,100 acks take 1,635 steps that store bytes, where the
+    per-ack rule took a step for each of the 15,095 data acks among them."""
     workload = perfbench_workloads().prio_churn_fine(0)
 
     def run():
@@ -336,6 +386,7 @@ def test_no_ack_of_an_unclocked_flow_runs_one_by_one_on_prio_churn_fine():
     acks = counts.acks
     assert (acks["clocked"], acks["unclocked"], acks["trained"]) == (4_081, 11_019, 74_055)
     assert counts.runs["_on_acks"] == 1_686  # for the 15,100 acks outside trains
+    assert counts.stores["_on_acks"] == 1_635
     assert sum(acks.values()) == 89_155
 
 

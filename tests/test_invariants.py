@@ -72,7 +72,7 @@ from mpflow.report import ThroughputBucket
 from mpflow.scenario import BUILTIN_DOCS, PPOS_ENV_VAR, emit_csv, parse_scenario, run_scenario
 from mpflow.scheduler import select, tier
 from mpflow.simnet import FIRST_DEATH_US, MSS, RTO_MIN_US, WINDOW_BYTES, Simulation, first_ack_us
-from helpers import acked_by_bucket
+from helpers import acked_by_bucket, expand
 from scenario_gen import edge_scenarios, random_scenario
 
 
@@ -120,7 +120,7 @@ class RecordingSimulation(Simulation):
         self._check_deadlines()
 
     def _check_ack_spacing(self, flow):
-        arrivals = [at for at, nbytes, _ in flow.acks if nbytes]
+        arrivals = [at for at, nbytes, _ in expand(flow.acks) if nbytes]
         s = flow.link.mss_us
         assert all(b - a >= s for a, b in zip(arrivals, arrivals[1:])), (self.now_us, flow.sf.id)
 

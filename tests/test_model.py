@@ -156,6 +156,7 @@ def test_close_subflow_removes_from_listing():
     conn = three_paths()
     close_subflow(conn, 2)
     assert list_subflow_ids(conn) == [1, 3]
+    assert conn.closed_ids == [2]  # for its owner, as a flip queues its id in the outbox
 
 
 def test_close_unknown_or_dead_id():

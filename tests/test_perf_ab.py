@@ -120,7 +120,8 @@ def test_all_runs_the_pairs_of_each_declared_workload_and_prints_a_block_each(
     assert perf_ab.main([str(tmp_path), "--workload", "all", "--pairs", "2"]) == 0
     # each workload in turn, the base first in even pairs and last in odd ones
     assert runs == [(name, side) for name in speeds for side in (0, 1, 1, 0)]
-    blocks = capsys.readouterr().out.split("\n\n")
+    *blocks, lines = capsys.readouterr().out.split("\n\n")
+    assert lines.startswith("src/mpflow/*.py lines: 0 -> ")  # tmp_path holds no source
     assert len(blocks) == 3
     for block, (name, (base, head)) in zip(blocks, speeds.items()):
         header, *rows = block.strip().splitlines()
@@ -129,3 +130,25 @@ def test_all_runs_the_pairs_of_each_declared_workload_and_prints_a_block_each(
         (speed,) = [row.split() for row in rows if row.split()[1] == "sim_s_per_s"]
         assert speed[2:4] == [f"{base:g}", f"{head:g}"]
         assert speed[-2:] == (["2/2", "2/2"] if head > base else ["0/2", "0/2"])
+
+
+def test_the_net_line_change_of_the_source_follows_the_tables(monkeypatch, capsys, tmp_path):
+    perf_ab = load_script()
+    trees = {
+        "base": {"a.py": "x\n" * 10, "b.py": "y\n" * 5, "notes.txt": "not counted\n"},
+        "head": {"a.py": "x\n" * 12, "c.py": "z\n"},
+    }
+    for tree, files in trees.items():
+        (tmp_path / tree / "src" / "mpflow").mkdir(parents=True)
+        for name, text in files.items():
+            (tmp_path / tree / "src" / "mpflow" / name).write_text(text)
+    base, head = tmp_path / "base", tmp_path / "head"
+    assert (perf_ab.src_lines(base), perf_ab.src_lines(head)) == (15, 13)
+    monkeypatch.setattr(perf_ab, "HERE", head)
+    monkeypatch.setattr(
+        perf_ab, "run_bench", lambda checkout, workload, args: perf_ab.result_of(stdout(7_000, 0.001))
+    )
+    assert perf_ab.main([str(base), "--pairs", "1"]) == 0
+    table, lines = capsys.readouterr().out.split("\n\n")
+    assert table.splitlines()[0].split()[:2] == ["workload", "metric"]
+    assert lines == "src/mpflow/*.py lines: 15 -> 13 (-2)\n"

@@ -19,7 +19,7 @@ from mpflow.simnet import LinkSpec, Simulation
 from mpflow import simnet, sockopt
 from mpflow.scenario import PPOS_ENV_VAR, builtin_scenario, parse_scenario, run_scenario
 from mpflow.sockopt import SubPrioRequest
-from helpers import acked_by_bucket, addr, on_ack_arrival, tuple_for_next
+from helpers import acked_by_bucket, addr, expand, on_ack_arrival, pop_ack, tuple_for_next
 
 MSS = 1460
 WINDOW = 32 * MSS
@@ -87,7 +87,7 @@ def step(sim):
         _, _, seq, timer_flow = heapq.heappop(sim._heap)
         sim._on_timer(timer_flow, seq)
         return Simulation._on_timer
-    _, nbytes, sent_us = flow.acks.popleft()
+    _, nbytes, sent_us = pop_ack(flow.acks)
     on_ack_arrival(sim, flow, nbytes, sent_us)
     return on_ack_arrival
 
@@ -490,7 +490,7 @@ def test_acks_after_a_short_outage_are_handled_at_their_own_times():
 
     def look(sim):
         for flow in sim._flows.values():
-            overdue.extend(at for at, *_ in flow.acks if at < sim.now_us)
+            overdue.extend(at for at, *_ in expand(flow.acks) if at < sim.now_us)
 
     actions = [
         (1_000, mark_backup(2)),

@@ -38,7 +38,7 @@ from mpflow.model import close_subflow, new_connection
 from mpflow.scenario import PPOS_ENV_VAR, emit_csv, parse_scenario, run_scenario
 from mpflow.simnet import MSS, RTO_MIN_US, WINDOW_SEGMENTS, LinkSpec, Simulation, _srtt_after
 from mpflow.sockopt import SubPrioRequest
-from helpers import acked_by_bucket, addr, on_ack_arrival
+from helpers import acked_by_bucket, addr, expand, on_ack_arrival, pop_ack
 from scenario_gen import BUSY_SCENARIO, edge_scenarios, random_scenario, tie_scenario
 
 
@@ -81,7 +81,7 @@ class TrainLog(Simulation):
         return True
 
     def _end_train(self, flow, until):
-        first_ack, sent = flow.train, flow.sf.bytes_sent_total
+        first_ack, sent = flow.train[0][0], flow.sf.bytes_sent_total
         super()._end_train(flow, until)
         s = MSS * 8 * 1_000_000 // flow.link.spec.bandwidth_bps
         acks = (flow.sf.bytes_sent_total - sent) // MSS  # each acks one segment and sends one
@@ -124,10 +124,10 @@ def end_state(sim, report, pending_at=False):
             flow.timer,
             flow.timer_pending is not None,
             flow.timer_pending[0] if pending_at and flow.timer_pending else None,
-            flow.train,
+            expand(flow.train),
             flow.keepalive,
             flow.acked,
-            list(flow.acks),
+            expand(flow.acks),
         )
         for flow_id, flow in sim._flows.items()
     }
@@ -145,7 +145,7 @@ def one_ack(sim, flow, horizon):
             wait = flow.probe_outstanding or flow.sf.consecutive_timeouts
             flow.train_wait = 1 if wait else WINDOW_SEGMENTS
         flow.train_wait -= 1
-    sim.now_us, nbytes, sent_us = flow.acks.popleft()
+    sim.now_us, nbytes, sent_us = pop_ack(flow.acks)
     on_ack_arrival(sim, flow, nbytes, sent_us)
 
 
@@ -301,7 +301,7 @@ def ewma(srtt, sample, n):
 
 def closed_form_steps(srtt, sample):
     """The step count from which ``_srtt_after`` answers in closed form."""
-    return 8 + 8 * abs(srtt - sample).bit_length()
+    return 6 * abs(srtt - sample).bit_length()
 
 
 def test_srtt_after_matches_the_ewma_loop_within_4096_of_the_sample():
