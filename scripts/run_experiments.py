@@ -24,10 +24,12 @@ from mpflow.scenario import (
 
 def carrier_phases(report):
     """Collapse the timeline into (start_s, end_s, carrying sub-flow ids):
-    the starts of the first and the last bucket of each phase, in seconds."""
+    the starts of the first and the last bucket of each phase, in seconds,
+    from each column's bytes per bucket (``TimelineReport.acked``)."""
     carriers = {}
     for column in report.columns:
-        for bucket, nbytes in enumerate(column.acked, column.first):
+        first, acked = report.acked(column)
+        for bucket, nbytes in enumerate(acked, first):
             ids = carriers.setdefault(bucket, set())
             if nbytes > 0:
                 ids.add(column.subflow_id)

@@ -109,8 +109,8 @@ of each link, and a pump skips a recorded death.
 
 The drain hands a flow's due acks to :meth:`Simulation._on_acks` in one
 call. Each ack feeds its round trip into srtt's EWMA, clears the timeouts,
-frees its bytes into its bucket or clears the probe, and arms the timer at
-``at + max(2 * srtt, RTO_MIN_US)``. An unclocked flow sends nothing and
+logs its bytes or clears the probe, and arms the timer
+at ``at + max(2 * srtt, RTO_MIN_US)``. An unclocked flow sends nothing and
 stops at an ack that leaves it idle. A clocked flow first tries a train
 (below), then refills. Its pump filled its window and each ack since
 refilled what it freed, so the window is full before each ack, and a data
@@ -125,14 +125,14 @@ for the refill to arm it in the same µs, at the same deadline.
 
 The call handles the due acks of a run in one step, up to the one that
 idles an unclocked flow or at which a clocked one tries a train, exactly as
-one by one: one store puts their bytes in the buckets, and srtt steps a gap
-``x`` to the next sample to ``(7 * x) // 8 - dr``. Deadlines are worked
-out until samples do not fall and ``x <= 4 * g - 7``: an ack then lowers
-``2 * srtt`` by ``2 * ceil(x / 8) <= g`` at most and keeps ``x`` so, and
-the last deadline follows from srtt. A refill leaves at its ack or when the
-link frees; acks come ``s`` or more apart, so the link, busy at the first,
-stays free once an ack finds it free: the refills form a run spaced ``s``,
-round trips stepping by ``s - g``, then one spaced ``g`` at ``s + 2 * d``.
+one by one: one log entry holds their bytes, and srtt steps a gap ``x`` to
+the next sample to ``(7 * x) // 8 - dr``. Deadlines are worked out until
+samples do not fall and ``x <= 4 * g - 7``: an ack then lowers ``2 * srtt``
+by ``2 * ceil(x / 8) <= g`` at most and keeps ``x`` so, and the last
+deadline follows from srtt. A refill leaves at its ack or when the link
+frees; acks come ``s`` or more apart, so the link, busy at the first, stays
+free once an ack finds it free: the refills form a run spaced ``s``, round
+trips stepping by ``s - g``, then one spaced ``g`` at ``s + 2 * d``.
 
 Most acks belong to steady trains, which run in closed form. A train is a
 state of the sub-flow, not a step of the drain: :meth:`Simulation._train`
@@ -175,13 +175,13 @@ FIFO's runs as its window, the drain skips the flow, and every pump reads
 the state it would read per ack. It lasts until
 :meth:`Simulation._end_train` runs (below), which may be before ``a0``,
 and applies the ack rule above to the k acks due before then: k MSS
-acked, split among the buckets, and sent; srtt's EWMA carried over the
-window's first k round trips, run by run, then over the steady ``32 * s``
-to its fixed point, which :func:`_srtt_after` gives in closed form once
-enough acks surely reach it; the link busy ``k * s`` longer; the timer
-armed once, from the last ack, if k > 0; and the FIFO refilled with the
-window's rest and a run of the train's sends, each sent ``32 * s`` before
-it comes, unless a link change drops them.
+acked, logged and sent; srtt's EWMA carried over the window's first k
+round trips, run by run, then over the steady ``32 * s`` to its fixed
+point, which :func:`_srtt_after` gives in closed form once enough acks
+surely reach it; the link busy ``k * s`` longer; the timer armed once,
+from the last ack, if k > 0; and the FIFO refilled with the window's rest
+and a run of the train's sends, each sent ``32 * s`` before it comes,
+unless a link change drops them.
 
 An idle flow's probes run in closed form too, in a keepalive that
 :meth:`Simulation._idle` starts when the flow goes idle, alive and
@@ -201,12 +201,10 @@ that changes its ``clocked`` flag (a train runs clocked, a keepalive
 unclocked) or records its death; and at the end of the run.
 
 A run ends in a :class:`~mpflow.report.TimelineReport`: one column per
-sub-flow, with its pair, its lifetime, its acked bytes by bucket and its
-flag history, from which the report's rows, its genealogy and its CSV
-derive (:mod:`mpflow.report`). A flow keeps its acked bytes in a list
-indexed from its first bucket, which an ack past its end grows to twice
-its length or more, up to the run's last bucket, so a short-lived
-sub-flow costs no more than its rows at any bucket width.
+sub-flow, with its pair, its lifetime, its delivery log and its flag
+history, from which the report's rows, its genealogy and its CSV derive
+(:mod:`mpflow.report`) at any bucket width. The run reads none: a flow logs
+its data acks as runs ``(a, k, g)``, extending the last if they continue it.
 """
 
 from __future__ import annotations
@@ -214,10 +212,9 @@ from __future__ import annotations
 import bisect
 import heapq
 import itertools
-import operator
 from collections import deque
 from heapq import heappop, heappush  # the ack calendar's, which profilers do not count
-from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import sockopt
 from .model import (
@@ -230,12 +227,11 @@ from .model import (
     open_subflow,  # not called here, but profilers rebind simnet.open_subflow
     subflow_port,
 )
-from .report import US_PER_MS, SubflowColumn, TimelineReport
+from .report import MSS, US_PER_MS, SubflowColumn, TimelineReport, check_ms
 from .scheduler import select, tier
 
 # Transmission constants. The window saturates a 1 Mbps / 200 ms-RTT path:
 # 32 * 1460 B / 0.2 s is about 1.87 Mbps of window, above link rate.
-MSS = 1460
 WINDOW_SEGMENTS = 32
 WINDOW_BYTES = WINDOW_SEGMENTS * MSS
 RTO_MIN_US = 200_000
@@ -310,26 +306,23 @@ class _Link:
 
 class _Flow:
     """Simulator state of one sub-flow: the sender's sub-flow, the receiver's
-    mirror of it (``peer``), the link serving its pair, its timer, its acked
-    bytes per bucket from its first bucket on (``acked[i]`` those of bucket
-    ``first_bucket + i``) and the history of its priority flag
-    (``flag_values[i]`` holds from ``flag_times[i]`` on, the first from the
-    sub-flow's birth)."""
+    mirror of it (``peer``), the link serving its pair, its timer, and what
+    its report column takes (:class:`~mpflow.report.SubflowColumn`): its
+    delivery ``log`` of data acks and the history of its priority flag."""
 
     __slots__ = (
-        "sf", "peer", "link", "flag_times", "flag_values", "first_bucket", "acked",
-        "armed_at_us", "timer", "timer_pending", "probe_outstanding", "clocked", "acks",
-        "train_wait", "train", "keepalive", "tier",
+        "sf", "peer", "link", "flag_times", "flag_values", "log", "armed_at_us", "timer",
+        "timer_pending", "probe_outstanding", "clocked", "acks", "train_wait", "train",
+        "keepalive", "tier",
     )
 
-    def __init__(self, sf: SubflowState, peer: SubflowState, link: _Link, bucket_us: int) -> None:
+    def __init__(self, sf: SubflowState, peer: SubflowState, link: _Link) -> None:
         self.sf = sf
         self.peer = peer
         self.link = link
         self.flag_times = [sf.created_us]
         self.flag_values = [sf.low_prio]
-        self.first_bucket = sf.created_us // bucket_us
-        self.acked: List[int] = []  # grown by Simulation._grow
+        self.log: List[Tuple[int, int, int]] = []
         self.armed_at_us: Optional[int] = None  # None: idle, no retransmission timeout runs
         self.timer = 0  # deadline
         self.timer_pending: Optional[Tuple[int, int]] = None  # (at, seq) of its heap entry
@@ -407,11 +400,8 @@ class Simulation:
         duration_ms: int,
         bucket_ms: int = 1000,
     ) -> None:
-        for what, ms in (("duration", duration_ms), ("bucket width", bucket_ms)):
-            if not isinstance(ms, int):
-                raise ValidationError(f"{what} must be a whole number of ms: {ms}")
-            if ms <= 0:
-                raise ValidationError(f"{what} must be positive")
+        check_ms("duration", duration_ms)
+        check_ms("bucket width", bucket_ms)
         check_topology(sender.local_addrs, sender.remote_addrs, links)
         # A dead sub-flow counts as None, the pair of no link. The links'
         # pairs are distinct, so equal sets of as many pairs are equal counts.
@@ -421,8 +411,7 @@ class Simulation:
         self.sender = sender
         self.receiver = mirror_connection(sender)
         self.duration_us = duration_ms * US_PER_MS
-        self.bucket_us = bucket_ms * US_PER_MS
-        self.n_buckets = -(-self.duration_us // self.bucket_us)  # ceil
+        self.bucket_ms = bucket_ms  # the report's: the run reads no bucket width
         self.now_us = 0
 
         links_by_pair = {spec.pair: _Link(spec) for spec in links}
@@ -437,12 +426,13 @@ class Simulation:
         self._heap: List[tuple] = []
         self._seq = itertools.count()
         self._flows: Dict[int, _Flow] = {
-            sf.id: _Flow(sf, peer, links_by_pair[sf.pair()], self.bucket_us)
+            sf.id: _Flow(sf, peer, links_by_pair[sf.pair()])
             for sf, peer in zip(sender.subflows, self.receiver.subflows)
         }
         # The newest flow on each link, by link id: the only one that may be alive.
         self._newest_flow = {flow.link.spec.link_id: flow for flow in self._flows.values()}
         self._calendar: List[tuple] = []  # the ack calendar (module docstring)
+        self._option_links: Dict[_Link, None] = {}  # links that may hold options, a set in order
         # Alive flows counted by cached tier from here on, as actions at
         # 0 ms pump before the bootstrap; and the tier whose flows are
         # clocked, None before the first pump.
@@ -597,48 +587,17 @@ class Simulation:
     # ------------------------------------------------------------------ #
     # event handlers
 
-    def _deliver(self, links: Sequence[_Link], before: tuple) -> None:
+    def _deliver(self, links: Iterable[_Link], before: tuple) -> None:
         """Apply the MP_PRIO options queued on ``links`` that arrive before
-        ``before``, an ``(at, order)`` key, each to the sub-flow it travels on."""
-        for link in links:
+        ``before``, an ``(at, order)`` key, each to the sub-flow it travels
+        on, and forget each link that they leave with none."""
+        for link in [*links]:
             options = link.options
             while options and options[0] < before:
                 _, _, sf_id, opt = options.popleft()
                 sockopt.apply_remote_mp_prio(self.receiver, opt, received_on=sf_id)
-
-    def _grow(self, flow: _Flow, i: int) -> None:
-        """Grow ``flow.acked`` to hold index ``i``: to twice its length at
-        least, but never past the run's last bucket."""
-        acked = flow.acked
-        size = min(max(2 * len(acked), i + 1), self.n_buckets - flow.first_bucket)
-        acked += [0] * (size - len(acked))
-
-    def _store(self, flow: _Flow, a: int, k: int, g: int) -> None:
-        """Add the MSS of each of ``k`` acks at ``a + i * g``, after the
-        flow's others, to its bucket. When a bucket holds one at most: one
-        store per ack, or, past a window with no two empty buckets in a row,
-        per empty bucket. Else one slice store, with no Python step per bucket."""
-        acked, bucket_us = flow.acked, self.bucket_us
-        a -= flow.first_bucket * bucket_us  # from the start of acked[0]'s bucket
-        first, last = a // bucket_us, (a + (k - 1) * g) // bucket_us
-        if last >= len(acked):
-            self._grow(flow, last)
-        if g >= bucket_us:  # only the first bucket may hold earlier acks
-            acked[first] += MSS
-            if g < 2 * bucket_us and k > WINDOW_SEGMENTS:  # fill, then clear the empty ones
-                acked[first + 1 : last + 1] = [MSS] * (last - first)
-                d, off = g - bucket_us, a - first * bucket_us
-                for j in range(1, (off + (k - 1) * d) // bucket_us + 1):
-                    acked[first + j - 1 - (off - j * bucket_us) // d] = 0
-            else:
-                for at in range(a + g, a + k * g, g):
-                    acked[at // bucket_us] = MSS
-        else:  # each bucket from first to last holds an ack; only the first, earlier ones
-            ceils = range((first + 1) * bucket_us - a + g - 1, last * bucket_us - a + g, bucket_us)
-            before = [*map(operator.floordiv, ceils, itertools.repeat(g)), k]
-            acked[first] += before[0] * MSS
-            nbytes = map(operator.mul, map(operator.sub, before[1:], before), itertools.repeat(MSS))
-            acked[first + 1 : last + 1] = nbytes
+            if not options:
+                self._option_links.pop(link, None)
 
     def _on_acks(self, flow: _Flow, horizon: int) -> None:
         """Handle ``flow``'s acks due before ``horizon``, a run's due part per
@@ -682,7 +641,7 @@ class Simulation:
             else:
                 inflight -= k * nbytes
             if nbytes:
-                self._store(flow, a, k, g)
+                _log(flow.log, a, k, g)
             armed = k - idle
             for j in range(armed):  # _arm_rto's deadline: no timeout is outstanding
                 sample = r + j * dr
@@ -766,7 +725,7 @@ class Simulation:
         peer = _mirror(sf)
         self.receiver.subflows.append(peer)
         self.receiver.next_id = sender.next_id
-        flow = _Flow(sf, peer, link, self.bucket_us)
+        flow = _Flow(sf, peer, link)
         self._flows[sf.id] = self._newest_flow[link.spec.link_id] = flow
         # A new sub-flow can only lower the deciding tier, to its own, alone.
         self._pump([flow])
@@ -790,6 +749,7 @@ class Simulation:
             link = flow.link
             if link.up:  # else lost, as it would be at any change before it arrives
                 link.options.append((self.now_us + link.delay_us, next(self._seq), sf_id, opt))
+                self._option_links[link] = None
         flows = map(self._flows.__getitem__, dict.fromkeys([*(i for i, _ in outbox), *closed]))
         if sender.primary_pairs != primary:  # every flow may change tier
             flows = self._newest_flow.values()
@@ -815,7 +775,6 @@ class Simulation:
         self._finished = True
         script, heap, calendar = self._script, self._heap, self._calendar
         bisect.insort(script, (0, next(self._seq), None))  # None: the bootstrap
-        links = [flow.link for flow in self._newest_flow.values()]
         duration_us, i, horizon = self.duration_us, 0, 0
         while horizon < duration_us:
             # No queued ack is due before the calendar's top, and any deadline
@@ -835,7 +794,7 @@ class Simulation:
             if next_us == action_us:  # actions run before the timers of their µs
                 _, order, action = script[i]
                 i += 1
-                self._deliver(links, (next_us, order))
+                self._deliver(self._option_links, (next_us, order))
                 if action is None:
                     self._bootstrap()
                 else:
@@ -843,10 +802,17 @@ class Simulation:
             else:
                 _, _, seq, flow = heapq.heappop(heap)
                 self._on_timer(flow, seq)
-        self._deliver(links, (duration_us,))
+        self._deliver(self._option_links, (duration_us,))
         for flow in self._newest_flow.values():
             self._settle(flow, duration_us)
-        return self._build_report()
+        columns = [
+            SubflowColumn(
+                flow.sf.id, flow.link.spec.pair, flow.log, flow.flag_times, flow.flag_values,
+                flow.sf.died_us,
+            )
+            for flow in self._flows.values()
+        ]
+        return TimelineReport(self.bucket_ms, duration_us // US_PER_MS, columns)
 
     def _drain_acks(self, horizon: int) -> None:
         """Handle the acks due before ``horizon``, by head arrival (module docstring)."""
@@ -913,7 +879,7 @@ class Simulation:
             heappush(self._calendar, (acks[0][0], sf.id, flow))  # a train's FIFO was empty
         if not k:
             return
-        self._store(flow, a0, k, s)
+        _log(flow.log, a0, k, s)
         sf.srtt_us = _srtt_after(srtt, rtt, k - WINDOW_SEGMENTS)
         sf.bytes_sent_total += k * MSS
         link.tx_free_us += k * s
@@ -940,14 +906,6 @@ class Simulation:
             self._send_probe(flow, last)
         else:
             self._set_timer(flow, last + period)
-
-    def _build_report(self) -> TimelineReport:
-        bucket_us, n_buckets = self.bucket_us, self.n_buckets
-        return TimelineReport(
-            bucket_ms=bucket_us // US_PER_MS,
-            duration_ms=self.duration_us // US_PER_MS,
-            columns=[SubflowColumn.of(flow, bucket_us, n_buckets) for flow in self._flows.values()],
-        )
 
 
 def _srtt_after(srtt: int, sample: int, n: int, dr: int = 0) -> int:
@@ -978,6 +936,17 @@ def _queue(acks: Deque[tuple], a: int, n: int, g: int, r: int, dr: int) -> None:
             acks[-1] = (a1, n1 + n, g, MSS, r1, dr)
             return
     acks.append((a, n, g, MSS, r, dr))
+
+
+def _log(log: List[Tuple[int, int, int]], a: int, k: int, g: int) -> None:
+    """Log ``k`` data acks due at ``a + i * g``, or extend the log's last run
+    with them if they continue that run's progression."""
+    if log:
+        a1, n1, g1 = log[-1]
+        if g1 == g and a1 + n1 * g == a:
+            log[-1] = (a1, n1 + k, g)
+            return
+    log.append((a, k, g))
 
 
 def _mirror(sf: SubflowState) -> SubflowState:

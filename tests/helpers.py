@@ -35,11 +35,20 @@ def tuple_for_next(conn, mesh_pair):
     )
 
 
-def acked_by_bucket(flow):
-    """A simulated sub-flow's acked bytes as {bucket: bytes}, for the buckets
-    that hold any; ``flow.acked[i]`` holds those of bucket
-    ``flow.first_bucket + i``."""
-    return {flow.first_bucket + i: nbytes for i, nbytes in enumerate(flow.acked) if nbytes}
+def logged(log):
+    """The arrivals of the acks in a delivery log, one by one: a run
+    ``(a, k, g)`` holds ``k`` acks of an MSS, the ``i``-th due at
+    ``a + i * g``."""
+    return [a + i * g for a, k, g in log for i in range(k)]
+
+
+def acked_by_bucket(flow, bucket_us):
+    """A simulated sub-flow's acked bytes as {bucket: bytes} at buckets of
+    ``bucket_us``, for the buckets that hold any, ack by ack from its log."""
+    acked = {}
+    for at in logged(flow.log):
+        acked[at // bucket_us] = acked.get(at // bucket_us, 0) + MSS
+    return acked
 
 
 def expand(runs):
@@ -77,18 +86,15 @@ def on_ack_arrival(sim, flow, nbytes, sent_us):
     at ``sim.now_us`` the ack of ``nbytes`` sent at ``sent_us``. It takes an
     RTT sample, clears the timeouts, frees the bytes or the probe, and arms
     the timer from the ack or disarms it if the flow is left idle, as its
-    own call of ``_arm_rto``; then a clocked flow refills and an idle one
-    times its next probe."""
+    own call of ``_arm_rto``, and logs a data ack as a run of its own; then a
+    clocked flow refills and an idle one times its next probe."""
     sf = flow.sf
     sample = sim.now_us - sent_us
     sf.srtt_us = sample if sf.srtt_us == 0 else (7 * sf.srtt_us + sample) // 8
     sf.consecutive_timeouts = 0
     if nbytes:
         sf.inflight_bytes -= nbytes
-        acked, i = flow.acked, sim.now_us // sim.bucket_us - flow.first_bucket
-        if i >= len(acked):
-            sim._grow(flow, i)
-        acked[i] += nbytes
+        flow.log.append((sim.now_us, 1, 0))
     else:
         flow.probe_outstanding = False
     if sf.inflight_bytes > 0 or flow.probe_outstanding:

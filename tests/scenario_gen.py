@@ -22,12 +22,14 @@ at ``MESH_FINE_BUCKET_MS``, where its sub-flows die and are re-opened both
 on and off bucket edges. It also digests the
 ``edge_*`` scenarios of ``edge_scenarios()``, on links that the generator
 never draws, at a same-µs tie between a probe and a death, or with events
-between a window's send and its first ack. Beside each
+between a window's send and its first ack. Each scenario runs once, and
+its report gives the CSV at each width (``TimelineReport.at``). Beside each
 CSV digest, under the key ``<bucket>/state``, it prints a digest of the
 run's end state (``state_digest``), which moves when a change shifts ack
 timing by less than a bucket edge, and under ``<bucket>/timer`` one of its
 timers and queued acks (``timer_digest``), which moves when a change
-arms a timer or queues an ack elsewhere. Running it in two checkouts and
+arms a timer or queues an ack elsewhere; the run reads no width, so both
+are the same at every width. Running it in two checkouts and
 comparing the outputs with ``cmp`` shows whether a change keeps all those
 timelines and end states byte-identical.
 
@@ -161,31 +163,39 @@ def timer_digest(sim: Simulation) -> str:
     return _sha256(repr(flows))
 
 
-def run_digests(doc: str, bucket_ms: int):
-    """(CSV digest, end-state digest, timer digest) of one run of ``doc`` at
-    ``bucket_ms``."""
+def run_digests(doc: str):
+    """(report, end-state digest, timer digest) of one run of ``doc``. The
+    run reads no bucket width, so its report gives the CSV at any width
+    (``TimelineReport.at``)."""
     with mock.patch.object(scenario_module, "Simulation", _KeptSimulation):
-        report = run_scenario(parse_scenario(doc), bucket_ms=bucket_ms)
+        report = run_scenario(parse_scenario(doc))
+    sim = _KeptSimulation.last
+    return report, state_digest(sim), timer_digest(sim)
+
+
+def report_digest(report) -> str:
+    """SHA-256 of the CSV of ``report``."""
     buf = io.StringIO()
     emit_csv(report, buf)
-    sim = _KeptSimulation.last
-    return _sha256(buf.getvalue()), state_digest(sim), timer_digest(sim)
+    return _sha256(buf.getvalue())
 
 
 def csv_digest(doc: str, bucket_ms: int) -> str:
     """SHA-256 of the CSV that ``doc`` gives at ``bucket_ms``."""
-    return run_digests(doc, bucket_ms)[0]
+    return report_digest(run_scenario(parse_scenario(doc), bucket_ms=bucket_ms))
 
 
 def digests(scenarios, buckets_ms=CORPUS_BUCKETS_MS, state=False):
-    """{name: {bucket width: digest}} over (name, scenario text) pairs; with
-    ``state``, also {"<bucket width>/state": end-state digest} and
-    {"<bucket width>/timer": timer digest}."""
+    """{name: {bucket width: digest}} over (name, scenario text) pairs, from
+    one run of each scenario; with ``state``, also {"<bucket width>/state":
+    end-state digest} and {"<bucket width>/timer": timer digest}, the same
+    at every width."""
     out = {}
     for name, doc in scenarios:
         out[name] = cells = {}
+        report, end_state, timers = run_digests(doc)
         for bucket_ms in buckets_ms:
-            cells[str(bucket_ms)], end_state, timers = run_digests(doc, bucket_ms)
+            cells[str(bucket_ms)] = report_digest(report.at(bucket_ms))
             if state:
                 cells[f"{bucket_ms}/state"] = end_state
                 cells[f"{bucket_ms}/timer"] = timers

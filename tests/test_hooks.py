@@ -179,10 +179,11 @@ def count_selects_by_handler(run):
     handed to it. Also count how often each handler ran, the acks handled:
     by ``_on_acks``, of clocked flows (each data ack sends one segment,
     there) and of unclocked ones (which send nothing), and in trains (each
-    sends one segment), counted as each train ends; and the runs of data
-    acks whose bytes each handler stored, one step each. Return them as a
-    namespace of Counters."""
-    stack, runs, acks, stores = [], Counter(), Counter(), Counter()
+    sends one segment), counted as each train ends; and, by handler, the
+    runs of data acks logged, one step each, and the entries that they add
+    to the logs, as a run that continues the last one extends it. Return
+    them as a namespace of Counters."""
+    stack, runs, acks, logged, entries = [], Counter(), Counter(), Counter(), Counter()
     selects, tiers, visits = Counter(), Counter(), Counter()
     with pytest.MonkeyPatch.context() as patch:
 
@@ -212,7 +213,7 @@ def count_selects_by_handler(run):
         ):
             wrap(name)
         select, tier, on_acks = simnet.select, simnet.tier, Simulation._on_acks
-        end_train, pump, store = Simulation._end_train, Simulation._pump, Simulation._store
+        end_train, pump, log = Simulation._end_train, Simulation._pump, simnet._log
 
         def counting_select(conn, mss, window):
             selects[stack[-1]] += 1
@@ -239,19 +240,22 @@ def count_selects_by_handler(run):
             end_train(sim, flow, until)
             acks["trained"] += (flow.sf.bytes_sent_total - sent) // simnet.MSS
 
-        def counting_store(sim, flow, a, k, g):
-            stores[stack[-1]] += 1
-            store(sim, flow, a, k, g)
+        def counting_log(flow_log, a, k, g):
+            logged[stack[-1]] += 1
+            before = len(flow_log)
+            log(flow_log, a, k, g)
+            entries[stack[-1]] += len(flow_log) - before
 
         patch.setattr(simnet, "select", counting_select)
         patch.setattr(simnet, "tier", counting_tier)
         patch.setattr(Simulation, "_pump", counting_pump)
         patch.setattr(Simulation, "_on_acks", counting_on_acks)
         patch.setattr(Simulation, "_end_train", counting_end_train)
-        patch.setattr(Simulation, "_store", counting_store)
+        patch.setattr(simnet, "_log", counting_log)
         run()
     return SimpleNamespace(
-        selects=selects, tiers=tiers, visits=visits, runs=runs, acks=acks, stores=stores
+        selects=selects, tiers=tiers, visits=visits, runs=runs, acks=acks, logged=logged,
+        entries=entries,
     )
 
 
@@ -373,8 +377,11 @@ def test_no_ack_of_an_unclocked_flow_runs_one_by_one_on_prio_churn_fine():
     of the per-ack design. A window sent in one burst into an empty FIFO
     starts its train at the send, so no ``_on_acks`` call starts it at its
     first ack: 1,686 calls, where starting every train at an ack made
-    1,820. Their 15,100 acks take 1,635 steps that store bytes, where the
-    per-ack rule took a step for each of the 15,095 data acks among them."""
+    1,820. Their 15,100 acks take 1,635 steps that log bytes, where the
+    per-ack rule took a step for each of the 15,095 data acks among them.
+    With the 392 runs that trains log as they end, the pass's logs hold 379
+    runs in all, as a run that continues the last one extends it, where the
+    parent design kept bytes for each of the pass's 120,000 rows."""
     workload = perfbench_workloads().prio_churn_fine(0)
 
     def run():
@@ -386,7 +393,8 @@ def test_no_ack_of_an_unclocked_flow_runs_one_by_one_on_prio_churn_fine():
     acks = counts.acks
     assert (acks["clocked"], acks["unclocked"], acks["trained"]) == (4_081, 11_019, 74_055)
     assert counts.runs["_on_acks"] == 1_686  # for the 15,100 acks outside trains
-    assert counts.stores["_on_acks"] == 1_635
+    assert (counts.logged["_on_acks"], counts.logged["_end_train"]) == (1_635, 392)
+    assert sum(counts.entries.values()) == 379
     assert sum(acks.values()) == 89_155
 
 

@@ -270,7 +270,7 @@ def check_invariants(doc, bucket_ms):
     ]
 
     bucket_us, duration_us = bucket_ms * 1000, scenario.duration_ms * 1000
-    acked = {flow.sf.id: acked_by_bucket(flow) for flow in sim._flows.values()}
+    acked = {flow.sf.id: acked_by_bucket(flow, bucket_us) for flow in sim._flows.values()}
     expected = []
     for bucket in range(-(-duration_us // bucket_us)):
         start_us = bucket * bucket_us

@@ -1,8 +1,12 @@
-"""Relations between two runs of one scenario, on generated scenarios, the
-``edge_*`` scenarios of ``scenario_gen`` and the built-ins.
+"""Relations between two runs of one scenario, or two widths of one run's
+report, on generated scenarios, the ``edge_*`` scenarios of
+``scenario_gen`` and the built-ins.
 
-* Bucket refinement. A run at buckets of ``C`` ms and one at buckets of
-  ``F = C / 10`` ms tell the same story. A sub-flow has a coarse row in
+* One run at any width. A run at buckets of ``w`` ms gives the report that
+  a run at 1 s buckets gives at ``w`` ms (``TimelineReport.at``): the run
+  reads no bucket width.
+* Bucket refinement. One run's report at buckets of ``C`` ms and at buckets
+  of ``F = C / 10`` ms tell the same story. A sub-flow has a coarse row in
   each coarse bucket that holds one of its fine rows, and in no other. The
   coarse row's bytes are the sum of those fine rows', and its ``low_prio``
   is the last one's. It is ``alive`` only if the sub-flow has a fine row in
@@ -30,11 +34,21 @@ REFINEMENTS = ((1000, 100), (100, 10))  # (coarse, fine) bucket widths in ms
 CANNED = {**BUILTIN_DOCS, **dict(edge_scenarios())}
 
 
+@pytest.mark.parametrize("bucket_ms", [1000, 100, 10, 7])
+@pytest.mark.parametrize("name", sorted(CANNED))
+def test_a_run_at_a_bucket_width_is_one_run_at_that_width(name, bucket_ms):
+    scenario = parse_scenario(CANNED[name])
+    with mock.patch.dict("os.environ", {PPOS_ENV_VAR: ""}):
+        report = run_scenario(scenario, bucket_ms=bucket_ms)
+        assert report == run_scenario(scenario).at(bucket_ms)
+    assert report.bucket_ms == bucket_ms
+
+
 def check_refinement(doc, coarse_ms, fine_ms):
     scenario = parse_scenario(doc)
     with mock.patch.dict("os.environ", {PPOS_ENV_VAR: ""}):
-        coarse = run_scenario(scenario, bucket_ms=coarse_ms).rows
-        fine = run_scenario(scenario, bucket_ms=fine_ms).rows
+        report = run_scenario(scenario)
+    coarse, fine = report.at(coarse_ms).rows, report.at(fine_ms).rows
     inside = defaultdict(list)  # (coarse bucket start, id): its fine rows in time order
     for row in fine:
         inside[row.bucket_start_ms // coarse_ms * coarse_ms, row.subflow_id].append(row)

@@ -2,19 +2,23 @@
 
 Columns are drawn at random, as a run can leave them: births mid-run,
 deaths on a bucket edge and mid-bucket, priority flips several to a bucket,
-exactly on bucket ends and in a sub-flow's last bucket, and durations off
-the bucket grid. Both the CSV's data lines and ``TimelineReport.rows`` must
-hold exactly the rows that the reference below derives bucket by bucket,
-and the CSV's footer one genealogy line per sub-flow, in id order.
+exactly on bucket ends and in a sub-flow's last bucket, durations off the
+bucket grid, and delivery logs of runs of acks spaced under a bucket, one to
+two buckets apart and further, in the same µs, and past the run's 32-ack
+window. Both the CSV's data lines and ``TimelineReport.rows`` must hold
+exactly the rows that the reference below derives bucket by bucket, with
+the bytes of each ack in its bucket, and the CSV's footer one genealogy
+line per sub-flow, in id order.
 """
 
 import io
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpflow.model import AddrFamily, InterfacePair
+from mpflow.model import AddrFamily, InterfacePair, ValidationError
 from mpflow.report import SubflowColumn, ThroughputBucket, TimelineReport, emit_csv
 from helpers import acked_by_bucket
 
@@ -27,7 +31,7 @@ def reference_rows(bucket_ms, duration_ms, flows):
     bucket_us = bucket_ms * 1000
     n_buckets = -(-duration_ms // bucket_ms)
     rows = []
-    acked = {flow.sf.id: acked_by_bucket(flow) for flow in flows}
+    acked = {flow.sf.id: acked_by_bucket(flow, bucket_us) for flow in flows}
     for bucket in range(n_buckets):
         start, end = bucket * bucket_us, (bucket + 1) * bucket_us
         for flow in flows:
@@ -60,8 +64,8 @@ def reference_footer(flows):
 
 @st.composite
 def runs(draw):
-    """``(bucket_ms, duration_ms, flows)``: flows with what ``SubflowColumn.of``
-    reads of a simulated sub-flow, in id and creation order."""
+    """``(bucket_ms, duration_ms, flows)``: flows with what a report's column
+    holds of a simulated sub-flow, in id and creation order."""
     bucket_ms = draw(st.sampled_from((1, 7, 10, 100)))
     duration_ms = draw(st.integers(1, 40 * bucket_ms))
     duration_us, bucket_us = duration_ms * 1000, bucket_ms * 1000
@@ -83,7 +87,7 @@ def runs(draw):
     for subflow_id, created_us in enumerate(births, start=1):
         died_us = None
         if created_us < duration_us - 1 and draw(st.booleans()):
-            died_us = draw(moment(created_us + 1))
+            died_us = draw(moment(created_us))  # at its birth too, as a close at 0 ms does
         # Flips may come after a death; a flag changes only while the run does.
         flips = sorted(draw(st.lists(moment(created_us), max_size=8)))
         if died_us is not None and draw(st.booleans()):
@@ -92,23 +96,25 @@ def runs(draw):
         values = [draw(st.booleans())]
         for _ in flips:
             values.append(not values[-1])  # the simulator records changes only
-        last = (duration_us if died_us is None else died_us) - 1
-        buckets = range(created_us // bucket_us, last // bucket_us + 1)
-        # Bytes from the first bucket on, 0 in an empty one. As in the
-        # simulator, the list grows on demand: it may end before the last
-        # bucket, or run on past it, up to twice the rows, with 0s.
-        acked = [
-            rng.randint(1, 10**6) if i < len(buckets) and rng.random() < 0.8 else 0
-            for i in range(rng.randint(0, 2 * len(buckets)))
-        ]
+        # Runs of acks in time order, each after the last ack of the one
+        # before it or in its µs, and before the sub-flow dies or the run ends.
+        end, log, at = duration_us if died_us is None else died_us, [], created_us
+        for _ in range(rng.randint(0, 12)):
+            at += rng.choice((0, rng.randrange(bucket_us), rng.randrange(3 * bucket_us)))
+            g = rng.choice((0, 1, rng.randrange(1, bucket_us), rng.randrange(1, 3 * bucket_us)))
+            k = rng.choice((1, 2, rng.randint(1, 40)))
+            k = min(k, (end - 1 - at) // g + 1) if g else k
+            if at >= end:
+                break
+            log.append((at, k, g))
+            at += (k - 1) * g
         flows.append(
             SimpleNamespace(
                 sf=SimpleNamespace(id=subflow_id, created_us=created_us, died_us=died_us),
                 link=SimpleNamespace(spec=SimpleNamespace(pair=InterfacePair(
                     AddrFamily.V4, bytes([10, 0, 0, 1]), bytes([10, 0, subflow_id, 1])
                 ))),
-                first_bucket=created_us // bucket_us,
-                acked=acked,
+                log=log,
                 flag_times=[created_us] + flips,
                 flag_values=values,
             )
@@ -118,9 +124,13 @@ def runs(draw):
 
 def report_of(bucket_ms, duration_ms, flows):
     """The report the simulator builds from its flows at the end of a run."""
-    bucket_us = bucket_ms * 1000
-    n_buckets = -(-duration_ms * 1000 // bucket_us)
-    columns = [SubflowColumn.of(flow, bucket_us, n_buckets) for flow in flows]
+    columns = [
+        SubflowColumn(
+            flow.sf.id, flow.link.spec.pair, flow.log, flow.flag_times, flow.flag_values,
+            flow.sf.died_us,
+        )
+        for flow in flows
+    ]
     return TimelineReport(bucket_ms, duration_ms, columns)
 
 
@@ -161,9 +171,9 @@ def test_a_same_value_flag_entry_changes_no_row():
         return InterfacePair(AddrFamily.V4, bytes([10, 0, 0, 1]), bytes([10, 0, k, 1]))
 
     columns = [  # 1 s buckets over 5.5 s: buckets 0-5
-        SubflowColumn(1, pair(1), 0, 5, [5, 6, 7, 8, 9, 10], [0], [False], None),
-        SubflowColumn(2, pair(2), 1, 2, [11, 12], [1_200_000], [True], 3_000_000),
-        SubflowColumn(3, pair(3), 2, 4, [13, 14, 15], [2_500_000], [False], 4_700_000),
+        SubflowColumn(1, pair(1), [(b * 10**6, b + 1, 1) for b in range(6)], [0], [False], None),
+        SubflowColumn(2, pair(2), [(1_300_000, 5, 1)], [1_200_000], [True], 3_000_000),
+        SubflowColumn(3, pair(3), [(2_600_000, 3, 700_000)], [2_500_000], [False], 4_700_000),
     ]
     report = TimelineReport(1000, 5500, columns)
     rows, text = report.rows, csv_text(report)
@@ -186,7 +196,7 @@ def test_each_pair_s_text_is_formatted_once_across_reports():
     src = bytes([10, 0, 0, 1])
     pairs = [InterfacePair(AddrFamily.V4, src, bytes([10, 0, k, 1])) for k in (1, 2)]
     columns = [
-        SubflowColumn(k + 1, p, 0, 1, [1460, 0], [0], [False], None) for k, p in enumerate(pairs)
+        SubflowColumn(k + 1, p, [(0, 1, 0)], [0], [False], None) for k, p in enumerate(pairs)
     ]
     texts = []
     for report in (TimelineReport(1000, 2000, columns), TimelineReport(500, 1000, columns)):
@@ -198,3 +208,30 @@ def test_each_pair_s_text_is_formatted_once_across_reports():
     assert texts[0] == texts[1] and texts[2] == texts[3]
     assert "0,1,10.0.0.1->10.0.1.1,1460,11680,0,1\n" in texts[0]
     assert str(tuple(pairs[0])) != str(pairs[0])
+
+
+def test_a_sub_flow_dead_at_its_birth_on_an_edge_has_no_row():
+    # Sub-flow 2 is closed at 0 ms, the µs of its birth, so it has no row,
+    # and it takes none from sub-flow 1 in bucket 0.
+    def pair(k):
+        return InterfacePair(AddrFamily.V4, bytes([10, 0, 0, 1]), bytes([10, 0, k, 1]))
+
+    columns = [
+        SubflowColumn(1, pair(1), [(0, 1, 0)], [0], [False], None),
+        SubflowColumn(2, pair(2), [], [0], [False], 0),
+        SubflowColumn(3, pair(2), [], [1_000_000], [False], None),
+    ]
+    report = TimelineReport(1000, 2000, columns)
+    assert [(r.bucket_start_ms, r.subflow_id) for r in report.rows] == [(0, 1), (1000, 1), (1000, 3)]
+    assert csv_text(report).splitlines()[1] == "0,1,10.0.0.1->10.0.1.1,1460,11680,0,1"
+
+
+@pytest.mark.parametrize(
+    "bucket_ms, message",
+    [(0, "bucket width must be positive"), (2.5, "bucket width must be a whole number of ms: 2.5")],
+)
+def test_a_report_is_bucketed_at_a_positive_whole_number_of_ms(bucket_ms, message):
+    report = TimelineReport(1000, 2000, [])
+    assert report.at(500) == (500, 2000, [])
+    with pytest.raises(ValidationError, match=message):
+        report.at(bucket_ms)

@@ -25,9 +25,10 @@ from hypothesis import strategies as st
 from mpflow import scenario as scenario_module
 from mpflow import simnet
 from mpflow.model import new_connection
+from mpflow.report import SubflowColumn, TimelineReport
 from mpflow.scenario import PPOS_ENV_VAR, parse_scenario, run_scenario
 from mpflow.simnet import MSS, WINDOW_BYTES, WINDOW_SEGMENTS, LinkSpec, Simulation
-from helpers import acked_by_bucket, addr, expand, on_ack_arrival, pop_ack
+from helpers import addr, expand, logged, on_ack_arrival, pop_ack
 from scenario_gen import edge_scenarios, random_scenario
 
 
@@ -56,14 +57,16 @@ def append_run(acks, a, n, g, r, dr):
         acks.append((a, n, g, MSS, r, dr))
 
 
-def observe(sim, flow):
+def observe(sim, flow, kept):
     """What a later event could read of ``flow`` and its link. Only the
     deadline of the pending timer entry counts: the reference pushes an
-    entry for each deadline that beats it."""
+    entry for each deadline that beats it. The log counts by its acks, from
+    its run ``kept`` on: a call leaves the runs before that one as it found
+    them, and the reference logs a run per ack."""
     sf, pending = flow.sf, flow.timer_pending
     return (
         sim.now_us, sf.srtt_us, sf.inflight_bytes, sf.consecutive_timeouts, sf.bytes_sent_total,
-        acked_by_bucket(flow), flow.armed_at_us, flow.timer, pending and pending[0],
+        logged(flow.log[kept:]), flow.armed_at_us, flow.timer, pending and pending[0],
         flow.probe_outstanding, flow.train_wait, expand(flow.train), flow.keepalive,
         flow.link.tx_free_us, expand(flow.acks),
     )
@@ -75,7 +78,7 @@ def check_call(sim, flow, horizon):
     sf, link = flow.sf, flow.link
     seq = next(sim._seq)
     saved = (
-        sim.now_us, [*sim._heap], [*sim._calendar], [*flow.acks], [*flow.acked],
+        sim.now_us, [*sim._heap], [*sim._calendar], [*flow.acks], [*flow.log],
         sf.srtt_us, sf.inflight_bytes, sf.consecutive_timeouts, sf.bytes_sent_total,
         flow.armed_at_us, flow.timer, flow.timer_pending, flow.probe_outstanding,
         flow.train_wait, flow.train, flow.keepalive, link.tx_free_us,
@@ -83,21 +86,22 @@ def check_call(sim, flow, horizon):
 
     def restore():
         sim._seq = itertools.count(seq)
-        (sim.now_us, sim._heap[:], sim._calendar[:], runs, flow.acked,
+        (sim.now_us, sim._heap[:], sim._calendar[:], runs, flow.log,
          sf.srtt_us, sf.inflight_bytes, sf.consecutive_timeouts, sf.bytes_sent_total,
          flow.armed_at_us, flow.timer, flow.timer_pending, flow.probe_outstanding,
          flow.train_wait, flow.train, flow.keepalive, link.tx_free_us) = saved
         flow.acks.clear()  # the drain holds this deque
         flow.acks.extend(runs)
-        flow.acked = [*flow.acked]
+        flow.log = [*flow.log]
 
+    kept = max(len(flow.log) - 1, 0)  # the last run may be extended
     restore()
     with mock.patch.object(simnet, "_queue", append_run):
         one_by_one(sim, flow, horizon)
-    expected = observe(sim, flow)
+    expected = observe(sim, flow, kept)
     restore()
     Simulation._on_acks(sim, flow, horizon)
-    assert observe(sim, flow) == expected, (sim.now_us, sf.id)
+    assert observe(sim, flow, kept) == expected, (sim.now_us, sf.id)
 
 
 class RunCheck(Simulation):
@@ -207,22 +211,65 @@ def test_a_refill_joins_the_last_run_only_where_it_continues_its_progression(off
     assert [*flow.acks] == ([(*tail[:1], 4, *tail[2:])] if not off else [tail, refills])
 
 
+@st.composite
+def run_sequences(draw):
+    """Up to 8 runs ``(probe, (a, n, g, r, dr))`` of ``n`` acks, the ``j``-th
+    due at ``a + j * g`` with round trip ``r + j * dr``; a probe's is one ack
+    of 0 bytes. Each is drawn afresh, or from the progression of the one
+    before: its first ack due a spacing after the other's last, with a round
+    trip a step on, and then each of its fields 1 off or not."""
+    off = st.sampled_from((0, 0, 1, -1))
+    runs = []
+    for _ in range(draw(st.integers(1, 8))):
+        probe = draw(st.integers(0, 5)) == 5
+        if runs and draw(st.booleans()):
+            a, n, g, r, dr = runs[-1][1]
+            run = (a + n * g + draw(off), draw(st.integers(0, 4)), g + draw(off),
+                   r + n * dr + draw(off), dr + draw(off))
+        else:
+            run = (draw(st.integers(0, 10**6)), draw(st.integers(0, 4)), draw(st.integers(0, 30)),
+                   draw(st.integers(0, 10**4)), draw(st.integers(-20, 20)))
+        runs.append((probe, (run[0], 1, 0, run[3], 0) if probe else run))
+    return runs
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(runs=run_sequences())
+def test_a_queued_or_logged_run_joins_the_last_only_where_its_acks_stay_the_same(runs):
+    # ``_queue`` and ``_log`` extend the last run with a new one only where
+    # it continues that run's progression exactly, so the runs they leave
+    # hold the acks handed to them, in order. A probe's ack, queued as
+    # ``_send_probe`` queues it, is joined by no data run, and is not logged.
+    fifo, log, queued, delivered = deque(), [], [], []
+    for probe, (a, n, g, r, dr) in runs:
+        if probe:
+            fifo.append((a, 1, 0, 0, r, 0))
+            queued += expand([(a, 1, 0, 0, r, 0)])
+            continue
+        simnet._queue(fifo, a, n, g, r, dr)
+        queued += expand([(a, n, g, MSS, r, dr)])
+        simnet._log(log, a, n, g)
+        delivered += logged([(a, n, g)])
+    assert expand(fifo) == queued
+    assert logged(log) == delivered
+
+
 def test_the_store_puts_each_ack_in_its_bucket():
-    # Against one store per ack, with 5 bytes already in the first bucket:
-    # runs spaced under a bucket, one to two buckets apart, past a window
-    # and shorter, and two buckets or more apart, from every offset.
-    sender = new_connection([addr("10.0.0.1")], [addr("10.0.1.1")])
-    sim = Simulation(sender, [LinkSpec(1, sender.mesh_pairs()[0], 1_000_000, 50)], 60_000, 10)
-    flow, bucket = sim._flows[1], 10_000
+    # The report's bytes per bucket against one count per ack, with an ack
+    # already in the run's first bucket, for a sub-flow born mid-run: runs
+    # spaced under a bucket, one to two buckets apart, past a window and
+    # shorter (filled, then cleared where empty), and two buckets or more
+    # apart, from every offset.
+    bucket = 10_000
     rng = random.Random(7)
     for g in (0, 1, 3_000, 9_999, 10_000, 10_001, 11_680, 19_999, 20_000, 33_333):
         for k in (1, 2, WINDOW_SEGMENTS, WINDOW_SEGMENTS + 1, 150):
-            a = rng.randrange(30 * bucket)
-            expected = [0] * (sim.n_buckets - flow.first_bucket)
-            expected[a // bucket] = 5
-            for i in range(k):
-                expected[(a + i * g) // bucket] += MSS
-            flow.acked = [0] * (a // bucket + 1)
-            flow.acked[a // bucket] = 5
-            sim._store(flow, a, k, g)
-            assert flow.acked == expected[: len(flow.acked)] and not any(expected[len(flow.acked):])
+            born = rng.randrange(10 * bucket)
+            a = born + rng.randrange(30 * bucket)
+            log = [(max(born, a // bucket * bucket), 1, 0), (a, k, g)]
+            column = SubflowColumn(1, None, log, [born], [False], None)
+            first, acked = TimelineReport(10, 60_000, [column]).acked(column)
+            expected = [0] * (6_000 - first)
+            for at in logged(log):
+                expected[at // bucket - first] += MSS
+            assert first == born // bucket and acked == expected, (g, k, a)

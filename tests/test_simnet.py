@@ -19,7 +19,7 @@ from mpflow.simnet import LinkSpec, Simulation
 from mpflow import simnet, sockopt
 from mpflow.scenario import PPOS_ENV_VAR, builtin_scenario, parse_scenario, run_scenario
 from mpflow.sockopt import SubPrioRequest
-from helpers import acked_by_bucket, addr, expand, on_ack_arrival, pop_ack, tuple_for_next
+from helpers import addr, expand, on_ack_arrival, pop_ack, tuple_for_next
 
 MSS = 1460
 WINDOW = 32 * MSS
@@ -259,7 +259,7 @@ def test_mp_prio_is_lost_with_its_segment():
     for flow in sim._flows.values():
         assert flow.sf.low_prio
         assert not flow.peer.low_prio
-        assert acked_by_bucket(flow) == {}
+        assert flow.log == []
         assert flow.sf.srtt_us == 0  # its ack never came back
         assert flow.sf.died_us == 800_000
 
@@ -478,7 +478,7 @@ def test_a_window_sent_on_a_down_link_queues_no_acks(monkeypatch):
     monkeypatch.setattr(Simulation, "_kill", record)
     sim.run()
     assert after_kill == [(2_298_000, 1, WINDOW, []), (3_800_000, 2, 0, [])]
-    assert acked_by_bucket(sim._flows[2]) == {}
+    assert sim._flows[2].log == []
 
 
 def test_acks_after_a_short_outage_are_handled_at_their_own_times():
@@ -897,8 +897,8 @@ def test_nonpositive_duration_rejected():
     ids=["duration_5000.5", "bucket_0.5", "bucket_250.0"],
 )
 def test_a_run_s_times_must_be_whole_ms(times, message):
-    """A fractional duration or bucket width would reach the bucket lists
-    and the report's rows as a bare TypeError; the constructor rejects it."""
+    """A fractional duration or bucket width would reach the report's rows
+    as a bare TypeError; the constructor rejects it."""
     sender = new_connection([addr("10.0.0.1")], [addr("10.0.1.1")])
     links = [LinkSpec(1, sender.mesh_pairs()[0], MBPS, 100)]
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
@@ -980,22 +980,19 @@ SLOW_LINK_DOC = (
 )
 
 
-def test_bucket_lists_grow_with_the_acks_not_with_the_run(monkeypatch):
-    # At 1 ms buckets the run has 400,000 of them. Each flow's list of bytes
-    # per bucket grows on demand, doubling, so before the report it holds at
-    # most twice the flow's rows; each column holds exactly one per row.
-    sizes, build = [], Simulation._build_report
-
-    def recording(sim):
-        sizes.extend(len(flow.acked) for flow in sim._flows.values())
-        return build(sim)
-
-    monkeypatch.setattr(Simulation, "_build_report", recording)
+def test_a_log_grows_with_the_runs_of_acks_not_with_the_run(monkeypatch):
+    # At 1 ms buckets the run has 400,000 of them. A flow logs its acks as
+    # runs, not by bucket, so link 1's 223 sub-flows log none, and link 2's
+    # one logs a single run: its train's acks, one MSS's 11,680 µs apart
+    # from the first at 31.68 ms on. The report turns each column's log into
+    # one entry per row.
     monkeypatch.delenv(PPOS_ENV_VAR, raising=False)
     report = run_scenario(parse_scenario(SLOW_LINK_DOC), bucket_ms=1)
-    assert len(report.columns) == len(sizes) == 224
-    for column, size in zip(report.columns, sizes):
-        rows = column.last - column.first + 1
-        assert size <= 2 * rows, (column.subflow_id, size, rows)
-        assert len(column.acked) == rows, column.subflow_id
-    assert [column.subflow_id for column in report.columns if any(column.acked)] == [2]
+    assert len(report.columns) == 224
+    assert [column.subflow_id for column in report.columns if column.log] == [2]
+    assert report.columns[1].log == [(31_680, 34_244, 11_680)]
+    for column in report.columns:
+        end_us = 400_000_000 if column.died_us is None else column.died_us
+        first, acked = report.acked(column)
+        assert first == column.flag_times[0] // 1000, column.subflow_id
+        assert len(acked) == (end_us - 1) // 1000 + 1 - first, column.subflow_id

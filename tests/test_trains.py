@@ -38,7 +38,7 @@ from mpflow.model import close_subflow, new_connection
 from mpflow.scenario import PPOS_ENV_VAR, emit_csv, parse_scenario, run_scenario
 from mpflow.simnet import MSS, RTO_MIN_US, WINDOW_SEGMENTS, LinkSpec, Simulation, _srtt_after
 from mpflow.sockopt import SubPrioRequest
-from helpers import acked_by_bucket, addr, expand, on_ack_arrival, pop_ack
+from helpers import acked_by_bucket, addr, expand, logged, on_ack_arrival, pop_ack
 from scenario_gen import BUSY_SCENARIO, edge_scenarios, random_scenario, tie_scenario
 
 
@@ -126,7 +126,7 @@ def end_state(sim, report, pending_at=False):
             flow.timer_pending[0] if pending_at and flow.timer_pending else None,
             expand(flow.train),
             flow.keepalive,
-            flow.acked,
+            logged(flow.log),
             expand(flow.acks),
         )
         for flow_id, flow in sim._flows.items()
@@ -401,7 +401,7 @@ def test_a_bucket_narrower_than_s_leaves_buckets_inside_a_train_empty():
     # steps over a bucket now and then: it holds no ack, and the split adds
     # no entry for it, as the per-ack run does not.
     sim = run_both(one_link(1_000_000, 20, 3_000, bucket_ms=10))
-    acked = acked_by_bucket(sim._flows[1])
+    acked = acked_by_bucket(sim._flows[1], 10_000)
     (train,) = sim.trains
     buckets = {at // 10_000 for at in acks_of(train)}
     skipped = set(range(min(buckets), max(buckets) + 1)) - buckets
@@ -417,7 +417,7 @@ def test_a_bucket_that_is_a_multiple_of_s_holds_that_many_acks(bucket_ms):
     # acks, the one on its start edge included: one each when s is the
     # bucket width, five at 10 ms.
     sim = run_both(one_link(EVEN_BPS, 20, 2_000, bucket_ms=bucket_ms))
-    acked = acked_by_bucket(sim._flows[1])
+    acked = acked_by_bucket(sim._flows[1], bucket_ms * 1000)
     (train,) = sim.trains
     first, last = acks_of(train)[0] // (bucket_ms * 1000), acks_of(train)[-1] // (bucket_ms * 1000)
     assert last - first > 100
@@ -441,7 +441,7 @@ def test_a_train_that_ends_in_the_bucket_it_started_in(
     (train,) = sim.trains
     assert (train.acks, train.until) == (acks, duration_ms * 1000)
     assert {at // (bucket_ms * 1000) for at in acks_of(train)} == {bucket}
-    assert acked_by_bucket(sim._flows[1]) == {bucket: acks * MSS}
+    assert acked_by_bucket(sim._flows[1], bucket_ms * 1000) == {bucket: acks * MSS}
 
 
 @pytest.mark.parametrize("duration_ms, last_bucket_acks", [(2_000, 5), (2_001, 1)])
@@ -451,7 +451,7 @@ def test_a_train_ending_on_a_bucket_edge_splits_there(duration_ms, last_bucket_a
     # last bucket with acks is 199, with five. A run of 2,001 ms handles it
     # alone in bucket 200, the run's short last bucket.
     sim = run_both(one_link(EVEN_BPS, 20, duration_ms, bucket_ms=10))
-    acked = acked_by_bucket(sim._flows[1])
+    acked = acked_by_bucket(sim._flows[1], 10_000)
     last = sim.trains[-1]
     assert last.until == duration_ms * 1000
     assert max(acked) == 199 + (duration_ms == 2_001)
@@ -647,7 +647,7 @@ def test_a_sub_flow_closed_at_0_ms_takes_no_keepalive_and_is_re_created():
     assert sim.keepalives == []
     assert sim.sender.subflow_by_id(2).died_us == 0
     assert sim.sender.subflow_by_id(3).created_us == 1_000_000
-    assert sum(acked_by_bucket(sim._flows[3]).values()) == 496_400
+    assert len(logged(sim._flows[3].log)) * MSS == 496_400
 
 
 @pytest.mark.parametrize("down_ms", [3_650, 3_900], ids=["mid-flight", "at-the-ack"])
