@@ -20,8 +20,12 @@ the base's runs, the pairs that this checkout won, by the direction that
 spread. ``--workload all`` runs the pairs of each workload that
 ``BENCHMARK.json`` declares in turn, and prints a block of rows for each as
 it is done, so one command shows both a claimed gain and that no other
-workload lost. After the tables, it prints the line count of
-``src/mpflow/*.py`` in BASE_DIR and in this checkout, and the net change.
+workload lost. After the tables, it prints the lines of ``src/mpflow``
+that one pass of each workload executes at seed S in BASE_DIR and in this
+checkout, counted with ``sys.settrace`` over each scenario's
+``run_scenario`` and ``emit_csv``, which the benchmark times: an exact
+count, which two runs repeat, though it sees no work done in C. Last, it
+prints the line count of ``src/mpflow/*.py`` in both and the net change.
 A run that exits non-zero or reports a failed scenario run stops the
 script.
 """
@@ -85,6 +89,54 @@ def run_seconds(benchmark: Path = BENCHMARK) -> float:
 def src_lines(checkout: Path) -> int:
     """The lines of ``src/mpflow/*.py`` in ``checkout``, as ``wc -l`` counts them."""
     return sum(path.read_bytes().count(b"\n") for path in checkout.glob("src/mpflow/*.py"))
+
+
+# Run in a checkout: one pass of a workload, counting each line executed in
+# its src/mpflow over what perfbench times, run_scenario and emit_csv.
+LINES_PROBE = r"""
+import io, sys
+from pathlib import Path
+sys.path.insert(0, "perfbench")
+import workloads
+mp = workloads.import_mpflow()
+spec = workloads.make(sys.argv[1], int(sys.argv[2]), mp)
+scenarios = [mp.parse_scenario(doc) for _, doc in spec.docs]
+package, count = str(Path(mp.__file__).parent) + "/", 0
+
+def local(frame, event, arg):
+    global count
+    count += event == "line"
+    return local
+
+def on_call(frame, event, arg):
+    return local if frame.f_code.co_filename.startswith(package) else None
+
+sys.settrace(on_call)
+for scenario in scenarios:
+    mp.emit_csv(mp.run_scenario(scenario, bucket_ms=spec.bucket_ms), io.StringIO())
+sys.settrace(None)
+print(count)
+"""
+
+
+def executed_lines(checkout: Path, workload: str, seed: int) -> int:
+    """The lines of ``src/mpflow`` that one pass of ``workload`` at ``seed``
+    executes in ``checkout``."""
+    cmd = [sys.executable, "-c", LINES_PROBE, workload, str(seed)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=900)
+    if proc.returncode != 0:
+        raise SystemExit(f"perf_ab: counting executed lines failed in {checkout}:\n{proc.stderr}")
+    return int(proc.stdout.split()[-1])
+
+
+def format_lines(counts: Dict[str, Tuple[int, int]], seed: int) -> str:
+    """A table of the executed lines by workload, from (base, head) counts."""
+    lines = [f"executed src/mpflow lines, one pass at seed {seed}",
+             f"{'workload':<16} {'base':>12} {'head':>12} {'change':>10} {'ratio':>7}"]
+    for workload, (base, head) in counts.items():
+        ratio = head / base if base else float("nan")
+        lines.append(f"{workload:<16} {base:>12} {head:>12} {head - base:>+10} {ratio:>7.4f}")
+    return "\n".join(lines)
 
 
 def quartile_spread(values: Sequence[float]) -> float:
@@ -162,6 +214,11 @@ def main(argv: List[str]) -> int:
             pairs.append((results[0], results[1]))
             print(f"{workload}: pair {k + 1}/{args.pairs} done", file=sys.stderr, flush=True)
         print(format_rows(workload, summarize(pairs, directions())), flush=True)
+    counts = {
+        workload: tuple(executed_lines(checkout, workload, args.seed) for checkout in checkouts)
+        for workload in names
+    }
+    print(f"\n{format_lines(counts, args.seed)}")
     base, head = map(src_lines, checkouts)
     print(f"\nsrc/mpflow/*.py lines: {base} -> {head} ({head - base:+d})")
     return 0

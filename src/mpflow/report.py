@@ -38,7 +38,7 @@ _FLAG_TEXT = {flags: "{:d},{:d}\n".format(*flags) for flags in _FLAGS}  # each r
 def check_ms(what: str, ms: int) -> None:
     """Raise ValidationError unless ``ms``, a run's ``what``, is a positive
     whole number of ms."""
-    if not isinstance(ms, int):
+    if not isinstance(ms, int) or isinstance(ms, bool):
         raise ValidationError(f"{what} must be a whole number of ms: {ms}")
     if ms <= 0:
         raise ValidationError(f"{what} must be positive")

@@ -92,12 +92,12 @@ class Scenario(NamedTuple):
     actions: Tuple[ScenarioAction, ...]
 
 
-# Each verb's rule, run as ``rule(sim, action, pair_by_link)`` when the
+# Each verb's rule, run as ``rule(action, pair_by_link, sim)`` when the
 # action is due. A rule reads ``sockopt`` and ``sim`` then, so a call
 # rebound on them (as a tracer does) is the one that runs.
 
 
-def _set_sub_prio(sim: Simulation, action: ScenarioAction, pair_by_link: _PairByLink) -> None:
+def _set_sub_prio(action: ScenarioAction, pair_by_link: _PairByLink, sim: Simulation) -> None:
     # Liberal, like a remote MP_PRIO: the sub-flow may have died.
     for subflow_id in action.targets:
         try:
@@ -110,25 +110,25 @@ def _set_sub_prio(sim: Simulation, action: ScenarioAction, pair_by_link: _PairBy
             )
 
 
-def _set_active_list(sim: Simulation, action: ScenarioAction, pair_by_link: _PairByLink) -> None:
+def _set_active_list(action: ScenarioAction, pair_by_link: _PairByLink, sim: Simulation) -> None:
     sockopt.set_active_interface_list(sim.sender, [pair_by_link[i] for i in action.targets])
 
 
-def _set_backup_list(sim: Simulation, action: ScenarioAction, pair_by_link: _PairByLink) -> None:
+def _set_backup_list(action: ScenarioAction, pair_by_link: _PairByLink, sim: Simulation) -> None:
     sockopt.set_backup_interface_list(sim.sender, [pair_by_link[i] for i in action.targets])
 
 
-def _enable_ppos(sim: Simulation, action: ScenarioAction, pair_by_link: _PairByLink) -> None:
+def _enable_ppos(action: ScenarioAction, pair_by_link: _PairByLink, sim: Simulation) -> None:
     pairs = [pair_by_link[i] for i in action.targets] or [sim.sender.mesh_pairs()[0]]
     sockopt.enable_primary_path_only(sim.sender, pairs)
 
 
-def _set_links(sim: Simulation, action: ScenarioAction, pair_by_link: _PairByLink) -> None:
+def _set_links(action: ScenarioAction, pair_by_link: _PairByLink, sim: Simulation) -> None:
     for link_id in action.targets:
         sim.set_link_state(link_id, up=action.verb == "link_up")
 
 
-_RULES: Dict[str, Callable[[Simulation, ScenarioAction, _PairByLink], None]] = {
+_RULES: Dict[str, Callable[[ScenarioAction, _PairByLink, Simulation], None]] = {
     "set_sub_prio": _set_sub_prio,
     "set_active_list": _set_active_list,
     "set_backup_list": _set_backup_list,
@@ -374,12 +374,11 @@ def run_scenario(
         duration_ms=duration_ms,
         bucket_ms=bucket_ms,
     )
-    pair_by_link = {link.link_id: link.pair for link in scenario.links}
+    link_pairs = {link.link_id: link.pair for link in scenario.links}
     actions = scenario.actions
     if os.environ.get(PPOS_ENV_VAR, "").lower() in ("1", "true", "yes", "on"):
         actions = (ScenarioAction(0, "enable_ppos"), *actions)
-    for action in actions:
-        if action.at_ms < duration_ms:
-            rule = partial(_RULES[action.verb], action=action, pair_by_link=pair_by_link)
-            sim.schedule_action(action.at_ms, rule)
+    sim.schedule_actions(
+        (a.at_ms, partial(_RULES[a.verb], a, link_pairs)) for a in actions if a.at_ms < duration_ms
+    )
     return sim.run()

@@ -62,13 +62,14 @@ by sub-flow id; acks run last, by sub-flow id, then in send order. So
 identical inputs give byte-identical reports on any platform.
 
 Each kind of control event has a queue of its own. The actions form a
-script in time order, which the run consumes by index; the bootstrap
-follows the 0 ms actions scheduled before the run, and an action scheduled
-during it may not be due before its current µs. The heap holds only the
-timers, as ``(at, sub-flow id, seq, flow)``. An option queues on its link
-as ``(arrival, order, sub-flow id, option)``, in arrival order, as the
-link's delay is fixed; actions and options take their order from one count.
-An option writes only the receiver's view of its sub-flow, which during the
+script in time order, which the run consumes by index, and an action that
+sorts last is appended to it; the bootstrap follows the 0 ms actions
+scheduled before the run, and an action scheduled during it may not be due
+before its current µs. The heap holds only the timers, as
+``(at, sub-flow id, seq, flow)``. An option queues on its link as
+``(arrival, order, sub-flow id, option)``, in arrival order, as the link's
+delay is fixed; actions and options take their order from one count. An
+option writes only the receiver's view of its sub-flow, which during the
 run only actions read, so the run applies the options where the view is
 next read or they are lost:
 
@@ -264,7 +265,7 @@ class LinkSpec(_LinkSpecFields):
             raise ValidationError(f"link {link_id}: pair must be an InterfacePair: {pair!r}")
         numbers = (("id", link_id), ("bandwidth", bandwidth_bps), ("delay", one_way_delay_ms))
         for what, value in numbers:
-            if not isinstance(value, int):
+            if not isinstance(value, int) or isinstance(value, bool):
                 raise ValidationError(f"link {link_id}: {what} must be a whole number: {value!r}")
         if bandwidth_bps <= 0:
             raise ValidationError(f"link {link_id}: bandwidth must be positive")
@@ -446,21 +447,28 @@ class Simulation:
     # event plumbing
 
     def schedule_action(self, at_ms: int, action: Callable[["Simulation"], None]) -> None:
-        """Run ``action(self)`` at ``at_ms``, before the run ends and not before
-        the run's current µs, after the actions scheduled for it so far. An
-        action changes priorities through :mod:`mpflow.sockopt` but opens no
-        sub-flow (ValidationError); the run records a flip from the MP_PRIO
-        it queues."""
-        if not isinstance(at_ms, int) or at_ms < 0:
-            raise ValidationError(f"an action's time must be a whole number of ms >= 0: {at_ms}")
-        at_us = at_ms * US_PER_MS
-        if at_us >= self.duration_us:
-            raise ValidationError(f"an action at {at_ms} ms would never run: the run ends first")
-        if at_us < self.now_us:
-            raise ValidationError(
-                f"an action at {at_ms} ms would run in the past: the run is at {self.now_us} µs"
-            )
-        bisect.insort(self._script, (at_us, next(self._seq), action))  # seq sorts it last
+        """Run ``action(self)`` at ``at_ms``: :meth:`schedule_actions` of one."""
+        self.schedule_actions(((at_ms, action),))
+
+    def schedule_actions(self, actions: Iterable[Tuple[int, Callable]]) -> None:
+        """For each ``(at_ms, action)`` in turn, run ``action(self)`` at ``at_ms``,
+        a whole number of ms before the run's end and not before its current
+        µs, after the actions scheduled for it so far, or raise ValidationError.
+        An action flips priorities through :mod:`mpflow.sockopt`, which queues
+        an MP_PRIO per flip for the run to record, and opens no sub-flow."""
+        script, seq, now, end = self._script, self._seq, self.now_us, self.duration_us
+        for ms, action in actions:
+            if not isinstance(ms, int) or isinstance(ms, bool) or ms < 0:
+                raise ValidationError(f"an action's time must be a whole number of ms >= 0: {ms}")
+            at_us = ms * US_PER_MS
+            if at_us >= end:
+                raise ValidationError(f"an action at {ms} ms would never run: the run ends first")
+            if at_us < now:
+                raise ValidationError(
+                    f"an action at {ms} ms would run in the past: the run is at {now} µs"
+                )
+            last = not script or script[-1][0] <= at_us  # it sorts last, by its seq: append
+            bisect.insort(script, (at_us, next(seq), action), len(script) if last else 0)
 
     # ------------------------------------------------------------------ #
     # link and flow helpers
@@ -534,6 +542,8 @@ class Simulation:
         touches only its own flow and link, so the order of the fills moves
         no segment: they send what a choice per segment would, and leave
         the deciding tier with no schedulable member."""
+        if flows == [] and self._deciding is not None:
+            return  # no tier moved since the last pump, which had one to decide
         now = self.now_us
         if flows is None:
             deciding = select(self.sender, MSS, WINDOW_BYTES).tier
@@ -735,27 +745,29 @@ class Simulation:
         """Run ``action``, then pump the flows whose tier it may have
         changed: each that it flipped or closed, by the ids in the outbox
         and ``closed_ids``; every alive flow if it changed the primary pairs."""
-        sender = self.sender
+        sender, flows, visit = self.sender, self._flows, {}  # visit: the flows to pump, in order
         primary = [*sender.primary_pairs]
         action(self)
-        if len(sender.subflows) != len(self._flows):
+        if len(sender.subflows) != len(flows):
             raise ValidationError("an action may not open sub-flows; the simulator opens them")
-        outbox, closed = sender.outbox, sender.closed_ids
+        outbox, closed, now = sender.outbox, sender.closed_ids, self.now_us
         for sf_id, opt in outbox:  # each on its own sub-flow's link
-            flow = self._flows[sf_id]
+            flow = flows[sf_id]
+            visit[flow] = None
             if flow.sf.low_prio != flow.flag_values[-1]:
-                flow.flag_times.append(self.now_us)
+                flow.flag_times.append(now)
                 flow.flag_values.append(flow.sf.low_prio)
             link = flow.link
             if link.up:  # else lost, as it would be at any change before it arrives
-                link.options.append((self.now_us + link.delay_us, next(self._seq), sf_id, opt))
+                link.options.append((now + link.delay_us, next(self._seq), sf_id, opt))
                 self._option_links[link] = None
-        flows = map(self._flows.__getitem__, dict.fromkeys([*(i for i, _ in outbox), *closed]))
+        for sf_id in closed:
+            visit[flows[sf_id]] = None
         if sender.primary_pairs != primary:  # every flow may change tier
-            flows = self._newest_flow.values()
+            visit = [flow for flow in self._newest_flow.values() if flow.sf.died_us is None]
         outbox.clear()
         closed.clear()
-        self._pump([flow for flow in flows if flow.sf.died_us is None])
+        self._pump([*visit])  # flags change and closes happen only on alive sub-flows
 
     # ------------------------------------------------------------------ #
     # main loop and report
@@ -794,7 +806,8 @@ class Simulation:
             if next_us == action_us:  # actions run before the timers of their µs
                 _, order, action = script[i]
                 i += 1
-                self._deliver(self._option_links, (next_us, order))
+                if self._option_links:
+                    self._deliver(self._option_links, (next_us, order))
                 if action is None:
                     self._bootstrap()
                 else:

@@ -96,6 +96,7 @@ def test_seconds_default_to_the_benchmark_s_run_length(monkeypatch, tmp_path):
         return perf_ab.result_of(stdout(7_000, 0.001))
 
     monkeypatch.setattr(perf_ab, "run_bench", canned_run)
+    monkeypatch.setattr(perf_ab, "executed_lines", lambda checkout, workload, seed: 1)
     monkeypatch.setattr(perf_ab, "run_seconds", lambda: read(canned))
     perf_ab.main([str(tmp_path), "--pairs", "1"])
     perf_ab.main([str(tmp_path), "--pairs", "1", "--seconds", "4"])
@@ -116,12 +117,29 @@ def test_all_runs_the_pairs_of_each_declared_workload_and_prints_a_block_each(
         runs.append((workload, side))
         return perf_ab.result_of(stdout(speeds[workload][side], 0.001))
 
+    counted = []
+
+    def canned_count(checkout, workload, seed):
+        counted.append((workload, int(checkout == perf_ab.HERE), seed))
+        return 1_000 + 10 * len(counted)
+
     monkeypatch.setattr(perf_ab, "run_bench", canned_run)
-    assert perf_ab.main([str(tmp_path), "--workload", "all", "--pairs", "2"]) == 0
+    monkeypatch.setattr(perf_ab, "executed_lines", canned_count)
+    assert perf_ab.main([str(tmp_path), "--workload", "all", "--pairs", "2", "--seed", "3"]) == 0
     # each workload in turn, the base first in even pairs and last in odd ones
     assert runs == [(name, side) for name in speeds for side in (0, 1, 1, 0)]
-    *blocks, lines = capsys.readouterr().out.split("\n\n")
+    *blocks, executed, lines = capsys.readouterr().out.split("\n\n")
     assert lines.startswith("src/mpflow/*.py lines: 0 -> ")  # tmp_path holds no source
+    # after the tables, the lines each workload executes on each side, at the pairs' seed
+    assert counted == [(name, side, 3) for name in speeds for side in (0, 1)]
+    title, header, *rows = executed.strip().splitlines()
+    assert title == "executed src/mpflow lines, one pass at seed 3"
+    assert header.split() == ["workload", "base", "head", "change", "ratio"]
+    assert [row.split() for row in rows] == [
+        ["paper_figs", "1010", "1020", "+10", "1.0099"],
+        ["mesh16_flaps", "1030", "1040", "+10", "1.0097"],
+        ["prio_churn_fine", "1050", "1060", "+10", "1.0095"],
+    ]
     assert len(blocks) == 3
     for block, (name, (base, head)) in zip(blocks, speeds.items()):
         header, *rows = block.strip().splitlines()
@@ -148,7 +166,19 @@ def test_the_net_line_change_of_the_source_follows_the_tables(monkeypatch, capsy
     monkeypatch.setattr(
         perf_ab, "run_bench", lambda checkout, workload, args: perf_ab.result_of(stdout(7_000, 0.001))
     )
+    monkeypatch.setattr(perf_ab, "executed_lines", lambda checkout, workload, seed: 1)
     assert perf_ab.main([str(base), "--pairs", "1"]) == 0
-    table, lines = capsys.readouterr().out.split("\n\n")
+    table, _, lines = capsys.readouterr().out.split("\n\n")
     assert table.splitlines()[0].split()[:2] == ["workload", "metric"]
     assert lines == "src/mpflow/*.py lines: 15 -> 13 (-2)\n"
+
+
+def test_the_executed_lines_of_a_pass_are_counted_in_the_checkout_and_repeat():
+    """The count runs one pass of the workload in the checkout named, with
+    that checkout's ``perfbench`` and ``src``, and counts only the lines of
+    its ``src/mpflow``: two counts agree, and the paper figures' pass, 400
+    simulated seconds, runs some thousands of them."""
+    perf_ab = load_script()
+    first, second = (perf_ab.executed_lines(perf_ab.HERE, "paper_figs", 0) for _ in range(2))
+    assert first == second
+    assert 1_000 < first < 1_000_000

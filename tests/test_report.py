@@ -228,7 +228,11 @@ def test_a_sub_flow_dead_at_its_birth_on_an_edge_has_no_row():
 
 @pytest.mark.parametrize(
     "bucket_ms, message",
-    [(0, "bucket width must be positive"), (2.5, "bucket width must be a whole number of ms: 2.5")],
+    [
+        (0, "bucket width must be positive"),
+        (2.5, "bucket width must be a whole number of ms: 2.5"),
+        (True, "bucket width must be a whole number of ms: True"),
+    ],
 )
 def test_a_report_is_bucketed_at_a_positive_whole_number_of_ms(bucket_ms, message):
     report = TimelineReport(1000, 2000, [])

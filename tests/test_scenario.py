@@ -1,4 +1,5 @@
 import io
+import re
 
 import pytest
 
@@ -260,6 +261,23 @@ def test_a_shorter_run_leaves_out_the_actions_at_or_after_its_end(monkeypatch):
 def test_zero_duration_override_is_rejected_not_ignored():
     with pytest.raises(ValidationError, match="duration must be positive"):
         run_scenario(builtin_scenario("fig4"), duration_ms=0)
+
+
+@pytest.mark.parametrize(
+    "times, message",
+    [
+        ({"bucket_ms": True}, "bucket width must be a whole number of ms: True"),
+        ({"bucket_ms": False}, "bucket width must be a whole number of ms: False"),
+        ({"duration_ms": True}, "duration must be a whole number of ms: True"),
+    ],
+    ids=["bucket-true", "bucket-false", "duration-true"],
+)
+def test_a_width_or_duration_override_may_not_be_a_bool(times, message):
+    """A ``bool`` is an ``int`` to Python: ``bucket_ms=True`` ran at 1 ms
+    buckets and reported a width of ``True``, and ``duration_ms=True`` ran
+    for 1 ms."""
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        run_scenario(builtin_scenario("fig4"), **times)
 
 
 def test_set_sub_prio_skips_a_dead_target_and_applies_the_rest():

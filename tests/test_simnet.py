@@ -852,8 +852,12 @@ def test_link_spec_validation():
         (1, None, MBPS, 10.5, "link 1: delay must be a whole number: 10.5"),
         (1, "not a pair", MBPS, 10, "link 1: pair must be an InterfacePair: 'not a pair'"),
         ([1], None, MBPS, 10, "link [1]: id must be a whole number: [1]"),
+        (True, None, MBPS, 10, "link True: id must be a whole number: True"),
+        (1, None, True, 10, "link 1: bandwidth must be a whole number: True"),
+        (1, None, MBPS, False, "link 1: delay must be a whole number: False"),
     ],
-    ids=["float-bandwidth", "float-delay", "not-a-pair", "list-id"],
+    ids=["float-bandwidth", "float-delay", "not-a-pair", "list-id", "bool-id", "bool-bandwidth",
+         "bool-delay"],
 )
 def test_a_link_spec_takes_whole_numbers_and_an_interface_pair(
     link_id, pair_text, bandwidth_bps, delay_ms, message
